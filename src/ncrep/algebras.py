@@ -30,12 +30,6 @@ def _adjoint_space(space):
     return OperatorSubspace(space.ambient_dim, flat)
 
 
-def _closure_defects(space, rows):
-    """HS distance of each row (flattened matrix) from the span."""
-    coords = rows @ space.flat.conj().T
-    return np.linalg.norm(rows - coords @ space.flat, axis=1)
-
-
 class Subalgebra:
     """Unital, product-closed subspace of M_n. Not necessarily adjoint-closed."""
 
@@ -71,7 +65,7 @@ class Subalgebra:
             raise InvariantViolation(f"identity: I is not in the span (distance {gap:.3e})")
         b = self.space.tensor
         products = np.einsum("aij,bjk->abik", b, b).reshape(self.dim**2, self.n**2)
-        defects = _closure_defects(self.space, products)
+        defects = self.space.residuals(products)
         allowed = tol(1e-9) * np.maximum(1.0, np.linalg.norm(products, axis=1))
         if np.any(defects > allowed):
             raise InvariantViolation(
@@ -93,7 +87,7 @@ class StarAlgebra(Subalgebra):
         super().validate()
         b = self.space.tensor
         adjoints = np.conj(np.transpose(b, (0, 2, 1))).reshape(self.dim, self.n**2)
-        defects = _closure_defects(self.space, adjoints)
+        defects = self.space.residuals(adjoints)
         if np.any(defects > tol(1e-9)):
             raise InvariantViolation(
                 f"adjoint closure: a basis adjoint leaves the span (defect {defects.max():.3e})"
@@ -216,10 +210,6 @@ def commutant(s, within=None):
     coeffs = null_space_rows(np.vstack(blocks))
     flat = coeffs @ within.space.flat
     return StarAlgebra(OperatorSubspace(n, flat))
-
-
-def contains(s, x):
-    return s.contains(x)
 
 
 def check_ss_density(a, m):

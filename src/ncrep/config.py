@@ -13,10 +13,6 @@ if _scale <= 0:
     raise ValueError("NCREP_TOL must be positive")
 
 
-def tol_scale():
-    return _scale
-
-
 def set_tol_scale(value):
     global _scale
     value = float(value)

@@ -4,7 +4,7 @@ Every failure mode has its own class so callers can react to the exact
 condition.  All inherit from NcrepError.  InconsistencyDetected is special:
 it signals that two independent computations of the same fact disagreed,
 which is a numerical or logic fault of the artifact, never a property of
-the input.
+the input; cross_check is the one place that decides when to raise it.
 """
 
 
@@ -120,3 +120,17 @@ class ParseError(NcrepError):
 
 class InvariantViolation(NcrepError):
     pass
+
+
+def cross_check(what, verdict, confirmation, *margins):
+    """Return verdict after comparing it with a second route's confirmation.
+
+    Each margin is a (statistic, threshold) pair behind one of the verdicts.
+    Rounding can flip a verdict whose statistic sits near its threshold, so
+    disagreement is an InconsistencyDetected only when every statistic lies
+    more than a factor 30 from its threshold, on either side.
+    """
+    if verdict != confirmation and all(max(s, t) > 30 * min(s, t) for s, t in margins):
+        detail = ", ".join(f"{s:.3e} against threshold {t:.3e}" for s, t in margins)
+        raise InconsistencyDetected(f"{what}: {detail}")
+    return verdict

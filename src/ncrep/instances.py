@@ -23,7 +23,7 @@ from .algebras import (
 )
 from .errors import ParseError
 from .linalg import dagger, sandwich_matrix
-from .representing import DCharacter, make_block_character
+from .representing import DCharacter, block_compression_character, make_block_character
 from .states import PositiveFunctional
 
 
@@ -136,16 +136,9 @@ def instance_from_dict(data):
         if not isinstance(c_spec, dict):
             raise ParseError("'character' must be an object")
         if c_spec.get("block_compression"):
-            blocks = getattr(a, "blocks", None)
-            if blocks is None:
+            if getattr(a, "blocks", None) is None:
                 raise ParseError("block_compression needs A given as 'triangular_over'")
-            k = np.zeros((n * n, n * n), dtype=complex)
-            for blk in blocks:
-                p = np.zeros((n, n), dtype=complex)
-                p[blk, blk] = 1.0
-                k += sandwich_matrix(p, p)
-            phi = DCharacter(k @ a.space.projector_matrix(), a, d)
-            phi.blocks = [list(blk) for blk in blocks]
+            phi = block_compression_character(a, d)
         elif "matrix" in c_spec:
             kmat = decode_matrix(c_spec["matrix"], "character matrix")
             if kmat.shape != (n * n, n * n):
@@ -253,7 +246,7 @@ def random_block_instance(n, rng, conjugate=False):
     a, d, phi = make_block_character(n, blocks)
     if conjugate:
         u = haar_unitary(n, rng)
-        s = np.kron(u, np.conj(u))
+        s = sandwich_matrix(u, dagger(u))
         a = unitary_conjugate_algebra(a, u)
         d = unitary_conjugate_algebra(d, u)
         phi = DCharacter(s @ phi.map_matrix @ dagger(s) @ a.space.projector_matrix(), a, d)

@@ -24,6 +24,7 @@ from .errors import (
     NotTracial,
     NotTriangularType,
 )
+from .expectations import _check_preserves
 from .linalg import (
     as_matrix,
     dagger,
@@ -35,6 +36,7 @@ from .linalg import (
     psd_sqrt,
     _require_pd,
 )
+from .representing import _check_extends_character
 from .states import tracial_certificate
 
 
@@ -218,14 +220,8 @@ def jensen_check(omega, phi, psi, a, n_powers=24, witnessed=None):
     cert = tracial_certificate(omega, phi.range_alg)
     if not cert.result:
         raise NotTracial(f"omega is not tracial on the range (violation {cert.max_violation:.3e})")
-    pulled = psi.pullback(omega)
-    drift = hs_norm(pulled.density - omega.density)
-    if drift > tol(1e-8) * max(1.0, hs_norm(omega.density)):
-        raise InvariantViolation(f"the expectation moves omega by {drift:.3e}")
-    proj = phi.domain.space.projector_matrix()
-    ext = np.linalg.norm((psi.map_matrix - phi.map_matrix) @ proj)
-    if ext > tol(1e-7) * max(1.0, np.linalg.norm(phi.map_matrix)):
-        raise InvariantViolation(f"the expectation does not extend the character (gap {ext:.3e})")
+    _check_preserves(psi.map_matrix, omega, omega.density)
+    _check_extends_character(psi, phi)
     if not phi.domain.contains(a):
         raise InvariantViolation("a must lie in the character's domain")
     rep_a = geometric_mean(omega, a, n_powers)

@@ -29,18 +29,18 @@ def as_matrix(x):
     m = np.asarray(x, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    return require_finite(m)
+
+
+def require_finite(x):
+    """x itself, after checking that no entry is NaN or infinite."""
+    if not np.isfinite(x).all():
         raise InvariantViolation("matrix entries must be finite")
-    return m
+    return x
 
 
 def dagger(x):
     return np.conj(x).swapaxes(-1, -2)
-
-
-def hs_inner(x, y):
-    """<X, Y> = Tr(Y* X)."""
-    return complex(np.vdot(y, x))
 
 
 def hs_norm(x):
@@ -50,6 +50,11 @@ def hs_norm(x):
 
 def commutator(x, y):
     return x @ y - y @ x
+
+
+def commutation_gap(x, basis):
+    """max ||[x, b]|| over a stacked (k, n, n) basis; 0 for an empty one."""
+    return float(np.linalg.norm(x @ basis - basis @ x, axis=(1, 2)).max(initial=0.0))
 
 
 def is_hermitian(x, atol=None):
@@ -144,10 +149,6 @@ def psd_sqrt(x):
     return spec.apply(lambda v: np.sqrt(np.clip(v, 0.0, None)))
 
 
-def matexp(x):
-    return matfn(x, np.exp)
-
-
 def matlog(x):
     spec = eigh_hermitian(x)
     _require_pd(spec, "log")
@@ -209,6 +210,10 @@ class OperatorSubspace:
     def project(self, x):
         return self.from_coords(self.coords(x))
 
+    def residuals(self, rows):
+        """HS distance from the span of each flattened matrix in rows (k, n^2)."""
+        return np.linalg.norm(rows - (rows @ self.flat.conj().T) @ self.flat, axis=1)
+
     def contains(self, x, membership_tol=None):
         x = as_matrix(x)
         if membership_tol is None:
@@ -246,18 +251,11 @@ def orthonormalize(spanning_set, dep_tol=None):
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise DimensionMismatch(f"expected a stack of square matrices, got shape {stack.shape}")
     n = stack.shape[1]
-    rows = stack.reshape(len(stack), n * n)
-    if not np.isfinite(rows).all():
-        raise InvariantViolation("matrix entries must be finite")
+    rows = require_finite(stack.reshape(len(stack), n * n))
     if dep_tol is None:
         dep_tol = tol(1e-9) * math.sqrt(np.einsum("ij,ij->i", rows.conj(), rows).real.max())
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
     return OperatorSubspace(n, vh[s > dep_tol])
-
-
-def hs_project(space, x):
-    """Orthogonal projection of x onto an OperatorSubspace (or anything exposing .project)."""
-    return space.project(x)
 
 
 def null_space_rows(a, rank_tol=None):
@@ -323,6 +321,51 @@ def _kron2(a, b):
 def sandwich_matrix(a, b):
     """Matrix of x -> a x b on row-major flattened coordinates."""
     return _kron2(np.asarray(a, dtype=complex), np.asarray(b).T)
+
+
+class Corner:
+    """The corner of M_n cut out by an isometry v (n x r, v*v = I_r, r >= 1).
+
+    The lift y -> v y v* has matrix sandwich_matrix(v, v*) = kron(v, conj v)
+    on flattened coordinates.  It is an isometry, so its adjoint is the
+    compression x -> v* x v, and lifting a compression sandwiches x by vv*.
+    """
+
+    def __init__(self, v):
+        self.v = np.asarray(v, dtype=complex)
+        self.n, self.rank = self.v.shape
+        if self.rank == 0:
+            raise EmptyInput("the corner of a zero projection is empty")
+        self.lift_matrix = sandwich_matrix(self.v, dagger(self.v))
+
+    @property
+    def projection(self):
+        """vv*, the projection onto the corner."""
+        return self.v @ dagger(self.v)
+
+    @property
+    def compression_matrix(self):
+        return dagger(self.lift_matrix)
+
+    def compress(self, x):
+        """v* x v, for one matrix or a stacked (k, n, n) tensor."""
+        return dagger(self.v) @ x @ self.v
+
+    def compress_rows(self, flat):
+        """Flattened rows (k, n^2) compressed to a stacked (k, r, r) tensor."""
+        return (flat @ np.conj(self.lift_matrix)).reshape(-1, self.rank, self.rank)
+
+    def lift(self, y):
+        """v y v*, for one matrix or a stacked (k, r, r) tensor."""
+        return self.v @ y @ dagger(self.v)
+
+    def lift_space(self, space):
+        """An operator subspace of M_r carried into M_n; orthonormal rows stay orthonormal."""
+        return OperatorSubspace(self.n, space.flat @ self.lift_matrix.T)
+
+    def lift_map(self, k):
+        """Matrix of x -> v K(v* x v) v* for the matrix k of a map K on M_r."""
+        return self.lift_matrix @ k @ self.compression_matrix
 
 
 def left_mult_matrix(a):

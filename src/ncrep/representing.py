@@ -49,22 +49,22 @@ from .expectations import (
     preserving_expectation,
 )
 from .linalg import (
+    Corner,
     OperatorSubspace,
     apply_map,
     as_matrix,
-    commutator,
+    commutation_gap,
     dagger,
     eigh_hermitian,
     hs_norm,
-    hs_project,
+    left_mult_matrix,
     minimal_norm_solution,
     null_space_rows,
     orthonormalize,
     pd_tol,
     projection_isometry,
     psd_sqrt,
-    sandwich_matrix,
-    left_mult_matrix,
+    require_finite,
     right_mult_matrix,
     subspace_sum,
 )
@@ -91,6 +91,8 @@ class DCharacter:
         self.range_alg = range_alg
         self.n = domain.n
         self.blocks = None
+        if check:
+            require_finite(self.map_matrix)
         self.kernel = self._kernel_space()
         if check:
             self.validate()
@@ -119,7 +121,7 @@ class DCharacter:
         into = float(np.linalg.norm(self.range_alg.space.perp_projector_matrix() @ k))
         if into > tol(1e-8) * max(1.0, float(np.linalg.norm(k))):
             raise InvariantViolation(f"range: Phi output leaves span(D) by {into:.3e}")
-        b = np.stack(self.domain.basis)
+        b = self.domain.space.tensor
         prods = np.einsum("aij,bjk->abik", b, b).reshape(-1, n * n)
         images = (b.reshape(-1, n * n) @ k.T).reshape(-1, n, n)
         want = np.einsum("aij,bjk->abik", images, images).reshape(-1, n * n)
@@ -159,19 +161,25 @@ def make_block_character(n, blocks):
         raise BadPartition(f"blocks must partition range({n}), got {blocks}")
     a = block_upper_triangular(n, blocks)
     d = block_diagonal_algebra(n, blocks)
-    k = np.zeros((n * n, n * n), dtype=complex)
-    for blk in blocks:
-        p = np.zeros((n, n), dtype=complex)
-        p[blk, blk] = 1.0
-        k += sandwich_matrix(p, p)
-    phi = DCharacter(k @ a.space.projector_matrix(), a, d)
-    phi.blocks = [list(blk) for blk in blocks]
+    phi = block_compression_character(a, d)
     m = full_matrix_algebra(n)
     if not check_ss_density(a, m):
         raise InvariantViolation("A + A* should span M for a triangular partition")
     if not diagonal_part_check(a, d, phi):
         raise InvariantViolation("A intersect A* should be exactly D")
     return a, d, phi
+
+
+def block_compression_character(a, d):
+    """Phi(x) = sum_t p_t x p_t on A, p_t the diagonal projection onto block t of a.blocks."""
+    label = np.empty(a.n, dtype=int)
+    for t, blk in enumerate(a.blocks):
+        label[blk] = t
+    # x -> sum_t p_t x p_t keeps entry (i, j) iff i and j share a block: a diagonal matrix
+    k = np.diag((label[:, None] == label[None, :]).ravel().astype(complex))
+    phi = DCharacter(k @ a.space.projector_matrix(), a, d)
+    phi.blocks = [list(blk) for blk in a.blocks]
+    return phi
 
 
 def _matched_density(constraint_mats, values, m, perturb, rng_seed):
@@ -223,7 +231,7 @@ def _projected_factor(a_alg, kernel, a_mat, b_mat, weight=None):
     sqw = psd_sqrt(weight) if weight is not None else np.eye(n, dtype=complex)
     reach = orthonormalize([x @ a_mat @ sqw for x in a_alg.basis])
     bt = b_mat @ sqw
-    ct = hs_project(reach, bt)
+    ct = reach.project(bt)
     scale = max(1.0, hs_norm(bt))
     for j in kernel.basis:
         f = j @ a_mat @ sqw
@@ -379,43 +387,41 @@ def compose_direct_sum(pieces, m=None, d=None):
         raise EmptyInput("no pieces to compose")
     projs = [as_matrix(p) for p, _ in pieces]
     n = projs[0].shape[0]
-    total = np.zeros((n, n), dtype=complex)
     for p in projs:
         if hs_norm(p - dagger(p)) > tol(1e-9) or hs_norm(p @ p - p) > tol(1e-9) * max(1.0, hs_norm(p)):
             raise ProjectionsNotPartition("a piece is not an orthogonal projection")
-        total += p
     for s in range(len(projs)):
         for t in range(s + 1, len(projs)):
             if hs_norm(projs[s] @ projs[t]) > tol(1e-9):
                 raise ProjectionsNotPartition("pieces overlap")
-    if hs_norm(total - np.eye(n)) > tol(1e-9) * np.sqrt(n):
+    if hs_norm(sum(projs) - np.eye(n)) > tol(1e-9) * np.sqrt(n):
         raise ProjectionsNotPartition("pieces do not sum to the identity")
     if m is None:
         m = full_matrix_algebra(n)
     k = np.zeros((n * n, n * n), dtype=complex)
     unit = np.zeros((n, n), dtype=complex)
     lifted_range, lifted_bimodule = [], []
-    isometries = []
+    corners = []
     for p, piece in pieces:
         v = projection_isometry(p)
-        isometries.append(v)
         if piece.n != v.shape[1]:
             raise DimensionMismatch(
                 f"piece expects dimension {piece.n}, corner has rank {v.shape[1]}"
             )
-        k += np.kron(v, np.conj(v)) @ piece.map_matrix @ np.kron(dagger(v), v.T)
-        unit += v @ piece.unit @ dagger(v)
-        lifted_range += [v @ x @ dagger(v) for x in piece.range_space.basis]
-        lifted_bimodule += [v @ x @ dagger(v) for x in piece.bimodule.basis]
+        corner = Corner(v)
+        corners.append(corner)
+        k += corner.lift_map(piece.map_matrix)
+        unit += corner.lift(piece.unit)
+        lifted_range.extend(corner.lift(piece.range_space.tensor))
+        lifted_bimodule.extend(corner.lift(piece.bimodule.space.tensor))
     bimodule = d if d is not None else from_spanning(lifted_bimodule)
-    for p in projs:
-        for x in bimodule.basis:
-            if hs_norm(commutator(p, x)) > tol(1e-9) * max(1.0, hs_norm(x)):
-                raise NotCentralInD("a piece projection does not commute with D")
+    # the basis is orthonormal, so each element's scale max(1, ||x||) is 1
+    if any(commutation_gap(p, bimodule.space.tensor) > tol(1e-9) for p in projs):
+        raise NotCentralInD("a piece projection does not commute with D")
     e = ConditionalExpectation(k @ m.space.projector_matrix(), m, orthonormalize(lifted_range), unit, bimodule)
-    for (p, piece), v in zip(pieces, isometries):
+    for (p, piece), corner in zip(pieces, corners):
         for y in piece.domain.basis:
-            gap = hs_norm(dagger(v) @ e(v @ y @ dagger(v)) @ v - piece(y))
+            gap = hs_norm(corner.compress(e(corner.lift(y))) - piece(y))
             if gap > tol(1e-8) * max(1.0, hs_norm(y)):
                 raise InvariantViolation(f"composition does not extend a piece (gap {gap:.3e})")
     return e

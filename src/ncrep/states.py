@@ -14,14 +14,16 @@ from .algebras import commutant, from_spanning
 from .config import tol
 from .errors import (
     DoesNotCommute,
-    InconsistencyDetected,
     InvariantViolation,
     NotFaithful,
     NotHermitian,
     NotPositiveDefinite,
+    cross_check,
 )
 from .linalg import (
+    Corner,
     as_matrix,
+    commutation_gap,
     commutator,
     dagger,
     eigh_hermitian,
@@ -112,11 +114,6 @@ class PositiveFunctional:
         return spec.support_isometry(pd_tol(spec.norm))
 
 
-def support_projection(omega):
-    """Spectral projection onto the nonzero part of the density."""
-    return omega.support
-
-
 def _omega_gram(omega, b):
     """Gram matrix omega(b_a* b_c) of a stacked basis b, plus the pairing rows
     x -> omega(b_a* x) on flattened coordinates, from which it is formed."""
@@ -141,7 +138,7 @@ class TracialCertificate:
 
 def tracial_certificate(omega, algebra):
     """Largest |omega(xy) - omega(yx)| over basis pairs; result true iff below 1e-9 x ||rho||."""
-    b = np.stack([np.asarray(m) for m in algebra.basis])
+    b = algebra.space.tensor
     t1 = np.einsum("ij,ajk,bki->ab", omega.density, b, b)
     violation = float(np.abs(t1 - t1.T).max()) if b.size else 0.0
     return TracialCertificate(algebra, violation <= tol(1e-9) * hs_norm(omega.density), violation)
@@ -172,11 +169,11 @@ def check_support_compression(omega, m):
     e = omega.support
     if not m.contains(e):
         raise InvariantViolation("support projection must lie in the algebra for compression")
-    v = projection_isometry(e)
-    compressed = from_spanning([dagger(v) @ w @ v for w in m.basis])
-    omega_c = PositiveFunctional(dagger(v) @ omega.density @ v)
+    corner = Corner(projection_isometry(e))
+    compressed = from_spanning(corner.compress(m.space.tensor))
+    omega_c = PositiveFunctional(corner.compress(omega.density))
     rhs = centralizer(omega_c, compressed)
-    lhs = orthonormalize([dagger(v) @ x @ v for x in omega_central_algebra(omega, m).basis])
+    lhs = orthonormalize(corner.compress(omega_central_algebra(omega, m).space.tensor))
     return same_subspace(lhs, rhs.space)
 
 
@@ -196,20 +193,13 @@ def is_D_central(omega, d, m):
     """
     violation = _central_violation(omega, d, m)
     threshold = tol(1e-9) * max(1e-30, hs_norm(omega.density))
-    verdict = violation <= threshold
     r = omega.restricted_density(m)
-    db = d.space.tensor
-    comm_violation = float(np.linalg.norm(r @ db - db @ r, axis=(1, 2)).max(initial=0.0))
+    comm_violation = commutation_gap(r, d.space.tensor)
     comm_threshold = tol(1e-9) * max(1e-30, hs_norm(r))
-    comm_verdict = comm_violation <= comm_threshold
-    decisive = (
-        max(violation, threshold) > 30 * min(violation, threshold)
-        and max(comm_violation, comm_threshold) > 30 * min(comm_violation, comm_threshold)
+    verdict = cross_check(
+        "bilinear and commutator centrality routes disagree", violation <= threshold,
+        comm_violation <= comm_threshold, (violation, threshold), (comm_violation, comm_threshold),
     )
-    if verdict != comm_verdict and decisive:
-        raise InconsistencyDetected(
-            f"centrality routes disagree: bilinear {violation:.3e}, commutator {comm_violation:.3e}"
-        )
     return verdict, violation
 
 
@@ -261,8 +251,8 @@ def locally_central_check(omega, d, m, cap_proj=64):
     centrality identity; together with [e, D] = 0 the verdict must match
     is_D_central, and a decisive mismatch is an internal fault.
     """
-    db = np.stack([np.asarray(x) for x in d.basis])
-    mb = np.stack([np.asarray(x) for x in m.basis])
+    db = d.space.tensor
+    mb = m.space.tensor
     rho = omega.density
     worst = 0.0
     for p in sample_projections(d, cap_proj):
@@ -273,18 +263,12 @@ def locally_central_check(omega, d, m, cap_proj=64):
         worst = max(worst, float(np.abs(vals).max()))
     threshold = tol(1e-9) * max(1e-30, hs_norm(rho))
     verdict = worst <= threshold
-    e = omega.support
-    e_commutes = max((hs_norm(commutator(e, x)) for x in d.basis), default=0.0) <= tol(1e-9)
+    e_commutes = commutation_gap(omega.support, db) <= tol(1e-9)
     global_verdict, global_violation = is_D_central(omega, d, m)
-    combined = verdict and e_commutes
-    decisive = max(worst, threshold) > 30 * min(worst, threshold) and (
-        max(global_violation, threshold) > 30 * min(global_violation, threshold)
+    cross_check(
+        f"local centrality (support commutes: {e_commutes}) contradicts the global test",
+        verdict and e_commutes, global_verdict, (worst, threshold), (global_violation, threshold),
     )
-    if combined != global_verdict and decisive:
-        raise InconsistencyDetected(
-            f"local centrality ({worst:.3e}, support commutes: {e_commutes}) "
-            f"contradicts the global test ({global_violation:.3e})"
-        )
     return verdict
 
 
@@ -311,26 +295,19 @@ def modular_invariance_check(omega, d, sample_ts=(0.1, 1.0, np.pi)):
     if not omega.is_faithful:
         raise NotFaithful("modular invariance needs a faithful density")
     log_rho = matlog(omega.density)
-    gaps = [hs_norm(x - d.project(x)) for x in (commutator(log_rho, b) for b in d.basis)]
-    worst = max(gaps, default=0.0)
+    db = d.space.tensor
+
+    def leak(images):
+        return float(d.space.residuals(images.reshape(d.dim, -1)).max(initial=0.0))
+
+    worst = leak(log_rho @ db - db @ log_rho)
     threshold = tol(1e-8) * max(1.0, hs_norm(log_rho))
-    verdict = worst <= threshold
-    sampled_worst = 0.0
-    for t in sample_ts:
-        sigma = modular_group(omega, t)
-        for b in d.basis:
-            y = sigma(b)
-            sampled_worst = max(sampled_worst, hs_norm(y - d.project(y)))
+    sampled_worst = max((leak(modular_group(omega, t)(db)) for t in sample_ts), default=0.0)
     sampled_threshold = tol(1e-8)
-    sampled_verdict = sampled_worst <= sampled_threshold
-    decisive = max(worst, threshold) > 30 * min(worst, threshold) and (
-        max(sampled_worst, sampled_threshold) > 30 * min(sampled_worst, sampled_threshold)
+    return cross_check(
+        "infinitesimal modular criterion contradicts the sampled flow", worst <= threshold,
+        sampled_worst <= sampled_threshold, (worst, threshold), (sampled_worst, sampled_threshold),
     )
-    if verdict != sampled_verdict and decisive:
-        raise InconsistencyDetected(
-            f"infinitesimal modular criterion ({worst:.3e}) contradicts sampled flow ({sampled_worst:.3e})"
-        )
-    return verdict
 
 
 def pt_radon_nikodym(psi, phi):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ncrep.algebras import (
     block_diagonal_algebra,
+    block_upper_triangular,
     diagonal_algebra,
     from_spanning,
     full_matrix_algebra,
@@ -14,6 +15,7 @@ from ncrep import expectations
 from ncrep.errors import (
     DensityDoesNotCommute,
     DoesNotCommute,
+    EmptyInput,
     GramSingular,
     InvariantViolation,
     NotAnExtension,
@@ -37,6 +39,7 @@ from ncrep.expectations import (
     support_of_map,
 )
 from ncrep.linalg import commutator, dagger, hs_norm, sandwich_matrix
+from ncrep.representing import DCharacter
 from ncrep.states import PositiveFunctional, is_D_central
 
 E33 = np.diag([0.0, 0.0, 1.0]).astype(complex)
@@ -509,3 +512,37 @@ def test_diagnosis_on_block_scalar_weights(weights):
     rep = existence_diagnosis(om, d, full_matrix_algebra(4))
     assert rep.central and rep.constructed and rep.equivalences_hold
     assert rep.tracial_on_D and rep.modular_invariant
+
+
+def test_diagnosis_lets_a_programming_error_through():
+    # a missing D is a caller's bug, not a verdict that no expectation exists
+    with pytest.raises(AttributeError):
+        existence_diagnosis(PositiveFunctional.tracial(3), None, full_matrix_algebra(3))
+
+
+def test_zero_functional_meets_a_typed_error():
+    zero = PositiveFunctional(np.zeros((3, 3)))
+    d, m = diagonal_algebra(3), full_matrix_algebra(3)
+    with pytest.raises(EmptyInput):
+        support_ideal_expectation(zero, d, m)
+    rep = existence_diagnosis(zero, d, m)
+    assert not rep.constructed and not rep.modular_invariant and not rep.faithful_on_D
+    assert rep.central and rep.support_commutes and rep.equivalences_hold
+    assert rep.failure.startswith("GramSingular")
+
+
+def _nonfinite_expectation(k):
+    d = diagonal_algebra(2)
+    return ConditionalExpectation(k, full_matrix_algebra(2), d.space, np.eye(2), d)
+
+
+def _nonfinite_character(k):
+    blocks = [[0], [1]]
+    return DCharacter(k, block_upper_triangular(2, blocks), block_diagonal_algebra(2, blocks))
+
+
+@pytest.mark.parametrize("build", [_nonfinite_expectation, _nonfinite_character])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_nonfinite_map_matrix_is_rejected(build, value):
+    with pytest.raises(InvariantViolation, match="finite"):
+        build(np.full((4, 4), value, dtype=complex))

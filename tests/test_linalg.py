@@ -6,17 +6,17 @@ from hypothesis.extra.numpy import arrays
 
 from ncrep.errors import DimensionMismatch, EmptyInput, NotHermitian, NotPositiveDefinite
 from ncrep.linalg import (
+    Corner,
     OperatorSubspace,
     apply_map,
+    commutation_gap,
     commutator,
     dagger,
-    hs_inner,
     hs_norm,
-    hs_project,
     imag_power,
     left_mult_matrix,
     map_matrix_from_action,
-    matexp,
+    matfn,
     matlog,
     matpow,
     matsqrt,
@@ -53,9 +53,9 @@ def newton_sqrt(a, iters=60):
 def test_hs_inner_convention():
     x = np.array([[1, 2], [3, 4]], dtype=complex)
     y = np.array([[0, 1j], [0, 0]], dtype=complex)
-    # Tr(y* x), linear in the first argument
-    assert hs_inner(x, y) == pytest.approx(np.trace(dagger(y) @ x))
-    assert hs_inner(1j * x, y) == pytest.approx(1j * np.trace(dagger(y) @ x))
+    # <x, y> = Tr(y* x) = np.vdot(y, x), linear in the first argument
+    assert np.vdot(y, x) == pytest.approx(np.trace(dagger(y) @ x))
+    assert np.vdot(y, 1j * x) == pytest.approx(1j * np.trace(dagger(y) @ x))
 
 
 def test_matsqrt_frozen():
@@ -86,7 +86,7 @@ def test_psd_sqrt_rejects_indefinite():
 def test_matlog_matexp_roundtrip():
     rng = np.random.default_rng(3)
     a = positive_definite(4, rng)
-    assert np.allclose(matexp(matlog(a)), a, atol=1e-10 * hs_norm(a))
+    assert np.allclose(matfn(matlog(a), np.exp), a, atol=1e-10 * hs_norm(a))
 
 
 def test_matlog_rejects_singular():
@@ -113,7 +113,7 @@ def test_imag_power_frozen_phase():
 
 def test_hs_project_strict_upper():
     upper = orthonormalize([np.array([[0.0, 1.0], [0.0, 0.0]])])
-    got = hs_project(upper, np.array([[1.0, 2.0], [3.0, 4.0]]))
+    got = upper.project(np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert np.allclose(got, [[0.0, 2.0], [0.0, 0.0]], atol=1e-12)
 
 
@@ -121,7 +121,7 @@ def test_hs_project_scalars():
     n = 3
     scal = orthonormalize([np.eye(n)])
     x = np.arange(9.0).reshape(3, 3) + 1j
-    assert np.allclose(hs_project(scal, x), (np.trace(x) / n) * np.eye(n), atol=1e-12)
+    assert np.allclose(scal.project(x), (np.trace(x) / n) * np.eye(n), atol=1e-12)
 
 
 def test_orthonormalize_drops_dependent():
@@ -213,10 +213,56 @@ def test_projection_idempotent_self_adjoint(x):
     assert hs_norm(s.project(p) - p) <= 1e-9 * max(1.0, hs_norm(x))
     y = hermitian(3, rng)
     # self-adjointness of the projection: <Px, y> = <x, Py>
-    assert abs(hs_inner(p, y) - hs_inner(x, s.project(y))) <= 1e-8 * max(1.0, hs_norm(x))
+    assert abs(np.vdot(y, p) - np.vdot(s.project(y), x)) <= 1e-8 * max(1.0, hs_norm(x))
 
 
 def test_commutator():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     b = np.array([[0.0, 0.0], [1.0, 0.0]])
     assert np.allclose(commutator(a, b), np.diag([1.0, -1.0]))
+
+
+def test_commutation_gap_is_the_largest_commutator():
+    x = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    e01 = np.zeros((3, 3), dtype=complex)
+    e01[0, 1] = 1.0
+    basis = np.stack([np.eye(3, dtype=complex), e01, 2 * dagger(e01)])
+    assert commutation_gap(x, basis) == pytest.approx(2.0)
+    assert commutation_gap(x, basis[:1]) == 0.0
+    assert commutation_gap(x, basis[:0]) == 0.0
+
+
+@seed(11)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_corner_matches_kron_oracle(n, data):
+    rank = data.draw(st.integers(1, n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    v = q[:, :rank]
+    corner = Corner(v)
+    lift = np.kron(v, np.conj(v))
+    compression = np.kron(dagger(v), v.T)
+    assert np.allclose(corner.lift_matrix, lift, atol=1e-12)
+    assert np.allclose(corner.compression_matrix, compression, atol=1e-12)
+    xs = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    ys = rng.standard_normal((3, rank, rank)) + 1j * rng.standard_normal((3, rank, rank))
+    flat = xs.reshape(3, -1)
+    assert np.allclose(corner.compress(xs).reshape(3, -1), flat @ compression.T, atol=1e-10)
+    assert np.allclose(corner.compress_rows(flat).reshape(3, -1), flat @ compression.T, atol=1e-10)
+    assert np.allclose(corner.lift(ys).reshape(3, -1), ys.reshape(3, -1) @ lift.T, atol=1e-10)
+    # lifting a compression sandwiches by the projection vv*
+    p = v @ dagger(v)
+    assert np.allclose(corner.projection, p, atol=1e-12)
+    assert np.allclose(corner.lift(corner.compress(xs)), p @ xs @ p, atol=1e-10)
+    k = rng.standard_normal((rank * rank, rank * rank))
+    assert np.allclose(corner.lift_map(k), lift @ k @ compression, atol=1e-10)
+    space = orthonormalize(list(ys))
+    lifted = corner.lift_space(space)
+    assert np.allclose(lifted.flat, space.flat @ lift.T, atol=1e-10)
+    assert np.allclose(lifted.flat @ lifted.flat.conj().T, np.eye(space.size), atol=1e-10)
+
+
+def test_corner_of_zero_projection_is_rejected():
+    with pytest.raises(EmptyInput):
+        Corner(np.zeros((3, 0), dtype=complex))

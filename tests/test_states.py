@@ -8,7 +8,15 @@ from ncrep.algebras import (
     generate_star_algebra,
     scalar_algebra,
 )
-from ncrep.errors import DoesNotCommute, NotFaithful, NotHermitian, NotPositiveDefinite
+from ncrep import states
+from ncrep.errors import (
+    DoesNotCommute,
+    InconsistencyDetected,
+    NotFaithful,
+    NotHermitian,
+    NotPositiveDefinite,
+    cross_check,
+)
 from ncrep.linalg import commutator, dagger, hs_norm, same_subspace
 from ncrep.states import (
     PositiveFunctional,
@@ -22,7 +30,6 @@ from ncrep.states import (
     omega_central_algebra,
     pt_radon_nikodym,
     sample_projections,
-    support_projection,
     tracial_certificate,
 )
 
@@ -50,12 +57,12 @@ def test_state_flags():
 
 def test_support_projection_corner_functional():
     omega = PositiveFunctional(E33)
-    assert np.allclose(support_projection(omega), E33, atol=1e-12)
+    assert np.allclose(omega.support, E33, atol=1e-12)
 
 
 def test_support_projection_rank_two():
     omega = PositiveFunctional(np.diag([0.5, 0.5, 0.0]))
-    assert np.allclose(support_projection(omega), np.diag([1.0, 1.0, 0.0]), atol=1e-12)
+    assert np.allclose(omega.support, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
     assert PositiveFunctional.tracial(3).support == pytest.approx(np.eye(3))
 
 
@@ -151,7 +158,7 @@ def test_support_commutes_with_D_when_central():
     m = full_matrix_algebra(3)
     ok, _ = is_D_central(omega, d, m)
     assert ok
-    e = support_projection(omega)
+    e = omega.support
     assert all(hs_norm(commutator(e, b)) <= 1e-12 for b in d.basis)
 
 
@@ -274,3 +281,40 @@ def test_cocycle_of_commuting_densities_is_power():
     from ncrep.linalg import imag_power
 
     assert np.allclose(connes_cocycle(psi, phi, 0.9), imag_power(h, 0.9), atol=1e-10)
+
+
+@pytest.mark.parametrize("verdict", [True, False])
+def test_cross_check_agreement_returns_the_verdict(verdict):
+    stat = 1e-12 if verdict else 1.0
+    assert cross_check("routes", verdict, verdict, (stat, 1e-9), (stat, 1e-9)) is verdict
+
+
+def test_cross_check_raises_on_a_decisive_disagreement():
+    with pytest.raises(InconsistencyDetected, match="routes"):
+        cross_check("routes", True, False, (1e-12, 1e-9), (1e-6, 1e-9))
+    # one-route form: an implication broken decisively
+    with pytest.raises(InconsistencyDetected):
+        cross_check("implied", True, False, (31e-9, 1e-9))
+
+
+@pytest.mark.parametrize("margins", [
+    ((1e-12, 1e-9), (29e-9, 1e-9)),  # second statistic within 30x above its threshold
+    ((1e-12, 1e-9), (1e-9 / 29, 1e-9)),  # ... or within 30x below it
+    ((1e-9 / 29, 1e-9), (1e-6, 1e-9)),  # the first route near its threshold
+])
+def test_cross_check_tolerates_a_disagreement_near_a_threshold(margins):
+    assert cross_check("routes", True, False, *margins) is True
+
+
+def test_is_D_central_raises_when_its_routes_disagree(monkeypatch):
+    # the tracial state is D-central; a bilinear route claiming a large
+    # violation contradicts the commutator route decisively
+    omega = PositiveFunctional.tracial(3)
+    d, m = diagonal_algebra(3), full_matrix_algebra(3)
+    monkeypatch.setattr(states, "_central_violation", lambda *args: 1e-3)
+    with pytest.raises(InconsistencyDetected, match="centrality"):
+        is_D_central(omega, d, m)
+    # within a factor 30 of the threshold the bilinear route decides alone
+    threshold = 1e-9 * hs_norm(omega.density)
+    monkeypatch.setattr(states, "_central_violation", lambda *args: 10 * threshold)
+    assert is_D_central(omega, d, m) == (False, 10 * threshold)
