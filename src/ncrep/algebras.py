@@ -53,8 +53,8 @@ class Subalgebra:
     def project(self, x):
         return self.space.project(x)
 
-    def contains(self, x, membership_tol=None):
-        return self.space.contains(x, membership_tol)
+    def contains(self, x):
+        return self.space.contains(x)
 
     def validate(self):
         if self.dim == 0:
@@ -203,11 +203,12 @@ def commutant(s, within=None):
     if within.n != n:
         raise DimensionMismatch(f"set lives in M_{n}, within in M_{within.n}")
     w = within.space.tensor
-    blocks = []
-    for b in gens:
-        br = np.einsum("kij,jl->kil", w, b) - np.einsum("ij,kjl->kil", b, w)
-        blocks.append(br.reshape(within.dim, n * n).T)
-    coeffs = null_space_rows(np.vstack(blocks))
+    b = np.stack(gens)[:, None]
+    brackets = w @ b
+    brackets -= b @ w
+    # one row per (generator, entry of [w_k, b]), one column per k
+    rows = np.swapaxes(brackets.reshape(len(gens), within.dim, n * n), 1, 2)
+    coeffs = null_space_rows(rows.reshape(-1, within.dim))
     flat = coeffs @ within.space.flat
     return StarAlgebra(OperatorSubspace(n, flat))
 

@@ -14,7 +14,6 @@ passes, 1 on an assertion or pipeline failure, 2 on bad input.
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -359,8 +358,6 @@ def run_suite(name, n_max, trials, seed):
 
 def cmd_suite(args):
     assertions, failures = run_suite(args.name, args.n_max, args.trials, args.seed)
-    if os.environ.get("NCREP_FAULT_INJECT"):
-        assertions.append(_assertion("injected_fault", 1.0, 0.0))
     report = {
         "suite": args.name,
         "n_max": args.n_max,

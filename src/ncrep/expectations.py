@@ -5,8 +5,10 @@ always composed with the orthogonal projection onto the domain algebra, so
 the stored map is defined on all of M_n and every invariant (unital on the
 range unit, idempotent, positive, bimodule over D, range membership) can be
 checked at the matrix level.  Construction is by solving the Gram system of
-the range algebra in the omega-inner product; non-faithful functionals are
-handled by compressing to a support projection, never by regularizing.
+the range algebra in the omega-inner product, which needs omega faithful on
+the range only; a functional singular on the range is handled by compressing
+to the support of its restriction there (support_ideal_expectation), never
+by regularizing.
 """
 
 from dataclasses import dataclass
@@ -38,11 +40,8 @@ from .linalg import (
     commutator,
     dagger,
     eigh_hermitian,
-    hermitian_part_spectrum,
     hs_norm,
-    imag_power,
     left_mult_matrix,
-    matlog,
     orthonormalize,
     pd_tol,
     projection_isometry,
@@ -53,6 +52,7 @@ from .linalg import (
 )
 from .states import (
     PositiveFunctional,
+    _density_power_it,
     _faithful_on,
     _omega_gram,
     is_D_central,
@@ -198,11 +198,10 @@ def _preserving_projection(omega, target, m, check=True):
 def preserving_expectation(omega, d, m):
     """The omega-preserving conditional expectation of M onto D.
 
-    Needs omega central for D and faithful on D.  For omega faithful on M
-    this is the Gram solution directly; otherwise M is compressed to the
-    support of the restricted density, the expectation is built there onto
-    the compressed D, and the result is pulled back through the isomorphism
-    of D with its compression.
+    Needs omega central for D and faithful on D.  The Gram system
+    omega(b* E(x)) = omega(b* x) over a basis b of D then has exactly one
+    solution, whether or not omega is faithful on M, and that solution is
+    the expectation.
     """
     ok, violation = is_D_central(omega, d, m)
     if not ok:
@@ -213,34 +212,13 @@ def preserving_expectation(omega, d, m):
 def _preserving_expectation(omega, d, m, check=True):
     """preserving_expectation past its D-centrality gate, which the caller settled.
 
-    check=False builds the compressed algebras, functional and maps without
-    validating them, for a caller that validates the map it makes of the
-    result; the faithfulness, collapse and preservation checks always run.
+    check=False skips the validation of the map, for a caller that validates
+    the map it makes of the result; the faithfulness and preservation checks
+    always run.
     """
     if not _faithful_on(omega, d):
         raise GramSingular("omega is not faithful on D")
-    r = omega.restricted_density(m)
-    r_spec = hermitian_part_spectrum(r)
-    cutoff = pd_tol(r_spec.norm)
-    if r_spec.eigenvalues[0] > cutoff:
-        return _preserving_projection(omega, d, m, check)
-    # support compression: v spans the support of the restricted density, which lies in M
-    corner = Corner(r_spec.support_isometry(cutoff))
-    m_c = StarAlgebra(orthonormalize(corner.compress(m.space.tensor)), check)
-    images = corner.compress(d.space.tensor)
-    dc_space = orthonormalize(images)
-    if dc_space.size != d.dim:
-        raise InvariantViolation("support compression collapsed D despite a faithful restriction")
-    d_c = StarAlgebra(dc_space, check)
-    omega_c = PositiveFunctional(corner.compress(omega.density), check)
-    e0 = _preserving_projection(omega_c, d_c, m_c, check)
-    # D -> D_c is injective, so its inverse on coordinates carries E_0's range back onto D
-    t = dc_space.flat.conj() @ images.reshape(d.dim, -1).T
-    lift = d.space.flat.T @ np.linalg.inv(t) @ dc_space.flat.conj()
-    k = lift @ e0.map_matrix @ corner.compression_matrix @ m.space.projector_matrix()
-    e = ConditionalExpectation(k, m, d.space, np.eye(m.n), d, check)
-    _check_preserves(k, omega, r)
-    return e
+    return _preserving_projection(omega, d, m, check)
 
 
 def expectation_from_density(h, d, m, nu):
@@ -289,14 +267,14 @@ def commutes_with_modular(e, nu):
     n = e.n
     p_dom = e.domain.space.projector_matrix()
     scale = max(1.0, hs_norm(k))
-    log_rho = matlog(nu.density)
+    log_rho = nu.spectrum.apply(np.log)
     ad = left_mult_matrix(log_rho) - right_mult_matrix(log_rho)
     inf_stat = hs_norm((k @ ad - ad @ k) @ p_dom)
     inf_thr = tol(1e-8) * scale * max(1.0, hs_norm(ad))
     pull_base = _pullback_density(k, nu.density)
     sampled_map = sampled_pull = 0.0
     for t in (0.1, 1.0, np.sqrt(2.0)):
-        u = imag_power(nu.density, t)
+        u = _density_power_it(nu, t)
         s = sandwich_matrix(u, dagger(u))
         sampled_map = max(sampled_map, hs_norm((k @ s - s @ k) @ p_dom))
         sampled_pull = max(sampled_pull, hs_norm(_pullback_density(k @ s @ p_dom, nu.density) - pull_base))
@@ -357,18 +335,18 @@ def average_to_central(psi, omega, d, m):
     return result
 
 
-def support_of_map(e, domain=None):
+def support_of_map(e):
     """Smallest projection z with E(x) = E(zxz); support of the trace pullback.
 
-    Accepts a ConditionalExpectation or a raw map matrix.  For idempotent
-    maps the support also commutes with every output.
+    Accepts a ConditionalExpectation or a raw map matrix on all of M_n.  For
+    idempotent maps the support also commutes with every output.
     """
     if isinstance(e, ConditionalExpectation):
         k, dom = e.map_matrix, e.domain
     else:
         k = np.asarray(e, dtype=complex)
         n = int(round(np.sqrt(k.shape[0])))
-        dom = domain if domain is not None else full_matrix_algebra(n)
+        dom = full_matrix_algebra(n)
     n = dom.n
     w = _pullback_density(k, np.eye(n, dtype=complex))
     w_spec = eigh_hermitian(w)
@@ -390,7 +368,9 @@ def support_ideal_expectation(omega, d, m):
     faithful on D.  Compress to z, build the preserving expectation there,
     and lift; the result is the unique omega-preserving D-module map with
     support below z, which a second, direct Gram construction confirms.
-    EmptyInput when omega vanishes on D, so that z = 0.
+    The compressed functional is faithful on Dz but may still be singular
+    on zMz; the Gram system on Dz determines the compressed map all the
+    same.  EmptyInput when omega vanishes on D, so that z = 0.
 
     Checks on the returned map: omega is D-central, z is central in D,
     omega is faithful on Dz, the full ConditionalExpectation validation
@@ -452,7 +432,7 @@ class ExistenceReport:
     expectation: object | None
 
 
-def existence_diagnosis(omega, d, m, cap_proj=16):
+def existence_diagnosis(omega, d, m):
     """Probe every existence criterion for an omega-preserving expectation onto D.
 
     Reports the individual verdicts plus whether the expected equivalences
@@ -471,7 +451,7 @@ def existence_diagnosis(omega, d, m, cap_proj=16):
     faithful_d, _ = guarded(lambda: _faithful_on(omega, d))
     tracial_d, _ = guarded(lambda: tracial_certificate(omega, d).result)
     (central, central_violation), _ = guarded(lambda: is_D_central(omega, d, m), (False, float("nan")))
-    local, _ = guarded(lambda: locally_central_check(omega, d, m, cap_proj=cap_proj))
+    local, _ = guarded(lambda: locally_central_check(omega, d, m, cap_proj=16))
     support_commutes, _ = guarded(lambda: commutation_gap(omega.support, d.space.tensor) <= tol(1e-9))
 
     def modular_probe():

@@ -45,7 +45,12 @@ def dagger(x):
 
 def hs_norm(x):
     x = np.asarray(x)
-    return math.sqrt(np.vdot(x, x).real)
+    square = np.vdot(x, x).real
+    if math.isfinite(square):
+        return math.sqrt(square)
+    # the square sum overflowed or an entry is not finite: rescale by the largest entry
+    top = float(np.abs(x).max())
+    return top * hs_norm(x / top) if math.isfinite(top) else top
 
 
 def commutator(x, y):
@@ -99,9 +104,9 @@ class HermitianSpectrum:
         return self.eigenvectors[:, self.eigenvalues > threshold]
 
 
-def eigh_hermitian(x, atol=None):
+def eigh_hermitian(x):
     x = as_matrix(x)
-    if not is_hermitian(x, atol):
+    if not is_hermitian(x):
         raise NotHermitian(f"matrix is not Hermitian within tolerance (defect {hs_norm(x - dagger(x)):.3e})")
     return hermitian_part_spectrum(x)
 
@@ -214,11 +219,9 @@ class OperatorSubspace:
         """HS distance from the span of each flattened matrix in rows (k, n^2)."""
         return np.linalg.norm(rows - (rows @ self.flat.conj().T) @ self.flat, axis=1)
 
-    def contains(self, x, membership_tol=None):
+    def contains(self, x):
         x = as_matrix(x)
-        if membership_tol is None:
-            membership_tol = tol(1e-8) * max(1.0, hs_norm(x))
-        return hs_norm(x - self.project(x)) <= membership_tol
+        return hs_norm(x - self.project(x)) <= tol(1e-8) * max(1.0, hs_norm(x))
 
     def projector_matrix(self):
         """The n^2 x n^2 matrix of the orthogonal projection onto this subspace.
@@ -235,12 +238,12 @@ class OperatorSubspace:
         return np.eye(self.ambient_dim**2, dtype=complex) - self.projector_matrix()
 
 
-def orthonormalize(spanning_set, dep_tol=None):
+def orthonormalize(spanning_set):
     """Orthonormal basis of the span under Tr(Y*X), from one SVD of the stacked rows.
 
     The basis is the right-singular vectors whose singular value exceeds
-    dep_tol (default 1e-9 times the largest input norm); directions below it
-    count as dependent and are dropped.
+    1e-9 times the largest input norm; directions below it count as
+    dependent and are dropped.
     """
     try:
         stack = np.array(spanning_set, dtype=complex)
@@ -252,13 +255,12 @@ def orthonormalize(spanning_set, dep_tol=None):
         raise DimensionMismatch(f"expected a stack of square matrices, got shape {stack.shape}")
     n = stack.shape[1]
     rows = require_finite(stack.reshape(len(stack), n * n))
-    if dep_tol is None:
-        dep_tol = tol(1e-9) * math.sqrt(np.einsum("ij,ij->i", rows.conj(), rows).real.max())
+    dep_tol = tol(1e-9) * math.sqrt(np.einsum("ij,ij->i", rows.conj(), rows).real.max())
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
     return OperatorSubspace(n, vh[s > dep_tol])
 
 
-def null_space_rows(a, rank_tol=None):
+def null_space_rows(a):
     """Orthonormal basis (rows) of the kernel of a, by SVD.
 
     The rank cutoff is 1e-9 times the largest singular value with an
@@ -270,8 +272,7 @@ def null_space_rows(a, rank_tol=None):
         return np.eye(a.shape[1], dtype=complex)
     # thin svd already carries every right-singular vector unless a is wide
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    if rank_tol is None:
-        rank_tol = tol(1e-9) * max(1.0, float(s[0]) if s.size else 1.0)
+    rank_tol = tol(1e-9) * max(1.0, float(s[0]) if s.size else 1.0)
     rank = int(np.sum(s > rank_tol))
     # a @ v = 0 for v a conjugated trailing right-singular vector
     return vh[rank:].conj()
@@ -295,11 +296,10 @@ def subspace_intersection(s, t):
     return OperatorSubspace(s.ambient_dim, rows)
 
 
-def same_subspace(s, t, atol=None):
+def same_subspace(s, t):
     if s.size != t.size:
         return False
-    if atol is None:
-        atol = tol(1e-8)
+    atol = tol(1e-8)
     return all(hs_norm(b - t.project(b)) <= atol for b in s.basis) and all(
         hs_norm(b - s.project(b)) <= atol for b in t.basis
     )

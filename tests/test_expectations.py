@@ -27,7 +27,6 @@ from ncrep.errors import (
 )
 from ncrep.expectations import (
     ConditionalExpectation,
-    _preserving_projection,
     average_to_central,
     choi_matrix,
     commutes_with_modular,
@@ -137,25 +136,51 @@ def test_diagonal_expectation_ignores_the_weights(weights):
     assert hs_norm(e(x) - np.diag(np.diag(x))) <= 1e-8
 
 
-def test_compressed_route_agrees_with_plain_solve():
-    # when omega is singular on M but faithful on D, the map built through
-    # the support compression must coincide with the direct linear solve
-    m = full_matrix_algebra(3)
-    om = PositiveFunctional(np.diag([0.5, 0.5, 0.0]).astype(complex))
-    e = preserving_expectation(om, scalar_algebra(3), m)
-    direct = _preserving_projection(om, scalar_algebra(3), m)
-    assert np.linalg.norm(e.map_matrix - direct.map_matrix) <= 1e-8
+def test_singular_on_m_matches_closed_forms():
+    # omega faithful on D but singular on M: the Gram system over D alone
+    # determines the expectation.  Onto the scalars it is omega(x) I / omega(I)
+    rng = np.random.default_rng(8)
+    densities = [np.diag([0.5, 0.5, 0.0]).astype(complex)]
+    for n in (3, 4, 5):
+        for rank in range(1, n):
+            g = random_matrix(n, rng)[:, :rank]
+            densities.append(g @ dagger(g))
+    for rho in densities:
+        n = rho.shape[0]
+        om = PositiveFunctional(rho)
+        assert not om.is_faithful
+        e = preserving_expectation(om, scalar_algebra(n), full_matrix_algebra(n))
+        x = random_matrix(n, rng)
+        want = om(x) / om(np.eye(n)) * np.eye(n)
+        assert hs_norm(e(x) - want) <= 1e-9 * max(1.0, hs_norm(x))
 
+    # onto x -> x (+) x, with omega living on the first copy only
     d = doubled_algebra()
     m4 = full_matrix_algebra(4)
     om4 = PositiveFunctional(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))
     e4 = preserving_expectation(om4, d, m4)
-    direct4 = _preserving_projection(om4, d, m4)
-    assert np.linalg.norm(e4.map_matrix - direct4.map_matrix) <= 1e-8
     x = random_matrix(4, np.random.default_rng(3))
     out = e4(x)
     assert hs_norm(out[:2, :2] - x[:2, :2]) <= 1e-9 * max(1.0, hs_norm(x))
     assert hs_norm(out[2:, 2:] - x[:2, :2]) <= 1e-9 * max(1.0, hs_norm(x))
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_huge_densities_keep_their_verdicts(scale):
+    # the squared entries overflow; the thresholds built from norms must not
+    d = diagonal_algebra(2)
+    m = full_matrix_algebra(2)
+    skewed = PositiveFunctional(scale * np.array([[1.0, 1 / 3], [1 / 3, 1.0]], dtype=complex))
+    ok, violation = is_D_central(skewed, d, m)
+    assert not ok and violation == pytest.approx(scale / 3)
+    rep = existence_diagnosis(skewed, d, m)
+    assert not rep.central and rep.equivalences_hold
+    with pytest.raises(NotDCentral):
+        preserving_expectation(skewed, d, m)
+    central = PositiveFunctional(scale * np.diag([0.7, 0.3]).astype(complex))
+    x = random_matrix(2, np.random.default_rng(9))
+    e = preserving_expectation(central, d, m)
+    assert hs_norm(e(x) - np.diag(np.diag(x))) <= 1e-9 * hs_norm(x)
 
 
 def test_not_central_gate():

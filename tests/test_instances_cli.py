@@ -281,7 +281,10 @@ def test_cli_suite_trials_zero(capsys):
 
 
 def test_cli_suite_fault_injection(monkeypatch, capsys):
-    monkeypatch.setenv("NCREP_FAULT_INJECT", "1")
+    def failing_suite(n_max, trials, seed):
+        return [cli._assertion("injected_fault", 1.0, 0.0)], []
+
+    monkeypatch.setitem(cli._SUITES, "diagnosis", failing_suite)
     code, out, _ = run_cli(capsys, "suite", "diagnosis", "--trials", "0")
     report = json.loads(out)
     assert code == 1 and not report["ok"]

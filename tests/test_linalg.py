@@ -58,6 +58,14 @@ def test_hs_inner_convention():
     assert np.vdot(y, 1j * x) == pytest.approx(1j * np.trace(dagger(y) @ x))
 
 
+def test_hs_norm_survives_overflowing_squares():
+    assert hs_norm(np.full((2, 2), 1e200)) == pytest.approx(2e200)
+    assert hs_norm(np.array([[3e300, 0.0], [0.0, 4e300j]])) == pytest.approx(5e300)
+    assert hs_norm(np.array([1.0, np.inf])) == np.inf
+    assert np.isnan(hs_norm(np.array([1.0, np.nan])))
+    assert hs_norm(np.zeros((0, 0))) == 0.0
+
+
 def test_matsqrt_frozen():
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
     r3 = np.sqrt(3.0)
