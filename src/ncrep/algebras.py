@@ -13,10 +13,13 @@ from .errors import DimensionMismatch, EmptyInput, InvariantViolation
 from .linalg import (
     OperatorSubspace,
     as_matrix,
+    chunk_slices,
     dagger,
     hs_norm,
+    hs_norms,
     null_space_rows,
     orthonormalize,
+    pair_products,
     same_subspace,
     subspace_intersection,
     subspace_sum,
@@ -64,9 +67,14 @@ class Subalgebra:
         if gap > tol(1e-9) * max(1.0, np.sqrt(self.n)):
             raise InvariantViolation(f"identity: I is not in the span (distance {gap:.3e})")
         b = self.space.tensor
-        products = np.einsum("aij,bjk->abik", b, b).reshape(self.dim**2, self.n**2)
-        defects = self.space.residuals(products)
-        allowed = tol(1e-9) * np.maximum(1.0, np.linalg.norm(products, axis=1))
+        defects, allowed = [], []
+        # all basis products, a chunk of left factors at a time; per factor, three
+        # (dim, n^2) arrays: the products, their projection and the residual
+        for part in chunk_slices(self.dim, 3 * self.dim * self.n**2):
+            products = pair_products(b[part], b).reshape(-1, self.n**2)
+            defects.append(self.space.residuals(products))
+            allowed.append(tol(1e-9) * np.maximum(1.0, hs_norms(products)))
+        defects, allowed = np.concatenate(defects), np.concatenate(allowed)
         if np.any(defects > allowed):
             raise InvariantViolation(
                 f"product closure: a basis product leaves the span (defect {defects.max():.3e})"
@@ -74,7 +82,8 @@ class Subalgebra:
 
     def is_abelian(self):
         b = self.space.tensor
-        comm = np.einsum("aij,bjk->abik", b, b) - np.einsum("bij,ajk->abik", b, b)
+        products = pair_products(b, b)
+        comm = products - products.swapaxes(0, 1)
         return float(np.abs(comm).max()) <= tol(1e-9) if comm.size else True
 
 
@@ -147,7 +156,7 @@ def block_upper_triangular(n, blocks):
 
 def _closure_pass(space):
     b = space.tensor
-    products = np.einsum("aij,bjk->abik", b, b).reshape(-1, space.ambient_dim, space.ambient_dim)
+    products = pair_products(b, b).reshape(-1, space.ambient_dim, space.ambient_dim)
     return orthonormalize(list(space.basis) + list(products))
 
 

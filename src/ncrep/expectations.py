@@ -4,11 +4,16 @@ An expectation is stored as its matrix on flattened (row-major) coordinates,
 always composed with the orthogonal projection onto the domain algebra, so
 the stored map is defined on all of M_n and every invariant (unital on the
 range unit, idempotent, positive, bimodule over D, range membership) can be
-checked at the matrix level.  Construction is by solving the Gram system of
-the range algebra in the omega-inner product, which needs omega faithful on
-the range only; a functional singular on the range is handled by compressing
-to the support of its restriction there (support_ideal_expectation), never
-by regularizing.
+checked at the matrix level.  The bimodule check is exact on the domain's
+orthonormal basis: E(d x_j) - d E(x_j) and E(x_j d) - E(x_j) d for each
+basis element d of D, formed as chunked gemms (linalg.bimodule_gaps) with
+no n^2 x n^2 left or right multiplication matrix.
+
+Construction is by solving the Gram system of the range algebra in the
+omega-inner product, which needs omega faithful on the range only; a
+functional singular on the range is handled by compressing to the support
+of its restriction there (support_ideal_expectation), never by
+regularizing.
 """
 
 from dataclasses import dataclass
@@ -36,6 +41,7 @@ from .linalg import (
     Corner,
     apply_map,
     as_matrix,
+    bimodule_gaps,
     commutation_gap,
     commutator,
     dagger,
@@ -139,17 +145,8 @@ class ConditionalExpectation:
         lows = np.linalg.eigvalsh(y)[:, 0]
         if np.any(lows < -tol(1e-8) * x_norms):
             raise InvariantViolation(f"positive: E(x*x) has eigenvalue {lows.min():.3e}")
-        p_dom = self.domain.space.projector_matrix()
-        allowed = tol(1e-8) * scale * np.sqrt(n)
-        b = self.bimodule.space.tensor
-        eye = np.eye(n)
-        # stacked matrices of x -> dx and x -> xd, all basis elements at once
-        sides = np.empty((2, len(b), n, n, n, n), dtype=complex)
-        sides[0] = b[:, :, None, :, None] * eye[None, None, :, None, :]
-        sides[1] = eye[None, :, None, :, None] * b.transpose(0, 2, 1)[:, None, :, None, :]
-        sides = sides.reshape(-1, n * n, n * n)
-        gaps = np.linalg.norm((k @ sides - sides @ k) @ p_dom, axis=(1, 2))
-        if np.any(gaps > allowed):
+        gaps = bimodule_gaps(k, self.bimodule.space.tensor, self.domain.space.flat)
+        if np.any(gaps > tol(1e-8) * scale * np.sqrt(n)):
             raise InvariantViolation(f"bimodule: module property fails by {gaps.max():.3e}")
         range_gap = hs_norm(k - self.range_space.projector_matrix() @ k)
         if range_gap > tol(1e-8) * scale:
@@ -301,6 +298,11 @@ def expectation_to_density(e, nu):
     return h
 
 
+def _values_on(functional, algebra):
+    """The functional on each basis element x of the algebra: Tr(rho x) = <vec(x), vec(rho^T)>."""
+    return algebra.space.flat @ functional.density.T.ravel()
+
+
 def average_to_central(psi, omega, d, m):
     """Replace a state extension psi of omega|D by a D-central one.
 
@@ -313,15 +315,14 @@ def average_to_central(psi, omega, d, m):
     ok, violation = is_D_central(omega, d, m)
     if not ok:
         raise NotCentral(f"D is not inside the centralizer of omega (violation {violation:.3e})")
-    for x in d.basis:
-        if abs(psi(x) - omega(x)) > tol(1e-8) * max(1.0, abs(omega(x))):
-            raise NotAnExtension("psi does not restrict to omega on D")
+    want = _values_on(omega, d)
+    if np.any(np.abs(_values_on(psi, d) - want) > tol(1e-8) * np.maximum(1.0, np.abs(want))):
+        raise NotAnExtension("psi does not restrict to omega on D")
     relative = commutant(d, m)
     e = _preserving_projection(omega, relative, m)
     result = e.pullback(psi)
-    for x in d.basis:
-        if abs(result(x) - omega(x)) > tol(1e-7) * max(1.0, abs(omega(x))):
-            raise InvariantViolation("averaged functional no longer extends omega on D")
+    if np.any(np.abs(_values_on(result, d) - want) > tol(1e-7) * np.maximum(1.0, np.abs(want))):
+        raise InvariantViolation("averaged functional no longer extends omega on D")
     ok, violation = is_D_central(result, d, m)
     if not ok:
         raise InvariantViolation(f"averaged functional is not D-central (violation {violation:.3e})")

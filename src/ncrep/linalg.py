@@ -53,13 +53,30 @@ def hs_norm(x):
     return top * hs_norm(x / top) if math.isfinite(top) else top
 
 
+def hs_norms(stack):
+    """hs_norm of each entry of a stack along its first axis, as a float array.
+
+    Complex entries are read as their real and imaginary parts; einsum
+    raises no overflow warning, and a stack whose square sums overflow is
+    rescaled entry by entry by hs_norm.
+    """
+    stack = np.ascontiguousarray(stack)
+    rows = stack.reshape(len(stack), math.prod(stack.shape[1:]))
+    if rows.dtype.kind == "c":
+        rows = rows.view(rows.real.dtype)
+    squares = np.einsum("ij,ij->i", rows, rows)
+    if math.isfinite(sum(squares.tolist())):  # cheaper than a numpy reduction for the usual few entries
+        return np.sqrt(squares)
+    return np.array([hs_norm(x) for x in stack])
+
+
 def commutator(x, y):
     return x @ y - y @ x
 
 
 def commutation_gap(x, basis):
     """max ||[x, b]|| over a stacked (k, n, n) basis; 0 for an empty one."""
-    return float(np.linalg.norm(x @ basis - basis @ x, axis=(1, 2)).max(initial=0.0))
+    return float(hs_norms(x @ basis - basis @ x).max(initial=0.0))
 
 
 def is_hermitian(x, atol=None):
@@ -217,7 +234,7 @@ class OperatorSubspace:
 
     def residuals(self, rows):
         """HS distance from the span of each flattened matrix in rows (k, n^2)."""
-        return np.linalg.norm(rows - (rows @ self.flat.conj().T) @ self.flat, axis=1)
+        return hs_norms(rows - (rows @ self.flat.conj().T) @ self.flat)
 
     def contains(self, x):
         x = as_matrix(x)
@@ -255,7 +272,7 @@ def orthonormalize(spanning_set):
         raise DimensionMismatch(f"expected a stack of square matrices, got shape {stack.shape}")
     n = stack.shape[1]
     rows = require_finite(stack.reshape(len(stack), n * n))
-    dep_tol = tol(1e-9) * math.sqrt(np.einsum("ij,ij->i", rows.conj(), rows).real.max())
+    dep_tol = tol(1e-9) * float(hs_norms(rows).max())
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
     return OperatorSubspace(n, vh[s > dep_tol])
 
@@ -265,11 +282,16 @@ def null_space_rows(a):
 
     The rank cutoff is 1e-9 times the largest singular value with an
     absolute floor of 1e-9, so a numerically zero matrix has full kernel.
-    Callers pass O(1)-scaled data (orthonormal bases, projectors).
+    Callers pass O(1)-scaled data (orthonormal bases, projectors).  A tall
+    a is reduced to the square R of its QR first: a = QR with Q isometric
+    gives R the same singular values and right-singular vectors, and no
+    tall left factor is formed.
     """
     a = np.asarray(a, dtype=complex)
     if a.shape[0] == 0:
         return np.eye(a.shape[1], dtype=complex)
+    if a.shape[0] > a.shape[1]:
+        a = np.linalg.qr(a, mode="r")
     # thin svd already carries every right-singular vector unless a is wide
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     rank_tol = tol(1e-9) * max(1.0, float(s[0]) if s.size else 1.0)
@@ -366,6 +388,58 @@ class Corner:
     def lift_map(self, k):
         """Matrix of x -> v K(v* x v) v* for the matrix k of a map K on M_r."""
         return self.lift_matrix @ k @ self.compression_matrix
+
+
+# the most elements the intermediates of one chunk of a batched contraction hold
+_CHUNK_ELEMENTS = 1 << 16
+
+
+def chunk_slices(count, item_size):
+    """Consecutive slices of range(count), as many items per slice as fit in
+    _CHUNK_ELEMENTS at item_size elements each, and at least one."""
+    step = max(1, _CHUNK_ELEMENTS // max(1, item_size))
+    return [slice(s, s + step) for s in range(0, count, step)]
+
+
+def pair_products(a, b):
+    """All products a_s b_t of two stacks (p, n, n) and (r, n, n), from one gemm.
+
+    Returned as a (p, r, n, n) view of the gemm's (p n, r n) result.
+    """
+    p, n, _ = a.shape
+    r = len(b)
+    rhs = b.transpose(1, 0, 2).reshape(n, r * n)
+    return (a.reshape(p * n, n) @ rhs).reshape(p, n, r, n).transpose(0, 2, 1, 3)
+
+
+def bimodule_gaps(k, basis, domain_flat):
+    """Module gaps of the map with matrix k at each element d of a stacked basis (q, n, n).
+
+    Row 0 of the (2, q) result holds the left gaps ||(K L_d - L_d K) P||_F,
+    row 1 the right gaps ||(K R_d - R_d K) P||_F, with L_d and R_d the
+    matrices of x -> dx and x -> xd and P the projection onto the span of
+    the orthonormal rows domain_flat.  Since ||A P||_F = ||A flat^T||_F they
+    are read off the domain basis x_j: the left gap is the norm of
+    (K(d x_j) - d K(x_j))_j, the right gap that of (K(x_j d) - K(x_j) d)_j.
+    No n^2 x n^2 side matrix is formed; the products are gemms over chunks
+    of the basis.
+    """
+    q, n, _ = basis.shape
+    m = len(domain_flat)
+    z = np.concatenate([domain_flat, domain_flat @ k.T]).reshape(2 * m, n, n)  # x_j, then K(x_j)
+    gaps = np.empty((2, q))
+    # per element d: 4 m n^2 entries in prods, 2 m n^2 in a product gemm's result, 2 m n^2 in moved
+    for part in chunk_slices(q, 8 * m * n * n):
+        d = basis[part]
+        c = len(d)
+        # axes: x_j or K(x_j), left or right side, d, j, then the matrix
+        prods = np.empty((2, 2, c, m, n, n), dtype=complex)
+        prods[:, 0] = pair_products(d, z).reshape(c, 2, m, n, n).swapaxes(0, 1)
+        prods[:, 1] = pair_products(z, d).reshape(2, m, c, n, n).swapaxes(1, 2)
+        moved = prods[0].reshape(2 * c * m, n * n) @ k.T
+        moved -= prods[1].reshape(2 * c * m, n * n)
+        gaps[:, part] = hs_norms(moved.reshape(2 * c, -1)).reshape(2, c)
+    return gaps
 
 
 def left_mult_matrix(a):

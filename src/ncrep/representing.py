@@ -53,19 +53,21 @@ from .linalg import (
     OperatorSubspace,
     apply_map,
     as_matrix,
+    bimodule_gaps,
+    chunk_slices,
     commutation_gap,
     dagger,
     eigh_hermitian,
     hs_norm,
-    left_mult_matrix,
+    hs_norms,
     minimal_norm_solution,
     null_space_rows,
     orthonormalize,
+    pair_products,
     pd_tol,
     projection_isometry,
     psd_sqrt,
     require_finite,
-    right_mult_matrix,
     subspace_sum,
 )
 from .states import PositiveFunctional, _faithful_on, is_D_central, tracial_certificate
@@ -112,31 +114,40 @@ class DCharacter:
         gap = hs_norm(self(eye) - eye)
         if gap > tol(1e-9) * np.sqrt(n):
             raise InvariantViolation(f"unital: Phi(I) misses I by {gap:.3e}")
-        for x in self.range_alg.basis:
-            if not self.domain.contains(x):
+        d_flat = self.range_alg.space.flat
+        d_scale = np.maximum(1.0, hs_norms(d_flat))
+        fix = hs_norms(d_flat @ k.T - d_flat)
+        outside = self.domain.space.residuals(d_flat) > tol(1e-8) * d_scale
+        moved = fix > tol(1e-8) * d_scale
+        bad = np.flatnonzero(outside | moved)
+        if bad.size:  # the first failing basis element decides, as in a loop over the basis
+            if outside[bad[0]]:
                 raise InvariantViolation("range: D is not inside A")
-            fix = hs_norm(self(x) - x)
-            if fix > tol(1e-8) * max(1.0, hs_norm(x)):
-                raise InvariantViolation(f"fixes D: Phi moves a D element by {fix:.3e}")
+            raise InvariantViolation(f"fixes D: Phi moves a D element by {fix[bad[0]]:.3e}")
         into = float(np.linalg.norm(self.range_alg.space.perp_projector_matrix() @ k))
-        if into > tol(1e-8) * max(1.0, float(np.linalg.norm(k))):
+        k_norm = float(np.linalg.norm(k))
+        if into > tol(1e-8) * max(1.0, k_norm):
             raise InvariantViolation(f"range: Phi output leaves span(D) by {into:.3e}")
         b = self.domain.space.tensor
-        prods = np.einsum("aij,bjk->abik", b, b).reshape(-1, n * n)
-        images = (b.reshape(-1, n * n) @ k.T).reshape(-1, n, n)
-        want = np.einsum("aij,bjk->abik", images, images).reshape(-1, n * n)
-        defects = np.linalg.norm(prods @ k.T - want, axis=1)
-        allowed = tol(1e-8) * np.maximum(1.0, np.linalg.norm(prods, axis=1))
+        images = (self.domain.space.flat @ k.T).reshape(-1, n, n)
+        defects, allowed = [], []
+        # all products x_a x_b and Phi(x_a) Phi(x_b), a chunk of a's at a time; per a, four
+        # (dim A, n^2) arrays: both products, the image of the first and the defect
+        for part in chunk_slices(len(b), 4 * len(b) * n * n):
+            prods = pair_products(b[part], b).reshape(-1, n * n)
+            want = pair_products(images[part], images).reshape(-1, n * n)
+            defects.append(hs_norms(prods @ k.T - want))
+            allowed.append(tol(1e-8) * np.maximum(1.0, hs_norms(prods)))
+        defects, allowed = np.concatenate(defects), np.concatenate(allowed)
         if np.any(defects > allowed):
             raise InvariantViolation(
                 f"multiplicative: Phi(xy) != Phi(x)Phi(y), defect {defects.max():.3e}"
             )
-        p_a = self.domain.space.projector_matrix()
-        for d in self.range_alg.basis:
-            for side in (left_mult_matrix(d), right_mult_matrix(d)):
-                gap = float(np.linalg.norm((k @ side - side @ k) @ p_a))
-                if gap > tol(1e-8) * max(1.0, float(np.linalg.norm(k))) * np.sqrt(n):
-                    raise InvariantViolation(f"bimodule: Phi(d x d') != d Phi(x) d' by {gap:.3e}")
+        # per basis element d: the left gap, then the right one; the first failing gap is reported
+        gaps = bimodule_gaps(k, self.range_alg.space.tensor, self.domain.space.flat).T.ravel()
+        bad = np.flatnonzero(gaps > tol(1e-8) * max(1.0, k_norm) * np.sqrt(n))
+        if bad.size:
+            raise InvariantViolation(f"bimodule: Phi(d x d') != d Phi(x) d' by {gaps[bad[0]]:.3e}")
         if self.kernel.size + self.range_alg.dim != self.domain.dim:
             raise InvariantViolation(
                 f"splitting: dim J + dim D = {self.kernel.size} + {self.range_alg.dim}"
@@ -144,13 +155,14 @@ class DCharacter:
             )
         if subspace_sum(self.kernel, self.range_alg.space).size != self.domain.dim:
             raise InvariantViolation("splitting: J and D overlap")
-        rng = np.random.default_rng(1)
-        for _ in range(8):
-            coeff = rng.standard_normal(self.domain.dim) + 1j * rng.standard_normal(self.domain.dim)
-            x = self.domain.space.from_coords(coeff)
-            grow = np.linalg.norm(self(x), 2) - np.linalg.norm(x, 2)
-            if grow > tol(1e-8) * max(1.0, np.linalg.norm(x, 2)):
-                raise InvariantViolation(f"contractive: operator norm grows by {grow:.3e}")
+        # eight random elements of A, each drawn as its real then its imaginary coordinates
+        parts = np.random.default_rng(1).standard_normal((8, 2, self.domain.dim))
+        x = (parts[:, 0] + 1j * parts[:, 1]) @ self.domain.space.flat
+        sizes = np.linalg.norm(np.stack([x, x @ k.T]).reshape(16, n, n), 2, axis=(1, 2)).reshape(2, 8)
+        grow = sizes[1] - sizes[0]
+        bad = np.flatnonzero(grow > tol(1e-8) * np.maximum(1.0, sizes[0]))
+        if bad.size:
+            raise InvariantViolation(f"contractive: operator norm grows by {grow[bad[0]]:.3e}")
 
 
 def make_block_character(n, blocks):

@@ -10,6 +10,7 @@ from ncrep.algebras import (
     from_spanning,
     full_matrix_algebra,
     scalar_algebra,
+    unitary_conjugate_algebra,
 )
 from ncrep import expectations
 from ncrep.errors import (
@@ -37,6 +38,7 @@ from ncrep.expectations import (
     support_ideal_expectation,
     support_of_map,
 )
+from ncrep.instances import haar_unitary
 from ncrep.linalg import commutator, dagger, hs_norm, sandwich_matrix
 from ncrep.representing import DCharacter
 from ncrep.states import PositiveFunctional, is_D_central
@@ -165,6 +167,7 @@ def test_singular_on_m_matches_closed_forms():
     assert hs_norm(out[2:, 2:] - x[:2, :2]) <= 1e-9 * max(1.0, hs_norm(x))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e160, 1e300])
 def test_huge_densities_keep_their_verdicts(scale):
     # the squared entries overflow; the thresholds built from norms must not
@@ -181,6 +184,19 @@ def test_huge_densities_keep_their_verdicts(scale):
     x = random_matrix(2, np.random.default_rng(9))
     e = preserving_expectation(central, d, m)
     assert hs_norm(e(x) - np.diag(np.diag(x))) <= 1e-9 * hs_norm(x)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_central_density_in_a_rotated_algebra():
+    # the stacked commutator norms of a 1e300 density overflow unless rescaled
+    u = haar_unitary(3, np.random.default_rng(1))
+    d = unitary_conjugate_algebra(block_diagonal_algebra(3, [[0, 1], [2]]), u)
+    m = full_matrix_algebra(3)
+    omega = PositiveFunctional(1e300 * u @ np.diag([0.3, 0.3, 0.4]) @ dagger(u))
+    ok, violation = is_D_central(omega, d, m)
+    assert ok and violation <= 1e-9 * hs_norm(omega.density)
+    rep = existence_diagnosis(omega, d, m)
+    assert rep.central and rep.constructed and rep.equivalences_hold
 
 
 def test_not_central_gate():

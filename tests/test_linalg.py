@@ -13,6 +13,7 @@ from ncrep.linalg import (
     commutator,
     dagger,
     hs_norm,
+    hs_norms,
     imag_power,
     left_mult_matrix,
     map_matrix_from_action,
@@ -62,6 +63,15 @@ def test_hs_norm_survives_overflowing_squares():
     assert hs_norm(np.full((2, 2), 1e200)) == pytest.approx(2e200)
     assert hs_norm(np.array([[3e300, 0.0], [0.0, 4e300j]])) == pytest.approx(5e300)
     assert hs_norm(np.array([1.0, np.inf])) == np.inf
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_hs_norms_is_hs_norm_per_entry():
+    stack = np.array([[[3e300, 0.0], [0.0, 4e300j]], [[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [0.0, 1e-100]]])
+    assert np.allclose(hs_norms(stack), [5e300, 5.0, 1e-100], rtol=1e-14, atol=0)
+    assert np.allclose(hs_norms(stack), [hs_norm(x) for x in stack], rtol=1e-15, atol=0)
+    assert np.isnan(hs_norms(np.array([[np.nan, 1.0]])))[0] and hs_norms(np.array([[np.inf, 1.0]]))[0] == np.inf
+    assert hs_norms(np.zeros((0, 3, 3))).shape == (0,)
     assert np.isnan(hs_norm(np.array([1.0, np.nan])))
     assert hs_norm(np.zeros((0, 0))) == 0.0
 

@@ -24,7 +24,7 @@ from ncrep.errors import (
     ProjectionsNotPartition,
 )
 from ncrep.expectations import preserving_expectation
-from ncrep.linalg import dagger, hs_norm
+from ncrep.linalg import dagger, hs_norm, sandwich_matrix
 from ncrep.representing import (
     DCharacter,
     _invertible_average,
@@ -109,6 +109,21 @@ def test_character_validation_rejects_non_multiplicative():
     k[2, 1] = 1.0  # sends E01 to E10, which also leaves span(D)
     with pytest.raises(InvariantViolation):
         DCharacter(k @ a.space.projector_matrix(), a, d)
+
+
+def test_character_validation_names_the_broken_invariant():
+    a, _, phi = make_block_character(2, [[0], [1]])
+    # span{I, X} holds (I + X)/2, which is not upper triangular
+    flip = from_spanning([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])])
+    with pytest.raises(InvariantViolation, match="range: D is not inside A"):
+        DCharacter(phi.map_matrix, a, flip)
+    # E01 comes before E10 in the basis of M_2, and Phi kills it
+    with pytest.raises(InvariantViolation, match="fixes D"):
+        DCharacter(phi.map_matrix, a, full_matrix_algebra(2))
+    m2, _, _ = make_block_character(2, [[0, 1]])
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(InvariantViolation, match="fixes D"):
+        DCharacter(sandwich_matrix(swap, swap), m2, diagonal_algebra(2))
 
 
 def test_tracial_frozen_diagonal_compression():
