@@ -2,12 +2,13 @@
 
     python3 benchmarks/layers.py [--src DIR]
 
-Measures ConditionalExpectation.validate, DCharacter.validate, commutant and
-null_space_rows on block characters with blocks (1, 3), (1, 3, 4) and
-(1, 3, 6) at n = 4, 8 and 10, each rotated by a seeded Haar unitary, and
-prints one JSON object.  --src points at the src/ directory of the checkout
-to measure (default: this one's), so two commits can be compared with the
-same script.  BLAS is pinned to one thread before numpy loads.
+Measures ConditionalExpectation.validate, DCharacter.validate,
+support_of_map, commutes_with_modular (against a seeded faithful density),
+commutant and null_space_rows on block characters with blocks (1, 3),
+(1, 3, 4) and (1, 3, 6) at n = 4, 8 and 10, each rotated by a seeded Haar
+unitary, and prints one JSON object.  --src points at the src/ directory of
+the checkout to measure (default: this one's), so two commits can be
+compared with the same script.  BLAS is pinned to one thread before numpy loads.
 """
 
 import argparse
@@ -29,7 +30,7 @@ def _instance(n, sizes):
     import numpy as np
     from ncrep.algebras import full_matrix_algebra, unitary_conjugate_algebra
     from ncrep.expectations import preserving_expectation
-    from ncrep.instances import haar_unitary
+    from ncrep.instances import haar_unitary, random_density
     from ncrep.linalg import dagger, sandwich_matrix
     from ncrep.representing import DCharacter, make_block_character
     from ncrep.states import PositiveFunctional
@@ -40,17 +41,19 @@ def _instance(n, sizes):
     s = sandwich_matrix(u, dagger(u))
     a = unitary_conjugate_algebra(a, u)
     d = unitary_conjugate_algebra(d, u)
+    # composed with A's projection here too, for a checkout whose constructor does not compose
     phi = DCharacter(s @ phi.map_matrix @ dagger(s) @ a.space.projector_matrix(), a, d)
     m = full_matrix_algebra(n)
     e = preserving_expectation(PositiveFunctional.tracial(n), d, m)
+    nu = random_density(n, np.random.default_rng(n))
     w, b = m.space.tensor, d.space.tensor[:, None]
     # the commutant's bracket stack: one row per (generator, entry), one column per basis element of M
     stack = np.swapaxes((w @ b - b @ w).reshape(d.dim, m.dim, n * n), 1, 2).reshape(-1, m.dim)
-    return e, phi, d, m, stack
+    return e, phi, d, m, nu, stack
 
 
 def _measure(fn, repeats):
-    fn()  # fills lazy caches such as projector matrices
+    fn()  # fills lazy caches such as spectra and the positivity probes
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
@@ -69,16 +72,19 @@ def main():
     args = parser.parse_args()
     sys.path.insert(0, args.src)
     from ncrep.algebras import commutant
+    from ncrep.expectations import commutes_with_modular, support_of_map
     from ncrep.linalg import null_space_rows
 
     layers = {}
     for n, sizes in SIZES.items():
-        e, phi, d, m, stack = _instance(n, sizes)
+        e, phi, d, m, nu, stack = _instance(n, sizes)
         reps = REPEATS[n]
         layers[f"n={n}"] = {
             "blocks": sizes,
             "ConditionalExpectation.validate": _measure(e.validate, reps),
             "DCharacter.validate": _measure(phi.validate, reps),
+            "support_of_map": _measure(lambda: support_of_map(e), reps),
+            "commutes_with_modular": _measure(lambda: commutes_with_modular(e, nu), reps),
             "commutant": _measure(lambda: commutant(d, m), reps),
             "null_space_rows": dict(_measure(lambda: null_space_rows(stack), reps), shape=list(stack.shape)),
         }

@@ -23,6 +23,7 @@ from .config import tol
 from .errors import NcrepError, ParseError
 from .expectations import (
     _pullback_density,
+    _values_on,
     choi_matrix,
     existence_diagnosis,
     preserving_expectation,
@@ -41,7 +42,7 @@ from .instances import (
 )
 from .jensen import jensen_measure_suite
 from .linalg import dagger, hs_norm
-from .representing import representing_expectation_state, representing_expectation_tracial
+from .representing import _extension_gap, representing_expectation_state, representing_expectation_tracial
 from .states import PositiveFunctional, tracial_certificate
 
 
@@ -88,13 +89,12 @@ def _route(inst):
 
 def _pipeline_checks(inst, psi, rho):
     phi = inst.phi
-    p_a = inst.a.space.projector_matrix()
     scale = max(1.0, float(np.linalg.norm(phi.map_matrix)))
-    extends = float(np.linalg.norm((psi.map_matrix - phi.map_matrix) @ p_a)) / scale
-    values = [inst.state(phi(x)) for x in inst.a.basis]
-    vscale = max(1.0, max(abs(v) for v in values))
-    represents = max(abs(rho(x) - v) for x, v in zip(inst.a.basis, values)) / vscale
-    annihilates = max((abs(rho(j)) for j in phi.kernel.basis), default=0.0)
+    extends = _extension_gap(psi, phi) / scale
+    values = _values_on(inst.state, phi.images)
+    vscale = max(1.0, float(np.abs(values).max()))
+    represents = float(np.abs(_values_on(rho, inst.a.space.flat) - values).max()) / vscale
+    annihilates = float(np.abs(_values_on(rho, phi.kernel.flat)).max(initial=0.0))
     preserved = hs_norm(_pullback_density(psi.map_matrix, rho.density) - rho.density)
     return [
         _assertion("extends_character", extends, tol(1e-7)),
@@ -238,13 +238,12 @@ def _suite_hoffman_rossi(n_max, trials, seed):
         inst = random_block_instance(n, rng, conjugate=bool(t % 2))
         psi, rho = representing_expectation_tracial(inst.m, inst.state, inst.d, inst.a, inst.phi)
         psi2, rho2 = representing_expectation_state(inst.m, inst.state, inst.d, inst.a, inst.phi)
-        p_a = inst.a.space.projector_matrix()
         scale = max(1.0, float(np.linalg.norm(inst.phi.map_matrix)))
-        values = [inst.state(inst.phi(x)) for x in inst.a.basis]
+        values = _values_on(inst.state, inst.phi.images)
         devs = {
-            "extends": float(np.linalg.norm((psi.map_matrix - inst.phi.map_matrix) @ p_a)) / scale,
-            "represents": max(abs(rho(x) - v) for x, v in zip(inst.a.basis, values)),
-            "annihilates": max((abs(rho(j)) for j in inst.phi.kernel.basis), default=0.0),
+            "extends": _extension_gap(psi, inst.phi) / scale,
+            "represents": float(np.abs(_values_on(rho, inst.a.space.flat) - values).max()),
+            "annihilates": float(np.abs(_values_on(rho, inst.phi.kernel.flat)).max(initial=0.0)),
             "routes_agree": float(np.linalg.norm(psi.map_matrix - psi2.map_matrix)) / scale
             + hs_norm(rho.density - rho2.density),
         }

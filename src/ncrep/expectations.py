@@ -1,13 +1,13 @@
 """Conditional expectations onto *-subalgebras of M_n.
 
-An expectation is stored as its matrix on flattened (row-major) coordinates,
-always composed with the orthogonal projection onto the domain algebra, so
-the stored map is defined on all of M_n and every invariant (unital on the
-range unit, idempotent, positive, bimodule over D, range membership) can be
-checked at the matrix level.  The bimodule check is exact on the domain's
-orthonormal basis: E(d x_j) - d E(x_j) and E(x_j d) - E(x_j) d for each
-basis element d of D, formed as chunked gemms (linalg.bimodule_gaps) with
-no n^2 x n^2 left or right multiplication matrix.
+An expectation is stored as its matrix on flattened (row-major) coordinates.
+The constructor composes it with the orthogonal projection onto the domain
+algebra and keeps its values E(x_j) on the domain's orthonormal basis, so the
+stored map is defined on all of M_n, and every invariant (unital on the
+range unit, idempotent, positive, bimodule over D, range membership) is
+checked through those values with no n^2 x n^2 multiplication or complement
+operator: the bimodule check forms E(d x_j) - d E(x_j) and E(x_j d) - E(x_j) d
+for each basis element d of D as chunked gemms (linalg.bimodule_gaps).
 
 Construction is by solving the Gram system of the range algebra in the
 omega-inner product, which needs omega faithful on the range only; a
@@ -47,13 +47,11 @@ from .linalg import (
     dagger,
     eigh_hermitian,
     hs_norm,
-    left_mult_matrix,
     orthonormalize,
     pd_tol,
     projection_isometry,
     psd_sqrt,
     require_finite,
-    right_mult_matrix,
     sandwich_matrix,
 )
 from .states import (
@@ -90,6 +88,14 @@ def _pullback_density(map_matrix, rho):
     return (sigma + dagger(sigma)) / 2
 
 
+def _domain_images(map_matrix, domain):
+    """The map's values K(x_j) on the domain's orthonormal basis, as flat rows,
+    and its matrix composed with the projection onto the domain, sum_j K(x_j) x_j*."""
+    flat = domain.space.flat
+    images = flat @ require_finite(np.asarray(map_matrix, dtype=complex)).T
+    return images, images.T @ flat.conj()
+
+
 def _check_preserves(map_matrix, omega, target):
     """omega∘E must have the density target (omega's own on the domain)."""
     drift = hs_norm(_pullback_density(map_matrix, omega.density) - target)
@@ -103,16 +109,21 @@ class ConditionalExpectation:
     The range is an operator subspace with its own unit: the ambient identity
     for genuine expectations, a projection z for the support-ideal maps onto
     Dz.  The bimodule algebra is the D whose elements pass through the map.
+
+    The constructor composes map_matrix with the projection onto the domain
+    and keeps the values E(x_j) on the domain's orthonormal basis as the rows
+    of images; validated turns true once validate() has passed.
     """
 
     def __init__(self, map_matrix, domain, range_space, unit, bimodule, check=True):
-        self.map_matrix = np.asarray(map_matrix, dtype=complex)
+        self.images, self.map_matrix = _domain_images(map_matrix, domain)
         self.domain = domain
         self.range_space = range_space
         self.unit = as_matrix(unit)
         self.bimodule = bimodule
         self.n = domain.n
         self._support = None
+        self.validated = False
         if check:
             self.validate()
 
@@ -130,17 +141,18 @@ class ConditionalExpectation:
         return self._support
 
     def validate(self):
-        k = require_finite(self.map_matrix)
+        k, images = self.map_matrix, self.images
         n = self.n
         scale = max(1.0, hs_norm(k))
         unit_gap = hs_norm(apply_map(k, np.eye(n)) - self.unit)
         if unit_gap > tol(1e-9) * max(1.0, hs_norm(self.unit)):
             raise InvariantViolation(f"unital: E(I) misses the range unit by {unit_gap:.3e}")
-        idem_gap = hs_norm(k @ k - k)
+        # the rows E(E(x_j)) - E(x_j) have the norm of k^2 - k, because k = kP
+        idem_gap = hs_norm(images @ k.T - images)
         if idem_gap > tol(1e-9) * scale:
             raise InvariantViolation(f"idempotent: E(E(x)) != E(x), defect {idem_gap:.3e}")
         xx, x_norms = _positivity_probes(n)
-        y = (k @ xx.reshape(8, -1).T).T.reshape(8, n, n)
+        y = apply_map(k, xx)
         y = (y + dagger(y)) / 2
         lows = np.linalg.eigvalsh(y)[:, 0]
         if np.any(lows < -tol(1e-8) * x_norms):
@@ -148,9 +160,10 @@ class ConditionalExpectation:
         gaps = bimodule_gaps(k, self.bimodule.space.tensor, self.domain.space.flat)
         if np.any(gaps > tol(1e-8) * scale * np.sqrt(n)):
             raise InvariantViolation(f"bimodule: module property fails by {gaps.max():.3e}")
-        range_gap = hs_norm(k - self.range_space.projector_matrix() @ k)
+        range_gap = hs_norm(self.range_space.residuals(images))
         if range_gap > tol(1e-8) * scale:
             raise InvariantViolation(f"range: output leaves the range span by {range_gap:.3e}")
+        self.validated = True
 
 
 def choi_matrix(e):
@@ -185,10 +198,8 @@ def _preserving_projection(omega, target, m, check=True):
     the preservation check always runs.
     """
     ginv, rows = _gram_pieces(omega, target.space.tensor)
-    k_inner = target.space.flat.T @ (ginv @ rows)
-    k = k_inner @ m.space.projector_matrix()
-    e = ConditionalExpectation(k, m, target.space, np.eye(m.n), target, check)
-    _check_preserves(k, omega, omega.restricted_density(m))
+    e = ConditionalExpectation(target.space.flat.T @ (ginv @ rows), m, target.space, np.eye(m.n), target, check)
+    _check_preserves(e.map_matrix, omega, omega.restricted_density(m))
     return e
 
 
@@ -239,13 +250,38 @@ def expectation_from_density(h, d, m, nu):
     if norm_gap > tol(1e-8) * np.sqrt(m.n):
         raise NotNormalized(f"E_D(h) differs from the identity by {norm_gap:.3e}")
     hr = psd_sqrt(h)
-    k = e_d.map_matrix @ sandwich_matrix(hr, hr) @ m.space.projector_matrix()
-    e = ConditionalExpectation(k, m, d.space, np.eye(m.n), d)
-    sigma = _pullback_density(k, nu.density)
+    e = ConditionalExpectation(e_d.map_matrix @ sandwich_matrix(hr, hr), m, d.space, np.eye(m.n), d)
+    sigma = _pullback_density(e.map_matrix, nu.density)
     want = m.project(hr @ nu.density @ hr)
     if hs_norm(sigma - want) > tol(1e-8) * max(1.0, hs_norm(want)):
         raise InvariantViolation("nu∘E does not match the h-deformed functional")
     return e
+
+
+def _modular_gaps(e, nu):
+    """The statistics of commutes_with_modular, read off the domain's basis x_j.
+
+    ||E([log rho, x_j]) - [log rho, E(x_j)]||, which is ||(K ad - ad K) P||_F;
+    ||ad||_F from the eigenvalues of rho; the largest ||E(u x_j u*) - u E(x_j) u*||
+    and ||P(u* sigma u) - sigma|| over u = rho^(it) at the sampled times, where
+    sigma, returned last, is the density of nu∘E and P(u* sigma u) that of
+    x -> nu(E(u P(x) u*)) on a *-algebra domain.
+    """
+    k = e.map_matrix
+    x = e.domain.space.tensor
+    y = e.images.reshape(x.shape)
+    log_eigs = np.log(nu.spectrum.eigenvalues)
+    log_rho = nu.spectrum.apply(np.log)
+    inf_stat = hs_norm(apply_map(k, commutator(log_rho, x)) - commutator(log_rho, y))
+    ad_norm = hs_norm(log_eigs[:, None] - log_eigs[None, :])
+    sigma = _pullback_density(k, nu.density)
+    sampled_map = sampled_pull = 0.0
+    for t in (0.1, 1.0, np.sqrt(2.0)):
+        u = _density_power_it(nu, t)
+        u_star = dagger(u)
+        sampled_map = max(sampled_map, hs_norm(apply_map(k, u @ x @ u_star) - u @ y @ u_star))
+        sampled_pull = max(sampled_pull, hs_norm(e.domain.project(u_star @ sigma @ u) - sigma))
+    return inf_stat, ad_norm, sampled_map, sampled_pull, sigma
 
 
 def commutes_with_modular(e, nu):
@@ -260,23 +296,11 @@ def commutes_with_modular(e, nu):
     """
     if not nu.is_faithful:
         raise NotFaithful("modular commutation needs a faithful reference")
-    k = e.map_matrix
-    n = e.n
-    p_dom = e.domain.space.projector_matrix()
-    scale = max(1.0, hs_norm(k))
-    log_rho = nu.spectrum.apply(np.log)
-    ad = left_mult_matrix(log_rho) - right_mult_matrix(log_rho)
-    inf_stat = hs_norm((k @ ad - ad @ k) @ p_dom)
-    inf_thr = tol(1e-8) * scale * max(1.0, hs_norm(ad))
-    pull_base = _pullback_density(k, nu.density)
-    sampled_map = sampled_pull = 0.0
-    for t in (0.1, 1.0, np.sqrt(2.0)):
-        u = _density_power_it(nu, t)
-        s = sandwich_matrix(u, dagger(u))
-        sampled_map = max(sampled_map, hs_norm((k @ s - s @ k) @ p_dom))
-        sampled_pull = max(sampled_pull, hs_norm(_pullback_density(k @ s @ p_dom, nu.density) - pull_base))
+    inf_stat, ad_norm, sampled_map, sampled_pull, sigma = _modular_gaps(e, nu)
+    scale = max(1.0, hs_norm(e.map_matrix))
+    inf_thr = tol(1e-8) * scale * max(1.0, ad_norm)
     map_thr = tol(1e-8) * scale
-    pull_thr = tol(1e-8) * max(1.0, hs_norm(pull_base))
+    pull_thr = tol(1e-8) * max(1.0, hs_norm(sigma))
     verdict = cross_check(
         "infinitesimal and sampled modular commutation disagree", inf_stat <= inf_thr,
         sampled_map <= map_thr, (inf_stat, inf_thr), (sampled_map, map_thr),
@@ -298,9 +322,9 @@ def expectation_to_density(e, nu):
     return h
 
 
-def _values_on(functional, algebra):
-    """The functional on each basis element x of the algebra: Tr(rho x) = <vec(x), vec(rho^T)>."""
-    return algebra.space.flat @ functional.density.T.ravel()
+def _values_on(functional, rows):
+    """The functional on each flattened matrix x in rows (k, n^2): Tr(rho x) = <vec(x), vec(rho^T)>."""
+    return rows @ functional.density.T.ravel()
 
 
 def average_to_central(psi, omega, d, m):
@@ -315,13 +339,13 @@ def average_to_central(psi, omega, d, m):
     ok, violation = is_D_central(omega, d, m)
     if not ok:
         raise NotCentral(f"D is not inside the centralizer of omega (violation {violation:.3e})")
-    want = _values_on(omega, d)
-    if np.any(np.abs(_values_on(psi, d) - want) > tol(1e-8) * np.maximum(1.0, np.abs(want))):
+    want = _values_on(omega, d.space.flat)
+    if np.any(np.abs(_values_on(psi, d.space.flat) - want) > tol(1e-8) * np.maximum(1.0, np.abs(want))):
         raise NotAnExtension("psi does not restrict to omega on D")
     relative = commutant(d, m)
     e = _preserving_projection(omega, relative, m)
     result = e.pullback(psi)
-    if np.any(np.abs(_values_on(result, d) - want) > tol(1e-7) * np.maximum(1.0, np.abs(want))):
+    if np.any(np.abs(_values_on(result, d.space.flat) - want) > tol(1e-7) * np.maximum(1.0, np.abs(want))):
         raise InvariantViolation("averaged functional no longer extends omega on D")
     ok, violation = is_D_central(result, d, m)
     if not ok:
@@ -336,29 +360,36 @@ def average_to_central(psi, omega, d, m):
     return result
 
 
+def _support_gaps(k, images, domain, z):
+    """||E(x_j) - E(z x_j z)|| and ||z E(x_j) - E(x_j) z|| over the domain's basis x_j:
+    ||(K - K S_z) P||_F and ||(L_z - R_z) K P||_F for S_z, L_z, R_z the
+    matrices of x -> zxz, zx, xz and P the domain projection."""
+    x = domain.space.tensor
+    y = images.reshape(x.shape)
+    return hs_norm(y - apply_map(k, z @ x @ z)), hs_norm(z @ y - y @ z)
+
+
 def support_of_map(e):
     """Smallest projection z with E(x) = E(zxz); support of the trace pullback.
 
     Accepts a ConditionalExpectation or a raw map matrix on all of M_n.  For
-    idempotent maps the support also commutes with every output.
+    idempotent maps the support also commutes with every output.  A validated
+    expectation is idempotent; any other map is tested for it first.
     """
     if isinstance(e, ConditionalExpectation):
-        k, dom = e.map_matrix, e.domain
+        k, images, dom, idempotent = e.map_matrix, e.images, e.domain, e.validated
     else:
         k = np.asarray(e, dtype=complex)
-        n = int(round(np.sqrt(k.shape[0])))
-        dom = full_matrix_algebra(n)
-    n = dom.n
-    w = _pullback_density(k, np.eye(n, dtype=complex))
+        dom = full_matrix_algebra(int(round(np.sqrt(k.shape[0]))))
+        images, idempotent = dom.space.flat @ k.T, False
+    w = _pullback_density(k, np.eye(dom.n, dtype=complex))
     w_spec = eigh_hermitian(w)
     z = w_spec.support(pd_tol(w_spec.norm))
-    p_dom = dom.space.projector_matrix()
     scale = max(1.0, hs_norm(k))
-    gap = hs_norm((k - k @ sandwich_matrix(z, z)) @ p_dom)
+    gap, side = _support_gaps(k, images, dom, z)
     if gap > tol(1e-8) * scale:
         raise InvariantViolation(f"support identity E(x) = E(zxz) fails by {gap:.3e}")
-    if hs_norm(k @ k - k) <= tol(1e-6) * scale:
-        side = hs_norm(((left_mult_matrix(z) - right_mult_matrix(z)) @ k) @ p_dom)
+    if idempotent or hs_norm(images @ k.T - images) <= tol(1e-6) * scale:
         if side > tol(1e-8) * scale:
             raise InvariantViolation(f"support does not commute with the outputs ({side:.3e})")
     return z
@@ -399,17 +430,15 @@ def support_ideal_expectation(omega, d, m):
     d_z = StarAlgebra(orthonormalize(corner.compress_rows(d.space.flat)), check=False)
     omega_z = PositiveFunctional(corner.compress(omega.density), check=False)
     f = _preserving_expectation(omega_z, d_z, m_z, check=False)
-    p_m = m.space.projector_matrix()
-    k = corner.lift_map(f.map_matrix) @ p_m
     # xz = v (v* x v) v* for x in D
     range_space = corner.lift_space(d_z.space)
-    e = ConditionalExpectation(k, m, range_space, z, d)
-    _check_preserves(k, omega, omega.restricted_density(m))
-    # uniqueness: the direct Gram projection onto the ideal must give the same map
+    e = ConditionalExpectation(corner.lift_map(f.map_matrix), m, range_space, z, d)
+    _check_preserves(e.map_matrix, omega, omega.restricted_density(m))
+    # uniqueness: the direct Gram projection onto the ideal must take the same values on M
     ginv, rows = _gram_pieces(omega, range_space.tensor)
-    k2 = range_space.flat.T @ (ginv @ rows) @ p_m
-    mismatch = hs_norm((k - k2) @ p_m)
-    if mismatch > tol(1e-7) * max(1.0, hs_norm(k)):
+    k2 = range_space.flat.T @ (ginv @ rows)
+    mismatch = hs_norm(e.images - m.space.flat @ k2.T)
+    if mismatch > tol(1e-7) * max(1.0, hs_norm(e.map_matrix)):
         raise InvariantViolation(f"the two support-ideal constructions disagree by {mismatch:.3e}")
     support = support_of_map(e)
     if hs_norm(support @ z - support) > tol(1e-8):

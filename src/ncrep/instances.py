@@ -143,7 +143,7 @@ def instance_from_dict(data):
             kmat = decode_matrix(c_spec["matrix"], "character matrix")
             if kmat.shape != (n * n, n * n):
                 raise ParseError(f"character matrix must be n^2 x n^2, got {kmat.shape}")
-            phi = DCharacter(kmat @ a.space.projector_matrix(), a, d)
+            phi = DCharacter(kmat, a, d)
         else:
             raise ParseError("'character' needs 'block_compression' or 'matrix'")
 
@@ -177,7 +177,7 @@ def instance_to_dict(inst):
         else:
             out["A"] = {"generators": [encode_matrix(x) for x in inst.a.basis]}
     eye = np.eye(inst.n) / inst.n
-    if np.allclose(inst.state.density, eye, atol=1e-14):
+    if np.allclose(inst.state.density, eye, rtol=0, atol=1e-14):
         out["state"] = {"tracial": True}
     else:
         out["state"] = {"density": encode_matrix(inst.state.density), "normalize": False}
@@ -249,7 +249,7 @@ def random_block_instance(n, rng, conjugate=False):
         s = sandwich_matrix(u, dagger(u))
         a = unitary_conjugate_algebra(a, u)
         d = unitary_conjugate_algebra(d, u)
-        phi = DCharacter(s @ phi.map_matrix @ dagger(s) @ a.space.projector_matrix(), a, d)
+        phi = DCharacter(s @ phi.map_matrix @ dagger(s), a, d)
     return InstanceDescription(
         n=n, m=full_matrix_algebra(n), d=d, state=PositiveFunctional.tracial(n), a=a, phi=phi
     )

@@ -202,7 +202,6 @@ class OperatorSubspace:
     def __init__(self, ambient_dim, flat):
         self.ambient_dim = int(ambient_dim)
         self.flat = np.asarray(flat, dtype=complex).reshape(-1, self.ambient_dim**2)
-        self._projector = None
 
     @property
     def size(self):
@@ -241,18 +240,8 @@ class OperatorSubspace:
         return hs_norm(x - self.project(x)) <= tol(1e-8) * max(1.0, hs_norm(x))
 
     def projector_matrix(self):
-        """The n^2 x n^2 matrix of the orthogonal projection onto this subspace.
-
-        Formed once per subspace and handed out read-only, so no caller can
-        change it for the others.
-        """
-        if self._projector is None:
-            self._projector = self.flat.T @ self.flat.conj()
-            self._projector.flags.writeable = False
-        return self._projector
-
-    def perp_projector_matrix(self):
-        return np.eye(self.ambient_dim**2, dtype=complex) - self.projector_matrix()
+        """The n^2 x n^2 matrix of the orthogonal projection onto this subspace (the tests' oracle)."""
+        return self.flat.T @ self.flat.conj()
 
 
 def orthonormalize(spanning_set):
@@ -310,21 +299,19 @@ def subspace_sum(*spaces):
 
 
 def subspace_intersection(s, t):
-    """Intersection of two subspaces: joint kernel of both orthogonal complements."""
+    """Intersection of two subspaces: the combinations c of s's rows with c R = 0,
+    R the residuals of s's rows against t."""
     if s.ambient_dim != t.ambient_dim:
         raise DimensionMismatch("subspaces live in different ambient dimensions")
-    stacked = np.vstack([s.perp_projector_matrix(), t.perp_projector_matrix()])
-    rows = null_space_rows(stacked)
-    return OperatorSubspace(s.ambient_dim, rows)
+    residual = s.flat - (s.flat @ t.flat.conj().T) @ t.flat
+    return OperatorSubspace(s.ambient_dim, null_space_rows(residual.T) @ s.flat)
 
 
 def same_subspace(s, t):
     if s.size != t.size:
         return False
     atol = tol(1e-8)
-    return all(hs_norm(b - t.project(b)) <= atol for b in s.basis) and all(
-        hs_norm(b - s.project(b)) <= atol for b in t.basis
-    )
+    return bool(np.all(t.residuals(s.flat) <= atol) and np.all(s.residuals(t.flat) <= atol))
 
 
 def projection_isometry(p):
@@ -442,29 +429,10 @@ def bimodule_gaps(k, basis, domain_flat):
     return gaps
 
 
-def left_mult_matrix(a):
-    n = a.shape[0]
-    return _kron2(np.asarray(a, dtype=complex), np.eye(n, dtype=complex))
-
-
-def right_mult_matrix(b):
-    n = b.shape[0]
-    return _kron2(np.eye(n, dtype=complex), np.asarray(b).T)
-
-
 def apply_map(map_matrix, x):
-    n = x.shape[0]
-    return (map_matrix @ x.ravel()).reshape(n, n)
-
-
-def map_matrix_from_action(action, n):
-    """Build the n^2 x n^2 matrix of a linear map by applying it to the matrix units."""
-    cols = np.zeros((n * n, n * n), dtype=complex)
-    for k in range(n * n):
-        e = np.zeros((n, n), dtype=complex)
-        e.flat[k] = 1.0
-        cols[:, k] = action(e).ravel()
-    return cols
+    """The map with matrix map_matrix at one matrix or at each entry of a stacked (k, n, n) tensor."""
+    n = x.shape[-1]
+    return (x.reshape(-1, n * n) @ map_matrix.T).reshape(x.shape)
 
 
 def minimal_norm_solution(rows, rhs):

@@ -44,7 +44,9 @@ from .errors import (
 )
 from .expectations import (
     ConditionalExpectation,
+    _domain_images,
     _pullback_density,
+    _values_on,
     average_to_central,
     preserving_expectation,
 )
@@ -67,7 +69,6 @@ from .linalg import (
     pd_tol,
     projection_isometry,
     psd_sqrt,
-    require_finite,
     subspace_sum,
 )
 from .states import PositiveFunctional, _faithful_on, is_D_central, tracial_certificate
@@ -80,32 +81,27 @@ G_CONDITION_CAP = 1e12
 class DCharacter:
     """Unital multiplicative D-bimodule map Phi from a subalgebra A onto D <= A.
 
-    The map matrix acts on flattened matrices and is composed with the
-    orthogonal projection onto span(A), so it is defined everywhere but only
-    meaningful on A.  The kernel J = ker(Phi) complements D inside A
+    The constructor composes the map matrix with the orthogonal projection
+    onto span(A), so it is defined everywhere but only meaningful on A, and
+    keeps its values Phi(x_j) on A's orthonormal basis as the rows of images,
+    which the checks read.  The kernel J = ker(Phi) complements D inside A
     (A = J + D as a direct sum) and satisfies D J D <= J; it is exactly the
     part of A a representing functional has to annihilate.
     """
 
     def __init__(self, map_matrix, domain, range_alg, check=True):
-        self.map_matrix = np.asarray(map_matrix, dtype=complex)
+        self.images, self.map_matrix = _domain_images(map_matrix, domain)
         self.domain = domain
         self.range_alg = range_alg
         self.n = domain.n
         self.blocks = None
-        if check:
-            require_finite(self.map_matrix)
-        self.kernel = self._kernel_space()
+        # a combination c of A's basis lies in J when c times the images vanishes
+        self.kernel = OperatorSubspace(self.n, null_space_rows(self.images.T) @ domain.space.flat)
         if check:
             self.validate()
 
     def __call__(self, x):
         return apply_map(self.map_matrix, as_matrix(x))
-
-    def _kernel_space(self):
-        flat = self.domain.space.flat
-        coeffs = null_space_rows(self.map_matrix @ flat.T)
-        return OperatorSubspace(self.n, coeffs @ flat)
 
     def validate(self):
         k = self.map_matrix
@@ -124,12 +120,12 @@ class DCharacter:
             if outside[bad[0]]:
                 raise InvariantViolation("range: D is not inside A")
             raise InvariantViolation(f"fixes D: Phi moves a D element by {fix[bad[0]]:.3e}")
-        into = float(np.linalg.norm(self.range_alg.space.perp_projector_matrix() @ k))
-        k_norm = float(np.linalg.norm(k))
+        into = hs_norm(self.range_alg.space.residuals(self.images))
+        k_norm = hs_norm(k)
         if into > tol(1e-8) * max(1.0, k_norm):
             raise InvariantViolation(f"range: Phi output leaves span(D) by {into:.3e}")
         b = self.domain.space.tensor
-        images = (self.domain.space.flat @ k.T).reshape(-1, n, n)
+        images = self.images.reshape(-1, n, n)
         defects, allowed = [], []
         # all products x_a x_b and Phi(x_a) Phi(x_b), a chunk of a's at a time; per a, four
         # (dim A, n^2) arrays: both products, the image of the first and the defect
@@ -189,7 +185,7 @@ def block_compression_character(a, d):
         label[blk] = t
     # x -> sum_t p_t x p_t keeps entry (i, j) iff i and j share a block: a diagonal matrix
     k = np.diag((label[:, None] == label[None, :]).ravel().astype(complex))
-    phi = DCharacter(k @ a.space.projector_matrix(), a, d)
+    phi = DCharacter(k, a, d)
     phi.blocks = [list(blk) for blk in a.blocks]
     return phi
 
@@ -273,26 +269,30 @@ def _invertible_average(g, what):
     return spec
 
 
+def _extension_gap(psi, phi):
+    """||Psi(x_j) - Phi(x_j)|| over A's orthonormal basis x_j, which is ||(Psi - Phi) P_A||_F."""
+    return hs_norm(phi.domain.space.flat @ psi.map_matrix.T - phi.images)
+
+
 def _check_extends_character(e, phi):
-    p_a = phi.domain.space.projector_matrix()
-    gap = float(np.linalg.norm((e.map_matrix - phi.map_matrix) @ p_a))
-    if gap > tol(1e-7) * max(1.0, float(np.linalg.norm(phi.map_matrix))):
+    gap = _extension_gap(e, phi)
+    if gap > tol(1e-7) * max(1.0, hs_norm(phi.map_matrix)):
         raise InvariantViolation(f"extension: Psi differs from Phi on A by {gap:.3e}")
 
 
 def _check_represents(rho, phi, values, what):
     # rho must keep the matched values on all of A, not merely on D: averaging
     # moves the functional only inside the relative commutant of D
-    for x, v in zip(phi.domain.basis, values):
-        if abs(rho(x) - v) > tol(1e-8) * max(1.0, abs(v)):
-            raise InvariantViolation(f"{what} no longer represents the character on A")
+    got = _values_on(rho, phi.domain.space.flat)
+    if np.any(np.abs(got - values) > tol(1e-8) * np.maximum(1.0, np.abs(values))):
+        raise InvariantViolation(f"{what} no longer represents the character on A")
 
 
 def _check_annihilates(functional, kernel, what):
-    for j in kernel.basis:
-        val = abs(functional(j))
-        if val > tol(1e-8):
-            raise InvariantViolation(f"{what} does not annihilate ker(Phi) ({val:.3e})")
+    vals = np.abs(_values_on(functional, kernel.flat))
+    bad = np.flatnonzero(vals > tol(1e-8))
+    if bad.size:  # the first failing basis element is reported, as in a loop over the basis
+        raise InvariantViolation(f"{what} does not annihilate ker(Phi) ({vals[bad[0]]:.3e})")
 
 
 def representing_expectation_tracial(m, tau, d, a, phi, perturb_r=0.0, rng_seed=0):
@@ -311,7 +311,7 @@ def representing_expectation_tracial(m, tau, d, a, phi, perturb_r=0.0, rng_seed=
     k = tau.restricted_density(m)
     k = (k + dagger(k)) / 2
     # tracial <=> k commutes with M, so k-weighted projections stay M-compatible
-    values = [tau(phi(x)) for x in a.basis]
+    values = _values_on(tau, phi.images)
     r = _matched_density([x @ k for x in a.basis], values, m, perturb_r, rng_seed)
     a_mat, b_mat = _polar_factors(r)
     c = _projected_factor(a, phi.kernel, a_mat, b_mat, weight=k)
@@ -351,7 +351,7 @@ def representing_expectation_state(m, omega, d, a, phi, perturb_r=0.0, rng_seed=
     spec_k = eigh_hermitian(k)
     inv_sqk = spec_k.apply(lambda v: 1.0 / np.sqrt(v))
     sqk = spec_k.apply(lambda v: np.sqrt(np.clip(v, 0.0, None)))
-    values = [omega(phi(x)) for x in a.basis]
+    values = _values_on(omega, phi.images)
     r = _matched_density(list(a.basis), values, m, perturb_r, rng_seed)
     a_mat, b_mat = _polar_factors(r)
     c = _projected_factor(a, phi.kernel, a_mat, b_mat)
@@ -372,9 +372,9 @@ def representing_expectation_state(m, omega, d, a, phi, perturb_r=0.0, rng_seed=
     if abs(np.trace(h).real - 1.0) > tol(1e-7):
         raise InvariantViolation(f"normalization: Tr(h) = {np.trace(h).real:.12f}")
     theta = PositiveFunctional(h)
-    for x in d.basis:
-        if abs(theta(x) - omega(x)) > tol(1e-8) * max(1.0, abs(omega(x))):
-            raise InvariantViolation("the normalized state does not extend omega on D")
+    want = _values_on(omega, d.space.flat)
+    if np.any(np.abs(_values_on(theta, d.space.flat) - want) > tol(1e-8) * np.maximum(1.0, np.abs(want))):
+        raise InvariantViolation("the normalized state does not extend omega on D")
     _check_annihilates(theta, phi.kernel, "the normalized state")
     norm_gap = hs_norm(e_d(inv_sqk @ h @ inv_sqk) - np.eye(m.n))
     if norm_gap > tol(1e-7) * np.sqrt(m.n):
@@ -429,7 +429,7 @@ def compose_direct_sum(pieces, d=None):
     # the basis is orthonormal, so each element's scale max(1, ||x||) is 1
     if any(commutation_gap(p, bimodule.space.tensor) > tol(1e-9) for p in projs):
         raise NotCentralInD("a piece projection does not commute with D")
-    e = ConditionalExpectation(k @ m.space.projector_matrix(), m, orthonormalize(lifted_range), unit, bimodule)
+    e = ConditionalExpectation(k, m, orthonormalize(lifted_range), unit, bimodule)
     for (p, piece), corner in zip(pieces, corners):
         for y in piece.domain.basis:
             gap = hs_norm(corner.compress(e(corner.lift(y))) - piece(y))
@@ -451,7 +451,7 @@ def representing_expectation_commutative(m, sigma, d, a, phi):
         raise NotAbelian("M must be abelian")
     if not _faithful_on(sigma, d):
         raise NotFaithful("sigma is not faithful on D")
-    values = [sigma(phi(x)) for x in a.basis]
+    values = _values_on(sigma, phi.images)
     r = _matched_density(list(a.basis), values, m, 0.0, 0)
     a_mat, b_mat = _polar_factors(r)
     c = _projected_factor(a, phi.kernel, a_mat, b_mat)
@@ -490,10 +490,9 @@ def extension_via_ss_density(m, omega_d, d, a, phi, psi):
         raise NotTracial(f"omega_D is not tracial on D (violation {cert.max_violation:.3e})")
     if not _faithful_on(omega_d, d):
         raise NotFaithful("omega_D is not faithful on D")
-    for x in a.basis:
-        want = omega_d(phi(x))
-        if abs(psi(x) - want) > tol(1e-8) * max(1.0, abs(want)):
-            raise NotAnExtension("psi does not extend omega_D∘Phi on A")
+    want = _values_on(omega_d, phi.images)
+    if np.any(np.abs(_values_on(psi, a.space.flat) - want) > tol(1e-8) * np.maximum(1.0, np.abs(want))):
+        raise NotAnExtension("psi does not extend omega_D∘Phi on A")
     ok, violation = is_D_central(psi, d, m)
     if not ok:
         raise InconsistencyDetected(

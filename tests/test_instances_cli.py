@@ -87,8 +87,18 @@ def test_round_trip_is_semantically_idempotent():
         assert np.allclose(
             back.a.space.projector_matrix(), inst.a.space.projector_matrix(), atol=1e-12
         )
-        assert np.allclose(back.state.density, inst.state.density, atol=1e-14)
+        assert np.allclose(back.state.density, inst.state.density, rtol=0, atol=1e-14)
         assert np.allclose(back.phi.map_matrix, inst.phi.map_matrix, atol=1e-12)
+
+
+def test_a_nearly_tracial_density_is_written_out():
+    # diag(1/3 + 1e-6, 1/3 - 1e-6, 1/3) is within numpy's default rtol of I/3,
+    # but it is not the trace and must not be written as {"tracial": true}
+    density = np.diag([1 / 3 + 1e-6, 1 / 3 - 1e-6, 1 / 3])
+    inst = instance_from_dict(dict(M3_CORNER, state={"density": encode_matrix(density)}))
+    assert "density" in instance_to_dict(inst)["state"]
+    back = instance_from_dict(json.loads(serialize_instance(inst)))
+    assert np.allclose(back.state.density, density, rtol=0, atol=1e-14)
 
 
 def test_serialize_writes_file(tmp_path):

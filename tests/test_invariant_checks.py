@@ -1,9 +1,11 @@
 """The structured invariant checks against the dense routes they replaced.
 
 The bimodule kernel is compared with the n^2 x n^2 left and right
-multiplication matrices of every basis element, the batched products with
-einsum, and the QR-first null space with a full SVD; the memory contract
-pins the peak of the two validations at n = 10.
+multiplication matrices of every basis element, the statistics read off a
+map's values on its domain basis with the dense multiplication, sandwich
+and complement formulas of dense_oracle, the batched products with einsum,
+and the QR-first null space with a full SVD; the memory contract pins the
+peak of the two validations at n = 10.
 """
 
 import tracemalloc
@@ -12,30 +14,34 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncrep.algebras import full_matrix_algebra, unitary_conjugate_algebra
+from dense_oracle import left_mult_matrix, perp_projector_matrix, right_mult_matrix, sandwich
+from ncrep.algebras import block_diagonal_algebra, diagonal_algebra, full_matrix_algebra, unitary_conjugate_algebra
 from ncrep.config import tol
-from ncrep.expectations import preserving_expectation
-from ncrep.instances import haar_unitary, random_block_instance
+from ncrep.expectations import (
+    ConditionalExpectation,
+    _modular_gaps,
+    _support_gaps,
+    preserving_expectation,
+)
+from ncrep.instances import haar_unitary, random_block_instance, random_density
 from ncrep.linalg import (
     bimodule_gaps,
     chunk_slices,
     dagger,
+    hs_norm,
     null_space_rows,
+    orthonormalize,
     pair_products,
     sandwich_matrix,
+    subspace_intersection,
 )
-from ncrep.representing import DCharacter, make_block_character
+from ncrep.representing import DCharacter, _extension_gap, make_block_character
 from ncrep.states import PositiveFunctional
 
 
 def dense_side_gaps(k, b, p_dom):
     """||(K S - S K) P|| for S the matrix of x -> dx (row 0) and of x -> xd (row 1), d in b."""
-    n = b.shape[1]
-    eye = np.eye(n)
-    sides = np.empty((2, len(b), n, n, n, n), dtype=complex)
-    sides[0] = b[:, :, None, :, None] * eye[None, None, :, None, :]
-    sides[1] = eye[None, :, None, :, None] * b.transpose(0, 2, 1)[:, None, :, None, :]
-    sides = sides.reshape(2, len(b), n * n, n * n)
+    sides = np.array([[left_mult_matrix(d) for d in b], [right_mult_matrix(d) for d in b]])
     return np.linalg.norm((k @ sides - sides @ k) @ p_dom, axis=(2, 3))
 
 
@@ -74,6 +80,102 @@ def test_bimodule_gaps_across_chunks():
         assert np.abs(gaps - want).max() <= 1e-12 * max(1.0, np.linalg.norm(k))
 
 
+def dense_pullback(k, rho):
+    """Hermitian part of the density sigma with Tr(sigma x) = Tr(rho K(x)) for every x."""
+    n = len(rho)
+    sigma = (k.T @ rho.T.ravel()).reshape(n, n).T
+    return (sigma + dagger(sigma)) / 2
+
+
+def random_projection(n, rng):
+    v, _ = np.linalg.qr(random_complex((n, int(rng.integers(1, n + 1))), rng))
+    return v @ dagger(v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.sampled_from([0.0, 1e-6, 1e-2, 1.0]), st.sampled_from("MAD"), st.data())
+def test_image_statistics_match_the_dense_operators(n, noise, which, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    inst = random_block_instance(n, rng, conjugate=data.draw(st.booleans()))
+    e = preserving_expectation(inst.state, inst.d, inst.m)
+    # a valid or perturbed map on M, on A (the character) or on the *-algebra D
+    domain, k = {"M": (inst.m, e.map_matrix), "A": (inst.a, inst.phi.map_matrix), "D": (inst.d, e.map_matrix)}[which]
+    k = k + noise * random_complex(k.shape, rng)
+    f = ConditionalExpectation(k, domain, inst.d.space, np.eye(n), inst.d, check=False)
+    p = domain.space.projector_matrix()
+    kp = k @ p
+    bound = 1e-12 * max(1.0, np.linalg.norm(k))
+    assert np.linalg.norm(f.map_matrix - kp) <= bound
+
+    # range: ||(I - P_D) K P||
+    want = np.linalg.norm(perp_projector_matrix(inst.d.space) @ kp)
+    assert abs(hs_norm(inst.d.space.residuals(f.images)) - want) <= bound
+
+    # support_of_map at a random projection z: ||(K - K S_z) P|| and ||(L_z - R_z) K P||
+    z = random_projection(n, rng)
+    gap, side = _support_gaps(f.map_matrix, f.images, domain, z)
+    assert abs(gap - np.linalg.norm((kp - kp @ sandwich(z, z)) @ p)) <= bound
+    assert abs(side - np.linalg.norm((left_mult_matrix(z) - right_mult_matrix(z)) @ kp @ p)) <= bound
+
+    # the extension gap of f against the perturbed character, on A: ||(Psi - Phi) P_A||
+    phi = DCharacter(inst.phi.map_matrix + noise * random_complex(k.shape, rng), inst.a, inst.d, check=False)
+    want = np.linalg.norm((kp - phi.map_matrix) @ inst.a.space.projector_matrix())
+    assert abs(_extension_gap(f, phi) - want) <= 1e-12 * max(1.0, np.linalg.norm(k), np.linalg.norm(phi.map_matrix))
+
+    # commutes_with_modular: ad = L - R of log rho, and the flow x -> u x u* at the sampled times
+    nu = random_density(n, rng)
+    inf_stat, ad_norm, sampled_map, sampled_pull, sigma = _modular_gaps(f, nu)
+    w, v = np.linalg.eigh(nu.density)
+    log_rho = (v * np.log(w)) @ dagger(v)
+    ad = left_mult_matrix(log_rho) - right_mult_matrix(log_rho)
+    assert abs(ad_norm - np.linalg.norm(ad)) <= 1e-12 * max(1.0, np.linalg.norm(ad))
+    assert abs(inf_stat - np.linalg.norm((kp @ ad - ad @ kp) @ p)) <= bound
+    assert np.linalg.norm(sigma - dense_pullback(kp, nu.density)) <= bound
+    want_map = want_pull = 0.0
+    for t in (0.1, 1.0, np.sqrt(2.0)):
+        u = (v * np.exp(1j * t * np.log(w))) @ dagger(v)
+        s = sandwich(u, dagger(u))
+        want_map = max(want_map, np.linalg.norm((kp @ s - s @ kp) @ p))
+        want_pull = max(want_pull, np.linalg.norm(dense_pullback(kp @ s @ p, nu.density) - sigma))
+    assert abs(sampled_map - want_map) <= bound
+    # the drift formula P(u* sigma u) - sigma holds on a *-closed domain, as every expectation's is
+    if which != "A":
+        assert abs(sampled_pull - want_pull) <= bound
+
+
+def test_the_constructors_compose_with_the_domain_projection():
+    rng = np.random.default_rng(7)
+    # an expectation from the *-algebra M' = M_2 + M_2 onto the diagonal, and a block character
+    m2 = block_diagonal_algebra(4, [[0, 1], [2, 3]])
+    d = diagonal_algebra(4)
+    e = preserving_expectation(PositiveFunctional.tracial(4), d, m2)
+    a, d_a, phi = make_block_character(4, [[0, 1], [2, 3]])
+    for k, build, domain in (
+        (e.map_matrix, lambda k: ConditionalExpectation(k, m2, d.space, np.eye(4), d), m2),
+        (phi.map_matrix, lambda k: DCharacter(k, a, d_a), a),
+    ):
+        # what an uncomposed k does off the domain is dropped: k itself is stored as k P
+        off = random_complex((16, 16), rng) @ perp_projector_matrix(domain.space)
+        got = build(k + off)
+        assert np.linalg.norm(got.map_matrix - k) <= 1e-12
+        assert np.linalg.norm(got.images - domain.space.flat @ k.T) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_subspace_intersection_matches_the_stacked_complement_kernel(n, common, only_s, only_t, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shared = list(random_complex((common, n, n), rng))
+    s = orthonormalize(shared + list(random_complex((only_s, n, n), rng)) or [np.eye(n)])
+    t = orthonormalize(shared + list(random_complex((only_t, n, n), rng)) or [np.eye(n)])
+    got = subspace_intersection(s, t)
+    _, sv, vh = np.linalg.svd(np.vstack([perp_projector_matrix(s), perp_projector_matrix(t)]))
+    want = vh[int(np.sum(sv > tol(1e-9) * max(1.0, sv[0]))):].conj()
+    assert got.size == len(want)
+    assert np.allclose(got.flat @ got.flat.conj().T, np.eye(got.size), atol=1e-10)
+    assert np.allclose(got.projector_matrix(), want.T @ want.conj(), atol=1e-9)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 7), st.integers(1, 7), st.data())
 def test_pair_products_match_einsum(n, p, r, data):
@@ -109,7 +211,7 @@ def test_validation_peak_memory_grows_like_n4():
     s = sandwich_matrix(u, dagger(u))
     a = unitary_conjugate_algebra(a, u)
     d = unitary_conjugate_algebra(d, u)
-    phi = DCharacter(s @ phi.map_matrix @ dagger(s) @ a.space.projector_matrix(), a, d)
+    phi = DCharacter(s @ phi.map_matrix @ dagger(s), a, d)
     e = preserving_expectation(PositiveFunctional.tracial(n), d, full_matrix_algebra(n))
     peaks = []
     tracemalloc.start()

@@ -4,6 +4,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dense_oracle import left_mult_matrix, map_matrix_from_action, right_mult_matrix
 from ncrep.errors import DimensionMismatch, EmptyInput, NotHermitian, NotPositiveDefinite
 from ncrep.linalg import (
     Corner,
@@ -15,8 +16,6 @@ from ncrep.linalg import (
     hs_norm,
     hs_norms,
     imag_power,
-    left_mult_matrix,
-    map_matrix_from_action,
     matfn,
     matlog,
     matpow,
@@ -24,7 +23,6 @@ from ncrep.linalg import (
     minimal_norm_solution,
     orthonormalize,
     psd_sqrt,
-    right_mult_matrix,
     same_subspace,
     sandwich_matrix,
     subspace_intersection,
