@@ -1,14 +1,19 @@
-"""Min-of-N time and tracemalloc peak of the invariant checks and the kernel solves.
+"""Min-of-N time and tracemalloc peak of the invariant checks, the kernel solves and the tracial pipeline.
 
     python3 benchmarks/layers.py [--src DIR]
 
 Measures ConditionalExpectation.validate, DCharacter.validate,
 support_of_map, commutes_with_modular (against a seeded faithful density),
-commutant and null_space_rows on block characters with blocks (1, 3),
-(1, 3, 4) and (1, 3, 6) at n = 4, 8 and 10, each rotated by a seeded Haar
-unitary, and prints one JSON object.  --src points at the src/ directory of
-the checkout to measure (default: this one's), so two commits can be
-compared with the same script.  BLAS is pinned to one thread before numpy loads.
+commutant, null_space_rows and representing_expectation_tracial on block
+characters with blocks (1, 3), (1, 3, 4), (1, 3, 6), (4, 4, 4) and
+(5, 5, 6) at n = 4, 8, 10, 12 and 16, each rotated by a seeded Haar unitary,
+and prints one JSON object.  The commutant row adds dim D' and the largest
+||[x, b]|| over its basis x and D's b.  The null_space_rows stack is the one
+commutant(D, M) solves first: the brackets of M's basis with two seeded
+complex Gaussian combinations of D's basis, (2 n^2, n^2).  --src points at
+the src/ directory of the checkout to measure (default: this one's), so two
+commits can be compared with the same script.  BLAS is pinned to one thread
+before numpy loads.
 """
 
 import argparse
@@ -22,8 +27,8 @@ from pathlib import Path
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
-SIZES = {4: [1, 3], 8: [1, 3, 4], 10: [1, 3, 6]}
-REPEATS = {4: 200, 8: 20, 10: 10}
+SIZES = {4: [1, 3], 8: [1, 3, 4], 10: [1, 3, 6], 12: [4, 4, 4], 16: [5, 5, 6]}
+REPEATS = {4: 200, 8: 20, 10: 10, 12: 5, 16: 3}
 
 
 def _instance(n, sizes):
@@ -46,10 +51,12 @@ def _instance(n, sizes):
     m = full_matrix_algebra(n)
     e = preserving_expectation(PositiveFunctional.tracial(n), d, m)
     nu = random_density(n, np.random.default_rng(n))
-    w, b = m.space.tensor, d.space.tensor[:, None]
-    # the commutant's bracket stack: one row per (generator, entry), one column per basis element of M
-    stack = np.swapaxes((w @ b - b @ w).reshape(d.dim, m.dim, n * n), 1, 2).reshape(-1, m.dim)
-    return e, phi, d, m, nu, stack
+    parts = np.random.default_rng(0).standard_normal((2, 2, d.dim))
+    pair = ((parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2 * d.dim)) @ d.space.flat
+    w, g = m.space.tensor[:, None], pair.reshape(2, n, n)
+    # the generic pair's bracket stack: one row per (generator, entry), one column per basis element of M
+    stack = (w @ g - g @ w).reshape(m.dim, -1).T
+    return e, phi, a, d, m, nu, stack
 
 
 def _measure(fn, repeats):
@@ -66,6 +73,16 @@ def _measure(fn, repeats):
     return {"min_ms": round(best * 1e3, 4), "peak_mb": round(peak / 2**20, 3), "repeats": repeats}
 
 
+def _commutant_row(commutant, d, m, repeats):
+    """The commutant row, with the dimension of D' and max ||[x, b]|| over its basis x and D's b."""
+    import numpy as np
+
+    c = commutant(d, m)
+    x, b = c.space.tensor[:, None], d.space.tensor
+    gap = float(np.linalg.norm(x @ b - b @ x, axis=(2, 3)).max())
+    return dict(_measure(lambda: commutant(d, m), repeats), dim=c.dim, gap=gap)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
@@ -74,10 +91,13 @@ def main():
     from ncrep.algebras import commutant
     from ncrep.expectations import commutes_with_modular, support_of_map
     from ncrep.linalg import null_space_rows
+    from ncrep.representing import representing_expectation_tracial
+    from ncrep.states import PositiveFunctional
 
     layers = {}
     for n, sizes in SIZES.items():
-        e, phi, d, m, nu, stack = _instance(n, sizes)
+        e, phi, a, d, m, nu, stack = _instance(n, sizes)
+        tau = PositiveFunctional.tracial(n)
         reps = REPEATS[n]
         layers[f"n={n}"] = {
             "blocks": sizes,
@@ -85,8 +105,11 @@ def main():
             "DCharacter.validate": _measure(phi.validate, reps),
             "support_of_map": _measure(lambda: support_of_map(e), reps),
             "commutes_with_modular": _measure(lambda: commutes_with_modular(e, nu), reps),
-            "commutant": _measure(lambda: commutant(d, m), reps),
+            "commutant": _commutant_row(commutant, d, m, reps),
             "null_space_rows": dict(_measure(lambda: null_space_rows(stack), reps), shape=list(stack.shape)),
+            "representing_expectation_tracial": _measure(
+                lambda: representing_expectation_tracial(m, tau, d, a, phi), reps
+            ),
         }
     src_lines = sum(len(p.read_text().splitlines()) for p in Path(args.src).rglob("*.py"))
     print(json.dumps({"src_lines": src_lines, "layers": layers}, indent=1))

@@ -2,9 +2,15 @@
 
 A Subalgebra is product-closed and contains the identity; a StarAlgebra
 is additionally adjoint-closed.  Everything downstream works with the
-orthonormal basis of the span, so commutants and relative commutants
-reduce to kernel computations on coordinates.
+orthonormal basis of the span.  A commutant is a kernel on the
+coordinates of the enclosing algebra, restricted one batch of generators
+at a time: first two seeded generic combinations of the set, which almost
+always generate the algebra it generates, then, only if the result fails
+its commutation certificate against the whole set, the set's own elements
+a bounded chunk at a time.
 """
+
+import functools
 
 import numpy as np
 
@@ -14,6 +20,7 @@ from .linalg import (
     OperatorSubspace,
     as_matrix,
     chunk_slices,
+    commutation_gap,
     dagger,
     hs_norm,
     hs_norms,
@@ -31,6 +38,11 @@ def _adjoint_space(space):
     b = space.tensor
     flat = np.conj(np.transpose(b, (0, 2, 1))).reshape(space.size, -1)
     return OperatorSubspace(space.ambient_dim, flat)
+
+
+def _adjoint_defects(space):
+    """HS distance of each basis element's adjoint from the span."""
+    return space.residuals(_adjoint_space(space).flat)
 
 
 class Subalgebra:
@@ -94,9 +106,7 @@ class StarAlgebra(Subalgebra):
 
     def validate(self):
         super().validate()
-        b = self.space.tensor
-        adjoints = np.conj(np.transpose(b, (0, 2, 1))).reshape(self.dim, self.n**2)
-        defects = self.space.residuals(adjoints)
+        defects = _adjoint_defects(self.space)
         if np.any(defects > tol(1e-9)):
             raise InvariantViolation(
                 f"adjoint closure: a basis adjoint leaves the span (defect {defects.max():.3e})"
@@ -197,11 +207,68 @@ def _generating_set(s):
     return [as_matrix(m) for m in s]
 
 
-def commutant(s, within=None):
-    """{x in within : [x, b] = 0 for every b in s}, as a StarAlgebra.
+# seed of the generic combinations that open every commutant solve
+_GENERIC_SEED = 1962
 
-    Solved on within's coordinates: stack the maps c -> vec([sum c_k w_k, b])
-    over the b's and take the kernel.
+
+@functools.lru_cache(maxsize=64)
+def _generic_coefficients(k):
+    """(2, k) complex Gaussian coefficients from the fixed seed, scaled so that
+    they combine an orthonormal stack into elements of norm about 1."""
+    parts = np.random.default_rng(_GENERIC_SEED).standard_normal((2, 2, k))
+    coeffs = (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2 * k)
+    coeffs.flags.writeable = False
+    return coeffs
+
+
+def _generic_pair(stack):
+    """Two seeded generic combinations of a stack (k, n, n)."""
+    k, n, _ = stack.shape
+    return (_generic_coefficients(k) @ stack.reshape(k, n * n)).reshape(2, n, n)
+
+
+def _restrict(flat, gens):
+    """Orthonormal rows spanning {x in span(flat) : [x, g] = 0 for each g in gens}.
+
+    For orthonormal rows w_k of flat, the kernel rows c of the system
+    sum_k c_k [w_k, g] = 0 (all g), from null_space_rows, give the result
+    c @ flat, whose rows are orthonormal again.
+    """
+    n = gens.shape[-1]
+    w = flat.reshape(-1, 1, n, n)
+    brackets = w @ gens
+    brackets -= gens @ w
+    # row k is w_k's brackets with all of gens; the system is its transpose, a view
+    return null_space_rows(brackets.reshape(len(flat), -1).T) @ flat
+
+
+def _commutes_with(flat, stack, threshold):
+    """True iff every [x_j, b] is at most threshold, x_j the rows of flat and b in stack."""
+    n = stack.shape[-1]
+    basis = flat.reshape(-1, n, n)
+    # per x_j: the brackets with the whole stack, and the two products behind them
+    return all(
+        commutation_gap(basis[part], stack) <= threshold
+        for part in chunk_slices(len(basis), 3 * len(stack) * n * n)
+    )
+
+
+def commutant(s, within=None):
+    """{x in within : [x, b] = 0 for every b in s}.
+
+    A StarAlgebra when the result is adjoint-closed, which it is whenever s
+    and within are; a Subalgebra otherwise (the commutant of a Jordan block
+    N in M_2 is span{I, N}).
+
+    Solved on coordinates, one batch of generators at a time: the current
+    space (at first within's) is cut to the kernel of its brackets with the
+    batch.  The first batch is s itself when s has at most two elements and
+    otherwise two seeded generic combinations of s.  Each result contains
+    s', and once every [x, b], x in its basis and b in s, is below the rank
+    cutoff of the full bracket system, it equals s'.  Until that certificate
+    passes, the later batches are s's own elements a chunk at a time, and
+    the last of them leaves the exact kernel, so memory stays at one
+    batch's brackets and the current space.
     """
     gens = _generating_set(s)
     if not gens:
@@ -211,15 +278,23 @@ def commutant(s, within=None):
         within = full_matrix_algebra(n)
     if within.n != n:
         raise DimensionMismatch(f"set lives in M_{n}, within in M_{within.n}")
-    w = within.space.tensor
-    b = np.stack(gens)[:, None]
-    brackets = w @ b
-    brackets -= b @ w
-    # one row per (generator, entry of [w_k, b]), one column per k
-    rows = np.swapaxes(brackets.reshape(len(gens), within.dim, n * n), 1, 2)
-    coeffs = null_space_rows(rows.reshape(-1, within.dim))
-    flat = coeffs @ within.space.flat
-    return StarAlgebra(OperatorSubspace(n, flat))
+    stack = np.stack(gens)
+    if len(stack) <= 2:
+        flat = _restrict(within.space.flat, stack)
+    else:
+        flat = _restrict(within.space.flat, _generic_pair(stack))
+        # null_space_rows' cutoff on the full system, whose norm is at most 2 ||s||
+        threshold = tol(1e-9) * max(1.0, 2.0 * hs_norm(stack))
+        # per generator: its brackets with the current basis, the product behind them and the solver's copy
+        for part in chunk_slices(len(stack), 3 * len(flat) * n * n):
+            if _commutes_with(flat, stack, threshold):
+                break
+            flat = _restrict(flat, stack[part])
+    result = Subalgebra(OperatorSubspace(n, flat))
+    if np.all(_adjoint_defects(result.space) <= tol(1e-9)):
+        # the adjoint check just made is all that StarAlgebra.validate adds
+        result = StarAlgebra(result.space, check=False)
+    return result
 
 
 def check_ss_density(a, m):

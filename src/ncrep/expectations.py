@@ -157,7 +157,7 @@ class ConditionalExpectation:
         lows = np.linalg.eigvalsh(y)[:, 0]
         if np.any(lows < -tol(1e-8) * x_norms):
             raise InvariantViolation(f"positive: E(x*x) has eigenvalue {lows.min():.3e}")
-        gaps = bimodule_gaps(k, self.bimodule.space.tensor, self.domain.space.flat)
+        gaps = bimodule_gaps(k, self.bimodule.space.tensor, self.domain.space.flat, images)
         if np.any(gaps > tol(1e-8) * scale * np.sqrt(n)):
             raise InvariantViolation(f"bimodule: module property fails by {gaps.max():.3e}")
         range_gap = hs_norm(self.range_space.residuals(images))

@@ -75,8 +75,11 @@ def commutator(x, y):
 
 
 def commutation_gap(x, basis):
-    """max ||[x, b]|| over a stacked (k, n, n) basis; 0 for an empty one."""
-    return float(hs_norms(x @ basis - basis @ x).max(initial=0.0))
+    """max ||[x, b]|| over a stacked (k, n, n) basis, for one matrix x or over
+    every x of a stack (p, n, n); 0 for an empty basis."""
+    x = x[..., None, :, :]
+    n = basis.shape[-1]
+    return float(hs_norms((x @ basis - basis @ x).reshape(-1, n, n)).max(initial=0.0))
 
 
 def is_hermitian(x, atol=None):
@@ -399,21 +402,22 @@ def pair_products(a, b):
     return (a.reshape(p * n, n) @ rhs).reshape(p, n, r, n).transpose(0, 2, 1, 3)
 
 
-def bimodule_gaps(k, basis, domain_flat):
+def bimodule_gaps(k, basis, domain_flat, images):
     """Module gaps of the map with matrix k at each element d of a stacked basis (q, n, n).
 
     Row 0 of the (2, q) result holds the left gaps ||(K L_d - L_d K) P||_F,
     row 1 the right gaps ||(K R_d - R_d K) P||_F, with L_d and R_d the
     matrices of x -> dx and x -> xd and P the projection onto the span of
     the orthonormal rows domain_flat.  Since ||A P||_F = ||A flat^T||_F they
-    are read off the domain basis x_j: the left gap is the norm of
+    are read off the domain basis x_j and its images, the rows
+    images = domain_flat @ k.T: the left gap is the norm of
     (K(d x_j) - d K(x_j))_j, the right gap that of (K(x_j d) - K(x_j) d)_j.
     No n^2 x n^2 side matrix is formed; the products are gemms over chunks
     of the basis.
     """
     q, n, _ = basis.shape
     m = len(domain_flat)
-    z = np.concatenate([domain_flat, domain_flat @ k.T]).reshape(2 * m, n, n)  # x_j, then K(x_j)
+    z = np.concatenate([domain_flat, images]).reshape(2 * m, n, n)  # x_j, then K(x_j)
     gaps = np.empty((2, q))
     # per element d: 4 m n^2 entries in prods, 2 m n^2 in a product gemm's result, 2 m n^2 in moved
     for part in chunk_slices(q, 8 * m * n * n):

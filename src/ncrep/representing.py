@@ -140,7 +140,8 @@ class DCharacter:
                 f"multiplicative: Phi(xy) != Phi(x)Phi(y), defect {defects.max():.3e}"
             )
         # per basis element d: the left gap, then the right one; the first failing gap is reported
-        gaps = bimodule_gaps(k, self.range_alg.space.tensor, self.domain.space.flat).T.ravel()
+        gaps = bimodule_gaps(k, self.range_alg.space.tensor, self.domain.space.flat, self.images)
+        gaps = gaps.T.ravel()
         bad = np.flatnonzero(gaps > tol(1e-8) * max(1.0, k_norm) * np.sqrt(n))
         if bad.size:
             raise InvariantViolation(f"bimodule: Phi(d x d') != d Phi(x) d' by {gaps[bad[0]]:.3e}")

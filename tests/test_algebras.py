@@ -3,6 +3,7 @@ import pytest
 
 from ncrep.algebras import (
     StarAlgebra,
+    Subalgebra,
     block_diagonal_algebra,
     block_upper_triangular,
     check_ss_density,
@@ -65,6 +66,25 @@ def test_commutant_accepts_plain_matrices():
     c = commutant([np.diag([1.0, 1.0, 2.0])], full_matrix_algebra(3))
     # block sizes 2 and 1: commutant is M_2 + M_1, dimension 5
     assert c.dim == 5
+
+
+def test_commutant_of_a_jordan_block_is_not_adjoint_closed():
+    nil = unit(2, 0, 1)
+    c = commutant([nil])
+    assert type(c) is Subalgebra
+    assert same_subspace(c.space, orthonormalize([np.eye(2), nil]))
+
+
+def test_commutant_is_deterministic():
+    # D (blocks 1 + 2 + 3, rotated by an orthogonal matrix) has 14 basis elements, so
+    # the solve opens with the seeded generic pair
+    n = 6
+    u = np.linalg.qr(np.random.default_rng(4).standard_normal((n, n)))[0]
+    d = unitary_conjugate_algebra(block_diagonal_algebra(n, [[0], [1, 2], [3, 4, 5]]), u)
+    m = full_matrix_algebra(n)
+    first, second = commutant(d, m), commutant(d, m)
+    assert first.dim == 3
+    assert first.space.flat.tobytes() == second.space.flat.tobytes()
 
 
 def test_bicommutant_recovers_generated_algebra():

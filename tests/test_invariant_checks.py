@@ -4,8 +4,9 @@ The bimodule kernel is compared with the n^2 x n^2 left and right
 multiplication matrices of every basis element, the statistics read off a
 map's values on its domain basis with the dense multiplication, sandwich
 and complement formulas of dense_oracle, the batched products with einsum,
-and the QR-first null space with a full SVD; the memory contract pins the
-peak of the two validations at n = 10.
+the QR-first null space with a full SVD, and the certified commutant with
+the bracket stack over every element of the set; the memory contracts pin
+the peak of the two validations at n = 10 and of a commutant at n = 16.
 """
 
 import tracemalloc
@@ -14,8 +15,24 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import left_mult_matrix, perp_projector_matrix, right_mult_matrix, sandwich
-from ncrep.algebras import block_diagonal_algebra, diagonal_algebra, full_matrix_algebra, unitary_conjugate_algebra
+from dense_oracle import (
+    bracket_stack_commutant,
+    left_mult_matrix,
+    perp_projector_matrix,
+    right_mult_matrix,
+    sandwich,
+)
+from ncrep import algebras
+from ncrep.algebras import (
+    StarAlgebra,
+    block_diagonal_algebra,
+    block_upper_triangular,
+    commutant,
+    diagonal_algebra,
+    from_spanning,
+    full_matrix_algebra,
+    unitary_conjugate_algebra,
+)
 from ncrep.config import tol
 from ncrep.expectations import (
     ConditionalExpectation,
@@ -23,7 +40,7 @@ from ncrep.expectations import (
     _support_gaps,
     preserving_expectation,
 )
-from ncrep.instances import haar_unitary, random_block_instance, random_density
+from ncrep.instances import haar_unitary, random_block_instance, random_density, random_partition
 from ncrep.linalg import (
     bimodule_gaps,
     chunk_slices,
@@ -32,6 +49,7 @@ from ncrep.linalg import (
     null_space_rows,
     orthonormalize,
     pair_products,
+    same_subspace,
     sandwich_matrix,
     subspace_intersection,
 )
@@ -59,7 +77,7 @@ def test_bimodule_gaps_match_the_dense_sides(n, noise, data):
     # the expectation's case (domain M) and the character's (domain A), valid or perturbed
     for k, domain in ((e.map_matrix, inst.m), (inst.phi.map_matrix, inst.a)):
         k = k + noise * random_complex(k.shape, rng)
-        left, right = bimodule_gaps(k, b, domain.space.flat)
+        left, right = bimodule_gaps(k, b, domain.space.flat, domain.space.flat @ k.T)
         assert left.shape == right.shape == (len(b),)
         want = dense_side_gaps(k, b, domain.space.projector_matrix())
         bound = 1e-12 * max(1.0, np.linalg.norm(k))
@@ -75,7 +93,7 @@ def test_bimodule_gaps_across_chunks():
     assert len(chunk_slices(len(b), 8 * 36 * 36)) > 1
     m = full_matrix_algebra(6)
     for k in (phi.map_matrix, m.space.projector_matrix() + 1e-3 * random_complex((36, 36), rng)):
-        gaps = bimodule_gaps(k, b, m.space.flat)
+        gaps = bimodule_gaps(k, b, m.space.flat, m.space.flat @ k.T)
         want = dense_side_gaps(k, b, m.space.projector_matrix())
         assert np.abs(gaps - want).max() <= 1e-12 * max(1.0, np.linalg.norm(k))
 
@@ -224,3 +242,113 @@ def test_validation_peak_memory_grows_like_n4():
     finally:
         tracemalloc.stop()
     assert max(peaks) <= 12.0, peaks
+
+
+def unit(n, i, j):
+    e = np.zeros((n, n), dtype=complex)
+    e[i, j] = 1.0
+    return e
+
+
+def block_projections(n, blocks):
+    return [sum(unit(n, i, i) for i in blk) for blk in blocks]
+
+
+def row_units(n):
+    """E_12, ..., E_1n: two generic combinations g_1, g_2 of them generate only span{I, g_1, g_2}."""
+    return [unit(n, 0, j) for j in range(1, n)]
+
+
+def commutant_case(kind, n, rng):
+    """(s, within) for the comparison of the certified commutant with the bracket stack."""
+    m = full_matrix_algebra(n)
+    u = haar_unitary(n, rng)
+    if kind == "blocks":
+        return unitary_conjugate_algebra(block_diagonal_algebra(n, random_partition(n, rng)), u), m
+    if kind == "repeated":
+        # M_k (x) 1_mult on the first k * mult coordinates, all of M_rest on the others
+        mult = int(rng.integers(2, n // 2 + 1)) if n >= 4 else 2
+        k = int(rng.integers(1, n // mult + 1))
+        lead = [np.kron(unit(k, i, j), np.eye(mult)) for i in range(k) for j in range(k)]
+        mats = [np.pad(x, (0, n - k * mult)) for x in lead]
+        mats += [unit(n, i, j) for i in range(k * mult, n) for j in range(k * mult, n)]
+        return unitary_conjugate_algebra(from_spanning(mats), u), m
+    if kind == "abelian":
+        return unitary_conjugate_algebra(from_spanning(block_projections(n, random_partition(n, rng))), u), m
+    if kind == "triangular":
+        return unitary_conjugate_algebra(block_upper_triangular(n, random_partition(n, rng)), u), m
+    if kind == "within":
+        # a rotated block-diagonal D inside a block upper triangular A rotated the same way
+        d = unitary_conjugate_algebra(block_diagonal_algebra(n, random_partition(n, rng)), u)
+        return d, unitary_conjugate_algebra(block_upper_triangular(n, random_partition(n, rng)), u)
+    # a density with repeated eigenvalues, alone or with the projection onto its support
+    rank = int(rng.integers(1, n + 1))
+    v = u[:, :rank]
+    rho = (v * rng.choice([0.1, 0.3, 0.6], size=rank)) @ dagger(v)
+    return ([rho] if kind == "density" else [v @ dagger(v), rho]), m
+
+
+def adjoint_closed(space):
+    n = space.ambient_dim
+    adjoints = np.conj(np.swapaxes(space.tensor, 1, 2)).reshape(space.size, n * n)
+    return bool(np.all(space.residuals(adjoints) <= 1e-9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["blocks", "repeated", "abelian", "triangular", "within", "density", "support", "row-units"]),
+    st.integers(2, 6),
+    st.data(),
+)
+def test_commutant_matches_the_bracket_stack(kind, n, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if kind == "row-units":
+        s, within = row_units(max(n, 3)), full_matrix_algebra(max(n, 3))
+    else:
+        s, within = commutant_case(kind, n, rng)
+    got = commutant(s, within)
+    want = bracket_stack_commutant(algebras._generating_set(s), within)
+    assert same_subspace(got.space, want)
+    assert np.allclose(got.space.flat @ got.space.flat.conj().T, np.eye(got.dim), atol=1e-10)
+    # a StarAlgebra exactly when the commutant is adjoint-closed
+    assert isinstance(got, StarAlgebra) == adjoint_closed(want)
+
+
+def test_commutant_runs_the_later_batches_when_the_certificate_fails(monkeypatch):
+    verdicts, batches = [], []
+    certify, restrict = algebras._commutes_with, algebras._restrict
+
+    def spy_certify(*args):
+        verdicts.append(certify(*args))
+        return verdicts[-1]
+
+    def spy_restrict(flat, gens):
+        batches.append(len(gens))
+        return restrict(flat, gens)
+
+    monkeypatch.setattr(algebras, "_commutes_with", spy_certify)
+    monkeypatch.setattr(algebras, "_restrict", spy_restrict)
+    s = row_units(4)
+    got = commutant(s, full_matrix_algebra(4))
+    # the generic pair leaves span{I, g_1, g_2}'s commutant, which the certificate rejects;
+    # the set's own three elements then fit in one later batch
+    assert verdicts == [False]
+    assert batches == [2, 3]
+    assert same_subspace(got.space, bracket_stack_commutant(s, full_matrix_algebra(4)))
+    assert got.dim == 4 and not isinstance(got, StarAlgebra)
+
+
+def test_commutant_peak_memory_at_n16():
+    # D = M_5 + M_5 + M_6 in M_16: the bracket stack over D's 86 basis elements peaked at 259 MB
+    n = 16
+    d = block_diagonal_algebra(n, [list(range(0, 5)), list(range(5, 10)), list(range(10, 16))])
+    m = full_matrix_algebra(n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        c = commutant(d, m)
+        peak = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16.0, peak
+    assert c.dim == 3
