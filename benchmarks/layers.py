@@ -10,13 +10,18 @@ characters with blocks (1, 3), (1, 3, 4), (1, 3, 6), (4, 4, 4) and
 and prints one JSON object.  The commutant row adds dim D' and the largest
 ||[x, b]|| over its basis x and D's b.  The null_space_rows stack is the one
 commutant(D, M) solves first: the brackets of M's basis with two seeded
-complex Gaussian combinations of D's basis, (2 n^2, n^2).  --src points at
+complex Gaussian combinations of D's basis, (2 n^2, n^2).  At n = 4, 10
+and 16 the bimodule_gaps rows time the module-gap kernel alone on D's
+basis, for the expectation's map (domain M) and the character's (domain A);
+on a checkout whose kernel still reads the domain basis and its images,
+those are formed before the timing, as its callers held them.  --src points at
 the src/ directory of the checkout to measure (default: this one's), so two
 commits can be compared with the same script.  BLAS is pinned to one thread
 before numpy loads.
 """
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -29,6 +34,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 SIZES = {4: [1, 3], 8: [1, 3, 4], 10: [1, 3, 6], 12: [4, 4, 4], 16: [5, 5, 6]}
 REPEATS = {4: 200, 8: 20, 10: 10, 12: 5, 16: 3}
+GAPS_SIZES = (4, 10, 16)
 
 
 def _instance(n, sizes):
@@ -83,6 +89,19 @@ def _commutant_row(commutant, d, m, repeats):
     return dict(_measure(lambda: commutant(d, m), repeats), dim=c.dim, gap=gap)
 
 
+def _gaps_rows(bimodule_gaps, e, phi, d, repeats):
+    """The bimodule_gaps rows: domain M with the expectation's map, domain A with the character's."""
+    rows = {}
+    for label, k, domain in (("M", e.map_matrix, e.domain), ("A", phi.map_matrix, phi.domain)):
+        if len(inspect.signature(bimodule_gaps).parameters) == 2:
+            call = lambda k=k: bimodule_gaps(k, d.space.tensor)
+        else:
+            flat = domain.space.flat
+            call = lambda k=k, flat=flat, images=flat @ k.T: bimodule_gaps(k, d.space.tensor, flat, images)
+        rows[f"bimodule_gaps (domain {label})"] = _measure(call, repeats)
+    return rows
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
@@ -90,7 +109,7 @@ def main():
     sys.path.insert(0, args.src)
     from ncrep.algebras import commutant
     from ncrep.expectations import commutes_with_modular, support_of_map
-    from ncrep.linalg import null_space_rows
+    from ncrep.linalg import bimodule_gaps, null_space_rows
     from ncrep.representing import representing_expectation_tracial
     from ncrep.states import PositiveFunctional
 
@@ -111,6 +130,8 @@ def main():
                 lambda: representing_expectation_tracial(m, tau, d, a, phi), reps
             ),
         }
+        if n in GAPS_SIZES:
+            layers[f"n={n}"].update(_gaps_rows(bimodule_gaps, e, phi, d, reps))
     src_lines = sum(len(p.read_text().splitlines()) for p in Path(args.src).rglob("*.py"))
     print(json.dumps({"src_lines": src_lines, "layers": layers}, indent=1))
 

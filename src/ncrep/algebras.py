@@ -144,22 +144,26 @@ def _unit_matrix(n, i, j):
 
 def block_diagonal_algebra(n, blocks):
     """*-algebra of matrices supported on the diagonal blocks of the given index partition."""
-    _check_partition(n, blocks)
-    mats = [_unit_matrix(n, i, j) for blk in blocks for i in blk for j in blk]
-    alg = from_spanning(mats)
-    alg.blocks = [list(blk) for blk in blocks]
-    return alg
+    return _block_algebra(n, blocks, star=True)
 
 
 def block_upper_triangular(n, blocks):
     """Algebra of matrices with E_ij allowed iff block(i) comes at or before block(j)."""
+    return _block_algebra(n, blocks, star=False)
+
+
+def _block_algebra(n, blocks, star, check=True):
+    """block_diagonal_algebra (star) or block_upper_triangular, tagged with the
+    blocks; check=False skips the validation, for a caller that validates what
+    it makes of the result."""
     _check_partition(n, blocks)
-    which = {}
-    for t, blk in enumerate(blocks):
-        for i in blk:
-            which[i] = t
-    mats = [_unit_matrix(n, i, j) for i in range(n) for j in range(n) if which[i] <= which[j]]
-    alg = from_spanning(mats, star=False)
+    if star:
+        pairs = [(i, j) for blk in blocks for i in blk for j in blk]
+    else:
+        which = {i: t for t, blk in enumerate(blocks) for i in blk}
+        pairs = [(i, j) for i in range(n) for j in range(n) if which[i] <= which[j]]
+    space = orthonormalize([_unit_matrix(n, i, j) for i, j in pairs])
+    alg = StarAlgebra(space, check) if star else Subalgebra(space, check)
     alg.blocks = [list(blk) for blk in blocks]
     return alg
 

@@ -3,11 +3,13 @@
 An expectation is stored as its matrix on flattened (row-major) coordinates.
 The constructor composes it with the orthogonal projection onto the domain
 algebra and keeps its values E(x_j) on the domain's orthonormal basis, so the
-stored map is defined on all of M_n, and every invariant (unital on the
-range unit, idempotent, positive, bimodule over D, range membership) is
-checked through those values with no n^2 x n^2 multiplication or complement
-operator: the bimodule check forms E(d x_j) - d E(x_j) and E(x_j d) - E(x_j) d
-for each basis element d of D as chunked gemms (linalg.bimodule_gaps).
+stored map is defined on all of M_n.  Unitality on the range unit,
+idempotence, positivity and range membership are checked through those
+values, and the D-bimodule property (linalg.bimodule_gaps) through the
+stored map read as the 4-tensor of its entries: E∘L_d, L_d∘E, E∘R_d and
+R_d∘E, with L_d, R_d left and right multiplication by a basis element d of
+D, are mode products, one gemm of inner dimension n per chunk of D's basis.
+No n^2 x n^2 multiplication or complement operator is formed.
 
 Construction is by solving the Gram system of the range algebra in the
 omega-inner product, which needs omega faithful on the range only; a
@@ -58,6 +60,7 @@ from .states import (
     PositiveFunctional,
     _density_power_it,
     _faithful_on,
+    _faithful_spectrum,
     _omega_gram,
     is_D_central,
     locally_central_check,
@@ -157,7 +160,7 @@ class ConditionalExpectation:
         lows = np.linalg.eigvalsh(y)[:, 0]
         if np.any(lows < -tol(1e-8) * x_norms):
             raise InvariantViolation(f"positive: E(x*x) has eigenvalue {lows.min():.3e}")
-        gaps = bimodule_gaps(k, self.bimodule.space.tensor, self.domain.space.flat, images)
+        gaps = bimodule_gaps(k, self.bimodule.space.tensor)
         if np.any(gaps > tol(1e-8) * scale * np.sqrt(n)):
             raise InvariantViolation(f"bimodule: module property fails by {gaps.max():.3e}")
         range_gap = hs_norm(self.range_space.residuals(images))
@@ -187,7 +190,7 @@ def _gram_pieces(omega, b):
     return ginv, rows
 
 
-def _preserving_projection(omega, target, m, check=True):
+def _preserving_projection(omega, target, m, check=True, pieces=None):
     """omega-orthogonal projection of M onto the target subalgebra.
 
     Solves omega(b* E(x)) = omega(b* x) over the target basis.  There is no
@@ -195,9 +198,10 @@ def _preserving_projection(omega, target, m, check=True):
     solution is a genuine expectation (it is exactly when the modular flow
     of omega leaves the target invariant).  check=False skips that
     validation for a caller that validates what it builds from the result;
-    the preservation check always runs.
+    the preservation check always runs.  pieces, when given, are the
+    _gram_pieces of the target basis, already formed by the caller.
     """
-    ginv, rows = _gram_pieces(omega, target.space.tensor)
+    ginv, rows = pieces or _gram_pieces(omega, target.space.tensor)
     e = ConditionalExpectation(target.space.flat.T @ (ginv @ rows), m, target.space, np.eye(m.n), target, check)
     _check_preserves(e.map_matrix, omega, omega.restricted_density(m))
     return e
@@ -222,11 +226,14 @@ def _preserving_expectation(omega, d, m, check=True):
 
     check=False skips the validation of the map, for a caller that validates
     the map it makes of the result; the faithfulness and preservation checks
-    always run.
+    always run.  D's Gram matrix is formed once: its spectrum decides
+    faithfulness by _faithful_on's test, then inverts the matrix for the solve.
     """
-    if not _faithful_on(omega, d):
+    gram, rows = _omega_gram(omega, d.space.tensor)
+    eigs, u = np.linalg.eigh(gram)
+    if not _faithful_spectrum(eigs):
         raise GramSingular("omega is not faithful on D")
-    return _preserving_projection(omega, d, m, check)
+    return _preserving_projection(omega, d, m, check, ((u / eigs) @ dagger(u), rows))
 
 
 def expectation_from_density(h, d, m, nu):

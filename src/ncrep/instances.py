@@ -19,11 +19,10 @@ from .algebras import (
     full_matrix_algebra,
     generate_algebra,
     generate_star_algebra,
-    unitary_conjugate_algebra,
 )
 from .errors import ParseError
-from .linalg import dagger, sandwich_matrix
-from .representing import DCharacter, block_compression_character, make_block_character
+from .linalg import dagger
+from .representing import DCharacter, _block_character, block_compression_character
 from .states import PositiveFunctional
 
 
@@ -243,13 +242,7 @@ def random_block_instance(n, rng, conjugate=False):
     """Block character instance with the tracial state, optionally rotated off
     the coordinate axes by a Haar unitary (which erases the block tags)."""
     blocks = random_partition(n, rng)
-    a, d, phi = make_block_character(n, blocks)
-    if conjugate:
-        u = haar_unitary(n, rng)
-        s = sandwich_matrix(u, dagger(u))
-        a = unitary_conjugate_algebra(a, u)
-        d = unitary_conjugate_algebra(d, u)
-        phi = DCharacter(s @ phi.map_matrix @ dagger(s), a, d)
+    a, d, phi = _block_character(n, blocks, haar_unitary(n, rng) if conjugate else None)
     return InstanceDescription(
         n=n, m=full_matrix_algebra(n), d=d, state=PositiveFunctional.tracial(n), a=a, phi=phi
     )

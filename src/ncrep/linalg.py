@@ -402,34 +402,49 @@ def pair_products(a, b):
     return (a.reshape(p * n, n) @ rhs).reshape(p, n, r, n).transpose(0, 2, 1, 3)
 
 
-def bimodule_gaps(k, basis, domain_flat, images):
-    """Module gaps of the map with matrix k at each element d of a stacked basis (q, n, n).
+def bimodule_gaps(k, basis):
+    """Module gaps of the map K with matrix k at each element d of a stacked basis (q, n, n).
 
-    Row 0 of the (2, q) result holds the left gaps ||(K L_d - L_d K) P||_F,
-    row 1 the right gaps ||(K R_d - R_d K) P||_F, with L_d and R_d the
-    matrices of x -> dx and x -> xd and P the projection onto the span of
-    the orthonormal rows domain_flat.  Since ||A P||_F = ||A flat^T||_F they
-    are read off the domain basis x_j and its images, the rows
-    images = domain_flat @ k.T: the left gap is the norm of
-    (K(d x_j) - d K(x_j))_j, the right gap that of (K(x_j d) - K(x_j) d)_j.
-    No n^2 x n^2 side matrix is formed; the products are gemms over chunks
-    of the basis.
+    Row 0 of the (2, q) result holds the left gaps ||K L_d - L_d K||_F,
+    row 1 the right gaps ||K R_d - R_d K||_F, with L_d and R_d the
+    matrices of x -> dx and x -> xd, over all of M_n.  k is read as the
+    4-tensor t[a, b, g, e] = K(E_ge)[a, b], and each of K L_d, L_d K,
+    K R_d and R_d K is a mode product of t with d: per chunk of the basis,
+    one gemm of inner dimension n, so O(q n^5) flops in all.  No n^2 x n^2
+    side matrix and no product of a domain basis is formed.
+
+    The map checks store K = KP, P the projection onto their domain.  For
+    S = L_d or R_d, ||KS - SK||^2 = ||(KS - SK)P||^2 + ||KPSP'||^2 with
+    P' = I - P, so these gaps are never below the module gaps on the
+    domain, ||(KS - SK)P||, and equal them when PSP' = 0, that is when the
+    domain is closed under multiplication by d* on that side.  Every domain
+    the checks see is: M for the expectations, and for a character an
+    algebra A that contains the *-algebra D, which its check confirms first.
     """
     q, n, _ = basis.shape
-    m = len(domain_flat)
-    z = np.concatenate([domain_flat, images]).reshape(2 * m, n, n)  # x_j, then K(x_j)
+    t = np.ascontiguousarray(k).reshape(n, n, n, n)
     gaps = np.empty((2, q))
-    # per element d: 4 m n^2 entries in prods, 2 m n^2 in a product gemm's result, 2 m n^2 in moved
-    for part in chunk_slices(q, 8 * m * n * n):
+    # per element d: the two n^4 products of one side; the sides take turns
+    parts = chunk_slices(q, 2 * n**4)
+    # left: (L_d K)[a, b, g, e] = sum_c d[a, c] t[c, b, g, e]; (K L_d)[a, b, h, e] = sum_g d[g, h] t[a, b, g, e]
+    regrouped = t.transpose(2, 0, 1, 3).reshape(n, -1)
+    for part in parts:
         d = basis[part]
         c = len(d)
-        # axes: x_j or K(x_j), left or right side, d, j, then the matrix
-        prods = np.empty((2, 2, c, m, n, n), dtype=complex)
-        prods[:, 0] = pair_products(d, z).reshape(c, 2, m, n, n).swapaxes(0, 1)
-        prods[:, 1] = pair_products(z, d).reshape(2, m, c, n, n).swapaxes(1, 2)
-        moved = prods[0].reshape(2 * c * m, n * n) @ k.T
-        moved -= prods[1].reshape(2 * c * m, n * n)
-        gaps[:, part] = hs_norms(moved.reshape(2 * c, -1)).reshape(2, c)
+        above = d.swapaxes(1, 2).reshape(c * n, n)  # the transposes d^T, one above the other
+        side = (d.reshape(c * n, n) @ t.reshape(n, -1)).reshape(c, n, n, n, n)
+        side -= (above @ regrouped).reshape(c, n, n, n, n).transpose(0, 2, 3, 1, 4)
+        gaps[0, part] = hs_norms(side)
+    # right: (R_d K)[a, b, g, e] = sum_c t[a, c, g, e] d[c, b]; (K R_d)[a, b, g, f] = sum_e t[a, b, g, e] d[f, e]
+    regrouped = t.transpose(1, 0, 2, 3).reshape(n, -1)
+    for part in parts:
+        d = basis[part]
+        c = len(d)
+        above = d.swapaxes(1, 2).reshape(c * n, n)
+        beside = d.transpose(2, 0, 1).reshape(n, c * n)  # the d^T side by side
+        side = (above @ regrouped).reshape(c, n, n, n, n)
+        side -= (t.reshape(-1, n) @ beside).reshape(n, n, n, c, n).transpose(3, 1, 0, 2, 4)
+        gaps[1, part] = hs_norms(side)
     return gaps
 
 

@@ -18,12 +18,12 @@ normalized density and averaging over the relative commutant of D yields rho.
 import numpy as np
 
 from .algebras import (
-    block_diagonal_algebra,
-    block_upper_triangular,
+    _block_algebra,
     check_ss_density,
     diagonal_part_check,
     from_spanning,
     full_matrix_algebra,
+    unitary_conjugate_algebra,
 )
 from .config import tol
 from .errors import (
@@ -69,6 +69,7 @@ from .linalg import (
     pd_tol,
     projection_isometry,
     psd_sqrt,
+    sandwich_matrix,
     subspace_sum,
 )
 from .states import PositiveFunctional, _faithful_on, is_D_central, tracial_certificate
@@ -140,8 +141,7 @@ class DCharacter:
                 f"multiplicative: Phi(xy) != Phi(x)Phi(y), defect {defects.max():.3e}"
             )
         # per basis element d: the left gap, then the right one; the first failing gap is reported
-        gaps = bimodule_gaps(k, self.range_alg.space.tensor, self.domain.space.flat, self.images)
-        gaps = gaps.T.ravel()
+        gaps = bimodule_gaps(k, self.range_alg.space.tensor).T.ravel()
         bad = np.flatnonzero(gaps > tol(1e-8) * max(1.0, k_norm) * np.sqrt(n))
         if bad.size:
             raise InvariantViolation(f"bimodule: Phi(d x d') != d Phi(x) d' by {gaps[bad[0]]:.3e}")
@@ -165,28 +165,45 @@ class DCharacter:
 def make_block_character(n, blocks):
     """Canonical instance family: A = block upper triangular, D = block diagonal,
     Phi = compression onto the diagonal blocks, all for an ordered partition."""
+    return _block_character(n, blocks)
+
+
+def _block_character(n, blocks, u=None):
+    """make_block_character, or with a unitary u its rotation x -> u x u* of A,
+    D and Phi, which erases the block tags.  Only the returned objects are
+    validated: a rotation builds the coordinate ones unchecked."""
     blocks = [list(blk) for blk in blocks]
     if sorted(i for blk in blocks for i in blk) != list(range(n)) or any(not blk for blk in blocks):
         raise BadPartition(f"blocks must partition range({n}), got {blocks}")
-    a = block_upper_triangular(n, blocks)
-    d = block_diagonal_algebra(n, blocks)
-    phi = block_compression_character(a, d)
-    m = full_matrix_algebra(n)
-    if not check_ss_density(a, m):
+    a = _block_algebra(n, blocks, star=False, check=u is None)
+    d = _block_algebra(n, blocks, star=True, check=u is None)
+    if u is None:
+        phi = block_compression_character(a, d)
+    else:
+        s = sandwich_matrix(u, dagger(u))
+        # Phi's stored matrix on the coordinate A, composed with A's projection as DCharacter stores it
+        k = _domain_images(_block_compression_matrix(a), a)[1]
+        a, d = unitary_conjugate_algebra(a, u), unitary_conjugate_algebra(d, u)
+        phi = DCharacter(s @ k @ dagger(s), a, d)
+    if not check_ss_density(a, full_matrix_algebra(n)):
         raise InvariantViolation("A + A* should span M for a triangular partition")
     if not diagonal_part_check(a, d, phi):
         raise InvariantViolation("A intersect A* should be exactly D")
     return a, d, phi
 
 
-def block_compression_character(a, d):
-    """Phi(x) = sum_t p_t x p_t on A, p_t the diagonal projection onto block t of a.blocks."""
+def _block_compression_matrix(a):
+    """Matrix of x -> sum_t p_t x p_t, p_t the diagonal projection onto block t of a.blocks."""
     label = np.empty(a.n, dtype=int)
     for t, blk in enumerate(a.blocks):
         label[blk] = t
-    # x -> sum_t p_t x p_t keeps entry (i, j) iff i and j share a block: a diagonal matrix
-    k = np.diag((label[:, None] == label[None, :]).ravel().astype(complex))
-    phi = DCharacter(k, a, d)
+    # the map keeps entry (i, j) iff i and j share a block: a diagonal matrix
+    return np.diag((label[:, None] == label[None, :]).ravel().astype(complex))
+
+
+def block_compression_character(a, d):
+    """Phi(x) = sum_t p_t x p_t on A, p_t the diagonal projection onto block t of a.blocks."""
+    phi = DCharacter(_block_compression_matrix(a), a, d)
     phi.blocks = [list(blk) for blk in a.blocks]
     return phi
 

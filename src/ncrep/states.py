@@ -122,7 +122,11 @@ def _omega_gram(omega, b):
 def _faithful_on(omega, algebra):
     """omega(x*x) > 0 for nonzero x in the algebra, decided by its Gram matrix."""
     gram, _ = _omega_gram(omega, algebra.space.tensor)
-    eigs = np.linalg.eigvalsh(gram)
+    return _faithful_spectrum(np.linalg.eigvalsh(gram))
+
+
+def _faithful_spectrum(eigs):
+    """_faithful_on's test on the ascending eigenvalues of a Gram matrix."""
     return bool(eigs[0] > tol(1e-10) * max(1.0, float(eigs[-1])))
 
 

@@ -1,6 +1,7 @@
 """Dense n^2 x n^2 operators on row-major flattened matrices, kept as the test oracle.
 
-The package checks its maps through their values on a domain basis and
+The package checks its maps through their values on a domain basis, and
+their module property through mode products on the map's 4-tensor, and
 forms none of these; the tests compare those statistics with the formulas
 below, which spell the same quantities out with explicit left and right
 multiplication, sandwich and complement matrices.  The commutant is here

@@ -6,7 +6,8 @@ map's values on its domain basis with the dense multiplication, sandwich
 and complement formulas of dense_oracle, the batched products with einsum,
 the QR-first null space with a full SVD, and the certified commutant with
 the bracket stack over every element of the set; the memory contracts pin
-the peak of the two validations at n = 10 and of a commutant at n = 16.
+the peak of the two validations at n = 10, of an expectation's validation
+at n = 16 and of a commutant at n = 16.
 """
 
 import tracemalloc
@@ -74,15 +75,31 @@ def test_bimodule_gaps_match_the_dense_sides(n, noise, data):
     inst = random_block_instance(n, rng, conjugate=data.draw(st.booleans()))
     e = preserving_expectation(inst.state, inst.d, inst.m)
     b = inst.d.space.tensor
-    # the expectation's case (domain M) and the character's (domain A), valid or perturbed
+    # the expectation's case (domain M) and the character's (domain A), valid or perturbed,
+    # composed with the domain projection P as the constructors store them
     for k, domain in ((e.map_matrix, inst.m), (inst.phi.map_matrix, inst.a)):
-        k = k + noise * random_complex(k.shape, rng)
-        left, right = bimodule_gaps(k, b, domain.space.flat, domain.space.flat @ k.T)
+        p = domain.space.projector_matrix()
+        k = (k + noise * random_complex(k.shape, rng)) @ p
+        left, right = bimodule_gaps(k, b)
         assert left.shape == right.shape == (len(b),)
-        want = dense_side_gaps(k, b, domain.space.projector_matrix())
+        want = dense_side_gaps(k, b, p)
         bound = 1e-12 * max(1.0, np.linalg.norm(k))
         assert np.abs(left - want[0]).max() <= bound
         assert np.abs(right - want[1]).max() <= bound
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 5), st.data())
+def test_bimodule_gaps_bound_the_gaps_on_any_domain(n, data):
+    # a random subspace, not closed under multiplication by D, and a map not composed with its projection
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    b = random_block_instance(n, rng, conjugate=True).d.space.tensor
+    domain = orthonormalize(random_complex((int(rng.integers(1, n * n)), n, n), rng))
+    k = random_complex((n * n, n * n), rng)
+    gaps = bimodule_gaps(k, b)
+    bound = 1e-12 * max(1.0, np.linalg.norm(k))
+    assert np.all(gaps >= dense_side_gaps(k, b, domain.projector_matrix()) - bound)
+    assert np.abs(gaps - dense_side_gaps(k, b, np.eye(n * n))).max() <= bound
 
 
 def test_bimodule_gaps_across_chunks():
@@ -90,11 +107,11 @@ def test_bimodule_gaps_across_chunks():
     rng = np.random.default_rng(11)
     a, d, phi = make_block_character(6, [[0, 1, 2, 3, 4], [5]])
     b = d.space.tensor
-    assert len(chunk_slices(len(b), 8 * 36 * 36)) > 1
-    m = full_matrix_algebra(6)
-    for k in (phi.map_matrix, m.space.projector_matrix() + 1e-3 * random_complex((36, 36), rng)):
-        gaps = bimodule_gaps(k, b, m.space.flat, m.space.flat @ k.T)
-        want = dense_side_gaps(k, b, m.space.projector_matrix())
+    assert len(chunk_slices(len(b), 2 * 6**4)) > 1
+    eye = np.eye(36)
+    for k, p in ((phi.map_matrix, a.space.projector_matrix()), (eye + 1e-3 * random_complex((36, 36), rng), eye)):
+        gaps = bimodule_gaps(k, b)
+        want = dense_side_gaps(k, b, p)
         assert np.abs(gaps - want).max() <= 1e-12 * max(1.0, np.linalg.norm(k))
 
 
@@ -242,6 +259,20 @@ def test_validation_peak_memory_grows_like_n4():
     finally:
         tracemalloc.stop()
     assert max(peaks) <= 12.0, peaks
+
+
+def test_expectation_validation_peak_memory_at_n16():
+    # the module check reads the map as a 4-tensor, one side and one element at a time;
+    # reading the domain basis and its images instead peaked at 12.05 MB
+    inst = random_block_instance(16, np.random.default_rng(3), conjugate=True)
+    e = preserving_expectation(inst.state, inst.d, inst.m)
+    tracemalloc.start()
+    try:
+        e.validate()
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.0, peak
 
 
 def unit(n, i, j):
