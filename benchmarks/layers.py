@@ -14,7 +14,12 @@ complex Gaussian combinations of D's basis, (2 n^2, n^2).  At n = 4, 10
 and 16 the bimodule_gaps rows time the module-gap kernel alone on D's
 basis, for the expectation's map (domain M) and the character's (domain A);
 on a checkout whose kernel still reads the domain basis and its images,
-those are formed before the timing, as its callers held them.  --src points at
+those are formed before the timing, as its callers held them.  The
+centrality rows time is_D_central and locally_central_check (cap 16) on the
+seeded faithful density, which is not D-central, and sample_projections on D
+at caps 16 and 64; the commutative rows time sample_projections on the
+diagonal algebras of M_3 and M_4, whose 7 and 15 projections are all found
+below either cap.  --src points at
 the src/ directory of the checkout to measure (default: this one's), so two
 commits can be compared with the same script.  BLAS is pinned to one thread
 before numpy loads.
@@ -35,6 +40,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 SIZES = {4: [1, 3], 8: [1, 3, 4], 10: [1, 3, 6], 12: [4, 4, 4], 16: [5, 5, 6]}
 REPEATS = {4: 200, 8: 20, 10: 10, 12: 5, 16: 3}
 GAPS_SIZES = (4, 10, 16)
+COMMUTATIVE_SIZES = (3, 4)
 
 
 def _instance(n, sizes):
@@ -107,11 +113,11 @@ def main():
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
     args = parser.parse_args()
     sys.path.insert(0, args.src)
-    from ncrep.algebras import commutant
+    from ncrep.algebras import commutant, diagonal_algebra
     from ncrep.expectations import commutes_with_modular, support_of_map
     from ncrep.linalg import bimodule_gaps, null_space_rows
     from ncrep.representing import representing_expectation_tracial
-    from ncrep.states import PositiveFunctional
+    from ncrep.states import PositiveFunctional, is_D_central, locally_central_check, sample_projections
 
     layers = {}
     for n, sizes in SIZES.items():
@@ -129,9 +135,19 @@ def main():
             "representing_expectation_tracial": _measure(
                 lambda: representing_expectation_tracial(m, tau, d, a, phi), reps
             ),
+            "is_D_central": _measure(lambda: is_D_central(nu, d, m), reps),
+            "locally_central_check (cap 16)": _measure(lambda: locally_central_check(nu, d, m, 16), reps),
+            "sample_projections (cap 16)": _measure(lambda: sample_projections(d, 16), reps),
+            "sample_projections (cap 64)": _measure(lambda: sample_projections(d, 64), reps),
         }
         if n in GAPS_SIZES:
             layers[f"n={n}"].update(_gaps_rows(bimodule_gaps, e, phi, d, reps))
+    for n in COMMUTATIVE_SIZES:
+        d = diagonal_algebra(n)
+        layers[f"diagonal n={n}"] = {
+            f"sample_projections (cap {cap})": _measure(lambda cap=cap: sample_projections(d, cap), REPEATS[4])
+            for cap in (16, 64)
+        }
     src_lines = sum(len(p.read_text().splitlines()) for p in Path(args.src).rglob("*.py"))
     print(json.dumps({"src_lines": src_lines, "layers": layers}, indent=1))
 

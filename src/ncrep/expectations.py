@@ -49,6 +49,7 @@ from .linalg import (
     dagger,
     eigh_hermitian,
     hs_norm,
+    hs_norms,
     orthonormalize,
     pd_tol,
     projection_isometry,
@@ -58,7 +59,6 @@ from .linalg import (
 )
 from .states import (
     PositiveFunctional,
-    _density_power_it,
     _faithful_on,
     _faithful_spectrum,
     _omega_gram,
@@ -66,6 +66,7 @@ from .states import (
     locally_central_check,
     modular_invariance_check,
     pt_radon_nikodym,
+    require_same_ambient,
     tracial_certificate,
 )
 
@@ -277,17 +278,23 @@ def _modular_gaps(e, nu):
     k = e.map_matrix
     x = e.domain.space.tensor
     y = e.images.reshape(x.shape)
+    v = nu.spectrum.eigenvectors
     log_eigs = np.log(nu.spectrum.eigenvalues)
     log_rho = nu.spectrum.apply(np.log)
-    inf_stat = hs_norm(apply_map(k, commutator(log_rho, x)) - commutator(log_rho, y))
+    u = (v * np.exp(1j * np.array([0.1, 1.0, np.sqrt(2.0)])[:, None] * log_eigs)[:, None]) @ dagger(v)
+    u_star = dagger(u)[:, None]
+    u = u[:, None]
+    # [log rho, .] and then u . u* at each sampled time, applied before and after the map
+    before = np.concatenate([commutator(log_rho, x)[None], u @ x @ u_star])
+    after = np.concatenate([commutator(log_rho, y)[None], u @ y @ u_star])
+    gaps = hs_norms(apply_map(k, before) - after)
+    inf_stat, sampled_map = float(gaps[0]), float(gaps[1:].max())
     ad_norm = hs_norm(log_eigs[:, None] - log_eigs[None, :])
     sigma = _pullback_density(k, nu.density)
-    sampled_map = sampled_pull = 0.0
-    for t in (0.1, 1.0, np.sqrt(2.0)):
-        u = _density_power_it(nu, t)
-        u_star = dagger(u)
-        sampled_map = max(sampled_map, hs_norm(apply_map(k, u @ x @ u_star) - u @ y @ u_star))
-        sampled_pull = max(sampled_pull, hs_norm(e.domain.project(u_star @ sigma @ u) - sigma))
+    # P(u* sigma u) for the three u from one pairing with the domain's rows
+    moved = (u_star @ sigma @ u).reshape(3, -1)
+    flat = e.domain.space.flat
+    sampled_pull = float(hs_norms((moved @ flat.conj().T) @ flat - sigma.ravel()).max())
     return inf_stat, ad_norm, sampled_map, sampled_pull, sigma
 
 
@@ -476,8 +483,10 @@ def existence_diagnosis(omega, d, m):
     between them actually held on this instance.  A probe that fails with an
     NcrepError or a LinAlgError counts as a negative verdict, and the
     construction's failure is reported by name; any other exception is a
-    programming error and propagates.
+    programming error and propagates.  omega, D and M of different sizes
+    raise DimensionMismatch before any probe runs.
     """
+    require_same_ambient(omega, d, m)
 
     def guarded(fn, default=False):
         try:

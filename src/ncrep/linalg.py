@@ -402,6 +402,16 @@ def pair_products(a, b):
     return (a.reshape(p * n, n) @ rhs).reshape(p, n, r, n).transpose(0, 2, 1, 3)
 
 
+def trace_pairings(y, x):
+    """The (p, q) matrix [Tr(y_a x_b)] of two stacks (p, n, n) and (q, n, n).
+
+    Tr(y_a x_b) is the dot product of y_a's rows with x_b's transposed
+    rows, so the matrix is one gemm of inner dimension n^2.
+    """
+    n = x.shape[-1]
+    return y.reshape(len(y), n * n) @ x.swapaxes(1, 2).reshape(len(x), n * n).T
+
+
 def bimodule_gaps(k, basis):
     """Module gaps of the map K with matrix k at each element d of a stacked basis (q, n, n).
 

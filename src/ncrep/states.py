@@ -13,6 +13,7 @@ import numpy as np
 from .algebras import commutant, from_spanning
 from .config import tol
 from .errors import (
+    DimensionMismatch,
     DoesNotCommute,
     InvariantViolation,
     NotFaithful,
@@ -26,15 +27,17 @@ from .linalg import (
     commutation_gap,
     commutator,
     dagger,
-    eigh_hermitian,
     hermitian_part_spectrum,
     hs_norm,
+    hs_norms,
     is_hermitian,
     orthonormalize,
+    pair_products,
     pd_tol,
     projection_isometry,
     psd_sqrt,
     same_subspace,
+    trace_pairings,
 )
 
 
@@ -140,8 +143,7 @@ class TracialCertificate:
 def tracial_certificate(omega, algebra):
     """Largest |omega(xy) - omega(yx)| over basis pairs; result true iff below 1e-9 x ||rho||."""
     b = algebra.space.tensor
-    # omega(b_a b_c) = Tr((rho b_a) b_c) pairs the rows of rho b with the transposed basis
-    t1 = (omega.density @ b).reshape(len(b), -1) @ np.swapaxes(b, 1, 2).reshape(len(b), -1).T
+    t1 = trace_pairings(omega.density @ b, b)  # omega(b_a b_c) = Tr((rho b_a) b_c)
     violation = float(np.abs(t1 - t1.T).max()) if b.size else 0.0
     return TracialCertificate(algebra, violation <= tol(1e-9) * hs_norm(omega.density), violation)
 
@@ -179,20 +181,29 @@ def check_support_compression(omega, m):
     return same_subspace(lhs, rhs.space)
 
 
+def require_same_ambient(omega, d, m):
+    """DimensionMismatch unless omega, D and M all live in the same M_n."""
+    if not omega.n == d.n == m.n:
+        raise DimensionMismatch(f"omega, D and M act on M_{omega.n}, M_{d.n} and M_{m.n}")
+
+
 def _central_violation(omega, d, m):
-    """max |omega(dx) - omega(xd)| over basis(D) x basis(M)."""
+    """max |omega(dx) - omega(xd)| over basis(D) x basis(M), as one trace pairing:
+    omega(dx) - omega(xd) = Tr((rho d - d rho) x)."""
     db = d.space.tensor
     comm = omega.density @ db - db @ omega.density
-    vals = np.einsum("aij,bji->ab", comm, m.space.tensor)
-    return float(np.abs(vals).max())
+    return float(np.abs(trace_pairings(comm, m.space.tensor)).max())
 
 
 def is_D_central(omega, d, m):
     """Does omega(dx) = omega(xd) hold for d in D, x in M?  Returns (verdict, violation).
 
-    Two routes: the bilinear one above decides; the commutator route
-    [P_M(rho), d] = 0 must agree when both are far from their thresholds.
+    Two routes: the bilinear one decides, pairing the stack rho d - d rho
+    over D's basis with M's basis in one gemm (trace_pairings); the
+    commutator route [P_M(rho), d] = 0 must agree when both are far from
+    their thresholds.  DimensionMismatch when omega, D and M differ in size.
     """
+    require_same_ambient(omega, d, m)
     violation = _central_violation(omega, d, m)
     threshold = tol(1e-9) * max(1e-30, hs_norm(omega.density))
     r = omega.restricted_density(m)
@@ -205,66 +216,87 @@ def is_D_central(omega, d, m):
     return verdict, violation
 
 
-def _spectral_projections_in(h):
-    """Lower spectral projections of a Hermitian element (each one is a polynomial in it)."""
-    spec = eigh_hermitian(h)
-    eigs = spec.eigenvalues
-    out = []
-    cut = tol(1e-8) * max(1.0, spec.norm)
-    for k in range(len(eigs) - 1):
-        if eigs[k + 1] - eigs[k] > cut:
-            mask = np.concatenate([np.ones(k + 1), np.zeros(len(eigs) - k - 1)])
-            u = spec.eigenvectors
-            out.append((u * mask) @ dagger(u))
-    return out
-
-
 def sample_projections(d, cap=64):
-    """Projections in a *-algebra: I plus spectral projections of Hermitian combinations.
+    """Projections in a *-algebra: I plus lower spectral projections of random Hermitian elements.
 
-    Small algebras have few distinct projections, so the number of random
-    draws is bounded instead of insisting on cap distinct results.
+    Each draw is a real Gaussian combination of the Hermitian and
+    skew-Hermitian parts of D's basis, from one default_rng(0) stream, at
+    most 4 * cap draws in all, so small algebras end without cap distinct
+    results.  The draws come in batches of about (cap - found) / (n - 1),
+    the most new projections a draw can give; a batch of B draws reads the
+    same numbers as B single draws.  Each batch is diagonalized by one
+    batched eigh, and the projection below every eigenvalue gap wider than
+    1e-8 of the spectral norm is a cumulative sum of eigenvector outer
+    products.  They are kept in draw order, each unless it lies within 1e-8
+    of one already held.  A commutative D of dimension r has exactly
+    2^r - 1 nonzero projections, so once it holds that many the sampling
+    stops: the list is the one all the draws would give.
     """
     n = d.n
-    projections = [np.eye(n, dtype=complex)]
+    b = d.space.tensor
+    parts = np.stack([(b + dagger(b)) / 2, (b - dagger(b)) / 2j], axis=1).reshape(-1, n, n)
+    hermitian = parts[hs_norms(parts) > tol(1e-12)].reshape(-1, n * n)
+    target = cap
+    if 2**d.dim - 1 < cap and d.is_abelian():  # a small D only: dim D <= 6 at the default cap
+        target = 2**d.dim - 1
+    held = np.empty((max(1, cap), n, n), dtype=complex)
+    held[0] = np.eye(n)
+    count, draws = 1, 0
     rng = np.random.default_rng(0)
-    hermitian_basis = []
-    for b in d.basis:
-        for h in ((b + dagger(b)) / 2, (b - dagger(b)) / 2j):
-            if hs_norm(h) > tol(1e-12):
-                hermitian_basis.append(h)
-    for _ in range(4 * cap):
-        if len(projections) >= cap or not hermitian_basis:
-            break
-        coeffs = rng.standard_normal(len(hermitian_basis))
-        h = np.tensordot(coeffs, np.stack(hermitian_basis), axes=1)
-        for p in _spectral_projections_in(h):
-            if len(projections) >= cap:
+    while count < target and draws < 4 * cap and len(hermitian):
+        batch = min(-(-(target - count) // max(1, n - 1)), 4 * cap - draws)
+        draws += batch
+        h = (rng.standard_normal((batch, len(hermitian))) @ hermitian).reshape(batch, n, n)
+        eigs, u = np.linalg.eigh((h + dagger(h)) / 2)  # Hermitian by construction, up to rounding
+        cut = tol(1e-8) * np.maximum(1.0, np.maximum(-eigs[:, 0], eigs[:, -1]))
+        vecs = u.swapaxes(1, 2)[:, :-1]  # eigenvectors as rows, all but the top one
+        lower = np.cumsum(vecs[:, :, :, None] * vecs.conj()[:, :, None, :], axis=1)
+        for p in lower[np.diff(eigs, axis=1) > cut[:, None]]:
+            if count >= target:
                 break
-            if all(hs_norm(p - q) > tol(1e-8) for q in projections):
-                projections.append(p)
-    return projections
+            if hs_norms(held[:count] - p).min() > tol(1e-8):
+                held[count] = p
+                count += 1
+    return list(held[:count])
+
+
+def _sandwiches(a, basis, c):
+    """Every a_s x_t c_s for stacks a, c (p, n, n) and a basis (q, n, n), as a (p, q, n, n) view:
+    one gemm forms each a_s x_t (pair_products), one gemm batched over s multiplies by c_s."""
+    p, n, _ = a.shape
+    rows = pair_products(a, basis).transpose(0, 2, 1, 3).reshape(p, -1, n)  # the gemm's own layout
+    return (rows @ c).reshape(p, n, -1, n).transpose(0, 2, 1, 3)
+
+
+def _local_violation(omega, projections, d, m):
+    """max |omega(pxpdp) - omega(pdpxp)| over a stack of projections p and the bases of D and M.
+
+    With k = p rho p the difference is Tr((p d k - k d p) x), so the stack
+    p d k - k d p over every p and d is paired with M's basis in one gemm.
+    """
+    ks = projections @ omega.density @ projections
+    db = d.space.tensor
+    left = _sandwiches(projections, db, ks) - _sandwiches(ks, db, projections)
+    return float(np.abs(trace_pairings(left.reshape(-1, d.n, d.n), m.space.tensor)).max())
 
 
 def locally_central_check(omega, d, m, cap_proj=64):
     """Test omega(pxpdp) = omega(pdpxp) over sampled projections p in D.
 
-    With the identity always in the sample this contains the global
-    centrality identity; together with [e, D] = 0 the verdict must match
-    is_D_central, and a decisive mismatch is an internal fault.
+    The statistic is the largest |Tr((p d k - k d p) x)|, k = p rho p, over
+    the sampled p and the bases of D and M, formed as gemms: one for every
+    p d, one batched over p for the right factors, one trace pairing with
+    M's basis.  With the identity always in the sample this contains the
+    global centrality identity; together with [e, D] = 0 the verdict must
+    match is_D_central, and a decisive mismatch is an internal fault.
+    DimensionMismatch when omega, D and M differ in size.
     """
-    db = d.space.tensor
-    mb = m.space.tensor
+    require_same_ambient(omega, d, m)
     rho = omega.density
-    ps = np.stack(sample_projections(d, cap_proj))[:, None]
-    ks = ps @ rho @ ps
-    # omega(pxpdp) - omega(pdpxp) = Tr((p d k - k d p) x), for every sampled p and basis d at once
-    left = ps @ db @ ks - ks @ db @ ps
-    vals = left.reshape(-1, d.n**2) @ np.swapaxes(mb, 1, 2).reshape(len(mb), -1).T
-    worst = float(np.abs(vals).max())
+    worst = _local_violation(omega, np.stack(sample_projections(d, cap_proj)), d, m)
     threshold = tol(1e-9) * max(1e-30, hs_norm(rho))
     verdict = worst <= threshold
-    e_commutes = commutation_gap(omega.support, db) <= tol(1e-9)
+    e_commutes = commutation_gap(omega.support, d.space.tensor) <= tol(1e-9)
     global_verdict, global_violation = is_D_central(omega, d, m)
     cross_check(
         f"local centrality (support commutes: {e_commutes}) contradicts the global test",

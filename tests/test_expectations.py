@@ -15,6 +15,7 @@ from ncrep.algebras import (
 from ncrep import expectations
 from ncrep.errors import (
     DensityDoesNotCommute,
+    DimensionMismatch,
     DoesNotCommute,
     EmptyInput,
     GramSingular,
@@ -41,7 +42,7 @@ from ncrep.expectations import (
 from ncrep.instances import haar_unitary
 from ncrep.linalg import commutator, dagger, hs_norm, sandwich_matrix
 from ncrep.representing import DCharacter
-from ncrep.states import PositiveFunctional, is_D_central
+from ncrep.states import PositiveFunctional, is_D_central, locally_central_check
 
 E33 = np.diag([0.0, 0.0, 1.0]).astype(complex)
 
@@ -197,6 +198,13 @@ def test_huge_central_density_in_a_rotated_algebra():
     assert ok and violation <= 1e-9 * hs_norm(omega.density)
     rep = existence_diagnosis(omega, d, m)
     assert rep.central and rep.constructed and rep.equivalences_hold
+
+
+@pytest.mark.parametrize("call", [is_D_central, locally_central_check, existence_diagnosis, preserving_expectation])
+def test_mismatched_ambient_sizes_raise_a_typed_error(call):
+    # omega on M_3 with D inside M_2: a typed error at the boundary, before any probe runs
+    with pytest.raises(DimensionMismatch, match="M_3, M_2 and M_3"):
+        call(PositiveFunctional.tracial(3), diagonal_algebra(2), full_matrix_algebra(3))
 
 
 def test_not_central_gate():

@@ -4,8 +4,10 @@ The bimodule kernel is compared with the n^2 x n^2 left and right
 multiplication matrices of every basis element, the statistics read off a
 map's values on its domain basis with the dense multiplication, sandwich
 and complement formulas of dense_oracle, the batched products with einsum,
-the QR-first null space with a full SVD, and the certified commutant with
-the bracket stack over every element of the set; the memory contracts pin
+the QR-first null space with a full SVD, the certified commutant with
+the bracket stack over every element of the set, and the gemm centrality
+probes with the loop sampler and the broadcast and einsum contractions;
+the memory contracts pin
 the peak of the two validations at n = 10, of an expectation's validation
 at n = 16 and of a commutant at n = 16.
 """
@@ -13,17 +15,21 @@ at n = 16 and of a commutant at n = 16.
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import (
     bracket_stack_commutant,
+    broadcast_local_violation,
+    einsum_central_violation,
     left_mult_matrix,
+    loop_sample_projections,
     perp_projector_matrix,
     right_mult_matrix,
     sandwich,
 )
-from ncrep import algebras
+from ncrep import algebras, states
 from ncrep.algebras import (
     StarAlgebra,
     block_diagonal_algebra,
@@ -41,7 +47,13 @@ from ncrep.expectations import (
     _support_gaps,
     preserving_expectation,
 )
-from ncrep.instances import haar_unitary, random_block_instance, random_density, random_partition
+from ncrep.instances import (
+    haar_unitary,
+    random_block_instance,
+    random_central_density,
+    random_density,
+    random_partition,
+)
 from ncrep.linalg import (
     bimodule_gaps,
     chunk_slices,
@@ -55,7 +67,7 @@ from ncrep.linalg import (
     subspace_intersection,
 )
 from ncrep.representing import DCharacter, _extension_gap, make_block_character
-from ncrep.states import PositiveFunctional
+from ncrep.states import PositiveFunctional, is_D_central, locally_central_check, sample_projections
 
 
 def dense_side_gaps(k, b, p_dom):
@@ -383,3 +395,76 @@ def test_commutant_peak_memory_at_n16():
         tracemalloc.stop()
     assert peak <= 16.0, peak
     assert c.dim == 3
+
+
+def _probe_instance(n, shape, density, rng):
+    """A Haar-rotated block D in M_n, its rotation u, and a central, non-central or truncated state."""
+    blocks = {"one": [list(range(n))], "commutative": [[i] for i in range(n)], "mixed": random_partition(n, rng)}[shape]
+    if density == "truncated" and len(blocks) == 1 and n > 1:  # truncating to blocks needs a second one
+        blocks = [[0], list(range(1, n))]
+    u = haar_unitary(n, rng)
+    d = unitary_conjugate_algebra(block_diagonal_algebra(n, blocks), u)
+    if density == "noncentral":
+        return d, random_density(n, rng)
+    omega = random_central_density(n, d, rng)
+    if density == "central" or len(blocks) == 1:
+        return d, omega
+    keep = np.zeros((n, n))
+    for blk in blocks[: int(rng.integers(1, len(blocks)))]:
+        keep[blk, blk] = 1.0
+    z = u @ keep @ dagger(u)  # a central projection of the rotated D
+    rho = z @ omega.density @ z
+    return d, PositiveFunctional(rho / float(np.trace(rho).real))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.sampled_from(["one", "commutative", "mixed"]),
+    st.sampled_from([1, 4, 16, 64]),
+    st.sampled_from(["central", "noncentral", "truncated"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_centrality_probes_match_the_loop_oracles(n, shape, cap, density, seed):
+    # statistics agree to 1e-12 of the larger of the value and ||rho||: a central
+    # state's violations are rounding noise, which the two summation orders do not share
+    d, omega = _probe_instance(n, shape, density, np.random.default_rng(seed))
+    m = full_matrix_algebra(n)
+    got, want = sample_projections(d, cap), loop_sample_projections(d, cap)
+    assert len(got) == len(want)
+    assert max(np.abs(p - q).max() for p, q in zip(got, want)) <= 1e-12
+
+    scale = hs_norm(omega.density)
+    threshold = tol(1e-9) * scale
+    central, central_want = states._central_violation(omega, d, m), einsum_central_violation(omega, d, m)
+    assert abs(central - central_want) <= 1e-12 * max(central_want, scale)
+    local = states._local_violation(omega, np.stack(got), d, m)
+    local_want = broadcast_local_violation(omega, want, d, m)
+    assert abs(local - local_want) <= 1e-12 * max(local_want, scale)
+    assert is_D_central(omega, d, m)[0] == (central_want <= threshold)
+    assert locally_central_check(omega, d, m, cap_proj=cap) == (local_want <= threshold)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_commutative_sampling_stops_once_every_projection_is_held(monkeypatch, n):
+    # the diagonal algebra of M_n has 2^n - 1 nonzero projections, fewer than the cap of 16
+    drawn = []
+    real_rng = np.random.default_rng
+
+    class CountingRng:
+        def __init__(self, seed):
+            self.rng = real_rng(seed)
+            drawn.append(0)
+
+        def standard_normal(self, size):
+            out = self.rng.standard_normal(size)
+            drawn[-1] += out.size
+            return out
+
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    d = diagonal_algebra(n)
+    want = loop_sample_projections(d, 16)
+    got = sample_projections(d, 16)
+    assert len(got) == len(want) == 2**n - 1
+    assert max(np.abs(p - q).max() for p, q in zip(got, want)) <= 1e-12
+    assert drawn[1] < drawn[0]
