@@ -246,7 +246,9 @@ def sample_projections(d, cap=64):
     while count < target and draws < 4 * cap and len(hermitian):
         batch = min(-(-(target - count) // max(1, n - 1)), 4 * cap - draws)
         draws += batch
-        h = (rng.standard_normal((batch, len(hermitian))) @ hermitian).reshape(batch, n, n)
+        # a vector-matrix product per draw, as one draw at a time would round it: a gap
+        # in the spectrum of h amplifies any change in h's last bits in its projections
+        h = (rng.standard_normal((batch, 1, len(hermitian))) @ hermitian).reshape(batch, n, n)
         eigs, u = np.linalg.eigh((h + dagger(h)) / 2)  # Hermitian by construction, up to rounding
         cut = tol(1e-8) * np.maximum(1.0, np.maximum(-eigs[:, 0], eigs[:, -1]))
         vecs = u.swapaxes(1, 2)[:, :-1]  # eigenvectors as rows, all but the top one
