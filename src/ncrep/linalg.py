@@ -406,9 +406,13 @@ def trace_pairings(y, x):
     """The (p, q) matrix [Tr(y_a x_b)] of two stacks (p, n, n) and (q, n, n).
 
     Tr(y_a x_b) is the dot product of y_a's rows with x_b's transposed
-    rows, so the matrix is one gemm of inner dimension n^2.
+    rows, or of y_a's transposed rows with x_b's, so the matrix is one gemm
+    of inner dimension n^2.  The shorter stack is the one transposed, which
+    copies it.
     """
     n = x.shape[-1]
+    if len(y) <= len(x):
+        return y.swapaxes(1, 2).reshape(len(y), n * n) @ x.reshape(len(x), n * n).T
     return y.reshape(len(y), n * n) @ x.swapaxes(1, 2).reshape(len(x), n * n).T
 
 
