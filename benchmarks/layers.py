@@ -1,11 +1,12 @@
-"""Min-of-N time and tracemalloc peak of the invariant checks, the kernel solves and the tracial pipeline.
+"""Min-of-N time and tracemalloc peak of the invariant checks, the kernel solves, both pipelines and the diagnosis.
 
     python3 benchmarks/layers.py [--src DIR]
 
 Measures ConditionalExpectation.validate, DCharacter.validate,
 support_of_map, commutes_with_modular (against a seeded faithful density),
-commutant, null_space_rows and representing_expectation_tracial on block
-characters with blocks (1, 3), (1, 3, 4), (1, 3, 6), (4, 4, 4) and
+commutant, null_space_rows, representing_expectation_tracial and
+representing_expectation_state (for a seeded faithful D-central state) on
+block characters with blocks (1, 3), (1, 3, 4), (1, 3, 6), (4, 4, 4) and
 (5, 5, 6) at n = 4, 8, 10, 12 and 16, each rotated by a seeded Haar unitary,
 and prints one JSON object.  The commutant row adds dim D' and the largest
 ||[x, b]|| over its basis x and D's b.  The null_space_rows stack is the one
@@ -19,7 +20,10 @@ centrality rows time is_D_central and locally_central_check (cap 16) on the
 seeded faithful density, which is not D-central, and sample_projections on D
 at caps 16 and 64; the commutative rows time sample_projections on the
 diagonal algebras of M_3 and M_4, whose 7 and 15 projections are all found
-below either cap.  --src points at
+below either cap.  The diagnosis rows time existence_diagnosis with D
+block diagonal in M_8, blocks (4, 3, 1), for a central faithful state, a
+non-central one and a central one cut to its first two blocks, the three
+state families of the diagnosis-mixed benchmark.  --src points at
 the src/ directory of the checkout to measure (default: this one's), so two
 commits can be compared with the same script.  BLAS is pinned to one thread
 before numpy loads.
@@ -41,6 +45,7 @@ SIZES = {4: [1, 3], 8: [1, 3, 4], 10: [1, 3, 6], 12: [4, 4, 4], 16: [5, 5, 6]}
 REPEATS = {4: 200, 8: 20, 10: 10, 12: 5, 16: 3}
 GAPS_SIZES = (4, 10, 16)
 COMMUTATIVE_SIZES = (3, 4)
+DIAGNOSIS_BLOCKS = [[0, 1, 2, 3], [4, 5, 6], [7]]
 
 
 def _instance(n, sizes):
@@ -108,21 +113,48 @@ def _gaps_rows(bimodule_gaps, e, phi, d, repeats):
     return rows
 
 
+def _diagnosis_rows(repeats):
+    """existence_diagnosis on the block-diagonal D in M_8 for the central, non-central and truncated states."""
+    import numpy as np
+    from ncrep.algebras import block_diagonal_algebra, full_matrix_algebra
+    from ncrep.expectations import existence_diagnosis
+    from ncrep.instances import random_central_density, random_density
+    from ncrep.states import PositiveFunctional
+
+    n = 8
+    d, m = block_diagonal_algebra(n, DIAGNOSIS_BLOCKS), full_matrix_algebra(n)
+    rng = np.random.default_rng(n)
+    keep = np.diag([1.0] * 7 + [0.0])
+    cut = keep @ random_central_density(n, d, rng).density @ keep
+    states = {
+        "central": random_central_density(n, d, rng),
+        "noncentral": random_density(n, rng),
+        "truncated": PositiveFunctional(cut / np.trace(cut).real),
+    }
+    return {
+        f"existence_diagnosis ({name})": _measure(lambda omega=omega: existence_diagnosis(omega, d, m), repeats)
+        for name, omega in states.items()
+    }
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
     args = parser.parse_args()
     sys.path.insert(0, args.src)
+    import numpy as np
     from ncrep.algebras import commutant, diagonal_algebra
     from ncrep.expectations import commutes_with_modular, support_of_map
+    from ncrep.instances import random_central_density
     from ncrep.linalg import bimodule_gaps, null_space_rows
-    from ncrep.representing import representing_expectation_tracial
+    from ncrep.representing import representing_expectation_state, representing_expectation_tracial
     from ncrep.states import PositiveFunctional, is_D_central, locally_central_check, sample_projections
 
     layers = {}
     for n, sizes in SIZES.items():
         e, phi, a, d, m, nu, stack = _instance(n, sizes)
         tau = PositiveFunctional.tracial(n)
+        omega = random_central_density(n, d, np.random.default_rng(n))
         reps = REPEATS[n]
         layers[f"n={n}"] = {
             "blocks": sizes,
@@ -134,6 +166,9 @@ def main():
             "null_space_rows": dict(_measure(lambda: null_space_rows(stack), reps), shape=list(stack.shape)),
             "representing_expectation_tracial": _measure(
                 lambda: representing_expectation_tracial(m, tau, d, a, phi), reps
+            ),
+            "representing_expectation_state": _measure(
+                lambda: representing_expectation_state(m, omega, d, a, phi), reps
             ),
             "is_D_central": _measure(lambda: is_D_central(nu, d, m), reps),
             "locally_central_check (cap 16)": _measure(lambda: locally_central_check(nu, d, m, 16), reps),
@@ -148,6 +183,7 @@ def main():
             f"sample_projections (cap {cap})": _measure(lambda cap=cap: sample_projections(d, cap), REPEATS[4])
             for cap in (16, 64)
         }
+    layers["diagnosis n=8"] = dict(blocks=[len(b) for b in DIAGNOSIS_BLOCKS], **_diagnosis_rows(REPEATS[8]))
     src_lines = sum(len(p.read_text().splitlines()) for p in Path(args.src).rglob("*.py"))
     print(json.dumps({"src_lines": src_lines, "layers": layers}, indent=1))
 

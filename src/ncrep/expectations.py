@@ -11,11 +11,11 @@ R_d∘E, with L_d, R_d left and right multiplication by a basis element d of
 D, are mode products, one gemm of inner dimension n per chunk of D's basis.
 No n^2 x n^2 multiplication or complement operator is formed.
 
-Construction is by solving the Gram system of the range algebra in the
-omega-inner product, which needs omega faithful on the range only; a
-functional singular on the range is handled by compressing to the support
-of its restriction there (support_ideal_expectation), never by
-regularizing.
+One builder, _preserving_expectation, solves the Gram system of the range
+algebra in the omega-inner product.  That needs omega faithful on the range
+only, which states._faithful_spectrum decides on the Gram matrix it inverts;
+a functional singular on the range is handled by compressing to the support
+of its restriction there (support_ideal_expectation), never by regularizing.
 """
 
 from dataclasses import dataclass
@@ -59,11 +59,11 @@ from .linalg import (
 )
 from .states import (
     PositiveFunctional,
-    _faithful_on,
     _faithful_spectrum,
+    _locally_central,
     _omega_gram,
+    _support_commutes,
     is_D_central,
-    locally_central_check,
     modular_invariance_check,
     pt_radon_nikodym,
     require_same_ambient,
@@ -177,37 +177,6 @@ def choi_matrix(e):
     return k.reshape(n, n, n, n).transpose(2, 0, 3, 1).reshape(n * n, n * n)
 
 
-def _gram_pieces(omega, b):
-    """Inverse Gram matrix of a stacked basis b in the omega-inner product plus
-    the pairing rows x -> omega(b_a* x).  GramSingular when omega is not
-    faithful on the span."""
-    gram, rows = _omega_gram(omega, b)
-    eigs, u = np.linalg.eigh(gram)
-    if eigs[0] <= tol(1e-10) * max(1e-30, float(eigs[-1])):
-        raise GramSingular(
-            f"functional is not faithful on the span (Gram eigenvalues {eigs[0]:.3e}..{eigs[-1]:.3e})"
-        )
-    ginv = (u / eigs) @ dagger(u)
-    return ginv, rows
-
-
-def _preserving_projection(omega, target, m, check=True, pieces=None):
-    """omega-orthogonal projection of M onto the target subalgebra.
-
-    Solves omega(b* E(x)) = omega(b* x) over the target basis.  There is no
-    centrality gate here; validation establishes after the fact that the
-    solution is a genuine expectation (it is exactly when the modular flow
-    of omega leaves the target invariant).  check=False skips that
-    validation for a caller that validates what it builds from the result;
-    the preservation check always runs.  pieces, when given, are the
-    _gram_pieces of the target basis, already formed by the caller.
-    """
-    ginv, rows = pieces or _gram_pieces(omega, target.space.tensor)
-    e = ConditionalExpectation(target.space.flat.T @ (ginv @ rows), m, target.space, np.eye(m.n), target, check)
-    _check_preserves(e.map_matrix, omega, omega.restricted_density(m))
-    return e
-
-
 def preserving_expectation(omega, d, m):
     """The omega-preserving conditional expectation of M onto D.
 
@@ -222,19 +191,32 @@ def preserving_expectation(omega, d, m):
     return _preserving_expectation(omega, d, m)
 
 
-def _preserving_expectation(omega, d, m, check=True):
-    """preserving_expectation past its D-centrality gate, which the caller settled.
-
-    check=False skips the validation of the map, for a caller that validates
-    the map it makes of the result; the faithfulness and preservation checks
-    always run.  D's Gram matrix is formed once: its spectrum decides
-    faithfulness by _faithful_on's test, then inverts the matrix for the solve.
-    """
-    gram, rows = _omega_gram(omega, d.space.tensor)
+def _gram_solve(omega, space):
+    """The map k onto the space with omega(b* k(x)) = omega(b* x) for b in it.  The
+    Gram matrix omega(b_a* b_c) is formed once: _faithful_spectrum on its spectrum
+    decides faithfulness (GramSingular if not), the same eigh inverts it."""
+    gram, rows = _omega_gram(omega, space.tensor)
     eigs, u = np.linalg.eigh(gram)
     if not _faithful_spectrum(eigs):
-        raise GramSingular("omega is not faithful on D")
-    return _preserving_projection(omega, d, m, check, ((u / eigs) @ dagger(u), rows))
+        raise GramSingular(
+            f"functional is not faithful on the span (Gram eigenvalues {eigs[0]:.3e}..{eigs[-1]:.3e})"
+        )
+    return space.flat.T @ (((u / eigs) @ dagger(u)) @ rows)
+
+
+def _preserving_expectation(omega, target, m, check=True):
+    """The one builder: the omega-orthogonal projection of M onto the target subalgebra.
+
+    Solves the target's Gram system (_gram_solve), builds the map, validates
+    it and checks that it preserves omega.  The D-centrality gate is
+    preserving_expectation's; without it, validation decides whether the
+    solution is an expectation (exactly when the modular flow of omega leaves
+    the target invariant).  check=False skips the validation for a caller
+    that validates what it makes of the map; the other checks always run.
+    """
+    e = ConditionalExpectation(_gram_solve(omega, target.space), m, target.space, np.eye(m.n), target, check)
+    _check_preserves(e.map_matrix, omega, omega.restricted_density(m))
+    return e
 
 
 def expectation_from_density(h, d, m, nu):
@@ -346,16 +328,21 @@ def average_to_central(psi, omega, d, m):
     commutant of D; the result still extends omega|D and is D-central, and
     commutation with omega (of the densities restricted to M) is inherited.
     """
+    if omega.is_faithful:  # else _average_to_central raises NotFaithful, which takes precedence
+        ok, violation = is_D_central(omega, d, m)
+        if not ok:
+            raise NotCentral(f"D is not inside the centralizer of omega (violation {violation:.3e})")
+    return _average_to_central(psi, omega, d, m)
+
+
+def _average_to_central(psi, omega, d, m):
+    """average_to_central past its D-centrality gate, which the caller settled."""
     if not omega.is_faithful:
         raise NotFaithful("averaging needs a faithful reference functional")
-    ok, violation = is_D_central(omega, d, m)
-    if not ok:
-        raise NotCentral(f"D is not inside the centralizer of omega (violation {violation:.3e})")
     want = _values_on(omega, d.space.flat)
     if np.any(np.abs(_values_on(psi, d.space.flat) - want) > tol(1e-8) * np.maximum(1.0, np.abs(want))):
         raise NotAnExtension("psi does not restrict to omega on D")
-    relative = commutant(d, m)
-    e = _preserving_projection(omega, relative, m)
+    e = _preserving_expectation(omega, commutant(d, m), m)
     result = e.pullback(psi)
     if np.any(np.abs(_values_on(result, d.space.flat) - want) > tol(1e-7) * np.maximum(1.0, np.abs(want))):
         raise InvariantViolation("averaged functional no longer extends omega on D")
@@ -446,10 +433,8 @@ def support_ideal_expectation(omega, d, m):
     range_space = corner.lift_space(d_z.space)
     e = ConditionalExpectation(corner.lift_map(f.map_matrix), m, range_space, z, d)
     _check_preserves(e.map_matrix, omega, omega.restricted_density(m))
-    # uniqueness: the direct Gram projection onto the ideal must take the same values on M
-    ginv, rows = _gram_pieces(omega, range_space.tensor)
-    k2 = range_space.flat.T @ (ginv @ rows)
-    mismatch = hs_norm(e.images - m.space.flat @ k2.T)
+    # uniqueness: an independent Gram solve on the ideal must take the same values on M
+    mismatch = hs_norm(e.images - m.space.flat @ _gram_solve(omega, range_space).T)
     if mismatch > tol(1e-7) * max(1.0, hs_norm(e.map_matrix)):
         raise InvariantViolation(f"the two support-ideal constructions disagree by {mismatch:.3e}")
     support = support_of_map(e)
@@ -478,7 +463,9 @@ def existence_diagnosis(omega, d, m):
     """Probe every existence criterion for an omega-preserving expectation onto D.
 
     Reports the individual verdicts plus whether the expected equivalences
-    between them actually held on this instance.  A probe that fails with an
+    between them actually held on this instance.  Each probe runs once: the
+    local check reuses is_D_central's verdict and the support test, and
+    faithfulness on D is the construction's own Gram test.  A probe that fails with an
     NcrepError or a LinAlgError counts as a negative verdict, and the
     construction's failure is reported by name; any other exception is a
     programming error and propagates.  omega, D and M of different sizes
@@ -492,11 +479,12 @@ def existence_diagnosis(omega, d, m):
         except (NcrepError, np.linalg.LinAlgError) as err:  # diagnosis reports, it does not fail
             return default, err
 
-    faithful_d, _ = guarded(lambda: _faithful_on(omega, d))
     tracial_d, _ = guarded(lambda: tracial_certificate(omega, d).result)
-    (central, central_violation), _ = guarded(lambda: is_D_central(omega, d, m), (False, float("nan")))
-    local, _ = guarded(lambda: locally_central_check(omega, d, m, cap_proj=16))
-    support_commutes, _ = guarded(lambda: commutation_gap(omega.support, d.space.tensor) <= tol(1e-9))
+    (central, central_violation), central_err = guarded(lambda: is_D_central(omega, d, m), (False, float("nan")))
+    support_commutes, support_err = guarded(lambda: _support_commutes(omega, d))
+    # the local check compares with both probes, so it fails when either did
+    local, _ = guarded(lambda: central_err is None and support_err is None and _locally_central(
+        omega, d, m, 16, central, central_violation, support_commutes))
 
     def modular_probe():
         if omega.is_faithful:
@@ -508,8 +496,9 @@ def existence_diagnosis(omega, d, m):
         return modular_invariance_check(PositiveFunctional(corner.compress(omega.density)), d_c)
 
     modular_invariant, _ = guarded(modular_probe)
-    expectation, err = guarded(lambda: _preserving_projection(omega, d, m), default=None)
+    expectation, err = guarded(lambda: _preserving_expectation(omega, d, m), default=None)
     constructed = expectation is not None
+    faithful_d = not isinstance(err, GramSingular)  # the build's Gram test on D decides
     eq_construct = constructed and tracial_d and faithful_d
     eq_central = central and faithful_d
     eq_local = local and tracial_d and faithful_d and support_commutes

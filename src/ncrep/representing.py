@@ -46,8 +46,9 @@ from .expectations import (
     ConditionalExpectation,
     _domain_images,
     _pullback_density,
+    _average_to_central,
+    _preserving_expectation,
     _values_on,
-    average_to_central,
     preserving_expectation,
 )
 from .linalg import (
@@ -344,9 +345,9 @@ def representing_expectation_tracial(m, tau, d, a, phi, perturb_r=0.0, rng_seed=
     kh = k @ h
     omega = PositiveFunctional((kh + dagger(kh)) / 2)
     _check_annihilates(omega, phi.kernel, "the normalized state")
-    rho = average_to_central(omega, tau, d, m)
+    rho = _average_to_central(omega, tau, d, m)  # tau passed E_D's D-centrality gate
     _check_represents(rho, phi, values, "the averaged state")
-    psi = preserving_expectation(rho, d, m)
+    psi = _preserving_expectation(rho, d, m)  # rho is D-central: averaging checked it
     _check_extends_character(psi, phi)
     return psi, rho
 
@@ -374,7 +375,7 @@ def representing_expectation_state(m, omega, d, a, phi, perturb_r=0.0, rng_seed=
     a_mat, b_mat = _polar_factors(r)
     c = _projected_factor(a, phi.kernel, a_mat, b_mat)
     cc = c @ dagger(c)
-    e_d = preserving_expectation(omega, d, m)
+    e_d = _preserving_expectation(omega, d, m)  # omega passed the D-centrality gate above
     g0 = e_d(inv_sqk @ cc @ inv_sqk)
     spec_g = _invertible_average(g0, "the weighted D-average of cc*")
     # the trace pre-adjoint of E_D applied to cc* must factor as k^(1/2) g0 k^(1/2);
@@ -397,9 +398,9 @@ def representing_expectation_state(m, omega, d, a, phi, perturb_r=0.0, rng_seed=
     norm_gap = hs_norm(e_d(inv_sqk @ h @ inv_sqk) - np.eye(m.n))
     if norm_gap > tol(1e-7) * np.sqrt(m.n):
         raise InvariantViolation(f"normalization: E_D(k^-1/2 h k^-1/2) misses I by {norm_gap:.3e}")
-    rho = average_to_central(theta, omega, d, m)
+    rho = _average_to_central(theta, omega, d, m)
     _check_represents(rho, phi, values, "the averaged state")
-    psi = preserving_expectation(rho, d, m)
+    psi = _preserving_expectation(rho, d, m)  # rho is D-central: averaging checked it
     _check_extends_character(psi, phi)
     return psi, rho
 
@@ -517,7 +518,7 @@ def extension_via_ss_density(m, omega_d, d, a, phi, psi):
             f"an extension of a tracial character functional must be D-central"
             f" when A + A* spans M; violation {violation:.3e}"
         )
-    e = preserving_expectation(psi, d, m)
+    e = _preserving_expectation(psi, d, m)  # psi passed the D-centrality test above
     _check_extends_character(e, phi)
     return e
 

@@ -83,8 +83,8 @@ class PositiveFunctional:
 
     @property
     def is_faithful(self):
-        eigs = self.spectrum.eigenvalues
-        return bool(eigs.size and eigs[0] > pd_tol(float(eigs[-1])))
+        """Is the density positive definite?  _faithful_spectrum's test on its eigenvalues."""
+        return _faithful_spectrum(self.spectrum.eigenvalues)
 
     @property
     def support(self):
@@ -123,14 +123,15 @@ def _omega_gram(omega, b):
 
 
 def _faithful_on(omega, algebra):
-    """omega(x*x) > 0 for nonzero x in the algebra, decided by its Gram matrix."""
+    """omega(x*x) > 0 for nonzero x in the algebra: _faithful_spectrum on its Gram matrix."""
     gram, _ = _omega_gram(omega, algebra.space.tensor)
     return _faithful_spectrum(np.linalg.eigvalsh(gram))
 
 
 def _faithful_spectrum(eigs):
-    """_faithful_on's test on the ascending eigenvalues of a Gram matrix."""
-    return bool(eigs[0] > tol(1e-10) * max(1.0, float(eigs[-1])))
+    """The one faithfulness test, on the ascending eigenvalues of a density or a Gram matrix:
+    positive definite as linalg defines it, the least above pd_tol of the largest."""
+    return bool(eigs.size and eigs[0] > pd_tol(float(eigs[-1])))
 
 
 @dataclass
@@ -282,6 +283,11 @@ def _local_violation(omega, projections, d, m):
     return float(np.abs(trace_pairings(left.reshape(-1, d.n, d.n), m.space.tensor)).max())
 
 
+def _support_commutes(omega, d):
+    """[e, D] = 0 for the support e of omega, to within 1e-9 on D's orthonormal basis."""
+    return bool(commutation_gap(omega.support, d.space.tensor) <= tol(1e-9))
+
+
 def locally_central_check(omega, d, m, cap_proj=64):
     """Test omega(pxpdp) = omega(pdpxp) over sampled projections p in D.
 
@@ -294,12 +300,15 @@ def locally_central_check(omega, d, m, cap_proj=64):
     DimensionMismatch when omega, D and M differ in size.
     """
     require_same_ambient(omega, d, m)
-    rho = omega.density
+    return _locally_central(omega, d, m, cap_proj, *is_D_central(omega, d, m), _support_commutes(omega, d))
+
+
+def _locally_central(omega, d, m, cap_proj, global_verdict, global_violation, e_commutes):
+    """locally_central_check given is_D_central's verdict and violation and the
+    support test [e, D] = 0, which the caller has already run."""
     worst = _local_violation(omega, np.stack(sample_projections(d, cap_proj)), d, m)
-    threshold = tol(1e-9) * max(1e-30, hs_norm(rho))
+    threshold = tol(1e-9) * max(1e-30, hs_norm(omega.density))
     verdict = worst <= threshold
-    e_commutes = commutation_gap(omega.support, d.space.tensor) <= tol(1e-9)
-    global_verdict, global_violation = is_D_central(omega, d, m)
     cross_check(
         f"local centrality (support commutes: {e_commutes}) contradicts the global test",
         verdict and e_commutes, global_verdict, (worst, threshold), (global_violation, threshold),

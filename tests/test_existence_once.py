@@ -1,0 +1,93 @@
+"""Each existence fact is decided once, by one test.
+
+Faithfulness on D has one convention (states._faithful_spectrum), so the
+diagnosis and the construction cannot disagree near the floor, and the
+verdict does not depend on the scale of omega.  The probes behind a
+diagnosis and the representing pipelines run once per call; the counts
+come from counting wrappers patched into every ncrep module that binds the
+function, as the benchmark's tracer patches them.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+from ncrep import states
+from ncrep.algebras import block_diagonal_algebra, diagonal_algebra, full_matrix_algebra
+from ncrep.expectations import existence_diagnosis, preserving_expectation
+from ncrep.errors import GramSingular
+from ncrep.instances import random_block_instance, random_central_density, random_density
+from ncrep.representing import representing_expectation_state, representing_expectation_tracial
+from ncrep.states import PositiveFunctional, _faithful_on
+
+
+def test_diagnosis_and_construction_agree_on_faithfulness_near_the_floor():
+    # the smallest weight sits between 1e-10 of the largest and 1e-10 absolute
+    omega = PositiveFunctional(np.diag([0.33, 0.33, 0.34 - 5e-11, 5e-11]).astype(complex))
+    d, m = diagonal_algebra(4), full_matrix_algebra(4)
+    report = existence_diagnosis(omega, d, m)
+    try:
+        built = preserving_expectation(omega, d, m) is not None
+    except GramSingular:
+        built = False
+    assert report.central
+    assert report.faithful_on_D == report.constructed == built
+    assert report.equivalences_hold
+
+
+def test_faithfulness_on_D_does_not_depend_on_the_scale_of_omega():
+    weights = np.diag([0.5, 0.5 - 5e-8, 5e-8]).astype(complex)
+    verdicts = [_faithful_on(PositiveFunctional(c * weights), diagonal_algebra(3)) for c in (1e-3, 1.0, 1e3)]
+    assert verdicts == [True, True, True]
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name wherever an ncrep module binds it; returns the list of
+    the calls' positional arguments, which grows as the wrapper is called."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key == "ncrep" or key.startswith("ncrep."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+def _diagnosis_states(n, d, rng):
+    """A central faithful state, a non-central one and a central one cut to the first block."""
+    central = random_central_density(n, d, rng)
+    keep = np.diag([1.0, 1.0, 1.0, 0.0, 0.0]).astype(complex)
+    cut = keep @ random_central_density(n, d, rng).density @ keep
+    return [central, random_density(n, rng), PositiveFunctional(cut / np.trace(cut).real)]
+
+
+def test_diagnosis_runs_each_probe_once(monkeypatch):
+    n = 5
+    d, m = block_diagonal_algebra(n, [[0, 1, 2], [3, 4]]), full_matrix_algebra(n)
+    omegas = _diagnosis_states(n, d, np.random.default_rng(3))
+    central_calls = _count_calls(monkeypatch, states, "is_D_central")
+    gram_calls = _count_calls(monkeypatch, states, "_omega_gram")
+    verdicts = []
+    for omega in omegas:
+        del central_calls[:], gram_calls[:]
+        report = existence_diagnosis(omega, d, m)
+        verdicts.append((report.central, report.faithful_on_D, report.constructed))
+        assert len(central_calls) == 1
+        assert sum(b.shape == d.space.tensor.shape for _, b in gram_calls) == 1
+    assert verdicts == [(True, True, True), (False, True, False), (True, False, False)]
+
+
+@pytest.mark.parametrize("pipeline", [representing_expectation_tracial, representing_expectation_state])
+def test_pipelines_check_centrality_twice(monkeypatch, pipeline):
+    # the reference's D-centrality once at the boundary, the averaged state's once
+    inst = random_block_instance(5, np.random.default_rng(11), conjugate=True)
+    calls = _count_calls(monkeypatch, states, "is_D_central")
+    pipeline(inst.m, inst.state, inst.d, inst.a, inst.phi)
+    assert len(calls) == 2
