@@ -188,13 +188,15 @@ def preserving_expectation(omega, d, m):
     ok, violation = is_D_central(omega, d, m)
     if not ok:
         raise NotDCentral(f"omega is not D-central (violation {violation:.3e})")
-    return _preserving_expectation(omega, d, m)
+    try:
+        return _preserving_expectation(omega, d, m)
+    except GramSingular as err:  # this entry point names D in its message
+        raise GramSingular("omega is not faithful on D") from err
 
 
 def _gram_solve(omega, space):
-    """The map k onto the space with omega(b* k(x)) = omega(b* x) for b in it.  The
-    Gram matrix omega(b_a* b_c) is formed once: _faithful_spectrum on its spectrum
-    decides faithfulness (GramSingular if not), the same eigh inverts it."""
+    """The map k onto the space with omega(b* k(x)) = omega(b* x) for b in it: one eigh of the
+    Gram matrix omega(b_a* b_c) feeds _faithful_spectrum (GramSingular if not faithful) and the inverse."""
     gram, rows = _omega_gram(omega, space.tensor)
     eigs, u = np.linalg.eigh(gram)
     if not _faithful_spectrum(eigs):
@@ -463,10 +465,9 @@ def existence_diagnosis(omega, d, m):
     """Probe every existence criterion for an omega-preserving expectation onto D.
 
     Reports the individual verdicts plus whether the expected equivalences
-    between them actually held on this instance.  Each probe runs once: the
-    local check reuses is_D_central's verdict and the support test, and
-    faithfulness on D is the construction's own Gram test.  A probe that fails with an
-    NcrepError or a LinAlgError counts as a negative verdict, and the
+    between them actually held on this instance.  Each probe runs once, and
+    faithfulness on D is the construction's own Gram test.  A probe that fails
+    with an NcrepError or a LinAlgError counts as a negative verdict, and the
     construction's failure is reported by name; any other exception is a
     programming error and propagates.  omega, D and M of different sizes
     raise DimensionMismatch before any probe runs.

@@ -304,8 +304,7 @@ def locally_central_check(omega, d, m, cap_proj=64):
 
 
 def _locally_central(omega, d, m, cap_proj, global_verdict, global_violation, e_commutes):
-    """locally_central_check given is_D_central's verdict and violation and the
-    support test [e, D] = 0, which the caller has already run."""
+    """locally_central_check past its probes: is_D_central's verdict and violation, [e, D] = 0."""
     worst = _local_violation(omega, np.stack(sample_projections(d, cap_proj)), d, m)
     threshold = tol(1e-9) * max(1e-30, hs_norm(omega.density))
     verdict = worst <= threshold
