@@ -23,7 +23,11 @@ diagonal algebras of M_3 and M_4, whose 7 and 15 projections are all found
 below either cap.  The diagnosis rows time existence_diagnosis with D
 block diagonal in M_8, blocks (4, 3, 1), for a central faithful state, a
 non-central one and a central one cut to its first two blocks, the three
-state families of the diagnosis-mixed benchmark.  --src points at
+state families of the diagnosis-mixed benchmark.  An algebra keeps its
+commutants and sampled projections once computed, so the sample_projections,
+commutant and diagnosis rows are timed twice: cold, on a fresh algebra
+object over the same basis for every call (built outside the timing), and
+warm, repeated on one object; the other rows repeat on one D.  --src points at
 the src/ directory of the checkout to measure (default: this one's), so two
 commits can be compared with the same script.  BLAS is pinned to one thread
 before numpy loads.
@@ -76,28 +80,45 @@ def _instance(n, sizes):
     return e, phi, a, d, m, nu, stack
 
 
-def _measure(fn, repeats):
-    fn()  # fills lazy caches such as spectra and the positivity probes
+def _measure(fn, repeats, setup=tuple):
+    """Min-of-repeats time and tracemalloc peak of fn(*setup()), each call's arguments made untimed."""
+    fn(*setup())  # fills lazy caches such as spectra and the positivity probes
     best = float("inf")
     for _ in range(repeats):
+        args = setup()
         start = time.perf_counter()
-        fn()
+        fn(*args)
         best = min(best, time.perf_counter() - start)
+    args = setup()
     tracemalloc.start()
-    fn()
+    fn(*args)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     return {"min_ms": round(best * 1e3, 4), "peak_mb": round(peak / 2**20, 3), "repeats": repeats}
 
 
-def _commutant_row(commutant, d, m, repeats):
-    """The commutant row, with the dimension of D' and max ||[x, b]|| over its basis x and D's b."""
+def _cold_and_warm(label, fn, d, repeats):
+    """Rows for fn(d): cold on a fresh algebra object over d's basis per call, and warm on d itself."""
+    return {
+        label: _measure(fn, repeats, lambda: (type(d)(d.space, check=False),)),
+        f"{label} (warm)": _measure(fn, repeats, lambda: (d,)),
+    }
+
+
+def _commutant_rows(commutant, d, m, repeats):
+    """The commutant rows, the cold one with the dimension of D' and max ||[x, b]|| over its basis x and D's b."""
     import numpy as np
 
     c = commutant(d, m)
     x, b = c.space.tensor[:, None], d.space.tensor
     gap = float(np.linalg.norm(x @ b - b @ x, axis=(2, 3)).max())
-    return dict(_measure(lambda: commutant(d, m), repeats), dim=c.dim, gap=gap)
+    rows = _cold_and_warm("commutant", lambda d: commutant(d, m), d, repeats)
+    rows["commutant"].update(dim=c.dim, gap=gap)
+    return rows
+
+
+def _projection_rows(sample_projections, d, cap, repeats):
+    return _cold_and_warm(f"sample_projections (cap {cap})", lambda d: sample_projections(d, cap), d, repeats)
 
 
 def _gaps_rows(bimodule_gaps, e, phi, d, repeats):
@@ -131,10 +152,12 @@ def _diagnosis_rows(repeats):
         "noncentral": random_density(n, rng),
         "truncated": PositiveFunctional(cut / np.trace(cut).real),
     }
-    return {
-        f"existence_diagnosis ({name})": _measure(lambda omega=omega: existence_diagnosis(omega, d, m), repeats)
-        for name, omega in states.items()
-    }
+    rows = {}
+    for name, omega in states.items():
+        rows.update(_cold_and_warm(
+            f"existence_diagnosis ({name})", lambda d, omega=omega: existence_diagnosis(omega, d, m), d, repeats
+        ))
+    return rows
 
 
 def main():
@@ -162,7 +185,6 @@ def main():
             "DCharacter.validate": _measure(phi.validate, reps),
             "support_of_map": _measure(lambda: support_of_map(e), reps),
             "commutes_with_modular": _measure(lambda: commutes_with_modular(e, nu), reps),
-            "commutant": _commutant_row(commutant, d, m, reps),
             "null_space_rows": dict(_measure(lambda: null_space_rows(stack), reps), shape=list(stack.shape)),
             "representing_expectation_tracial": _measure(
                 lambda: representing_expectation_tracial(m, tau, d, a, phi), reps
@@ -172,17 +194,17 @@ def main():
             ),
             "is_D_central": _measure(lambda: is_D_central(nu, d, m), reps),
             "locally_central_check (cap 16)": _measure(lambda: locally_central_check(nu, d, m, 16), reps),
-            "sample_projections (cap 16)": _measure(lambda: sample_projections(d, 16), reps),
-            "sample_projections (cap 64)": _measure(lambda: sample_projections(d, 64), reps),
         }
+        layers[f"n={n}"].update(_commutant_rows(commutant, d, m, reps))
+        for cap in (16, 64):
+            layers[f"n={n}"].update(_projection_rows(sample_projections, d, cap, reps))
         if n in GAPS_SIZES:
             layers[f"n={n}"].update(_gaps_rows(bimodule_gaps, e, phi, d, reps))
     for n in COMMUTATIVE_SIZES:
         d = diagonal_algebra(n)
-        layers[f"diagonal n={n}"] = {
-            f"sample_projections (cap {cap})": _measure(lambda cap=cap: sample_projections(d, cap), REPEATS[4])
-            for cap in (16, 64)
-        }
+        layers[f"diagonal n={n}"] = {}
+        for cap in (16, 64):
+            layers[f"diagonal n={n}"].update(_projection_rows(sample_projections, d, cap, REPEATS[4]))
     layers["diagnosis n=8"] = dict(blocks=[len(b) for b in DIAGNOSIS_BLOCKS], **_diagnosis_rows(REPEATS[8]))
     src_lines = sum(len(p.read_text().splitlines()) for p in Path(args.src).rglob("*.py"))
     print(json.dumps({"src_lines": src_lines, "layers": layers}, indent=1))

@@ -8,6 +8,13 @@ at a time: first two seeded generic combinations of the set, which almost
 always generate the algebra it generates, then, only if the result fails
 its commutation certificate against the whole set, the set's own elements
 a bounded chunk at a time.
+
+An algebra's basis rows are read-only, and an algebra keeps a store of the
+data that depends on it alone (Subalgebra.derived): its commutant within
+each enclosing algebra, and its sampled projections per cap
+(states.sample_projections).  Each is computed on first request and then
+read back, so a D that several states are probed on is solved once.
+Nothing that depends on a functional is kept there.
 """
 
 import functools
@@ -45,17 +52,38 @@ def _adjoint_defects(space):
     return space.residuals(_adjoint_space(space).flat)
 
 
+def _read_only(space):
+    """space itself when no array its rows view can be written, else the same
+    rows copied into a read-only array, so that no caller's array is shared."""
+    rows = space.flat
+    while isinstance(rows, np.ndarray):
+        if rows.flags.writeable:
+            rows = space.flat.copy()
+            rows.flags.writeable = False
+            return OperatorSubspace(space.ambient_dim, rows)
+        rows = rows.base
+    return space
+
+
 class Subalgebra:
-    """Unital, product-closed subspace of M_n. Not necessarily adjoint-closed."""
+    """Unital, product-closed subspace of M_n, on read-only basis rows. Not necessarily adjoint-closed."""
 
     star_closed = False
 
     def __init__(self, space, check=True):
-        self.space = space
+        self.space = _read_only(space)
         self.n = space.ambient_dim
         self.blocks = None
+        self._derived = {}
         if check:
             self.validate()
+
+    def derived(self, key, compute):
+        """compute() on the first request for key, then the kept value: for data
+        that depends on this algebra alone (and on objects named in key)."""
+        if key not in self._derived:
+            self._derived[key] = compute()
+        return self._derived[key]
 
     @property
     def dim(self):
@@ -119,7 +147,9 @@ def from_spanning(mats, star=True):
 
 
 def full_matrix_algebra(n):
-    return StarAlgebra(OperatorSubspace(n, np.eye(n * n, dtype=complex)), check=False)
+    rows = np.eye(n * n, dtype=complex)
+    rows.flags.writeable = False
+    return StarAlgebra(OperatorSubspace(n, rows), check=False)
 
 
 def scalar_algebra(n):
@@ -273,16 +303,28 @@ def commutant(s, within=None):
     passes, the later batches are s's own elements a chunk at a time, and
     the last of them leaves the exact kernel, so memory stays at one
     batch's brackets and the current space.
+
+    For an algebra s the result is kept in s's derived store, one per
+    within (None or the within object, whose basis the result's rows are
+    built from), and later calls return that same object.  Both bases are
+    read-only, so the kept result cannot go stale.
     """
     gens = _generating_set(s)
     if not gens:
         raise EmptyInput("commutant of an empty set")
     n = gens[0].shape[0]
+    if within is not None and within.n != n:
+        raise DimensionMismatch(f"set lives in M_{n}, within in M_{within.n}")
+    if isinstance(s, Subalgebra):
+        return s.derived(("commutant", within), lambda: _solve_commutant(np.stack(gens), within))
+    return _solve_commutant(np.stack(gens), within)
+
+
+def _solve_commutant(stack, within):
+    """commutant past its argument checks, for a stacked set (k, n, n)."""
+    n = stack.shape[-1]
     if within is None:
         within = full_matrix_algebra(n)
-    if within.n != n:
-        raise DimensionMismatch(f"set lives in M_{n}, within in M_{within.n}")
-    stack = np.stack(gens)
     if len(stack) <= 2:
         flat = _restrict(within.space.flat, stack)
     else:
@@ -294,6 +336,7 @@ def commutant(s, within=None):
             if _commutes_with(flat, stack, threshold):
                 break
             flat = _restrict(flat, stack[part])
+    flat.flags.writeable = False
     result = Subalgebra(OperatorSubspace(n, flat))
     if np.all(_adjoint_defects(result.space) <= tol(1e-9)):
         # the adjoint check just made is all that StarAlgebra.validate adds

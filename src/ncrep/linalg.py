@@ -252,7 +252,8 @@ def orthonormalize(spanning_set):
 
     The basis is the right-singular vectors whose singular value exceeds
     1e-9 times the largest input norm; directions below it count as
-    dependent and are dropped.
+    dependent and are dropped.  The rows are read-only, so an algebra over
+    them need not copy them.
     """
     try:
         stack = np.array(spanning_set, dtype=complex)
@@ -266,7 +267,9 @@ def orthonormalize(spanning_set):
     rows = require_finite(stack.reshape(len(stack), n * n))
     dep_tol = tol(1e-9) * float(hs_norms(rows).max())
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    return OperatorSubspace(n, vh[s > dep_tol])
+    basis = vh[s > dep_tol]
+    basis.flags.writeable = False
+    return OperatorSubspace(n, basis)
 
 
 def null_space_rows(a):

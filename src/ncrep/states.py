@@ -24,6 +24,7 @@ from .errors import (
 from .linalg import (
     Corner,
     as_matrix,
+    chunk_slices,
     commutation_gap,
     commutator,
     dagger,
@@ -232,7 +233,16 @@ def sample_projections(d, cap=64):
     of one already held.  A commutative D of dimension r has exactly
     2^r - 1 nonzero projections, so once it holds that many the sampling
     stops: the list is the one all the draws would give.
+
+    The result depends on D and cap alone, so it is drawn once per cap and
+    kept in D's derived store (its basis is read-only); every call returns
+    a new list of read-only views of the kept stack.
     """
+    return list(d.derived(("projections", cap), lambda: _draw_projections(d, cap)))
+
+
+def _draw_projections(d, cap):
+    """sample_projections' draws, as one read-only (count, n, n) stack."""
     n = d.n
     b = d.space.tensor
     parts = np.stack([(b + dagger(b)) / 2, (b - dagger(b)) / 2j], axis=1).reshape(-1, n, n)
@@ -260,7 +270,8 @@ def sample_projections(d, cap=64):
             if hs_norms(held[:count] - p).min() > tol(1e-8):
                 held[count] = p
                 count += 1
-    return list(held[:count])
+    held.flags.writeable = False
+    return held[:count]
 
 
 def _sandwiches(a, basis, c):
@@ -275,12 +286,19 @@ def _local_violation(omega, projections, d, m):
     """max |omega(pxpdp) - omega(pdpxp)| over a stack of projections p and the bases of D and M.
 
     With k = p rho p the difference is Tr((p d k - k d p) x), so the stack
-    p d k - k d p over every p and d is paired with M's basis in one gemm.
+    p d k - k d p over every p and d is paired with M's basis in one gemm,
+    a chunk of projections at a time.
     """
-    ks = projections @ omega.density @ projections
     db = d.space.tensor
-    left = _sandwiches(projections, db, ks) - _sandwiches(ks, db, projections)
-    return float(np.abs(trace_pairings(left.reshape(-1, d.n, d.n), m.space.tensor)).max())
+    worst = 0.0
+    # per projection: about four (dim D, n, n) stacks at once (the sandwiches, their
+    # difference and its copy for the pairing), so n <= 4 takes one pass
+    for part in chunk_slices(len(projections), 4 * d.dim * d.n**2):
+        p = projections[part]
+        ks = p @ omega.density @ p
+        left = _sandwiches(p, db, ks) - _sandwiches(ks, db, p)
+        worst = max(worst, float(np.abs(trace_pairings(left.reshape(-1, d.n, d.n), m.space.tensor)).max()))
+    return worst
 
 
 def _support_commutes(omega, d):

@@ -17,7 +17,8 @@ from ncrep.algebras import (
     unitary_conjugate_algebra,
 )
 from ncrep.errors import InvariantViolation
-from ncrep.linalg import dagger, orthonormalize, same_subspace
+from ncrep.linalg import OperatorSubspace, dagger, orthonormalize, same_subspace
+from ncrep.states import sample_projections
 
 
 def unit(n, i, j):
@@ -82,9 +83,30 @@ def test_commutant_is_deterministic():
     u = np.linalg.qr(np.random.default_rng(4).standard_normal((n, n)))[0]
     d = unitary_conjugate_algebra(block_diagonal_algebra(n, [[0], [1, 2], [3, 4, 5]]), u)
     m = full_matrix_algebra(n)
-    first, second = commutant(d, m), commutant(d, m)
+    # a second algebra object over the same basis has its own store, so it is solved again
+    first, second = commutant(d, m), commutant(StarAlgebra(d.space, check=False), m)
+    assert first is not second
     assert first.dim == 3
     assert first.space.flat.tobytes() == second.space.flat.tobytes()
+
+
+def test_algebra_basis_is_read_only_and_not_shared_with_the_caller():
+    n = 3
+    # orthonormal rows spanning C(e11 + e22) + C e33, whose commutant in M_3 is M_2 + C
+    rows = np.array([np.diag([1.0, 1.0, 0.0]).ravel() / np.sqrt(2), np.diag([0.0, 0.0, 1.0]).ravel()], dtype=complex)
+    d = StarAlgebra(OperatorSubspace(n, rows))
+    for view in (d.space.flat, d.space.tensor, d.basis[0]):
+        with pytest.raises(ValueError):
+            view[0, 0] = 5.0
+    m = full_matrix_algebra(n)
+    c, projections = commutant(d, m), sample_projections(d, 16)
+    kept_c, kept_p = c.space.flat.copy(), np.stack(projections)
+    rows[:] = np.eye(n * n, dtype=complex)[:2]  # the caller's array, which d copied
+    projections.clear()
+    assert commutant(d, m) is c
+    assert np.array_equal(c.space.flat, kept_c) and c.dim == 5
+    assert np.array_equal(np.stack(sample_projections(d, 16)), kept_p)
+    assert np.array_equal(d.space.flat[0], np.diag([1.0, 1.0, 0.0]).ravel() / np.sqrt(2))
 
 
 def test_bicommutant_recovers_generated_algebra():

@@ -3,9 +3,11 @@
 Faithfulness on D has one convention (states._faithful_spectrum), so the
 diagnosis and the construction cannot disagree near the floor, and the
 verdict does not depend on the scale of omega.  The probes behind a
-diagnosis and the representing pipelines run once per call; the counts
-come from counting wrappers patched into every ncrep module that binds the
-function, as the benchmark's tracer patches them.
+diagnosis and the representing pipelines run once per call, and what
+depends on D alone (its sampled projections, its commutants) is computed
+once per D; the public functions are still called as often as before.  The
+counts come from counting wrappers patched into every ncrep module that
+binds the function, as the benchmark's tracer patches them.
 """
 
 import sys
@@ -13,9 +15,9 @@ import sys
 import numpy as np
 import pytest
 
-from ncrep import states
+from ncrep import algebras, states
 from ncrep.algebras import block_diagonal_algebra, diagonal_algebra, full_matrix_algebra
-from ncrep.expectations import existence_diagnosis, preserving_expectation
+from ncrep.expectations import _average_to_central, existence_diagnosis, preserving_expectation
 from ncrep.errors import GramSingular
 from ncrep.instances import random_block_instance, random_central_density, random_density
 from ncrep.representing import representing_expectation_state, representing_expectation_tracial
@@ -91,3 +93,39 @@ def test_pipelines_check_centrality_twice(monkeypatch, pipeline):
     calls = _count_calls(monkeypatch, states, "is_D_central")
     pipeline(inst.m, inst.state, inst.d, inst.a, inst.phi)
     assert len(calls) == 2
+
+
+def test_diagnoses_on_one_D_sample_its_projections_once_per_cap(monkeypatch):
+    n = 5
+    d, m = block_diagonal_algebra(n, [[0, 1, 2], [3, 4]]), full_matrix_algebra(n)
+    omegas = _diagnosis_states(n, d, np.random.default_rng(3))
+    public = _count_calls(monkeypatch, states, "sample_projections")
+    drawn = _count_calls(monkeypatch, states, "_draw_projections")
+    reports = [existence_diagnosis(omega, d, m) for omega in omegas]
+    assert [r.locally_central for r in reports] == [True, False, True]
+    assert len(public) == 3
+    assert drawn == [(d, 16)]
+    states.sample_projections(d, 64)
+    assert drawn == [(d, 16), (d, 64)]
+
+
+def test_commutant_is_solved_once_per_D_and_within(monkeypatch):
+    n = 5
+    d, m = block_diagonal_algebra(n, [[0, 1, 2], [3, 4]]), full_matrix_algebra(n)
+    public = _count_calls(monkeypatch, algebras, "commutant")
+    solved = _count_calls(monkeypatch, algebras, "_solve_commutant")
+    rng = np.random.default_rng(5)
+    omega, other = random_central_density(n, d, rng), random_central_density(n, d, rng)
+    averaged = [_average_to_central(psi, omega, d, m) for psi in (omega, omega)]
+    assert len(public) == 4
+    assert [within for _, within in solved] == [None, m]
+    assert averaged[0].density.tobytes() == averaged[1].density.tobytes()
+    assert states.is_D_central(other, d, m)[0]
+
+
+def test_pipelines_on_one_instance_solve_the_relative_commutant_once(monkeypatch):
+    inst = random_block_instance(5, np.random.default_rng(11), conjugate=True)
+    solved = _count_calls(monkeypatch, algebras, "_solve_commutant")
+    for pipeline in (representing_expectation_tracial, representing_expectation_state):
+        pipeline(inst.m, inst.state, inst.d, inst.a, inst.phi)
+    assert [within for _, within in solved] == [inst.m]

@@ -8,7 +8,7 @@ from ncrep.algebras import (
     generate_star_algebra,
     scalar_algebra,
 )
-from ncrep import states
+from ncrep import linalg, states
 from ncrep.errors import (
     DoesNotCommute,
     InconsistencyDetected,
@@ -17,6 +17,7 @@ from ncrep.errors import (
     NotPositiveDefinite,
     cross_check,
 )
+from ncrep.instances import random_central_density, random_density
 from ncrep.linalg import commutator, dagger, hs_norm, same_subspace
 from ncrep.states import (
     PositiveFunctional,
@@ -170,6 +171,32 @@ def test_sample_projections_live_in_algebra():
         assert d.contains(p)
         assert hs_norm(p @ p - p) <= 1e-9
         assert hs_norm(p - dagger(p)) <= 1e-9
+
+
+@pytest.mark.parametrize("n, sizes, passes", [(3, (2, 1), 1), (4, (3, 1), 1), (8, (4, 3, 1), 2), (10, (5, 4, 1), 6)])
+def test_local_violation_in_chunks_equals_one_pass(monkeypatch, n, sizes, passes):
+    # 16 projections: one pass up to n = 4, several chunks from n = 8 on
+    ends = np.cumsum(sizes)
+    d = block_diagonal_algebra(n, [list(range(end - size, end)) for end, size in zip(ends, sizes)])
+    m = full_matrix_algebra(n)
+    rng = np.random.default_rng(n)
+    projections = np.stack(sample_projections(d, 16))
+    slices, chunk_slices = [], states.chunk_slices
+
+    def recording(count, item_size):
+        slices.append(chunk_slices(count, item_size))
+        return slices[-1]
+
+    monkeypatch.setattr(states, "chunk_slices", recording)
+    omegas = (random_density(n, rng), random_central_density(n, d, rng))
+    chunked = [states._local_violation(omega, projections, d, m) for omega in omegas]
+    assert [len(s) for s in slices] == [passes, passes]
+    monkeypatch.setattr(linalg, "_CHUNK_ELEMENTS", 1 << 40)
+    one_pass = [states._local_violation(omega, projections, d, m) for omega in omegas]
+    assert [len(s) for s in slices[2:]] == [1, 1]
+    for omega, got, want in zip(omegas, chunked, one_pass):
+        assert abs(got - want) <= 1e-12 * max(want, hs_norm(omega.density))
+    assert chunked[0] > 1e-3  # the non-central state's statistic is far from rounding noise
 
 
 def test_locally_central_check_agrees_with_global():
