@@ -22,7 +22,7 @@ import functools
 import numpy as np
 
 from .config import tol
-from .errors import DimensionMismatch, EmptyInput, InvariantViolation
+from .errors import BadPartition, DimensionMismatch, EmptyInput, InvariantViolation
 from .linalg import (
     OperatorSubspace,
     as_matrix,
@@ -163,7 +163,7 @@ def diagonal_algebra(n):
 def _check_partition(n, blocks):
     seen = sorted(i for blk in blocks for i in blk)
     if seen != list(range(n)) or any(len(blk) == 0 for blk in blocks):
-        raise InvariantViolation(f"partition: blocks must partition range({n}), got {blocks}")
+        raise BadPartition(f"partition: blocks must partition range({n}), got {blocks}")
 
 
 def _unit_matrix(n, i, j):

@@ -72,19 +72,7 @@ class SupportNotCentral(NcrepError):
 
 
 # representing-measure pipelines
-class BadPartition(NcrepError):
-    pass
-
-
 class GSingular(NcrepError):
-    pass
-
-
-class ProjectionsNotPartition(NcrepError):
-    pass
-
-
-class NotCentralInD(NcrepError):
     pass
 
 
@@ -119,6 +107,10 @@ class ParseError(NcrepError):
 
 
 class InvariantViolation(NcrepError):
+    pass
+
+
+class BadPartition(InvariantViolation):
     pass
 
 

@@ -18,6 +18,7 @@ a functional singular on the range is handled by compressing to the support
 of its restriction there (support_ideal_expectation), never by regularizing.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,17 +72,15 @@ from .states import (
 )
 
 
-_PROBE_CACHE = {}
-
-
+@functools.lru_cache(maxsize=64)
 def _positivity_probes(n):
     """Fixed random draws x as their x*x and squared norms, reused across validations."""
-    if n not in _PROBE_CACHE:
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((8, n, n)) + 1j * rng.standard_normal((8, n, n))
-        xx = np.einsum("aji,ajk->aik", np.conj(x), x)
-        _PROBE_CACHE[n] = (xx, np.einsum("aij,aij->a", np.conj(x), x).real)
-    return _PROBE_CACHE[n]
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((8, n, n)) + 1j * rng.standard_normal((8, n, n))
+    xx = np.einsum("aji,ajk->aik", np.conj(x), x)
+    norms = np.einsum("aij,aij->a", np.conj(x), x).real
+    xx.flags.writeable = norms.flags.writeable = False
+    return xx, norms
 
 
 def _pullback_density(map_matrix, rho):
@@ -126,7 +125,6 @@ class ConditionalExpectation:
         self.unit = as_matrix(unit)
         self.bimodule = bimodule
         self.n = domain.n
-        self._support = None
         self.validated = False
         if check:
             self.validate()
@@ -138,11 +136,9 @@ class ConditionalExpectation:
         """The functional x -> functional(E(x)) as a PositiveFunctional."""
         return PositiveFunctional(_pullback_density(self.map_matrix, functional.density))
 
-    @property
+    @functools.cached_property
     def support(self):
-        if self._support is None:
-            self._support = support_of_map(self)
-        return self._support
+        return support_of_map(self)
 
     def validate(self):
         k, images = self.map_matrix, self.images
@@ -442,7 +438,7 @@ def support_ideal_expectation(omega, d, m):
     support = support_of_map(e)
     if hs_norm(support @ z - support) > tol(1e-8):
         raise InvariantViolation("map support is not dominated by the ideal support")
-    e._support = support
+    e.support = support
     return e
 
 

@@ -188,15 +188,6 @@ def instance_to_dict(inst):
     return out
 
 
-def serialize_instance(inst, path=None):
-    """JSON text for an instance; optionally written to path."""
-    text = json.dumps(instance_to_dict(inst), sort_keys=True, indent=2) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
-
-
 def random_partition(n, rng):
     """Ordered partition of range(n) into contiguous blocks of random sizes."""
     sizes = []

@@ -20,7 +20,6 @@ from .errors import (
     InvariantViolation,
     NotBoundedBelow,
     NotInvertible,
-    NotPositiveDefinite,
     NotTracial,
     NotTriangularType,
 )
@@ -33,8 +32,6 @@ from .linalg import (
     is_hermitian,
     matpow,
     pd_tol,
-    psd_sqrt,
-    _require_pd,
 )
 from .representing import _check_extends_character
 from .states import tracial_certificate
@@ -92,40 +89,6 @@ def geometric_mean(omega, a, n_powers=24):
     report = GeometricMeanReport(a, value, seq)
     report.validate()
     return report
-
-
-def sqrt_iteration(a):
-    """Iterates x_1 = a, x_{k+1} = (x_k + a x_k^{-1})/2, decreasing to sqrt(a).
-
-    Returns the whole sequence.  Each iterate is a rational function of a,
-    hence Hermitian and commuting with a; from the second step on the
-    sequence decreases in the Loewner order down to the spectral square root.
-    """
-    a = as_matrix(a)
-    if not is_hermitian(a):
-        raise NotPositiveDefinite("square root iteration needs a Hermitian positive definite start")
-    _require_pd(eigh_hermitian(a), "square root iteration")
-    scale = hs_norm(a)
-    xs = [(a + dagger(a)) / 2]
-    for _ in range(200):
-        x = xs[-1]
-        nxt = (x + a @ np.linalg.inv(x)) / 2
-        xs.append((nxt + dagger(nxt)) / 2)
-        if hs_norm(xs[-1] - x) <= tol(1e-12) * scale:
-            break
-    else:
-        raise InconsistencyDetected("square root iteration failed to settle in 200 steps")
-    top = float(np.linalg.norm(a, 2))
-    for k in range(2, len(xs)):
-        drop = eigh_hermitian(xs[k - 1] - xs[k]).eigenvalues
-        if drop[0] < -tol(1e-10) * max(1.0, top):
-            raise InvariantViolation(
-                f"iterate {k + 1} is not below its predecessor (defect {drop[0]:.3e})"
-            )
-    root = psd_sqrt(a)
-    if hs_norm(xs[-1] - root) > tol(1e-9) * max(1.0, hs_norm(root)):
-        raise InconsistencyDetected("iteration limit disagrees with the spectral square root")
-    return xs
 
 
 def _holder_factor(omega, x, s):

@@ -155,16 +155,6 @@ def _require_pd(spec, what):
         )
 
 
-def matfn(x, f):
-    """U f(lambda) U* for Hermitian x. f receives the real eigenvalue vector."""
-    return eigh_hermitian(x).apply(f)
-
-
-def matsqrt(x):
-    """Square root of a Hermitian matrix; complex on negative eigenvalues so matsqrt(x)**2 == x."""
-    return matfn(x, lambda v: np.sqrt(v.astype(complex)))
-
-
 def psd_sqrt(x):
     """Square root of a positive semidefinite matrix, tiny negative eigenvalues clipped to zero."""
     spec = eigh_hermitian(x)
@@ -172,12 +162,6 @@ def psd_sqrt(x):
     if eigs.size and eigs[0] < -pd_tol(spec.norm) - tol(1e-14):
         raise NotPositiveDefinite(f"matrix is not positive semidefinite (min eigenvalue {eigs[0]:.3e})")
     return spec.apply(lambda v: np.sqrt(np.clip(v, 0.0, None)))
-
-
-def matlog(x):
-    spec = eigh_hermitian(x)
-    _require_pd(spec, "log")
-    return spec.apply(np.log)
 
 
 def matpow(x, p):
@@ -471,12 +455,16 @@ def apply_map(map_matrix, x):
     return (x.reshape(-1, n * n) @ map_matrix.T).reshape(x.shape)
 
 
-def minimal_norm_solution(rows, rhs):
-    """Minimal-Frobenius-norm r with Tr(r a_j) = rhs_j for the given matrices a_j."""
+def constraint_system(rows):
+    """The rows vec(a_j^T) of the given matrices a_j, so Tr(r a_j) = (system @ vec(r))_j."""
     mats = [as_matrix(a) for a in rows]
     if not mats:
         raise EmptyInput("no matching constraints")
-    n = mats[0].shape[0]
-    system = np.array([a.T.ravel() for a in mats])  # Tr(r a) = vec(a^T) . vec(r)
+    return np.array([a.T.ravel() for a in mats])
+
+
+def minimal_norm_solution(system, rhs):
+    """Minimal-Frobenius-norm r with system @ vec(r) = rhs, for a constraint_system."""
+    n = math.isqrt(system.shape[1])
     sol, *_ = np.linalg.lstsq(system, np.asarray(rhs, dtype=complex), rcond=None)
     return sol.reshape(n, n)

@@ -21,13 +21,11 @@ from .algebras import (
     _block_algebra,
     check_ss_density,
     diagonal_part_check,
-    from_spanning,
     full_matrix_algebra,
     unitary_conjugate_algebra,
 )
 from .config import tol
 from .errors import (
-    BadPartition,
     DimensionMismatch,
     EmptyInput,
     GSingular,
@@ -36,14 +34,11 @@ from .errors import (
     NotAbelian,
     NotAnExtension,
     NotCentral,
-    NotCentralInD,
     NotDense,
     NotFaithful,
     NotTracial,
-    ProjectionsNotPartition,
 )
 from .expectations import (
-    ConditionalExpectation,
     _domain_images,
     _pullback_density,
     _average_to_central,
@@ -52,13 +47,12 @@ from .expectations import (
     preserving_expectation,
 )
 from .linalg import (
-    Corner,
     OperatorSubspace,
     apply_map,
     as_matrix,
     bimodule_gaps,
     chunk_slices,
-    commutation_gap,
+    constraint_system,
     dagger,
     eigh_hermitian,
     hs_norm,
@@ -68,7 +62,6 @@ from .linalg import (
     orthonormalize,
     pair_products,
     pd_tol,
-    projection_isometry,
     psd_sqrt,
     sandwich_matrix,
     subspace_sum,
@@ -174,8 +167,6 @@ def _block_character(n, blocks, u=None):
     D and Phi, which erases the block tags.  Only the returned objects are
     validated: a rotation builds the coordinate ones unchecked."""
     blocks = [list(blk) for blk in blocks]
-    if sorted(i for blk in blocks for i in blk) != list(range(n)) or any(not blk for blk in blocks):
-        raise BadPartition(f"blocks must partition range({n}), got {blocks}")
     a = _block_algebra(n, blocks, star=False, check=u is None)
     d = _block_algebra(n, blocks, star=True, check=u is None)
     if u is None:
@@ -218,8 +209,8 @@ def _matched_density(constraint_mats, values, m, perturb, rng_seed):
     downstream results can be probed for dependence on the choice of r.
     """
     values = np.asarray(values, dtype=complex)
-    r = minimal_norm_solution(constraint_mats, values)
-    system = np.array([as_matrix(x).T.ravel() for x in constraint_mats])
+    system = constraint_system(constraint_mats)
+    r = minimal_norm_solution(system, values)
     resid = float(np.linalg.norm(system @ r.ravel() - values))
     if resid > tol(1e-9) * max(1.0, float(np.linalg.norm(values))):
         raise InvariantViolation(f"matching: constraints unsatisfied (residual {resid:.3e})")
@@ -227,7 +218,7 @@ def _matched_density(constraint_mats, values, m, perturb, rng_seed):
         rng = np.random.default_rng(rng_seed)
         coeff = rng.standard_normal(m.dim) + 1j * rng.standard_normal(m.dim)
         z = m.space.from_coords(coeff)
-        matched_part = minimal_norm_solution(constraint_mats, system @ z.ravel())
+        matched_part = minimal_norm_solution(system, system @ z.ravel())
         z -= matched_part
         if hs_norm(z) > tol(1e-12):
             r = r + (perturb * hs_norm(r) / hs_norm(z)) * z
@@ -403,58 +394,6 @@ def representing_expectation_state(m, omega, d, a, phi, perturb_r=0.0, rng_seed=
     psi = _preserving_expectation(rho, d, m)  # rho is D-central: averaging checked it
     _check_extends_character(psi, phi)
     return psi, rho
-
-
-def compose_direct_sum(pieces, d=None):
-    """Assemble an expectation on M_n from expectations on the corners of a
-    partition of unity into projections: Psi(x) = sum_t V_t Psi_t(V_t* x V_t) V_t*.
-
-    Each piece is a pair (projection e_t, expectation on the compressed
-    corner e_t M e_t), the compression realized by an isometry V_t with
-    V_t V_t* = e_t.  The projections must be mutually orthogonal, sum to I,
-    and commute with the bimodule algebra.
-    """
-    if not pieces:
-        raise EmptyInput("no pieces to compose")
-    projs = [as_matrix(p) for p, _ in pieces]
-    n = projs[0].shape[0]
-    for p in projs:
-        if hs_norm(p - dagger(p)) > tol(1e-9) or hs_norm(p @ p - p) > tol(1e-9) * max(1.0, hs_norm(p)):
-            raise ProjectionsNotPartition("a piece is not an orthogonal projection")
-    for s in range(len(projs)):
-        for t in range(s + 1, len(projs)):
-            if hs_norm(projs[s] @ projs[t]) > tol(1e-9):
-                raise ProjectionsNotPartition("pieces overlap")
-    if hs_norm(sum(projs) - np.eye(n)) > tol(1e-9) * np.sqrt(n):
-        raise ProjectionsNotPartition("pieces do not sum to the identity")
-    m = full_matrix_algebra(n)
-    k = np.zeros((n * n, n * n), dtype=complex)
-    unit = np.zeros((n, n), dtype=complex)
-    lifted_range, lifted_bimodule = [], []
-    corners = []
-    for p, piece in pieces:
-        v = projection_isometry(p)
-        if piece.n != v.shape[1]:
-            raise DimensionMismatch(
-                f"piece expects dimension {piece.n}, corner has rank {v.shape[1]}"
-            )
-        corner = Corner(v)
-        corners.append(corner)
-        k += corner.lift_map(piece.map_matrix)
-        unit += corner.lift(piece.unit)
-        lifted_range.extend(corner.lift(piece.range_space.tensor))
-        lifted_bimodule.extend(corner.lift(piece.bimodule.space.tensor))
-    bimodule = d if d is not None else from_spanning(lifted_bimodule)
-    # the basis is orthonormal, so each element's scale max(1, ||x||) is 1
-    if any(commutation_gap(p, bimodule.space.tensor) > tol(1e-9) for p in projs):
-        raise NotCentralInD("a piece projection does not commute with D")
-    e = ConditionalExpectation(k, m, orthonormalize(lifted_range), unit, bimodule)
-    for (p, piece), corner in zip(pieces, corners):
-        for y in piece.domain.basis:
-            gap = hs_norm(corner.compress(e(corner.lift(y))) - piece(y))
-            if gap > tol(1e-8) * max(1.0, hs_norm(y)):
-                raise InvariantViolation(f"composition does not extend a piece (gap {gap:.3e})")
-    return e
 
 
 def representing_expectation_commutative(m, sigma, d, a, phi):

@@ -6,6 +6,7 @@ here regularizes a singular density; non-faithful functionals are handled by
 compressing to the support projection.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,6 @@ class PositiveFunctional:
     def __init__(self, density, check=True):
         self.density = as_matrix(density)
         self.n = self.density.shape[0]
-        self._spectrum = None
-        self._support = None
         if check:
             self.validate()
 
@@ -60,11 +59,9 @@ class PositiveFunctional:
     def __call__(self, x):
         return complex(np.einsum("ij,ji->", self.density, np.asarray(x, dtype=complex)))
 
-    @property
+    @functools.cached_property
     def spectrum(self):
-        if self._spectrum is None:
-            self._spectrum = hermitian_part_spectrum(self.density)
-        return self._spectrum
+        return hermitian_part_spectrum(self.density)
 
     def validate(self):
         scale = float(np.linalg.norm(self.density, 2))
@@ -87,12 +84,10 @@ class PositiveFunctional:
         """Is the density positive definite?  _faithful_spectrum's test on its eigenvalues."""
         return _faithful_spectrum(self.spectrum.eigenvalues)
 
-    @property
+    @functools.cached_property
     def support(self):
-        if self._support is None:
-            cutoff = pd_tol(float(self.spectrum.eigenvalues[-1])) if self.n else 0.0
-            self._support = self.spectrum.support(cutoff)
-        return self._support
+        cutoff = pd_tol(float(self.spectrum.eigenvalues[-1])) if self.n else 0.0
+        return self.spectrum.support(cutoff)
 
     def restricted_density(self, algebra):
         """Orthogonal projection of the density onto the algebra's span.

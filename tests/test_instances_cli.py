@@ -19,7 +19,6 @@ from ncrep.instances import (
     random_central_density,
     random_density,
     random_partition,
-    serialize_instance,
 )
 from ncrep.states import is_D_central
 
@@ -79,7 +78,7 @@ def test_parse_canonical_triangular(tmp_path):
 def test_round_trip_is_semantically_idempotent():
     for n, conjugate, seed_ in ((4, False, 1), (5, True, 2), (3, True, 3)):
         inst = random_block_instance(n, np.random.default_rng(seed_), conjugate=conjugate)
-        back = instance_from_dict(json.loads(serialize_instance(inst)))
+        back = instance_from_dict(json.loads(json.dumps(instance_to_dict(inst))))
         assert back.n == inst.n
         assert np.allclose(
             back.d.space.projector_matrix(), inst.d.space.projector_matrix(), atol=1e-12
@@ -97,16 +96,8 @@ def test_a_nearly_tracial_density_is_written_out():
     density = np.diag([1 / 3 + 1e-6, 1 / 3 - 1e-6, 1 / 3])
     inst = instance_from_dict(dict(M3_CORNER, state={"density": encode_matrix(density)}))
     assert "density" in instance_to_dict(inst)["state"]
-    back = instance_from_dict(json.loads(serialize_instance(inst)))
+    back = instance_from_dict(json.loads(json.dumps(instance_to_dict(inst))))
     assert np.allclose(back.state.density, density, rtol=0, atol=1e-14)
-
-
-def test_serialize_writes_file(tmp_path):
-    inst = random_block_instance(3, np.random.default_rng(4))
-    path = tmp_path / "inst.json"
-    text = serialize_instance(inst, str(path))
-    assert path.read_text() == text
-    assert parse_instance(str(path)).n == 3
 
 
 def test_non_multiplicative_character_matrix_rejected(tmp_path):

@@ -7,7 +7,6 @@ from ncrep.errors import (
     InvariantViolation,
     NotBoundedBelow,
     NotInvertible,
-    NotPositiveDefinite,
     NotTracial,
     NotTriangularType,
 )
@@ -17,7 +16,6 @@ from ncrep.jensen import (
     jensen_check,
     jensen_measure_suite,
     logmodular_witness,
-    sqrt_iteration,
 )
 from ncrep.linalg import dagger, hs_norm, matpow, psd_sqrt
 from ncrep.representing import make_block_character, representing_expectation_tracial
@@ -83,47 +81,6 @@ def test_geometric_mean_gates():
     not_a_state = PositiveFunctional(np.diag([1.0, 1.0]).astype(complex))
     with pytest.raises(InvariantViolation):
         geometric_mean(not_a_state, np.eye(2, dtype=complex))
-
-
-def test_sqrt_iteration_identity_is_constant():
-    xs = sqrt_iteration(np.eye(3, dtype=complex))
-    assert all(hs_norm(x - np.eye(3)) < 1e-12 for x in xs)
-
-
-def test_sqrt_iteration_matches_scalar_newton():
-    xs = sqrt_iteration(np.diag([4.0, 9.0]).astype(complex))
-    scalars = [(4.0, 9.0)]
-    while len(scalars) < len(xs):
-        u, v = scalars[-1]
-        scalars.append(((u + 4.0 / u) / 2, (v + 9.0 / v) / 2))
-    for x, (u, v) in zip(xs, scalars):
-        assert hs_norm(x - np.diag([u, v])) < 1e-10
-
-
-def test_sqrt_iteration_random_pd_and_denman_beavers():
-    rng = np.random.default_rng(12)
-    for n in (2, 3, 4):
-        x = random_matrix(n, rng)
-        a = x @ dagger(x) + 0.5 * np.eye(n)
-        xs = sqrt_iteration(a)
-        root = psd_sqrt(a)
-        assert hs_norm(xs[-1] - root) < 1e-9 * hs_norm(root)
-        # independent oracle: the Denman-Beavers coupled iteration
-        y, z = a.copy(), np.eye(n, dtype=complex)
-        for _ in range(60):
-            y, z = (y + np.linalg.inv(z)) / 2, (z + np.linalg.inv(y)) / 2
-        assert hs_norm(xs[-1] - y) < 1e-8 * max(1.0, hs_norm(y))
-        # monotone decrease from the second iterate on
-        for k in range(2, len(xs)):
-            drop = np.linalg.eigvalsh(xs[k - 1] - xs[k])
-            assert drop[0] > -1e-9 * max(1.0, np.linalg.norm(a, 2))
-
-
-def test_sqrt_iteration_gates():
-    with pytest.raises(NotPositiveDefinite):
-        sqrt_iteration(np.diag([1.0, -1.0]).astype(complex))
-    with pytest.raises(NotPositiveDefinite):
-        sqrt_iteration(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
 
 
 def test_agm_lemma_for_commuting_positives():

@@ -12,14 +12,13 @@ from ncrep.linalg import (
     apply_map,
     commutation_gap,
     commutator,
+    constraint_system,
     dagger,
+    eigh_hermitian,
     hs_norm,
     hs_norms,
     imag_power,
-    matfn,
-    matlog,
     matpow,
-    matsqrt,
     minimal_norm_solution,
     orthonormalize,
     psd_sqrt,
@@ -74,19 +73,6 @@ def test_hs_norms_is_hs_norm_per_entry():
     assert hs_norm(np.zeros((0, 0))) == 0.0
 
 
-def test_matsqrt_frozen():
-    a = np.array([[2.0, 1.0], [1.0, 2.0]])
-    r3 = np.sqrt(3.0)
-    want = np.array([[(r3 + 1) / 2, (r3 - 1) / 2], [(r3 - 1) / 2, (r3 + 1) / 2]])
-    assert np.allclose(matsqrt(a), want, atol=1e-12)
-
-
-def test_matsqrt_indefinite_squares_back():
-    a = np.diag([4.0, -9.0]).astype(complex)
-    s = matsqrt(a)
-    assert np.allclose(s @ s, a, atol=1e-12)
-
-
 def test_psd_sqrt_matches_newton():
     rng = np.random.default_rng(7)
     for n in (2, 3, 5):
@@ -99,17 +85,6 @@ def test_psd_sqrt_rejects_indefinite():
         psd_sqrt(np.diag([1.0, -1.0]))
 
 
-def test_matlog_matexp_roundtrip():
-    rng = np.random.default_rng(3)
-    a = positive_definite(4, rng)
-    assert np.allclose(matfn(matlog(a), np.exp), a, atol=1e-10 * hs_norm(a))
-
-
-def test_matlog_rejects_singular():
-    with pytest.raises(NotPositiveDefinite):
-        matlog(np.diag([1.0, 0.0]))
-
-
 def test_matpow_negative_requires_pd():
     assert np.allclose(matpow(np.diag([4.0, 9.0]), -0.5), np.diag([0.5, 1.0 / 3.0]))
     with pytest.raises(NotPositiveDefinite):
@@ -118,7 +93,7 @@ def test_matpow_negative_requires_pd():
 
 def test_eigh_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
-        matsqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        eigh_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_imag_power_frozen_phase():
@@ -191,21 +166,12 @@ def test_sandwich_and_mult_matrices():
 
 def test_minimal_norm_solution_hits_constraints():
     rows = [np.diag([1.0, 0.0]), np.eye(2)]
-    r = minimal_norm_solution(rows, [0.25, 1.0])
+    r = minimal_norm_solution(constraint_system(rows), [0.25, 1.0])
     assert np.trace(r @ rows[0]) == pytest.approx(0.25)
     assert np.trace(r @ rows[1]) == pytest.approx(1.0)
 
 
 complex_entries = st.complex_numbers(min_magnitude=0, max_magnitude=3, allow_nan=False, allow_infinity=False)
-
-
-@seed(1)
-@settings(max_examples=40, deadline=None)
-@given(arrays(complex, (3, 3), elements=complex_entries))
-def test_matsqrt_squares_back(x):
-    h = (x + dagger(x)) / 2
-    s = matsqrt(h)
-    assert hs_norm(s @ s - h) <= 1e-8 * max(1.0, hs_norm(h))
 
 
 @seed(2)

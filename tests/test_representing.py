@@ -17,11 +17,9 @@ from ncrep.errors import (
     NotAbelian,
     NotAnExtension,
     NotCentral,
-    NotCentralInD,
     NotDense,
     NotFaithful,
     NotTracial,
-    ProjectionsNotPartition,
 )
 from ncrep.expectations import preserving_expectation
 from ncrep.linalg import dagger, hs_norm, sandwich_matrix
@@ -31,7 +29,6 @@ from ncrep.representing import (
     _matched_density,
     _polar_factors,
     _projected_factor,
-    compose_direct_sum,
     extension_via_ss_density,
     make_block_character,
     mth_check,
@@ -309,58 +306,6 @@ def test_gsingular_gate_reports_conditioning():
     with pytest.raises(GSingular):
         _invertible_average(np.diag([1.0, 1e-14]).astype(complex), "g")
     _invertible_average(np.diag([1.0, 1e-10]).astype(complex), "g")
-
-
-def test_compose_single_piece_is_the_piece():
-    m = full_matrix_algebra(2)
-    tau = PositiveFunctional.tracial(2)
-    d = from_spanning([np.diag([1.0, 0]), np.diag([0, 1.0])])
-    pinch = preserving_expectation(tau, d, m)
-    composed = compose_direct_sum([(np.eye(2, dtype=complex), pinch)])
-    assert np.linalg.norm(composed.map_matrix - pinch.map_matrix) < 1e-10
-
-
-def test_compose_two_corners_gives_the_pinching():
-    m1 = full_matrix_algebra(1)
-    one = preserving_expectation(PositiveFunctional(np.eye(1, dtype=complex)), scalar_algebra(1), m1)
-    composed = compose_direct_sum([(np.diag([1.0, 0]).astype(complex), one),
-                                   (np.diag([0, 1.0]).astype(complex), one)])
-    x = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    assert hs_norm(composed(x) - np.diag([1.0, 4.0])) < 1e-10
-    assert composed.bimodule.dim == 2
-
-
-def test_compose_block_corners_in_m4():
-    m2 = full_matrix_algebra(2)
-    tau2 = PositiveFunctional.tracial(2)
-    to_scalars = preserving_expectation(tau2, scalar_algebra(2), m2)
-    e1 = np.diag([1.0, 1.0, 0, 0]).astype(complex)
-    e2 = np.diag([0, 0, 1.0, 1.0]).astype(complex)
-    composed = compose_direct_sum([(e1, to_scalars), (e2, to_scalars)])
-    x = np.arange(16, dtype=complex).reshape(4, 4)
-    want = np.diag([2.5, 2.5, 12.5, 12.5])  # half-trace of each diagonal block
-    assert hs_norm(composed(x) - want) < 1e-10
-    # corner expectations are recovered through the isometries
-    v = np.zeros((4, 2), dtype=complex)
-    v[0, 0] = v[1, 1] = 1.0
-    y = np.array([[1.0, 1j], [2.0, 0.0]], dtype=complex)
-    assert hs_norm(dagger(v) @ composed(v @ y @ dagger(v)) @ v - to_scalars(y)) < 1e-10
-
-
-def test_compose_gates():
-    m1 = full_matrix_algebra(1)
-    one = preserving_expectation(PositiveFunctional(np.eye(1, dtype=complex)), scalar_algebra(1), m1)
-    p1 = np.diag([1.0, 0]).astype(complex)
-    p2 = np.diag([0, 1.0]).astype(complex)
-    with pytest.raises(ProjectionsNotPartition):
-        compose_direct_sum([(p1, one), (p1, one)])
-    with pytest.raises(ProjectionsNotPartition):
-        compose_direct_sum([(p1, one)])
-    with pytest.raises(ProjectionsNotPartition):
-        compose_direct_sum([(np.array([[0.5, 0.5], [0.5, 0.5]]) @ np.diag([2.0, 0]), one), (p2, one)])
-    flip = from_spanning([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])])
-    with pytest.raises(NotCentralInD):
-        compose_direct_sum([(p1, one), (p2, one)], d=flip)
 
 
 def test_commutative_point_mass():
