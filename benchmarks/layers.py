@@ -15,7 +15,11 @@ complex Gaussian combinations of D's basis, (2 n^2, n^2).  At n = 4, 10
 and 16 the bimodule_gaps rows time the module-gap kernel alone on D's
 basis, for the expectation's map (domain M) and the character's (domain A);
 on a checkout whose kernel still reads the domain basis and its images,
-those are formed before the timing, as its callers held them.  The
+those are formed before the timing, as its callers held them.  At n = 24
+the one bimodule_gaps row takes D block diagonal with coordinate blocks
+(8, 8, 8) and the block pinching x -> sum_t p_t x p_t, which is both the
+tracial expectation onto D and, on A, the block character; that row needs
+the two-argument kernel.  The
 centrality rows time is_D_central and locally_central_check (cap 16) on the
 seeded faithful density, which is not D-central, and sample_projections on D
 at caps 16 and 64; the commutative rows time sample_projections on the
@@ -48,6 +52,8 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 SIZES = {4: [1, 3], 8: [1, 3, 4], 10: [1, 3, 6], 12: [4, 4, 4], 16: [5, 5, 6]}
 REPEATS = {4: 200, 8: 20, 10: 10, 12: 5, 16: 3}
 GAPS_SIZES = (4, 10, 16)
+# bimodule_gaps rows on coordinate blocks, at sizes without a rotated instance in SIZES
+COORDINATE_BLOCKS = {24: [8, 8, 8]}
 COMMUTATIVE_SIZES = (3, 4)
 DIAGNOSIS_BLOCKS = [[0, 1, 2, 3], [4, 5, 6], [7]]
 
@@ -134,6 +140,17 @@ def _gaps_rows(bimodule_gaps, e, phi, d, repeats):
     return rows
 
 
+def _coordinate_gaps_row(bimodule_gaps, n, sizes, repeats):
+    """The bimodule_gaps row for D block diagonal in M_n with coordinate blocks and the block pinching."""
+    import numpy as np
+    from ncrep.algebras import block_diagonal_algebra
+
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    d = block_diagonal_algebra(n, [np.flatnonzero(labels == t).tolist() for t in range(len(sizes))])
+    k = np.diag((labels[:, None] == labels[None, :]).ravel().astype(complex))
+    return {"bimodule_gaps (pinching)": _measure(lambda: bimodule_gaps(k, d.space.tensor), repeats)}
+
+
 def _diagnosis_rows(repeats):
     """existence_diagnosis on the block-diagonal D in M_8 for the central, non-central and truncated states."""
     import numpy as np
@@ -200,6 +217,8 @@ def main():
             layers[f"n={n}"].update(_projection_rows(sample_projections, d, cap, reps))
         if n in GAPS_SIZES:
             layers[f"n={n}"].update(_gaps_rows(bimodule_gaps, e, phi, d, reps))
+    for n, sizes in COORDINATE_BLOCKS.items():
+        layers[f"n={n}"] = dict(blocks=sizes, **_coordinate_gaps_row(bimodule_gaps, n, sizes, REPEATS[16]))
     for n in COMMUTATIVE_SIZES:
         d = diagonal_algebra(n)
         layers[f"diagonal n={n}"] = {}

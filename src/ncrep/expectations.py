@@ -6,10 +6,15 @@ algebra and keeps its values E(x_j) on the domain's orthonormal basis, so the
 stored map is defined on all of M_n.  Unitality on the range unit,
 idempotence, positivity and range membership are checked through those
 values, and the D-bimodule property (linalg.bimodule_gaps) through the
-stored map read as the 4-tensor of its entries: E∘L_d, L_d∘E, E∘R_d and
-R_d∘E, with L_d, R_d left and right multiplication by a basis element d of
-D, are mode products, one gemm of inner dimension n per chunk of D's basis.
-No n^2 x n^2 multiplication or complement operator is formed.
+stored map's operator-Schmidt factors: written E(x) = sum_s X_s x Y_s^T
+with orthonormal partners, E∘L_d - L_d∘E and E∘R_d - R_d∘E, with L_d, R_d
+left and right multiplication by a basis element d of D, have the norms of
+the stacked commutators [X_s, d] and [Y_s^T, d].  A module map has at most
+dim D' factors a side, which a fixed Gaussian sketch of the map finds; the
+check then costs two thin SVDs of at most n^2 x 2n and O(dim D' dim D n^3)
+flops.  Small maps, and maps of high Schmidt rank, use their own n^2 columns
+and rows instead, in O(dim D n^5).  No n^2 x n^2 multiplication or
+complement operator is formed.
 
 One builder, _preserving_expectation, solves the Gram system of the range
 algebra in the omega-inner product.  That needs omega faithful on the range

@@ -10,6 +10,7 @@ Conventions used throughout the package:
   positivity fail loudly below that; nothing is ever regularized.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -369,6 +370,11 @@ class Corner:
 
 # the most elements the intermediates of one chunk of a batched contraction hold
 _CHUNK_ELEMENTS = 1 << 16
+# float64 machine epsilon, the unit of an SVD's rounding floor
+_EPS = np.finfo(float).eps
+# the elements of the products of a map's own factors with a basis above which
+# bimodule_gaps sketches the map's Schmidt rank
+_SKETCH_FROM = 1 << 14
 
 
 def chunk_slices(count, item_size):
@@ -403,16 +409,94 @@ def trace_pairings(y, x):
     return y.reshape(len(y), n * n) @ x.swapaxes(1, 2).reshape(len(x), n * n).T
 
 
+@functools.lru_cache(maxsize=16)
+def _sketch(rows, width):
+    """A fixed complex Gaussian test matrix (rows, width), read-only and reused across calls."""
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((rows, width)) + 1j * rng.standard_normal((rows, width))
+    g.flags.writeable = False
+    return g
+
+
+def _schmidt_factors(t, q):
+    """Factors of the map with 4-tensor t[a, b, g, e] = K(E_ge)[a, b], for its module gaps
+    at q basis elements (bimodule_gaps).
+
+    Realigned, t is the n^2 x n^2 matrix R[(a, g), (b, e)].  A splitting
+    R = sum_s x_s y_s^* reads K(x) = sum_s X_s x Y_s^T, with X_s and Y_s
+    the vectors x_s and conj(y_s) as n x n matrices.  Returns (left, right,
+    tail): left[g, s, a] = W_s[a, g] for the W_s = X_s of a splitting whose
+    y_s are orthonormal, right the same for as many W_s = Y_s^T of one
+    whose x_s are orthonormal, and tail bounds the Frobenius norm of the
+    part of R that the splittings leave out.
+
+    The splittings are R's own columns against unit vectors and unit
+    vectors against R's rows (tail 0), unless a sketch finds R of low
+    rank.  The sketch is R G for a fixed Gaussian G of width
+    p = min(2n, n^2/2): a module map over a D without multiplicity has
+    Schmidt rank at most dim D' <= n, so p certifies its rank with room to
+    spare, and a wider one would cost what it saves.  When R G has
+    numerical rank r < p, its left singular vectors Q span R's range up to
+    rounding, and the thin SVD of Q* R gives R = sum_s sigma_s u_s v_s^*
+    + (R - QQ*R) with orthonormal u_s and v_s.  The factors above the
+    SVD's rounding floor n^2 eps sigma_max are kept, as sigma_s u_s against
+    v_s and as u_s against sigma_s v_s; the tail is the exact residual
+    R - QQ*R together with the dropped sigma_s, which are orthogonal to it.
+    The sketch is tried only where it can pay.  Its R G costs about 2 n^5
+    flops against the 4 q n^5 of the products of R's own factors with the
+    basis, a small share only for q >= n (a module map over an algebra B
+    has Schmidt rank up to dim B' >= n^2 / dim B, so a small B rarely gives
+    a rank below p anyway); and while those products hold fewer than
+    _SKETCH_FROM elements, their few gemms cost less than its two SVDs.
+    """
+    n = t.shape[0]
+    nn = n * n
+    if q >= n and 4 * q * nn * nn > _SKETCH_FROM:
+        r = t.swapaxes(1, 2).reshape(nn, nn)
+        width = min(2 * n, nn // 2)
+        u, s, _ = np.linalg.svd(r @ _sketch(nn, width), full_matrices=False)
+        rank = int(np.count_nonzero(s > nn * _EPS * s[0]))
+        if 0 < rank < width:
+            range_basis = u[:, :rank]
+            b = dagger(range_basis) @ r
+            ub, sb, vh = np.linalg.svd(b, full_matrices=False)
+            keep = int(np.count_nonzero(sb > nn * _EPS * sb[0]))
+            rest = range_basis @ b
+            rest -= r
+            tail = math.hypot(hs_norm(rest), hs_norm(sb[keep:]))
+            sb = sb[:keep]
+            left = (range_basis @ (ub[:, :keep] * sb)).reshape(n, n, keep).transpose(1, 2, 0)
+            right = (sb[:, None] * vh[:keep]).reshape(keep, n, n).transpose(1, 0, 2)
+            return left, right, tail
+    # X_s for column (b, e) of R is t[:, b, :, e]; Y_s for row (a, g) is t[a, :, g, :]
+    return t.transpose(2, 1, 3, 0).reshape(n, nn, n), t.transpose(1, 0, 2, 3).reshape(n, nn, n), 0.0
+
+
 def bimodule_gaps(k, basis):
     """Module gaps of the map K with matrix k at each element d of a stacked basis (q, n, n).
 
-    Row 0 of the (2, q) result holds the left gaps ||K L_d - L_d K||_F,
-    row 1 the right gaps ||K R_d - R_d K||_F, with L_d and R_d the
-    matrices of x -> dx and x -> xd, over all of M_n.  k is read as the
-    4-tensor t[a, b, g, e] = K(E_ge)[a, b], and each of K L_d, L_d K,
-    K R_d and R_d K is a mode product of t with d: per chunk of the basis,
-    one gemm of inner dimension n, so O(q n^5) flops in all.  No n^2 x n^2
-    side matrix and no product of a domain basis is formed.
+    Row 0 of the (2, q) result holds upper bounds on the left gaps
+    ||K L_d - L_d K||_F, row 1 on the right gaps ||K R_d - R_d K||_F, with
+    L_d and R_d the matrices of x -> dx and x -> xd, over all of M_n.
+
+    With K(x) = sum_s X_s x Y_s^T from _schmidt_factors, K L_d - L_d K is
+    x -> sum_s [X_s, d] x Y_s^T, of Frobenius norm squared
+    sum_s ||[X_s, d]||^2 when the Y_s are orthonormal, and K R_d - R_d K is
+    x -> sum_s X_s x [d, Y_s^T], of norm squared sum_s ||[Y_s^T, d]||^2
+    when the X_s are orthonormal.  So each gap is a sum over commutators
+    [W, d] of the factors W = X_s, resp. Y_s^T, with the basis: per chunk
+    of the basis one gemm for the products W d and one per d for the d W,
+    all of inner dimension n, O(c q n^3) flops for c factors.  A module map
+    over D keeps at most 2 dim D' of them, a map of full Schmidt rank has
+    2 n^2, and takes its two sides in turn.  No n^2 x n^2 side matrix is
+    formed.
+
+    The part T of K that the factors leave out has Frobenius norm at most
+    tail, and changes either gap by at most ||T L_d|| + ||L_d T||
+    <= 2 ||d||_F tail.  So 2 ||d||_F tail is added to every gap: the result
+    is never below the exact gap, and above it by at most 4 ||d||_F tail,
+    which is of rounding size (tail is 0 when R's own columns and rows are
+    the factors).
 
     The map checks store K = KP, P the projection onto their domain.  For
     S = L_d or R_d, ||KS - SK||^2 = ||(KS - SK)P||^2 + ||KPSP'||^2 with
@@ -423,29 +507,31 @@ def bimodule_gaps(k, basis):
     algebra A that contains the *-algebra D, which its check confirms first.
     """
     q, n, _ = basis.shape
-    t = np.ascontiguousarray(k).reshape(n, n, n, n)
-    gaps = np.empty((2, q))
-    # per element d: the two n^4 products of one side; the sides take turns
-    parts = chunk_slices(q, 2 * n**4)
-    # left: (L_d K)[a, b, g, e] = sum_c d[a, c] t[c, b, g, e]; (K L_d)[a, b, h, e] = sum_g d[g, h] t[a, b, g, e]
-    regrouped = t.transpose(2, 0, 1, 3).reshape(n, -1)
-    for part in parts:
-        d = basis[part]
-        c = len(d)
-        above = d.swapaxes(1, 2).reshape(c * n, n)  # the transposes d^T, one above the other
-        side = (d.reshape(c * n, n) @ t.reshape(n, -1)).reshape(c, n, n, n, n)
-        side -= (above @ regrouped).reshape(c, n, n, n, n).transpose(0, 2, 3, 1, 4)
-        gaps[0, part] = hs_norms(side)
-    # right: (R_d K)[a, b, g, e] = sum_c t[a, c, g, e] d[c, b]; (K R_d)[a, b, g, f] = sum_e t[a, b, g, e] d[f, e]
-    regrouped = t.transpose(1, 0, 2, 3).reshape(n, -1)
-    for part in parts:
-        d = basis[part]
-        c = len(d)
-        above = d.swapaxes(1, 2).reshape(c * n, n)
-        beside = d.transpose(2, 0, 1).reshape(n, c * n)  # the d^T side by side
-        side = (above @ regrouped).reshape(c, n, n, n, n)
-        side -= (t.reshape(-1, n) @ beside).reshape(n, n, n, c, n).transpose(3, 1, 0, 2, 4)
-        gaps[1, part] = hs_norms(side)
+    left, right, tail = _schmidt_factors(np.reshape(k, (n, n, n, n)), q)
+    c = left.shape[1]
+    # per basis element, two products of c n^2 elements a side; a chunk holds half of
+    # _CHUNK_ELEMENTS in them, both sides at once when one element's fit, else a side at a time
+    if 8 * c * n * n <= _CHUNK_ELEMENTS:
+        sides = [(slice(0, 2), np.concatenate((left, right), axis=1))]
+    else:
+        sides = [(slice(0, 1), np.ascontiguousarray(left)), (slice(1, 2), np.ascontiguousarray(right))]
+    width = sides[0][1].shape[1]  # factors per chunk
+    parts = chunk_slices(q, 4 * width * n * n)
+    buffers = np.empty((2, min(q, parts[0].stop) * width * n * n), dtype=complex)
+    squares = np.empty((q, 2))
+    for side, w in sides:
+        for part in parts:
+            d_t = basis[part].swapaxes(1, 2)  # the d^T
+            m = len(d_t)
+            first, second = buffers[:, : m * width * n * n]
+            # [t, b, i, a] = (W_i d_t)[a, b] - (d_t W_i)[a, b], from one gemm and one per d
+            brackets = np.matmul(d_t.reshape(m * n, n), w.reshape(n, -1), out=first.reshape(m * n, -1))
+            brackets -= np.matmul(w.reshape(-1, n), d_t, out=second.reshape(m, -1, n)).reshape(m * n, -1)
+            flat = brackets.view(float).reshape(m, n, width // c, -1)
+            squares[part, side] = np.einsum("tbhx,tbhx->th", flat, flat)
+    gaps = np.sqrt(squares.T)
+    if tail:
+        gaps += 2 * tail * hs_norms(basis)
     return gaps
 
 

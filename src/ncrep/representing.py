@@ -129,6 +129,7 @@ class DCharacter:
             want = pair_products(images[part], images).reshape(-1, n * n)
             defects.append(hs_norms(prods @ k.T - want))
             allowed.append(tol(1e-8) * np.maximum(1.0, hs_norms(prods)))
+        del prods, want  # the last chunk's products are not held through the checks below
         defects, allowed = np.concatenate(defects), np.concatenate(allowed)
         if np.any(defects > allowed):
             raise InvariantViolation(

@@ -49,6 +49,7 @@ class PositiveFunctional:
     def __init__(self, density, check=True):
         self.density = as_matrix(density)
         self.n = self.density.shape[0]
+        self._restricted = {}  # restricted_density per algebra object
         if check:
             self.validate()
 
@@ -94,9 +95,14 @@ class PositiveFunctional:
 
         For a *-subalgebra this is the density of the restriction: the
         projected matrix represents omega on the subalgebra and is again
-        positive semidefinite.
+        positive semidefinite.  Like the spectrum, it is computed once per
+        algebra object and kept, read-only.
         """
-        return algebra.space.project(self.density)
+        kept = self._restricted
+        if algebra not in kept:
+            kept[algebra] = algebra.space.project(self.density)
+            kept[algebra].flags.writeable = False
+        return kept[algebra]
 
     def support_in(self, algebra):
         """Support projection of the restriction to a *-subalgebra; lies in the algebra."""

@@ -17,7 +17,12 @@ import pytest
 
 from ncrep import algebras, states
 from ncrep.algebras import block_diagonal_algebra, diagonal_algebra, full_matrix_algebra
-from ncrep.expectations import _average_to_central, existence_diagnosis, preserving_expectation
+from ncrep.expectations import (
+    _average_to_central,
+    existence_diagnosis,
+    preserving_expectation,
+    support_ideal_expectation,
+)
 from ncrep.errors import GramSingular
 from ncrep.instances import random_block_instance, random_central_density, random_density
 from ncrep.representing import representing_expectation_state, representing_expectation_tracial
@@ -129,3 +134,19 @@ def test_pipelines_on_one_instance_solve_the_relative_commutant_once(monkeypatch
     for pipeline in (representing_expectation_tracial, representing_expectation_state):
         pipeline(inst.m, inst.state, inst.d, inst.a, inst.phi)
     assert [within for _, within in solved] == [inst.m]
+
+
+@pytest.mark.parametrize("blocks", [[[0], [1], [2]], [[0, 1], [2]]])
+def test_a_support_ideal_build_projects_the_density_onto_M_once(blocks):
+    # omega = e_33 on M_3, ACCEPTANCE 01's corner: the D-centrality probe and the
+    # preservation check read one projection of omega's density onto M
+    m = full_matrix_algebra(3)
+    omega = PositiveFunctional(np.diag([0.0, 0.0, 1.0]).astype(complex))
+    d = block_diagonal_algebra(3, blocks)
+    onto_m = []
+    project = m.space.project
+    m.space.project = lambda x: onto_m.append(x) or project(x)
+    support_ideal_expectation(omega, d, m)
+    assert len(onto_m) == 1
+    assert omega.restricted_density(m) is omega.restricted_density(m)
+    assert not omega.restricted_density(m).flags.writeable

@@ -29,7 +29,7 @@ from dense_oracle import (
     right_mult_matrix,
     sandwich,
 )
-from ncrep import algebras, states
+from ncrep import algebras, linalg, states
 from ncrep.algebras import (
     StarAlgebra,
     block_diagonal_algebra,
@@ -41,6 +41,7 @@ from ncrep.algebras import (
     unitary_conjugate_algebra,
 )
 from ncrep.config import tol
+from ncrep.errors import InvariantViolation
 from ncrep.expectations import (
     ConditionalExpectation,
     _modular_gaps,
@@ -114,17 +115,74 @@ def test_bimodule_gaps_bound_the_gaps_on_any_domain(n, data):
     assert np.abs(gaps - dense_side_gaps(k, b, np.eye(n * n))).max() <= bound
 
 
-def test_bimodule_gaps_across_chunks():
-    # D with blocks (5, 1) in M_6: 26 basis elements, more than one chunk of the kernel
+def test_bimodule_gaps_across_chunks(monkeypatch):
+    # D with blocks (5, 1) in M_6: 26 basis elements.  The character's map has Schmidt rank 2
+    # and meets the basis in one chunk; the noisy identity has full Schmidt rank, and its
+    # 72 factors meet the basis in more than one
     rng = np.random.default_rng(11)
     a, d, phi = make_block_character(6, [[0, 1, 2, 3, 4], [5]])
     b = d.space.tensor
-    assert len(chunk_slices(len(b), 2 * 6**4)) > 1
+    slices = []
+
+    def recording(count, item_size):
+        slices.append(chunk_slices(count, item_size))
+        return slices[-1]
+
+    monkeypatch.setattr(linalg, "chunk_slices", recording)
     eye = np.eye(36)
-    for k, p in ((phi.map_matrix, a.space.projector_matrix()), (eye + 1e-3 * random_complex((36, 36), rng), eye)):
+    maps = ((phi.map_matrix, a.space.projector_matrix(), 1), (eye + 1e-3 * random_complex((36, 36), rng), eye, 5))
+    for k, p, chunks in maps:
+        del slices[:]
         gaps = bimodule_gaps(k, b)
+        assert [len(parts) for parts in slices] == [chunks]
         want = dense_side_gaps(k, b, p)
         assert np.abs(gaps - want).max() <= 1e-12 * max(1.0, np.linalg.norm(k))
+
+
+def schmidt_rank_map(n, rank, rng):
+    """The matrix of a map with the given operator-Schmidt rank: its realignment
+    R[(a, g), (b, e)] = K(E_ge)[a, b] is a product of (n^2, rank) and (rank, n^2) Gaussians."""
+    realigned = random_complex((n * n, rank), rng) @ random_complex((rank, n * n), rng)
+    return realigned.reshape(n, n, n, n).swapaxes(1, 2).reshape(n * n, n * n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(6, 8), st.sampled_from([0.5, 2.0]), st.data())
+def test_bimodule_gaps_of_truncated_factors_bound_the_dense_sides(n, size, data):
+    # a map of Schmidt rank below the sketch's width, plus a rank-one perturbation whose
+    # singular value is half, resp. twice, the kept factors' floor n^2 eps sigma_max
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    b = random_block_instance(n, rng, conjugate=True).d.space.tensor
+    k = schmidt_rank_map(n, data.draw(st.integers(1, 2 * n - 2)), rng)
+    sigma_max = np.linalg.norm(k.reshape(n, n, n, n).swapaxes(1, 2).reshape(n * n, n * n), 2)
+    bump = schmidt_rank_map(n, 1, rng)
+    k = k + size * n * n * np.finfo(float).eps * sigma_max / np.linalg.norm(bump, 2) * bump
+    left, _, tail = linalg._schmidt_factors(k.reshape(n, n, n, n), len(b))
+    assert left.shape[1] < n * n  # the sketch found the low rank
+    gaps = bimodule_gaps(k, b)
+    want = dense_side_gaps(k, b, np.eye(n * n))
+    rounding = 1e-12 * max(1.0, np.linalg.norm(k))
+    assert np.all(gaps >= want - rounding)
+    assert np.all(gaps <= want + 4 * tail * np.linalg.norm(b, axis=(1, 2)) + rounding)
+
+
+def test_broken_maps_raise_what_they_raised_with_the_sketch_and_without():
+    # the tau-expectation onto a block-diagonal D1 declared a module map over a rotated D2:
+    # unital, idempotent and positive, but not a D2-bimodule map; n = 8 takes the sketch, n = 3 not
+    for n, blocks in ((8, [[0, 1, 2], [3, 4, 5], [6, 7]]), (3, [[0, 1], [2]])):
+        m = full_matrix_algebra(n)
+        d1 = block_diagonal_algebra(n, blocks)
+        d2 = unitary_conjugate_algebra(d1, haar_unitary(n, np.random.default_rng(n)))
+        e = preserving_expectation(PositiveFunctional.tracial(n), d1, m)
+        with pytest.raises(InvariantViolation, match="^bimodule: module property fails by "):
+            ConditionalExpectation(e.map_matrix, m, d1.space, np.eye(n), d2)
+        # the block character plus 1e-4 x_{0, n-1} I: unital, fixing D and into D, but its
+        # module property and its multiplicativity fail, and the latter is checked first
+        a, d, phi = make_block_character(n, blocks)
+        k = phi.map_matrix.copy()
+        k[:, n - 1] += 1e-4 * np.eye(n).ravel()
+        with pytest.raises(InvariantViolation, match=r"^multiplicative: Phi\(xy\) != Phi\(x\)Phi\(y\), defect "):
+            DCharacter(k, a, d)
 
 
 def dense_pullback(k, rho):
@@ -274,7 +332,8 @@ def test_validation_peak_memory_grows_like_n4():
 
 
 def test_expectation_validation_peak_memory_at_n16():
-    # the module check reads the map as a 4-tensor, one side and one element at a time;
+    # the module check reads the map's operator-Schmidt factors, 2 dim D' of them here, and
+    # forms their commutators with a chunk of D's basis at a time (2.3 MB in all at n = 16);
     # reading the domain basis and its images instead peaked at 12.05 MB
     inst = random_block_instance(16, np.random.default_rng(3), conjugate=True)
     e = preserving_expectation(inst.state, inst.d, inst.m)

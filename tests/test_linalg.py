@@ -8,7 +8,6 @@ from dense_oracle import left_mult_matrix, map_matrix_from_action, right_mult_ma
 from ncrep.errors import DimensionMismatch, EmptyInput, NotHermitian, NotPositiveDefinite
 from ncrep.linalg import (
     Corner,
-    OperatorSubspace,
     apply_map,
     commutation_gap,
     commutator,

@@ -5,7 +5,6 @@ from ncrep.algebras import (
     block_diagonal_algebra,
     diagonal_algebra,
     full_matrix_algebra,
-    generate_star_algebra,
     scalar_algebra,
 )
 from ncrep import linalg, states
