@@ -35,6 +35,13 @@ warm, repeated on one object; the other rows repeat on one D.  --src points at
 the src/ directory of the checkout to measure (default: this one's), so two
 commits can be compared with the same script.  BLAS is pinned to one thread
 before numpy loads.
+
+A shared host runs the same work up to twice as slowly for stretches of
+seconds, so each row also times perfbench's host-speed kernel
+(perfbench/hostspeed.py, from this checkout whatever --src is) before and
+after its repeats.  The row reports the kernel's mean slowdown over the two
+and scaled_ms, its min_ms divided by that slowdown, which puts rows measured
+at different times on one scale.
 """
 
 import argparse
@@ -49,6 +56,9 @@ from pathlib import Path
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from hostspeed import HostSpeed  # noqa: E402  (numpy loads after the thread pin)
+
 SIZES = {4: [1, 3], 8: [1, 3, 4], 10: [1, 3, 6], 12: [4, 4, 4], 16: [5, 5, 6]}
 REPEATS = {4: 200, 8: 20, 10: 10, 12: 5, 16: 3}
 GAPS_SIZES = (4, 10, 16)
@@ -56,6 +66,8 @@ GAPS_SIZES = (4, 10, 16)
 COORDINATE_BLOCKS = {24: [8, 8, 8]}
 COMMUTATIVE_SIZES = (3, 4)
 DIAGNOSIS_BLOCKS = [[0, 1, 2, 3], [4, 5, 6], [7]]
+# host-speed kernel timings taken before and after each row's repeats
+HOST_SAMPLES = 5
 
 
 def _instance(n, sizes):
@@ -87,20 +99,30 @@ def _instance(n, sizes):
 
 
 def _measure(fn, repeats, setup=tuple):
-    """Min-of-repeats time and tracemalloc peak of fn(*setup()), each call's arguments made untimed."""
+    """Min-of-repeats time, its host-speed scaled value and the tracemalloc peak of fn(*setup()),
+    each call's arguments made untimed."""
     fn(*setup())  # fills lazy caches such as spectra and the positivity probes
+    host = HostSpeed()
+    host.sample(HOST_SAMPLES)
     best = float("inf")
     for _ in range(repeats):
         args = setup()
         start = time.perf_counter()
         fn(*args)
         best = min(best, time.perf_counter() - start)
+    host.sample(HOST_SAMPLES)
     args = setup()
     tracemalloc.start()
     fn(*args)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    return {"min_ms": round(best * 1e3, 4), "peak_mb": round(peak / 2**20, 3), "repeats": repeats}
+    return {
+        "min_ms": round(best * 1e3, 4),
+        "scaled_ms": round(best * 1e3 / host.slowdown, 4),
+        "slowdown": round(host.slowdown, 3),
+        "peak_mb": round(peak / 2**20, 3),
+        "repeats": repeats,
+    }
 
 
 def _cold_and_warm(label, fn, d, repeats):

@@ -22,7 +22,7 @@ import functools
 import numpy as np
 
 from .config import tol
-from .errors import BadPartition, DimensionMismatch, EmptyInput, InvariantViolation
+from .errors import BadPartition, DimensionMismatch, EmptyInput, InvariantViolation, check
 from .linalg import (
     OperatorSubspace,
     as_matrix,
@@ -103,22 +103,15 @@ class Subalgebra:
         if self.dim == 0:
             raise InvariantViolation("identity: algebra span is empty")
         eye = np.eye(self.n, dtype=complex)
-        gap = hs_norm(eye - self.space.project(eye))
-        if gap > tol(1e-9) * max(1.0, np.sqrt(self.n)):
-            raise InvariantViolation(f"identity: I is not in the span (distance {gap:.3e})")
+        check(InvariantViolation, "identity: I is not in the span (distance {:.3e})",
+              hs_norm(eye - self.space.project(eye)), tol(1e-9) * max(1.0, np.sqrt(self.n)))
         b = self.space.tensor
-        defects, allowed = [], []
         # all basis products, a chunk of left factors at a time; per factor, three
         # (dim, n^2) arrays: the products, their projection and the residual
         for part in chunk_slices(self.dim, 3 * self.dim * self.n**2):
             products = pair_products(b[part], b).reshape(-1, self.n**2)
-            defects.append(self.space.residuals(products))
-            allowed.append(tol(1e-9) * np.maximum(1.0, hs_norms(products)))
-        defects, allowed = np.concatenate(defects), np.concatenate(allowed)
-        if np.any(defects > allowed):
-            raise InvariantViolation(
-                f"product closure: a basis product leaves the span (defect {defects.max():.3e})"
-            )
+            check(InvariantViolation, "product closure: a basis product leaves the span (defect {:.3e})",
+                  self.space.residuals(products), tol(1e-9) * np.maximum(1.0, hs_norms(products)))
 
     def is_abelian(self):
         b = self.space.tensor
@@ -134,11 +127,8 @@ class StarAlgebra(Subalgebra):
 
     def validate(self):
         super().validate()
-        defects = _adjoint_defects(self.space)
-        if np.any(defects > tol(1e-9)):
-            raise InvariantViolation(
-                f"adjoint closure: a basis adjoint leaves the span (defect {defects.max():.3e})"
-            )
+        check(InvariantViolation, "adjoint closure: a basis adjoint leaves the span (defect {:.3e})",
+              _adjoint_defects(self.space), tol(1e-9))
 
 
 def from_spanning(mats, star=True):

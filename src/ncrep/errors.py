@@ -1,11 +1,16 @@
-"""Exception types.
+"""Exception types, and the two functions that decide when to raise them.
 
 Every failure mode has its own class so callers can react to the exact
-condition.  All inherit from NcrepError.  InconsistencyDetected is special:
-it signals that two independent computations of the same fact disagreed,
-which is a numerical or logic fault of the artifact, never a property of
-the input; cross_check is the one place that decides when to raise it.
+condition.  All inherit from NcrepError.  check decides every threshold
+test of an invariant: it passes only when deviation <= threshold holds at
+every entry, so a NaN deviation fails, and a failure reports the deviation
+of the first failing entry.  InconsistencyDetected is special: it signals
+that two independent computations of the same fact disagreed, which is a
+numerical or logic fault of the artifact, never a property of the input;
+cross_check is the one place that decides when to raise it.
 """
+
+import numpy as np
 
 
 class NcrepError(Exception):
@@ -112,6 +117,27 @@ class InvariantViolation(NcrepError):
 
 class BadPartition(InvariantViolation):
     pass
+
+
+def check(exc, message, deviation, threshold):
+    """Raise exc(message.format(v)) unless deviation <= threshold at every entry.
+
+    deviation and threshold are numbers or arrays that broadcast together.
+    NaN compares false, so a NaN deviation fails.  v is the deviation of the
+    first failing entry in C order, as a loop over the entries would report
+    it.  A scalar check that passes costs one comparison.  A lower bound
+    x >= -t is checked as deviation -x against t, its message writing x as a
+    minus sign followed by the deviation ("... eigenvalue -{:.3e}").
+    """
+    passed = deviation <= threshold
+    if not isinstance(passed, np.ndarray):
+        if passed:
+            return
+        raise exc(message.format(deviation))
+    if passed.all():
+        return
+    first = int(np.argmin(passed.ravel()))
+    raise exc(message.format(np.broadcast_to(deviation, passed.shape).flat[first]))
 
 
 def cross_check(what, verdict, confirmation, *margins):

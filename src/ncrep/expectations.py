@@ -43,6 +43,7 @@ from .errors import (
     NotNormalized,
     NotPositiveDefinite,
     SupportNotCentral,
+    check,
     cross_check,
 )
 from .linalg import (
@@ -72,6 +73,7 @@ from .states import (
     is_D_central,
     modular_invariance_check,
     pt_radon_nikodym,
+    require_D_central,
     require_same_ambient,
     tracial_certificate,
 )
@@ -107,8 +109,8 @@ def _domain_images(map_matrix, domain):
 def _check_preserves(map_matrix, omega, target):
     """omega∘E must have the density target (omega's own on the domain)."""
     drift = hs_norm(_pullback_density(map_matrix, omega.density) - target)
-    if drift > tol(1e-8) * max(1.0, hs_norm(omega.density)):
-        raise InvariantViolation(f"preservation: omega∘E deviates from omega by {drift:.3e}")
+    check(InvariantViolation, "preservation: omega∘E deviates from omega by {:.3e}",
+          drift, tol(1e-8) * max(1.0, hs_norm(omega.density)))
 
 
 class ConditionalExpectation:
@@ -149,25 +151,21 @@ class ConditionalExpectation:
         k, images = self.map_matrix, self.images
         n = self.n
         scale = max(1.0, hs_norm(k))
-        unit_gap = hs_norm(apply_map(k, np.eye(n)) - self.unit)
-        if unit_gap > tol(1e-9) * max(1.0, hs_norm(self.unit)):
-            raise InvariantViolation(f"unital: E(I) misses the range unit by {unit_gap:.3e}")
+        check(InvariantViolation, "unital: E(I) misses the range unit by {:.3e}",
+              hs_norm(apply_map(k, np.eye(n)) - self.unit), tol(1e-9) * max(1.0, hs_norm(self.unit)))
         # the rows E(E(x_j)) - E(x_j) have the norm of k^2 - k, because k = kP
-        idem_gap = hs_norm(images @ k.T - images)
-        if idem_gap > tol(1e-9) * scale:
-            raise InvariantViolation(f"idempotent: E(E(x)) != E(x), defect {idem_gap:.3e}")
+        check(InvariantViolation, "idempotent: E(E(x)) != E(x), defect {:.3e}",
+              hs_norm(images @ k.T - images), tol(1e-9) * scale)
         xx, x_norms = _positivity_probes(n)
         y = apply_map(k, xx)
         y = (y + dagger(y)) / 2
-        lows = np.linalg.eigvalsh(y)[:, 0]
-        if np.any(lows < -tol(1e-8) * x_norms):
-            raise InvariantViolation(f"positive: E(x*x) has eigenvalue {lows.min():.3e}")
-        gaps = bimodule_gaps(k, self.bimodule.space.tensor)
-        if np.any(gaps > tol(1e-8) * scale * np.sqrt(n)):
-            raise InvariantViolation(f"bimodule: module property fails by {gaps.max():.3e}")
-        range_gap = hs_norm(self.range_space.residuals(images))
-        if range_gap > tol(1e-8) * scale:
-            raise InvariantViolation(f"range: output leaves the range span by {range_gap:.3e}")
+        check(InvariantViolation, "positive: E(x*x) has eigenvalue -{:.3e}",
+              -np.linalg.eigvalsh(y)[:, 0], tol(1e-8) * x_norms)
+        # per basis element d: the left gap, then the right one
+        check(InvariantViolation, "bimodule: module property fails by {:.3e}",
+              bimodule_gaps(k, self.bimodule.space.tensor).T, tol(1e-8) * scale * np.sqrt(n))
+        check(InvariantViolation, "range: output leaves the range span by {:.3e}",
+              hs_norm(self.range_space.residuals(images)), tol(1e-8) * scale)
         self.validated = True
 
 
@@ -186,9 +184,7 @@ def preserving_expectation(omega, d, m):
     solution, whether or not omega is faithful on M, and that solution is
     the expectation.
     """
-    ok, violation = is_D_central(omega, d, m)
-    if not ok:
-        raise NotDCentral(f"omega is not D-central (violation {violation:.3e})")
+    require_D_central(omega, d, m, NotDCentral, "omega is not D-central (violation {:.3e})")
     try:
         return _preserving_expectation(omega, d, m)
     except GramSingular as err:  # this entry point names D in its message
@@ -228,26 +224,23 @@ def expectation_from_density(h, d, m, nu):
     h = as_matrix(h)
     h_spec = eigh_hermitian(h)
     h_scale = h_spec.norm
-    if h_spec.eigenvalues[0] < -pd_tol(max(h_scale, 1e-30)):
-        raise NotPositiveDefinite(f"density must be positive semidefinite (min eig {h_spec.eigenvalues[0]:.3e})")
+    check(NotPositiveDefinite, "density must be positive semidefinite (min eig -{:.3e})",
+          -h_spec.eigenvalues[0], pd_tol(max(h_scale, 1e-30)))
     if not m.contains(h):
         raise InvariantViolation("density must lie in the algebra")
-    gap = commutation_gap(h, d.space.tensor)
-    if gap > tol(1e-9) * max(1.0, h_scale):
-        raise DensityDoesNotCommute(f"[h, D] = {gap:.3e}")
-    gap = hs_norm(commutator(h, nu.density))
-    if gap > tol(1e-9) * max(1.0, h_scale * hs_norm(nu.density)):
-        raise DensityDoesNotCommute(f"[h, rho_nu] = {gap:.3e}")
+    check(DensityDoesNotCommute, "[h, D] = {:.3e}",
+          commutation_gap(h, d.space.tensor), tol(1e-9) * max(1.0, h_scale))
+    check(DensityDoesNotCommute, "[h, rho_nu] = {:.3e}",
+          hs_norm(commutator(h, nu.density)), tol(1e-9) * max(1.0, h_scale * hs_norm(nu.density)))
     e_d = preserving_expectation(nu, d, m)
-    norm_gap = hs_norm(e_d(h) - np.eye(m.n))
-    if norm_gap > tol(1e-8) * np.sqrt(m.n):
-        raise NotNormalized(f"E_D(h) differs from the identity by {norm_gap:.3e}")
+    check(NotNormalized, "E_D(h) differs from the identity by {:.3e}",
+          hs_norm(e_d(h) - np.eye(m.n)), tol(1e-8) * np.sqrt(m.n))
     hr = psd_sqrt(h)
     e = ConditionalExpectation(e_d.map_matrix @ sandwich_matrix(hr, hr), m, d.space, np.eye(m.n), d)
     sigma = _pullback_density(e.map_matrix, nu.density)
     want = m.project(hr @ nu.density @ hr)
-    if hs_norm(sigma - want) > tol(1e-8) * max(1.0, hs_norm(want)):
-        raise InvariantViolation("nu∘E does not match the h-deformed functional")
+    check(InvariantViolation, "nu∘E does not match the h-deformed functional",
+          hs_norm(sigma - want), tol(1e-8) * max(1.0, hs_norm(want)))
     return e
 
 
@@ -313,15 +306,20 @@ def expectation_to_density(e, nu):
     if not commutes_with_modular(e, nu):
         raise DoesNotCommute("expectation does not commute with the modular flow of nu")
     h = pt_radon_nikodym(e.pullback(nu), nu)
-    gap = commutation_gap(h, e.bimodule.space.tensor)
-    if gap > tol(1e-8) * max(1.0, hs_norm(h)):
-        raise InvariantViolation(f"derivative does not commute with D ({gap:.3e})")
+    check(InvariantViolation, "derivative does not commute with D ({:.3e})",
+          commutation_gap(h, e.bimodule.space.tensor), tol(1e-8) * max(1.0, hs_norm(h)))
     return h
 
 
 def _values_on(functional, rows):
     """The functional on each flattened matrix x in rows (k, n^2): Tr(rho x) = <vec(x), vec(rho^T)>."""
     return rows @ functional.density.T.ravel()
+
+
+def _check_values(exc, message, functional, rows, want, rel):
+    """check that the functional takes the values want on the flattened matrices in rows,
+    each to within rel times max(1, |want|)."""
+    check(exc, message, np.abs(_values_on(functional, rows) - want), tol(rel) * np.maximum(1.0, np.abs(want)))
 
 
 def average_to_central(psi, omega, d, m):
@@ -332,9 +330,7 @@ def average_to_central(psi, omega, d, m):
     commutation with omega (of the densities restricted to M) is inherited.
     """
     if omega.is_faithful:  # else _average_to_central raises NotFaithful, which takes precedence
-        ok, violation = is_D_central(omega, d, m)
-        if not ok:
-            raise NotCentral(f"D is not inside the centralizer of omega (violation {violation:.3e})")
+        require_D_central(omega, d, m, NotCentral, "D is not inside the centralizer of omega (violation {:.3e})")
     return _average_to_central(psi, omega, d, m)
 
 
@@ -343,22 +339,18 @@ def _average_to_central(psi, omega, d, m):
     if not omega.is_faithful:
         raise NotFaithful("averaging needs a faithful reference functional")
     want = _values_on(omega, d.space.flat)
-    if np.any(np.abs(_values_on(psi, d.space.flat) - want) > tol(1e-8) * np.maximum(1.0, np.abs(want))):
-        raise NotAnExtension("psi does not restrict to omega on D")
+    _check_values(NotAnExtension, "psi does not restrict to omega on D", psi, d.space.flat, want, 1e-8)
     e = _preserving_expectation(omega, commutant(d, m), m)
     result = e.pullback(psi)
-    if np.any(np.abs(_values_on(result, d.space.flat) - want) > tol(1e-7) * np.maximum(1.0, np.abs(want))):
-        raise InvariantViolation("averaged functional no longer extends omega on D")
-    ok, violation = is_D_central(result, d, m)
-    if not ok:
-        raise InvariantViolation(f"averaged functional is not D-central (violation {violation:.3e})")
+    _check_values(InvariantViolation, "averaged functional no longer extends omega on D",
+                 result, d.space.flat, want, 1e-7)
+    require_D_central(result, d, m, InvariantViolation, "averaged functional is not D-central (violation {:.3e})")
     r_psi = psi.restricted_density(m)
     r_omega = omega.restricted_density(m)
     pair_scale = max(1e-30, hs_norm(r_psi) * hs_norm(r_omega))
     if hs_norm(commutator(r_psi, r_omega)) <= tol(1e-9) * pair_scale:
-        inherited = hs_norm(commutator(result.restricted_density(m), r_omega))
-        if inherited > tol(1e-7) * pair_scale:
-            raise InvariantViolation(f"commutation with omega was not inherited ({inherited:.3e})")
+        check(InvariantViolation, "commutation with omega was not inherited ({:.3e})",
+              hs_norm(commutator(result.restricted_density(m), r_omega)), tol(1e-7) * pair_scale)
     return result
 
 
@@ -389,11 +381,9 @@ def support_of_map(e):
     z = w_spec.support(pd_tol(w_spec.norm))
     scale = max(1.0, hs_norm(k))
     gap, side = _support_gaps(k, images, dom, z)
-    if gap > tol(1e-8) * scale:
-        raise InvariantViolation(f"support identity E(x) = E(zxz) fails by {gap:.3e}")
+    check(InvariantViolation, "support identity E(x) = E(zxz) fails by {:.3e}", gap, tol(1e-8) * scale)
     if idempotent or hs_norm(images @ k.T - images) <= tol(1e-6) * scale:
-        if side > tol(1e-8) * scale:
-            raise InvariantViolation(f"support does not commute with the outputs ({side:.3e})")
+        check(InvariantViolation, "support does not commute with the outputs ({:.3e})", side, tol(1e-8) * scale)
     return z
 
 
@@ -420,14 +410,11 @@ def support_ideal_expectation(omega, d, m):
     each invariant of the compressed map to the same invariant of the
     returned one, which its validation checks.
     """
-    ok, violation = is_D_central(omega, d, m)
-    if not ok:
-        raise NotDCentral(f"omega is not D-central (violation {violation:.3e})")
+    require_D_central(omega, d, m, NotDCentral, "omega is not D-central (violation {:.3e})")
     corner = Corner(omega.support_isometry_in(d))
     z = corner.projection
-    gap = commutation_gap(z, d.space.tensor)
-    if gap > tol(1e-9) * max(1.0, hs_norm(z)):
-        raise SupportNotCentral(f"support of omega|D is not central in D ([z,d] = {gap:.3e})")
+    check(SupportNotCentral, "support of omega|D is not central in D ([z,d] = {:.3e})",
+          commutation_gap(z, d.space.tensor), tol(1e-9) * max(1.0, hs_norm(z)))
     m_z = StarAlgebra(orthonormalize(corner.compress_rows(m.space.flat)), check=False)
     d_z = StarAlgebra(orthonormalize(corner.compress_rows(d.space.flat)), check=False)
     omega_z = PositiveFunctional(corner.compress(omega.density), check=False)
@@ -438,11 +425,11 @@ def support_ideal_expectation(omega, d, m):
     _check_preserves(e.map_matrix, omega, omega.restricted_density(m))
     # uniqueness: an independent Gram solve on the ideal must take the same values on M
     mismatch = hs_norm(e.images - m.space.flat @ _gram_solve(omega, range_space).T)
-    if mismatch > tol(1e-7) * max(1.0, hs_norm(e.map_matrix)):
-        raise InvariantViolation(f"the two support-ideal constructions disagree by {mismatch:.3e}")
+    check(InvariantViolation, "the two support-ideal constructions disagree by {:.3e}",
+          mismatch, tol(1e-7) * max(1.0, hs_norm(e.map_matrix)))
     support = support_of_map(e)
-    if hs_norm(support @ z - support) > tol(1e-8):
-        raise InvariantViolation("map support is not dominated by the ideal support")
+    check(InvariantViolation, "map support is not dominated by the ideal support",
+          hs_norm(support @ z - support), tol(1e-8))
     e.support = support
     return e
 

@@ -20,8 +20,8 @@ from .errors import (
     InvariantViolation,
     NotBoundedBelow,
     NotInvertible,
-    NotTracial,
     NotTriangularType,
+    check,
 )
 from .expectations import _check_preserves
 from .linalg import (
@@ -29,12 +29,12 @@ from .linalg import (
     dagger,
     eigh_hermitian,
     hs_norm,
-    is_hermitian,
     matpow,
     pd_tol,
+    require_hermitian,
 )
 from .representing import _check_extends_character
-from .states import tracial_certificate
+from .states import require_tracial
 
 
 @dataclass
@@ -47,14 +47,13 @@ class GeometricMeanReport:
         seq = self.power_sequence
         slack = tol(1e-9) * max(1.0, seq[0])
         for left, right in zip(seq, seq[1:]):
-            if right > left + slack:
+            if not right <= left + slack:  # not check: the message names both terms of the pair
                 raise InvariantViolation(
                     f"power sequence is not non-increasing ({right:.9e} after {left:.9e})"
                 )
-        if abs(seq[-1] - self.value) > tol(1e-6) * self.value:
-            raise InconsistencyDetected(
-                f"power sequence tail {seq[-1]:.9e} disagrees with exp of the log mean {self.value:.9e}"
-            )
+        check(InconsistencyDetected,
+              f"power sequence tail {seq[-1]:.9e} disagrees with exp of the log mean {self.value:.9e}",
+              abs(seq[-1] - self.value), tol(1e-6) * self.value)
 
 
 def geometric_mean(omega, a, n_powers=24):
@@ -69,15 +68,15 @@ def geometric_mean(omega, a, n_powers=24):
     a = as_matrix(a)
     spec = eigh_hermitian(dagger(a) @ a)
     svals = np.sqrt(np.clip(spec.eigenvalues, 0.0, None))
-    if svals[0] <= pd_tol(float(svals[-1])):
+    if not svals[0] > pd_tol(float(svals[-1])):  # strict, and NaN fails
         raise NotInvertible(f"smallest singular value {svals[0]:.3e} is below the cutoff")
     u = spec.eigenvectors
     weights = np.clip(np.real(np.einsum("ji,jk,ki->i", np.conj(u), omega.density, u)), 0.0, None)
     lam = svals.astype(np.longdouble)
     w = weights.astype(np.longdouble)
     mass = np.sum(w)
-    if abs(float(mass) - 1.0) > tol(1e-9):
-        raise InvariantViolation(f"omega must be a state (total mass {float(mass):.9f})")
+    check(InvariantViolation, f"omega must be a state (total mass {float(mass):.9f})",
+          abs(float(mass) - 1.0), tol(1e-9))
     # unit mass exactly: the 2^n-th powers amplify any mass defect, and the
     # p-norms are only monotone in p for a probability weight
     w = w / mass
@@ -110,24 +109,21 @@ def holder_tracial(omega, a, b, p, q, r, m=None):
     b = as_matrix(b)
     if m is None:
         m = full_matrix_algebra(omega.density.shape[0])
-    cert = tracial_certificate(omega, m)
-    if not cert.result:
-        raise NotTracial(f"omega is not tracial on the given algebra (violation {cert.max_violation:.3e})")
+    require_tracial(omega, m, "omega is not tracial on the given algebra (violation {:.3e})")
     if not (m.contains(a) and m.contains(b)):
         raise InvariantViolation("a and b must lie in the algebra omega is tracial on")
     for name, s in (("p", p), ("q", q), ("r", r)):
         if not s > 0:
             raise InvariantViolation(f"exponent {name} must be positive, got {s}")
     recip = lambda s: 0.0 if np.isinf(s) else 1.0 / s
-    if abs(recip(p) - recip(q) - recip(r)) > tol(1e-12):
-        raise InvariantViolation(f"exponents miss 1/p = 1/q + 1/r: p={p}, q={q}, r={r}")
+    check(InvariantViolation, f"exponents miss 1/p = 1/q + 1/r: p={p}, q={q}, r={r}",
+          abs(recip(p) - recip(q) - recip(r)), tol(1e-12))
     if not np.isinf(p):
         left = float(np.real(omega(matpow(dagger(a) @ a, p / 2))))
         right = float(np.real(omega(matpow(a @ dagger(a), p / 2))))
-        if abs(left - right) > tol(1e-9) * max(1.0, abs(left)):
-            raise InconsistencyDetected(
-                f"tracial symmetry broke: omega(|a|^p)={left:.9e} vs omega(|a*|^p)={right:.9e}"
-            )
+        check(InconsistencyDetected,
+              f"tracial symmetry broke: omega(|a|^p)={left:.9e} vs omega(|a*|^p)={right:.9e}",
+              abs(left - right), tol(1e-9) * max(1.0, abs(left)))
     lhs = _holder_factor(omega, a @ b, p)
     rhs = _holder_factor(omega, a, q) * _holder_factor(omega, b, r)
     return lhs <= rhs + tol(1e-9) * max(1.0, rhs)
@@ -145,10 +141,9 @@ def logmodular_witness(a_alg, b):
     b = as_matrix(b)
     if b.shape != (a_alg.n, a_alg.n):
         raise DimensionMismatch(f"b has shape {b.shape}, the algebra lives in M_{a_alg.n}")
-    if not is_hermitian(b):
-        raise NotBoundedBelow("b must be Hermitian to be bounded below")
+    require_hermitian(NotBoundedBelow, "b must be Hermitian to be bounded below", b, hs_norm(b))
     eigs = eigh_hermitian(b).eigenvalues
-    if eigs[0] <= pd_tol(float(np.abs(eigs).max())):
+    if not eigs[0] > pd_tol(float(np.abs(eigs).max())):  # strict, and NaN fails
         raise NotBoundedBelow(f"b is not bounded away from zero (min eigenvalue {eigs[0]:.3e})")
     order = [i for blk in blocks for i in blk]
     perm = np.eye(a_alg.n, dtype=complex)[order]
@@ -156,9 +151,8 @@ def logmodular_witness(a_alg, b):
     a = dagger(perm) @ dagger(lower) @ perm
     if not a_alg.contains(a):
         raise InconsistencyDetected("Cholesky witness left the algebra")
-    gap = hs_norm(dagger(a) @ a - b)
-    if gap > tol(1e-9) * max(1.0, hs_norm(b)):
-        raise InconsistencyDetected(f"witness misses b by {gap:.3e}")
+    check(InconsistencyDetected, "witness misses b by {:.3e}",
+          hs_norm(dagger(a) @ a - b), tol(1e-9) * max(1.0, hs_norm(b)))
     return a
 
 
@@ -174,9 +168,7 @@ class JensenReport:
 
 def _require_jensen_setting(omega, phi, psi):
     """omega tracial on the character's range, psi omega-preserving and extending phi."""
-    cert = tracial_certificate(omega, phi.range_alg)
-    if not cert.result:
-        raise NotTracial(f"omega is not tracial on the range (violation {cert.max_violation:.3e})")
+    require_tracial(omega, phi.range_alg, "omega is not tracial on the range (violation {:.3e})")
     _check_preserves(psi.map_matrix, omega, omega.density)
     _check_extends_character(psi, phi)
 

@@ -22,6 +22,7 @@ from .errors import (
     InvariantViolation,
     NotHermitian,
     NotPositiveDefinite,
+    check,
 )
 
 
@@ -83,12 +84,6 @@ def commutation_gap(x, basis):
     return float(hs_norms((x @ basis - basis @ x).reshape(-1, n, n)).max(initial=0.0))
 
 
-def is_hermitian(x, atol=None):
-    if atol is None:
-        atol = tol(1e-10) * max(1.0, hs_norm(x))
-    return hs_norm(x - dagger(x)) <= atol
-
-
 class HermitianSpectrum:
     """Eigendecomposition of a Hermitian matrix: ascending eigenvalues, unitary columns."""
 
@@ -125,10 +120,14 @@ class HermitianSpectrum:
         return self.eigenvectors[:, self.eigenvalues > threshold]
 
 
+def require_hermitian(exc, message, x, scale):
+    """check that ||x - x*|| is at most 1e-10 max(1, scale)."""
+    check(exc, message, hs_norm(x - dagger(x)), tol(1e-10) * max(1.0, scale))
+
+
 def eigh_hermitian(x):
     x = as_matrix(x)
-    if not is_hermitian(x):
-        raise NotHermitian(f"matrix is not Hermitian within tolerance (defect {hs_norm(x - dagger(x)):.3e})")
+    require_hermitian(NotHermitian, "matrix is not Hermitian within tolerance (defect {:.3e})", x, hs_norm(x))
     return hermitian_part_spectrum(x)
 
 
@@ -149,19 +148,24 @@ def pd_tol(spectral_norm):
 
 def _require_pd(spec, what):
     eigs = spec.eigenvalues
-    cutoff = pd_tol(spec.norm)
-    if eigs.size == 0 or eigs[0] <= cutoff:
+    # strict: a zero eigenvalue at a zero cutoff fails, and so does NaN
+    if not (eigs.size and eigs[0] > pd_tol(spec.norm)):
         raise NotPositiveDefinite(
             f"{what} needs a positive definite argument (min eigenvalue {eigs[0] if eigs.size else 0:.3e})"
         )
 
 
+def _require_psd(spec, what):
+    """NotPositiveDefinite unless the least eigenvalue is at least -pd_tol - 1e-14."""
+    if spec.eigenvalues.size:
+        check(NotPositiveDefinite, what + " (min eigenvalue -{:.3e})", -spec.eigenvalues[0],
+              pd_tol(spec.norm) + tol(1e-14))
+
+
 def psd_sqrt(x):
     """Square root of a positive semidefinite matrix, tiny negative eigenvalues clipped to zero."""
     spec = eigh_hermitian(x)
-    eigs = spec.eigenvalues
-    if eigs.size and eigs[0] < -pd_tol(spec.norm) - tol(1e-14):
-        raise NotPositiveDefinite(f"matrix is not positive semidefinite (min eigenvalue {eigs[0]:.3e})")
+    _require_psd(spec, "matrix is not positive semidefinite")
     return spec.apply(lambda v: np.sqrt(np.clip(v, 0.0, None)))
 
 
@@ -172,8 +176,7 @@ def matpow(x, p):
         _require_pd(spec, f"power {p}")
         return spec.apply(lambda v: v**p)
     # nonnegative powers tolerate a numerically semidefinite argument
-    if spec.eigenvalues.size and spec.eigenvalues[0] < -pd_tol(spec.norm) - tol(1e-14):
-        raise NotPositiveDefinite(f"power {p} of an indefinite matrix (min eigenvalue {spec.eigenvalues[0]:.3e})")
+    _require_psd(spec, f"power {p} of an indefinite matrix")
     return spec.apply(lambda v: np.clip(v, 0.0, None) ** p)
 
 
@@ -206,11 +209,15 @@ class OperatorSubspace:
         n = self.ambient_dim
         return self.flat.reshape(self.size, n, n)
 
-    def coords(self, x):
+    def _member(self, x):
+        """x as a finite square matrix of this subspace's ambient size."""
         x = as_matrix(x)
         if x.shape[0] != self.ambient_dim:
             raise DimensionMismatch(f"ambient dim {self.ambient_dim}, matrix dim {x.shape[0]}")
-        return self.flat.conj() @ x.ravel()
+        return x
+
+    def coords(self, x):
+        return self.flat.conj() @ self._member(x).ravel()
 
     def from_coords(self, c):
         n = self.ambient_dim
@@ -224,8 +231,8 @@ class OperatorSubspace:
         return hs_norms(rows - (rows @ self.flat.conj().T) @ self.flat)
 
     def contains(self, x):
-        x = as_matrix(x)
-        return hs_norm(x - self.project(x)) <= tol(1e-8) * max(1.0, hs_norm(x))
+        x = self._member(x)
+        return hs_norm(x - self.from_coords(self.flat.conj() @ x.ravel())) <= tol(1e-8) * max(1.0, hs_norm(x))
 
     def projector_matrix(self):
         """The n^2 x n^2 matrix of the orthogonal projection onto this subspace (the tests' oracle)."""

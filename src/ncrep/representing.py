@@ -36,9 +36,10 @@ from .errors import (
     NotCentral,
     NotDense,
     NotFaithful,
-    NotTracial,
+    check,
 )
 from .expectations import (
+    _check_values,
     _domain_images,
     _pullback_density,
     _average_to_central,
@@ -66,7 +67,7 @@ from .linalg import (
     sandwich_matrix,
     subspace_sum,
 )
-from .states import PositiveFunctional, _faithful_on, is_D_central, tracial_certificate
+from .states import PositiveFunctional, _faithful_on, require_D_central, require_tracial
 
 # condition-number cap for inverting the D-average of cc*; it is invertible in
 # exact arithmetic, so anything beyond this is a numerical failure to report
@@ -102,44 +103,32 @@ class DCharacter:
         k = self.map_matrix
         n = self.n
         eye = np.eye(n, dtype=complex)
-        gap = hs_norm(self(eye) - eye)
-        if gap > tol(1e-9) * np.sqrt(n):
-            raise InvariantViolation(f"unital: Phi(I) misses I by {gap:.3e}")
+        check(InvariantViolation, "unital: Phi(I) misses I by {:.3e}",
+              hs_norm(self(eye) - eye), tol(1e-9) * np.sqrt(n))
         d_flat = self.range_alg.space.flat
-        d_scale = np.maximum(1.0, hs_norms(d_flat))
+        outside = self.domain.space.residuals(d_flat)
         fix = hs_norms(d_flat @ k.T - d_flat)
-        outside = self.domain.space.residuals(d_flat) > tol(1e-8) * d_scale
-        moved = fix > tol(1e-8) * d_scale
-        bad = np.flatnonzero(outside | moved)
-        if bad.size:  # the first failing basis element decides, as in a loop over the basis
-            if outside[bad[0]]:
-                raise InvariantViolation("range: D is not inside A")
-            raise InvariantViolation(f"fixes D: Phi moves a D element by {fix[bad[0]]:.3e}")
-        into = hs_norm(self.range_alg.space.residuals(self.images))
+        allowed = tol(1e-8) * np.maximum(1.0, hs_norms(d_flat))
+        # the first failing basis element decides which of the two is reported
+        for gap, moved, bound in zip(outside.tolist(), fix.tolist(), allowed.tolist()):
+            check(InvariantViolation, "range: D is not inside A", gap, bound)
+            check(InvariantViolation, "fixes D: Phi moves a D element by {:.3e}", moved, bound)
         k_norm = hs_norm(k)
-        if into > tol(1e-8) * max(1.0, k_norm):
-            raise InvariantViolation(f"range: Phi output leaves span(D) by {into:.3e}")
+        check(InvariantViolation, "range: Phi output leaves span(D) by {:.3e}",
+              hs_norm(self.range_alg.space.residuals(self.images)), tol(1e-8) * max(1.0, k_norm))
         b = self.domain.space.tensor
         images = self.images.reshape(-1, n, n)
-        defects, allowed = [], []
         # all products x_a x_b and Phi(x_a) Phi(x_b), a chunk of a's at a time; per a, four
         # (dim A, n^2) arrays: both products, the image of the first and the defect
         for part in chunk_slices(len(b), 4 * len(b) * n * n):
             prods = pair_products(b[part], b).reshape(-1, n * n)
             want = pair_products(images[part], images).reshape(-1, n * n)
-            defects.append(hs_norms(prods @ k.T - want))
-            allowed.append(tol(1e-8) * np.maximum(1.0, hs_norms(prods)))
+            check(InvariantViolation, "multiplicative: Phi(xy) != Phi(x)Phi(y), defect {:.3e}",
+                  hs_norms(prods @ k.T - want), tol(1e-8) * np.maximum(1.0, hs_norms(prods)))
         del prods, want  # the last chunk's products are not held through the checks below
-        defects, allowed = np.concatenate(defects), np.concatenate(allowed)
-        if np.any(defects > allowed):
-            raise InvariantViolation(
-                f"multiplicative: Phi(xy) != Phi(x)Phi(y), defect {defects.max():.3e}"
-            )
-        # per basis element d: the left gap, then the right one; the first failing gap is reported
-        gaps = bimodule_gaps(k, self.range_alg.space.tensor).T.ravel()
-        bad = np.flatnonzero(gaps > tol(1e-8) * max(1.0, k_norm) * np.sqrt(n))
-        if bad.size:
-            raise InvariantViolation(f"bimodule: Phi(d x d') != d Phi(x) d' by {gaps[bad[0]]:.3e}")
+        # per basis element d: the left gap, then the right one
+        check(InvariantViolation, "bimodule: Phi(d x d') != d Phi(x) d' by {:.3e}",
+              bimodule_gaps(k, self.range_alg.space.tensor).T, tol(1e-8) * max(1.0, k_norm) * np.sqrt(n))
         if self.kernel.size + self.range_alg.dim != self.domain.dim:
             raise InvariantViolation(
                 f"splitting: dim J + dim D = {self.kernel.size} + {self.range_alg.dim}"
@@ -151,10 +140,8 @@ class DCharacter:
         parts = np.random.default_rng(1).standard_normal((8, 2, self.domain.dim))
         x = (parts[:, 0] + 1j * parts[:, 1]) @ self.domain.space.flat
         sizes = np.linalg.norm(np.stack([x, x @ k.T]).reshape(16, n, n), 2, axis=(1, 2)).reshape(2, 8)
-        grow = sizes[1] - sizes[0]
-        bad = np.flatnonzero(grow > tol(1e-8) * np.maximum(1.0, sizes[0]))
-        if bad.size:
-            raise InvariantViolation(f"contractive: operator norm grows by {grow[bad[0]]:.3e}")
+        check(InvariantViolation, "contractive: operator norm grows by {:.3e}",
+              sizes[1] - sizes[0], tol(1e-8) * np.maximum(1.0, sizes[0]))
 
 
 def make_block_character(n, blocks):
@@ -212,9 +199,8 @@ def _matched_density(constraint_mats, values, m, perturb, rng_seed):
     values = np.asarray(values, dtype=complex)
     system = constraint_system(constraint_mats)
     r = minimal_norm_solution(system, values)
-    resid = float(np.linalg.norm(system @ r.ravel() - values))
-    if resid > tol(1e-9) * max(1.0, float(np.linalg.norm(values))):
-        raise InvariantViolation(f"matching: constraints unsatisfied (residual {resid:.3e})")
+    check(InvariantViolation, "matching: constraints unsatisfied (residual {:.3e})",
+          float(np.linalg.norm(system @ r.ravel() - values)), tol(1e-9) * max(1.0, float(np.linalg.norm(values))))
     if perturb:
         rng = np.random.default_rng(rng_seed)
         coeff = rng.standard_normal(m.dim) + 1j * rng.standard_normal(m.dim)
@@ -235,9 +221,8 @@ def _polar_factors(r):
     cut = pd_tol(float(np.max(np.abs(spec.eigenvalues))))
     a = r @ spec.apply(lambda v: np.where(v > cut, 1.0 / np.sqrt(np.clip(v, cut, None)), 0.0))
     b = spec.apply(lambda v: np.sqrt(np.clip(v, 0.0, None)))
-    gap = hs_norm(a @ dagger(b) - r)
-    if gap > tol(1e-8) * max(1.0, hs_norm(r)):
-        raise InvariantViolation(f"factorization: a b* misses r by {gap:.3e}")
+    check(InvariantViolation, "factorization: a b* misses r by {:.3e}",
+          hs_norm(a @ dagger(b) - r), tol(1e-8) * max(1.0, hs_norm(r)))
     return a, b
 
 
@@ -254,12 +239,11 @@ def _projected_factor(a_alg, kernel, a_mat, b_mat, weight=None):
     scale = max(1.0, hs_norm(bt))
     for j in kernel.basis:
         f = j @ a_mat @ sqw
-        for vec, who in ((bt, "b"), (ct, "c")):
-            overlap = abs(np.vdot(f, vec))
-            if overlap > tol(1e-8) * scale * max(1.0, hs_norm(f)):
-                raise InvariantViolation(
-                    f"kernel orthogonality: {who} overlaps ker(Phi)·a by {overlap:.3e}"
-                )
+        bound = tol(1e-8) * scale * max(1.0, hs_norm(f))
+        check(InvariantViolation, "kernel orthogonality: b overlaps ker(Phi)·a by {:.3e}",
+              abs(np.vdot(f, bt)), bound)
+        check(InvariantViolation, "kernel orthogonality: c overlaps ker(Phi)·a by {:.3e}",
+              abs(np.vdot(f, ct)), bound)
     if weight is None:
         return ct
     inv_sqw = eigh_hermitian(weight).apply(lambda v: 1.0 / np.sqrt(v))
@@ -286,24 +270,20 @@ def _extension_gap(psi, phi):
 
 
 def _check_extends_character(e, phi):
-    gap = _extension_gap(e, phi)
-    if gap > tol(1e-7) * max(1.0, hs_norm(phi.map_matrix)):
-        raise InvariantViolation(f"extension: Psi differs from Phi on A by {gap:.3e}")
+    check(InvariantViolation, "extension: Psi differs from Phi on A by {:.3e}",
+          _extension_gap(e, phi), tol(1e-7) * max(1.0, hs_norm(phi.map_matrix)))
 
 
 def _check_represents(rho, phi, values, what):
     # rho must keep the matched values on all of A, not merely on D: averaging
     # moves the functional only inside the relative commutant of D
-    got = _values_on(rho, phi.domain.space.flat)
-    if np.any(np.abs(got - values) > tol(1e-8) * np.maximum(1.0, np.abs(values))):
-        raise InvariantViolation(f"{what} no longer represents the character on A")
+    _check_values(InvariantViolation, f"{what} no longer represents the character on A",
+                  rho, phi.domain.space.flat, values, 1e-8)
 
 
-def _check_annihilates(functional, kernel, what):
-    vals = np.abs(_values_on(functional, kernel.flat))
-    bad = np.flatnonzero(vals > tol(1e-8))
-    if bad.size:  # the first failing basis element is reported, as in a loop over the basis
-        raise InvariantViolation(f"{what} does not annihilate ker(Phi) ({vals[bad[0]]:.3e})")
+def _check_annihilates(functional, kernel):
+    check(InvariantViolation, "the normalized state does not annihilate ker(Phi) ({:.3e})",
+          np.abs(_values_on(functional, kernel.flat)), tol(1e-8))
 
 
 def representing_expectation_tracial(m, tau, d, a, phi, perturb_r=0.0, rng_seed=0):
@@ -314,9 +294,7 @@ def representing_expectation_tracial(m, tau, d, a, phi, perturb_r=0.0, rng_seed=
     geometry.  Returns (Psi, rho) with Psi|_A = Phi, rho∘Psi = rho and
     rho|_A = tau∘Phi.
     """
-    cert = tracial_certificate(tau, m)
-    if not cert.result:
-        raise NotTracial(f"reference is not tracial on M (violation {cert.max_violation:.3e})")
+    require_tracial(tau, m, "reference is not tracial on M (violation {:.3e})")
     if not _faithful_on(tau, m):
         raise NotFaithful("reference is not faithful on M")
     k = tau.restricted_density(m)
@@ -331,12 +309,11 @@ def representing_expectation_tracial(m, tau, d, a, phi, perturb_r=0.0, rng_seed=
     spec_g = _invertible_average(g, "the D-average of cc*")
     inv_sq = spec_g.apply(lambda v: 1.0 / np.sqrt(v))
     h = inv_sq @ (c @ dagger(c)) @ inv_sq
-    norm_gap = hs_norm(e_d(h) - np.eye(m.n))
-    if norm_gap > tol(1e-7) * np.sqrt(m.n):
-        raise InvariantViolation(f"normalization: E_D(h) misses I by {norm_gap:.3e}")
+    check(InvariantViolation, "normalization: E_D(h) misses I by {:.3e}",
+          hs_norm(e_d(h) - np.eye(m.n)), tol(1e-7) * np.sqrt(m.n))
     kh = k @ h
     omega = PositiveFunctional((kh + dagger(kh)) / 2)
-    _check_annihilates(omega, phi.kernel, "the normalized state")
+    _check_annihilates(omega, phi.kernel)
     rho = _average_to_central(omega, tau, d, m)  # tau passed E_D's D-centrality gate
     _check_represents(rho, phi, values, "the averaged state")
     psi = _preserving_expectation(rho, d, m)  # rho is D-central: averaging checked it
@@ -352,9 +329,7 @@ def representing_expectation_state(m, omega, d, a, phi, perturb_r=0.0, rng_seed=
     k^(-1/2) cc* k^(-1/2) so that the resulting density extends omega on D.
     Returns (Psi, rho) with Psi|_A = Phi, rho∘Psi = rho and rho|_A = omega∘Phi.
     """
-    ok, violation = is_D_central(omega, d, m)
-    if not ok:
-        raise NotCentral(f"D is not inside the centralizer of omega (violation {violation:.3e})")
+    require_D_central(omega, d, m, NotCentral, "D is not inside the centralizer of omega (violation {:.3e})")
     if not _faithful_on(omega, m):
         raise NotFaithful("omega is not faithful on M")
     k = omega.restricted_density(m)
@@ -373,23 +348,19 @@ def representing_expectation_state(m, omega, d, a, phi, perturb_r=0.0, rng_seed=
     # the trace pre-adjoint of E_D applied to cc* must factor as k^(1/2) g0 k^(1/2);
     # both sides are computed independently, so this ties the two routes together
     split_gap = hs_norm(_pullback_density(e_d.map_matrix, cc) - sqk @ (spec_g.reconstruct() @ sqk))
-    if split_gap > tol(1e-8) * max(1.0, hs_norm(cc)):
-        raise InconsistencyDetected(
-            f"the D-average of cc* disagrees with its weighted factorization ({split_gap:.3e})"
-        )
+    check(InconsistencyDetected, "the D-average of cc* disagrees with its weighted factorization ({:.3e})",
+          split_gap, tol(1e-8) * max(1.0, hs_norm(cc)))
     h1 = spec_g.apply(lambda v: 1.0 / np.sqrt(v)) @ c
     h = h1 @ dagger(h1)
     h = (h + dagger(h)) / 2
-    if abs(np.trace(h).real - 1.0) > tol(1e-7):
-        raise InvariantViolation(f"normalization: Tr(h) = {np.trace(h).real:.12f}")
+    trace = np.trace(h).real
+    check(InvariantViolation, f"normalization: Tr(h) = {trace:.12f}", abs(trace - 1.0), tol(1e-7))
     theta = PositiveFunctional(h)
-    want = _values_on(omega, d.space.flat)
-    if np.any(np.abs(_values_on(theta, d.space.flat) - want) > tol(1e-8) * np.maximum(1.0, np.abs(want))):
-        raise InvariantViolation("the normalized state does not extend omega on D")
-    _check_annihilates(theta, phi.kernel, "the normalized state")
-    norm_gap = hs_norm(e_d(inv_sqk @ h @ inv_sqk) - np.eye(m.n))
-    if norm_gap > tol(1e-7) * np.sqrt(m.n):
-        raise InvariantViolation(f"normalization: E_D(k^-1/2 h k^-1/2) misses I by {norm_gap:.3e}")
+    _check_values(InvariantViolation, "the normalized state does not extend omega on D",
+                  theta, d.space.flat, _values_on(omega, d.space.flat), 1e-8)
+    _check_annihilates(theta, phi.kernel)
+    check(InvariantViolation, "normalization: E_D(k^-1/2 h k^-1/2) misses I by {:.3e}",
+          hs_norm(e_d(inv_sqk @ h @ inv_sqk) - np.eye(m.n)), tol(1e-7) * np.sqrt(m.n))
     rho = _average_to_central(theta, omega, d, m)
     _check_represents(rho, phi, values, "the averaged state")
     psi = _preserving_expectation(rho, d, m)  # rho is D-central: averaging checked it
@@ -416,10 +387,10 @@ def representing_expectation_commutative(m, sigma, d, a, phi):
     c = _projected_factor(a, phi.kernel, a_mat, b_mat)
     cc = c @ dagger(c)
     mass = float(np.trace(cc).real)
-    if mass <= tol(1e-12):
+    if not mass > tol(1e-12):  # strict, and NaN fails
         raise InvariantViolation("projected factor vanished; sigma(Phi(I)) should force c != 0")
     seed = PositiveFunctional((cc + dagger(cc)) / (2 * mass))
-    _check_annihilates(seed, phi.kernel, "the normalized state")
+    _check_annihilates(seed, phi.kernel)
     if not _faithful_on(seed, d):
         raise InvariantViolation("the representing state should be faithful on D")
     psi = preserving_expectation(seed, d, m)
@@ -427,11 +398,9 @@ def representing_expectation_commutative(m, sigma, d, a, phi):
     rho = psi.pullback(sigma)
     _check_represents(rho, phi, values, "sigma∘Psi")
     rebuilt = preserving_expectation(rho, d, m)
-    gap = float(np.linalg.norm(psi.map_matrix - rebuilt.map_matrix))
-    if gap > tol(1e-7) * max(1.0, float(np.linalg.norm(psi.map_matrix))):
-        raise InconsistencyDetected(
-            f"uniqueness: rebuilding from sigma∘Psi gave a different expectation ({gap:.3e})"
-        )
+    check(InconsistencyDetected, "uniqueness: rebuilding from sigma∘Psi gave a different expectation ({:.3e})",
+          float(np.linalg.norm(psi.map_matrix - rebuilt.map_matrix)),
+          tol(1e-7) * max(1.0, float(np.linalg.norm(psi.map_matrix))))
     return psi, rho
 
 
@@ -444,20 +413,13 @@ def extension_via_ss_density(m, omega_d, d, a, phi, psi):
     """
     if not check_ss_density(a, m):
         raise NotDense("A + A* does not span M")
-    cert = tracial_certificate(omega_d, d)
-    if not cert.result:
-        raise NotTracial(f"omega_D is not tracial on D (violation {cert.max_violation:.3e})")
+    require_tracial(omega_d, d, "omega_D is not tracial on D (violation {:.3e})")
     if not _faithful_on(omega_d, d):
         raise NotFaithful("omega_D is not faithful on D")
-    want = _values_on(omega_d, phi.images)
-    if np.any(np.abs(_values_on(psi, a.space.flat) - want) > tol(1e-8) * np.maximum(1.0, np.abs(want))):
-        raise NotAnExtension("psi does not extend omega_D∘Phi on A")
-    ok, violation = is_D_central(psi, d, m)
-    if not ok:
-        raise InconsistencyDetected(
-            f"an extension of a tracial character functional must be D-central"
-            f" when A + A* spans M; violation {violation:.3e}"
-        )
+    _check_values(NotAnExtension, "psi does not extend omega_D∘Phi on A",
+                  psi, a.space.flat, _values_on(omega_d, phi.images), 1e-8)
+    require_D_central(psi, d, m, InconsistencyDetected, "an extension of a tracial character functional must be"
+                      " D-central when A + A* spans M; violation {:.3e}")
     e = _preserving_expectation(psi, d, m)  # psi passed the D-centrality test above
     _check_extends_character(e, phi)
     return e
@@ -477,8 +439,7 @@ def mth_check(mu, g):
         raise DimensionMismatch(f"weight and density shapes differ: {mu.shape} vs {g.shape}")
     if mu.size == 0:
         raise EmptyInput("empty weight vector")
-    if np.any(mu < 0):
-        raise InvariantViolation("mu must be nonnegative")
+    check(InvariantViolation, "mu must be nonnegative", -mu, 0.0)
     supp = mu > 0
     positive = bool(np.all(g[supp] > 0))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

@@ -20,6 +20,8 @@ from .errors import (
     NotFaithful,
     NotHermitian,
     NotPositiveDefinite,
+    NotTracial,
+    check,
     cross_check,
 )
 from .linalg import (
@@ -32,12 +34,12 @@ from .linalg import (
     hermitian_part_spectrum,
     hs_norm,
     hs_norms,
-    is_hermitian,
     orthonormalize,
     pair_products,
     pd_tol,
     projection_isometry,
     psd_sqrt,
+    require_hermitian,
     same_subspace,
     trace_pairings,
 )
@@ -66,11 +68,9 @@ class PositiveFunctional:
 
     def validate(self):
         scale = float(np.linalg.norm(self.density, 2))
-        if not is_hermitian(self.density, tol(1e-10) * max(1.0, scale)):
-            raise NotHermitian("density must be Hermitian")
+        require_hermitian(NotHermitian, "density must be Hermitian", self.density, scale)
         low = self.spectrum.eigenvalues[0] if self.n else 0.0
-        if low < -tol(1e-10) * max(1.0, scale):
-            raise NotPositiveDefinite(f"density has negative eigenvalue {low:.3e}")
+        check(NotPositiveDefinite, "density has negative eigenvalue -{:.3e}", -low, tol(1e-10) * max(1.0, scale))
 
     @property
     def trace(self):
@@ -151,6 +151,13 @@ def tracial_certificate(omega, algebra):
     return TracialCertificate(algebra, violation <= tol(1e-9) * hs_norm(omega.density), violation)
 
 
+def require_tracial(omega, algebra, message):
+    """NotTracial(message), formatted with the certificate's violation, unless omega is tracial on the algebra."""
+    cert = tracial_certificate(omega, algebra)
+    if not cert.result:
+        raise NotTracial(message.format(cert.max_violation))
+
+
 def centralizer(omega, m):
     """{a in M : omega(ax) = omega(xa) for all x in M}, for omega faithful on M.
 
@@ -217,6 +224,13 @@ def is_D_central(omega, d, m):
         comm_violation <= comm_threshold, (violation, threshold), (comm_violation, comm_threshold),
     )
     return verdict, violation
+
+
+def require_D_central(omega, d, m, exc, message):
+    """exc(message), formatted with is_D_central's violation, unless omega is D-central."""
+    ok, violation = is_D_central(omega, d, m)
+    if not ok:
+        raise exc(message.format(violation))
 
 
 def sample_projections(d, cap=64):
@@ -386,18 +400,16 @@ def pt_radon_nikodym(psi, phi):
     if not phi.is_faithful:
         raise NotFaithful("the reference functional must be faithful")
     rp, rf = psi.density, phi.density
-    gap = hs_norm(commutator(rp, rf))
-    if gap > tol(1e-9) * max(1e-30, hs_norm(rp) * hs_norm(rf)):
-        raise DoesNotCommute(f"densities do not commute (defect {gap:.3e}); no derivative exists")
+    check(DoesNotCommute, "densities do not commute (defect {:.3e}); no derivative exists",
+          hs_norm(commutator(rp, rf)), tol(1e-9) * max(1e-30, hs_norm(rp) * hs_norm(rf)))
     root_inv = np.linalg.inv(psd_sqrt(rf))
     h = root_inv @ rp @ root_inv
     h = (h + dagger(h)) / 2
     hr = psd_sqrt(h)
-    defect = hs_norm(hr @ rf @ hr - rp)
-    if defect > tol(1e-8) * max(1e-30, hs_norm(rp)):
-        raise InvariantViolation(f"derivative verification failed (defect {defect:.3e})")
-    if hs_norm(commutator(h, rf)) > tol(1e-8) * max(1e-30, hs_norm(h) * hs_norm(rf)):
-        raise InvariantViolation("derivative does not commute with the reference density")
+    check(InvariantViolation, "derivative verification failed (defect {:.3e})",
+          hs_norm(hr @ rf @ hr - rp), tol(1e-8) * max(1e-30, hs_norm(rp)))
+    check(InvariantViolation, "derivative does not commute with the reference density",
+          hs_norm(commutator(h, rf)), tol(1e-8) * max(1e-30, hs_norm(h) * hs_norm(rf)))
     return h
 
 

@@ -595,3 +595,18 @@ def _nonfinite_character(k):
 def test_nonfinite_map_matrix_is_rejected(build, value):
     with pytest.raises(InvariantViolation, match="finite"):
         build(np.full((4, 4), value, dtype=complex))
+
+
+def test_nan_idempotence_defect_fails_the_check():
+    # the off-diagonal part c N squares to c^2 N^2 = 0, but c^2 overflows, so
+    # the idempotence rows are inf - inf = NaN against a true defect of 2.8e200
+    nil = np.zeros((4, 4), dtype=complex)
+    nil[1, 1] = nil[2, 1] = 1.0
+    nil[1, 2] = nil[2, 2] = -1.0
+    k = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex) + 1e200 * (1 + 1j) * nil
+    d = diagonal_algebra(2)
+    e = ConditionalExpectation(k, full_matrix_algebra(2), d.space, np.eye(2), d, check=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(hs_norm(e.images @ e.map_matrix.T - e.images))
+        with pytest.raises(InvariantViolation, match="^idempotent"):
+            e.validate()
