@@ -8,7 +8,11 @@ commutant, null_space_rows, representing_expectation_tracial and
 representing_expectation_state (for a seeded faithful D-central state) on
 block characters with blocks (1, 3), (1, 3, 4), (1, 3, 6), (4, 4, 4) and
 (5, 5, 6) at n = 4, 8, 10, 12 and 16, each rotated by a seeded Haar unitary,
-and prints one JSON object.  The commutant row adds dim D' and the largest
+and prints one JSON object.  The validate rows of A and D time the
+closure check each runs (on a block algebra that has one, its pattern
+certificate).  The instance rows time random_block_instance(n,
+default_rng(3), conjugate=True) at n = 16 and 24, the build of A, D and Phi
+with all their checks.  The commutant row adds dim D' and the largest
 ||[x, b]|| over its basis x and D's b.  The null_space_rows stack is the one
 commutant(D, M) solves first: the brackets of M's basis with two seeded
 complex Gaussian combinations of D's basis, (2 n^2, n^2).  At n = 4, 10
@@ -64,6 +68,8 @@ REPEATS = {4: 200, 8: 20, 10: 10, 12: 5, 16: 3}
 GAPS_SIZES = (4, 10, 16)
 # bimodule_gaps rows on coordinate blocks, at sizes without a rotated instance in SIZES
 COORDINATE_BLOCKS = {24: [8, 8, 8]}
+# random_block_instance rows: repeats per size
+INSTANCE_REPEATS = {16: 3, 24: 1}
 COMMUTATIVE_SIZES = (3, 4)
 DIAGNOSIS_BLOCKS = [[0, 1, 2, 3], [4, 5, 6], [7]]
 # host-speed kernel timings taken before and after each row's repeats
@@ -207,7 +213,7 @@ def main():
     import numpy as np
     from ncrep.algebras import commutant, diagonal_algebra
     from ncrep.expectations import commutes_with_modular, support_of_map
-    from ncrep.instances import random_central_density
+    from ncrep.instances import random_block_instance, random_central_density
     from ncrep.linalg import bimodule_gaps, null_space_rows
     from ncrep.representing import representing_expectation_state, representing_expectation_tracial
     from ncrep.states import PositiveFunctional, is_D_central, locally_central_check, sample_projections
@@ -221,6 +227,8 @@ def main():
         layers[f"n={n}"] = {
             "blocks": sizes,
             "ConditionalExpectation.validate": _measure(e.validate, reps),
+            "Subalgebra.validate (A)": _measure(a.validate, reps),
+            "StarAlgebra.validate (D)": _measure(d.validate, reps),
             "DCharacter.validate": _measure(phi.validate, reps),
             "support_of_map": _measure(lambda: support_of_map(e), reps),
             "commutes_with_modular": _measure(lambda: commutes_with_modular(e, nu), reps),
@@ -241,6 +249,9 @@ def main():
             layers[f"n={n}"].update(_gaps_rows(bimodule_gaps, e, phi, d, reps))
     for n, sizes in COORDINATE_BLOCKS.items():
         layers[f"n={n}"] = dict(blocks=sizes, **_coordinate_gaps_row(bimodule_gaps, n, sizes, REPEATS[16]))
+    for n, reps in INSTANCE_REPEATS.items():
+        build = lambda n=n: random_block_instance(n, np.random.default_rng(3), conjugate=True)
+        layers.setdefault(f"n={n}", {})["random_block_instance (rotated)"] = _measure(build, reps)
     for n in COMMUTATIVE_SIZES:
         d = diagonal_algebra(n)
         layers[f"diagonal n={n}"] = {}

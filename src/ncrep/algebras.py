@@ -15,6 +15,16 @@ each enclosing algebra, and its sampled projections per cap
 (states.sample_projections).  Each is computed on first request and then
 read back, so a D that several states are probed on is solved once.
 Nothing that depends on a functional is kept there.
+
+The block constructions also record a pattern (u, mask): the algebra is
+u B u* for B the matrices supported on the allowed entries mask of a block
+diagonal or block upper triangular partition, and u is None in coordinates.
+unitary_conjugate_algebra composes its rotation into the record, and
+corner_algebra carries it to the corner cut by a projection that commutes
+with the algebra.  A patterned algebra's product closure is certified from
+its rotated basis, without forming the (dim)^2 basis products
+(Subalgebra.validate), and a character on it is checked on the rotated
+matrix units.
 """
 
 import functools
@@ -66,7 +76,14 @@ def _read_only(space):
 
 
 class Subalgebra:
-    """Unital, product-closed subspace of M_n, on read-only basis rows. Not necessarily adjoint-closed."""
+    """Unital, product-closed subspace of M_n, on read-only basis rows. Not necessarily adjoint-closed.
+
+    pattern is None or (u, mask), set by the block constructions before
+    they validate: the span should be u B u* with B the matrices supported
+    on the boolean (n, n) mask, a product-closed pattern, and u None for the
+    identity.  validate() then certifies product closure from the rotated
+    basis; see there.
+    """
 
     star_closed = False
 
@@ -74,6 +91,7 @@ class Subalgebra:
         self.space = _read_only(space)
         self.n = space.ambient_dim
         self.blocks = None
+        self.pattern = None
         self._derived = {}
         if check:
             self.validate()
@@ -100,11 +118,23 @@ class Subalgebra:
         return self.space.contains(x)
 
     def validate(self):
+        """Check that the span is nonempty, holds I and is product-closed.
+
+        Product closure means that every basis product x_a x_b lies within
+        tol(1e-9) max(1, ||x_a x_b||) of the span.  A patterned algebra
+        first tries a certificate that forms no product (_closure_certified);
+        when it does not pass, and for every algebra without a pattern, the
+        products are formed and projected pair by pair.  A certificate that
+        does not pass is no verdict, so the error class, the message and the
+        first failing check are those of the pairwise route.
+        """
         if self.dim == 0:
             raise InvariantViolation("identity: algebra span is empty")
         eye = np.eye(self.n, dtype=complex)
         check(InvariantViolation, "identity: I is not in the span (distance {:.3e})",
               hs_norm(eye - self.space.project(eye)), tol(1e-9) * max(1.0, np.sqrt(self.n)))
+        if _closure_certified(self):
+            return
         b = self.space.tensor
         # all basis products, a chunk of left factors at a time; per factor, three
         # (dim, n^2) arrays: the products, their projection and the residual
@@ -129,6 +159,65 @@ class StarAlgebra(Subalgebra):
         super().validate()
         check(InvariantViolation, "adjoint closure: a basis adjoint leaves the span (defect {:.3e})",
               _adjoint_defects(self.space), tol(1e-9))
+
+
+# the largest ||u*u - I|| (HS norm) of a rotation that keeps an algebra's pattern
+_UNITARY_DEFECT = tol(1e-12)
+
+
+def _unitary_defect(u):
+    """||u*u - I||, and 0 for the identity, written None."""
+    return 0.0 if u is None else hs_norm(dagger(u) @ u - np.eye(len(u)))
+
+
+def _pattern_coordinates(alg):
+    """A patterned algebra's rotated basis y_a = u* x_a u, split at the mask.
+
+    Returns the entries of each y_a on the mask, as a (dim, mask.sum())
+    array in row-major order of the mask, the HS norm of each y_a off the
+    mask, and u's unitarity defect.  Entry (a, s) is the conjugate of
+    <f_s, x_a> for the rotated matrix unit f_s = u E_s u*, whatever u is.
+    One rotation, O(dim n^3); not kept, so an algebra holds no second copy
+    of its basis.
+    """
+    u, mask = alg.pattern
+    rotated = alg.space.tensor if u is None else dagger(u) @ alg.space.tensor @ u
+    flat = rotated.reshape(alg.dim, -1)
+    keep = mask.ravel()
+    return flat[:, keep], hs_norms(flat[:, ~keep]), _unitary_defect(u)
+
+
+def _closure_threshold(dim, defect):
+    """The largest off-mask residual of a basis element that _closure_certified
+    accepts, for an algebra of dimension dim rotated by a u with ||u*u - I|| = defect."""
+    return tol(1e-9) / (3.0 + np.sqrt(dim)) - 3.0 * defect
+
+
+def _closure_certified(alg):
+    """True when alg's pattern shows every basis product within tol(1e-9) of the span.
+
+    One rotation of the basis, O(dim n^3), and no product.  Let r_a be the
+    HS norm of y_a = u* x_a u off the mask, eps = max r_a, eta = ||u*u - I||,
+    v the unitary polar factor of u and P = v B v*, B the matrices on the
+    mask: P is product-closed, as the mask is, and has dimension mask.sum().
+    Write x_a = p_a + e_a, p_a the projection of x_a onto P.  Since
+    u* x u = h (v* x v) h with h = (u*u)^(1/2) and ||h - I|| <= eta, ||e_a||,
+    the off-mask norm of v* x_a v, is at most e = eps + 3 eta (eta <= 1).
+    - p_a p_b lies in P with norm at most 1.  A unit element sum c_a x_a of
+      the span lies within (sum ||e_a||^2)^(1/2) <= sqrt(dim) e of P, and
+      when dim = mask.sum() the gap between the span and P is the same both
+      ways, so p_a p_b lies within sqrt(dim) e of the span.
+    - x_a x_b - p_a p_b = p_a e_b + e_a p_b + e_a e_b has norm at most
+      2 e + e^2.
+    So x_a x_b lies within (2 + sqrt(dim)) e + e^2 <= (3 + sqrt(dim)) e of
+    the span (e <= 1), at most tol(1e-9) <= tol(1e-9) max(1, ||x_a x_b||)
+    once eps <= tol(1e-9) / (3 + sqrt(dim)) - 3 eta.  The rotation's own
+    rounding, O(n) machine epsilons, lies far below that threshold.
+    """
+    if alg.pattern is None or alg.dim != int(alg.pattern[1].sum()):
+        return False
+    _, residuals, defect = _pattern_coordinates(alg)
+    return bool(np.all(residuals <= _closure_threshold(alg.dim, defect)))
 
 
 def from_spanning(mats, star=True):
@@ -172,19 +261,25 @@ def block_upper_triangular(n, blocks):
     return _block_algebra(n, blocks, star=False)
 
 
-def _block_algebra(n, blocks, star, check=True):
+def _block_algebra(n, blocks, star):
     """block_diagonal_algebra (star) or block_upper_triangular, tagged with the
-    blocks; check=False skips the validation, for a caller that validates what
-    it makes of the result."""
+    blocks and with its pattern: no rotation and the allowed-entry mask."""
     _check_partition(n, blocks)
+    which = np.empty(n, dtype=int)
+    for t, blk in enumerate(blocks):
+        which[blk] = t
     if star:
+        mask = which[:, None] == which[None, :]
         pairs = [(i, j) for blk in blocks for i in blk for j in blk]
     else:
-        which = {i: t for t, blk in enumerate(blocks) for i in blk}
-        pairs = [(i, j) for i in range(n) for j in range(n) if which[i] <= which[j]]
+        mask = which[:, None] <= which[None, :]
+        pairs = zip(*np.nonzero(mask))
+    mask.flags.writeable = False
     space = orthonormalize([_unit_matrix(n, i, j) for i, j in pairs])
-    alg = StarAlgebra(space, check) if star else Subalgebra(space, check)
+    alg = StarAlgebra(space, check=False) if star else Subalgebra(space, check=False)
     alg.blocks = [list(blk) for blk in blocks]
+    alg.pattern = (None, mask)
+    alg.validate()
     return alg
 
 
@@ -354,6 +449,46 @@ def diagonal_part_check(a, d, phi=None):
 
 
 def unitary_conjugate_algebra(alg, u):
-    """The algebra u S u*; same flavor as the input, block metadata dropped."""
-    space = OperatorSubspace(alg.n, [(u @ b @ dagger(u)).ravel() for b in alg.basis])
-    return type(alg)(space)
+    """The algebra u S u*; same flavor as the input, block tags dropped.
+
+    A pattern (w, mask) of S becomes (u w, mask) when u w is unitary within
+    _UNITARY_DEFECT; for any other u the result has no pattern, and its
+    closure is checked pair by pair.
+    """
+    rotated = u @ alg.space.tensor @ dagger(u)
+    rotated.flags.writeable = False
+    result = type(alg)(OperatorSubspace(alg.n, rotated.reshape(alg.dim, -1)), check=False)
+    if alg.pattern is not None:
+        w, mask = alg.pattern
+        composed = u if w is None else u @ w
+        if _unitary_defect(composed) <= _UNITARY_DEFECT:
+            result.pattern = (composed, mask)
+    result.validate()
+    return result
+
+
+def corner_algebra(alg, corner):
+    """The *-algebra v* S v on a Corner's isometry v (n x r): from_spanning of
+    the compressed basis, with its pattern carried over.
+
+    For S patterned (u, mask), v* x v = w* y w with w = u* v and y = u* x u
+    on the mask.  When vv* commutes with S, as a support that commutes with
+    a block D does, w is zero off r of its rows K and unitary on them, so
+    v* x v = q* y_KK q with q = w[K]: the pattern becomes (q*, mask on K x K),
+    a mask as product-closed as the whole one, when q* is unitary within
+    _UNITARY_DEFECT.  Otherwise the result has no pattern.  Either way
+    validate() decides, as for from_spanning.
+    """
+    result = StarAlgebra(orthonormalize(corner.compress(alg.space.tensor)), check=False)
+    if alg.pattern is not None:
+        u, mask = alg.pattern
+        w = corner.v if u is None else dagger(u) @ corner.v
+        keep = hs_norms(w) ** 2 > 0.5
+        if keep.sum() == corner.rank:
+            q = dagger(w[keep])
+            if _unitary_defect(q) <= _UNITARY_DEFECT:
+                sub = mask[np.ix_(keep, keep)]
+                sub.flags.writeable = False
+                result.pattern = (q, sub)
+    result.validate()
+    return result

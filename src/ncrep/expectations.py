@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import StarAlgebra, commutant, from_spanning, full_matrix_algebra
+from .algebras import StarAlgebra, commutant, corner_algebra, full_matrix_algebra
 from .config import tol
 from .errors import (
     DensityDoesNotCommute,
@@ -481,7 +481,7 @@ def existence_diagnosis(omega, d, m):
         if not support_commutes:
             return False
         corner = Corner(projection_isometry(omega.support))
-        d_c = from_spanning(corner.compress(d.space.tensor))
+        d_c = corner_algebra(d, corner)
         return modular_invariance_check(PositiveFunctional(corner.compress(omega.density)), d_c)
 
     modular_invariant, _ = guarded(modular_probe)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import commutant, from_spanning
+from .algebras import commutant, corner_algebra
 from .config import tol
 from .errors import (
     DimensionMismatch,
@@ -184,7 +184,7 @@ def check_support_compression(omega, m):
     if not m.contains(e):
         raise InvariantViolation("support projection must lie in the algebra for compression")
     corner = Corner(projection_isometry(e))
-    compressed = from_spanning(corner.compress(m.space.tensor))
+    compressed = corner_algebra(m, corner)
     omega_c = PositiveFunctional(corner.compress(omega.density))
     rhs = centralizer(omega_c, compressed)
     lhs = orthonormalize(corner.compress(omega_central_algebra(omega, m).space.tensor))

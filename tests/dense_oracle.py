@@ -8,13 +8,25 @@ multiplication, sandwich and complement matrices.  The commutant is here
 too, solved in one piece from the brackets with every element of the set,
 and so are the centrality probes as they were before they became gemms:
 the draw-by-draw projection sampler, the broadcast p d k - k d p
-contraction and the einsum central violation.
+contraction and the einsum central violation.  So are the pairwise product
+routes of the closure and multiplicative checks, which the package runs
+only where no block pattern certifies the result, and the element by
+element conjugation of an algebra's basis.
 """
 
 import numpy as np
 
 from ncrep.config import tol
-from ncrep.linalg import OperatorSubspace, dagger, eigh_hermitian, hs_norm
+from ncrep.errors import InvariantViolation, check
+from ncrep.linalg import (
+    OperatorSubspace,
+    chunk_slices,
+    dagger,
+    eigh_hermitian,
+    hs_norm,
+    hs_norms,
+    pair_products,
+)
 
 
 def left_mult_matrix(a):
@@ -120,3 +132,37 @@ def einsum_central_violation(omega, d, m):
     db = d.space.tensor
     comm = omega.density @ db - db @ omega.density
     return float(np.abs(np.einsum("aij,bji->ab", comm, m.space.tensor)).max())
+
+
+def closure_check(alg):
+    """Product closure pair by pair: InvariantViolation unless every basis product
+    x_a x_b lies within tol(1e-9) max(1, ||x_a x_b||) of the span."""
+    b = alg.space.tensor
+    # all basis products, a chunk of left factors at a time; per factor, three
+    # (dim, n^2) arrays: the products, their projection and the residual
+    for part in chunk_slices(alg.dim, 3 * alg.dim * alg.n**2):
+        products = pair_products(b[part], b).reshape(-1, alg.n**2)
+        check(InvariantViolation, "product closure: a basis product leaves the span (defect {:.3e})",
+              alg.space.residuals(products), tol(1e-9) * np.maximum(1.0, hs_norms(products)))
+
+
+def multiplicative_check(phi):
+    """A character's multiplicativity pair by pair on its domain's orthonormal basis:
+    InvariantViolation unless ||Phi(x_a x_b) - Phi(x_a) Phi(x_b)|| <= tol(1e-8) max(1, ||x_a x_b||)."""
+    k = phi.map_matrix
+    n = phi.n
+    b = phi.domain.space.tensor
+    images = phi.images.reshape(-1, n, n)
+    # all products x_a x_b and Phi(x_a) Phi(x_b), a chunk of a's at a time; per a, four
+    # (dim A, n^2) arrays: both products, the image of the first and the defect
+    for part in chunk_slices(len(b), 4 * len(b) * n * n):
+        prods = pair_products(b[part], b).reshape(-1, n * n)
+        want = pair_products(images[part], images).reshape(-1, n * n)
+        check(InvariantViolation, "multiplicative: Phi(xy) != Phi(x)Phi(y), defect {:.3e}",
+              hs_norms(prods @ k.T - want), tol(1e-8) * np.maximum(1.0, hs_norms(prods)))
+
+
+def elementwise_conjugate(alg, u):
+    """The algebra u S u* built from each basis element's conjugate in turn, and checked pair by pair."""
+    space = OperatorSubspace(alg.n, [(u @ b @ dagger(u)).ravel() for b in alg.basis])
+    return type(alg)(space)

@@ -5,11 +5,13 @@ multiplication matrices of every basis element, the statistics read off a
 map's values on its domain basis with the dense multiplication, sandwich
 and complement formulas of dense_oracle, the batched products with einsum,
 the QR-first null space with a full SVD, the certified commutant with
-the bracket stack over every element of the set, and the gemm centrality
-probes with the loop sampler and the broadcast and einsum contractions;
-the memory contracts pin
-the peak of the two validations at n = 10, of an expectation's validation
-at n = 16 and of a commutant at n = 16.
+the bracket stack over every element of the set, the gemm centrality
+probes with the loop sampler and the broadcast and einsum contractions,
+and the block-pattern certificates of closure and multiplicativity with
+the pairwise product routes, on intact and deliberately broken inputs and
+on the corners of a block D; the memory contracts pin the peak of the two
+validations at n = 10, of an expectation's validation at n = 16 and of a
+commutant at n = 16.
 """
 
 import tracemalloc
@@ -22,9 +24,12 @@ from hypothesis import strategies as st
 from dense_oracle import (
     bracket_stack_commutant,
     broadcast_local_violation,
+    closure_check,
     einsum_central_violation,
+    elementwise_conjugate,
     left_mult_matrix,
     loop_sample_projections,
+    multiplicative_check,
     perp_projector_matrix,
     right_mult_matrix,
     sandwich,
@@ -32,6 +37,7 @@ from dense_oracle import (
 from ncrep import algebras, linalg, states
 from ncrep.algebras import (
     StarAlgebra,
+    Subalgebra,
     block_diagonal_algebra,
     block_upper_triangular,
     commutant,
@@ -41,7 +47,7 @@ from ncrep.algebras import (
     unitary_conjugate_algebra,
 )
 from ncrep.config import tol
-from ncrep.errors import InvariantViolation
+from ncrep.errors import InvariantViolation, NcrepError
 from ncrep.expectations import (
     ConditionalExpectation,
     _modular_gaps,
@@ -56,6 +62,8 @@ from ncrep.instances import (
     random_partition,
 )
 from ncrep.linalg import (
+    Corner,
+    OperatorSubspace,
     bimodule_gaps,
     chunk_slices,
     dagger,
@@ -63,11 +71,18 @@ from ncrep.linalg import (
     null_space_rows,
     orthonormalize,
     pair_products,
+    projection_isometry,
     same_subspace,
     sandwich_matrix,
     subspace_intersection,
 )
-from ncrep.representing import DCharacter, _extension_gap, make_block_character
+from ncrep.representing import (
+    DCharacter,
+    _block_character,
+    _extension_gap,
+    _multiplicative_on_units,
+    make_block_character,
+)
 from ncrep.states import PositiveFunctional, is_D_central, locally_central_check, sample_projections
 
 
@@ -183,6 +198,105 @@ def test_broken_maps_raise_what_they_raised_with_the_sketch_and_without():
         k[:, n - 1] += 1e-4 * np.eye(n).ravel()
         with pytest.raises(InvariantViolation, match=r"^multiplicative: Phi\(xy\) != Phi\(x\)Phi\(y\), defect "):
             DCharacter(k, a, d)
+
+
+def verdict(fn, *args):
+    """None when fn(*args) passes, else the class and message of the NcrepError it raises."""
+    try:
+        fn(*args)
+    except NcrepError as err:
+        return type(err), str(err)
+    return None
+
+
+def nudged(alg, size, rng):
+    """A copy of a patterned algebra, pattern included, whose every basis element x_a
+    is moved by u g_a u*, g_a a random matrix of HS norm size off the mask."""
+    u, mask = alg.pattern
+    u = np.eye(alg.n) if u is None else u
+    off = random_complex((alg.dim, alg.n, alg.n), rng) * ~mask
+    off *= size / np.linalg.norm(off, axis=(1, 2), keepdims=True)
+    moved = type(alg)(OperatorSubspace(alg.n, alg.space.flat + (u @ off @ dagger(u)).reshape(alg.dim, -1)), check=False)
+    moved.pattern = alg.pattern
+    return moved
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.booleans(), st.booleans(), st.data())
+def test_pattern_certificates_agree_with_the_pairwise_routes(n, star, rotated, data):
+    # a block diagonal D with the identity character, or a block upper triangular A with the
+    # block compression, in coordinates or rotated; each verdict is compared with the pairwise
+    # route on rows nudged off the pattern at half and twice the closure certificate's threshold,
+    # on the map plus 1e-4 x_{0, n-1} I and on the transpose map
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    a, d, phi = _block_character(n, random_partition(n, rng), haar_unitary(n, rng) if rotated else None)
+    if star:
+        a, phi = d, DCharacter(np.eye(n * n), d, d)
+    assert a.pattern is not None and algebras._closure_certified(a)
+    assert _multiplicative_on_units(phi, hs_norm(phi.map_matrix))
+    broken = phi.map_matrix.copy()
+    broken[:, n - 1] += 1e-4 * np.eye(n).ravel()
+    transpose = np.eye(n * n).reshape(n, n, n, n).swapaxes(0, 1).reshape(n * n, n * n)
+    cases = [(a, phi.map_matrix), (a, broken), (a, transpose)]
+    if not a.pattern[1].all():  # there are entries off the pattern to move the rows to
+        _, _, defect = algebras._pattern_coordinates(a)
+        threshold = algebras._closure_threshold(a.dim, defect)
+        for size, certified in ((0.5, True), (2.0, False)):
+            moved = nudged(a, size * threshold, rng)
+            assert algebras._closure_certified(moved) == certified
+            assert verdict(Subalgebra.validate, moved) == verdict(closure_check, moved)
+            cases += [(moved, phi.map_matrix), (moved, broken), (moved, transpose)]
+    for domain, k in cases:
+        f = DCharacter(k, domain, d, check=False)
+        want = verdict(multiplicative_check, f)
+        assert verdict(f._check_multiplicative, hs_norm(f.map_matrix)) == want
+        if k is broken and not star:  # x_{0, n-1} lies in A, so the nudge breaks Phi
+            assert want is not None and want[1].startswith("multiplicative: ")
+
+
+def test_a_rotation_that_is_not_unitary_drops_the_pattern():
+    # the diagonal D of M_3 under two diagonal scalings, whose images are D again, and under the
+    # shear I + E_01, whose image is not an algebra.  The conjugated basis is not orthonormalized
+    # again, so diag(1, 2, 1/2) and the shear fail the identity check; diag(1, 1 + 1e-10, 1),
+    # unitary within 1e-10 but not within the pattern's 1e-12, passes pair by pair.  Each gets the
+    # element by element build's verdict, class and message
+    d = block_diagonal_algebra(3, [[0], [1], [2]])
+    near, far = np.diag([1.0, 1.0 + 1e-10, 1.0]), np.diag([1.0, 2.0, 0.5])
+    rotations = (near, far, np.eye(3) + unit(3, 0, 1))
+    want = [verdict(elementwise_conjugate, d, u) for u in rotations]
+    assert [verdict(unitary_conjugate_algebra, d, u) for u in rotations] == want
+    assert want[0] is None
+    assert all(cls is InvariantViolation and text.startswith("identity: I is not in the span") for cls, text in want[1:])
+    image = unitary_conjugate_algebra(d, near)
+    assert image.pattern is None and isinstance(image, StarAlgebra)
+    assert same_subspace(image.space, d.space)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.booleans(), st.data())
+def test_corner_algebras_keep_the_pattern_of_a_commuting_support(n, rotated, data):
+    # a block diagonal D, in coordinates or rotated, cut down by the sum of some of its blocks'
+    # units, which commutes with D, and by a random projection, which in general does not: the
+    # corner algebra spans what from_spanning of the compressed basis spans and gets its
+    # verdict, class and message; the commuting corner keeps a pattern that certifies it
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    blocks = random_partition(n, rng)
+    d = block_diagonal_algebra(n, blocks)
+    u = haar_unitary(n, rng) if rotated else np.eye(n)
+    if rotated:
+        d = unitary_conjugate_algebra(d, u)
+    kept = [i for blk in blocks[: int(rng.integers(1, len(blocks) + 1))] for i in blk]
+    commuting = u @ np.diag(np.isin(np.arange(n), kept).astype(float)) @ dagger(u)
+    for p in (commuting, random_projection(n, rng)):
+        corner = Corner(projection_isometry(p))
+        want = verdict(from_spanning, corner.compress(d.space.tensor))
+        assert verdict(algebras.corner_algebra, d, corner) == want
+        if want is None:
+            c = algebras.corner_algebra(d, corner)
+            assert same_subspace(c.space, from_spanning(corner.compress(d.space.tensor)).space)
+            assert verdict(closure_check, c) is None
+    c = algebras.corner_algebra(d, Corner(projection_isometry(commuting)))
+    assert c.pattern is not None and algebras._closure_certified(c)
 
 
 def dense_pullback(k, rho):
@@ -334,7 +448,9 @@ def test_validation_peak_memory_grows_like_n4():
 def test_expectation_validation_peak_memory_at_n16():
     # the module check reads the map's operator-Schmidt factors, 2 dim D' of them here, and
     # forms their commutators with a chunk of D's basis at a time (2.3 MB in all at n = 16);
-    # reading the domain basis and its images instead peaked at 12.05 MB
+    # reading the domain basis and its images instead peaked at 12.05 MB.  The instance build
+    # is most of this test's time: 0.37 s in all on a 2-core VM with the pattern certificates,
+    # 2.24 s when the closure and multiplicative checks formed every basis product
     inst = random_block_instance(16, np.random.default_rng(3), conjugate=True)
     e = preserving_expectation(inst.state, inst.d, inst.m)
     tracemalloc.start()
