@@ -31,7 +31,10 @@ diagonal algebras of M_3 and M_4, whose 7 and 15 projections are all found
 below either cap.  The diagnosis rows time existence_diagnosis with D
 block diagonal in M_8, blocks (4, 3, 1), for a central faithful state, a
 non-central one and a central one cut to its first two blocks, the three
-state families of the diagnosis-mixed benchmark.  An algebra keeps its
+state families of the diagnosis-mixed benchmark.  At n = 8, 12 and 16 the
+generate_star_algebra row generates the *-algebra of two Hermitian
+elements of D, (x + x*)/2 for x complex Gaussian combinations of D's basis
+drawn from default_rng(3), and adds the dimension it finds.  An algebra keeps its
 commutants and sampled projections once computed, so the sample_projections,
 commutant and diagnosis rows are timed twice: cold, on a fresh algebra
 object over the same basis for every call (built outside the timing), and
@@ -71,6 +74,7 @@ COORDINATE_BLOCKS = {24: [8, 8, 8]}
 # random_block_instance rows: repeats per size
 INSTANCE_REPEATS = {16: 3, 24: 1}
 COMMUTATIVE_SIZES = (3, 4)
+GENERATION_SIZES = (8, 12, 16)
 DIAGNOSIS_BLOCKS = [[0, 1, 2, 3], [4, 5, 6], [7]]
 # host-speed kernel timings taken before and after each row's repeats
 HOST_SAMPLES = 5
@@ -151,6 +155,18 @@ def _commutant_rows(commutant, d, m, repeats):
     return rows
 
 
+def _generation_row(generate_star_algebra, d, repeats):
+    """The generate_star_algebra row, on two seeded Hermitian elements of D, with the dimension found."""
+    import numpy as np
+
+    parts = np.random.default_rng(3).standard_normal((2, 2, d.dim))
+    x = ((parts[:, 0] + 1j * parts[:, 1]) @ d.space.flat).reshape(2, d.n, d.n)
+    gens = list((x + x.conj().swapaxes(1, 2)) / 2)
+    row = _measure(lambda: generate_star_algebra(gens), repeats)
+    row["dim"] = generate_star_algebra(gens).dim
+    return {"generate_star_algebra": row}
+
+
 def _projection_rows(sample_projections, d, cap, repeats):
     return _cold_and_warm(f"sample_projections (cap {cap})", lambda d: sample_projections(d, cap), d, repeats)
 
@@ -211,7 +227,7 @@ def main():
     args = parser.parse_args()
     sys.path.insert(0, args.src)
     import numpy as np
-    from ncrep.algebras import commutant, diagonal_algebra
+    from ncrep.algebras import commutant, diagonal_algebra, generate_star_algebra
     from ncrep.expectations import commutes_with_modular, support_of_map
     from ncrep.instances import random_block_instance, random_central_density
     from ncrep.linalg import bimodule_gaps, null_space_rows
@@ -247,6 +263,8 @@ def main():
             layers[f"n={n}"].update(_projection_rows(sample_projections, d, cap, reps))
         if n in GAPS_SIZES:
             layers[f"n={n}"].update(_gaps_rows(bimodule_gaps, e, phi, d, reps))
+        if n in GENERATION_SIZES:
+            layers[f"n={n}"].update(_generation_row(generate_star_algebra, d, reps))
     for n, sizes in COORDINATE_BLOCKS.items():
         layers[f"n={n}"] = dict(blocks=sizes, **_coordinate_gaps_row(bimodule_gaps, n, sizes, REPEATS[16]))
     for n, reps in INSTANCE_REPEATS.items():

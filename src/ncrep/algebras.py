@@ -2,12 +2,15 @@
 
 A Subalgebra is product-closed and contains the identity; a StarAlgebra
 is additionally adjoint-closed.  Everything downstream works with the
-orthonormal basis of the span.  A commutant is a kernel on the
-coordinates of the enclosing algebra, restricted one batch of generators
-at a time: first two seeded generic combinations of the set, which almost
-always generate the algebra it generates, then, only if the result fails
-its commutation certificate against the whole set, the set's own elements
-a bounded chunk at a time.
+orthonormal basis of the span.  The *-algebra generated by a set S is the
+bicommutant of S and its adjoints, two commutant solves; an algebra that
+need not be adjoint-closed is generated by closure passes, which form the
+(dim)^2 basis products until the dimension stops growing.  A commutant is
+a kernel on the coordinates of the enclosing algebra, restricted one batch
+of generators at a time: first two seeded generic combinations of the
+set, which almost always generate the algebra it generates, then, only if
+the result fails its commutation certificate against the whole set, the
+set's own elements a bounded chunk at a time.
 
 An algebra's basis rows are read-only, and an algebra keeps a store of the
 data that depends on it alone (Subalgebra.derived): its commutant within
@@ -283,47 +286,43 @@ def _block_algebra(n, blocks, star):
     return alg
 
 
-def _closure_pass(space):
-    b = space.tensor
-    products = pair_products(b, b).reshape(-1, space.ambient_dim, space.ambient_dim)
-    return orthonormalize(list(space.basis) + list(products))
-
-
-def generate_algebra(generators, ambient_dim=None, star=True):
-    """Smallest unital (*-)algebra containing the generators.
-
-    Seeds with the identity, the generators, and (in the star case) their
-    adjoints, then alternates multiplication with orthonormalization until
-    the dimension stops growing.
-    """
+def generate_algebra(generators):
+    """Smallest unital algebra containing the generators, by closure passes from the
+    identity and the generators, each adding every basis product, until the dimension
+    stops growing: a set that is not self-adjoint has no bicommutant form."""
     gens = [as_matrix(g) for g in generators]
     if not gens:
         raise EmptyInput("need at least one generator")
-    n = gens[0].shape[0]
-    if ambient_dim is not None and ambient_dim != n:
-        raise DimensionMismatch(f"generators are {n}x{n}, ambient_dim={ambient_dim}")
-    seed = [np.eye(n, dtype=complex)] + gens
-    if star:
-        seed += [dagger(g) for g in gens]
-    space = orthonormalize(seed)
+    n = len(gens[0])
+    space = orthonormalize([np.eye(n, dtype=complex)] + gens)
     for _ in range(n * n):
-        grown = _closure_pass(space)
+        b = space.tensor
+        grown = orthonormalize(list(space.basis) + list(pair_products(b, b).reshape(-1, n, n)))
         if grown.size == space.size:
             break
         space = grown
-    return StarAlgebra(space) if star else Subalgebra(space)
+    return Subalgebra(space)
 
 
-def generate_star_algebra(generators, ambient_dim=None):
-    return generate_algebra(generators, ambient_dim, star=True)
+def generate_star_algebra(generators):
+    """Smallest unital *-algebra containing the generators: S'', S the generators and
+    their adjoints, by von Neumann's bicommutant theorem.  Two commutant solves and
+    StarAlgebra.validate, whose InvariantViolation is raised when it fails."""
+    gens = [as_matrix(g) for g in generators]
+    if not gens:
+        raise EmptyInput("need at least one generator")
+    result = commutant(commutant(gens + [dagger(g) for g in gens]))
+    return result if result.star_closed else StarAlgebra(result.space)
 
 
 def _generating_set(s):
-    if isinstance(s, Subalgebra):
+    if isinstance(s, (Subalgebra, OperatorSubspace)):
         return s.basis
-    if isinstance(s, OperatorSubspace):
-        return s.basis
-    return [as_matrix(m) for m in s]
+    gens = [as_matrix(m) for m in s]
+    sizes = sorted({len(g) for g in gens})
+    if len(sizes) > 1:
+        raise DimensionMismatch(f"the set mixes matrix sizes {sizes}")
+    return gens
 
 
 # seed of the generic combinations that open every commutant solve
@@ -451,10 +450,12 @@ def diagonal_part_check(a, d, phi=None):
 def unitary_conjugate_algebra(alg, u):
     """The algebra u S u*; same flavor as the input, block tags dropped.
 
-    A pattern (w, mask) of S becomes (u w, mask) when u w is unitary within
-    _UNITARY_DEFECT; for any other u the result has no pattern, and its
-    closure is checked pair by pair.
+    InvariantViolation unless ||u*u - I|| <= 1e-9, as the conjugated basis is
+    not orthonormalized again.  A pattern (w, mask) of S becomes (u w, mask)
+    when u w is unitary within _UNITARY_DEFECT; otherwise the result has no
+    pattern, and its closure is checked pair by pair.
     """
+    check(InvariantViolation, "rotation: u is not unitary (||u*u - I|| = {:.3e})", _unitary_defect(u), tol(1e-9))
     rotated = u @ alg.space.tensor @ dagger(u)
     rotated.flags.writeable = False
     result = type(alg)(OperatorSubspace(alg.n, rotated.reshape(alg.dim, -1)), check=False)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import StarAlgebra, commutant, corner_algebra, full_matrix_algebra
+from .algebras import StarAlgebra, commutant, corner_algebra
 from .config import tol
 from .errors import (
     DensityDoesNotCommute,
@@ -364,25 +364,19 @@ def _support_gaps(k, images, domain, z):
 
 
 def support_of_map(e):
-    """Smallest projection z with E(x) = E(zxz); support of the trace pullback.
+    """Smallest projection z with E(x) = E(zxz) for an expectation E; support of the trace pullback.
 
-    Accepts a ConditionalExpectation or a raw map matrix on all of M_n.  For
-    idempotent maps the support also commutes with every output.  A validated
-    expectation is idempotent; any other map is tested for it first.
+    For idempotent maps the support also commutes with every output.  A
+    validated expectation is idempotent; any other is tested for it first.
     """
-    if isinstance(e, ConditionalExpectation):
-        k, images, dom, idempotent = e.map_matrix, e.images, e.domain, e.validated
-    else:
-        k = np.asarray(e, dtype=complex)
-        dom = full_matrix_algebra(int(round(np.sqrt(k.shape[0]))))
-        images, idempotent = dom.space.flat @ k.T, False
+    k, images, dom = e.map_matrix, e.images, e.domain
     w = _pullback_density(k, np.eye(dom.n, dtype=complex))
     w_spec = eigh_hermitian(w)
     z = w_spec.support(pd_tol(w_spec.norm))
     scale = max(1.0, hs_norm(k))
     gap, side = _support_gaps(k, images, dom, z)
     check(InvariantViolation, "support identity E(x) = E(zxz) fails by {:.3e}", gap, tol(1e-8) * scale)
-    if idempotent or hs_norm(images @ k.T - images) <= tol(1e-6) * scale:
+    if e.validated or hs_norm(images @ k.T - images) <= tol(1e-6) * scale:
         check(InvariantViolation, "support does not commute with the outputs ({:.3e})", side, tol(1e-8) * scale)
     return z
 

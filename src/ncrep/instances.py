@@ -86,7 +86,7 @@ def instance_from_dict(data):
         gens = [decode_matrix(g, "D generator") for g in d_spec["generators"]]
         if any(g.shape != (n, n) for g in gens):
             raise ParseError("D generators must be n x n")
-        d = generate_star_algebra(gens, ambient_dim=n)
+        d = generate_star_algebra(gens)
     else:
         raise ParseError("'D' needs 'blocks' or 'generators'")
 
@@ -101,7 +101,7 @@ def instance_from_dict(data):
             gens = [decode_matrix(g, "A generator") for g in a_spec["generators"]]
             if any(g.shape != (n, n) for g in gens):
                 raise ParseError("A generators must be n x n")
-            a = generate_algebra(gens, ambient_dim=n, star=False)
+            a = generate_algebra(gens)
         else:
             raise ParseError("'A' needs 'triangular_over' or 'generators'")
 

@@ -125,9 +125,11 @@ def _omega_gram(omega, b):
 
 
 def _faithful_on(omega, algebra):
-    """omega(x*x) > 0 for nonzero x in the algebra: _faithful_spectrum on its Gram matrix."""
-    gram, _ = _omega_gram(omega, algebra.space.tensor)
-    return _faithful_spectrum(np.linalg.eigvalsh(gram))
+    """omega(x*x) > 0 for nonzero x in the *-algebra B: _faithful_spectrum on P_B(rho).
+    For B = u(sum_t M_k_t (x) 1_m_t)u*, P_B(rho) = u(sum_t s_t (x) 1_m_t)u* and the
+    Gram matrix omega(b_a* b_c) ~ sum_t I_k_t (x) s_t^T have the same eigenvalues."""
+    rd = omega.restricted_density(algebra)
+    return _faithful_spectrum(np.linalg.eigvalsh((rd + dagger(rd)) / 2))
 
 
 def _faithful_spectrum(eigs):

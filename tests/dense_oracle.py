@@ -10,23 +10,29 @@ and so are the centrality probes as they were before they became gemms:
 the draw-by-draw projection sampler, the broadcast p d k - k d p
 contraction and the einsum central violation.  So are the pairwise product
 routes of the closure and multiplicative checks, which the package runs
-only where no block pattern certifies the result, and the element by
-element conjugation of an algebra's basis.
+only where no block pattern certifies the result, the element by
+element conjugation of an algebra's basis, the closure passes that
+generated *-algebras before generation became the bicommutant, and the
+faithfulness test on a *-algebra's Gram matrix.
 """
 
 import numpy as np
 
+from ncrep.algebras import StarAlgebra
 from ncrep.config import tol
-from ncrep.errors import InvariantViolation, check
+from ncrep.errors import EmptyInput, InvariantViolation, check
 from ncrep.linalg import (
     OperatorSubspace,
+    as_matrix,
     chunk_slices,
     dagger,
     eigh_hermitian,
     hs_norm,
     hs_norms,
+    orthonormalize,
     pair_products,
 )
+from ncrep.states import _faithful_spectrum, _omega_gram
 
 
 def left_mult_matrix(a):
@@ -76,6 +82,13 @@ def bracket_stack_commutant(gens, within):
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
     rank = int(np.sum(s > tol(1e-9) * max(1.0, float(s[0]))))
     return OperatorSubspace(n, vh[rank:].conj() @ within.space.flat)
+
+
+def gram_faithful_on(omega, algebra):
+    """omega(x*x) > 0 for nonzero x in the algebra, decided on the (dim)^2 Gram matrix
+    omega(b_a* b_c) of its orthonormal basis by the package's one faithfulness test."""
+    gram, _ = _omega_gram(omega, algebra.space.tensor)
+    return _faithful_spectrum(np.linalg.eigvalsh(gram))
 
 
 def _spectral_projections_in(h):
@@ -166,3 +179,22 @@ def elementwise_conjugate(alg, u):
     """The algebra u S u* built from each basis element's conjugate in turn, and checked pair by pair."""
     space = OperatorSubspace(alg.n, [(u @ b @ dagger(u)).ravel() for b in alg.basis])
     return type(alg)(space)
+
+
+def closure_star_algebra(generators):
+    """The smallest unital *-algebra containing the generators, by closure passes:
+    seeded with the identity, the generators and their adjoints, then multiplied
+    out, all (dim)^2 basis products at once, and orthonormalized until the
+    dimension stops growing."""
+    gens = [as_matrix(g) for g in generators]
+    if not gens:
+        raise EmptyInput("need at least one generator")
+    n = gens[0].shape[0]
+    space = orthonormalize([np.eye(n, dtype=complex)] + gens + [dagger(g) for g in gens])
+    for _ in range(n * n):
+        b = space.tensor
+        grown = orthonormalize(list(space.basis) + list(pair_products(b, b).reshape(-1, n, n)))
+        if grown.size == space.size:
+            break
+        space = grown
+    return StarAlgebra(space)

@@ -10,12 +10,12 @@ import time
 
 import numpy as np
 
+from dense_oracle import closure_star_algebra
 from ncrep.algebras import (
     block_diagonal_algebra,
     commutant,
     from_spanning,
     full_matrix_algebra,
-    generate_star_algebra,
 )
 from ncrep.expectations import (
     average_to_central,
@@ -350,35 +350,39 @@ def test_08_measure_criterion_vs_search():
            "%d/1000 disagreements, %.1f s" % (disagreements, dt))
 
 
+def generator_family(variant, n, rng):
+    """ACCEPTANCE 09's generators: a Hermitian matrix, a projection, a rotated matrix
+    with two equal diagonal blocks, or two complex Gaussian matrices."""
+    if variant == 0:
+        h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return [(h + dagger(h)) / 2]
+    if variant == 1:
+        u = haar_unitary(n, rng)
+        k = int(rng.integers(1, n))
+        return [u[:, :k] @ dagger(u[:, :k])]
+    if variant == 2:
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        z = np.zeros((n, n), dtype=complex)
+        half = n // 2
+        z[:half, :half] = x[:half, :half]
+        z[half:2 * half, half:2 * half] = x[:half, :half]
+        u = haar_unitary(n, rng)
+        return [u @ z @ dagger(u)]
+    return [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2)]
+
+
 def test_09_bicommutant_and_compression():
     # Generated *-algebras equal their bicommutant, and compressing to the
-    # support projection exchanges centralizer and compression.
+    # support projection exchanges centralizer and compression.  The package
+    # generates *-algebras as bicommutants, so the generation side here is the
+    # closure-pass oracle, which forms basis products and no commutant.
     t0 = time.perf_counter()
     worst_proj = 0.0
     compression_failures = 0
     for t, rng in enumerate(_rngs(109, 200)):
         n = int(rng.integers(2, 7))
         m = full_matrix_algebra(n)
-        variant = t % 4
-        if variant == 0:
-            h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            gens = [(h + dagger(h)) / 2]
-        elif variant == 1:
-            u = haar_unitary(n, rng)
-            k = int(rng.integers(1, n))
-            gens = [u[:, :k] @ dagger(u[:, :k])]
-        elif variant == 2:
-            x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            z = np.zeros((n, n), dtype=complex)
-            half = n // 2
-            z[:half, :half] = x[:half, :half]
-            z[half:2 * half, half:2 * half] = x[:half, :half]
-            u = haar_unitary(n, rng)
-            gens = [u @ z @ dagger(u)]
-        else:
-            gens = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                    for _ in range(2)]
-        s = generate_star_algebra(gens)
+        s = closure_star_algebra(generator_family(t % 4, n, rng))
         s2 = commutant(commutant(s, m), m)
         worst_proj = max(worst_proj, hs_norm(
             s2.space.projector_matrix() - s.space.projector_matrix()))

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from dense_oracle import closure_star_algebra
 from ncrep.algebras import (
     StarAlgebra,
     Subalgebra,
@@ -12,13 +15,16 @@ from ncrep.algebras import (
     diagonal_part_check,
     from_spanning,
     full_matrix_algebra,
+    generate_algebra,
     generate_star_algebra,
     scalar_algebra,
     unitary_conjugate_algebra,
 )
-from ncrep.errors import InvariantViolation
-from ncrep.linalg import OperatorSubspace, dagger, orthonormalize, same_subspace
+from ncrep.errors import DimensionMismatch, EmptyInput, InvariantViolation, NcrepError
+from ncrep.instances import haar_unitary
+from ncrep.linalg import OperatorSubspace, dagger, hs_norm, orthonormalize, same_subspace
 from ncrep.states import sample_projections
+from test_acceptance import generator_family
 
 
 def unit(n, i, j):
@@ -110,10 +116,11 @@ def test_algebra_basis_is_read_only_and_not_shared_with_the_caller():
 
 
 def test_bicommutant_recovers_generated_algebra():
+    # the generation side is the closure-pass oracle: the package's generation is the bicommutant
     rng = np.random.default_rng(9)
     for n in (2, 3, 4, 6):
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        alg = generate_star_algebra([x])
+        alg = closure_star_algebra([x])
         m = full_matrix_algebra(n)
         double = commutant(commutant(alg, m), m)
         assert same_subspace(double.space, alg.space)
@@ -184,3 +191,58 @@ def test_unitary_conjugate():
     alg = unitary_conjugate_algebra(diagonal_algebra(3), q)
     assert alg.dim == 3
     assert alg.contains(q @ np.diag([1.0, 2.0, 3.0]) @ dagger(q))
+
+
+def test_a_set_of_mixed_sizes_is_a_dimension_mismatch():
+    mixed = [np.eye(2), np.eye(3)]
+    for build in (commutant, generate_star_algebra, generate_algebra):
+        with pytest.raises(DimensionMismatch):
+            build(mixed)
+    with pytest.raises(EmptyInput, match="need at least one generator"):
+        generate_star_algebra([])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 3), st.integers(2, 6), st.lists(st.floats(-3, 3), min_size=2, max_size=2), st.data())
+def test_generation_agrees_with_the_closure_oracle(variant, n, exponents, data):
+    # ACCEPTANCE 09's families, each generator rescaled to a Hilbert-Schmidt norm between 1e-3 and 1e3
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    gens = [10.0**e * g / hs_norm(g) for e, g in zip(exponents, generator_family(variant, n, rng))]
+    got = generate_star_algebra(gens)
+    assert isinstance(got, StarAlgebra)
+    assert same_subspace(got.space, closure_star_algebra(gens).space)
+
+
+def gapped_hermitian(gap, seed):
+    """u diag(0, gap, 1, 2) u* for a seeded Haar u: two eigenvalues a relative gap apart."""
+    u = haar_unitary(4, np.random.default_rng(seed))
+    return u @ np.diag([0.0, gap, 1.0, 2.0]) @ dagger(u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.floats(-5, -1), st.floats(-16, -12)), st.integers(0, 2**32 - 1))
+def test_generation_by_one_hermitian_with_a_resolved_or_negligible_gap(exponent, seed):
+    # a gap of 1e-5 and above separates the two eigenvalues, one of 1e-12 and below merges them,
+    # for the bicommutant and the closure passes alike
+    h = gapped_hermitian(10.0**exponent, seed)
+    assert same_subspace(generate_star_algebra([h]).space, closure_star_algebra([h]).space)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-10, -7), st.integers(0, 2**32 - 1))
+def test_generation_by_one_hermitian_near_the_commutant_cutoff(exponent, seed):
+    # with the gap between 1e-10 and 1e-7 the commutant solve sits near its rank cutoff: the
+    # bicommutant is abelian and holds h, or a typed error says that it could not be certified.
+    # The closure passes are recorded, not asserted: they can return all of M_4
+    h = gapped_hermitian(10.0**exponent, seed)
+    try:
+        got = generate_star_algebra([h])
+    except NcrepError as err:
+        event(f"bicommutant: {type(err).__name__}")
+    else:
+        event(f"bicommutant: dim {got.dim}")
+        assert got.is_abelian() and got.contains(h)
+    try:
+        event(f"closure passes: dim {closure_star_algebra([h]).dim}")
+    except NcrepError as err:
+        event(f"closure passes: {type(err).__name__}")

@@ -376,8 +376,11 @@ def test_support_of_map():
     nu = PositiveFunctional(np.diag([0.7, 0.3]).astype(complex))
     e = preserving_expectation(nu, diagonal_algebra(2), full_matrix_algebra(2))
     assert hs_norm(support_of_map(e) - np.eye(2)) <= 1e-8
+    # x -> pxp on M_3, not validated, so support_of_map tests its idempotence itself
     p = np.diag([1.0, 0.0, 1.0]).astype(complex)
-    assert hs_norm(support_of_map(sandwich_matrix(p, p)) - p) <= 1e-8
+    m3 = full_matrix_algebra(3)
+    compression = ConditionalExpectation(sandwich_matrix(p, p), m3, m3.space, p, m3, check=False)
+    assert hs_norm(support_of_map(compression) - p) <= 1e-8
 
 
 def test_support_ideal_frozen():

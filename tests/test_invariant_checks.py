@@ -18,7 +18,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import (
@@ -27,6 +27,7 @@ from dense_oracle import (
     closure_check,
     einsum_central_violation,
     elementwise_conjugate,
+    gram_faithful_on,
     left_mult_matrix,
     loop_sample_projections,
     multiplicative_check,
@@ -257,16 +258,17 @@ def test_pattern_certificates_agree_with_the_pairwise_routes(n, star, rotated, d
 def test_a_rotation_that_is_not_unitary_drops_the_pattern():
     # the diagonal D of M_3 under two diagonal scalings, whose images are D again, and under the
     # shear I + E_01, whose image is not an algebra.  The conjugated basis is not orthonormalized
-    # again, so diag(1, 2, 1/2) and the shear fail the identity check; diag(1, 1 + 1e-10, 1),
-    # unitary within 1e-10 but not within the pattern's 1e-12, passes pair by pair.  Each gets the
-    # element by element build's verdict, class and message
+    # again, so diag(1, 2, 1/2) and the shear are rejected up front, with ||u*u - I|| in the
+    # message; diag(1, 1 + 1e-10, 1), unitary within 1e-9 but not within the pattern's 1e-12,
+    # passes pair by pair, as the element by element build does
     d = block_diagonal_algebra(3, [[0], [1], [2]])
     near, far = np.diag([1.0, 1.0 + 1e-10, 1.0]), np.diag([1.0, 2.0, 0.5])
-    rotations = (near, far, np.eye(3) + unit(3, 0, 1))
-    want = [verdict(elementwise_conjugate, d, u) for u in rotations]
-    assert [verdict(unitary_conjugate_algebra, d, u) for u in rotations] == want
-    assert want[0] is None
-    assert all(cls is InvariantViolation and text.startswith("identity: I is not in the span") for cls, text in want[1:])
+    assert verdict(unitary_conjugate_algebra, d, near) is None
+    assert verdict(elementwise_conjugate, d, near) is None
+    for u in (far, np.eye(3) + unit(3, 0, 1)):
+        defect = hs_norm(dagger(u) @ u - np.eye(3))
+        want = (InvariantViolation, f"rotation: u is not unitary (||u*u - I|| = {defect:.3e})")
+        assert verdict(unitary_conjugate_algebra, d, u) == want
     image = unitary_conjugate_algebra(d, near)
     assert image.pattern is None and isinstance(image, StarAlgebra)
     assert same_subspace(image.space, d.space)
@@ -477,6 +479,16 @@ def row_units(n):
     return [unit(n, 0, j) for j in range(1, n)]
 
 
+def repeated_blocks(n, rng):
+    """M_k (x) 1_mult on the first k * mult coordinates plus all of M_rest on the others, n >= 2."""
+    mult = int(rng.integers(2, n // 2 + 1)) if n >= 4 else 2
+    k = int(rng.integers(1, n // mult + 1))
+    lead = [np.kron(unit(k, i, j), np.eye(mult)) for i in range(k) for j in range(k)]
+    mats = [np.pad(x, (0, n - k * mult)) for x in lead]
+    mats += [unit(n, i, j) for i in range(k * mult, n) for j in range(k * mult, n)]
+    return from_spanning(mats)
+
+
 def commutant_case(kind, n, rng):
     """(s, within) for the comparison of the certified commutant with the bracket stack."""
     m = full_matrix_algebra(n)
@@ -484,13 +496,7 @@ def commutant_case(kind, n, rng):
     if kind == "blocks":
         return unitary_conjugate_algebra(block_diagonal_algebra(n, random_partition(n, rng)), u), m
     if kind == "repeated":
-        # M_k (x) 1_mult on the first k * mult coordinates, all of M_rest on the others
-        mult = int(rng.integers(2, n // 2 + 1)) if n >= 4 else 2
-        k = int(rng.integers(1, n // mult + 1))
-        lead = [np.kron(unit(k, i, j), np.eye(mult)) for i in range(k) for j in range(k)]
-        mats = [np.pad(x, (0, n - k * mult)) for x in lead]
-        mats += [unit(n, i, j) for i in range(k * mult, n) for j in range(k * mult, n)]
-        return unitary_conjugate_algebra(from_spanning(mats), u), m
+        return unitary_conjugate_algebra(repeated_blocks(n, rng), u), m
     if kind == "abelian":
         return unitary_conjugate_algebra(from_spanning(block_projections(n, random_partition(n, rng))), u), m
     if kind == "triangular":
@@ -643,3 +649,24 @@ def test_commutative_sampling_stops_once_every_projection_is_held(monkeypatch, n
     assert len(got) == len(want) == 2**n - 1
     assert max(np.abs(p - q).max() for p, q in zip(got, want)) <= 1e-12
     assert drawn[1] < drawn[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["full", "blocks", "repeated"]), st.integers(2, 6), st.floats(-14, -6), st.booleans(), st.data())
+def test_faithfulness_on_a_star_algebra_agrees_with_the_gram_route(kind, n, exponent, aligned, data):
+    # omega faithful on B, decided on the n x n spectrum of P_B(rho) and on the (dim B)^2 Gram
+    # matrix.  rho has one eigenvalue 10^exponent times its largest and is diagonal in B's rotated
+    # coordinates (aligned) or in a random basis, so the verdict goes both ways; draws within 2 %
+    # of the 1e-10 cutoff, where rounding may flip either route, are not compared
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    u = haar_unitary(n, rng)
+    b = {"full": full_matrix_algebra, "blocks": lambda n: block_diagonal_algebra(n, random_partition(n, rng)),
+         "repeated": lambda n: repeated_blocks(n, rng)}[kind](n)
+    b = unitary_conjugate_algebra(b, u)
+    weights = rng.random(n) + 0.1
+    weights[rng.integers(n)] = 10.0**exponent * weights.max()
+    v = u if aligned else haar_unitary(n, rng)
+    omega = PositiveFunctional((v * weights) @ dagger(v))
+    eigs = np.linalg.eigvalsh(omega.restricted_density(b))
+    assume(abs(eigs[0] - 1e-10 * eigs[-1]) > 0.02e-10 * eigs[-1])
+    assert states._faithful_on(omega, b) == gram_faithful_on(omega, b)
