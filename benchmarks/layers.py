@@ -11,8 +11,9 @@ block characters with blocks (1, 3), (1, 3, 4), (1, 3, 6), (4, 4, 4) and
 and prints one JSON object.  The validate rows of A and D time the
 closure check each runs (on a block algebra that has one, its pattern
 certificate).  The instance rows time random_block_instance(n,
-default_rng(3), conjugate=True) at n = 16 and 24, the build of A, D and Phi
-with all their checks.  The commutant row adds dim D' and the largest
+default_rng(3), conjugate=True) at n = 16, 24 and 32, the build of A, D and
+Phi with all their checks; at n = 24 a further row times commutant(D, M),
+cold, on that instance's D.  The commutant row adds dim D' and the largest
 ||[x, b]|| over its basis x and D's b.  The null_space_rows stack is the one
 commutant(D, M) solves first: the brackets of M's basis with two seeded
 complex Gaussian combinations of D's basis, (2 n^2, n^2).  At n = 4, 10
@@ -37,8 +38,8 @@ elements of D, (x + x*)/2 for x complex Gaussian combinations of D's basis
 drawn from default_rng(3), and adds the dimension it finds.  An algebra keeps its
 commutants and sampled projections once computed, so the sample_projections,
 commutant and diagnosis rows are timed twice: cold, on a fresh algebra
-object over the same basis for every call (built outside the timing), and
-warm, repeated on one object; the other rows repeat on one D.  --src points at
+object over the same basis and block pattern for every call (built outside
+the timing), and warm, repeated on one object; the other rows repeat on one D.  --src points at
 the src/ directory of the checkout to measure (default: this one's), so two
 commits can be compared with the same script.  BLAS is pinned to one thread
 before numpy loads.
@@ -72,7 +73,10 @@ GAPS_SIZES = (4, 10, 16)
 # bimodule_gaps rows on coordinate blocks, at sizes without a rotated instance in SIZES
 COORDINATE_BLOCKS = {24: [8, 8, 8]}
 # random_block_instance rows: repeats per size
-INSTANCE_REPEATS = {16: 3, 24: 1}
+INSTANCE_REPEATS = {16: 3, 24: 1, 32: 1}
+# sizes whose instance D gets a cold commutant row, and its repeats
+INSTANCE_COMMUTANT_SIZES = (24,)
+INSTANCE_COMMUTANT_REPEATS = 3
 COMMUTATIVE_SIZES = (3, 4)
 GENERATION_SIZES = (8, 12, 16)
 DIAGNOSIS_BLOCKS = [[0, 1, 2, 3], [4, 5, 6], [7]]
@@ -96,7 +100,7 @@ def _instance(n, sizes):
     a = unitary_conjugate_algebra(a, u)
     d = unitary_conjugate_algebra(d, u)
     # composed with A's projection here too, for a checkout whose constructor does not compose
-    phi = DCharacter(s @ phi.map_matrix @ dagger(s) @ a.space.projector_matrix(), a, d)
+    phi = DCharacter(s @ phi.map_matrix @ dagger(s) @ (a.space.flat.T @ a.space.flat.conj()), a, d)
     m = full_matrix_algebra(n)
     e = preserving_expectation(PositiveFunctional.tracial(n), d, m)
     nu = random_density(n, np.random.default_rng(n))
@@ -135,10 +139,17 @@ def _measure(fn, repeats, setup=tuple):
     }
 
 
+def _fresh(d):
+    """A new algebra object over d's basis with d's block pattern, and an empty store."""
+    copy = type(d)(d.space, check=False)
+    copy.pattern = getattr(d, "pattern", None)
+    return copy
+
+
 def _cold_and_warm(label, fn, d, repeats):
     """Rows for fn(d): cold on a fresh algebra object over d's basis per call, and warm on d itself."""
     return {
-        label: _measure(fn, repeats, lambda: (type(d)(d.space, check=False),)),
+        label: _measure(fn, repeats, lambda: (_fresh(d),)),
         f"{label} (warm)": _measure(fn, repeats, lambda: (d,)),
     }
 
@@ -227,7 +238,7 @@ def main():
     args = parser.parse_args()
     sys.path.insert(0, args.src)
     import numpy as np
-    from ncrep.algebras import commutant, diagonal_algebra, generate_star_algebra
+    from ncrep.algebras import commutant, diagonal_algebra, full_matrix_algebra, generate_star_algebra
     from ncrep.expectations import commutes_with_modular, support_of_map
     from ncrep.instances import random_block_instance, random_central_density
     from ncrep.linalg import bimodule_gaps, null_space_rows
@@ -270,6 +281,11 @@ def main():
     for n, reps in INSTANCE_REPEATS.items():
         build = lambda n=n: random_block_instance(n, np.random.default_rng(3), conjugate=True)
         layers.setdefault(f"n={n}", {})["random_block_instance (rotated)"] = _measure(build, reps)
+        if n in INSTANCE_COMMUTANT_SIZES:
+            d, m = build().d, full_matrix_algebra(n)
+            layers[f"n={n}"]["commutant (instance D)"] = _measure(
+                lambda d: commutant(d, m), INSTANCE_COMMUTANT_REPEATS, lambda: (_fresh(d),)
+            )
     for n in COMMUTATIVE_SIZES:
         d = diagonal_algebra(n)
         layers[f"diagonal n={n}"] = {}

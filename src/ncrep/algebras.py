@@ -14,8 +14,9 @@ set's own elements a bounded chunk at a time.
 
 An algebra's basis rows are read-only, and an algebra keeps a store of the
 data that depends on it alone (Subalgebra.derived): its commutant within
-each enclosing algebra, and its sampled projections per cap
-(states.sample_projections).  Each is computed on first request and then
+each enclosing algebra, its sampled projections per cap
+(states.sample_projections), and for a patterned algebra the two numbers
+its certificates read off the rotated basis (_off_mask).  Each is computed on first request and then
 read back, so a D that several states are probed on is solved once.
 Nothing that depends on a functional is kept there.
 
@@ -27,7 +28,13 @@ corner_algebra carries it to the corner cut by a projection that commutes
 with the algebra.  A patterned algebra's product closure is certified from
 its rotated basis, without forming the (dim)^2 basis products
 (Subalgebra.validate), and a character on it is checked on the rotated
-matrix units.
+matrix units.  The same rotation certifies, with no SVD or null-space
+solve, the subspace facts of an inclusion D <= A <= M_n: A + A* = M_n
+(check_ss_density), A intersect A* = D (diagonal_part_check), and the
+commutant within M_n of an algebra whose mask is an equivalence relation,
+spanned by u p_c u* over the mask's classes (commutant).  Each bound is
+derived where it is checked; a certificate that does not pass gives no
+verdict, and the SVD, null-space or commutant solve decides.
 """
 
 import functools
@@ -190,6 +197,21 @@ def _pattern_coordinates(alg):
     return flat[:, keep], hs_norms(flat[:, ~keep]), _unitary_defect(u)
 
 
+def _off_mask(alg):
+    """(eps, eta) for a patterned algebra with dim = mask.sum(), else None: the
+    largest HS norm of a rotated basis element y_a = u* x_a u off the mask, and
+    ||u*u - I||.  Kept in the algebra's derived store, two numbers from one
+    rotation; a pattern is set before the algebra is first validated."""
+    if alg.pattern is None or alg.dim != int(alg.pattern[1].sum()):
+        return None
+
+    def compute():
+        _, residuals, defect = _pattern_coordinates(alg)
+        return float(residuals.max(initial=0.0)), defect
+
+    return alg.derived("off mask", compute)
+
+
 def _closure_threshold(dim, defect):
     """The largest off-mask residual of a basis element that _closure_certified
     accepts, for an algebra of dimension dim rotated by a u with ||u*u - I|| = defect."""
@@ -199,8 +221,9 @@ def _closure_threshold(dim, defect):
 def _closure_certified(alg):
     """True when alg's pattern shows every basis product within tol(1e-9) of the span.
 
-    One rotation of the basis, O(dim n^3), and no product.  Let r_a be the
-    HS norm of y_a = u* x_a u off the mask, eps = max r_a, eta = ||u*u - I||,
+    One rotation of the basis, O(dim n^3), kept as two numbers (_off_mask),
+    and no product.  Let r_a be the HS norm of y_a = u* x_a u off the mask,
+    eps = max r_a, eta = ||u*u - I||,
     v the unitary polar factor of u and P = v B v*, B the matrices on the
     mask: P is product-closed, as the mask is, and has dimension mask.sum().
     Write x_a = p_a + e_a, p_a the projection of x_a onto P.  Since
@@ -217,10 +240,83 @@ def _closure_certified(alg):
     once eps <= tol(1e-9) / (3 + sqrt(dim)) - 3 eta.  The rotation's own
     rounding, O(n) machine epsilons, lies far below that threshold.
     """
-    if alg.pattern is None or alg.dim != int(alg.pattern[1].sum()):
+    off = _off_mask(alg)
+    return off is not None and bool(off[0] <= _closure_threshold(alg.dim, off[1]))
+
+
+def _mask_gap(alg):
+    """delta = sqrt(dim) e for a patterned algebra with dim = mask.sum() and
+    ||u*u - I|| <= _UNITARY_DEFECT, the most a pattern is given with; else inf.
+
+    With eps, eta, e = eps + 3 eta and P = v B v* as in _closure_certified,
+    every unit element of the span lies within delta of P; the two have one
+    dimension, so the gap ||Q - Q_P|| between their orthogonal projections
+    is at most delta, the same both ways.
+    """
+    off = _off_mask(alg)
+    if off is None or not off[1] <= _UNITARY_DEFECT:
+        return np.inf
+    return np.sqrt(alg.dim) * (off[0] + 3.0 * off[1])
+
+
+def _sum_certified(a):
+    """True when A's mask shows A + A* = M_n, which check_ss_density's SVD would find.
+
+    Let mask_A cover every entry together with its transpose, and let
+    delta = _mask_gap(A).  The adjoint is an HS isometry, so A* lies within
+    delta of P* = v B^T v* as A does of P.  P + P* holds every rotated matrix
+    unit v E_ij v*, an orthonormal basis of M_n, so Q_P + Q_P* >= I.  The
+    stacked orthonormal rows of A and A* have Gram operator Q_A + Q_A*, whose
+    least eigenvalue is then at least 1 - 2 delta (Weyl), so their smallest
+    singular value is at least 1/2 once delta <= 3/8: far above the SVD's
+    cutoff, tol(1e-9) times the largest row norm (about 1), and its rounding,
+    O(n^2) machine epsilons.
+    """
+    if a.pattern is None:
         return False
-    _, residuals, defect = _pattern_coordinates(alg)
-    return bool(np.all(residuals <= _closure_threshold(alg.dim, defect)))
+    mask = a.pattern[1]
+    return bool(np.all(mask | mask.T) and _mask_gap(a) <= 0.375)
+
+
+def _intersection_certified(a, d, phi):
+    """True when the masks of A and D show what diagonal_part_check's null space
+    would: A intersect A* spans D, and phi, when given, fixes it within tol(1e-8).
+
+    A and D carry one u and mask_A & mask_A^T = mask_D.  With P and P* as in
+    _sum_certified, P intersect P* is P_D = v B_D v*, and the rest of P,
+    spanned by the units v E_ij v* with (i, j) on mask_A alone, is orthogonal
+    to P*.  So (I - Q_P*) Q_P has singular values 1 (dim A - dim D times) and
+    0.  With delta = _mask_gap(A), (I - Q_A*) Q_A lies within 2 delta of it,
+    so the residuals of A's rows against A*, whose null space is the
+    intersection, have dim A - dim D singular values at least 1 - 2 delta and
+    dim D at most 2 delta: below the rank cutoff tol(1e-9) once
+    delta <= tol(1e-9) / 4, with half the cutoff left for rounding.
+    - A unit null vector w, in A, has ||(I - Q_A*) w|| <= 2 delta, so
+      ||(I - Q_P*) w|| <= 3 delta.  Its projection p onto P lies within delta
+      of w and splits as p_D + p', p_D in P_D and ||p'|| = ||(I - Q_P*) p||
+      <= 4 delta.  So w lies within gamma = 5 delta + _mask_gap(D) of D.
+    - The intersection and D have one dimension, so D lies within gamma of
+      it too, and same_subspace holds once gamma <= tol(1e-8) / 2.
+    - Phi moves such a w by at most F + (kappa + 1) gamma, with F the HS norm
+      of Phi - id over D's orthonormal rows and kappa the map matrix's HS
+      norm; the fix check holds once that is at most tol(1e-8) / 2.
+    The halves left over absorb the dense route's rounding, O(n^2) machine
+    epsilons.
+    """
+    if a.pattern is None or d.pattern is None:
+        return False
+    (u, mask), (w, mask_d) = a.pattern, d.pattern
+    same_u = u is w or (u is not None and w is not None and np.array_equal(u, w))
+    if not (same_u and np.array_equal(mask & mask.T, mask_d)):
+        return False
+    delta = _mask_gap(a)
+    gamma = 5.0 * delta + _mask_gap(d)
+    if not (delta <= tol(1e-9) / 4 and gamma <= tol(1e-8) / 2):
+        return False
+    if phi is None:
+        return True
+    k, rows = phi.map_matrix, d.space.flat
+    return bool(hs_norm(rows @ k.T - rows) + (hs_norm(k) + 1.0) * gamma <= tol(1e-8) / 2)
 
 
 def from_spanning(mats, star=True):
@@ -388,9 +484,13 @@ def commutant(s, within=None):
     the last of them leaves the exact kernel, so memory stays at one
     batch's brackets and the current space.
 
+    An algebra whose pattern's mask is an equivalence relation, inside
+    within = None or all of M_n, has its commutant read off the mask
+    (_pattern_commutant) when that passes, with no solve.
+
     For an algebra s the result is kept in s's derived store, one per
-    within (None or the within object, whose basis the result's rows are
-    built from), and later calls return that same object.  Both bases are
+    within (None or the within object, whose basis a solved result's rows
+    are built from), and later calls return that same object.  Both bases are
     read-only, so the kept result cannot go stale.
     """
     gens = _generating_set(s)
@@ -400,8 +500,64 @@ def commutant(s, within=None):
     if within is not None and within.n != n:
         raise DimensionMismatch(f"set lives in M_{n}, within in M_{within.n}")
     if isinstance(s, Subalgebra):
-        return s.derived(("commutant", within), lambda: _solve_commutant(np.stack(gens), within))
+        return s.derived(("commutant", within), lambda: _algebra_commutant(s, within))
     return _solve_commutant(np.stack(gens), within)
+
+
+def _algebra_commutant(alg, within):
+    """commutant of an algebra past its argument checks: from the mask, else solved."""
+    result = _pattern_commutant(alg, within)
+    return _solve_commutant(np.stack(alg.basis), within) if result is None else result
+
+
+def _bracket_threshold(stack):
+    """null_space_rows' cutoff on the full bracket system of a stack, whose norm is at most 2 ||stack||."""
+    return tol(1e-9) * max(1.0, 2.0 * hs_norm(stack))
+
+
+def _pattern_commutant(alg, within):
+    """alg' inside within = None or M_n, read off a pattern whose mask is an
+    equivalence relation; None when it does not apply or does not pass.
+
+    Such a mask is that of B = sum_c M_{k_c} over its classes c, without
+    multiplicity, and B' is spanned by the class projections p_c.  The rows
+    u p_c u* / sqrt(k_c) are kept when they pass _commutes_with against
+    alg's basis at the threshold that ends _solve_commutant, so each lies in
+    the commutant the solve finds.  Nothing orthogonal to them does:
+    - For B itself, summing ||[x, E_ij]||^2 = ||x e_i||^2 + ||e_j^T x||^2
+      - 2 Re(x_ii conj(x_jj)) over i ~ j gives sum_b ||[x, b]||^2 =
+      sum_c (k_c (||x p_c||^2 + ||p_c x||^2) - 2 |Tr(p_c x)|^2) over an
+      orthonormal basis b of B, at least 2 ||x||^2 when x is orthogonal to
+      every p_c; so the bracket map has kernel span{p_c} and its least
+      singular value on the complement is sqrt(2), for v B v* as well.
+    - With e, v and delta = sqrt(dim) e as in _mask_gap, each basis element
+      is b_a = q_a + e_a, q_a in v B v* and ||e_a|| <= e.  For a unit x the
+      brackets [x, e_a] have norm at most 2 delta in all; the q_a have Gram
+      matrix I - (<e_a, e_b>), whose least eigenvalue is at least
+      1 - delta^2; and a unit x orthogonal to the rows is within delta of
+      orthogonal to the v p_c v* / sqrt(k_c), each within 3 eta <= e of its
+      row.  So sum_a ||[x, b_a]||^2 >= (sqrt(2) - 4 delta)^2 >= 1 once
+      delta <= 1/16, and some bracket of x is at least 1 / sqrt(dim), far
+      above the threshold: no further direction passes the solve's
+      certificate, and its later batches end at the exact kernel.
+    The rows are orthonormal up to u's defect, at most _UNITARY_DEFECT, and
+    exactly so for u None.
+    """
+    if alg.pattern is None or (within is not None and within.dim != alg.n**2):
+        return None
+    u, mask = alg.pattern
+    labels = mask.argmax(axis=1)
+    if not np.array_equal(mask, labels[:, None] == labels[None, :]) or not _mask_gap(alg) <= 1.0 / 16:
+        return None
+    u = np.eye(alg.n) if u is None else u
+    # each class is labelled by its first index, which labels itself
+    blocks = [u[:, labels == c] for c in np.flatnonzero(labels == np.arange(alg.n))]
+    flat = np.stack([(w @ dagger(w)).ravel() / np.sqrt(w.shape[1]) for w in blocks])
+    stack = alg.space.tensor
+    if not _commutes_with(flat, stack, _bracket_threshold(stack)):
+        return None
+    flat.flags.writeable = False
+    return StarAlgebra(OperatorSubspace(alg.n, flat))
 
 
 def _solve_commutant(stack, within):
@@ -413,8 +569,7 @@ def _solve_commutant(stack, within):
         flat = _restrict(within.space.flat, stack)
     else:
         flat = _restrict(within.space.flat, _generic_pair(stack))
-        # null_space_rows' cutoff on the full system, whose norm is at most 2 ||s||
-        threshold = tol(1e-9) * max(1.0, 2.0 * hs_norm(stack))
+        threshold = _bracket_threshold(stack)
         # per generator: its brackets with the current basis, the product behind them and the solver's copy
         for part in chunk_slices(len(stack), 3 * len(flat) * n * n):
             if _commutes_with(flat, stack, threshold):
@@ -429,9 +584,11 @@ def _solve_commutant(stack, within):
 
 
 def check_ss_density(a, m):
-    """True iff span(A u A*) has the same dimension as M."""
-    total = subspace_sum(a.space, _adjoint_space(a.space))
-    return total.size == m.dim
+    """True iff span(A u A*) has the same dimension as M: read off A's mask
+    when _sum_certified passes, else from one SVD of the stacked rows."""
+    if _sum_certified(a):
+        return a.n**2 == m.dim
+    return subspace_sum(a.space, _adjoint_space(a.space)).size == m.dim
 
 
 def diagonal_part_check(a, d, phi=None):
@@ -439,7 +596,11 @@ def diagonal_part_check(a, d, phi=None):
 
     When the character map phi is supplied it must also fix that
     intersection pointwise (for a genuine character this is automatic).
+    True when the masks certify it (_intersection_certified); otherwise the
+    intersection is solved as a null space and compared with D.
     """
+    if _intersection_certified(a, d, phi):
+        return True
     inter = subspace_intersection(a.space, _adjoint_space(a.space))
     verdict = same_subspace(inter, d.space)
     if phi is not None and verdict:

@@ -100,10 +100,23 @@ def _pullback_density(map_matrix, rho):
 
 def _domain_images(map_matrix, domain):
     """The map's values K(x_j) on the domain's orthonormal basis, as flat rows,
-    and its matrix composed with the projection onto the domain, sum_j K(x_j) x_j*."""
+    and its matrix composed with the projection onto the domain, sum_j K(x_j) x_j*.
+
+    When the rows are the identity, as full_matrix_algebra's are, the images
+    are K's transpose and the composed matrix is K: both products with an
+    identity are exact, so nothing is multiplied.
+    """
     flat = domain.space.flat
-    images = flat @ require_finite(np.asarray(map_matrix, dtype=complex)).T
+    k = require_finite(np.asarray(map_matrix, dtype=complex))
+    if _identity_rows(flat):
+        return np.ascontiguousarray(k.T), k
+    images = flat @ k.T
     return images, images.T @ flat.conj()
+
+
+def _identity_rows(flat):
+    """True when the square rows are exactly the identity: one 1 per row on the diagonal, no other nonzero."""
+    return flat.shape[0] == flat.shape[1] and np.count_nonzero(flat) == len(flat) and bool(np.all(flat.diagonal() == 1))
 
 
 def _check_preserves(map_matrix, omega, target):

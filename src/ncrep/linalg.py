@@ -234,10 +234,6 @@ class OperatorSubspace:
         x = self._member(x)
         return hs_norm(x - self.from_coords(self.flat.conj() @ x.ravel())) <= tol(1e-8) * max(1.0, hs_norm(x))
 
-    def projector_matrix(self):
-        """The n^2 x n^2 matrix of the orthogonal projection onto this subspace (the tests' oracle)."""
-        return self.flat.T @ self.flat.conj()
-
 
 def orthonormalize(spanning_set):
     """Orthonormal basis of the span under Tr(Y*X), from one SVD of the stacked rows.

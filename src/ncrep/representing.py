@@ -134,7 +134,9 @@ class DCharacter:
                 f"splitting: dim J + dim D = {self.kernel.size} + {self.range_alg.dim}"
                 f" != dim A = {self.domain.dim}"
             )
-        if subspace_sum(self.kernel, self.range_alg.space).size != self.domain.dim:
+        if not _splitting_certified(self, fix, k_norm) and (
+            subspace_sum(self.kernel, self.range_alg.space).size != self.domain.dim
+        ):
             raise InvariantViolation("splitting: J and D overlap")
         # eight random elements of A, each drawn as its real then its imaginary coordinates
         parts = np.random.default_rng(1).standard_normal((8, 2, self.domain.dim))
@@ -159,6 +161,25 @@ class DCharacter:
             want = pair_products(images[part], images).reshape(-1, n * n)
             check(InvariantViolation, "multiplicative: Phi(xy) != Phi(x)Phi(y), defect {:.3e}",
                   hs_norms(prods @ k.T - want), tol(1e-8) * np.maximum(1.0, hs_norms(prods)))
+
+
+def _splitting_certified(phi, fix, kappa):
+    """True when J = ker(Phi) and D are independent beyond what the SVD of their
+    stacked rows in validate could miss, with no SVD.
+
+    fix holds ||Phi(d) - d|| over D's orthonormal rows and kappa is at least
+    Phi's norm (the map matrix's HS norm will do).  Let tau be the HS norm of
+    Phi over J's orthonormal rows and F = ||fix||.  A unit combination (c, g) of the stacked rows gives
+    z = j + d with ||j|| = ||c||, ||d|| = ||g||.  From d = Phi(z) - Phi(j)
+    - (Phi(d) - d), ||g|| <= kappa ||z|| + tau + F, and ||c|| <= ||z|| + ||g||;
+    as ||c|| + ||g|| >= 1,
+        ||z|| >= (1 - 2 (tau + F)) / (1 + 2 kappa).
+    The SVD keeps every direction once that is at least 2 tol(1e-9): its
+    cutoff is tol(1e-9) times the largest row norm, about 1, and half the
+    margin absorbs its rounding, O(n^2) machine epsilons.  No mask is needed.
+    """
+    tau = hs_norm(phi.kernel.flat @ phi.map_matrix.T)
+    return bool((1.0 - 2.0 * (tau + hs_norm(fix))) / (1.0 + 2.0 * kappa) >= 2.0 * tol(1e-9))
 
 
 def _multiplicative_on_units(phi, kappa):

@@ -13,12 +13,14 @@ routes of the closure and multiplicative checks, which the package runs
 only where no block pattern certifies the result, the element by
 element conjugation of an algebra's basis, the closure passes that
 generated *-algebras before generation became the bicommutant, and the
-faithfulness test on a *-algebra's Gram matrix.
+faithfulness test on a *-algebra's Gram matrix.  The subspace facts that
+block masks certify are here as the SVD and null-space routes the package
+falls back to: A + A* = M, A intersect A* = D and the splitting J + D = A.
 """
 
 import numpy as np
 
-from ncrep.algebras import StarAlgebra
+from ncrep.algebras import StarAlgebra, _adjoint_space
 from ncrep.config import tol
 from ncrep.errors import EmptyInput, InvariantViolation, check
 from ncrep.linalg import (
@@ -31,6 +33,9 @@ from ncrep.linalg import (
     hs_norms,
     orthonormalize,
     pair_products,
+    same_subspace,
+    subspace_intersection,
+    subspace_sum,
 )
 from ncrep.states import _faithful_spectrum, _omega_gram
 
@@ -60,9 +65,14 @@ def map_matrix_from_action(action, n):
     return cols
 
 
+def projector_matrix(space):
+    """The n^2 x n^2 matrix of the orthogonal projection onto an operator subspace."""
+    return space.flat.T @ space.flat.conj()
+
+
 def perp_projector_matrix(space):
     """Matrix of the orthogonal projection onto the complement of an operator subspace."""
-    return np.eye(space.ambient_dim**2) - space.projector_matrix()
+    return np.eye(space.ambient_dim**2) - projector_matrix(space)
 
 
 def bracket_stack_commutant(gens, within):
@@ -198,3 +208,22 @@ def closure_star_algebra(generators):
             break
         space = grown
     return StarAlgebra(space)
+
+
+def svd_ss_density(a, m):
+    """A + A* spans M: one SVD of the stacked rows of A and A*."""
+    return subspace_sum(a.space, _adjoint_space(a.space)).size == m.dim
+
+
+def null_space_diagonal_part(a, d, phi=None):
+    """A intersect A* spans D, from the null space of A's residuals against A*, and
+    phi, when given, moves no row of that intersection by more than tol(1e-8)."""
+    inter = subspace_intersection(a.space, _adjoint_space(a.space))
+    if not same_subspace(inter, d.space):
+        return False
+    return phi is None or bool(np.all(hs_norms(inter.flat @ phi.map_matrix.T - inter.flat) <= tol(1e-8)))
+
+
+def svd_splitting(phi):
+    """J = ker(Phi) and D span A together: one SVD of their stacked rows."""
+    return subspace_sum(phi.kernel, phi.range_alg.space).size == phi.domain.dim

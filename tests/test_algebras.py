@@ -84,16 +84,21 @@ def test_commutant_of_a_jordan_block_is_not_adjoint_closed():
 
 def test_commutant_is_deterministic():
     # D (blocks 1 + 2 + 3, rotated by an orthogonal matrix) has 14 basis elements, so
-    # the solve opens with the seeded generic pair
+    # the solve opens with the seeded generic pair; an object over D's basis without
+    # D's pattern is solved, and D itself has its commutant read off its mask
     n = 6
     u = np.linalg.qr(np.random.default_rng(4).standard_normal((n, n)))[0]
-    d = unitary_conjugate_algebra(block_diagonal_algebra(n, [[0], [1, 2], [3, 4, 5]]), u)
+    blocks = [[0], [1, 2], [3, 4, 5]]
+    d = unitary_conjugate_algebra(block_diagonal_algebra(n, blocks), u)
     m = full_matrix_algebra(n)
     # a second algebra object over the same basis has its own store, so it is solved again
-    first, second = commutant(d, m), commutant(StarAlgebra(d.space, check=False), m)
+    first, second = commutant(StarAlgebra(d.space, check=False), m), commutant(StarAlgebra(d.space, check=False), m)
     assert first is not second
     assert first.dim == 3
     assert first.space.flat.tobytes() == second.space.flat.tobytes()
+    read, again = commutant(d, m), commutant(unitary_conjugate_algebra(block_diagonal_algebra(n, blocks), u), m)
+    assert read.space.flat.tobytes() == again.space.flat.tobytes()
+    assert same_subspace(read.space, first.space)
 
 
 def test_algebra_basis_is_read_only_and_not_shared_with_the_caller():

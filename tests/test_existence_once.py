@@ -5,9 +5,12 @@ diagnosis and the construction cannot disagree near the floor, and the
 verdict does not depend on the scale of omega.  The probes behind a
 diagnosis and the representing pipelines run once per call, and what
 depends on D alone (its sampled projections, its commutants) is computed
-once per D; the public functions are still called as often as before.  The
-counts come from counting wrappers patched into every ncrep module that
-binds the function, as the benchmark's tracer patches them.
+once per D; the public functions are still called as often as before.  A
+rotated block instance and both pipelines on it read A + A* = M,
+A intersect A* = D, the splitting J + D = A and the relative commutant off
+the block masks, so Phi's kernel is the one null space solved.  The counts
+come from counting wrappers patched into every ncrep module that binds the
+function, as the benchmark's tracer patches them.
 """
 
 import sys
@@ -15,7 +18,7 @@ import sys
 import numpy as np
 import pytest
 
-from ncrep import algebras, states
+from ncrep import algebras, linalg, states
 from ncrep.algebras import block_diagonal_algebra, diagonal_algebra, full_matrix_algebra
 from ncrep.expectations import (
     _average_to_central,
@@ -118,7 +121,7 @@ def test_commutant_is_solved_once_per_D_and_within(monkeypatch):
     n = 5
     d, m = block_diagonal_algebra(n, [[0, 1, 2], [3, 4]]), full_matrix_algebra(n)
     public = _count_calls(monkeypatch, algebras, "commutant")
-    solved = _count_calls(monkeypatch, algebras, "_solve_commutant")
+    solved = _count_calls(monkeypatch, algebras, "_algebra_commutant")
     rng = np.random.default_rng(5)
     omega, other = random_central_density(n, d, rng), random_central_density(n, d, rng)
     averaged = [_average_to_central(psi, omega, d, m) for psi in (omega, omega)]
@@ -130,10 +133,27 @@ def test_commutant_is_solved_once_per_D_and_within(monkeypatch):
 
 def test_pipelines_on_one_instance_solve_the_relative_commutant_once(monkeypatch):
     inst = random_block_instance(5, np.random.default_rng(11), conjugate=True)
-    solved = _count_calls(monkeypatch, algebras, "_solve_commutant")
+    solved = _count_calls(monkeypatch, algebras, "_algebra_commutant")
     for pipeline in (representing_expectation_tracial, representing_expectation_state):
         pipeline(inst.m, inst.state, inst.d, inst.a, inst.phi)
     assert [within for _, within in solved] == [inst.m]
+
+
+def test_a_rotated_instance_and_both_pipelines_read_the_subspace_facts_off_the_masks(monkeypatch):
+    # A + A* = M, A intersect A* = D, the splitting J + D = A and the relative commutant D'
+    # are certified from the masks: the one null space left is Phi's kernel
+    rng = np.random.default_rng(10)
+    calls = {name: _count_calls(monkeypatch, module, name) for module, name in (
+        (linalg, "subspace_sum"), (linalg, "subspace_intersection"), (linalg, "null_space_rows"),
+        (algebras, "_solve_commutant"),
+    )}
+    inst = random_block_instance(10, rng, conjugate=True)
+    for pipeline in (representing_expectation_tracial, representing_expectation_state):
+        pipeline(inst.m, inst.state, inst.d, inst.a, inst.phi)
+    assert {name: len(made) for name, made in calls.items()} == {
+        "subspace_sum": 0, "subspace_intersection": 0, "null_space_rows": 1, "_solve_commutant": 0,
+    }
+    assert calls["null_space_rows"][0][0].shape == (10 * 10, inst.a.dim)  # Phi's images, transposed
 
 
 @pytest.mark.parametrize("blocks", [[[0], [1], [2]], [[0, 1], [2]]])

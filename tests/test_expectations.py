@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from dense_oracle import projector_matrix
 from ncrep.algebras import (
     block_diagonal_algebra,
     block_upper_triangular,
@@ -423,7 +424,7 @@ def test_support_ideal_validates_the_lifted_map(monkeypatch, breakage, invariant
 
     def broken(omega, d, m, check=True):
         f = build(omega, d, m, check)
-        k = 0.5 * f.map_matrix if breakage == "scaled" else m.space.projector_matrix()
+        k = 0.5 * f.map_matrix if breakage == "scaled" else projector_matrix(m.space)
         return ConditionalExpectation(k, f.domain, f.range_space, f.unit, f.bimodule, check=False)
 
     monkeypatch.setattr(expectations, "_preserving_expectation", broken)

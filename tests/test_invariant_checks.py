@@ -7,13 +7,18 @@ and complement formulas of dense_oracle, the batched products with einsum,
 the QR-first null space with a full SVD, the certified commutant with
 the bracket stack over every element of the set, the gemm centrality
 probes with the loop sampler and the broadcast and einsum contractions,
-and the block-pattern certificates of closure and multiplicativity with
+the block-pattern certificates of closure and multiplicativity with
 the pairwise product routes, on intact and deliberately broken inputs and
-on the corners of a block D; the memory contracts pin the peak of the two
+on the corners of a block D, and the mask certificates of A + A* = M,
+A intersect A* = D, the splitting J + D = A and D' with the SVD sum and
+intersection and the bracket-stack commutant, on intact and broken
+instances; the identity domain's pass-through is pinned byte for byte to
+the two products it skips; the memory contracts pin the peak of the two
 validations at n = 10, of an expectation's validation at n = 16 and of a
 commutant at n = 16.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -31,18 +36,24 @@ from dense_oracle import (
     left_mult_matrix,
     loop_sample_projections,
     multiplicative_check,
+    null_space_diagonal_part,
     perp_projector_matrix,
+    projector_matrix,
     right_mult_matrix,
     sandwich,
+    svd_splitting,
+    svd_ss_density,
 )
-from ncrep import algebras, linalg, states
+from ncrep import algebras, expectations, linalg, representing, states
 from ncrep.algebras import (
     StarAlgebra,
     Subalgebra,
     block_diagonal_algebra,
     block_upper_triangular,
+    check_ss_density,
     commutant,
     diagonal_algebra,
+    diagonal_part_check,
     from_spanning,
     full_matrix_algebra,
     unitary_conjugate_algebra,
@@ -51,9 +62,11 @@ from ncrep.config import tol
 from ncrep.errors import InvariantViolation, NcrepError
 from ncrep.expectations import (
     ConditionalExpectation,
+    _domain_images,
     _modular_gaps,
     _support_gaps,
     preserving_expectation,
+    support_ideal_expectation,
 )
 from ncrep.instances import (
     haar_unitary,
@@ -82,6 +95,7 @@ from ncrep.representing import (
     _block_character,
     _extension_gap,
     _multiplicative_on_units,
+    _splitting_certified,
     make_block_character,
 )
 from ncrep.states import PositiveFunctional, is_D_central, locally_central_check, sample_projections
@@ -107,7 +121,7 @@ def test_bimodule_gaps_match_the_dense_sides(n, noise, data):
     # the expectation's case (domain M) and the character's (domain A), valid or perturbed,
     # composed with the domain projection P as the constructors store them
     for k, domain in ((e.map_matrix, inst.m), (inst.phi.map_matrix, inst.a)):
-        p = domain.space.projector_matrix()
+        p = projector_matrix(domain.space)
         k = (k + noise * random_complex(k.shape, rng)) @ p
         left, right = bimodule_gaps(k, b)
         assert left.shape == right.shape == (len(b),)
@@ -127,7 +141,7 @@ def test_bimodule_gaps_bound_the_gaps_on_any_domain(n, data):
     k = random_complex((n * n, n * n), rng)
     gaps = bimodule_gaps(k, b)
     bound = 1e-12 * max(1.0, np.linalg.norm(k))
-    assert np.all(gaps >= dense_side_gaps(k, b, domain.projector_matrix()) - bound)
+    assert np.all(gaps >= dense_side_gaps(k, b, projector_matrix(domain)) - bound)
     assert np.abs(gaps - dense_side_gaps(k, b, np.eye(n * n))).max() <= bound
 
 
@@ -146,7 +160,7 @@ def test_bimodule_gaps_across_chunks(monkeypatch):
 
     monkeypatch.setattr(linalg, "chunk_slices", recording)
     eye = np.eye(36)
-    maps = ((phi.map_matrix, a.space.projector_matrix(), 1), (eye + 1e-3 * random_complex((36, 36), rng), eye, 5))
+    maps = ((phi.map_matrix, projector_matrix(a.space), 1), (eye + 1e-3 * random_complex((36, 36), rng), eye, 5))
     for k, p, chunks in maps:
         del slices[:]
         gaps = bimodule_gaps(k, b)
@@ -301,6 +315,116 @@ def test_corner_algebras_keep_the_pattern_of_a_commuting_support(n, rotated, dat
     assert c.pattern is not None and algebras._closure_certified(c)
 
 
+def repatterned(alg, pattern):
+    """A second algebra object over alg's rows that carries the given pattern."""
+    copy = type(alg)(alg.space, check=False)
+    copy.pattern = pattern
+    return copy
+
+
+def splitting_certified(phi):
+    """_splitting_certified with the statistics DCharacter.validate hands it."""
+    rows = phi.range_alg.space.flat
+    return _splitting_certified(phi, linalg.hs_norms(rows @ phi.map_matrix.T - rows), hs_norm(phi.map_matrix))
+
+
+def assert_mask_routes_agree(a, d, phi, m):
+    """Each mask fact on (A, D, Phi) gets the verdict of its dense route: check_ss_density, diagonal_part_check
+    with and without Phi, the commutant of D within M and within None as a subspace, and validate's class and
+    message with the splitting certificate and with the SVD alone; returns the verdicts of the sum, the
+    intersection (without Phi) and the commutant certificates."""
+    assert check_ss_density(a, m) == svd_ss_density(a, m)
+    assert diagonal_part_check(a, d) == null_space_diagonal_part(a, d)
+    assert diagonal_part_check(a, d, phi) == null_space_diagonal_part(a, d, phi)
+    want = bracket_stack_commutant(d.basis, m)
+    for within in (m, None):
+        assert same_subspace(commutant(d, within).space, want)
+    f = DCharacter(phi.map_matrix, a, d, check=False)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(representing, "_splitting_certified", lambda *args: False)
+        dense = verdict(f.validate)
+    assert verdict(f.validate) == dense
+    if splitting_certified(f):
+        assert svd_splitting(f)
+    return (algebras._sum_certified(a), algebras._intersection_certified(a, d, None),
+            algebras._pattern_commutant(d, m) is not None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.booleans(), st.data())
+def test_mask_certificates_agree_with_the_dense_routes(n, rotated, data):
+    # the block character in coordinates or rotated, intact, and broken four ways: its u off by
+    # more than _UNITARY_DEFECT, the rows of A or of D nudged off their masks at half and twice a
+    # certificate's threshold, D for A (A + A* misses M unless D = M), and a Phi that kills a unit of D
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    u = haar_unitary(n, rng) if rotated else None
+    a, d, phi = _block_character(n, random_partition(n, rng), u)
+    m = full_matrix_algebra(n)
+    assert assert_mask_routes_agree(a, d, phi, m) == (True, True, True)
+    assert algebras._intersection_certified(a, d, phi) and splitting_certified(phi)
+
+    far = (np.eye(n) if u is None else u) * (1.0 + 1e-11)
+    assert algebras._unitary_defect(far) > algebras._UNITARY_DEFECT
+    off = [repatterned(x, (far, x.pattern[1])) for x in (a, d)]
+    assert assert_mask_routes_agree(*off, phi, m) == (False, False, False)
+
+    # delta at half and twice the intersection's threshold, the sum's and the commutant's, for A or D
+    # when its mask leaves entries to move the rows to
+    for bound in (tol(1e-9) / 4, 0.375, 1.0 / 16):
+        for size, which in itertools.product((0.5 * bound, 2.0 * bound), (0, 1)):
+            pair = [a, d]
+            if pair[which].pattern[1].all():
+                continue
+            pair[which] = nudged(pair[which], size / np.sqrt(pair[which].dim), rng)
+            got = assert_mask_routes_agree(*pair, phi, m)
+            if which == 0 and bound < 1e-6:  # A's rows stay orthonormal to rounding
+                assert got[1] == (size < bound)
+
+    star_phi = DCharacter(np.eye(n * n), d, d)
+    assert assert_mask_routes_agree(d, d, star_phi, m)[:2] == (d.dim == n * n, True)
+    assert svd_ss_density(d, m) == (d.dim == n * n)
+
+    # a unit of D orthogonal to I when D has one, so that Phi stays unital
+    eye = np.eye(n).ravel() / np.sqrt(n)
+    rest = d.space.flat - np.outer(d.space.flat @ eye, eye)
+    unit_d = rest[np.argmax(np.linalg.norm(rest, axis=1))] if d.dim > 1 else eye
+    unit_d = unit_d / np.linalg.norm(unit_d)
+    kill = phi.map_matrix @ (np.eye(n * n) - np.outer(unit_d, unit_d.conj()))
+    broken = DCharacter(kill, a, d, check=False)
+    assert verdict(broken.validate)[1].startswith("fixes D: " if d.dim > 1 else "unital: ")
+    assert not diagonal_part_check(a, d, broken)
+    assert_mask_routes_agree(a, d, broken, m)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_identity_domain_passes_the_map_through_bitwise(n):
+    # on full_matrix_algebra's identity rows the images and the composed map are K^T and K,
+    # byte for byte what the two products with the identity give, for a seeded map and the pinching
+    rng = np.random.default_rng(n)
+    m = full_matrix_algebra(n)
+    blocks = random_partition(n, rng)
+    pinching = representing._block_compression_matrix(block_upper_triangular(n, blocks))
+    for k in (random_complex((n * n, n * n), rng), pinching):
+        images, composed = _domain_images(k, m)
+        want = m.space.flat @ k.T
+        assert images.tobytes() == want.tobytes()
+        assert composed.tobytes() == (want.T @ m.space.flat.conj()).tobytes()
+
+
+@pytest.mark.parametrize("blocks", [None, [[0], [1], [2]]])
+def test_identity_domain_passes_the_corner_map_through_bitwise(monkeypatch, blocks):
+    # ACCEPTANCE 01's corner, omega = e_33 on M_3, with D = span{I, e_33} or the diagonal: the
+    # support-ideal build, whose lifted map has domain M, stores the bytes of the gemm route
+    e33 = np.diag([0.0, 0.0, 1.0]).astype(complex)
+    omega, m = PositiveFunctional(e33), full_matrix_algebra(3)
+    d = from_spanning([np.eye(3), e33]) if blocks is None else block_diagonal_algebra(3, blocks)
+    got = support_ideal_expectation(omega, d, m)
+    monkeypatch.setattr(expectations, "_identity_rows", lambda flat: False)
+    want = support_ideal_expectation(omega, d, m)
+    assert got.images.tobytes() == want.images.tobytes()
+    assert got.map_matrix.tobytes() == want.map_matrix.tobytes()
+
+
 def dense_pullback(k, rho):
     """Hermitian part of the density sigma with Tr(sigma x) = Tr(rho K(x)) for every x."""
     n = len(rho)
@@ -323,7 +447,7 @@ def test_image_statistics_match_the_dense_operators(n, noise, which, data):
     domain, k = {"M": (inst.m, e.map_matrix), "A": (inst.a, inst.phi.map_matrix), "D": (inst.d, e.map_matrix)}[which]
     k = k + noise * random_complex(k.shape, rng)
     f = ConditionalExpectation(k, domain, inst.d.space, np.eye(n), inst.d, check=False)
-    p = domain.space.projector_matrix()
+    p = projector_matrix(domain.space)
     kp = k @ p
     bound = 1e-12 * max(1.0, np.linalg.norm(k))
     assert np.linalg.norm(f.map_matrix - kp) <= bound
@@ -340,7 +464,7 @@ def test_image_statistics_match_the_dense_operators(n, noise, which, data):
 
     # the extension gap of f against the perturbed character, on A: ||(Psi - Phi) P_A||
     phi = DCharacter(inst.phi.map_matrix + noise * random_complex(k.shape, rng), inst.a, inst.d, check=False)
-    want = np.linalg.norm((kp - phi.map_matrix) @ inst.a.space.projector_matrix())
+    want = np.linalg.norm((kp - phi.map_matrix) @ projector_matrix(inst.a.space))
     assert abs(_extension_gap(f, phi) - want) <= 1e-12 * max(1.0, np.linalg.norm(k), np.linalg.norm(phi.map_matrix))
 
     # commutes_with_modular: ad = L - R of log rho, and the flow x -> u x u* at the sampled times
@@ -394,7 +518,7 @@ def test_subspace_intersection_matches_the_stacked_complement_kernel(n, common, 
     want = vh[int(np.sum(sv > tol(1e-9) * max(1.0, sv[0]))):].conj()
     assert got.size == len(want)
     assert np.allclose(got.flat @ got.flat.conj().T, np.eye(got.size), atol=1e-10)
-    assert np.allclose(got.projector_matrix(), want.T @ want.conj(), atol=1e-9)
+    assert np.allclose(projector_matrix(got), want.T @ want.conj(), atol=1e-9)
 
 
 @settings(max_examples=30, deadline=None)

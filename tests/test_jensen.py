@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dense_oracle import projector_matrix
 from ncrep.algebras import from_spanning, full_matrix_algebra, unitary_conjugate_algebra
 from ncrep.errors import (
     DimensionMismatch,
@@ -240,7 +241,7 @@ def test_jensen_equality_on_conjugated_triangular_instances():
 
     a_c = unitary_conjugate_algebra(a, u)
     d_c = unitary_conjugate_algebra(d, u)
-    phi_c = DCharacter(s @ phi.map_matrix @ dagger(s) @ a_c.space.projector_matrix(), a_c, d_c)
+    phi_c = DCharacter(s @ phi.map_matrix @ dagger(s) @ projector_matrix(a_c.space), a_c, d_c)
     m = full_matrix_algebra(4)
     tau = PositiveFunctional.tracial(4)
     psi, _ = representing_expectation_tracial(m, tau, d_c, a_c, phi_c)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from dense_oracle import projector_matrix
 from ncrep.algebras import (
     diagonal_algebra,
     from_spanning,
@@ -58,7 +59,7 @@ def conjugated_instance(n, blocks, rng):
     s = np.kron(u, np.conj(u))
     a_c = unitary_conjugate_algebra(a, u)
     d_c = unitary_conjugate_algebra(d, u)
-    phi_c = DCharacter(s @ phi.map_matrix @ dagger(s) @ a_c.space.projector_matrix(), a_c, d_c)
+    phi_c = DCharacter(s @ phi.map_matrix @ dagger(s) @ projector_matrix(a_c.space), a_c, d_c)
     return a_c, d_c, phi_c
 
 
@@ -70,7 +71,7 @@ def scalar_character(entry):
     pos = 0 if entry == (0, 0) else 3
     k[0, pos] = 1.0
     k[3, pos] = 1.0
-    return a, d, DCharacter(k @ a.space.projector_matrix(), a, d)
+    return a, d, DCharacter(k @ projector_matrix(a.space), a, d)
 
 
 def test_block_character_shape():
@@ -105,7 +106,7 @@ def test_character_validation_rejects_non_multiplicative():
     k[0, 0] = k[3, 3] = 1.0
     k[2, 1] = 1.0  # sends E01 to E10, which also leaves span(D)
     with pytest.raises(InvariantViolation):
-        DCharacter(k @ a.space.projector_matrix(), a, d)
+        DCharacter(k @ projector_matrix(a.space), a, d)
 
 
 def test_character_validation_names_the_broken_invariant():
@@ -174,7 +175,7 @@ def test_state_a_equals_d_reduces_to_preservation():
     omega = PositiveFunctional(np.diag([0.7, 0.3]).astype(complex))
     d = scalar_algebra(2)
     a = from_spanning([np.eye(2)], star=False)
-    phi = DCharacter(a.space.projector_matrix(), a, d)
+    phi = DCharacter(projector_matrix(a.space), a, d)
     psi, rho = representing_expectation_state(m, omega, d, a, phi)
     assert hs_norm(rho.density - np.eye(2) / 2) < 1e-10
     again = preserving_expectation(rho, d, m)
@@ -265,7 +266,7 @@ def test_weighted_tracial_reference_matches_state_route():
     k = np.zeros((n * n, n * n), dtype=complex)
     for p in (np.diag([1.0, 0, 0, 0]), np.diag([0, 1.0, 0, 0]), np.diag([0, 0, 1.0, 1.0])):
         k += np.kron(p, p)
-    phi = DCharacter(k @ a.space.projector_matrix(), a, d)
+    phi = DCharacter(k @ projector_matrix(a.space), a, d)
     assert phi.kernel.size == 1
     tau = PositiveFunctional(np.diag([0.3, 0.3, 0.2, 0.2]).astype(complex))
     psi_t, rho_t = representing_expectation_tracial(m, tau, d, a, phi)
@@ -314,7 +315,7 @@ def test_commutative_point_mass():
     k = np.zeros((9, 9), dtype=complex)
     for t in (0, 4, 8):
         k[t, 0] = 1.0
-    phi = DCharacter(k @ m.space.projector_matrix(), m, d)
+    phi = DCharacter(k @ projector_matrix(m.space), m, d)
     sigma = PositiveFunctional.tracial(3)
     psi, rho = representing_expectation_commutative(m, sigma, d, m, phi)
     assert hs_norm(rho.density - np.diag([1.0, 0, 0])) < 1e-10
@@ -330,7 +331,7 @@ def test_commutative_product_of_point_masses():
     k = np.zeros((16, 16), dtype=complex)
     for t in (0, 5, 10, 15):
         k[t, 0] = 1.0
-    phi = DCharacter(k @ m.space.projector_matrix(), m, d)
+    phi = DCharacter(k @ projector_matrix(m.space), m, d)
     sigma = PositiveFunctional.tracial(4)
     psi, rho = representing_expectation_commutative(m, sigma, d, m, phi)
     point = np.zeros((4, 4), dtype=complex)
@@ -344,7 +345,7 @@ def test_commutative_a_equals_d():
     m = diagonal_algebra(3)
     d = from_spanning([np.eye(3), np.diag([1.0, 0, 0])])
     a = from_spanning([np.eye(3), np.diag([1.0, 0, 0])], star=False)
-    phi = DCharacter(a.space.projector_matrix(), a, d)
+    phi = DCharacter(projector_matrix(a.space), a, d)
     sigma = PositiveFunctional(np.diag([0.5, 0.25, 0.25]).astype(complex))
     psi, rho = representing_expectation_commutative(m, sigma, d, a, phi)
     for x in a.basis:
@@ -369,7 +370,7 @@ def test_extension_gates():
     a, d, phi = make_block_character(2, [[0], [1]])
     # A = D is not dense: A + A* is two-dimensional
     d_as_a = from_spanning(list(d.basis), star=False)
-    phi_id = DCharacter(d_as_a.space.projector_matrix(), d_as_a, d)
+    phi_id = DCharacter(projector_matrix(d_as_a.space), d_as_a, d)
     with pytest.raises(NotDense):
         extension_via_ss_density(m, tau, d, d_as_a, phi_id, tau)
     with pytest.raises(NotAnExtension):
@@ -377,7 +378,7 @@ def test_extension_gates():
     with pytest.raises(NotFaithful):
         extension_via_ss_density(m, PositiveFunctional(np.diag([1.0, 0.0]).astype(complex)), d, a, phi, tau)
     full = from_spanning([e.reshape(2, 2) for e in np.eye(4)], star=False)
-    phi_full = DCharacter(full.space.projector_matrix(), full, full_matrix_algebra(2))
+    phi_full = DCharacter(projector_matrix(full.space), full, full_matrix_algebra(2))
     with pytest.raises(NotTracial):
         extension_via_ss_density(m, PositiveFunctional(np.diag([0.7, 0.3]).astype(complex)),
                                  full_matrix_algebra(2), full, phi_full, tau)
@@ -388,7 +389,7 @@ def test_extension_of_the_identity_character():
     m = full_matrix_algebra(2)
     tau = PositiveFunctional.tracial(2)
     a = from_spanning([e.reshape(2, 2) for e in np.eye(4)], star=False)
-    phi = DCharacter(a.space.projector_matrix(), a, full_matrix_algebra(2))
+    phi = DCharacter(projector_matrix(a.space), a, full_matrix_algebra(2))
     e = extension_via_ss_density(m, tau, full_matrix_algebra(2), a, phi, tau)
     x = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
     assert hs_norm(e(x) - x) < 1e-10
