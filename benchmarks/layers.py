@@ -4,16 +4,19 @@
 
 Measures ConditionalExpectation.validate, DCharacter.validate,
 support_of_map, commutes_with_modular (against a seeded faithful density),
-commutant, null_space_rows, representing_expectation_tracial and
-representing_expectation_state (for a seeded faithful D-central state) on
-block characters with blocks (1, 3), (1, 3, 4), (1, 3, 6), (4, 4, 4) and
-(5, 5, 6) at n = 4, 8, 10, 12 and 16, each rotated by a seeded Haar unitary,
-and prints one JSON object.  The validate rows of A and D time the
+commutant, null_space_rows, preserving_expectation onto D (with its
+validation) for the tracial state and a seeded faithful D-central one,
+representing_expectation_tracial and representing_expectation_state (for
+that D-central state) on block characters with blocks (1, 3), (1, 3, 4),
+(1, 3, 6), (4, 4, 4) and (5, 5, 6) at n = 4, 8, 10, 12 and 16, each rotated
+by a seeded Haar unitary, and prints one JSON object.  The validate rows of A and D time the
 closure check each runs (on a block algebra that has one, its pattern
 certificate).  The instance rows time random_block_instance(n,
 default_rng(3), conjugate=True) at n = 16, 24 and 32, the build of A, D and
 Phi with all their checks; at n = 24 a further row times commutant(D, M),
-cold, on that instance's D.  The commutant row adds dim D' and the largest
+cold, on that instance's D, and at n = 24 and 32 two more rows time the
+tracial pipeline on the instance and the state pipeline for a seeded
+faithful D-central state.  The commutant row adds dim D' and the largest
 ||[x, b]|| over its basis x and D's b.  The null_space_rows stack is the one
 commutant(D, M) solves first: the brackets of M's basis with two seeded
 complex Gaussian combinations of D's basis, (2 n^2, n^2).  At n = 4, 10
@@ -77,6 +80,8 @@ INSTANCE_REPEATS = {16: 3, 24: 1, 32: 1}
 # sizes whose instance D gets a cold commutant row, and its repeats
 INSTANCE_COMMUTANT_SIZES = (24,)
 INSTANCE_COMMUTANT_REPEATS = 3
+# sizes whose instance gets the two pipeline rows, timed once each
+INSTANCE_PIPELINE_SIZES = (24, 32)
 COMMUTATIVE_SIZES = (3, 4)
 GENERATION_SIZES = (8, 12, 16)
 DIAGNOSIS_BLOCKS = [[0, 1, 2, 3], [4, 5, 6], [7]]
@@ -239,7 +244,7 @@ def main():
     sys.path.insert(0, args.src)
     import numpy as np
     from ncrep.algebras import commutant, diagonal_algebra, full_matrix_algebra, generate_star_algebra
-    from ncrep.expectations import commutes_with_modular, support_of_map
+    from ncrep.expectations import commutes_with_modular, preserving_expectation, support_of_map
     from ncrep.instances import random_block_instance, random_central_density
     from ncrep.linalg import bimodule_gaps, null_space_rows
     from ncrep.representing import representing_expectation_state, representing_expectation_tracial
@@ -260,6 +265,10 @@ def main():
             "support_of_map": _measure(lambda: support_of_map(e), reps),
             "commutes_with_modular": _measure(lambda: commutes_with_modular(e, nu), reps),
             "null_space_rows": dict(_measure(lambda: null_space_rows(stack), reps), shape=list(stack.shape)),
+            "preserving_expectation (tracial)": _measure(lambda: preserving_expectation(tau, d, m), reps),
+            "preserving_expectation (D-central state)": _measure(
+                lambda: preserving_expectation(omega, d, m), reps
+            ),
             "representing_expectation_tracial": _measure(
                 lambda: representing_expectation_tracial(m, tau, d, a, phi), reps
             ),
@@ -281,10 +290,20 @@ def main():
     for n, reps in INSTANCE_REPEATS.items():
         build = lambda n=n: random_block_instance(n, np.random.default_rng(3), conjugate=True)
         layers.setdefault(f"n={n}", {})["random_block_instance (rotated)"] = _measure(build, reps)
+        if n in INSTANCE_COMMUTANT_SIZES or n in INSTANCE_PIPELINE_SIZES:
+            inst = build()
         if n in INSTANCE_COMMUTANT_SIZES:
-            d, m = build().d, full_matrix_algebra(n)
+            d, m = inst.d, full_matrix_algebra(n)
             layers[f"n={n}"]["commutant (instance D)"] = _measure(
                 lambda d: commutant(d, m), INSTANCE_COMMUTANT_REPEATS, lambda: (_fresh(d),)
+            )
+        if n in INSTANCE_PIPELINE_SIZES:
+            omega = random_central_density(n, inst.d, np.random.default_rng(n))
+            layers[f"n={n}"]["representing_expectation_tracial (instance)"] = _measure(
+                lambda: representing_expectation_tracial(inst.m, inst.state, inst.d, inst.a, inst.phi), 1
+            )
+            layers[f"n={n}"]["representing_expectation_state (instance)"] = _measure(
+                lambda: representing_expectation_state(inst.m, omega, inst.d, inst.a, inst.phi), 1
             )
     for n in COMMUTATIVE_SIZES:
         d = diagonal_algebra(n)

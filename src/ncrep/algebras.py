@@ -16,7 +16,8 @@ An algebra's basis rows are read-only, and an algebra keeps a store of the
 data that depends on it alone (Subalgebra.derived): its commutant within
 each enclosing algebra, its sampled projections per cap
 (states.sample_projections), and for a patterned algebra the two numbers
-its certificates read off the rotated basis (_off_mask).  Each is computed on first request and then
+its certificates read off the rotated basis (_off_mask) and its mask's
+block classes (_mask_classes).  Each is computed on first request and then
 read back, so a D that several states are probed on is solved once.
 Nothing that depends on a functional is kept there.
 
@@ -259,6 +260,24 @@ def _mask_gap(alg):
     return np.sqrt(alg.dim) * (off[0] + 3.0 * off[1])
 
 
+def _mask_classes(alg):
+    """The index classes of a pattern whose mask is an equivalence relation, that is blocks
+    without multiplicity, in the order of their first indices; None for any other algebra.
+    Kept in the algebra's derived store; a pattern is set before the algebra is first validated."""
+    if alg.pattern is None:
+        return None
+
+    def compute():
+        mask = alg.pattern[1]
+        labels = mask.argmax(axis=1)
+        if not np.array_equal(mask, labels[:, None] == labels[None, :]):
+            return None
+        # each class is labelled by its first index, which labels itself
+        return [np.flatnonzero(labels == c) for c in np.flatnonzero(labels == np.arange(alg.n))]
+
+    return alg.derived("mask classes", compute)
+
+
 def _sum_certified(a):
     """True when A's mask shows A + A* = M_n, which check_ss_density's SVD would find.
 
@@ -298,8 +317,9 @@ def _intersection_certified(a, d, phi):
     - The intersection and D have one dimension, so D lies within gamma of
       it too, and same_subspace holds once gamma <= tol(1e-8) / 2.
     - Phi moves such a w by at most F + (kappa + 1) gamma, with F the HS norm
-      of Phi - id over D's orthonormal rows and kappa the map matrix's HS
-      norm; the fix check holds once that is at most tol(1e-8) / 2.
+      of Phi - id over D's orthonormal rows (DCharacter.validate keeps it row
+      by row as phi.fix, read here when D is phi's range) and kappa the map
+      matrix's HS norm; the fix check holds once that is at most tol(1e-8) / 2.
     The halves left over absorb the dense route's rounding, O(n^2) machine
     epsilons.
     """
@@ -316,7 +336,9 @@ def _intersection_certified(a, d, phi):
     if phi is None:
         return True
     k, rows = phi.map_matrix, d.space.flat
-    return bool(hs_norm(rows @ k.T - rows) + (hs_norm(k) + 1.0) * gamma <= tol(1e-8) / 2)
+    # F as the character's validation found it, row by row, when D is its range
+    moved = hs_norm(phi.fix) if phi.range_alg is d and phi.fix is not None else hs_norm(rows @ k.T - rows)
+    return bool(moved + (hs_norm(k) + 1.0) * gamma <= tol(1e-8) / 2)
 
 
 def from_spanning(mats, star=True):
@@ -543,15 +565,13 @@ def _pattern_commutant(alg, within):
     The rows are orthonormal up to u's defect, at most _UNITARY_DEFECT, and
     exactly so for u None.
     """
-    if alg.pattern is None or (within is not None and within.dim != alg.n**2):
+    if within is not None and within.dim != alg.n**2:
         return None
-    u, mask = alg.pattern
-    labels = mask.argmax(axis=1)
-    if not np.array_equal(mask, labels[:, None] == labels[None, :]) or not _mask_gap(alg) <= 1.0 / 16:
+    classes = _mask_classes(alg)
+    if classes is None or not _mask_gap(alg) <= 1.0 / 16:
         return None
-    u = np.eye(alg.n) if u is None else u
-    # each class is labelled by its first index, which labels itself
-    blocks = [u[:, labels == c] for c in np.flatnonzero(labels == np.arange(alg.n))]
+    u = np.eye(alg.n) if alg.pattern[0] is None else alg.pattern[0]
+    blocks = [u[:, c] for c in classes]
     flat = np.stack([(w @ dagger(w)).ravel() / np.sqrt(w.shape[1]) for w in blocks])
     stack = alg.space.tensor
     if not _commutes_with(flat, stack, _bracket_threshold(stack)):

@@ -1,34 +1,51 @@
 """Conditional expectations onto *-subalgebras of M_n.
 
-An expectation is stored as its matrix on flattened (row-major) coordinates.
-The constructor composes it with the orthogonal projection onto the domain
-algebra and keeps its values E(x_j) on the domain's orthonormal basis, so the
-stored map is defined on all of M_n.  Unitality on the range unit,
-idempotence, positivity and range membership are checked through those
-values, and the D-bimodule property (linalg.bimodule_gaps) through the
-stored map's operator-Schmidt factors: written E(x) = sum_s X_s x Y_s^T
-with orthonormal partners, E∘L_d - L_d∘E and E∘R_d - R_d∘E, with L_d, R_d
-left and right multiplication by a basis element d of D, have the norms of
-the stacked commutators [X_s, d] and [Y_s^T, d].  A module map has at most
-dim D' factors a side, which a fixed Gaussian sketch of the map finds; the
-check then costs two thin SVDs of at most n^2 x 2n and O(dim D' dim D n^3)
-flops.  Small maps, and maps of high Schmidt rank, use their own n^2 columns
-and rows instead, in O(dim D n^5).  No n^2 x n^2 multiplication or
-complement operator is formed.
+One builder, _preserving_expectation, finds the omega-preserving map onto a
+target algebra by one of two routes.
 
-One builder, _preserving_expectation, solves the Gram system of the range
-algebra in the omega-inner product.  That needs omega faithful on the range
-only, which states._faithful_spectrum decides on the Gram matrix it inverts;
-a functional singular on the range is handled by compressing to the support
-of its restriction there (support_ideal_expectation), never by regularizing.
+- Onto a D = u(sum_t M_k_t)u* that carries a block pattern without
+  multiplicity, certified by algebras._mask_gap, with M = M_n and n >= 5
+  (_block_route), the map is the closed form u [sum_t (y rho')_tt
+  (rho'_tt)^-1] u*, y = u* x u and rho' = u* rho u: the block pinching when
+  omega is D-central.  It is kept as its r block factors,
+  E(x) = sum_t X_t x B_t (linalg.SandwichSum), and applied, pulled back and
+  validated from them: no (dim D)^2 Gram matrix and no n^2 x n^2 map.
+- Onto every other target (an unpatterned D, the relative commutant D', the
+  support corners and ideals Dz, and any D at n <= 4, where the dense work
+  is smaller than the factors' fixed per-call cost) it solves the target's
+  Gram system in the omega-inner product (_gram_solve) and keeps the
+  n^2 x n^2 matrix on flattened (row-major) coordinates, composed with the
+  projection onto the domain, with its values E(x_j) on the domain's
+  orthonormal basis.
+
+Either route needs omega faithful on the range only, which
+states._faithful_spectrum decides on the Gram matrix's eigenvalues (for the
+closed form, those of the blocks rho'_tt); a functional singular on the
+range is handled by compressing to the support of its restriction there
+(support_ideal_expectation), never by regularizing.
+
+validate() checks unitality, idempotence, positivity on fixed probes, the
+D-bimodule property and range membership, in that order, by the same
+statistics on both storage forms.  The module property (linalg.bimodule_gaps)
+is read off the map's operator-Schmidt factors: written
+E(x) = sum_s X_s x Y_s^T with orthonormal partners, E∘L_d - L_d∘E and
+E∘R_d - R_d∘E, with L_d, R_d left and right multiplication by a basis
+element d of D, have the norms of the stacked commutators [X_s, d] and
+[Y_s^T, d].  A stored matrix has its factors found by a fixed Gaussian
+sketch when its Schmidt rank is low, or read from its own n^2 columns and
+rows; block factors are such a splitting already, made orthonormal through
+an r x r Gram matrix.  Range membership of the closed form is certified
+from the mask (_block_range_bound), and the residuals decide when the
+certificate does not pass.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import StarAlgebra, commutant, corner_algebra
+from .algebras import StarAlgebra, _mask_classes, _mask_gap, commutant, corner_algebra
 from .config import tol
 from .errors import (
     DensityDoesNotCommute,
@@ -48,9 +65,11 @@ from .errors import (
 )
 from .linalg import (
     Corner,
+    SandwichSum,
     apply_map,
     as_matrix,
     bimodule_gaps,
+    chunk_slices,
     commutation_gap,
     commutator,
     dagger,
@@ -119,9 +138,9 @@ def _identity_rows(flat):
     return flat.shape[0] == flat.shape[1] and np.count_nonzero(flat) == len(flat) and bool(np.all(flat.diagonal() == 1))
 
 
-def _check_preserves(map_matrix, omega, target):
+def _check_preserves(e, omega, target):
     """omega∘E must have the density target (omega's own on the domain)."""
-    drift = hs_norm(_pullback_density(map_matrix, omega.density) - target)
+    drift = hs_norm(e.pullback_density(omega.density) - target)
     check(InvariantViolation, "preservation: omega∘E deviates from omega by {:.3e}",
           drift, tol(1e-8) * max(1.0, hs_norm(omega.density)))
 
@@ -133,13 +152,22 @@ class ConditionalExpectation:
     for genuine expectations, a projection z for the support-ideal maps onto
     Dz.  The bimodule algebra is the D whose elements pass through the map.
 
-    The constructor composes map_matrix with the projection onto the domain
-    and keeps the values E(x_j) on the domain's orthonormal basis as the rows
-    of images; validated turns true once validate() has passed.
+    The map comes as its n^2 x n^2 matrix, or from the block route of
+    _preserving_expectation as the SandwichSum of its r block factors,
+    E(x) = sum_t X_t x B_t.  A matrix is composed with the projection onto
+    the domain, and its values E(x_j) on the domain's orthonormal basis are
+    kept as the rows of images.  Factors are kept as factors: application,
+    the pullback and every check of validate() work from them at O(r n^3)
+    per matrix, and map_matrix and images are formed on first request, for
+    the readers that need the n^2 x n^2 matrix (choi_matrix, support_of_map,
+    the modular checks, the CLI's reports).  validated turns true once
+    validate() has passed.
     """
 
     def __init__(self, map_matrix, domain, range_space, unit, bimodule, check=True):
-        self.images, self.map_matrix = _domain_images(map_matrix, domain)
+        self.factors = map_matrix if isinstance(map_matrix, SandwichSum) else None
+        if self.factors is None:
+            self.images, self.map_matrix = _domain_images(map_matrix, domain)
         self.domain = domain
         self.range_space = range_space
         self.unit = as_matrix(unit)
@@ -149,37 +177,108 @@ class ConditionalExpectation:
         if check:
             self.validate()
 
+    @functools.cached_property
+    def map_matrix(self):
+        """The factors' n^2 x n^2 matrix, formed on first request (a matrix given is kept as given)."""
+        return self.factors.matrix()
+
+    @functools.cached_property
+    def images(self):
+        """E(x_j) on the domain's orthonormal basis, as flat rows, formed on first request."""
+        return _domain_images(self.map_matrix, self.domain)[0]
+
     def __call__(self, x):
-        return apply_map(self.map_matrix, as_matrix(x))
+        return self.apply(as_matrix(x))
+
+    def apply(self, x):
+        """E at one matrix or at each entry of a stacked (k, n, n) tensor, unchecked."""
+        return apply_map(self.map_matrix, x) if self.factors is None else self.factors(x)
+
+    def pullback_density(self, rho):
+        """Hermitian part of the density of x -> Tr(rho E(x)), E's trace pre-adjoint at rho."""
+        if self.factors is None:
+            return _pullback_density(self.map_matrix, rho)
+        sigma = self.factors.pre_adjoint(rho)
+        return (sigma + dagger(sigma)) / 2
 
     def pullback(self, functional):
         """The functional x -> functional(E(x)) as a PositiveFunctional."""
-        return PositiveFunctional(_pullback_density(self.map_matrix, functional.density))
+        return PositiveFunctional(self.pullback_density(functional.density))
 
     @functools.cached_property
     def support(self):
         return support_of_map(self)
 
     def validate(self):
-        k, images = self.map_matrix, self.images
+        """Unital, idempotent, positive on eight fixed probes, D-bimodule and onto the range,
+        checked in that order; see ConditionalExpectation for the two storage forms."""
         n = self.n
-        scale = max(1.0, hs_norm(k))
+        factors = self.factors
+        norm = hs_norm(self.map_matrix) if factors is None else factors.norm()
+        scale = max(1.0, norm)
         check(InvariantViolation, "unital: E(I) misses the range unit by {:.3e}",
-              hs_norm(apply_map(k, np.eye(n)) - self.unit), tol(1e-9) * max(1.0, hs_norm(self.unit)))
-        # the rows E(E(x_j)) - E(x_j) have the norm of k^2 - k, because k = kP
+              hs_norm(self.apply(np.eye(n)) - self.unit), tol(1e-9) * max(1.0, hs_norm(self.unit)))
         check(InvariantViolation, "idempotent: E(E(x)) != E(x), defect {:.3e}",
-              hs_norm(images @ k.T - images), tol(1e-9) * scale)
+              self._idempotence_defect(), tol(1e-9) * scale)
         xx, x_norms = _positivity_probes(n)
-        y = apply_map(k, xx)
+        y = self.apply(xx)
         y = (y + dagger(y)) / 2
         check(InvariantViolation, "positive: E(x*x) has eigenvalue -{:.3e}",
               -np.linalg.eigvalsh(y)[:, 0], tol(1e-8) * x_norms)
+        basis = self.bimodule.space.tensor
+        gaps = bimodule_gaps(self.map_matrix, basis) if factors is None else factors.module_gaps(basis)
         # per basis element d: the left gap, then the right one
         check(InvariantViolation, "bimodule: module property fails by {:.3e}",
-              bimodule_gaps(k, self.bimodule.space.tensor).T, tol(1e-8) * scale * np.sqrt(n))
+              gaps.T, tol(1e-8) * scale * np.sqrt(n))
         check(InvariantViolation, "range: output leaves the range span by {:.3e}",
-              hs_norm(self.range_space.residuals(images)), tol(1e-8) * scale)
+              self._range_gap(norm, scale), tol(1e-8) * scale)
         self.validated = True
+
+    def _idempotence_defect(self):
+        """||E(E(x_j)) - E(x_j)|| over the domain's orthonormal basis, which is ||K^2 - K||_F as K = KP;
+        factors come with the domain M_n, where P = I, and give it from their Kronecker terms."""
+        if self.factors is None:
+            return hs_norm(self.images @ self.map_matrix.T - self.images)
+        return self.factors.idempotence_defect()
+
+    def _range_gap(self, norm, scale):
+        """The HS norm of the images' residuals against the range, or for factors whose
+        certificate (_block_range_bound, for a map of Frobenius norm norm) is at most half
+        the range threshold, that bound."""
+        if self.factors is None:
+            return hs_norm(self.range_space.residuals(self.images))
+        bound = _block_range_bound(self, norm)
+        if bound <= tol(1e-8) * scale / 2:
+            return bound
+        # the images from the factors, a chunk of the domain's basis at a time; per element
+        # its image, the image's residual and the factors' two intermediates
+        basis = self.domain.space.tensor
+        parts = chunk_slices(len(basis), 4 * self.factors.count * self.n**2)
+        return math.hypot(*(hs_norm(self.range_space.residuals(self.factors(basis[part]).reshape(-1, self.n**2)))
+                            for part in parts))
+
+
+def _block_range_bound(e, norm):
+    """3 delta norm, delta = _mask_gap(D) and norm = ||K||_F, for block factors onto the span of a patterned D
+    (the range is the bimodule algebra's span); inf otherwise.  It bounds the HS norm of the
+    residuals of the outputs E(x_j) on the domain's orthonormal basis against D's span.
+
+    Let D carry the pattern (u, B), eta = ||u*u - I|| <= _UNITARY_DEFECT, and
+    u = v h its polar decomposition, ||h - I|| <= eta.  The block factors give
+    E(x) = sum_t u P_t (u* x u) W_t u* = u z u* with z in B, so an output y
+    lies in u B u*.  Its point p = v z v* of P = v B v* has
+    ||y - p|| = ||h z h - z|| <= eta (2 + eta) ||z|| and ||z|| <= ||y|| / (1 - eta)^2,
+    so ||y - p|| <= 3 eta ||y||.  With ||Q_D - Q_P|| <= delta (_mask_gap),
+    dist(y, D) <= ||y - p|| + ||(Q_P - Q_D) p|| <= (3 eta + delta (1 + 3 eta)) ||y||,
+    at most 3 delta ||y|| as delta >= 3 eta.  Summed over the images,
+    sum_j ||E(x_j)||^2 <= ||K||_F^2.  The factors are formed from u to
+    O(n eps) of their exact values, which moves each output off u B u* by
+    O(n eps) of its norm; the range check accepts the bound at half its
+    threshold, and the other half absorbs that rounding and the dense route's.
+    """
+    if e.range_space is not e.bimodule.space:
+        return np.inf
+    return 3.0 * _mask_gap(e.bimodule) * norm
 
 
 def choi_matrix(e):
@@ -204,30 +303,112 @@ def preserving_expectation(omega, d, m):
         raise GramSingular("omega is not faithful on D") from err
 
 
+def _require_faithful_spectrum(eigs):
+    """GramSingular unless the ascending eigenvalues of the Gram matrix pass _faithful_spectrum."""
+    if not _faithful_spectrum(eigs):
+        raise GramSingular(
+            f"functional is not faithful on the span (Gram eigenvalues {eigs[0]:.3e}..{eigs[-1]:.3e})"
+        )
+
+
 def _gram_solve(omega, space):
     """The map k onto the space with omega(b* k(x)) = omega(b* x) for b in it: one eigh of the
     Gram matrix omega(b_a* b_c) feeds _faithful_spectrum (GramSingular if not faithful) and the inverse."""
     gram, rows = _omega_gram(omega, space.tensor)
     eigs, u = np.linalg.eigh(gram)
-    if not _faithful_spectrum(eigs):
-        raise GramSingular(
-            f"functional is not faithful on the span (Gram eigenvalues {eigs[0]:.3e}..{eigs[-1]:.3e})"
-        )
+    _require_faithful_spectrum(eigs)
     return space.flat.T @ (((u / eigs) @ dagger(u)) @ rows)
+
+
+# the largest _mask_gap of a range solved in closed form: below it the range check's
+# certificate, 3 _mask_gap ||K||_F against half its threshold, passes for every map
+_BLOCK_GAP = tol(1e-8) / 6
+# the n^4 entries of the map above which the closed form pays: below, at n <= 4, the Gram
+# route's few small dense products cost less than the factors' fixed per-call work (the
+# closed form's build and validation took 1.0-1.6 times the Gram route's at n = 2..4,
+# 0.4-0.9 times at n = 5..8, on coordinate and rotated D)
+_BLOCK_FROM = 1 << 9
+
+
+def _block_route(target, m):
+    """True when _preserving_expectation solves onto the target in closed form: M is all of
+    M_n with n^4 above _BLOCK_FROM, and the target's pattern has blocks without multiplicity
+    and a _mask_gap of at most _BLOCK_GAP."""
+    return (m.n**4 > _BLOCK_FROM and m.dim == m.n**2 and _mask_classes(target) is not None
+            and _mask_gap(target) <= _BLOCK_GAP)
+
+
+def _block_factors(omega, target):
+    """The omega-preserving expectation onto D = u(sum_t M_k_t)u* in closed form, as a SandwichSum.
+
+    With rho = omega's density, rho' = u* rho u and y = u* x u, the solution
+    of the Gram system is E(x) = u [sum_t (y rho')_tt (rho'_tt)^-1] u*, the
+    block pinching when rho is D-central (Umegaki 1954; Takesaki, J. Funct.
+    Anal. 9, 1972): for the unit u E_ij u* of block t, omega(b* E(x)) =
+    (E' rho')_ij must equal (y rho')_ij, with E' = u* E(x) u.  Written out,
+    E(x) = sum_t X_t x B_t with X_t = u P_t u*, B_t = u W_t u* and
+    W_t = rho'[:, I_t] (rho'_tt)^-1 placed in the columns I_t of block t.
+    The Gram matrix of D's rotated units is sum_t I_k_t (x) (rho'_tt)^T, so
+    its eigenvalues are those of the blocks rho'_tt: one eigh of the n x n
+    block diagonal part of rho' gives their union, on which _faithful_spectrum
+    decides faithfulness as on _gram_solve's, and GramSingular carries the same
+    message; the same eigh inverts every block at once.
+
+    The map is the Gram route's exactly for a unitary u and a D that is
+    u B u*.  Otherwise D lies within delta = _mask_gap(D) of P = v B v*, v
+    the unitary polar factor of u, and the two maps differ by at most
+    4 n kappa^(3/2) delta in Frobenius norm, to first order in delta, with
+    kappa = ||rho|| / lambda and lambda the least eigenvalue of the rho'_tt.
+    For a *-algebra S on which omega is faithful let lambda_S be the least
+    omega(s*s) over its unit elements, and use |omega(a* b)| <= ||rho|| ||a|| ||b||.
+    - ||E_S x||^2 lambda_S <= omega(e* e) = omega(e* x) <= omega(e* e)^(1/2)
+      omega(x* x)^(1/2), e = E_S x, so ||E_S|| <= kappa_S^(1/2).
+    - Let e = E_D x, f = E_P x and e = p + r with p in P, ||r|| <= delta ||e||.
+      For a unit b = d + s of P, d in D and ||s|| <= delta,
+      omega(b* (f - p)) = omega(s* (x - e)) + omega(b* r), at most
+      ||rho|| delta (||x|| + 2 ||e||); taking b along g = f - p gives
+      ||g|| <= kappa_P delta (1 + 2 kappa_D^(1/2)) ||x||, and
+      ||f - e|| <= ||g|| + ||r|| <= 4 kappa^(3/2) delta ||x|| with kappa_P and
+      kappa_D equal to kappa to first order in delta.
+    A map on M_n has Frobenius norm at most n times its operator norm.  u's
+    own defect, at most _UNITARY_DEFECT, moves the closed form by the same
+    order, and delta >= 3 ||u*u - I|| covers it.
+    """
+    u, mask = target.pattern
+    rho = omega.density
+    rotated = rho if u is None else dagger(u) @ rho @ u
+    # sum_t rho'_tt in place, whose spectrum is the union of the blocks' and whose inverse is theirs
+    pinched = rotated * mask
+    eigs, v = np.linalg.eigh((pinched + dagger(pinched)) / 2)
+    _require_faithful_spectrum(eigs)
+    # [W_1 ... W_t ...] side by side, the rounding of the inverse off the blocks dropped
+    solve = rotated @ (((v / eigs) @ dagger(v)) * mask)
+    blocks = mask[[idx[0] for idx in _mask_classes(target)]]  # row t: the indicator of I_t
+    if u is None:
+        left = blocks[:, :, None] * np.eye(target.n)
+        right = solve * blocks[:, None, :]
+    else:
+        left = (u * blocks[:, None, :]) @ dagger(u)
+        right = ((u @ solve) * blocks[:, None, :]) @ dagger(u)
+    return SandwichSum(left, right)
 
 
 def _preserving_expectation(omega, target, m, check=True):
     """The one builder: the omega-orthogonal projection of M onto the target subalgebra.
 
-    Solves the target's Gram system (_gram_solve), builds the map, validates
-    it and checks that it preserves omega.  The D-centrality gate is
-    preserving_expectation's; without it, validation decides whether the
-    solution is an expectation (exactly when the modular flow of omega leaves
-    the target invariant).  check=False skips the validation for a caller
-    that validates what it makes of the map; the other checks always run.
+    Solves for the map, builds it, validates it and checks that it preserves
+    omega.  Onto a target that _block_route admits the solution is the closed
+    form, kept as its block factors (_block_factors); onto every other target,
+    the corners, D' and Dz among them, it is the Gram system (_gram_solve).
+    The D-centrality gate is preserving_expectation's; without it, validation
+    decides whether the solution is an expectation (exactly when the modular
+    flow of omega leaves the target invariant).  check=False skips the
+    validation for a caller that validates what it makes of the map; the other
+    checks always run.
     """
-    e = ConditionalExpectation(_gram_solve(omega, target.space), m, target.space, np.eye(m.n), target, check)
-    _check_preserves(e.map_matrix, omega, omega.restricted_density(m))
+    k = _block_factors(omega, target) if _block_route(target, m) else _gram_solve(omega, target.space)
+    e = ConditionalExpectation(k, m, target.space, np.eye(m.n), target, check)
+    _check_preserves(e, omega, omega.restricted_density(m))
     return e
 
 
@@ -429,7 +610,7 @@ def support_ideal_expectation(omega, d, m):
     # xz = v (v* x v) v* for x in D
     range_space = corner.lift_space(d_z.space)
     e = ConditionalExpectation(corner.lift_map(f.map_matrix), m, range_space, z, d)
-    _check_preserves(e.map_matrix, omega, omega.restricted_density(m))
+    _check_preserves(e, omega, omega.restricted_density(m))
     # uniqueness: an independent Gram solve on the ideal must take the same values on M
     mismatch = hs_norm(e.images - m.space.flat @ _gram_solve(omega, range_space).T)
     check(InvariantViolation, "the two support-ideal constructions disagree by {:.3e}",

@@ -169,7 +169,7 @@ class JensenReport:
 def _require_jensen_setting(omega, phi, psi):
     """omega tracial on the character's range, psi omega-preserving and extending phi."""
     require_tracial(omega, phi.range_alg, "omega is not tracial on the range (violation {:.3e})")
-    _check_preserves(psi.map_matrix, omega, omega.density)
+    _check_preserves(psi, omega, omega.density)
     _check_extends_character(psi, phi)
 
 

@@ -81,7 +81,9 @@ def commutation_gap(x, basis):
     every x of a stack (p, n, n); 0 for an empty basis."""
     x = x[..., None, :, :]
     n = basis.shape[-1]
-    return float(hs_norms((x @ basis - basis @ x).reshape(-1, n, n)).max(initial=0.0))
+    brackets = x @ basis
+    brackets -= basis @ x
+    return float(hs_norms(brackets.reshape(-1, n, n)).max(initial=0.0))
 
 
 class HermitianSpectrum:
@@ -510,7 +512,14 @@ def bimodule_gaps(k, basis):
     algebra A that contains the *-algebra D, which its check confirms first.
     """
     q, n, _ = basis.shape
-    left, right, tail = _schmidt_factors(np.reshape(k, (n, n, n, n)), q)
+    return _commutator_gaps(*_schmidt_factors(np.reshape(k, (n, n, n, n)), q), basis)
+
+
+def _commutator_gaps(left, right, tail, basis):
+    """bimodule_gaps from a splitting of the map: left[g, s, a] = W_s[a, g] for the X_s of
+    one whose partners are orthonormal, right the same for the Y_s^T of one whose X_s are,
+    and tail bounding the Frobenius norm of what the splittings leave out."""
+    q, n, _ = basis.shape
     c = left.shape[1]
     # per basis element, two products of c n^2 elements a side; a chunk holds half of
     # _CHUNK_ELEMENTS in them, both sides at once when one element's fit, else a side at a time
@@ -544,12 +553,107 @@ def apply_map(map_matrix, x):
     return (x.reshape(-1, n * n) @ map_matrix.T).reshape(x.shape)
 
 
+class SandwichSum:
+    """The map x -> sum_t L_t x R_t on M_n, held as its r factor pairs: two stacked (r, n, n) arrays.
+
+    Its matrix, sum_t sandwich_matrix(L_t, R_t), has n^4 entries; the
+    methods here work from the factors instead, at O(r n^3) per matrix, and
+    matrix() forms it only for a reader that needs it.
+    """
+
+    def __init__(self, left, right):
+        self.left, self.right = left, right
+        self.count, self.n = left.shape[0], left.shape[-1]
+
+    def __call__(self, x):
+        """The map at one matrix or at each entry of a stacked (k, n, n) tensor.  Per chunk of
+        entries one gemm forms every L_t x_j, and one multiplies [L_1 x_j ... L_r x_j] by the
+        stacked [R_1; ...; R_r]."""
+        r, n = self.count, self.n
+        stack = x.reshape(-1, n, n)
+        out = np.empty(stack.shape, dtype=complex)
+        # per entry: the r products L_t x_j, and their copy in the second gemm's layout
+        for part in chunk_slices(len(stack), 2 * r * n * n):
+            xs = stack[part]
+            k = len(xs)
+            lx = self.left.reshape(r * n, n) @ xs.transpose(1, 0, 2).reshape(n, k * n)
+            lx = lx.reshape(r, n, k, n).transpose(2, 1, 0, 3).reshape(k * n, r * n)
+            out[part] = (lx @ self.right.reshape(r * n, n)).reshape(k, n, n)
+        return out.reshape(x.shape)
+
+    def pre_adjoint(self, rho):
+        """sum_t R_t rho L_t, the density sigma with Tr(sigma x) = Tr(rho K(x)) for every x."""
+        r, n = self.count, self.n
+        return (self.right @ rho).transpose(1, 0, 2).reshape(n, r * n) @ self.left.reshape(r * n, n)
+
+    def matrix(self):
+        """The n^2 x n^2 matrix: entry ((a, b), (c, e)) is sum_t L_t[a, c] R_t[e, b]."""
+        r, n = self.count, self.n
+        pairs = self.left.reshape(r, n * n).T @ self.right.swapaxes(1, 2).reshape(r, n * n)
+        return pairs.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+    @functools.cached_property
+    def _grams(self):
+        """The r x r Gram matrices [<L_s, L_t>] and [<R_s, R_t>], stacked as (2, r, r)."""
+        rows = np.stack((self.left, self.right)).reshape(2, self.count, -1)
+        return rows @ rows.conj().swapaxes(1, 2)
+
+    def norm(self):
+        """The matrix's Frobenius norm: sum_st <L_s, L_t><R_s, R_t> under the root."""
+        return math.sqrt(max(0.0, float(np.sum(self._grams[0] * self._grams[1]).real)))
+
+    def idempotence_defect(self):
+        """||K^2 - K||_F, from the r^2 + r Kronecker terms of K^2 - K, a bounded chunk of its rows at a time.
+
+        L_s x R_s composed after L_t x R_t is (L_s L_t) x (R_t R_s), so K^2 - K
+        is sum_q A_q (x) C_q^T over the pairs (A, C) = (L_s L_t, R_t R_s) and
+        (L_t, -R_t); row (i, j) of its matrix holds sum_q A_q[i, a] C_q[b, j]
+        at column (a, b), one gemm of inner dimension r^2 + r per chunk of
+        rows i, O(r^2 n^4) in all.  For any orthonormal basis x_j of M_n this
+        is the statistic (sum_j ||E(E(x_j)) - E(x_j)||^2)^(1/2).
+        """
+        r, n = self.count, self.n
+        pairs = (self.left[:, None] @ self.left[None, :]).reshape(r * r, n, n)
+        a = np.concatenate((pairs, self.left))
+        c = np.concatenate(((self.right[None, :] @ self.right[:, None]).reshape(r * r, n, n), -self.right))
+        # a[q, i, a'] laid out as rows (i, a'), c[q, b, j] as columns (b, j)
+        a_rows = a.transpose(1, 2, 0).reshape(n * n, -1)
+        c_cols = c.reshape(len(c), n * n)
+        # per row i: n^3 entries of the defect, in chunks of at most a quarter of _CHUNK_ELEMENTS
+        return math.hypot(*(hs_norm(a_rows[part.start * n : part.stop * n] @ c_cols)
+                            for part in chunk_slices(n, 4 * n**3)))
+
+    def module_gaps(self, basis):
+        """bimodule_gaps of the map at a stacked basis (q, n, n), from the factors: no sketch, tail 0.
+
+        For the left gaps the right factors are orthonormalized, R = C Q with
+        Q orthonormal rows and C = V Lambda^(1/2) from the eigendecomposition
+        V Lambda V* of their Gram matrix, and the map is sum_u L'_u x Q_u with
+        L'_u = sum_t C[t, u] L_t; the right gaps take the roles swapped.  Both
+        sides come from one batched eigh of the two r x r Gram matrices.  The
+        splittings are exact, so nothing is added to the gaps.
+        """
+        r, n = self.count, self.n
+        eigs, v = np.linalg.eigh(self._grams)
+        c = (v * np.sqrt(np.clip(eigs, 0.0, None))[:, None, :]).swapaxes(1, 2)
+        left = (c[1] @ self.left.reshape(r, -1)).reshape(r, n, n)
+        right = (c[0] @ self.right.reshape(r, -1)).reshape(r, n, n)
+        return _commutator_gaps(left.transpose(2, 0, 1), right.transpose(2, 0, 1), 0.0, basis)
+
+
 def constraint_system(rows):
-    """The rows vec(a_j^T) of the given matrices a_j, so Tr(r a_j) = (system @ vec(r))_j."""
-    mats = [as_matrix(a) for a in rows]
-    if not mats:
+    """The rows vec(a_j^T) of the given matrices a_j, a list or a stacked (k, n, n) array,
+    so Tr(r a_j) = (system @ vec(r))_j."""
+    try:
+        stack = np.asarray(rows, dtype=complex)
+    except ValueError as err:
+        raise DimensionMismatch("constraints mix matrix sizes") from err
+    if len(stack) == 0:
         raise EmptyInput("no matching constraints")
-    return np.array([a.T.ravel() for a in mats])
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise DimensionMismatch(f"expected a stack of square matrices, got shape {stack.shape}")
+    k, n, _ = require_finite(stack).shape
+    return stack.transpose(0, 2, 1).reshape(k, n * n)
 
 
 def minimal_norm_solution(system, rhs):

@@ -42,7 +42,6 @@ from .errors import (
 from .expectations import (
     _check_values,
     _domain_images,
-    _pullback_density,
     _average_to_central,
     _preserving_expectation,
     _values_on,
@@ -100,6 +99,7 @@ class DCharacter:
         self.range_alg = range_alg
         self.n = domain.n
         self.blocks = None
+        self.fix = None  # ||Phi(d) - d|| over D's orthonormal rows, once validate() has found it
         # a combination c of A's basis lies in J when c times the images vanishes
         self.kernel = OperatorSubspace(self.n, null_space_rows(self.images.T) @ domain.space.flat)
         if check:
@@ -116,7 +116,7 @@ class DCharacter:
               hs_norm(self(eye) - eye), tol(1e-9) * np.sqrt(n))
         d_flat = self.range_alg.space.flat
         outside = self.domain.space.residuals(d_flat)
-        fix = hs_norms(d_flat @ k.T - d_flat)
+        fix = self.fix = hs_norms(d_flat @ k.T - d_flat)
         allowed = tol(1e-8) * np.maximum(1.0, hs_norms(d_flat))
         # the first failing basis element decides which of the two is reported
         for gap, moved, bound in zip(outside.tolist(), fix.tolist(), allowed.tolist()):
@@ -324,17 +324,18 @@ def _projected_factor(a_alg, kernel, a_mat, b_mat, weight=None):
     realized by right-multiplying every vector with w^(1/2)."""
     n = a_mat.shape[0]
     sqw = psd_sqrt(weight) if weight is not None else np.eye(n, dtype=complex)
-    reach = orthonormalize([x @ a_mat @ sqw for x in a_alg.basis])
+    # x a w^(1/2) for every basis element x of A, then of J, multiplied in that order as one x at a time would be
+    reach = orthonormalize(a_alg.space.tensor @ a_mat @ sqw)
     bt = b_mat @ sqw
     ct = reach.project(bt)
     scale = max(1.0, hs_norm(bt))
-    for j in kernel.basis:
-        f = j @ a_mat @ sqw
-        bound = tol(1e-8) * scale * max(1.0, hs_norm(f))
-        check(InvariantViolation, "kernel orthogonality: b overlaps ker(Phi)·a by {:.3e}",
-              abs(np.vdot(f, bt)), bound)
-        check(InvariantViolation, "kernel orthogonality: c overlaps ker(Phi)·a by {:.3e}",
-              abs(np.vdot(f, ct)), bound)
+    f = (kernel.tensor @ a_mat @ sqw).reshape(kernel.size, n * n)
+    overlaps = np.abs(f.conj() @ np.stack([bt.ravel(), ct.ravel()], axis=1))
+    bounds = tol(1e-8) * scale * np.maximum(1.0, hs_norms(f))
+    # the first failing kernel element decides which of the two is reported
+    for (b_gap, c_gap), bound in zip(overlaps.tolist(), bounds.tolist()):
+        check(InvariantViolation, "kernel orthogonality: b overlaps ker(Phi)·a by {:.3e}", b_gap, bound)
+        check(InvariantViolation, "kernel orthogonality: c overlaps ker(Phi)·a by {:.3e}", c_gap, bound)
     if weight is None:
         return ct
     inv_sqw = eigh_hermitian(weight).apply(lambda v: 1.0 / np.sqrt(v))
@@ -357,7 +358,7 @@ def _invertible_average(g, what):
 
 def _extension_gap(psi, phi):
     """||Psi(x_j) - Phi(x_j)|| over A's orthonormal basis x_j, which is ||(Psi - Phi) P_A||_F."""
-    return hs_norm(phi.domain.space.flat @ psi.map_matrix.T - phi.images)
+    return hs_norm(psi.apply(phi.domain.space.tensor).reshape(phi.images.shape) - phi.images)
 
 
 def _check_extends_character(e, phi):
@@ -392,7 +393,7 @@ def representing_expectation_tracial(m, tau, d, a, phi, perturb_r=0.0, rng_seed=
     k = (k + dagger(k)) / 2
     # tracial <=> k commutes with M, so k-weighted projections stay M-compatible
     values = _values_on(tau, phi.images)
-    r = _matched_density([x @ k for x in a.basis], values, m, perturb_r, rng_seed)
+    r = _matched_density(a.space.tensor @ k, values, m, perturb_r, rng_seed)
     a_mat, b_mat = _polar_factors(r)
     c = _projected_factor(a, phi.kernel, a_mat, b_mat, weight=k)
     e_d = preserving_expectation(tau, d, m)
@@ -429,7 +430,7 @@ def representing_expectation_state(m, omega, d, a, phi, perturb_r=0.0, rng_seed=
     inv_sqk = spec_k.apply(lambda v: 1.0 / np.sqrt(v))
     sqk = spec_k.apply(lambda v: np.sqrt(np.clip(v, 0.0, None)))
     values = _values_on(omega, phi.images)
-    r = _matched_density(list(a.basis), values, m, perturb_r, rng_seed)
+    r = _matched_density(a.space.tensor, values, m, perturb_r, rng_seed)
     a_mat, b_mat = _polar_factors(r)
     c = _projected_factor(a, phi.kernel, a_mat, b_mat)
     cc = c @ dagger(c)
@@ -438,7 +439,7 @@ def representing_expectation_state(m, omega, d, a, phi, perturb_r=0.0, rng_seed=
     spec_g = _invertible_average(g0, "the weighted D-average of cc*")
     # the trace pre-adjoint of E_D applied to cc* must factor as k^(1/2) g0 k^(1/2);
     # both sides are computed independently, so this ties the two routes together
-    split_gap = hs_norm(_pullback_density(e_d.map_matrix, cc) - sqk @ (spec_g.reconstruct() @ sqk))
+    split_gap = hs_norm(e_d.pullback_density(cc) - sqk @ (spec_g.reconstruct() @ sqk))
     check(InconsistencyDetected, "the D-average of cc* disagrees with its weighted factorization ({:.3e})",
           split_gap, tol(1e-8) * max(1.0, hs_norm(cc)))
     h1 = spec_g.apply(lambda v: 1.0 / np.sqrt(v)) @ c
@@ -473,7 +474,7 @@ def representing_expectation_commutative(m, sigma, d, a, phi):
     if not _faithful_on(sigma, d):
         raise NotFaithful("sigma is not faithful on D")
     values = _values_on(sigma, phi.images)
-    r = _matched_density(list(a.basis), values, m, 0.0, 0)
+    r = _matched_density(a.space.tensor, values, m, 0.0, 0)
     a_mat, b_mat = _polar_factors(r)
     c = _projected_factor(a, phi.kernel, a_mat, b_mat)
     cc = c @ dagger(c)

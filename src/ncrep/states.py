@@ -203,7 +203,8 @@ def _central_violation(omega, d, m):
     """max |omega(dx) - omega(xd)| over basis(D) x basis(M), as one trace pairing:
     omega(dx) - omega(xd) = Tr((rho d - d rho) x)."""
     db = d.space.tensor
-    comm = omega.density @ db - db @ omega.density
+    comm = omega.density @ db
+    comm -= db @ omega.density
     return float(np.abs(trace_pairings(comm, m.space.tensor)).max())
 
 

@@ -16,6 +16,10 @@ generated *-algebras before generation became the bicommutant, and the
 faithfulness test on a *-algebra's Gram matrix.  The subspace facts that
 block masks certify are here as the SVD and null-space routes the package
 falls back to: A + A* = M, A intersect A* = D and the splitting J + D = A.
+The preserving expectation onto a block D, which the package solves in
+closed form and checks from its block factors, is here as the Gram route
+every target took before: the (dim D)^2 Gram solve, the n^2 x n^2 map and
+its dense validation.
 """
 
 import numpy as np
@@ -23,6 +27,7 @@ import numpy as np
 from ncrep.algebras import StarAlgebra, _adjoint_space
 from ncrep.config import tol
 from ncrep.errors import EmptyInput, InvariantViolation, check
+from ncrep.expectations import ConditionalExpectation, _check_preserves, _gram_solve
 from ncrep.linalg import (
     OperatorSubspace,
     as_matrix,
@@ -227,3 +232,11 @@ def null_space_diagonal_part(a, d, phi=None):
 def svd_splitting(phi):
     """J = ker(Phi) and D span A together: one SVD of their stacked rows."""
     return subspace_sum(phi.kernel, phi.range_alg.space).size == phi.domain.dim
+
+
+def gram_expectation(omega, target, m):
+    """The omega-preserving map of M onto the target from its Gram system, kept as its
+    n^2 x n^2 matrix and validated densely, then checked to preserve omega."""
+    e = ConditionalExpectation(_gram_solve(omega, target.space), m, target.space, np.eye(m.n), target)
+    _check_preserves(e, omega, omega.restricted_density(m))
+    return e

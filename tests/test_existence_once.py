@@ -8,7 +8,9 @@ depends on D alone (its sampled projections, its commutants) is computed
 once per D; the public functions are still called as often as before.  A
 rotated block instance and both pipelines on it read A + A* = M,
 A intersect A* = D, the splitting J + D = A and the relative commutant off
-the block masks, so Phi's kernel is the one null space solved.  The counts
+the block masks, so Phi's kernel is the one null space solved, and each
+pipeline solves one Gram system, for D': its expectations onto D are the
+closed form of the block route.  The counts
 come from counting wrappers patched into every ncrep module that binds the
 function, as the benchmark's tracer patches them.
 """
@@ -18,7 +20,7 @@ import sys
 import numpy as np
 import pytest
 
-from ncrep import algebras, linalg, states
+from ncrep import algebras, expectations, linalg, states
 from ncrep.algebras import block_diagonal_algebra, diagonal_algebra, full_matrix_algebra
 from ncrep.expectations import (
     _average_to_central,
@@ -84,13 +86,16 @@ def test_diagnosis_runs_each_probe_once(monkeypatch):
     omegas = _diagnosis_states(n, d, np.random.default_rng(3))
     central_calls = _count_calls(monkeypatch, states, "is_D_central")
     gram_calls = _count_calls(monkeypatch, states, "_omega_gram")
+    block_calls = _count_calls(monkeypatch, expectations, "_block_factors")
     verdicts = []
     for omega in omegas:
-        del central_calls[:], gram_calls[:]
+        del central_calls[:], gram_calls[:], block_calls[:]
         report = existence_diagnosis(omega, d, m)
         verdicts.append((report.central, report.faithful_on_D, report.constructed))
         assert len(central_calls) == 1
-        assert sum(b.shape == d.space.tensor.shape for _, b in gram_calls) == 1
+        # faithfulness on the block D is the closed form's test on its blocks, once; no Gram matrix of D
+        assert [target for _, target in block_calls] == [d]
+        assert sum(b.shape == d.space.tensor.shape for _, b in gram_calls) == 0
     assert verdicts == [(True, True, True), (False, True, False), (True, False, False)]
 
 
@@ -170,3 +175,12 @@ def test_a_support_ideal_build_projects_the_density_onto_M_once(blocks):
     assert len(onto_m) == 1
     assert omega.restricted_density(m) is omega.restricted_density(m)
     assert not omega.restricted_density(m).flags.writeable
+
+
+@pytest.mark.parametrize("pipeline", [representing_expectation_tracial, representing_expectation_state])
+def test_each_pipeline_solves_one_gram_system_for_the_relative_commutant(monkeypatch, pipeline):
+    # E_D and Psi onto the rotated block D are solved in closed form; averaging onto D' is the Gram solve
+    inst = random_block_instance(10, np.random.default_rng(10), conjugate=True)
+    calls = _count_calls(monkeypatch, expectations, "_gram_solve")
+    pipeline(inst.m, inst.state, inst.d, inst.a, inst.phi)
+    assert [space for _, space in calls] == [algebras.commutant(inst.d, inst.m).space]
