@@ -9,7 +9,13 @@ validation) for the tracial state and a seeded faithful D-central one,
 representing_expectation_tracial and representing_expectation_state (for
 that D-central state) on block characters with blocks (1, 3), (1, 3, 4),
 (1, 3, 6), (4, 4, 4) and (5, 5, 6) at n = 4, 8, 10, 12 and 16, each rotated
-by a seeded Haar unitary, and prints one JSON object.  The validate rows of A and D time the
+by a seeded Haar unitary, and prints one JSON object.  Three rows time the
+tracial pipeline's steps on the same instance: _matched_density (with the
+constraint stack x_j k formed inside the timing on a checkout whose
+matching takes the stacked constraints), _projected_factor on the polar
+factors of that match, and _average_to_central for a state that extends
+the trace on D and is not D-central (the trace moved off D's span), a
+fresh functional per call.  The validate rows of A and D time the
 closure check each runs (on a block algebra that has one, its pattern
 certificate).  The instance rows time random_block_instance(n,
 default_rng(3), conjugate=True) at n = 16, 24 and 32, the build of A, D and
@@ -115,6 +121,35 @@ def _instance(n, sizes):
     # the generic pair's bracket stack: one row per (generator, entry), one column per basis element of M
     stack = (w @ g - g @ w).reshape(m.dim, -1).T
     return e, phi, a, d, m, nu, stack
+
+
+def _step_rows(a, d, phi, m, reps):
+    """The tracial pipeline's matching, projection and averaging steps on one instance."""
+    import numpy as np
+    from ncrep.expectations import _average_to_central, _values_on
+    from ncrep.representing import _matched_density, _polar_factors, _projected_factor
+    from ncrep.states import PositiveFunctional
+
+    n = m.n
+    tau = PositiveFunctional.tracial(n)
+    k = tau.restricted_density(m)
+    values = _values_on(tau, phi.images)
+    if "weight" in inspect.signature(_matched_density).parameters:
+        match = lambda: _matched_density(a.space, values, m, 0.0, 0, weight=k)
+    else:
+        match = lambda: _matched_density(a.space.tensor @ k, values, m, 0.0, 0)
+    a_mat, b_mat = _polar_factors(match())
+    y = np.random.default_rng(n).standard_normal((n, n))
+    z = y + y.T - d.space.project(y + y.T)
+    moved = tau.density + 0.1 / n / np.linalg.norm(z, 2) * z
+    return {
+        "_matched_density": _measure(match, reps),
+        "_projected_factor": _measure(lambda: _projected_factor(a, phi.kernel, a_mat, b_mat, weight=k), reps),
+        "_average_to_central": _measure(
+            lambda psi: _average_to_central(psi, tau, d, m), reps,
+            lambda: (PositiveFunctional(moved, check=False),),
+        ),
+    }
 
 
 def _measure(fn, repeats, setup=tuple):
@@ -278,6 +313,7 @@ def main():
             "is_D_central": _measure(lambda: is_D_central(nu, d, m), reps),
             "locally_central_check (cap 16)": _measure(lambda: locally_central_check(nu, d, m, 16), reps),
         }
+        layers[f"n={n}"].update(_step_rows(a, d, phi, m, reps))
         layers[f"n={n}"].update(_commutant_rows(commutant, d, m, reps))
         for cap in (16, 64):
             layers[f"n={n}"].update(_projection_rows(sample_projections, d, cap, reps))

@@ -16,9 +16,10 @@ An algebra's basis rows are read-only, and an algebra keeps a store of the
 data that depends on it alone (Subalgebra.derived): its commutant within
 each enclosing algebra, its sampled projections per cap
 (states.sample_projections), and for a patterned algebra the two numbers
-its certificates read off the rotated basis (_off_mask) and its mask's
-block classes (_mask_classes).  Each is computed on first request and then
-read back, so a D that several states are probed on is solved once.
+its certificates read off the rotated basis (_off_mask), its mask's block
+classes (_mask_classes) and its groups of equal mask rows (_mask_rows).
+Each is computed on first request and then read back, so a D that several
+states are probed on is solved once.
 Nothing that depends on a functional is kept there.
 
 The block constructions also record a pattern (u, mask): the algebra is
@@ -276,6 +277,19 @@ def _mask_classes(alg):
         return [np.flatnonzero(labels == c) for c in np.flatnonzero(labels == np.arange(alg.n))]
 
     return alg.derived("mask classes", compute)
+
+
+def _mask_rows(alg):
+    """The index groups of a patterned algebra's equal mask rows, in order of their first indices.
+    Kept in the algebra's derived store; a pattern is set before the algebra is first validated."""
+
+    def compute():
+        groups = {}
+        for i, row in enumerate(alg.pattern[1]):
+            groups.setdefault(row.tobytes(), []).append(i)
+        return [np.array(rows) for rows in groups.values()]
+
+    return alg.derived("mask rows", compute)
 
 
 def _sum_certified(a):

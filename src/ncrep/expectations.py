@@ -13,10 +13,13 @@ target algebra by one of two routes.
 - Onto every other target (an unpatterned D, the relative commutant D', the
   support corners and ideals Dz, and any D at n <= 4, where the dense work
   is smaller than the factors' fixed per-call cost) it solves the target's
-  Gram system in the omega-inner product (_gram_solve) and keeps the
-  n^2 x n^2 matrix on flattened (row-major) coordinates, composed with the
-  projection onto the domain, with its values E(x_j) on the domain's
-  orthonormal basis.
+  Gram system in the omega-inner product (_gram_solve), whose solution is
+  the factor pair K = U^T C, U the target's rows.  With domain M_n, q <= n
+  rows and n >= 7 (_pair_route), as for D' of a D without multiplicity, the
+  pair is kept (linalg.FactorPair) and applied, pulled back and validated
+  from its factors.  Otherwise the n^2 x n^2 matrix on flattened
+  (row-major) coordinates is kept, composed with the projection onto the
+  domain, with its values E(x_j) on the domain's orthonormal basis.
 
 Either route needs omega faithful on the range only, which
 states._faithful_spectrum decides on the Gram matrix's eigenvalues (for the
@@ -34,9 +37,11 @@ element d of D, have the norms of the stacked commutators [X_s, d] and
 [Y_s^T, d].  A stored matrix has its factors found by a fixed Gaussian
 sketch when its Schmidt rank is low, or read from its own n^2 columns and
 rows; block factors are such a splitting already, made orthonormal through
-an r x r Gram matrix.  Range membership of the closed form is certified
-from the mask (_block_range_bound), and the residuals decide when the
-certificate does not pass.
+an r x r Gram matrix.  A Gram factor pair gives each gap exactly from q x q
+matrices (FactorPair.module_gaps).  Range membership of factors is
+certified (_range_bound): from the mask for the closed form, and by
+construction for a pair whose rows are the range's; the residuals decide
+when the certificate does not pass.
 """
 
 import functools
@@ -65,7 +70,9 @@ from .errors import (
 )
 from .linalg import (
     Corner,
+    FactorPair,
     SandwichSum,
+    _identity_rows,
     apply_map,
     as_matrix,
     bimodule_gaps,
@@ -127,15 +134,10 @@ def _domain_images(map_matrix, domain):
     """
     flat = domain.space.flat
     k = require_finite(np.asarray(map_matrix, dtype=complex))
-    if _identity_rows(flat):
+    if _identity_rows(domain.space):
         return np.ascontiguousarray(k.T), k
     images = flat @ k.T
     return images, images.T @ flat.conj()
-
-
-def _identity_rows(flat):
-    """True when the square rows are exactly the identity: one 1 per row on the diagonal, no other nonzero."""
-    return flat.shape[0] == flat.shape[1] and np.count_nonzero(flat) == len(flat) and bool(np.all(flat.diagonal() == 1))
 
 
 def _check_preserves(e, omega, target):
@@ -152,20 +154,22 @@ class ConditionalExpectation:
     for genuine expectations, a projection z for the support-ideal maps onto
     Dz.  The bimodule algebra is the D whose elements pass through the map.
 
-    The map comes as its n^2 x n^2 matrix, or from the block route of
+    The map comes as its n^2 x n^2 matrix, from the block route of
     _preserving_expectation as the SandwichSum of its r block factors,
-    E(x) = sum_t X_t x B_t.  A matrix is composed with the projection onto
-    the domain, and its values E(x_j) on the domain's orthonormal basis are
-    kept as the rows of images.  Factors are kept as factors: application,
-    the pullback and every check of validate() work from them at O(r n^3)
-    per matrix, and map_matrix and images are formed on first request, for
+    E(x) = sum_t X_t x B_t, or from its Gram route as the FactorPair
+    K = U^T C.  A matrix is composed with the projection onto the domain,
+    and its values E(x_j) on the domain's orthonormal basis are kept as the
+    rows of images.  Factors, which come with the domain M_n, are kept as
+    factors: application, the pullback and every check of validate() work
+    from them at O(r n^3) or O(q n^2) per matrix, and map_matrix and images
+    are formed on first request, for
     the readers that need the n^2 x n^2 matrix (choi_matrix, support_of_map,
     the modular checks, the CLI's reports).  validated turns true once
     validate() has passed.
     """
 
     def __init__(self, map_matrix, domain, range_space, unit, bimodule, check=True):
-        self.factors = map_matrix if isinstance(map_matrix, SandwichSum) else None
+        self.factors = map_matrix if isinstance(map_matrix, (SandwichSum, FactorPair)) else None
         if self.factors is None:
             self.images, self.map_matrix = _domain_images(map_matrix, domain)
         self.domain = domain
@@ -236,18 +240,18 @@ class ConditionalExpectation:
 
     def _idempotence_defect(self):
         """||E(E(x_j)) - E(x_j)|| over the domain's orthonormal basis, which is ||K^2 - K||_F as K = KP;
-        factors come with the domain M_n, where P = I, and give it from their Kronecker terms."""
+        factors come with the domain M_n, where P = I, and give it from their own terms."""
         if self.factors is None:
             return hs_norm(self.images @ self.map_matrix.T - self.images)
         return self.factors.idempotence_defect()
 
     def _range_gap(self, norm, scale):
         """The HS norm of the images' residuals against the range, or for factors whose
-        certificate (_block_range_bound, for a map of Frobenius norm norm) is at most half
+        certificate (_range_bound, for a map of Frobenius norm norm) is at most half
         the range threshold, that bound."""
         if self.factors is None:
             return hs_norm(self.range_space.residuals(self.images))
-        bound = _block_range_bound(self, norm)
+        bound = _range_bound(self, norm)
         if bound <= tol(1e-8) * scale / 2:
             return bound
         # the images from the factors, a chunk of the domain's basis at a time; per element
@@ -258,10 +262,16 @@ class ConditionalExpectation:
                             for part in parts))
 
 
-def _block_range_bound(e, norm):
-    """3 delta norm, delta = _mask_gap(D) and norm = ||K||_F, for block factors onto the span of a patterned D
-    (the range is the bimodule algebra's span); inf otherwise.  It bounds the HS norm of the
-    residuals of the outputs E(x_j) on the domain's orthonormal basis against D's span.
+def _range_bound(e, norm):
+    """A bound on the HS norm of the residuals of the outputs E(x_j) on the domain's
+    orthonormal basis against the range, read off the factors; inf when none applies.
+
+    A FactorPair whose rows are the range's own has every output
+    sum_s (C vec x)_s U_s in their span: the bound is 0, and the rounding of
+    the outputs, O(q eps) of their norm, is left to the other half of the
+    range threshold.  For block factors onto the span of a patterned D (the
+    range is the bimodule algebra's span) it is 3 delta norm, with
+    delta = _mask_gap(D) and norm = ||K||_F, derived below.
 
     Let D carry the pattern (u, B), eta = ||u*u - I|| <= _UNITARY_DEFECT, and
     u = v h its polar decomposition, ||h - I|| <= eta.  The block factors give
@@ -276,6 +286,8 @@ def _block_range_bound(e, norm):
     O(n eps) of its norm; the range check accepts the bound at half its
     threshold, and the other half absorbs that rounding and the dense route's.
     """
+    if isinstance(e.factors, FactorPair):
+        return 0.0 if e.factors.rows is e.range_space.flat else np.inf
     if e.range_space is not e.bimodule.space:
         return np.inf
     return 3.0 * _mask_gap(e.bimodule) * norm
@@ -312,12 +324,15 @@ def _require_faithful_spectrum(eigs):
 
 
 def _gram_solve(omega, space):
-    """The map k onto the space with omega(b* k(x)) = omega(b* x) for b in it: one eigh of the
-    Gram matrix omega(b_a* b_c) feeds _faithful_spectrum (GramSingular if not faithful) and the inverse."""
+    """The map k onto the space with omega(b* k(x)) = omega(b* x) for b in it, as its factor pair
+    K = U^T C (linalg.FactorPair): U the space's rows and C = G^-1 times the pairing rows
+    x -> omega(b_a* x).  One eigh of the Gram matrix G = omega(b_a* b_c) feeds
+    _faithful_spectrum (GramSingular if not faithful) and the inverse; the pair's
+    matrix() is the n^2 x n^2 map."""
     gram, rows = _omega_gram(omega, space.tensor)
     eigs, u = np.linalg.eigh(gram)
     _require_faithful_spectrum(eigs)
-    return space.flat.T @ (((u / eigs) @ dagger(u)) @ rows)
+    return FactorPair(space.flat, ((u / eigs) @ dagger(u)) @ rows)
 
 
 # the largest _mask_gap of a range solved in closed form: below it the range check's
@@ -336,6 +351,31 @@ def _block_route(target, m):
     and a _mask_gap of at most _BLOCK_GAP."""
     return (m.n**4 > _BLOCK_FROM and m.dim == m.n**2 and _mask_classes(target) is not None
             and _mask_gap(target) <= _BLOCK_GAP)
+
+
+# the n^4 entries of the map above which the Gram factor pair pays: below, at n <= 6, the dense
+# route's few products on at most 1296 entries cost less than the pair's fixed per-call work
+# (onto D' of a rotated D without multiplicity, three D per size, interleaved minima, build and
+# validation took 1.01-1.37 times the dense route's time at n = 2..6, once 0.88 at n = 3,
+# 0.59-0.88 at n = 7 and 8 and 0.08-0.49 at n = 9..16)
+_PAIR_FROM = 1 << 11
+
+
+def _pair_route(pair, m):
+    """True when the expectation keeps its Gram factor pair rather than the n^2 x n^2 matrix: the
+    domain M is all of M_n (the pair's checks assume P = I), n^4 is above _PAIR_FROM and the
+    range has q <= n rows.
+
+    Operation counts, per build and validate(): the matrix costs q n^4 to form
+    and n^6 for its idempotence product alone, and its module gaps read n^2
+    Schmidt factors, O(q n^5) for the q basis elements of the range; the pair
+    applies at O(q n^2) per matrix, and its checks cost O(q^2 n^3 + q^3 n^2),
+    at most 2 n^5 for q <= n.  D' of a D without multiplicity has q = r <= n.
+    The pair's checks make many small numpy calls on q x q and q x n^2
+    arrays, a fixed cost that the dense route's work passes at n = 7
+    (_PAIR_FROM).
+    """
+    return m.n**4 > _PAIR_FROM and pair.count <= m.n and _identity_rows(m.space)
 
 
 def _block_factors(omega, target):
@@ -399,14 +439,20 @@ def _preserving_expectation(omega, target, m, check=True):
     Solves for the map, builds it, validates it and checks that it preserves
     omega.  Onto a target that _block_route admits the solution is the closed
     form, kept as its block factors (_block_factors); onto every other target,
-    the corners, D' and Dz among them, it is the Gram system (_gram_solve).
+    the corners, D' and Dz among them, it is the Gram system (_gram_solve),
+    kept as its factor pair where _pair_route admits it, else as its matrix.
     The D-centrality gate is preserving_expectation's; without it, validation
     decides whether the solution is an expectation (exactly when the modular
     flow of omega leaves the target invariant).  check=False skips the
     validation for a caller that validates what it makes of the map; the other
     checks always run.
     """
-    k = _block_factors(omega, target) if _block_route(target, m) else _gram_solve(omega, target.space)
+    if _block_route(target, m):
+        k = _block_factors(omega, target)
+    else:
+        k = _gram_solve(omega, target.space)
+        if not _pair_route(k, m):
+            k = k.matrix()
     e = ConditionalExpectation(k, m, target.space, np.eye(m.n), target, check)
     _check_preserves(e, omega, omega.restricted_density(m))
     return e
@@ -612,7 +658,7 @@ def support_ideal_expectation(omega, d, m):
     e = ConditionalExpectation(corner.lift_map(f.map_matrix), m, range_space, z, d)
     _check_preserves(e, omega, omega.restricted_density(m))
     # uniqueness: an independent Gram solve on the ideal must take the same values on M
-    mismatch = hs_norm(e.images - m.space.flat @ _gram_solve(omega, range_space).T)
+    mismatch = hs_norm(e.images - m.space.flat @ _gram_solve(omega, range_space).matrix().T)
     check(InvariantViolation, "the two support-ideal constructions disagree by {:.3e}",
           mismatch, tol(1e-7) * max(1.0, hs_norm(e.map_matrix)))
     support = support_of_map(e)

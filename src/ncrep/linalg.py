@@ -189,12 +189,32 @@ def imag_power(x, t):
     return spec.apply(lambda v: np.exp(1j * t * np.log(v)))
 
 
+def _identity_rows(space):
+    """True when an OperatorSubspace's square rows are exactly the identity: one 1 per row on the
+    diagonal, no other nonzero.  Found once per space and kept on it, as rows are not changed
+    after construction.
+
+    Products with such rows, as full_matrix_algebra has, are exact, so the
+    callers that test for them skip the product and read the entries.
+    """
+    if space._identity is None:
+        flat = space.flat
+        # counted on the bit patterns, twice as fast as on complex entries; a signed zero counts
+        # as nonzero, which only sends the caller to its product
+        space._identity = bool(
+            flat.shape[0] == flat.shape[1] and (flat.diagonal() == 1).all()
+            and np.count_nonzero(np.ascontiguousarray(flat).view(np.int64)) == len(flat)
+        )
+    return space._identity
+
+
 class OperatorSubspace:
     """Subspace of M_n under <X,Y> = Tr(Y*X), held as stacked orthonormal flat rows."""
 
     def __init__(self, ambient_dim, flat):
         self.ambient_dim = int(ambient_dim)
         self.flat = np.asarray(flat, dtype=complex).reshape(-1, self.ambient_dim**2)
+        self._identity = None  # _identity_rows, once asked
 
     @property
     def size(self):
@@ -219,11 +239,18 @@ class OperatorSubspace:
         return x
 
     def coords(self, x):
-        return self.flat.conj() @ self._member(x).ravel()
+        """The coordinates <x, w_k> on the rows w_k: x's own entries, copied, on identity rows."""
+        x = self._member(x)
+        if _identity_rows(self):
+            return x.ravel().copy()
+        return self.flat.conj() @ x.ravel()
 
     def from_coords(self, c):
+        c = np.asarray(c, dtype=complex)
         n = self.ambient_dim
-        return (np.asarray(c, dtype=complex) @ self.flat).reshape(n, n)
+        if _identity_rows(self):
+            return c.reshape(n, n).copy()
+        return (c @ self.flat).reshape(n, n)
 
     def project(self, x):
         return self.from_coords(self.coords(x))
@@ -234,7 +261,7 @@ class OperatorSubspace:
 
     def contains(self, x):
         x = self._member(x)
-        return hs_norm(x - self.from_coords(self.flat.conj() @ x.ravel())) <= tol(1e-8) * max(1.0, hs_norm(x))
+        return hs_norm(x - self.project(x)) <= tol(1e-8) * max(1.0, hs_norm(x))
 
 
 def orthonormalize(spanning_set):
@@ -639,6 +666,86 @@ class SandwichSum:
         left = (c[1] @ self.left.reshape(r, -1)).reshape(r, n, n)
         right = (c[0] @ self.right.reshape(r, -1)).reshape(r, n, n)
         return _commutator_gaps(left.transpose(2, 0, 1), right.transpose(2, 0, 1), 0.0, basis)
+
+
+class FactorPair:
+    """The map with matrix K = U^T C on row-major flattened coordinates, held as its two (q, n^2)
+    factors: K(x) = sum_s (C vec x)_s U_s, with U the range's rows and C the coefficients.
+
+    The same methods as SandwichSum, each at O(q n^2) per matrix or from q x q
+    Gram matrices; matrix() forms K, n^4 entries, only for a reader that needs it.
+    """
+
+    def __init__(self, rows, coef):
+        self.rows, self.coef = rows, coef
+        self.count, self.n = len(rows), math.isqrt(rows.shape[1])
+
+    def __call__(self, x):
+        """The map at one matrix or at each entry of a stacked (k, n, n) tensor: two gemms of inner dimension n^2 and q."""
+        flat = x.reshape(-1, self.n**2)
+        return ((flat @ self.coef.T) @ self.rows).reshape(x.shape)
+
+    def pre_adjoint(self, rho):
+        """The density sigma with Tr(sigma x) = Tr(rho K(x)) for every x: vec(sigma^T) = C^T U vec(rho^T)."""
+        n = self.n
+        return ((self.rows @ rho.T.ravel()) @ self.coef).reshape(n, n).T
+
+    def matrix(self):
+        """The n^2 x n^2 matrix U^T C."""
+        return self.rows.T @ self.coef
+
+    @functools.cached_property
+    def _grams(self):
+        """The q x q Gram matrices conj(U U*) = conj(U) U^T and C C*."""
+        return self.rows.conj() @ self.rows.T, self.coef @ dagger(self.coef)
+
+    def norm(self):
+        """The matrix's Frobenius norm: ||U^T C||_F^2 = Tr(conj(U) U^T C C*)."""
+        gu, gc = self._grams
+        return math.sqrt(max(0.0, float(np.sum(gu * gc.T).real)))
+
+    def idempotence_defect(self):
+        """||K^2 - K||_F = ||U^T W C||_F with W = C U^T - I, from q x q matrices:
+        its square is Tr(W* conj(U) U^T W C C*).  W is formed before it is squared, so
+        a defect of rounding size is not lost to cancellation against O(1) terms."""
+        gu, gc = self._grams
+        w = self.coef @ self.rows.T
+        w.flat[:: self.count + 1] -= 1.0
+        return math.sqrt(max(0.0, float(np.vdot(w, gu @ w @ gc).real)))
+
+    def module_gaps(self, basis):
+        """bimodule_gaps of the map at a stacked basis (p, n, n), exact: no sketch, no tail.
+
+        For S = L_d (x -> dx), K S - S K = U^T (C S) - (S U^T) C.  With
+        M = <S U_s, U_t> the coefficients of S U_s on the rows, X = C S - M^T C
+        and R = S U^T - U^T M^T (the residual of S U_s against the rows, column s),
+        K S - S K = U^T X - R C exactly, whatever M is.  Its squared Frobenius
+        norm is Tr(conj(G_U) X X*) + Tr(R* R C C*) - 2 Re Tr(conj(U) R C X*),
+        with q x q matrices only, and X and R are formed before they are
+        squared, so a gap of rounding size stays one.  Row s of C S is
+        vec(d^T C_s), column s of S U^T is vec(d U_s), with C_s and U_s the rows
+        as n x n matrices; for S = R_d (x -> xd) they are vec(C_s d^T) and
+        vec(U_s d).  O(q n^3 + q^2 n^2) per basis element, a chunk of the basis at a time.
+        """
+        q, n = self.count, self.n
+        u = self.rows.reshape(q, n, n)
+        c = self.coef.reshape(q, n, n)
+        rows_h = dagger(self.rows)
+        gu, gc = self._grams
+        gaps = np.empty((2, len(basis)))
+        # per basis element, both sides at once: the 2q products with U and with C, and the residual
+        for part in chunk_slices(len(basis), 12 * q * n * n):
+            d = basis[part, None]
+            d_t = d.swapaxes(-1, -2)
+            su = np.concatenate((d @ u, u @ d)).reshape(-1, q, n * n)
+            m = su @ rows_h  # m[j, s, t] = <S U_s, U_t>
+            x = np.concatenate((d_t @ c, c @ d_t)).reshape(-1, q, n * n) - m.swapaxes(1, 2) @ self.coef
+            r = su - m @ self.rows  # row s: S U_s - sum_t m[s, t] U_t
+            x_h = dagger(x)
+            squares = (np.einsum("st,jts->j", gu, x @ x_h) + np.einsum("jst,ts->j", r.conj() @ r.swapaxes(1, 2), gc)
+                       - 2 * np.einsum("jst,jts->j", (r @ rows_h).swapaxes(1, 2), self.coef @ x_h)).real
+            gaps[:, part] = np.sqrt(np.clip(squares, 0.0, None)).reshape(2, -1)
+        return gaps
 
 
 def constraint_system(rows):

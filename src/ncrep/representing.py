@@ -13,12 +13,24 @@ multiples of a by A.  The projected factor c satisfies Tr(j c c*) = 0 for
 every j in ker(Phi) because ker(Phi)c lands inside the multiples of a by the
 kernel, which b (hence c) is orthogonal to.  Conjugating cc* into a properly
 normalized density and averaging over the relative commutant of D yields rho.
+
+Each step reads the structure its objects carry, and keeps its dense route
+as the fallback where that does not apply.  The matching is r = sum_j
+(v_j / c) x_j* over A's orthonormal rows x_j for a scalar weight c I
+(_matched_density), with no least-squares solve.  On a patterned
+A = u B u*, b is projected one mask-row class at a time, an SVD of at most
+n x n per distinct row of B's mask (_projected_rows), with no SVD of the
+dim A x n^2 stack of every x a.  The average onto D' is the expectation
+kept as its Gram factor pair (expectations._pair_route), with no n^2 x n^2
+map.
 """
 
 import numpy as np
 
 from .algebras import (
     _block_algebra,
+    _mask_gap,
+    _mask_rows,
     _pattern_coordinates,
     check_ss_density,
     diagonal_part_check,
@@ -279,19 +291,49 @@ def block_compression_character(a, d):
     return phi
 
 
-def _matched_density(constraint_mats, values, m, perturb, rng_seed):
-    """Minimal-norm r with Tr(r x) = value for each constraint matrix x.
+def _scalar_weight(weight):
+    """c when the weight is exactly c I with c > 0, 1 for no weight, else None."""
+    if weight is None:
+        return 1.0
+    c = weight[0, 0]
+    if c.real > 0 and not np.any(weight - c * np.eye(len(weight))):
+        return float(c.real)
+    return None
+
+
+def _matched_density(space, values, m, perturb, rng_seed, weight=None):
+    """Minimal-norm r with Tr(r x_j w) = value_j over the orthonormal rows x_j of space, for the
+    weight w (the identity when None).
 
     The minimal-norm solution lies in the span of the adjoints of the
-    constraints, hence inside span(M).  A nonzero perturb shifts r inside the
-    constraint kernel intersected with span(M): the matching is untouched but
-    downstream results can be probed for dependence on the choice of r.
+    constraints, hence inside span(M).  For w = c I the constraints c x_j are
+    orthonormal up to the factor c, so it is r = sum_j (v_j / c) x_j*, an
+    O(dim A n^2) product: Tr(r c x_i) = sum_j v_j Tr(x_j* x_i) = v_i.  Let S
+    be the constraint system, S vec(r) = (Tr(r c x_j))_j.  The closed form
+    is S* v / c^2, and S* (S S*)^-1 v, the least-squares solution, differs
+    from it by S^+ e, e = S vec(r) - v its residual: so the two differ by at
+    most ||e|| / sigma_min(S), and sigma_min(S) = c (1 - ||G - I||)^(1/2) or
+    more for rows whose Gram matrix G is within ||G - I|| of the identity.
+    The closed form is kept when its residual passes the residual check;
+    otherwise, for any other weight and for a nonzero perturb, the
+    least-squares solve of the stacked constraints decides.  A nonzero
+    perturb shifts r inside the constraint kernel intersected with span(M):
+    the matching is untouched but downstream results can be probed for
+    dependence on the choice of r.
     """
     values = np.asarray(values, dtype=complex)
-    system = constraint_system(constraint_mats)
+    bound = tol(1e-9) * max(1.0, float(np.linalg.norm(values)))
+    c = _scalar_weight(weight)
+    if c is not None and not perturb:
+        # sum_j (v_j / c) x_j*, with the conjugation on the n^2 result rather than on the rows
+        r = dagger(((values / c).conj() @ space.flat).reshape(space.ambient_dim, -1))
+        # Tr(r c x_j) = c <vec(x_j), vec(r^T)>, the check's statistic without the stacked system
+        if float(np.linalg.norm(c * (space.flat @ r.T.ravel()) - values)) <= bound:
+            return r
+    system = constraint_system(space.tensor if weight is None else space.tensor @ weight)
     r = minimal_norm_solution(system, values)
     check(InvariantViolation, "matching: constraints unsatisfied (residual {:.3e})",
-          float(np.linalg.norm(system @ r.ravel() - values)), tol(1e-9) * max(1.0, float(np.linalg.norm(values))))
+          float(np.linalg.norm(system @ r.ravel() - values)), bound)
     if perturb:
         rng = np.random.default_rng(rng_seed)
         coeff = rng.standard_normal(m.dim) + 1j * rng.standard_normal(m.dim)
@@ -317,17 +359,89 @@ def _polar_factors(r):
     return a, b
 
 
+# the largest delta kappa(g) at which _projected_rows projects b one mask-row class at a time:
+# the projection then lies within 2 delta kappa ||b w^(1/2)|| of the dense one, which moves each
+# kernel-orthogonality statistic of _projected_factor by at most a tenth of its threshold
+_ROWS_GAP = tol(1e-8) / 20
+
+
+def _projected_rows(a_alg, aw, bt):
+    """The projection of bt onto span{x aw : x in A}, one mask-row class at a time; None when A
+    has no usable pattern or the gate below fails, and orthonormalize's SVD decides.
+
+    Let A carry the pattern (u, B), delta = _mask_gap(A) and v the unitary
+    polar factor of u, so that A's span lies within delta of P = v B v*; let
+    g = u* aw and h = u* bt.
+    - Rows.  For y in B, row i of y g is sum_j y_ij g_j over the j with
+      mask[i, j].  Rows are free of each other and the HS norm sums over
+      them, so the projection of h onto {y g : y in B} takes row i to the
+      projection of h_i onto span{g_j : mask[i, j]}.  Rows with equal mask
+      rows share that span: one SVD of g's selected rows per distinct mask
+      row, at most n x n (r of them for a block-triangular A), whose
+      right-singular vectors above the cutoff, tol(1e-9) times the largest
+      row norm of g as in orthonormalize, are its orthonormal basis.  With u
+      unitary, u times the projection of h is the projection of bt onto
+      S_P = {p aw : p in P}, and the singular values of x -> x aw on P are
+      the union of the classes' (row i, unit E_ij, gives those of g on its mask).
+    - Rank.  The dense route keeps the directions of S_A = {x aw : x in A}
+      whose singular values exceed tol(1e-9) times the largest ||x_j aw|| over
+      A's orthonormal basis.  That norm lies between rho / (2n) and
+      2 sqrt(n) rho, rho the largest row norm of g (each row is ||E_ii g||; a
+      unit x has ||x aw|| <= ||aw||; and the squares sum to ||T Q_A||_F^2 over
+      at most n^2 rows), once delta sqrt(n) <= 1/2.  Extend x -> x aw to
+      F_A = T Q_A and F_P = T Q_P on M_n: ||F_A - F_P|| <= delta s_max to
+      first order in delta, with s_max the largest singular value of the
+      classes (T on A + P is within delta ||T|| of T on P), so (Weyl) each
+      singular value moves by at most that.  When every class's singular value s has
+      s + delta s_max <= cut / (2n) or s - delta s_max > 2 sqrt(n) cut, both
+      routes keep the same directions.
+    - Distance.  Then Wedin's theorem bounds the gap between S_A and S_P by
+      delta s_max / (s_min - cut / (2n)) <= 2 delta kappa, with s_min the least
+      kept singular value and kappa = s_max / s_min over all classes, as
+      s_min > 2 sqrt(n) cut.  So the two projections of bt differ by at most
+      2 delta kappa ||bt||, to first order in delta and in u's defect
+      eta <= delta / 3, which moves g, h and the product by u by the same order.  The gate is
+      delta kappa <= _ROWS_GAP, checked after the SVDs; delta alone is tested
+      first, as kappa >= 1.
+    """
+    delta = _mask_gap(a_alg)  # inf without a pattern that fits
+    if not delta <= _ROWS_GAP:
+        return None
+    u, mask = a_alg.pattern
+    g, h = (aw, bt) if u is None else (dagger(u) @ aw, dagger(u) @ bt)
+    n = len(g)
+    cut = tol(1e-9) * float(np.linalg.norm(g, axis=1).max())
+    out = np.empty_like(h)
+    spectra = []
+    for rows in _mask_rows(a_alg):
+        _, s, vh = np.linalg.svd(g[mask[rows[0]]], full_matrices=False)
+        basis = vh[s > cut]
+        out[rows] = (h[rows] @ dagger(basis)) @ basis
+        spectra.append(s)
+    s = np.concatenate(spectra)
+    kept = s[s > cut]
+    slack = delta * float(s.max(initial=0.0))
+    clear = np.all((s + slack <= cut / (2 * n)) | (s - slack > 2 * np.sqrt(n) * cut))
+    if not (kept.size and clear and delta * kept.max() <= _ROWS_GAP * kept.min()):
+        return None
+    return out if u is None else u @ out
+
+
 def _projected_factor(a_alg, kernel, a_mat, b_mat, weight=None):
     """c = projection of b onto span{x a : x in A}, orthogonal to span{j a : j in J}.
 
     A positive-definite weight w switches the inner product to Tr(w y* x),
-    realized by right-multiplying every vector with w^(1/2)."""
+    realized by right-multiplying every vector with w^(1/2).  On a patterned
+    A the projection is taken one mask-row class at a time (_projected_rows);
+    otherwise, and where its gate fails, from orthonormalize's SVD of the
+    stacked x a w^(1/2) over A's basis."""
     n = a_mat.shape[0]
     sqw = psd_sqrt(weight) if weight is not None else np.eye(n, dtype=complex)
-    # x a w^(1/2) for every basis element x of A, then of J, multiplied in that order as one x at a time would be
-    reach = orthonormalize(a_alg.space.tensor @ a_mat @ sqw)
     bt = b_mat @ sqw
-    ct = reach.project(bt)
+    ct = _projected_rows(a_alg, a_mat @ sqw, bt)
+    if ct is None:
+        # x a w^(1/2) for every basis element x of A, multiplied in that order as one x at a time would be
+        ct = orthonormalize(a_alg.space.tensor @ a_mat @ sqw).project(bt)
     scale = max(1.0, hs_norm(bt))
     f = (kernel.tensor @ a_mat @ sqw).reshape(kernel.size, n * n)
     overlaps = np.abs(f.conj() @ np.stack([bt.ravel(), ct.ravel()], axis=1))
@@ -393,7 +507,7 @@ def representing_expectation_tracial(m, tau, d, a, phi, perturb_r=0.0, rng_seed=
     k = (k + dagger(k)) / 2
     # tracial <=> k commutes with M, so k-weighted projections stay M-compatible
     values = _values_on(tau, phi.images)
-    r = _matched_density(a.space.tensor @ k, values, m, perturb_r, rng_seed)
+    r = _matched_density(a.space, values, m, perturb_r, rng_seed, weight=k)
     a_mat, b_mat = _polar_factors(r)
     c = _projected_factor(a, phi.kernel, a_mat, b_mat, weight=k)
     e_d = preserving_expectation(tau, d, m)
@@ -430,7 +544,7 @@ def representing_expectation_state(m, omega, d, a, phi, perturb_r=0.0, rng_seed=
     inv_sqk = spec_k.apply(lambda v: 1.0 / np.sqrt(v))
     sqk = spec_k.apply(lambda v: np.sqrt(np.clip(v, 0.0, None)))
     values = _values_on(omega, phi.images)
-    r = _matched_density(a.space.tensor, values, m, perturb_r, rng_seed)
+    r = _matched_density(a.space, values, m, perturb_r, rng_seed)
     a_mat, b_mat = _polar_factors(r)
     c = _projected_factor(a, phi.kernel, a_mat, b_mat)
     cc = c @ dagger(c)
@@ -474,7 +588,7 @@ def representing_expectation_commutative(m, sigma, d, a, phi):
     if not _faithful_on(sigma, d):
         raise NotFaithful("sigma is not faithful on D")
     values = _values_on(sigma, phi.images)
-    r = _matched_density(a.space.tensor, values, m, 0.0, 0)
+    r = _matched_density(a.space, values, m, 0.0, 0)
     a_mat, b_mat = _polar_factors(r)
     c = _projected_factor(a, phi.kernel, a_mat, b_mat)
     cc = c @ dagger(c)

@@ -26,6 +26,7 @@ from .errors import (
 )
 from .linalg import (
     Corner,
+    _identity_rows,
     as_matrix,
     chunk_slices,
     commutation_gap,
@@ -146,11 +147,24 @@ class TracialCertificate:
 
 
 def tracial_certificate(omega, algebra):
-    """Largest |omega(xy) - omega(yx)| over basis pairs; result true iff below 1e-9 x ||rho||."""
-    b = algebra.space.tensor
-    t1 = trace_pairings(omega.density @ b, b)  # omega(b_a b_c) = Tr((rho b_a) b_c)
-    violation = float(np.abs(t1 - t1.T).max()) if b.size else 0.0
-    return TracialCertificate(algebra, violation <= tol(1e-9) * hs_norm(omega.density), violation)
+    """Largest |omega(xy) - omega(yx)| over basis pairs; result true iff below 1e-9 x ||rho||.
+
+    On identity rows, the units E_ij of M_n, omega(E_ij E_kl) - omega(E_kl E_ij)
+    is delta_jk rho_li - delta_li rho_jk: every off-diagonal entry of rho and
+    every difference rho_ii - rho_jj, and nothing else that is nonzero.  Their
+    largest modulus is read off rho in O(n^2), the same numbers the pairing
+    forms with exact products by ones and zeros.
+    """
+    rho = omega.density
+    if _identity_rows(algebra.space):
+        diag = rho.diagonal()
+        violation = max(float(np.abs(rho - np.diag(diag)).max()),
+                        float(np.abs(diag[:, None] - diag[None, :]).max()))
+    else:
+        b = algebra.space.tensor
+        t1 = trace_pairings(rho @ b, b)  # omega(b_a b_c) = Tr((rho b_a) b_c)
+        violation = float(np.abs(t1 - t1.T).max()) if b.size else 0.0
+    return TracialCertificate(algebra, violation <= tol(1e-9) * hs_norm(rho), violation)
 
 
 def require_tracial(omega, algebra, message):
@@ -201,10 +215,13 @@ def require_same_ambient(omega, d, m):
 
 def _central_violation(omega, d, m):
     """max |omega(dx) - omega(xd)| over basis(D) x basis(M), as one trace pairing:
-    omega(dx) - omega(xd) = Tr((rho d - d rho) x)."""
+    omega(dx) - omega(xd) = Tr((rho d - d rho) x).  On M's identity rows the
+    pairing Tr(c E_ab) = c_ba is every entry of the stack, read off as max |rho d - d rho|."""
     db = d.space.tensor
     comm = omega.density @ db
     comm -= db @ omega.density
+    if _identity_rows(m.space):
+        return float(np.abs(comm).max())
     return float(np.abs(trace_pairings(comm, m.space.tensor)).max())
 
 

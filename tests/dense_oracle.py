@@ -19,12 +19,16 @@ falls back to: A + A* = M, A intersect A* = D and the splitting J + D = A.
 The preserving expectation onto a block D, which the package solves in
 closed form and checks from its block factors, is here as the Gram route
 every target took before: the (dim D)^2 Gram solve, the n^2 x n^2 map and
-its dense validation.
+its dense validation.  The same route is the oracle for the expectation
+onto D', which the package keeps as its Gram factor pair.  The pipelines'
+matching and projection steps are here as they were before they read A's
+structure: the least-squares solve of the stacked constraints, and the
+projection of b onto an orthonormalized stack of every x a over A's basis.
 """
 
 import numpy as np
 
-from ncrep.algebras import StarAlgebra, _adjoint_space
+from ncrep.algebras import StarAlgebra, _adjoint_space, _mask_gap
 from ncrep.config import tol
 from ncrep.errors import EmptyInput, InvariantViolation, check
 from ncrep.expectations import ConditionalExpectation, _check_preserves, _gram_solve
@@ -32,12 +36,15 @@ from ncrep.linalg import (
     OperatorSubspace,
     as_matrix,
     chunk_slices,
+    constraint_system,
     dagger,
     eigh_hermitian,
     hs_norm,
     hs_norms,
+    minimal_norm_solution,
     orthonormalize,
     pair_products,
+    psd_sqrt,
     same_subspace,
     subspace_intersection,
     subspace_sum,
@@ -237,6 +244,54 @@ def svd_splitting(phi):
 def gram_expectation(omega, target, m):
     """The omega-preserving map of M onto the target from its Gram system, kept as its
     n^2 x n^2 matrix and validated densely, then checked to preserve omega."""
-    e = ConditionalExpectation(_gram_solve(omega, target.space), m, target.space, np.eye(m.n), target)
+    e = ConditionalExpectation(_gram_solve(omega, target.space).matrix(), m, target.space, np.eye(m.n), target)
     _check_preserves(e, omega, omega.restricted_density(m))
     return e
+
+
+def lstsq_matched_density(constraint_mats, values):
+    """Minimal-norm r with Tr(r x) = value for each constraint matrix x, by least squares on
+    the stacked constraints, and the residual check of the pipelines' matching step."""
+    values = np.asarray(values, dtype=complex)
+    system = constraint_system(constraint_mats)
+    r = minimal_norm_solution(system, values)
+    check(InvariantViolation, "matching: constraints unsatisfied (residual {:.3e})",
+          float(np.linalg.norm(system @ r.ravel() - values)), tol(1e-9) * max(1.0, float(np.linalg.norm(values))))
+    return r
+
+
+def svd_projected_factor(a_alg, kernel, a_mat, b_mat, weight=None):
+    """c = projection of b onto span{x a : x in A}, from one SVD of the stacked x a w^(1/2) over
+    A's basis, then the kernel-orthogonality checks of the pipelines' projection step."""
+    n = a_mat.shape[0]
+    sqw = psd_sqrt(weight) if weight is not None else np.eye(n, dtype=complex)
+    bt = b_mat @ sqw
+    ct = orthonormalize(a_alg.space.tensor @ a_mat @ sqw).project(bt)
+    scale = max(1.0, hs_norm(bt))
+    f = (kernel.tensor @ a_mat @ sqw).reshape(kernel.size, n * n)
+    overlaps = np.abs(f.conj() @ np.stack([bt.ravel(), ct.ravel()], axis=1))
+    bounds = tol(1e-8) * scale * np.maximum(1.0, hs_norms(f))
+    for (b_gap, c_gap), bound in zip(overlaps.tolist(), bounds.tolist()):
+        check(InvariantViolation, "kernel orthogonality: b overlaps ker(Phi)·a by {:.3e}", b_gap, bound)
+        check(InvariantViolation, "kernel orthogonality: c overlaps ker(Phi)·a by {:.3e}", c_gap, bound)
+    if weight is None:
+        return ct
+    return ct @ eigh_hermitian(weight).apply(lambda v: 1.0 / np.sqrt(v))
+
+
+def with_mask_gap(a, target, rng):
+    """A test input rather than an oracle: a's span with its pattern's rotation moved by
+    exp(i eps h), h a random Hermitian matrix, eps chosen so that _mask_gap is target to first
+    order in eps; a new, unvalidated object of a's type."""
+    u, mask = a.pattern
+    u = np.eye(a.n) if u is None else u
+    h = rng.standard_normal((a.n, a.n)) + 1j * rng.standard_normal((a.n, a.n))
+    w, v = np.linalg.eigh(h + dagger(h))
+
+    def moved(eps):
+        alg = type(a)(a.space, check=False)
+        alg.pattern = (u @ (v * np.exp(1j * eps * w)) @ dagger(v), mask)
+        return alg
+
+    base, probe = _mask_gap(a), 1e-6
+    return moved((target - base) * probe / (_mask_gap(moved(probe)) - base))

@@ -22,9 +22,8 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import gram_expectation
+from dense_oracle import gram_expectation, with_mask_gap
 from ncrep.algebras import (
-    StarAlgebra,
     _mask_gap,
     block_diagonal_algebra,
     full_matrix_algebra,
@@ -39,6 +38,7 @@ from ncrep.expectations import (
     _check_preserves,
     _block_route,
     _preserving_expectation,
+    preserving_expectation,
 )
 from ncrep.instances import haar_unitary, random_central_density, random_density, random_partition
 from ncrep.linalg import bimodule_gaps, dagger, hs_norm
@@ -49,20 +49,8 @@ STATES = ("tracial", "central", "noncentral", "truncated")
 
 
 def _nudged(d, factor, rng):
-    """d's span with its pattern's rotation moved by exp(i eps h), h a random Hermitian matrix
-    and eps such that _mask_gap is factor times _BLOCK_GAP to first order in eps."""
-    u, mask = d.pattern
-    u = np.eye(d.n) if u is None else u
-    h = rng.standard_normal((d.n, d.n)) + 1j * rng.standard_normal((d.n, d.n))
-    w, v = np.linalg.eigh(h + dagger(h))
-
-    def moved(eps):
-        alg = StarAlgebra(d.space, check=False)
-        alg.pattern = (u @ (v * np.exp(1j * eps * w)) @ dagger(v), mask)
-        return alg
-
-    probe = 1e-6
-    alg = moved(factor * _BLOCK_GAP * probe / _mask_gap(moved(probe)))
+    """d's span with its pattern's rotation moved so that _mask_gap is factor times _BLOCK_GAP, validated."""
+    alg = with_mask_gap(d, factor * _BLOCK_GAP, rng)
     alg.validate()
     return alg
 
@@ -193,20 +181,20 @@ def test_beyond_its_threshold_the_range_certificate_leaves_the_verdict_to_the_de
 
 def test_a_block_expectation_and_its_validation_form_no_n4_array_at_n16():
     # the map's n^2 x n^2 matrix alone is 1 MB at n = 16; the block route keeps three pairs of
-    # 16 x 16 factors.  The D-centrality gate of preserving_expectation is left out: it holds
-    # three (dim D, n, n) stacks, 1.01 MB at dim D = 86.  omega's projection onto M is kept
-    # per functional and formed first, because it conjugates a copy of M's n^2 identity rows
+    # 16 x 16 factors.  The public entry is measured with its D-centrality gate, on a fresh
+    # functional: the gate reads max |rho d - d rho| off M's identity rows, and omega's
+    # projection onto M is its own entries, so neither forms an n^4 array
     n = 16
     d = block_diagonal_algebra(n, [list(range(0, 5)), list(range(5, 10)), list(range(10, 16))])
     d = unitary_conjugate_algebra(d, haar_unitary(n, np.random.default_rng(16)))
     m = full_matrix_algebra(n)
     omega = random_central_density(n, d, np.random.default_rng(3))
-    omega.restricted_density(m)
     peaks = []
-    for build in (_preserving_expectation, gram_expectation):
+    for build in (preserving_expectation, gram_expectation):
+        fresh = PositiveFunctional(omega.density)
         tracemalloc.start()
         try:
-            build(omega, d, m).validate()
+            build(fresh, d, m).validate()
             peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
         finally:
             tracemalloc.stop()

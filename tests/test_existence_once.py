@@ -10,18 +10,28 @@ rotated block instance and both pipelines on it read A + A* = M,
 A intersect A* = D, the splitting J + D = A and the relative commutant off
 the block masks, so Phi's kernel is the one null space solved, and each
 pipeline solves one Gram system, for D': its expectations onto D are the
-closed form of the block route.  The counts
+closed form of the block route.  Nor do they solve anything dense at the
+n^2 level: the matching reads A's orthonormal rows, b is projected one
+mask-row class at a time, and D''s expectation stays its Gram factor pair,
+which also keeps averaging to the D-central states at n = 16 below the
+size of one n^4 array.  The counts
 come from counting wrappers patched into every ncrep module that binds the
 function, as the benchmark's tracer patches them.
 """
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ncrep import algebras, expectations, linalg, states
-from ncrep.algebras import block_diagonal_algebra, diagonal_algebra, full_matrix_algebra
+from ncrep.algebras import (
+    block_diagonal_algebra,
+    diagonal_algebra,
+    full_matrix_algebra,
+    unitary_conjugate_algebra,
+)
 from ncrep.expectations import (
     _average_to_central,
     existence_diagnosis,
@@ -29,7 +39,7 @@ from ncrep.expectations import (
     support_ideal_expectation,
 )
 from ncrep.errors import GramSingular
-from ncrep.instances import random_block_instance, random_central_density, random_density
+from ncrep.instances import haar_unitary, random_block_instance, random_central_density, random_density
 from ncrep.representing import representing_expectation_state, representing_expectation_tracial
 from ncrep.states import PositiveFunctional, _faithful_on
 
@@ -184,3 +194,47 @@ def test_each_pipeline_solves_one_gram_system_for_the_relative_commutant(monkeyp
     calls = _count_calls(monkeypatch, expectations, "_gram_solve")
     pipeline(inst.m, inst.state, inst.d, inst.a, inst.phi)
     assert [space for _, space in calls] == [algebras.commutant(inst.d, inst.m).space]
+
+
+def test_a_rotated_instance_and_both_pipelines_solve_nothing_dense_at_the_n2_level(monkeypatch):
+    # no least-squares matching, no SVD of the stack x a over A's basis, and no n^2 x n^2 map
+    # formed from the Gram solve onto D'
+    inst = random_block_instance(10, np.random.default_rng(10), conjugate=True)
+    solved = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kwargs: solved.append(args) or lstsq(*args, **kwargs))
+    stacks = _count_calls(monkeypatch, linalg, "orthonormalize")
+    formed = []
+    matrix = linalg.FactorPair.matrix
+    monkeypatch.setattr(linalg.FactorPair, "matrix", lambda pair: formed.append(pair) or matrix(pair))
+    for pipeline in (representing_expectation_tracial, representing_expectation_state):
+        pipeline(inst.m, inst.state, inst.d, inst.a, inst.phi)
+    assert solved == []
+    assert [args for args in stacks if np.shape(args[0]) == (inst.a.dim, 10, 10)] == []
+    assert formed == []
+
+
+def test_averaging_to_the_central_states_forms_no_n4_array_at_n16(monkeypatch):
+    # one n^4 array is 1 MB at n = 16; the pair keeps D' (three rows) as two 3 x 256 factors.  psi
+    # extends omega on D and is not D-central: omega's density moved off D's span
+    n = 16
+    d = block_diagonal_algebra(n, [list(range(0, 5)), list(range(5, 10)), list(range(10, 16))])
+    d = unitary_conjugate_algebra(d, haar_unitary(n, np.random.default_rng(16)))
+    m = full_matrix_algebra(n)
+    omega = random_central_density(n, d, np.random.default_rng(3))
+    y = np.random.default_rng(4).standard_normal((n, n))
+    z = y + y.T - d.space.project(y + y.T)
+    moved = omega.density + 0.1 * np.linalg.eigvalsh(omega.density)[0] / np.linalg.norm(z, 2) * z
+    peaks = []
+    for pair in (True, False):
+        if not pair:  # the dense route, as a reference
+            monkeypatch.setattr(expectations, "_pair_route", lambda k, m: False)
+        psi = PositiveFunctional(moved)
+        tracemalloc.start()
+        try:
+            _average_to_central(psi, omega, d, m)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+        finally:
+            tracemalloc.stop()
+    assert not states.is_D_central(PositiveFunctional(moved), d, m)[0]
+    assert peaks[0] < 1.0 < peaks[1], peaks

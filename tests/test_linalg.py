@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -6,6 +8,9 @@ from hypothesis.extra.numpy import arrays
 
 from dense_oracle import left_mult_matrix, map_matrix_from_action, right_mult_matrix
 from ncrep.errors import DimensionMismatch, EmptyInput, NotHermitian, NotPositiveDefinite
+from ncrep import linalg
+from ncrep.algebras import full_matrix_algebra
+from ncrep.instances import random_density
 from ncrep.linalg import (
     Corner,
     apply_map,
@@ -247,3 +252,22 @@ def test_corner_matches_kron_oracle(n, data):
 def test_corner_of_zero_projection_is_rejected():
     with pytest.raises(EmptyInput):
         Corner(np.zeros((3, 0), dtype=complex))
+
+
+def test_identity_rows_pass_a_matrix_through_with_no_n4_array(monkeypatch):
+    # M's n^2 identity rows are 1 MB at n = 16, and so is their conjugated copy, which the product
+    # route forms; the projection onto M is the density's own entries, copied
+    n = 16
+    m = full_matrix_algebra(n)
+    omega = random_density(n, np.random.default_rng(16))
+    tracemalloc.start()
+    try:
+        kept = omega.restricted_density(m)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1, peak
+    assert kept.tobytes() == omega.density.tobytes() and kept is not omega.density
+    assert m.space.coords(omega.density).tobytes() == omega.density.ravel().tobytes()
+    monkeypatch.setattr(linalg, "_identity_rows", lambda space: False)
+    assert np.array_equal(m.space.project(omega.density), kept)

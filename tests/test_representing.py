@@ -288,7 +288,7 @@ def test_matching_stays_inside_m_for_the_kernel_inequality():
     tau = PositiveFunctional.tracial(4)
     k = tau.restricted_density(m)
     values = [tau(phi(x)) for x in a.basis]
-    r = _matched_density([x @ k for x in a.basis], values, m, 0.0, 0)
+    r = _matched_density(a.space, values, m, 0.0, 0, weight=k)
     assert m.contains(r)
     a_mat, b_mat = _polar_factors(r)
     c = _projected_factor(a, phi.kernel, a_mat, b_mat, weight=k)

@@ -6,6 +6,7 @@ from ncrep.algebras import (
     diagonal_algebra,
     full_matrix_algebra,
     scalar_algebra,
+    unitary_conjugate_algebra,
 )
 from ncrep import linalg, states
 from ncrep.errors import (
@@ -16,7 +17,7 @@ from ncrep.errors import (
     NotPositiveDefinite,
     cross_check,
 )
-from ncrep.instances import random_central_density, random_density
+from ncrep.instances import haar_unitary, random_central_density, random_density, random_partition
 from ncrep.linalg import commutator, dagger, hs_norm, same_subspace
 from ncrep.states import (
     PositiveFunctional,
@@ -344,3 +345,20 @@ def test_is_D_central_raises_when_its_routes_disagree(monkeypatch):
     threshold = 1e-9 * hs_norm(omega.density)
     monkeypatch.setattr(states, "_central_violation", lambda *args: 10 * threshold)
     assert is_D_central(omega, d, m) == (False, 10 * threshold)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_the_gates_on_identity_rows_equal_the_pairing_route_bitwise(monkeypatch, n):
+    # tracial_certificate and the D-centrality violation read M's identity rows off rho and
+    # rho d - d rho; the trace pairings with those rows multiply by exact ones and zeros
+    rng = np.random.default_rng(n)
+    m = full_matrix_algebra(n)
+    d = unitary_conjugate_algebra(block_diagonal_algebra(n, random_partition(n, rng)), haar_unitary(n, rng))
+    omegas = [random_density(n, rng), PositiveFunctional.tracial(n), random_central_density(n, d, rng)]
+
+    def violations():
+        return [(tracial_certificate(o, m).max_violation, states._central_violation(o, d, m)) for o in omegas]
+
+    got = violations()
+    monkeypatch.setattr(states, "_identity_rows", lambda space: False)
+    assert got == violations()
