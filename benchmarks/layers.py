@@ -22,7 +22,13 @@ default_rng(3), conjugate=True) at n = 16, 24 and 32, the build of A, D and
 Phi with all their checks; at n = 24 a further row times commutant(D, M),
 cold, on that instance's D, and at n = 24 and 32 two more rows time the
 tracial pipeline on the instance and the state pipeline for a seeded
-faithful D-central state.  The commutant row adds dim D' and the largest
+faithful D-central state.  At n = 16, 24 and 32 four more rows time, on
+the rotated instance's character, the certificates that build reads off
+the masks against the routes they replace: the multiplicativity bound from
+the unit defects (_multiplicative_from_defects) against the m^2 unit
+products (tests/dense_oracle.py's unit_products_multiplicative, the route a
+checkout without the bound runs), and J read off the masks (_mask_kernel)
+against the null space of Phi's images.  The commutant row adds dim D' and the largest
 ||[x, b]|| over its basis x and D's b.  The null_space_rows stack is the one
 commutant(D, M) solves first: the brackets of M's basis with two seeded
 complex Gaussian combinations of D's basis, (2 n^2, n^2).  At n = 4, 10
@@ -59,21 +65,33 @@ seconds, so each row also times perfbench's host-speed kernel
 after its repeats.  The row reports the kernel's mean slowdown over the two
 and scaled_ms, its min_ms divided by that slowdown, which puts rows measured
 at different times on one scale.
+
+src_lines counts the lines of the checkout's src/ .py files, and
+src_line_kinds splits them: a docstring line belongs to a string that
+opens a module, class or function body (found with ast), a comment line
+holds only a comment, a blank line nothing, and a code line any other
+token (found with tokenize).
 """
 
 import argparse
+import ast
+import copy
 import inspect
+import io
 import json
 import os
 import sys
 import time
+import tokenize
 import tracemalloc
 from pathlib import Path
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "tests"))  # dense_oracle, imported once --src is on the path
 from hostspeed import HostSpeed  # noqa: E402  (numpy loads after the thread pin)
 
 SIZES = {4: [1, 3], 8: [1, 3, 4], 10: [1, 3, 6], 12: [4, 4, 4], 16: [5, 5, 6]}
@@ -88,6 +106,8 @@ INSTANCE_COMMUTANT_SIZES = (24,)
 INSTANCE_COMMUTANT_REPEATS = 3
 # sizes whose instance gets the two pipeline rows, timed once each
 INSTANCE_PIPELINE_SIZES = (24, 32)
+# sizes whose instance character gets the certificate rows, and their repeats
+CERTIFICATE_REPEATS = {16: 3, 24: 1, 32: 1}
 COMMUTATIVE_SIZES = (3, 4)
 GENERATION_SIZES = (8, 12, 16)
 DIAGNOSIS_BLOCKS = [[0, 1, 2, 3], [4, 5, 6], [7]]
@@ -150,6 +170,54 @@ def _step_rows(a, d, phi, m, reps):
             lambda: (PositiveFunctional(moved, check=False),),
         ),
     }
+
+
+def _certificate_rows(phi, reps):
+    """The multiplicativity and kernel certificates on a character against the routes they replace."""
+    import numpy as np
+    from ncrep import representing
+    from ncrep.linalg import hs_norm, null_space_rows
+
+    from dense_oracle import unit_products_multiplicative
+
+    kappa = hs_norm(phi.map_matrix)
+    rows = {"unit products (m^2)": _measure(lambda: unit_products_multiplicative(phi, kappa), reps)}
+    bound = getattr(representing, "_multiplicative_from_defects", None)
+    if bound is not None:
+        rows["_multiplicative_from_defects"] = dict(_measure(lambda: bound(phi, kappa), reps), passed=bound(phi, kappa))
+    rows["null_space_rows (kernel)"] = _measure(lambda: null_space_rows(phi.images.T) @ phi.domain.space.flat, reps)
+    mask_kernel = getattr(representing, "_mask_kernel", None)
+    if mask_kernel is not None:
+        def unfixed():
+            """A copy of the character without D's fix, so that the timing forms it as the build does."""
+            fresh = copy.copy(phi)
+            fresh.fix = None
+            return (fresh,)
+
+        rows["_mask_kernel"] = dict(_measure(mask_kernel, reps, unfixed), passed=mask_kernel(*unfixed()) is not None)
+    return rows
+
+
+def _line_kinds(text):
+    """A Python source's lines counted as code, docstring, comment and blank."""
+    lines = text.splitlines()
+    kind = [None] * len(lines)
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(getattr(first.value, "value", None), str):
+                kind[first.lineno - 1 : first.end_lineno] = ["docstring"] * (first.end_lineno - first.lineno + 1)
+    code, comment = set(), set()
+    layout = {tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.COMMENT:
+            comment.add(tok.start[0] - 1)
+        elif tok.type not in layout:
+            code.update(range(tok.start[0] - 1, tok.end[0]))
+    counts = dict.fromkeys(("code", "docstring", "comment", "blank"), 0)
+    for i, k in enumerate(kind):
+        counts[k or ("code" if i in code else "comment" if i in comment else "blank")] += 1
+    return counts
 
 
 def _measure(fn, repeats, setup=tuple):
@@ -326,13 +394,15 @@ def main():
     for n, reps in INSTANCE_REPEATS.items():
         build = lambda n=n: random_block_instance(n, np.random.default_rng(3), conjugate=True)
         layers.setdefault(f"n={n}", {})["random_block_instance (rotated)"] = _measure(build, reps)
-        if n in INSTANCE_COMMUTANT_SIZES or n in INSTANCE_PIPELINE_SIZES:
+        if n in INSTANCE_COMMUTANT_SIZES or n in INSTANCE_PIPELINE_SIZES or n in CERTIFICATE_REPEATS:
             inst = build()
         if n in INSTANCE_COMMUTANT_SIZES:
             d, m = inst.d, full_matrix_algebra(n)
             layers[f"n={n}"]["commutant (instance D)"] = _measure(
                 lambda d: commutant(d, m), INSTANCE_COMMUTANT_REPEATS, lambda: (_fresh(d),)
             )
+        if n in CERTIFICATE_REPEATS:
+            layers[f"n={n}"].update(_certificate_rows(inst.phi, CERTIFICATE_REPEATS[n]))
         if n in INSTANCE_PIPELINE_SIZES:
             omega = random_central_density(n, inst.d, np.random.default_rng(n))
             layers[f"n={n}"]["representing_expectation_tracial (instance)"] = _measure(
@@ -347,8 +417,11 @@ def main():
         for cap in (16, 64):
             layers[f"diagonal n={n}"].update(_projection_rows(sample_projections, d, cap, REPEATS[4]))
     layers["diagnosis n=8"] = dict(blocks=[len(b) for b in DIAGNOSIS_BLOCKS], **_diagnosis_rows(REPEATS[8]))
-    src_lines = sum(len(p.read_text().splitlines()) for p in Path(args.src).rglob("*.py"))
-    print(json.dumps({"src_lines": src_lines, "layers": layers}, indent=1))
+    kinds = dict.fromkeys(("code", "docstring", "comment", "blank"), 0)
+    for path in Path(args.src).rglob("*.py"):
+        for kind, count in _line_kinds(path.read_text()).items():
+            kinds[kind] += count
+    print(json.dumps({"src_lines": sum(kinds.values()), "src_line_kinds": kinds, "layers": layers}, indent=1))
 
 
 if __name__ == "__main__":

@@ -22,16 +22,20 @@ Each is computed on first request and then read back, so a D that several
 states are probed on is solved once.
 Nothing that depends on a functional is kept there.
 
-The block constructions also record a pattern (u, mask): the algebra is
-u B u* for B the matrices supported on the allowed entries mask of a block
-diagonal or block upper triangular partition, and u is None in coordinates.
+The block constructions take as basis the matrix units on the allowed
+entries mask of a block diagonal or block upper triangular partition, in
+row-major order: the identity rows of M_n that the mask selects, with no
+SVD.  They also record a pattern (u, mask): the algebra is u B u* for B
+the matrices supported on the mask, and u is None in coordinates.
 unitary_conjugate_algebra composes its rotation into the record, and
 corner_algebra carries it to the corner cut by a projection that commutes
 with the algebra.  A patterned algebra's product closure is certified from
 its rotated basis, without forming the (dim)^2 basis products
-(Subalgebra.validate), and a character on it is checked on the rotated
-matrix units.  The same rotation certifies, with no SVD or null-space
-solve, the subspace facts of an inclusion D <= A <= M_n: A + A* = M_n
+(Subalgebra.validate), with its adjoint closure when the mask is symmetric
+(StarAlgebra.validate), and a character on it is checked from its
+defects on the rotated matrix units, its kernel read off the masks.  The
+same rotation certifies, with no SVD or null-space solve, the subspace
+facts of an inclusion D <= A <= M_n: A + A* = M_n
 (check_ss_density), A intersect A* = D (diagonal_part_check), and the
 commutant within M_n of an algebra whose mask is an equivalence relation,
 spanned by u p_c u* over the mask's classes (commutant).  Each bound is
@@ -168,7 +172,21 @@ class StarAlgebra(Subalgebra):
     star_closed = True
 
     def validate(self):
+        """Subalgebra.validate, then adjoint closure: every basis adjoint within tol(1e-9)
+        of the span.  A pattern whose mask is symmetric certifies it with no residual.
+
+        With e, P = v B v* and delta = sqrt(dim) e as in _closure_certified
+        and _mask_gap, x_a = p_a + e_a with p_a in P and ||e_a|| <= e.  A
+        symmetric mask gives P* = P, so p_a* lies in P, with norm at most
+        1 + e, and within delta (1 + e) of the span.  So x_a* lies within
+        e (1 + sqrt(dim) (1 + e)) <= e (2 + sqrt(dim)) of the span, below
+        tol(1e-9) by the factor (2 + sqrt(dim)) / (3 + sqrt(dim)) once the
+        closure certificate has passed, with the rest left for rounding.
+        """
         super().validate()
+        mask = None if self.pattern is None else self.pattern[1]
+        if mask is not None and np.array_equal(mask, mask.T) and _closure_certified(self):
+            return
         check(InvariantViolation, "adjoint closure: a basis adjoint leaves the span (defect {:.3e})",
               _adjoint_defects(self.space), tol(1e-9))
 
@@ -292,6 +310,14 @@ def _mask_rows(alg):
     return alg.derived("mask rows", compute)
 
 
+def _same_rotation(a, b):
+    """True when both algebras carry a pattern, with one u: both None or equal arrays."""
+    if a.pattern is None or b.pattern is None:
+        return False
+    u, w = a.pattern[0], b.pattern[0]
+    return u is w or (u is not None and w is not None and np.array_equal(u, w))
+
+
 def _sum_certified(a):
     """True when A's mask shows A + A* = M_n, which check_ss_density's SVD would find.
 
@@ -331,17 +357,16 @@ def _intersection_certified(a, d, phi):
     - The intersection and D have one dimension, so D lies within gamma of
       it too, and same_subspace holds once gamma <= tol(1e-8) / 2.
     - Phi moves such a w by at most F + (kappa + 1) gamma, with F the HS norm
-      of Phi - id over D's orthonormal rows (DCharacter.validate keeps it row
-      by row as phi.fix, read here when D is phi's range) and kappa the map
+      of Phi - id over D's orthonormal rows (the character keeps it row by
+      row, DCharacter._fixed, read here when D is phi's range) and kappa the map
       matrix's HS norm; the fix check holds once that is at most tol(1e-8) / 2.
     The halves left over absorb the dense route's rounding, O(n^2) machine
     epsilons.
     """
-    if a.pattern is None or d.pattern is None:
+    if not _same_rotation(a, d):
         return False
-    (u, mask), (w, mask_d) = a.pattern, d.pattern
-    same_u = u is w or (u is not None and w is not None and np.array_equal(u, w))
-    if not (same_u and np.array_equal(mask & mask.T, mask_d)):
+    mask, mask_d = a.pattern[1], d.pattern[1]
+    if not np.array_equal(mask & mask.T, mask_d):
         return False
     delta = _mask_gap(a)
     gamma = 5.0 * delta + _mask_gap(d)
@@ -350,8 +375,8 @@ def _intersection_certified(a, d, phi):
     if phi is None:
         return True
     k, rows = phi.map_matrix, d.space.flat
-    # F as the character's validation found it, row by row, when D is its range
-    moved = hs_norm(phi.fix) if phi.range_alg is d and phi.fix is not None else hs_norm(rows @ k.T - rows)
+    # F as the character keeps it, row by row, when D is its range
+    moved = hs_norm(phi._fixed()) if phi.range_alg is d else hs_norm(rows @ k.T - rows)
     return bool(moved + (hs_norm(k) + 1.0) * gamma <= tol(1e-8) / 2)
 
 
@@ -380,12 +405,6 @@ def _check_partition(n, blocks):
         raise BadPartition(f"partition: blocks must partition range({n}), got {blocks}")
 
 
-def _unit_matrix(n, i, j):
-    e = np.zeros((n, n), dtype=complex)
-    e[i, j] = 1.0
-    return e
-
-
 def block_diagonal_algebra(n, blocks):
     """*-algebra of matrices supported on the diagonal blocks of the given index partition."""
     return _block_algebra(n, blocks, star=True)
@@ -398,19 +417,21 @@ def block_upper_triangular(n, blocks):
 
 def _block_algebra(n, blocks, star):
     """block_diagonal_algebra (star) or block_upper_triangular, tagged with the
-    blocks and with its pattern: no rotation and the allowed-entry mask."""
+    blocks and with its pattern: no rotation and the allowed-entry mask.  Its
+    basis is the matrix units E_ij on the mask in row-major order, the rows of
+    the identity of M_n they select, read-only and with no SVD; a one-block
+    partition gives all of M_n's identity rows."""
     _check_partition(n, blocks)
     which = np.empty(n, dtype=int)
     for t, blk in enumerate(blocks):
         which[blk] = t
-    if star:
-        mask = which[:, None] == which[None, :]
-        pairs = [(i, j) for blk in blocks for i in blk for j in blk]
-    else:
-        mask = which[:, None] <= which[None, :]
-        pairs = zip(*np.nonzero(mask))
+    mask = which[:, None] == which[None, :] if star else which[:, None] <= which[None, :]
     mask.flags.writeable = False
-    space = orthonormalize([_unit_matrix(n, i, j) for i, j in pairs])
+    where = np.flatnonzero(mask)
+    rows = np.zeros((len(where), n * n), dtype=complex)
+    rows[np.arange(len(where)), where] = 1.0
+    rows.flags.writeable = False
+    space = OperatorSubspace(n, rows)
     alg = StarAlgebra(space, check=False) if star else Subalgebra(space, check=False)
     alg.blocks = [list(blk) for blk in blocks]
     alg.pattern = (None, mask)

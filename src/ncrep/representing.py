@@ -15,7 +15,11 @@ kernel, which b (hence c) is orthogonal to.  Conjugating cc* into a properly
 normalized density and averaging over the relative commutant of D yields rho.
 
 Each step reads the structure its objects carry, and keeps its dense route
-as the fallback where that does not apply.  The matching is r = sum_j
+as the fallback where that does not apply.  A block character's kernel is
+read off the masks (_mask_kernel) and its multiplicativity bounded from
+its defects on the rotated matrix units (_multiplicative_from_defects), so
+a rotated block instance is built with no SVD and no product of two basis
+elements or units.  The matching is r = sum_j
 (v_j / c) x_j* over A's orthonormal rows x_j for a scalar weight c I
 (_matched_density), with no least-squares solve.  On a patterned
 A = u B u*, b is projected one mask-row class at a time, an SVD of at most
@@ -29,9 +33,12 @@ import numpy as np
 
 from .algebras import (
     _block_algebra,
+    _mask_classes,
     _mask_gap,
     _mask_rows,
+    _off_mask,
     _pattern_coordinates,
+    _same_rotation,
     check_ss_density,
     diagonal_part_check,
     full_matrix_algebra,
@@ -96,13 +103,18 @@ class DCharacter:
     (A = J + D as a direct sum) and satisfies D J D <= J; it is exactly the
     part of A a representing functional has to annihilate.
 
+    When A and D carry patterns with one u, J is read off the masks: the
+    rotated units u E_s u* with s on A's mask but off D's, certified by
+    Phi's norm on them (_mask_kernel), and kernel_tau keeps that norm for
+    the splitting check.  Otherwise, or when the certificate does not pass,
+    J is the null space of the images, and kernel_tau is None.
+
     validate() decides multiplicativity pair by pair on A's orthonormal
-    basis.  On a patterned A it first checks the rotated matrix units
-    f_ij = u E_ij u* instead, where f_ij f_kl = delta_jk f_il makes the
-    want side a lookup of Phi(f_il) (_multiplicative_on_units); only when
-    that does not pass are the basis products formed, so the error class,
-    the message and the first failing check stay those of the pairwise
-    route.
+    basis.  On a patterned A it first bounds every pair from the defects of
+    Phi on the rotated matrix units (_multiplicative_from_defects), with no
+    product of two units; only when that bound does not pass are the basis
+    products formed, so the error class, the message and the first failing
+    check stay those of the pairwise route.
     """
 
     def __init__(self, map_matrix, domain, range_alg, check=True):
@@ -111,14 +123,26 @@ class DCharacter:
         self.range_alg = range_alg
         self.n = domain.n
         self.blocks = None
-        self.fix = None  # ||Phi(d) - d|| over D's orthonormal rows, once validate() has found it
-        # a combination c of A's basis lies in J when c times the images vanishes
-        self.kernel = OperatorSubspace(self.n, null_space_rows(self.images.T) @ domain.space.flat)
+        self.fix = None  # ||Phi(d) - d|| over D's orthonormal rows, once found (_fixed)
+        found = _mask_kernel(self)
+        if found is None:
+            # a combination c of A's basis lies in J when c times the images vanishes
+            self.kernel = OperatorSubspace(self.n, null_space_rows(self.images.T) @ domain.space.flat)
+            self.kernel_tau = None
+        else:
+            self.kernel, self.kernel_tau = found
         if check:
             self.validate()
 
     def __call__(self, x):
         return apply_map(self.map_matrix, as_matrix(x))
+
+    def _fixed(self):
+        """||Phi(d) - d|| over D's orthonormal rows, formed on the first request and kept as fix."""
+        if self.fix is None:
+            rows = self.range_alg.space.flat
+            self.fix = hs_norms(rows @ self.map_matrix.T - rows)
+        return self.fix
 
     def validate(self):
         k = self.map_matrix
@@ -128,7 +152,7 @@ class DCharacter:
               hs_norm(self(eye) - eye), tol(1e-9) * np.sqrt(n))
         d_flat = self.range_alg.space.flat
         outside = self.domain.space.residuals(d_flat)
-        fix = self.fix = hs_norms(d_flat @ k.T - d_flat)
+        fix = self._fixed()
         allowed = tol(1e-8) * np.maximum(1.0, hs_norms(d_flat))
         # the first failing basis element decides which of the two is reported
         for gap, moved, bound in zip(outside.tolist(), fix.tolist(), allowed.tolist()):
@@ -146,7 +170,9 @@ class DCharacter:
                 f"splitting: dim J + dim D = {self.kernel.size} + {self.range_alg.dim}"
                 f" != dim A = {self.domain.dim}"
             )
-        if not _splitting_certified(self, fix, k_norm) and (
+        # tau as J's mask certificate found it, else Phi's norm over J's orthonormal rows
+        tau = self.kernel_tau if self.kernel_tau is not None else hs_norm(self.kernel.flat @ k.T)
+        if not _splitting_certified(tau, hs_norm(fix), k_norm) and (
             subspace_sum(self.kernel, self.range_alg.space).size != self.domain.dim
         ):
             raise InvariantViolation("splitting: J and D overlap")
@@ -158,9 +184,9 @@ class DCharacter:
               sizes[1] - sizes[0], tol(1e-8) * np.maximum(1.0, sizes[0]))
 
     def _check_multiplicative(self, k_norm):
-        """Multiplicativity: the rotated matrix units of a patterned A, else pair by
-        pair on A's orthonormal basis.  k_norm is the map matrix's HS norm."""
-        if _multiplicative_on_units(self, k_norm):
+        """Multiplicativity: bounded from the unit defects of a patterned A, else pair
+        by pair on A's orthonormal basis.  k_norm is the map matrix's HS norm."""
+        if _multiplicative_from_defects(self, k_norm):
             return
         k = self.map_matrix
         n = self.n
@@ -175,13 +201,13 @@ class DCharacter:
                   hs_norms(prods @ k.T - want), tol(1e-8) * np.maximum(1.0, hs_norms(prods)))
 
 
-def _splitting_certified(phi, fix, kappa):
+def _splitting_certified(tau, fixed, kappa):
     """True when J = ker(Phi) and D are independent beyond what the SVD of their
     stacked rows in validate could miss, with no SVD.
 
-    fix holds ||Phi(d) - d|| over D's orthonormal rows and kappa is at least
-    Phi's norm (the map matrix's HS norm will do).  Let tau be the HS norm of
-    Phi over J's orthonormal rows and F = ||fix||.  A unit combination (c, g) of the stacked rows gives
+    tau is the HS norm of Phi over J's orthonormal rows, fixed = F the HS
+    norm of Phi - id over D's, and kappa is at least Phi's norm (the map
+    matrix's HS norm will do).  A unit combination (c, g) of the stacked rows gives
     z = j + d with ||j|| = ||c||, ||d|| = ||g||.  From d = Phi(z) - Phi(j)
     - (Phi(d) - d), ||g|| <= kappa ||z|| + tau + F, and ||c|| <= ||z|| + ||g||;
     as ||c|| + ||g|| >= 1,
@@ -190,12 +216,77 @@ def _splitting_certified(phi, fix, kappa):
     cutoff is tol(1e-9) times the largest row norm, about 1, and half the
     margin absorbs its rounding, O(n^2) machine epsilons.  No mask is needed.
     """
-    tau = hs_norm(phi.kernel.flat @ phi.map_matrix.T)
-    return bool((1.0 - 2.0 * (tau + hs_norm(fix))) / (1.0 + 2.0 * kappa) >= 2.0 * tol(1e-9))
+    return bool((1.0 - 2.0 * (tau + fixed)) / (1.0 + 2.0 * kappa) >= 2.0 * tol(1e-9))
 
 
-def _multiplicative_on_units(phi, kappa):
-    """True when Phi's products on the domain's rotated matrix units show every
+# the largest lambda = delta_A + 3 eta at which _mask_kernel keeps the units off D's mask as J
+_KERNEL_GAP = tol(1e-8) / 8
+
+
+def _mask_kernel(phi):
+    """(J, tau) with J = ker(Phi) spanned by the rotated units f_s = u E_s u*, s on A's mask
+    but off D's, and tau = ||Phi over them||; None when the masks do not give those units
+    or the bound below fails, and the null space of the images decides.
+
+    A and D carry one u, dim A and dim D are their masks' sizes, and
+    k + dim D = dim A for the k units; eta = ||u*u - I|| <= _UNITARY_DEFECT
+    and delta_A = _mask_gap(A).  Let T be c -> Phi(sum c_j x_j) on A's
+    orthonormal coordinates: null_space_rows of the images finds the right
+    singular vectors of T below tol(1e-9) max(1, sigma_1), with
+    sigma_1 <= ||T|| <= kappa, the map matrix's HS norm.  Phi is composed
+    with A's projection Q_A, so Phi(x) = Phi(Q_A x) for every x.
+    - The units are orthonormal up to eta (2 + eta) <= 3 eta, and a unit
+      combination c = u y u* of them lies within 3 eta of v y v* in
+      P = v B v* (v the unitary polar factor of u), hence within
+      lambda = delta_A + 3 eta of A.  So W = Q_A span(f_s) has dimension
+      k, and a unit w in W has ||T w|| <= tau' = tau / (1 - 2 lambda).
+    - For a unit d of D, whose rows are orthonormal up to 3 eta as well,
+      ||Phi(d)|| >= ||d|| - F >= 1 - 3 eta - F, F = ||fix||, and
+      ||Q_A d|| <= 1 + 3 eta: T is at least sigma = (1 - F - 3 eta) /
+      (1 + 3 eta) on the dim D-dimensional Q_A D.
+    By Courant-Fischer T then has k singular values at most tau' and
+    dim A - k at least sigma.  With tau' <= tol(1e-9) / 2 and
+    sigma >= 2 tol(1e-9) max(1, kappa) the null space keeps exactly k
+    directions, with half of its cutoff left for rounding on either side.
+    It lies within tau' / sigma of W (each unit w in W has ||T w|| >=
+    sigma times its part off the null space), and W within 2 lambda of the
+    units' span, so same_subspace holds with half its tolerance left once
+    2 lambda + 2 tau' / sigma <= tol(1e-8) / 2: lambda <= _KERNEL_GAP and
+    2 tau' / sigma <= tol(1e-8) / 4.  _splitting_certified must pass as
+    well, on tau and F, so validate reads the splitting off this tau.  The
+    units cost O(k n^2) and tau one k x n^2 by n^2 x n^2 product; D's fix
+    is validate's own, formed here once.
+    """
+    a, d = phi.domain, phi.range_alg
+    off_a = _off_mask(a)
+    if off_a is None or _off_mask(d) is None or not _same_rotation(a, d):
+        return None
+    u, mask = a.pattern
+    eta = off_a[1]
+    off = mask & ~d.pattern[1]
+    k = int(off.sum())
+    lam = _mask_gap(a) + 3.0 * eta  # inf when u is not unitary within _UNITARY_DEFECT
+    if not (k + d.dim == a.dim and lam <= _KERNEL_GAP):
+        return None
+    n = phi.n
+    u = np.eye(n) if u is None else u
+    i, j = np.nonzero(off)
+    # row s is vec(u E_ij u*) = u[:, i] (x) conj(u[:, j])
+    rows = (u[:, i].T[:, :, None] * u[:, j].conj().T[:, None, :]).reshape(k, n * n)
+    tau = hs_norm(rows @ phi.map_matrix.T)
+    kappa = hs_norm(phi.map_matrix)
+    fixed = hs_norm(phi._fixed())
+    small = tau / (1.0 - 2.0 * lam)
+    sigma = (1.0 - fixed - 3.0 * eta) / (1.0 + 3.0 * eta)
+    if not (small <= tol(1e-9) / 2 and sigma >= 2.0 * tol(1e-9) * max(1.0, kappa)
+            and 2.0 * small <= sigma * tol(1e-8) / 4 and _splitting_certified(tau, fixed, kappa)):
+        return None
+    rows.flags.writeable = False
+    return OperatorSubspace(n, rows), tau
+
+
+def _multiplicative_from_defects(phi, kappa):
+    """True when the defects of Phi on the domain's rotated matrix units bound every
     basis pair within the multiplicative bound tol(1e-8) max(1, ||x_a x_b||).
 
     kappa is at least Phi's norm (the map matrix's HS norm will do).  For a
@@ -203,47 +294,74 @@ def _multiplicative_on_units(phi, kappa):
     s = (i, j) on the mask, T_s = Phi(f_s) and B(x, y) = Phi(xy) - Phi(x)Phi(y),
     which is bilinear with ||B(x, y)|| <= (kappa + kappa^2) ||x|| ||y||.
     - f_s f_t = (u*u)_jk f_il for t = (k, l), so B(f_s, f_t) = mu_st +
-      (u*u - I)_jk Phi(f_il) with mu_st = delta_jk T_il - T_s T_t, whose
-      want side is a lookup: (i, l) is on the mask when j = k, as the mask
-      is product-closed.  ||f_il|| <= 1 + eta, eta = ||u*u - I||.
+      (u*u - I)_jk Phi(f_il) with mu_st = delta_jk T_il - T_s T_t; (i, l) is
+      on the mask when j = k, as the mask is product-closed.
+      ||f_il|| <= 1 + eta, eta = ||u*u - I||.
     - x_a = q_a + e_a with q_a = sum_s y_a[s] f_s, y_a = u* x_a u, so
       ||y_a|| <= 1 + eta and, with eps the largest off-mask norm of a y_a,
       ||e_a|| <= e = (1 + eta) eps + eta (2 + eta).
     Expanding B(x_a, x_b) = B(q_a, q_b) + B(q_a, e_b) + B(e_a, x_b) over the
     units and summing by Cauchy-Schwarz,
         ||B(x_a, x_b)|| <= (1 + eta)^2 (M + m eta kappa (1 + eta)) + (kappa + kappa^2) e (2 + e)
-    with M = (sum_st ||mu_st||^2)^(1/2).  The units pass when the right side
-    is at most tol(1e-8).  Their m^2 products are formed a bounded chunk of
-    left factors at a time, O(m^2 n^3), and the sum stops at the first
-    chunk that exceeds the allowance.
+    with M = (sum_st ||mu_st||^2)^(1/2).  M is bounded with no product of two
+    units.  With h = u*u, Y_s = u* T_s u and u h^-1 u* = I,
+    u* T_s T_t u = Y_s h^-1 Y_t, so u* mu_st u = nu_st + Y_s (I - h^-1) Y_t
+    with nu_st = delta_jk Y_il - Y_s Y_t, ||I - h^-1|| <= eta / (1 - eta)
+    and ||u^-1||^2 <= 1 / (1 - eta):
+        M <= (N + eta / (1 - eta) sum_s ||Y_s||^2) / (1 - eta),
+    N = (sum_st ||nu_st||^2)^(1/2).  Write Y_s = F_s + Delta_s with F_s = E_s
+    for s on D's mask and 0 otherwise, Delta_s formed entrywise (D is
+    read only when it carries the same u, as the defects are small only
+    then).  When D's mask is an equivalence relation ~, and (i, j), (j, l)
+    on A's mask with i ~ l puts both on D's mask, F_s F_t = delta_jk F_il
+    for s, t on A's mask, so
+        nu_st = delta_jk Delta_il - F_s Delta_t - Delta_s F_t - Delta_s Delta_t,
+    and N is at most the sum of the four terms' l2 norms over (s, t):
+    (sum_il p_il ||Delta_il||^2)^(1/2), p_il the number of j with (i, j)
+    and (j, l) on A's mask; (sum_j r_j sum_t ||row j of Delta_t||^2)^(1/2),
+    r_j the number of i with (i, j) on both masks; the same with the
+    columns k of Delta_s and the number of l with (k, l) on both masks; and
+    sum_s ||Delta_s||^2.  The units' images cost one (m x dim A) by
+    (dim A x n^2) product, their rotation O(m n^3), the sums O(m n^2),
+    formed a bounded chunk of units at a time.  The units pass when the
+    right side is at most tol(1e-8).
     """
-    a = phi.domain
-    if a.pattern is None:
+    a, d = phi.domain, phi.range_alg
+    if not _same_rotation(a, d) or _mask_classes(d) is None:
+        return False
+    u, mask = a.pattern
+    both = mask & d.pattern[1]
+    # paths[i, l] counts the j with (i, j) and (j, l) on A's mask, exact in floating point
+    paths = mask.astype(float) @ mask
+    if np.any(paths[~mask]) or np.any((paths - both.astype(float) @ both)[d.pattern[1]]):
         return False
     coords, residuals, eta = _pattern_coordinates(a)
     n, m = phi.n, coords.shape[1]
     e = (1 + eta) * residuals.max(initial=0.0) + eta * (2 + eta)
     allowed = (tol(1e-8) - (kappa + kappa**2) * e * (2 + e)) / (1 + eta) ** 2 - m * eta * kappa * (1 + eta)
-    if not allowed > 0:
+    if not (allowed > 0 and eta < 1):
         return False
-    units = (coords.conj().T @ phi.images).reshape(m, n, n)
-    rows, cols = np.nonzero(a.pattern[1])
-    where = np.full((n, n), -1)
-    where[rows, cols] = np.arange(m)
-    right = units.transpose(1, 0, 2).reshape(n, m * n)
-    total = 0.0
-    # per left unit its m n^2 products with every unit, T_s T_t at [s, :, t, :]; chunks of a
-    # quarter of the budget stay in cache (n = 10: 2.9 ms against 3.3 ms with the whole budget)
-    for part in chunk_slices(m, 4 * m * n * n):
-        s = np.arange(m)[part]
-        prods = units[part].reshape(-1, n) @ right
-        hit_s, hit_t = np.nonzero(cols[s, None] == rows[None, :])
-        prods.reshape(len(s), n, m, n)[hit_s, :, hit_t] -= units[where[rows[s[hit_s]], cols[hit_t]]]
-        total += np.vdot(prods, prods).real
-        del prods  # not held while the next chunk's products are formed
-        if not total <= allowed**2:
-            return False
-    return True
+    rows, cols = np.nonzero(mask)
+    on_d = both[rows, cols]
+    norms, row_sq, col_sq, spread = np.empty(m), np.zeros(n), np.zeros(n), 0.0
+    # a bounded chunk of units at a time: T_s from the images, rotated to Y_s, less F_s
+    for part in chunk_slices(m, n * n):
+        units = (coords[:, part].conj().T @ phi.images).reshape(-1, n, n)
+        y = units if u is None else dagger(u) @ units @ u
+        spread += np.vdot(y, y).real  # sum_s ||Y_s||^2, before F is taken off
+        hit = np.flatnonzero(on_d[part])
+        y[hit, rows[part][hit], cols[part][hit]] -= 1.0
+        sq = (y * y.conj()).real
+        norms[part] = sq.sum(axis=(1, 2))
+        row_sq += sq.sum(axis=(0, 2))
+        col_sq += sq.sum(axis=(0, 1))
+    bound = (
+        np.sqrt(paths[rows, cols] @ norms)
+        + np.sqrt(row_sq @ both.sum(axis=0))
+        + np.sqrt(col_sq @ both.sum(axis=1))
+        + norms.sum()
+    )
+    return bool((bound + eta / (1 - eta) * spread) / (1 - eta) <= allowed)
 
 
 def make_block_character(n, blocks):
@@ -264,10 +382,11 @@ def _block_character(n, blocks, u=None):
         phi = block_compression_character(a, d)
     else:
         s = sandwich_matrix(u, dagger(u))
-        # Phi's stored matrix on the coordinate A, composed with A's projection as DCharacter stores it
-        k = _domain_images(_block_compression_matrix(a), a)[1]
+        # s K s* for the pinching K, the diagonal 0/1 matrix of D's mask, which lies inside A's:
+        # K is composed with A's projection already, and s K is s with its columns scaled by K's diagonal
+        k = s * d.pattern[1].ravel()
         a, d = unitary_conjugate_algebra(a, u), unitary_conjugate_algebra(d, u)
-        phi = DCharacter(s @ k @ dagger(s), a, d)
+        phi = DCharacter(k @ dagger(s), a, d)
     if not check_ss_density(a, full_matrix_algebra(n)):
         raise InvariantViolation("A + A* should span M for a triangular partition")
     if not diagonal_part_check(a, d, phi):

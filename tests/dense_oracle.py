@@ -9,8 +9,11 @@ too, solved in one piece from the brackets with every element of the set,
 and so are the centrality probes as they were before they became gemms:
 the draw-by-draw projection sampler, the broadcast p d k - k d p
 contraction and the einsum central violation.  So are the pairwise product
-routes of the closure and multiplicative checks, which the package runs
-only where no block pattern certifies the result, the element by
+routes of the closure, adjoint and multiplicative checks, which the package runs
+only where no block pattern certifies the result, the multiplicativity
+certificate as it was before it read the unit defects (all m^2 products of
+the units' images), the rotated units that span ker(Phi) when the masks
+give it, formed one at a time, the element by
 element conjugation of an algebra's basis, the closure passes that
 generated *-algebras before generation became the bicommutant, and the
 faithfulness test on a *-algebra's Gram matrix.  The subspace facts that
@@ -28,7 +31,7 @@ projection of b onto an orthonormalized stack of every x a over A's basis.
 
 import numpy as np
 
-from ncrep.algebras import StarAlgebra, _adjoint_space, _mask_gap
+from ncrep.algebras import StarAlgebra, _adjoint_space, _mask_gap, _pattern_coordinates
 from ncrep.config import tol
 from ncrep.errors import EmptyInput, InvariantViolation, check
 from ncrep.expectations import ConditionalExpectation, _check_preserves, _gram_solve
@@ -181,6 +184,14 @@ def closure_check(alg):
               alg.space.residuals(products), tol(1e-9) * np.maximum(1.0, hs_norms(products)))
 
 
+def star_closure_check(alg):
+    """closure_check, then adjoint closure: InvariantViolation unless every basis adjoint lies
+    within tol(1e-9) of the span."""
+    closure_check(alg)
+    check(InvariantViolation, "adjoint closure: a basis adjoint leaves the span (defect {:.3e})",
+          alg.space.residuals(_adjoint_space(alg.space).flat), tol(1e-9))
+
+
 def multiplicative_check(phi):
     """A character's multiplicativity pair by pair on its domain's orthonormal basis:
     InvariantViolation unless ||Phi(x_a x_b) - Phi(x_a) Phi(x_b)|| <= tol(1e-8) max(1, ||x_a x_b||)."""
@@ -195,6 +206,44 @@ def multiplicative_check(phi):
         want = pair_products(images[part], images).reshape(-1, n * n)
         check(InvariantViolation, "multiplicative: Phi(xy) != Phi(x)Phi(y), defect {:.3e}",
               hs_norms(prods @ k.T - want), tol(1e-8) * np.maximum(1.0, hs_norms(prods)))
+
+
+def unit_products_multiplicative(phi, kappa):
+    """The multiplicativity certificate as it was before it read the unit defects: all m^2
+    products T_s T_t of Phi's images of the rotated units f_s = u E_s u*, a chunk of left
+    factors at a time, against the lookups delta_jk T_il, summed into M; True when
+        (1 + eta)^2 (M + m eta kappa (1 + eta)) + (kappa + kappa^2) e (2 + e) <= tol(1e-8),
+    with eta and e as in representing._multiplicative_from_defects."""
+    a = phi.domain
+    if a.pattern is None:
+        return False
+    coords, residuals, eta = _pattern_coordinates(a)
+    n, m = phi.n, coords.shape[1]
+    e = (1 + eta) * residuals.max(initial=0.0) + eta * (2 + eta)
+    allowed = (tol(1e-8) - (kappa + kappa**2) * e * (2 + e)) / (1 + eta) ** 2 - m * eta * kappa * (1 + eta)
+    if not allowed > 0:
+        return False
+    units = (coords.conj().T @ phi.images).reshape(m, n, n)
+    rows, cols = np.nonzero(a.pattern[1])
+    where = np.full((n, n), -1)
+    where[rows, cols] = np.arange(m)
+    right = units.transpose(1, 0, 2).reshape(n, m * n)
+    total = 0.0
+    for part in chunk_slices(m, 4 * m * n * n):
+        s = np.arange(m)[part]
+        prods = units[part].reshape(-1, n) @ right
+        hit_s, hit_t = np.nonzero(cols[s, None] == rows[None, :])
+        prods.reshape(len(s), n, m, n)[hit_s, :, hit_t] -= units[where[rows[s[hit_s]], cols[hit_t]]]
+        total += np.vdot(prods, prods).real
+    return bool(total <= allowed**2)
+
+
+def mask_kernel_rows(a, d):
+    """The rotated units u E_s u*, s on A's mask but off D's, as flat rows formed one at a time."""
+    u, mask = a.pattern
+    u = np.eye(a.n) if u is None else u
+    units = [np.outer(u[:, i], u[:, j].conj()).ravel() for i, j in zip(*np.nonzero(mask & ~d.pattern[1]))]
+    return np.array(units, dtype=complex).reshape(-1, a.n * a.n)
 
 
 def elementwise_conjugate(alg, u):

@@ -7,8 +7,9 @@ diagnosis and the representing pipelines run once per call, and what
 depends on D alone (its sampled projections, its commutants) is computed
 once per D; the public functions are still called as often as before.  A
 rotated block instance and both pipelines on it read A + A* = M,
-A intersect A* = D, the splitting J + D = A and the relative commutant off
-the block masks, so Phi's kernel is the one null space solved, and each
+A intersect A* = D, Phi's kernel, the splitting J + D = A and the relative
+commutant off the block masks, so no null space is solved; its build runs
+no SVD and forms no product of two basis elements or units; and each
 pipeline solves one Gram system, for D': its expectations onto D are the
 closed form of the block route.  Nor do they solve anything dense at the
 n^2 level: the matching reads A's orthonormal rows, b is projected one
@@ -155,8 +156,8 @@ def test_pipelines_on_one_instance_solve_the_relative_commutant_once(monkeypatch
 
 
 def test_a_rotated_instance_and_both_pipelines_read_the_subspace_facts_off_the_masks(monkeypatch):
-    # A + A* = M, A intersect A* = D, the splitting J + D = A and the relative commutant D'
-    # are certified from the masks: the one null space left is Phi's kernel
+    # A + A* = M, A intersect A* = D, Phi's kernel J, the splitting J + D = A and the relative
+    # commutant D' are certified from the masks: no null space is solved
     rng = np.random.default_rng(10)
     calls = {name: _count_calls(monkeypatch, module, name) for module, name in (
         (linalg, "subspace_sum"), (linalg, "subspace_intersection"), (linalg, "null_space_rows"),
@@ -166,9 +167,22 @@ def test_a_rotated_instance_and_both_pipelines_read_the_subspace_facts_off_the_m
     for pipeline in (representing_expectation_tracial, representing_expectation_state):
         pipeline(inst.m, inst.state, inst.d, inst.a, inst.phi)
     assert {name: len(made) for name, made in calls.items()} == {
-        "subspace_sum": 0, "subspace_intersection": 0, "null_space_rows": 1, "_solve_commutant": 0,
+        "subspace_sum": 0, "subspace_intersection": 0, "null_space_rows": 0, "_solve_commutant": 0,
     }
-    assert calls["null_space_rows"][0][0].shape == (10 * 10, inst.a.dim)  # Phi's images, transposed
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_a_rotated_build_runs_no_svd_and_no_products_of_pairs(monkeypatch, n):
+    # the block bases are identity rows, J is read off the masks and multiplicativity is bounded
+    # from the unit defects: no orthonormalize, no null space and no pairwise products
+    calls = {name: _count_calls(monkeypatch, linalg, name) for name in (
+        "orthonormalize", "null_space_rows", "pair_products",
+    )}
+    inst = random_block_instance(n, np.random.default_rng(n), conjugate=True)
+    assert {name: len(made) for name, made in calls.items()} == {
+        "orthonormalize": 0, "null_space_rows": 0, "pair_products": 0,
+    }
+    assert inst.phi.kernel_tau is not None
 
 
 @pytest.mark.parametrize("blocks", [[[0], [1], [2]], [[0, 1], [2]]])

@@ -7,8 +7,10 @@ and complement formulas of dense_oracle, the batched products with einsum,
 the QR-first null space with a full SVD, the certified commutant with
 the bracket stack over every element of the set, the gemm centrality
 probes with the loop sampler and the broadcast and einsum contractions,
-the block-pattern certificates of closure and multiplicativity with
-the pairwise product routes, on intact and deliberately broken inputs and
+the block-pattern certificates of closure, adjoint closure and
+multiplicativity with the pairwise product routes (multiplicativity also
+with the m^2 unit products it replaced), the kernel read off the masks
+with the null space of the images, on intact and deliberately broken inputs and
 on the corners of a block D, and the mask certificates of A + A* = M,
 A intersect A* = D, the splitting J + D = A and D' with the SVD sum and
 intersection and the bracket-stack commutant, on intact and broken
@@ -35,14 +37,17 @@ from dense_oracle import (
     gram_faithful_on,
     left_mult_matrix,
     loop_sample_projections,
+    mask_kernel_rows,
     multiplicative_check,
     null_space_diagonal_part,
     perp_projector_matrix,
     projector_matrix,
     right_mult_matrix,
     sandwich,
+    star_closure_check,
     svd_splitting,
     svd_ss_density,
+    unit_products_multiplicative,
 )
 from ncrep import algebras, expectations, linalg, representing, states
 from ncrep.algebras import (
@@ -94,7 +99,7 @@ from ncrep.representing import (
     DCharacter,
     _block_character,
     _extension_gap,
-    _multiplicative_on_units,
+    _multiplicative_from_defects,
     _splitting_certified,
     make_block_character,
 )
@@ -236,37 +241,102 @@ def nudged(alg, size, rng):
     return moved
 
 
+def null_space_kernel(phi):
+    """J = ker(Phi) as the null space of Phi's images on its domain's orthonormal basis."""
+    return OperatorSubspace(phi.n, null_space_rows(phi.images.T) @ phi.domain.space.flat)
+
+
+def pairwise_verdict(phi):
+    """validate's class and message with J from the null space and multiplicativity pair by pair."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(representing, "_mask_kernel", lambda phi: None)
+        patch.setattr(representing, "_multiplicative_from_defects", lambda phi, kappa: False)
+        return verdict(DCharacter, phi.map_matrix, phi.domain, phi.range_alg)
+
+
+def multiplicative_threshold(kappa, eta):
+    """The off-mask size eps of the domain's rows at which _multiplicative_from_defects' allowance
+    reaches 0: (kappa + kappa^2) e (2 + e) = tol(1e-8), e = (1 + eta) eps + eta (2 + eta)."""
+    e = np.sqrt(1.0 + tol(1e-8) / (kappa + kappa**2)) - 1.0
+    return (e - eta * (2 + eta)) / (1 + eta)
+
+
+def kernel_threshold(dim, eta):
+    """The off-mask size eps of A's rows at which _mask_kernel's lambda = sqrt(dim) (eps + 3 eta)
+    + 3 eta reaches _KERNEL_GAP."""
+    return (representing._KERNEL_GAP - 3 * eta) / np.sqrt(dim) - 3 * eta
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 8), st.booleans(), st.booleans(), st.data())
-def test_pattern_certificates_agree_with_the_pairwise_routes(n, star, rotated, data):
+@given(st.integers(1, 8), st.booleans(), st.booleans(), st.sampled_from(["random", "one", "singletons"]), st.data())
+def test_pattern_certificates_agree_with_the_pairwise_routes(n, star, rotated, partition, data):
     # a block diagonal D with the identity character, or a block upper triangular A with the
-    # block compression, in coordinates or rotated; each verdict is compared with the pairwise
-    # route on rows nudged off the pattern at half and twice the closure certificate's threshold,
-    # on the map plus 1e-4 x_{0, n-1} I and on the transpose map
+    # block compression, in coordinates or rotated, over a random, a one-block or an all-singleton
+    # partition.  Each certificate is compared with the route it replaces: the defect bound of
+    # multiplicativity with the pairwise check and with the m^2 unit products, J read off the masks
+    # with the null space of the images, and validate with both certificates switched off.  The
+    # cases: the rows of A nudged off the pattern at half and twice the closure, multiplicativity
+    # and kernel thresholds (for D also its adjoint closure, which the closure certificate covers),
+    # u off by more than _UNITARY_DEFECT, the map plus 1e-4 x_{0, n-1} I,
+    # the map plus 1e-4 <x, f> I for a unit f of J (multiplicative on D but not on A) and the
+    # transpose map
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    a, d, phi = _block_character(n, random_partition(n, rng), haar_unitary(n, rng) if rotated else None)
+    blocks = {"random": random_partition(n, rng), "one": [list(range(n))], "singletons": [[i] for i in range(n)]}
+    a, d, phi = _block_character(n, blocks[partition], haar_unitary(n, rng) if rotated else None)
     if star:
         a, phi = d, DCharacter(np.eye(n * n), d, d)
+    kappa = hs_norm(phi.map_matrix)
     assert a.pattern is not None and algebras._closure_certified(a)
-    assert _multiplicative_on_units(phi, hs_norm(phi.map_matrix))
+    assert _multiplicative_from_defects(phi, kappa) and unit_products_multiplicative(phi, kappa)
+    assert phi.kernel_tau is not None and phi.kernel.flat.tobytes() == mask_kernel_rows(a, d).tobytes()
     broken = phi.map_matrix.copy()
     broken[:, n - 1] += 1e-4 * np.eye(n).ravel()
     transpose = np.eye(n * n).reshape(n, n, n, n).swapaxes(0, 1).reshape(n * n, n * n)
-    cases = [(a, phi.map_matrix), (a, broken), (a, transpose)]
+    cases = [(a, d, phi.map_matrix), (a, d, broken), (a, d, transpose)]
+    if phi.kernel.size:
+        unit = phi.kernel.flat[int(rng.integers(phi.kernel.size))]
+        cases.append((a, d, phi.map_matrix + 1e-4 * np.outer(np.eye(n).ravel(), unit.conj())))
+    far = (np.eye(n) if a.pattern[0] is None else a.pattern[0]) * (1.0 + 1e-11)
+    assert algebras._unitary_defect(far) > algebras._UNITARY_DEFECT
+    cases.append((repatterned(a, (far, a.pattern[1])), repatterned(d, (far, d.pattern[1])), phi.map_matrix))
+    assert verdict(cases[-1][1].validate) == verdict(star_closure_check, cases[-1][1])
     if not a.pattern[1].all():  # there are entries off the pattern to move the rows to
         _, _, defect = algebras._pattern_coordinates(a)
-        threshold = algebras._closure_threshold(a.dim, defect)
-        for size, certified in ((0.5, True), (2.0, False)):
-            moved = nudged(a, size * threshold, rng)
-            assert algebras._closure_certified(moved) == certified
-            assert verdict(Subalgebra.validate, moved) == verdict(closure_check, moved)
-            cases += [(moved, phi.map_matrix), (moved, broken), (moved, transpose)]
-    for domain, k in cases:
-        f = DCharacter(k, domain, d, check=False)
+        thresholds = [
+            (algebras._closure_threshold(a.dim, defect), lambda moved: algebras._closure_certified(moved)),
+            (multiplicative_threshold(kappa, defect),
+             lambda moved: _multiplicative_from_defects(DCharacter(phi.map_matrix, moved, d, check=False), kappa)),
+            (kernel_threshold(a.dim, defect),
+             lambda moved: DCharacter(phi.map_matrix, moved, d, check=False).kernel_tau is not None),
+        ]
+        for which, (threshold, certified) in enumerate(thresholds):
+            for size in (0.5, 2.0):
+                moved = nudged(a, size * threshold, rng)
+                # the closure and kernel certificates pass below their thresholds and fail above them;
+                # above its own, the multiplicativity bound has no allowance left
+                if which != 1:
+                    assert certified(moved) == (size < 1)
+                elif size > 1:
+                    assert not certified(moved)
+                if which == 0:
+                    assert verdict(Subalgebra.validate, moved) == verdict(closure_check, moved)
+                    if star:  # D's mask is symmetric: the closure certificate covers its adjoints too
+                        assert verdict(moved.validate) == verdict(star_closure_check, moved)
+                cases += [(moved, d, phi.map_matrix), (moved, d, broken), (moved, d, transpose)]
+    for domain, target, k in cases:
+        f = DCharacter(k, domain, target, check=False)
         want = verdict(multiplicative_check, f)
-        assert verdict(f._check_multiplicative, hs_norm(f.map_matrix)) == want
+        f_kappa = hs_norm(f.map_matrix)
+        assert verdict(f._check_multiplicative, f_kappa) == want
+        for passed in (_multiplicative_from_defects(f, f_kappa), unit_products_multiplicative(f, f_kappa)):
+            assert want is None or not passed
         if k is broken and not star:  # x_{0, n-1} lies in A, so the nudge breaks Phi
             assert want is not None and want[1].startswith("multiplicative: ")
+        null = null_space_kernel(f)
+        assert f.kernel.size == null.size and same_subspace(f.kernel, null)
+        if f.kernel_tau is not None:
+            assert f.kernel.flat.tobytes() == mask_kernel_rows(domain, target).tobytes()
+        assert verdict(f.validate) == pairwise_verdict(f)
 
 
 def test_a_rotation_that_is_not_unitary_drops_the_pattern():
@@ -325,7 +395,8 @@ def repatterned(alg, pattern):
 def splitting_certified(phi):
     """_splitting_certified with the statistics DCharacter.validate hands it."""
     rows = phi.range_alg.space.flat
-    return _splitting_certified(phi, linalg.hs_norms(rows @ phi.map_matrix.T - rows), hs_norm(phi.map_matrix))
+    tau = hs_norm(phi.kernel.flat @ phi.map_matrix.T)
+    return _splitting_certified(tau, hs_norm(linalg.hs_norms(rows @ phi.map_matrix.T - rows)), hs_norm(phi.map_matrix))
 
 
 def assert_mask_routes_agree(a, d, phi, m):
