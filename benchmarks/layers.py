@@ -9,7 +9,8 @@ validation) for the tracial state and a seeded faithful D-central one,
 representing_expectation_tracial and representing_expectation_state (for
 that D-central state) on block characters with blocks (1, 3), (1, 3, 4),
 (1, 3, 6), (4, 4, 4) and (5, 5, 6) at n = 4, 8, 10, 12 and 16, each rotated
-by a seeded Haar unitary, and prints one JSON object.  Three rows time the
+by a seeded Haar unitary and built by the checkout's own
+representing._block_character, and prints one JSON object.  Three rows time the
 tracial pipeline's steps on the same instance: _matched_density (with the
 constraint stack x_j k formed inside the timing on a checkout whose
 matching takes the stacked constraints), _projected_factor on the polar
@@ -18,11 +19,14 @@ the trace on D and is not D-central (the trace moved off D's span), a
 fresh functional per call.  The validate rows of A and D time the
 closure check each runs (on a block algebra that has one, its pattern
 certificate).  The instance rows time random_block_instance(n,
-default_rng(3), conjugate=True) at n = 16, 24 and 32, the build of A, D and
-Phi with all their checks; at n = 24 a further row times commutant(D, M),
+default_rng(3), conjugate=True) at n = 16, 24, 32 and 48, the build of A, D
+and Phi with all their checks; at n = 24 a further row times commutant(D, M),
 cold, on that instance's D, and at n = 24 and 32 two more rows time the
 tracial pipeline on the instance and the state pipeline for a seeded
-faithful D-central state.  At n = 16, 24 and 32 four more rows time, on
+faithful D-central state.  Before every other row, at n = 64, that build
+and the two pipelines run once each under tracemalloc, each row with its
+time, its peak and the process's peak resident set after it.  At n = 16,
+24 and 32 four more rows time, on
 the rotated instance's character, the certificates that build reads off
 the masks against the routes they replace: the multiplicativity bound from
 the unit defects (_multiplicative_from_defects) against the m^2 unit
@@ -80,6 +84,7 @@ import inspect
 import io
 import json
 import os
+import resource
 import sys
 import time
 import tokenize
@@ -100,12 +105,14 @@ GAPS_SIZES = (4, 10, 16)
 # bimodule_gaps rows on coordinate blocks, at sizes without a rotated instance in SIZES
 COORDINATE_BLOCKS = {24: [8, 8, 8]}
 # random_block_instance rows: repeats per size
-INSTANCE_REPEATS = {16: 3, 24: 1, 32: 1}
+INSTANCE_REPEATS = {16: 3, 24: 1, 32: 1, 48: 1}
 # sizes whose instance D gets a cold commutant row, and its repeats
 INSTANCE_COMMUTANT_SIZES = (24,)
 INSTANCE_COMMUTANT_REPEATS = 3
 # sizes whose instance gets the two pipeline rows, timed once each
 INSTANCE_PIPELINE_SIZES = (24, 32)
+# sizes whose rotated build and two pipelines run once each, first, under tracemalloc
+ONCE_SIZES = (64,)
 # sizes whose instance character gets the certificate rows, and their repeats
 CERTIFICATE_REPEATS = {16: 3, 24: 1, 32: 1}
 COMMUTATIVE_SIZES = (3, 4)
@@ -117,21 +124,16 @@ HOST_SAMPLES = 5
 
 def _instance(n, sizes):
     import numpy as np
-    from ncrep.algebras import full_matrix_algebra, unitary_conjugate_algebra
+    from ncrep.algebras import full_matrix_algebra
     from ncrep.expectations import preserving_expectation
     from ncrep.instances import haar_unitary, random_density
-    from ncrep.linalg import dagger, sandwich_matrix
-    from ncrep.representing import DCharacter, make_block_character
+    from ncrep.representing import _block_character
     from ncrep.states import PositiveFunctional
 
     starts = np.cumsum([0] + sizes)
-    a, d, phi = make_block_character(n, [list(range(s, s + k)) for s, k in zip(starts, sizes)])
-    u = haar_unitary(n, np.random.default_rng(n))
-    s = sandwich_matrix(u, dagger(u))
-    a = unitary_conjugate_algebra(a, u)
-    d = unitary_conjugate_algebra(d, u)
-    # composed with A's projection here too, for a checkout whose constructor does not compose
-    phi = DCharacter(s @ phi.map_matrix @ dagger(s) @ (a.space.flat.T @ a.space.flat.conj()), a, d)
+    blocks = [list(range(s, s + k)) for s, k in zip(starts, sizes)]
+    # the rotated character as the checkout under --src builds it, so that each checkout's rows time its own
+    a, d, phi = _block_character(n, blocks, haar_unitary(n, np.random.default_rng(n)))
     m = full_matrix_algebra(n)
     e = preserving_expectation(PositiveFunctional.tracial(n), d, m)
     nu = random_density(n, np.random.default_rng(n))
@@ -191,7 +193,10 @@ def _certificate_rows(phi, reps):
         def unfixed():
             """A copy of the character without D's fix, so that the timing forms it as the build does."""
             fresh = copy.copy(phi)
-            fresh.fix = None
+            if "fix" in vars(type(fresh)):  # a cached property: drop the cached value
+                fresh.__dict__.pop("fix", None)
+            else:  # an attribute that the checkout forms again while it is None
+                fresh.fix = None
             return (fresh,)
 
         rows["_mask_kernel"] = dict(_measure(mask_kernel, reps, unfixed), passed=mask_kernel(*unfixed()) is not None)
@@ -308,9 +313,12 @@ def _coordinate_gaps_row(bimodule_gaps, n, sizes, repeats):
     import numpy as np
     from ncrep.algebras import block_diagonal_algebra
 
+    from dense_oracle import pinching_matrix
+
     labels = np.repeat(np.arange(len(sizes)), sizes)
-    d = block_diagonal_algebra(n, [np.flatnonzero(labels == t).tolist() for t in range(len(sizes))])
-    k = np.diag((labels[:, None] == labels[None, :]).ravel().astype(complex))
+    blocks = [np.flatnonzero(labels == t).tolist() for t in range(len(sizes))]
+    d = block_diagonal_algebra(n, blocks)
+    k = pinching_matrix(n, blocks)
     return {"bimodule_gaps (pinching)": _measure(lambda: bimodule_gaps(k, d.space.tensor), repeats)}
 
 
@@ -340,6 +348,39 @@ def _diagnosis_rows(repeats):
     return rows
 
 
+def _once(fn):
+    """fn() run once under tracemalloc: its value, and its time, tracemalloc peak and the process's
+    peak resident set after it (getrusage), which the rows run before it bound from below."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        value = fn()
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 2**10
+    return value, {"s": round(seconds, 3), "peak_mb": round(peak / 2**20, 1), "maxrss_mb": round(maxrss, 1)}
+
+
+def _once_rows(n):
+    """The rotated build at n and both pipelines on it, run once each (_once)."""
+    import numpy as np
+    from ncrep.instances import random_block_instance, random_central_density
+    from ncrep.representing import representing_expectation_state, representing_expectation_tracial
+
+    inst, build = _once(lambda: random_block_instance(n, np.random.default_rng(3), conjugate=True))
+    omega = random_central_density(n, inst.d, np.random.default_rng(n))
+    args = (inst.m, inst.state, inst.d, inst.a, inst.phi)
+    return {
+        "dim A": inst.a.dim,
+        "random_block_instance (rotated, once)": build,
+        "representing_expectation_tracial (instance, once)": _once(lambda: representing_expectation_tracial(*args))[1],
+        "representing_expectation_state (instance, once)": _once(
+            lambda: representing_expectation_state(inst.m, omega, inst.d, inst.a, inst.phi))[1],
+    }
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
@@ -353,7 +394,7 @@ def main():
     from ncrep.representing import representing_expectation_state, representing_expectation_tracial
     from ncrep.states import PositiveFunctional, is_D_central, locally_central_check, sample_projections
 
-    layers = {}
+    layers = {f"n={n}": _once_rows(n) for n in ONCE_SIZES}
     for n, sizes in SIZES.items():
         e, phi, a, d, m, nu, stack = _instance(n, sizes)
         tau = PositiveFunctional.tracial(n)

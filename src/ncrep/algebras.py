@@ -51,6 +51,7 @@ from .config import tol
 from .errors import BadPartition, DimensionMismatch, EmptyInput, InvariantViolation, check
 from .linalg import (
     OperatorSubspace,
+    _unit_rows,
     as_matrix,
     chunk_slices,
     commutation_gap,
@@ -208,9 +209,14 @@ def _pattern_coordinates(alg):
     mask, and u's unitarity defect.  Entry (a, s) is the conjugate of
     <f_s, x_a> for the rotated matrix unit f_s = u E_s u*, whatever u is.
     One rotation, O(dim n^3); not kept, so an algebra holds no second copy
-    of its basis.
+    of its basis.  When u is None and the rows are the identity rows of
+    M_n that the mask selects, in row-major order (_block_algebra's basis),
+    the coordinates are the m x m identity and every off-mask norm is 0:
+    None stands for the coordinates then, and nothing is copied.
     """
     u, mask = alg.pattern
+    if u is None and alg.derived("mask unit rows", lambda: _unit_rows(alg.space.flat, np.flatnonzero(mask))):
+        return None, np.zeros(alg.dim), 0.0
     rotated = alg.space.tensor if u is None else dagger(u) @ alg.space.tensor @ u
     flat = rotated.reshape(alg.dim, -1)
     keep = mask.ravel()
@@ -358,8 +364,8 @@ def _intersection_certified(a, d, phi):
       it too, and same_subspace holds once gamma <= tol(1e-8) / 2.
     - Phi moves such a w by at most F + (kappa + 1) gamma, with F the HS norm
       of Phi - id over D's orthonormal rows (the character keeps it row by
-      row, DCharacter._fixed, read here when D is phi's range) and kappa the map
-      matrix's HS norm; the fix check holds once that is at most tol(1e-8) / 2.
+      row, DCharacter.fix, read here when D is phi's range) and kappa the
+      map's Frobenius norm; the fix check holds once that is at most tol(1e-8) / 2.
     The halves left over absorb the dense route's rounding, O(n^2) machine
     epsilons.
     """
@@ -374,10 +380,9 @@ def _intersection_certified(a, d, phi):
         return False
     if phi is None:
         return True
-    k, rows = phi.map_matrix, d.space.flat
     # F as the character keeps it, row by row, when D is its range
-    moved = hs_norm(phi._fixed()) if phi.range_alg is d else hs_norm(rows @ k.T - rows)
-    return bool(moved + (hs_norm(k) + 1.0) * gamma <= tol(1e-8) / 2)
+    moved = hs_norm(phi.fix if phi.range_alg is d else phi._moved(d.space))
+    return bool(moved + (phi.norm() + 1.0) * gamma <= tol(1e-8) / 2)
 
 
 def from_spanning(mats, star=True):
@@ -659,7 +664,7 @@ def diagonal_part_check(a, d, phi=None):
     inter = subspace_intersection(a.space, _adjoint_space(a.space))
     verdict = same_subspace(inter, d.space)
     if phi is not None and verdict:
-        return bool(np.all(hs_norms(inter.flat @ phi.map_matrix.T - inter.flat) <= tol(1e-8)))
+        return bool(np.all(phi._moved(inter) <= tol(1e-8)))
     return verdict
 
 

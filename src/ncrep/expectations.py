@@ -3,45 +3,33 @@
 One builder, _preserving_expectation, finds the omega-preserving map onto a
 target algebra by one of two routes.
 
-- Onto a D = u(sum_t M_k_t)u* that carries a block pattern without
-  multiplicity, certified by algebras._mask_gap, with M = M_n and n >= 5
-  (_block_route), the map is the closed form u [sum_t (y rho')_tt
-  (rho'_tt)^-1] u*, y = u* x u and rho' = u* rho u: the block pinching when
-  omega is D-central.  It is kept as its r block factors,
-  E(x) = sum_t X_t x B_t (linalg.SandwichSum), and applied, pulled back and
-  validated from them: no (dim D)^2 Gram matrix and no n^2 x n^2 map.
-- Onto every other target (an unpatterned D, the relative commutant D', the
-  support corners and ideals Dz, and any D at n <= 4, where the dense work
-  is smaller than the factors' fixed per-call cost) it solves the target's
-  Gram system in the omega-inner product (_gram_solve), whose solution is
-  the factor pair K = U^T C, U the target's rows.  With domain M_n, q <= n
-  rows and n >= 7 (_pair_route), as for D' of a D without multiplicity, the
-  pair is kept (linalg.FactorPair) and applied, pulled back and validated
-  from its factors.  Otherwise the n^2 x n^2 matrix on flattened
-  (row-major) coordinates is kept, composed with the projection onto the
-  domain, with its values E(x_j) on the domain's orthonormal basis.
+- Onto a D = u(sum_t M_k_t)u* with a block pattern without multiplicity,
+  certified by algebras._mask_gap, with M = M_n and n >= 5 (_block_route),
+  it is the closed form u [sum_t (y rho')_tt (rho'_tt)^-1] u*, y = u* x u
+  and rho' = u* rho u, the block pinching when omega is D-central, kept as
+  its r block factors (linalg.SandwichSum): no (dim D)^2 Gram matrix and no
+  n^2 x n^2 map.
+- Onto every other target (an unpatterned D, D', the support corners and
+  ideals Dz, any D at n <= 4) it solves the Gram system in the omega-inner
+  product (_gram_solve), the factor pair K = U^T C, kept as a
+  linalg.FactorPair with domain M_n, q <= n rows and n >= 7 (_pair_route),
+  else as the n^2 x n^2 matrix on row-major coordinates.
 
 Either route needs omega faithful on the range only, which
 states._faithful_spectrum decides on the Gram matrix's eigenvalues (for the
-closed form, those of the blocks rho'_tt); a functional singular on the
-range is handled by compressing to the support of its restriction there
-(support_ideal_expectation), never by regularizing.
+closed form, those of the blocks rho'_tt); a functional singular on the range is
+compressed to the support of its restriction there
+(support_ideal_expectation), never regularized.
 
+How a map is stored is decided once, in _ModuleMap, which
+ConditionalExpectation shares with representing.DCharacter: a matrix is
+composed with the domain's projection, factors are kept and read.
 validate() checks unitality, idempotence, positivity on fixed probes, the
-D-bimodule property and range membership, in that order, by the same
-statistics on both storage forms.  The module property (linalg.bimodule_gaps)
-is read off the map's operator-Schmidt factors: written
-E(x) = sum_s X_s x Y_s^T with orthonormal partners, E∘L_d - L_d∘E and
-E∘R_d - R_d∘E, with L_d, R_d left and right multiplication by a basis
-element d of D, have the norms of the stacked commutators [X_s, d] and
-[Y_s^T, d].  A stored matrix has its factors found by a fixed Gaussian
-sketch when its Schmidt rank is low, or read from its own n^2 columns and
-rows; block factors are such a splitting already, made orthonormal through
-an r x r Gram matrix.  A Gram factor pair gives each gap exactly from q x q
-matrices (FactorPair.module_gaps).  Range membership of factors is
-certified (_range_bound): from the mask for the closed form, and by
-construction for a pair whose rows are the range's; the residuals decide
-when the certificate does not pass.
+D-bimodule property (from the map's operator-Schmidt factors,
+linalg.bimodule_gaps, or the factors' own module_gaps) and range membership,
+in that order, by the same statistics on both storage forms; the range of
+factors is certified (_ModuleMap._range_bound), with the residuals as the
+fallback.
 """
 
 import functools
@@ -125,13 +113,9 @@ def _pullback_density(map_matrix, rho):
 
 
 def _domain_images(map_matrix, domain):
-    """The map's values K(x_j) on the domain's orthonormal basis, as flat rows,
-    and its matrix composed with the projection onto the domain, sum_j K(x_j) x_j*.
-
-    When the rows are the identity, as full_matrix_algebra's are, the images
-    are K's transpose and the composed matrix is K: both products with an
-    identity are exact, so nothing is multiplied.
-    """
+    """The map's values K(x_j) on the domain's orthonormal basis, as flat rows, and its matrix
+    composed with the projection onto the domain, sum_j K(x_j) x_j*: K's transpose and K itself,
+    with no product, on identity rows (full_matrix_algebra's), where both products are exact."""
     flat = domain.space.flat
     k = require_finite(np.asarray(map_matrix, dtype=complex))
     if _identity_rows(domain.space):
@@ -147,96 +131,63 @@ def _check_preserves(e, omega, target):
           drift, tol(1e-8) * max(1.0, hs_norm(omega.density)))
 
 
-class ConditionalExpectation:
-    """Idempotent positive bimodule map from a *-algebra onto a range inside it.
+class _ModuleMap:
+    """A linear map from a domain algebra into a range subspace that is a module over the bimodule
+    *-algebra: what ConditionalExpectation and representing.DCharacter share.
 
-    The range is an operator subspace with its own unit: the ambient identity
-    for genuine expectations, a projection z for the support-ideal maps onto
-    Dz.  The bimodule algebra is the D whose elements pass through the map.
-
-    The map comes as its n^2 x n^2 matrix, from the block route of
-    _preserving_expectation as the SandwichSum of its r block factors,
-    E(x) = sum_t X_t x B_t, or from its Gram route as the FactorPair
-    K = U^T C.  A matrix is composed with the projection onto the domain,
-    and its values E(x_j) on the domain's orthonormal basis are kept as the
-    rows of images.  Factors, which come with the domain M_n, are kept as
-    factors: application, the pullback and every check of validate() work
-    from them at O(r n^3) or O(q n^2) per matrix, and map_matrix and images
-    are formed on first request, for
-    the readers that need the n^2 x n^2 matrix (choi_matrix, support_of_map,
-    the modular checks, the CLI's reports).  validated turns true once
-    validate() has passed.
+    The map comes as its n^2 x n^2 matrix, composed with the domain's
+    projection and kept with its images (_domain_images), or as factors (a
+    SandwichSum or a FactorPair), which every statistic here reads, with
+    map_matrix and images (the factors at the domain's basis) formed on
+    first request.  Each subclass's validate() picks the checks, their order
+    and messages; none reads how the map is stored.
     """
 
-    def __init__(self, map_matrix, domain, range_space, unit, bimodule, check=True):
+    def __init__(self, map_matrix, domain, range_space, bimodule):
         self.factors = map_matrix if isinstance(map_matrix, (SandwichSum, FactorPair)) else None
         if self.factors is None:
             self.images, self.map_matrix = _domain_images(map_matrix, domain)
         self.domain = domain
         self.range_space = range_space
-        self.unit = as_matrix(unit)
         self.bimodule = bimodule
         self.n = domain.n
-        self.validated = False
-        if check:
-            self.validate()
 
     @functools.cached_property
     def map_matrix(self):
-        """The factors' n^2 x n^2 matrix, formed on first request (a matrix given is kept as given)."""
+        """The factors' n^2 x n^2 matrix, formed on first request (a matrix given is kept composed)."""
         return self.factors.matrix()
 
     @functools.cached_property
     def images(self):
-        """E(x_j) on the domain's orthonormal basis, as flat rows, formed on first request."""
-        return _domain_images(self.map_matrix, self.domain)[0]
+        """The map at the domain's orthonormal basis, as flat rows, from the factors on first request."""
+        return self.apply(self.domain.space.tensor).reshape(self.domain.dim, -1)
 
     def __call__(self, x):
         return self.apply(as_matrix(x))
 
     def apply(self, x):
-        """E at one matrix or at each entry of a stacked (k, n, n) tensor, unchecked."""
+        """The map at one matrix or at each entry of a stacked (k, n, n) tensor, unchecked."""
         return apply_map(self.map_matrix, x) if self.factors is None else self.factors(x)
 
     def pullback_density(self, rho):
-        """Hermitian part of the density of x -> Tr(rho E(x)), E's trace pre-adjoint at rho."""
+        """Hermitian part of the density of x -> Tr(rho K(x)), the map's trace pre-adjoint at rho."""
         if self.factors is None:
             return _pullback_density(self.map_matrix, rho)
         sigma = self.factors.pre_adjoint(rho)
         return (sigma + dagger(sigma)) / 2
 
-    def pullback(self, functional):
-        """The functional x -> functional(E(x)) as a PositiveFunctional."""
-        return PositiveFunctional(self.pullback_density(functional.density))
+    def norm(self):
+        """The Frobenius norm of the map's matrix."""
+        return hs_norm(self.map_matrix) if self.factors is None else self.factors.norm()
 
-    @functools.cached_property
-    def support(self):
-        return support_of_map(self)
-
-    def validate(self):
-        """Unital, idempotent, positive on eight fixed probes, D-bimodule and onto the range,
-        checked in that order; see ConditionalExpectation for the two storage forms."""
-        n = self.n
-        factors = self.factors
-        norm = hs_norm(self.map_matrix) if factors is None else factors.norm()
-        scale = max(1.0, norm)
-        check(InvariantViolation, "unital: E(I) misses the range unit by {:.3e}",
-              hs_norm(self.apply(np.eye(n)) - self.unit), tol(1e-9) * max(1.0, hs_norm(self.unit)))
-        check(InvariantViolation, "idempotent: E(E(x)) != E(x), defect {:.3e}",
-              self._idempotence_defect(), tol(1e-9) * scale)
-        xx, x_norms = _positivity_probes(n)
-        y = self.apply(xx)
-        y = (y + dagger(y)) / 2
-        check(InvariantViolation, "positive: E(x*x) has eigenvalue -{:.3e}",
-              -np.linalg.eigvalsh(y)[:, 0], tol(1e-8) * x_norms)
+    def module_gaps(self):
+        """The (2, q) left and right module gaps (linalg.bimodule_gaps) at the bimodule algebra's basis."""
         basis = self.bimodule.space.tensor
-        gaps = bimodule_gaps(self.map_matrix, basis) if factors is None else factors.module_gaps(basis)
-        # per basis element d: the left gap, then the right one
-        check(InvariantViolation, "bimodule: module property fails by {:.3e}",
-              gaps.T, tol(1e-8) * scale * np.sqrt(n))
-        check(InvariantViolation, "range: output leaves the range span by {:.3e}",
-              self._range_gap(norm, scale), tol(1e-8) * scale)
-        self.validated = True
+        return bimodule_gaps(self.map_matrix, basis) if self.factors is None else self.factors.module_gaps(basis)
+
+    def _moved(self, space):
+        """||K(x_j) - x_j|| over a subspace's orthonormal rows x_j."""
+        return hs_norms(self.apply(space.tensor).reshape(space.size, -1) - space.flat)
 
     def _idempotence_defect(self):
         """||E(E(x_j)) - E(x_j)|| over the domain's orthonormal basis, which is ||K^2 - K||_F as K = KP;
@@ -248,49 +199,102 @@ class ConditionalExpectation:
     def _range_gap(self, norm, scale):
         """The HS norm of the images' residuals against the range, or for factors whose
         certificate (_range_bound, for a map of Frobenius norm norm) is at most half
-        the range threshold, that bound."""
+        the range threshold tol(1e-8) scale, that bound."""
         if self.factors is None:
             return hs_norm(self.range_space.residuals(self.images))
-        bound = _range_bound(self, norm)
+        bound = self._range_bound(norm)
         if bound <= tol(1e-8) * scale / 2:
             return bound
         # the images from the factors, a chunk of the domain's basis at a time; per element
         # its image, the image's residual and the factors' two intermediates
         basis = self.domain.space.tensor
         parts = chunk_slices(len(basis), 4 * self.factors.count * self.n**2)
-        return math.hypot(*(hs_norm(self.range_space.residuals(self.factors(basis[part]).reshape(-1, self.n**2)))
+        return math.hypot(*(hs_norm(self.range_space.residuals(self.apply(basis[part]).reshape(-1, self.n**2)))
                             for part in parts))
 
+    def _range_bound(self, norm):
+        """A bound on the HS norm of the residuals of the outputs K(x_j) on the domain's
+        orthonormal basis against the range, read off the factors; inf when none applies.
 
-def _range_bound(e, norm):
-    """A bound on the HS norm of the residuals of the outputs E(x_j) on the domain's
-    orthonormal basis against the range, read off the factors; inf when none applies.
+        A FactorPair whose rows are the range's own has every output
+        sum_s (C vec x)_s U_s in their span: the bound is 0.  A SandwichSum
+        onto the span of a D with the pattern (u, B), blocks without
+        multiplicity, one term per block, gets 3 delta ||K||_F + (1 + 3 delta) rho,
+        delta = _mask_gap(D).  With f_t = u p_t u* (_class_projections), write
+        L_t = f_t L_t + a_t and R_t = R_t f_t + c_t: K(x) = y + e(x) with
+        y = sum_t f_t L_t x R_t f_t = u z u*, z = sum_t p_t (u* L_t x R_t u) p_t
+        in B, and e of Frobenius norm at most
+        rho = sum_t (||a_t|| ||R_t|| + ||f_t L_t|| ||c_t||), measured.  With
+        eta = ||u*u - I|| and u = v h polar, p = v z v* in P = v B v* has
+        ||y - p|| = ||h z h - z|| <= 3 eta ||y||, so with ||Q_D - Q_P|| <= delta
+        dist(y, D) <= (3 eta + delta (1 + 3 eta)) ||y|| <= 3 delta ||y|| (delta >= 3 eta); and
+        sum_j ||K(x_j)||^2 <= ||K||_F^2.  _block_factors' and _pinching's a_t,
+        c_t are u's defect and rounding.  The check takes the bound at half
+        its threshold; the other half absorbs the outputs' rounding.
+        """
+        factors, d = self.factors, self.bimodule
+        if isinstance(factors, FactorPair):
+            return 0.0 if factors.rows is self.range_space.flat else np.inf
+        if self.range_space is not d.space or factors.count != len(_mask_classes(d) or ()):
+            return np.inf
+        f = _class_projections(d)
+        ends = np.stack((f @ factors.left, factors.right @ f))  # the f_t L_t, then the R_t f_t
+        # the ||a_t|| then the ||c_t||, against the ||R_t|| then the ||f_t L_t||
+        defects = hs_norms((np.stack((factors.left, factors.right)) - ends).reshape(-1, self.n, self.n))
+        rho = float(defects @ hs_norms(np.concatenate((factors.right, ends[0]))))
+        delta = _mask_gap(d)
+        return 3.0 * delta * norm + (1.0 + 3.0 * delta) * rho
 
-    A FactorPair whose rows are the range's own has every output
-    sum_s (C vec x)_s U_s in their span: the bound is 0, and the rounding of
-    the outputs, O(q eps) of their norm, is left to the other half of the
-    range threshold.  For block factors onto the span of a patterned D (the
-    range is the bimodule algebra's span) it is 3 delta norm, with
-    delta = _mask_gap(D) and norm = ||K||_F, derived below.
 
-    Let D carry the pattern (u, B), eta = ||u*u - I|| <= _UNITARY_DEFECT, and
-    u = v h its polar decomposition, ||h - I|| <= eta.  The block factors give
-    E(x) = sum_t u P_t (u* x u) W_t u* = u z u* with z in B, so an output y
-    lies in u B u*.  Its point p = v z v* of P = v B v* has
-    ||y - p|| = ||h z h - z|| <= eta (2 + eta) ||z|| and ||z|| <= ||y|| / (1 - eta)^2,
-    so ||y - p|| <= 3 eta ||y||.  With ||Q_D - Q_P|| <= delta (_mask_gap),
-    dist(y, D) <= ||y - p|| + ||(Q_P - Q_D) p|| <= (3 eta + delta (1 + 3 eta)) ||y||,
-    at most 3 delta ||y|| as delta >= 3 eta.  Summed over the images,
-    sum_j ||E(x_j)||^2 <= ||K||_F^2.  The factors are formed from u to
-    O(n eps) of their exact values, which moves each output off u B u* by
-    O(n eps) of its norm; the range check accepts the bound at half its
-    threshold, and the other half absorbs that rounding and the dense route's.
+class ConditionalExpectation(_ModuleMap):
+    """Idempotent positive bimodule map from a *-algebra onto a range inside it.
+
+    The range is an operator subspace with its own unit: the ambient identity
+    for genuine expectations, a projection z for the support-ideal maps onto
+    Dz.  The bimodule algebra is the D whose elements pass through the map.
+
+    The map comes as its n^2 x n^2 matrix, as the SandwichSum of its block
+    factors E(x) = sum_t X_t x B_t (the block route of _preserving_expectation)
+    or as the Gram FactorPair K = U^T C; factors come with the domain M_n
+    (_ModuleMap).  validated turns true once validate() has passed.
     """
-    if isinstance(e.factors, FactorPair):
-        return 0.0 if e.factors.rows is e.range_space.flat else np.inf
-    if e.range_space is not e.bimodule.space:
-        return np.inf
-    return 3.0 * _mask_gap(e.bimodule) * norm
+
+    def __init__(self, map_matrix, domain, range_space, unit, bimodule, check=True):
+        super().__init__(map_matrix, domain, range_space, bimodule)
+        self.unit = as_matrix(unit)
+        self.validated = False
+        if check:
+            self.validate()
+
+    def pullback(self, functional):
+        """The functional x -> functional(E(x)) as a PositiveFunctional."""
+        return PositiveFunctional(self.pullback_density(functional.density))
+
+    @functools.cached_property
+    def support(self):
+        return support_of_map(self)
+
+    def validate(self):
+        """Unital, idempotent, positive on eight fixed probes, D-bimodule and onto the range,
+        checked in that order by the same statistics on either storage (_ModuleMap)."""
+        n = self.n
+        norm = self.norm()
+        scale = max(1.0, norm)
+        check(InvariantViolation, "unital: E(I) misses the range unit by {:.3e}",
+              hs_norm(self.apply(np.eye(n)) - self.unit), tol(1e-9) * max(1.0, hs_norm(self.unit)))
+        check(InvariantViolation, "idempotent: E(E(x)) != E(x), defect {:.3e}",
+              self._idempotence_defect(), tol(1e-9) * scale)
+        xx, x_norms = _positivity_probes(n)
+        y = self.apply(xx)
+        y = (y + dagger(y)) / 2
+        check(InvariantViolation, "positive: E(x*x) has eigenvalue -{:.3e}",
+              -np.linalg.eigvalsh(y)[:, 0], tol(1e-8) * x_norms)
+        # per basis element d: the left gap, then the right one
+        check(InvariantViolation, "bimodule: module property fails by {:.3e}",
+              self.module_gaps().T, tol(1e-8) * scale * np.sqrt(n))
+        check(InvariantViolation, "range: output leaves the range span by {:.3e}",
+              self._range_gap(norm, scale), tol(1e-8) * scale)
+        self.validated = True
 
 
 def choi_matrix(e):
@@ -366,16 +370,27 @@ def _pair_route(pair, m):
     domain M is all of M_n (the pair's checks assume P = I), n^4 is above _PAIR_FROM and the
     range has q <= n rows.
 
-    Operation counts, per build and validate(): the matrix costs q n^4 to form
-    and n^6 for its idempotence product alone, and its module gaps read n^2
-    Schmidt factors, O(q n^5) for the q basis elements of the range; the pair
-    applies at O(q n^2) per matrix, and its checks cost O(q^2 n^3 + q^3 n^2),
-    at most 2 n^5 for q <= n.  D' of a D without multiplicity has q = r <= n.
-    The pair's checks make many small numpy calls on q x q and q x n^2
-    arrays, a fixed cost that the dense route's work passes at n = 7
-    (_PAIR_FROM).
+    Per build and validate(), the matrix costs q n^4 to form, n^6 for its
+    idempotence product and O(q n^5) for its module gaps; the pair applies at
+    O(q n^2) per matrix and checks at O(q^2 n^3 + q^3 n^2), at most 2 n^5 for
+    q <= n (D' of a D without multiplicity has q = r <= n), in many small
+    numpy calls whose fixed cost the dense work passes at n = 7 (_PAIR_FROM).
     """
     return m.n**4 > _PAIR_FROM and pair.count <= m.n and _identity_rows(m.space)
+
+
+def _class_projections(alg):
+    """The stacked f_t = u p_t u*, p_t the diagonal projection onto mask class t of a patterned
+    *-algebra with blocks without multiplicity; read-only, in its derived store."""
+
+    def compute():
+        u, mask = alg.pattern
+        f = mask[[idx[0] for idx in _mask_classes(alg)]][:, :, None] * np.eye(alg.n, dtype=complex)
+        f = f if u is None else u @ f @ dagger(u)
+        f.flags.writeable = False
+        return f
+
+    return alg.derived("class projections", compute)
 
 
 def _block_factors(omega, target):
@@ -386,8 +401,8 @@ def _block_factors(omega, target):
     block pinching when rho is D-central (Umegaki 1954; Takesaki, J. Funct.
     Anal. 9, 1972): for the unit u E_ij u* of block t, omega(b* E(x)) =
     (E' rho')_ij must equal (y rho')_ij, with E' = u* E(x) u.  Written out,
-    E(x) = sum_t X_t x B_t with X_t = u P_t u*, B_t = u W_t u* and
-    W_t = rho'[:, I_t] (rho'_tt)^-1 placed in the columns I_t of block t.
+    E(x) = sum_t X_t x B_t with X_t = u P_t u* (_class_projections),
+    B_t = u W_t u* and W_t = rho'[:, I_t] (rho'_tt)^-1 placed in the columns I_t of block t.
     The Gram matrix of D's rotated units is sum_t I_k_t (x) (rho'_tt)^T, so
     its eigenvalues are those of the blocks rho'_tt: one eigh of the n x n
     block diagonal part of rho' gives their union, on which _faithful_spectrum
@@ -399,20 +414,18 @@ def _block_factors(omega, target):
     the unitary polar factor of u, and the two maps differ by at most
     4 n kappa^(3/2) delta in Frobenius norm, to first order in delta, with
     kappa = ||rho|| / lambda and lambda the least eigenvalue of the rho'_tt.
-    For a *-algebra S on which omega is faithful let lambda_S be the least
-    omega(s*s) over its unit elements, and use |omega(a* b)| <= ||rho|| ||a|| ||b||.
-    - ||E_S x||^2 lambda_S <= omega(e* e) = omega(e* x) <= omega(e* e)^(1/2)
-      omega(x* x)^(1/2), e = E_S x, so ||E_S|| <= kappa_S^(1/2).
-    - Let e = E_D x, f = E_P x and e = p + r with p in P, ||r|| <= delta ||e||.
-      For a unit b = d + s of P, d in D and ||s|| <= delta,
-      omega(b* (f - p)) = omega(s* (x - e)) + omega(b* r), at most
-      ||rho|| delta (||x|| + 2 ||e||); taking b along g = f - p gives
-      ||g|| <= kappa_P delta (1 + 2 kappa_D^(1/2)) ||x||, and
-      ||f - e|| <= ||g|| + ||r|| <= 4 kappa^(3/2) delta ||x|| with kappa_P and
-      kappa_D equal to kappa to first order in delta.
-    A map on M_n has Frobenius norm at most n times its operator norm.  u's
-    own defect, at most _UNITARY_DEFECT, moves the closed form by the same
-    order, and delta >= 3 ||u*u - I|| covers it.
+    With lambda_S the least omega(s*s) over the unit elements of a
+    *-algebra S and |omega(a* b)| <= ||rho|| ||a|| ||b||:
+    - ||E_S x||^2 lambda_S <= omega(e* e) = omega(e* x) <= (omega(e* e)
+      omega(x* x))^(1/2), e = E_S x, so ||E_S|| <= kappa_S^(1/2);
+    - with e = E_D x = p + r, p in P, ||r|| <= delta ||e||, f = E_P x and
+      b = d + s a unit of P, d in D, ||s|| <= delta: omega(b* (f - p)) =
+      omega(s* (x - e)) + omega(b* r) is at most ||rho|| delta (||x|| + 2 ||e||),
+      so g = f - p has ||g|| <= kappa_P delta (1 + 2 kappa_D^(1/2)) ||x|| and
+      ||f - e|| <= ||g|| + ||r|| <= 4 kappa^(3/2) delta ||x||.
+    The Frobenius norm of a map on M_n is at most n times its operator norm,
+    and u's defect, at most _UNITARY_DEFECT <= delta / 3, moves the closed
+    form by the same order.
     """
     u, mask = target.pattern
     rho = omega.density
@@ -424,13 +437,8 @@ def _block_factors(omega, target):
     # [W_1 ... W_t ...] side by side, the rounding of the inverse off the blocks dropped
     solve = rotated @ (((v / eigs) @ dagger(v)) * mask)
     blocks = mask[[idx[0] for idx in _mask_classes(target)]]  # row t: the indicator of I_t
-    if u is None:
-        left = blocks[:, :, None] * np.eye(target.n)
-        right = solve * blocks[:, None, :]
-    else:
-        left = (u * blocks[:, None, :]) @ dagger(u)
-        right = ((u @ solve) * blocks[:, None, :]) @ dagger(u)
-    return SandwichSum(left, right)
+    right = solve * blocks[:, None, :] if u is None else ((u @ solve) * blocks[:, None, :]) @ dagger(u)
+    return SandwichSum(_class_projections(target), right)
 
 
 def _preserving_expectation(omega, target, m, check=True):
@@ -493,20 +501,19 @@ def _modular_gaps(e, nu):
     sigma, returned last, is the density of nu∘E and P(u* sigma u) that of
     x -> nu(E(u P(x) u*)) on a *-algebra domain.
     """
-    k = e.map_matrix
     x = e.domain.space.tensor
     y = e.images.reshape(x.shape)
     v = nu.spectrum.eigenvectors
     log_eigs = np.log(nu.spectrum.eigenvalues)
     log_rho = nu.spectrum.apply(np.log)
-    inf_stat = hs_norm(apply_map(k, commutator(log_rho, x)) - commutator(log_rho, y))
+    inf_stat = hs_norm(e.apply(commutator(log_rho, x)) - commutator(log_rho, y))
     ad_norm = hs_norm(log_eigs[:, None] - log_eigs[None, :])
-    sigma = _pullback_density(k, nu.density)
+    sigma = e.pullback_density(nu.density)
     # u = rho^(it) at the three sampled times, stacked; the map sees one time at a
     # time, so that no more than one image stack of the domain basis is held
     u = (v * np.exp(1j * np.array([0.1, 1.0, np.sqrt(2.0)])[:, None] * log_eigs)[:, None]) @ dagger(v)
     u_star = dagger(u)
-    sampled_map = max(hs_norm(apply_map(k, w @ x @ w_star) - w @ y @ w_star) for w, w_star in zip(u, u_star))
+    sampled_map = max(hs_norm(e.apply(w @ x @ w_star) - w @ y @ w_star) for w, w_star in zip(u, u_star))
     # P(u* sigma u) for the three u from one pairing with the domain's rows
     moved = (u_star @ sigma @ u).reshape(3, -1)
     flat = e.domain.space.flat
@@ -609,14 +616,12 @@ def support_of_map(e):
     For idempotent maps the support also commutes with every output.  A
     validated expectation is idempotent; any other is tested for it first.
     """
-    k, images, dom = e.map_matrix, e.images, e.domain
-    w = _pullback_density(k, np.eye(dom.n, dtype=complex))
-    w_spec = eigh_hermitian(w)
+    w_spec = eigh_hermitian(e.pullback_density(np.eye(e.n, dtype=complex)))
     z = w_spec.support(pd_tol(w_spec.norm))
-    scale = max(1.0, hs_norm(k))
-    gap, side = _support_gaps(k, images, dom, z)
+    scale = max(1.0, e.norm())
+    gap, side = _support_gaps(e.map_matrix, e.images, e.domain, z)
     check(InvariantViolation, "support identity E(x) = E(zxz) fails by {:.3e}", gap, tol(1e-8) * scale)
-    if e.validated or hs_norm(images @ k.T - images) <= tol(1e-6) * scale:
+    if e.validated or e._idempotence_defect() <= tol(1e-6) * scale:
         check(InvariantViolation, "support does not commute with the outputs ({:.3e})", side, tol(1e-8) * scale)
     return z
 

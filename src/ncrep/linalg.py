@@ -189,22 +189,19 @@ def imag_power(x, t):
     return spec.apply(lambda v: np.exp(1j * t * np.log(v)))
 
 
-def _identity_rows(space):
-    """True when an OperatorSubspace's square rows are exactly the identity: one 1 per row on the
-    diagonal, no other nonzero.  Found once per space and kept on it, as rows are not changed
-    after construction.
+def _unit_rows(flat, where):
+    """True when row i of the complex rows flat is exactly the unit vector at column where[i].  Counted
+    on the bit patterns: a signed zero counts as nonzero, which only sends the caller to its product."""
+    return bool(len(flat) == len(where) and (flat[np.arange(len(where)), where] == 1).all()
+                and np.count_nonzero(np.ascontiguousarray(flat).view(np.int64)) == len(where))
 
-    Products with such rows, as full_matrix_algebra has, are exact, so the
-    callers that test for them skip the product and read the entries.
-    """
+
+def _identity_rows(space):
+    """True when an OperatorSubspace's square rows are exactly the identity (_unit_rows), found once
+    and kept.  Products with such rows, full_matrix_algebra's, are exact, so callers skip them."""
     if space._identity is None:
         flat = space.flat
-        # counted on the bit patterns, twice as fast as on complex entries; a signed zero counts
-        # as nonzero, which only sends the caller to its product
-        space._identity = bool(
-            flat.shape[0] == flat.shape[1] and (flat.diagonal() == 1).all()
-            and np.count_nonzero(np.ascontiguousarray(flat).view(np.int64)) == len(flat)
-        )
+        space._identity = flat.shape[0] == flat.shape[1] and _unit_rows(flat, np.arange(len(flat)))
     return space._identity
 
 
@@ -464,22 +461,17 @@ def _schmidt_factors(t, q):
 
     The splittings are R's own columns against unit vectors and unit
     vectors against R's rows (tail 0), unless a sketch finds R of low
-    rank.  The sketch is R G for a fixed Gaussian G of width
-    p = min(2n, n^2/2): a module map over a D without multiplicity has
-    Schmidt rank at most dim D' <= n, so p certifies its rank with room to
-    spare, and a wider one would cost what it saves.  When R G has
-    numerical rank r < p, its left singular vectors Q span R's range up to
-    rounding, and the thin SVD of Q* R gives R = sum_s sigma_s u_s v_s^*
-    + (R - QQ*R) with orthonormal u_s and v_s.  The factors above the
-    SVD's rounding floor n^2 eps sigma_max are kept, as sigma_s u_s against
-    v_s and as u_s against sigma_s v_s; the tail is the exact residual
-    R - QQ*R together with the dropped sigma_s, which are orthogonal to it.
-    The sketch is tried only where it can pay.  Its R G costs about 2 n^5
-    flops against the 4 q n^5 of the products of R's own factors with the
-    basis, a small share only for q >= n (a module map over an algebra B
-    has Schmidt rank up to dim B' >= n^2 / dim B, so a small B rarely gives
-    a rank below p anyway); and while those products hold fewer than
-    _SKETCH_FROM elements, their few gemms cost less than its two SVDs.
+    rank: R G for a fixed Gaussian G of width p = min(2n, n^2/2), as a
+    module map over a D without multiplicity has Schmidt rank at most
+    dim D' <= n.  When R G has numerical rank r < p, its left singular
+    vectors Q span R's range up to rounding, and the thin SVD of Q* R gives
+    R = sum_s sigma_s u_s v_s^* + (R - QQ*R).  The factors above the SVD's
+    rounding floor n^2 eps sigma_max are kept, as sigma_s u_s against v_s
+    and as u_s against sigma_s v_s; the tail is the residual R - QQ*R with
+    the dropped sigma_s, orthogonal to it.  The sketch's R G costs about
+    2 n^5 flops against the 4 q n^5 of R's own factors with the basis, so
+    it is tried for q >= n only, and once those products hold more than
+    _SKETCH_FROM elements, where their gemms pass its two SVDs.
     """
     n = t.shape[0]
     nn = n * n
@@ -530,13 +522,15 @@ def bimodule_gaps(k, basis):
     which is of rounding size (tail is 0 when R's own columns and rows are
     the factors).
 
-    The map checks store K = KP, P the projection onto their domain.  For
-    S = L_d or R_d, ||KS - SK||^2 = ||(KS - SK)P||^2 + ||KPSP'||^2 with
-    P' = I - P, so these gaps are never below the module gaps on the
-    domain, ||(KS - SK)P||, and equal them when PSP' = 0, that is when the
-    domain is closed under multiplication by d* on that side.  Every domain
-    the checks see is: M for the expectations, and for a character an
-    algebra A that contains the *-algebra D, which its check confirms first.
+    The map checks store a matrix as K = KP, P the projection onto their
+    domain.  For S = L_d or R_d, ||KS - SK||^2 = ||(KS - SK)P||^2 +
+    ||KPSP'||^2 with P' = I - P, so these gaps are never below the module
+    gaps on the domain, ||(KS - SK)P||, and equal them when PSP' = 0, that
+    is when the domain is closed under multiplication by d* on that side.
+    Every domain the checks see is: M for the expectations, and for a
+    character an algebra A that contains the *-algebra D, which its check
+    confirms first.  Block factors (SandwichSum.module_gaps) vanish off the
+    span of A's rotated units instead (representing._pinching).
     """
     q, n, _ = basis.shape
     return _commutator_gaps(*_schmidt_factors(np.reshape(k, (n, n, n, n)), q), basis)

@@ -7,27 +7,26 @@ Psi|_A = Phi together with a state rho that Psi preserves.  rho acts as a
 noncommutative representing measure: it agrees with the reference functional
 composed with Phi on all of A, which forces it to annihilate ker(Phi).
 
-The core construction matches a density r for the functional x -> ref(Phi(x))
-on A, factors r = a b* by polar decomposition, and projects b onto the left
-multiples of a by A.  The projected factor c satisfies Tr(j c c*) = 0 for
-every j in ker(Phi) because ker(Phi)c lands inside the multiples of a by the
-kernel, which b (hence c) is orthogonal to.  Conjugating cc* into a properly
-normalized density and averaging over the relative commutant of D yields rho.
+The core construction (_represented_factor) matches a density r for the
+functional x -> ref(Phi(x)) on A, factors r = a b* by polar decomposition,
+and projects b onto the left multiples of a by A.  The projected factor c
+satisfies Tr(j c c*) = 0 for every j in ker(Phi) because ker(Phi)c lands
+inside the multiples of a by the kernel, which b (hence c) is orthogonal
+to.  Conjugating cc* into a properly normalized density and averaging over
+the relative commutant of D yields rho (_central_extension).
 
-Each step reads the structure its objects carry, and keeps its dense route
-as the fallback where that does not apply.  A block character's kernel is
-read off the masks (_mask_kernel) and its multiplicativity bounded from
-its defects on the rotated matrix units (_multiplicative_from_defects), so
-a rotated block instance is built with no SVD and no product of two basis
-elements or units.  The matching is r = sum_j
-(v_j / c) x_j* over A's orthonormal rows x_j for a scalar weight c I
-(_matched_density), with no least-squares solve.  On a patterned
-A = u B u*, b is projected one mask-row class at a time, an SVD of at most
-n x n per distinct row of B's mask (_projected_rows), with no SVD of the
-dim A x n^2 stack of every x a.  The average onto D' is the expectation
-kept as its Gram factor pair (expectations._pair_route), with no n^2 x n^2
-map.
+Each step reads the structure its objects carry, with its dense route as
+the fallback.  A block character is kept as its block factors (_pinching),
+with no n^2 x n^2 matrix; its kernel is read off the masks (_mask_kernel)
+and its multiplicativity bounded from its defects on the rotated matrix
+units (_multiplicative_from_defects): no SVD and no product of two basis
+elements or units.  The matching is r = sum_j (v_j / c) x_j* over A's
+orthonormal rows for a scalar weight c I (_matched_density); b is
+projected one mask-row class of a patterned A at a time (_projected_rows);
+the average onto D' keeps its Gram factor pair (expectations._pair_route).
 """
+
+import functools
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from .algebras import (
     _off_mask,
     _pattern_coordinates,
     _same_rotation,
+    block_diagonal_algebra,
     check_ss_density,
     diagonal_part_check,
     full_matrix_algebra,
@@ -59,18 +59,17 @@ from .errors import (
     check,
 )
 from .expectations import (
-    _check_values,
-    _domain_images,
+    _ModuleMap,
     _average_to_central,
+    _check_values,
+    _class_projections,
     _preserving_expectation,
     _values_on,
     preserving_expectation,
 )
 from .linalg import (
     OperatorSubspace,
-    apply_map,
-    as_matrix,
-    bimodule_gaps,
+    SandwichSum,
     chunk_slices,
     constraint_system,
     dagger,
@@ -83,7 +82,6 @@ from .linalg import (
     pair_products,
     pd_tol,
     psd_sqrt,
-    sandwich_matrix,
     subspace_sum,
 )
 from .states import PositiveFunctional, _faithful_on, require_D_central, require_tracial
@@ -93,14 +91,13 @@ from .states import PositiveFunctional, _faithful_on, require_D_central, require
 G_CONDITION_CAP = 1e12
 
 
-class DCharacter:
+class DCharacter(_ModuleMap):
     """Unital multiplicative D-bimodule map Phi from a subalgebra A onto D <= A.
 
-    The constructor composes the map matrix with the orthogonal projection
-    onto span(A), so it is defined everywhere but only meaningful on A, and
-    keeps its values Phi(x_j) on A's orthonormal basis as the rows of images,
-    which the checks read.  The kernel J = ker(Phi) complements D inside A
-    (A = J + D as a direct sum) and satisfies D J D <= J; it is exactly the
+    Phi comes as its n^2 x n^2 matrix, composed with the projection onto
+    span(A), or as factors (_pinching), kept by expectations._ModuleMap with
+    Phi on A's orthonormal basis as the rows of images.  The kernel
+    J = ker(Phi) complements D inside A (A = J + D) with D J D <= J: the
     part of A a representing functional has to annihilate.
 
     When A and D carry patterns with one u, J is read off the masks: the
@@ -118,12 +115,9 @@ class DCharacter:
     """
 
     def __init__(self, map_matrix, domain, range_alg, check=True):
-        self.images, self.map_matrix = _domain_images(map_matrix, domain)
-        self.domain = domain
+        super().__init__(map_matrix, domain, range_alg.space, range_alg)
         self.range_alg = range_alg
-        self.n = domain.n
         self.blocks = None
-        self.fix = None  # ||Phi(d) - d|| over D's orthonormal rows, once found (_fixed)
         found = _mask_kernel(self)
         if found is None:
             # a combination c of A's basis lies in J when c times the images vanishes
@@ -134,71 +128,65 @@ class DCharacter:
         if check:
             self.validate()
 
-    def __call__(self, x):
-        return apply_map(self.map_matrix, as_matrix(x))
-
-    def _fixed(self):
-        """||Phi(d) - d|| over D's orthonormal rows, formed on the first request and kept as fix."""
-        if self.fix is None:
-            rows = self.range_alg.space.flat
-            self.fix = hs_norms(rows @ self.map_matrix.T - rows)
-        return self.fix
+    @functools.cached_property
+    def fix(self):
+        """||Phi(d) - d|| over D's orthonormal rows, formed on first request."""
+        return self._moved(self.range_alg.space)
 
     def validate(self):
-        k = self.map_matrix
         n = self.n
         eye = np.eye(n, dtype=complex)
         check(InvariantViolation, "unital: Phi(I) misses I by {:.3e}",
               hs_norm(self(eye) - eye), tol(1e-9) * np.sqrt(n))
         d_flat = self.range_alg.space.flat
         outside = self.domain.space.residuals(d_flat)
-        fix = self._fixed()
+        fix = self.fix
         allowed = tol(1e-8) * np.maximum(1.0, hs_norms(d_flat))
         # the first failing basis element decides which of the two is reported
         for gap, moved, bound in zip(outside.tolist(), fix.tolist(), allowed.tolist()):
             check(InvariantViolation, "range: D is not inside A", gap, bound)
             check(InvariantViolation, "fixes D: Phi moves a D element by {:.3e}", moved, bound)
-        k_norm = hs_norm(k)
+        k_norm = self.norm()
+        scale = max(1.0, k_norm)
         check(InvariantViolation, "range: Phi output leaves span(D) by {:.3e}",
-              hs_norm(self.range_alg.space.residuals(self.images)), tol(1e-8) * max(1.0, k_norm))
+              self._range_gap(k_norm, scale), tol(1e-8) * scale)
         self._check_multiplicative(k_norm)
         # per basis element d: the left gap, then the right one
         check(InvariantViolation, "bimodule: Phi(d x d') != d Phi(x) d' by {:.3e}",
-              bimodule_gaps(k, self.range_alg.space.tensor).T, tol(1e-8) * max(1.0, k_norm) * np.sqrt(n))
+              self.module_gaps().T, tol(1e-8) * scale * np.sqrt(n))
         if self.kernel.size + self.range_alg.dim != self.domain.dim:
             raise InvariantViolation(
                 f"splitting: dim J + dim D = {self.kernel.size} + {self.range_alg.dim}"
                 f" != dim A = {self.domain.dim}"
             )
         # tau as J's mask certificate found it, else Phi's norm over J's orthonormal rows
-        tau = self.kernel_tau if self.kernel_tau is not None else hs_norm(self.kernel.flat @ k.T)
+        tau = self.kernel_tau if self.kernel_tau is not None else hs_norm(self.apply(self.kernel.tensor))
         if not _splitting_certified(tau, hs_norm(fix), k_norm) and (
             subspace_sum(self.kernel, self.range_alg.space).size != self.domain.dim
         ):
             raise InvariantViolation("splitting: J and D overlap")
         # eight random elements of A, each drawn as its real then its imaginary coordinates
         parts = np.random.default_rng(1).standard_normal((8, 2, self.domain.dim))
-        x = (parts[:, 0] + 1j * parts[:, 1]) @ self.domain.space.flat
-        sizes = np.linalg.norm(np.stack([x, x @ k.T]).reshape(16, n, n), 2, axis=(1, 2)).reshape(2, 8)
+        x = ((parts[:, 0] + 1j * parts[:, 1]) @ self.domain.space.flat).reshape(8, n, n)
+        sizes = np.linalg.norm(np.stack([x, self.apply(x)]), 2, axis=(2, 3))
         check(InvariantViolation, "contractive: operator norm grows by {:.3e}",
               sizes[1] - sizes[0], tol(1e-8) * np.maximum(1.0, sizes[0]))
 
     def _check_multiplicative(self, k_norm):
         """Multiplicativity: bounded from the unit defects of a patterned A, else pair
-        by pair on A's orthonormal basis.  k_norm is the map matrix's HS norm."""
+        by pair on A's orthonormal basis.  k_norm is Phi's Frobenius norm."""
         if _multiplicative_from_defects(self, k_norm):
             return
-        k = self.map_matrix
         n = self.n
         b = self.domain.space.tensor
         images = self.images.reshape(-1, n, n)
         # all products x_a x_b and Phi(x_a) Phi(x_b), a chunk of a's at a time; per a, four
         # (dim A, n^2) arrays: both products, the image of the first and the defect
         for part in chunk_slices(len(b), 4 * len(b) * n * n):
-            prods = pair_products(b[part], b).reshape(-1, n * n)
-            want = pair_products(images[part], images).reshape(-1, n * n)
+            prods = pair_products(b[part], b).reshape(-1, n, n)
+            want = pair_products(images[part], images).reshape(-1, n, n)
             check(InvariantViolation, "multiplicative: Phi(xy) != Phi(x)Phi(y), defect {:.3e}",
-                  hs_norms(prods @ k.T - want), tol(1e-8) * np.maximum(1.0, hs_norms(prods)))
+                  hs_norms(self.apply(prods) - want), tol(1e-8) * np.maximum(1.0, hs_norms(prods)))
 
 
 def _splitting_certified(tau, fixed, kappa):
@@ -206,8 +194,8 @@ def _splitting_certified(tau, fixed, kappa):
     stacked rows in validate could miss, with no SVD.
 
     tau is the HS norm of Phi over J's orthonormal rows, fixed = F the HS
-    norm of Phi - id over D's, and kappa is at least Phi's norm (the map
-    matrix's HS norm will do).  A unit combination (c, g) of the stacked rows gives
+    norm of Phi - id over D's, and kappa is at least Phi's norm (its
+    Frobenius norm will do).  A unit combination (c, g) of the stacked rows gives
     z = j + d with ||j|| = ||c||, ||d|| = ||g||.  From d = Phi(z) - Phi(j)
     - (Phi(d) - d), ||g|| <= kappa ||z|| + tau + F, and ||c|| <= ||z|| + ||g||;
     as ||c|| + ||g|| >= 1,
@@ -233,8 +221,9 @@ def _mask_kernel(phi):
     and delta_A = _mask_gap(A).  Let T be c -> Phi(sum c_j x_j) on A's
     orthonormal coordinates: null_space_rows of the images finds the right
     singular vectors of T below tol(1e-9) max(1, sigma_1), with
-    sigma_1 <= ||T|| <= kappa, the map matrix's HS norm.  Phi is composed
-    with A's projection Q_A, so Phi(x) = Phi(Q_A x) for every x.
+    sigma_1 <= ||T|| <= kappa, the map's Frobenius norm.  Phi = Phi∘Q_A
+    for a matrix, and within kappa lambda^2 <= 2e-18 kappa on the units for
+    block factors (_pinching), far inside the rounding share below.
     - The units are orthonormal up to eta (2 + eta) <= 3 eta, and a unit
       combination c = u y u* of them lies within 3 eta of v y v* in
       P = v B v* (v the unitary polar factor of u), hence within
@@ -254,8 +243,7 @@ def _mask_kernel(phi):
     2 lambda + 2 tau' / sigma <= tol(1e-8) / 2: lambda <= _KERNEL_GAP and
     2 tau' / sigma <= tol(1e-8) / 4.  _splitting_certified must pass as
     well, on tau and F, so validate reads the splitting off this tau.  The
-    units cost O(k n^2) and tau one k x n^2 by n^2 x n^2 product; D's fix
-    is validate's own, formed here once.
+    units cost O(k n^2) and tau Phi at k matrices; D's fix is validate's own.
     """
     a, d = phi.domain, phi.range_alg
     off_a = _off_mask(a)
@@ -273,9 +261,9 @@ def _mask_kernel(phi):
     i, j = np.nonzero(off)
     # row s is vec(u E_ij u*) = u[:, i] (x) conj(u[:, j])
     rows = (u[:, i].T[:, :, None] * u[:, j].conj().T[:, None, :]).reshape(k, n * n)
-    tau = hs_norm(rows @ phi.map_matrix.T)
-    kappa = hs_norm(phi.map_matrix)
-    fixed = hs_norm(phi._fixed())
+    tau = hs_norm(phi.apply(rows.reshape(k, n, n)))
+    kappa = phi.norm()
+    fixed = hs_norm(phi.fix)
     small = tau / (1.0 - 2.0 * lam)
     sigma = (1.0 - fixed - 3.0 * eta) / (1.0 + 3.0 * eta)
     if not (small <= tol(1e-9) / 2 and sigma >= 2.0 * tol(1e-9) * max(1.0, kappa)
@@ -289,7 +277,7 @@ def _multiplicative_from_defects(phi, kappa):
     """True when the defects of Phi on the domain's rotated matrix units bound every
     basis pair within the multiplicative bound tol(1e-8) max(1, ||x_a x_b||).
 
-    kappa is at least Phi's norm (the map matrix's HS norm will do).  For a
+    kappa is at least Phi's norm (its Frobenius norm will do).  For a
     patterned domain (u, mask), m = mask.sum(), let f_s = u E_s u* for
     s = (i, j) on the mask, T_s = Phi(f_s) and B(x, y) = Phi(xy) - Phi(x)Phi(y),
     which is bilinear with ||B(x, y)|| <= (kappa + kappa^2) ||x|| ||y||.
@@ -321,10 +309,12 @@ def _multiplicative_from_defects(phi, kappa):
     and (j, l) on A's mask; (sum_j r_j sum_t ||row j of Delta_t||^2)^(1/2),
     r_j the number of i with (i, j) on both masks; the same with the
     columns k of Delta_s and the number of l with (k, l) on both masks; and
-    sum_s ||Delta_s||^2.  The units' images cost one (m x dim A) by
-    (dim A x n^2) product, their rotation O(m n^3), the sums O(m n^2),
-    formed a bounded chunk of units at a time.  The units pass when the
-    right side is at most tol(1e-8).
+    sum_s ||Delta_s||^2.  The T_s are sum_a <x_a, f_s> Phi(x_a) =
+    Phi(Q_A f_s), within kappa lambda^2 of Phi(f_s) for block factors
+    (_pinching): one (m x dim A) by (dim A x n^2) product, and none on the
+    mask's identity rows, whose images are the T_s (_pattern_coordinates).
+    Their rotation costs O(m n^3) and the sums O(m n^2), a bounded chunk of
+    units at a time.  The units pass when the right side is at most tol(1e-8).
     """
     a, d = phi.domain, phi.range_alg
     if not _same_rotation(a, d) or _mask_classes(d) is None:
@@ -336,18 +326,19 @@ def _multiplicative_from_defects(phi, kappa):
     if np.any(paths[~mask]) or np.any((paths - both.astype(float) @ both)[d.pattern[1]]):
         return False
     coords, residuals, eta = _pattern_coordinates(a)
-    n, m = phi.n, coords.shape[1]
+    rows, cols = np.nonzero(mask)
+    n, m = phi.n, len(rows)
     e = (1 + eta) * residuals.max(initial=0.0) + eta * (2 + eta)
     allowed = (tol(1e-8) - (kappa + kappa**2) * e * (2 + e)) / (1 + eta) ** 2 - m * eta * kappa * (1 + eta)
     if not (allowed > 0 and eta < 1):
         return False
-    rows, cols = np.nonzero(mask)
     on_d = both[rows, cols]
     norms, row_sq, col_sq, spread = np.empty(m), np.zeros(n), np.zeros(n), 0.0
     # a bounded chunk of units at a time: T_s from the images, rotated to Y_s, less F_s
     for part in chunk_slices(m, n * n):
-        units = (coords[:, part].conj().T @ phi.images).reshape(-1, n, n)
-        y = units if u is None else dagger(u) @ units @ u
+        # on identity rows, the images' own rows, copied a chunk at a time as F is taken off in place
+        units = phi.images[part].copy() if coords is None else coords[:, part].conj().T @ phi.images
+        y = units.reshape(-1, n, n) if u is None else dagger(u) @ units.reshape(-1, n, n) @ u
         spread += np.vdot(y, y).real  # sum_s ||Y_s||^2, before F is taken off
         hit = np.flatnonzero(on_d[part])
         y[hit, rows[part][hit], cols[part][hit]] -= 1.0
@@ -372,21 +363,18 @@ def make_block_character(n, blocks):
 
 def _block_character(n, blocks, u=None):
     """make_block_character, or with a unitary u its rotation x -> u x u* of A,
-    D and Phi, which erases the block tags.  Each object made is validated
-    once: the coordinate A and D, and with u their rotations and the rotated
-    Phi."""
+    D and Phi, which erases the block tags.  Phi is the block factors of
+    _pinching either way.  Each object made is validated once: the
+    coordinate A and D, and with u their rotations and the rotated Phi."""
     blocks = [list(blk) for blk in blocks]
     a = _block_algebra(n, blocks, star=False)
     d = _block_algebra(n, blocks, star=True)
-    if u is None:
-        phi = block_compression_character(a, d)
-    else:
-        s = sandwich_matrix(u, dagger(u))
-        # s K s* for the pinching K, the diagonal 0/1 matrix of D's mask, which lies inside A's:
-        # K is composed with A's projection already, and s K is s with its columns scaled by K's diagonal
-        k = s * d.pattern[1].ravel()
+    factors = _pinching(d, u)
+    if u is not None:
         a, d = unitary_conjugate_algebra(a, u), unitary_conjugate_algebra(d, u)
-        phi = DCharacter(k @ dagger(s), a, d)
+    phi = DCharacter(factors, a, d)
+    if u is None:
+        phi.blocks = blocks
     if not check_ss_density(a, full_matrix_algebra(n)):
         raise InvariantViolation("A + A* should span M for a triangular partition")
     if not diagonal_part_check(a, d, phi):
@@ -394,18 +382,25 @@ def _block_character(n, blocks, u=None):
     return a, d, phi
 
 
-def _block_compression_matrix(a):
-    """Matrix of x -> sum_t p_t x p_t, p_t the diagonal projection onto block t of a.blocks."""
-    label = np.empty(a.n, dtype=int)
-    for t, blk in enumerate(a.blocks):
-        label[blk] = t
-    # the map keeps entry (i, j) iff i and j share a block: a diagonal matrix
-    return np.diag((label[:, None] == label[None, :]).ravel().astype(complex))
+def _pinching(d, u=None):
+    """x -> sum_t f_t x f_t as a SandwichSum, f_t = u p_t u* for D's block projections p_t
+    (expectations._class_projections; u None for the identity).
+
+    It vanishes off U = span{u E_s u*} over A's mask, whatever u*u - I is:
+    x orthogonal to U has (u* x u)_s = conj <u E_s u*, x> = 0 there, on every
+    block.  So Phi = Phi∘Q_U, which the certificates read as Phi = Phi∘Q_A:
+    A's rows are the u E_s u* to rounding, and for an A within lambda of U
+    the two differ on U by at most kappa lambda^2, kappa = ||Phi||, as
+    Phi(f - Q_A f) = Phi((Q_U - Q_A)^2 f) for f in U.
+    """
+    f = _class_projections(d) if u is None else u @ _class_projections(d) @ dagger(u)
+    return SandwichSum(f, f)
 
 
 def block_compression_character(a, d):
-    """Phi(x) = sum_t p_t x p_t on A, p_t the diagonal projection onto block t of a.blocks."""
-    phi = DCharacter(_block_compression_matrix(a), a, d)
+    """Phi(x) = sum_t p_t x p_t on A, p_t the diagonal projection onto block t of a.blocks, as
+    _pinching's factors; the blocks are kept as phi.blocks."""
+    phi = DCharacter(_pinching(block_diagonal_algebra(a.n, a.blocks)), a, d)
     phi.blocks = [list(blk) for blk in a.blocks]
     return phi
 
@@ -492,16 +487,13 @@ def _projected_rows(a_alg, aw, bt):
     polar factor of u, so that A's span lies within delta of P = v B v*; let
     g = u* aw and h = u* bt.
     - Rows.  For y in B, row i of y g is sum_j y_ij g_j over the j with
-      mask[i, j].  Rows are free of each other and the HS norm sums over
-      them, so the projection of h onto {y g : y in B} takes row i to the
-      projection of h_i onto span{g_j : mask[i, j]}.  Rows with equal mask
-      rows share that span: one SVD of g's selected rows per distinct mask
-      row, at most n x n (r of them for a block-triangular A), whose
-      right-singular vectors above the cutoff, tol(1e-9) times the largest
-      row norm of g as in orthonormalize, are its orthonormal basis.  With u
-      unitary, u times the projection of h is the projection of bt onto
-      S_P = {p aw : p in P}, and the singular values of x -> x aw on P are
-      the union of the classes' (row i, unit E_ij, gives those of g on its mask).
+      mask[i, j], and the HS norm sums over rows, so the projection of h onto
+      {y g : y in B} takes row i to the projection of h_i onto
+      span{g_j : mask[i, j]}: one SVD of g's selected rows per distinct mask
+      row, at most n x n, whose right-singular vectors above the cutoff
+      (tol(1e-9) times the largest row norm of g) are its basis.  With u
+      unitary, u times it is the projection of bt onto S_P = {p aw : p in P},
+      and the classes' singular values are those of x -> x aw on P.
     - Rank.  The dense route keeps the directions of S_A = {x aw : x in A}
       whose singular values exceed tol(1e-9) times the largest ||x_j aw|| over
       A's orthonormal basis.  That norm lies between rho / (2n) and
@@ -596,7 +588,7 @@ def _extension_gap(psi, phi):
 
 def _check_extends_character(e, phi):
     check(InvariantViolation, "extension: Psi differs from Phi on A by {:.3e}",
-          _extension_gap(e, phi), tol(1e-7) * max(1.0, hs_norm(phi.map_matrix)))
+          _extension_gap(e, phi), tol(1e-7) * max(1.0, phi.norm()))
 
 
 def _check_represents(rho, phi, values, what):
@@ -604,6 +596,25 @@ def _check_represents(rho, phi, values, what):
     # moves the functional only inside the relative commutant of D
     _check_values(InvariantViolation, f"{what} no longer represents the character on A",
                   rho, phi.domain.space.flat, values, 1e-8)
+
+
+def _represented_factor(functional, a, phi, m, perturb, rng_seed, weight):
+    """The pipelines' head, in the weight's inner product (None for the trace's): the functional's
+    values on Phi's images, their matched density, its polar factors and the projected factor c."""
+    values = _values_on(functional, phi.images)
+    r = _matched_density(a.space, values, m, perturb, rng_seed, weight=weight)
+    a_mat, b_mat = _polar_factors(r)
+    return values, _projected_factor(a, phi.kernel, a_mat, b_mat, weight=weight)
+
+
+def _central_extension(functional, reference, d, m, phi, values):
+    """The pipelines' tail: (Psi, rho) for rho the functional averaged against the reference, checked
+    to represent Phi on A, and Psi its preserving expectation, checked to extend Phi."""
+    rho = _average_to_central(functional, reference, d, m)
+    _check_represents(rho, phi, values, "the averaged state")
+    psi = _preserving_expectation(rho, d, m)  # rho is D-central: averaging checked it
+    _check_extends_character(psi, phi)
+    return psi, rho
 
 
 def _check_annihilates(functional, kernel):
@@ -625,10 +636,7 @@ def representing_expectation_tracial(m, tau, d, a, phi, perturb_r=0.0, rng_seed=
     k = tau.restricted_density(m)
     k = (k + dagger(k)) / 2
     # tracial <=> k commutes with M, so k-weighted projections stay M-compatible
-    values = _values_on(tau, phi.images)
-    r = _matched_density(a.space, values, m, perturb_r, rng_seed, weight=k)
-    a_mat, b_mat = _polar_factors(r)
-    c = _projected_factor(a, phi.kernel, a_mat, b_mat, weight=k)
+    values, c = _represented_factor(tau, a, phi, m, perturb_r, rng_seed, k)
     e_d = preserving_expectation(tau, d, m)
     g = e_d(c @ dagger(c))
     spec_g = _invertible_average(g, "the D-average of cc*")
@@ -639,11 +647,7 @@ def representing_expectation_tracial(m, tau, d, a, phi, perturb_r=0.0, rng_seed=
     kh = k @ h
     omega = PositiveFunctional((kh + dagger(kh)) / 2)
     _check_annihilates(omega, phi.kernel)
-    rho = _average_to_central(omega, tau, d, m)  # tau passed E_D's D-centrality gate
-    _check_represents(rho, phi, values, "the averaged state")
-    psi = _preserving_expectation(rho, d, m)  # rho is D-central: averaging checked it
-    _check_extends_character(psi, phi)
-    return psi, rho
+    return _central_extension(omega, tau, d, m, phi, values)  # tau passed E_D's D-centrality gate
 
 
 def representing_expectation_state(m, omega, d, a, phi, perturb_r=0.0, rng_seed=0):
@@ -662,10 +666,7 @@ def representing_expectation_state(m, omega, d, a, phi, perturb_r=0.0, rng_seed=
     spec_k = eigh_hermitian(k)
     inv_sqk = spec_k.apply(lambda v: 1.0 / np.sqrt(v))
     sqk = spec_k.apply(lambda v: np.sqrt(np.clip(v, 0.0, None)))
-    values = _values_on(omega, phi.images)
-    r = _matched_density(a.space, values, m, perturb_r, rng_seed)
-    a_mat, b_mat = _polar_factors(r)
-    c = _projected_factor(a, phi.kernel, a_mat, b_mat)
+    values, c = _represented_factor(omega, a, phi, m, perturb_r, rng_seed, None)
     cc = c @ dagger(c)
     e_d = _preserving_expectation(omega, d, m)  # omega passed the D-centrality gate above
     g0 = e_d(inv_sqk @ cc @ inv_sqk)
@@ -686,11 +687,7 @@ def representing_expectation_state(m, omega, d, a, phi, perturb_r=0.0, rng_seed=
     _check_annihilates(theta, phi.kernel)
     check(InvariantViolation, "normalization: E_D(k^-1/2 h k^-1/2) misses I by {:.3e}",
           hs_norm(e_d(inv_sqk @ h @ inv_sqk) - np.eye(m.n)), tol(1e-7) * np.sqrt(m.n))
-    rho = _average_to_central(theta, omega, d, m)
-    _check_represents(rho, phi, values, "the averaged state")
-    psi = _preserving_expectation(rho, d, m)  # rho is D-central: averaging checked it
-    _check_extends_character(psi, phi)
-    return psi, rho
+    return _central_extension(theta, omega, d, m, phi, values)
 
 
 def representing_expectation_commutative(m, sigma, d, a, phi):
@@ -706,10 +703,7 @@ def representing_expectation_commutative(m, sigma, d, a, phi):
         raise NotAbelian("M must be abelian")
     if not _faithful_on(sigma, d):
         raise NotFaithful("sigma is not faithful on D")
-    values = _values_on(sigma, phi.images)
-    r = _matched_density(a.space, values, m, 0.0, 0)
-    a_mat, b_mat = _polar_factors(r)
-    c = _projected_factor(a, phi.kernel, a_mat, b_mat)
+    values, c = _represented_factor(sigma, a, phi, m, 0.0, 0, None)
     cc = c @ dagger(c)
     mass = float(np.trace(cc).real)
     if not mass > tol(1e-12):  # strict, and NaN fails

@@ -27,6 +27,8 @@ onto D', which the package keeps as its Gram factor pair.  The pipelines'
 matching and projection steps are here as they were before they read A's
 structure: the least-squares solve of the stacked constraints, and the
 projection of b onto an orthonormalized stack of every x a over A's basis.
+The block character, which the package keeps as its block factors, is here
+as the dense s K s* of the coordinate pinching it was built as.
 """
 
 import numpy as np
@@ -49,9 +51,11 @@ from ncrep.linalg import (
     pair_products,
     psd_sqrt,
     same_subspace,
+    sandwich_matrix,
     subspace_intersection,
     subspace_sum,
 )
+from ncrep.representing import DCharacter
 from ncrep.states import _faithful_spectrum, _omega_gram
 
 
@@ -218,12 +222,12 @@ def unit_products_multiplicative(phi, kappa):
     if a.pattern is None:
         return False
     coords, residuals, eta = _pattern_coordinates(a)
-    n, m = phi.n, coords.shape[1]
+    n, m = phi.n, int(a.pattern[1].sum())
     e = (1 + eta) * residuals.max(initial=0.0) + eta * (2 + eta)
     allowed = (tol(1e-8) - (kappa + kappa**2) * e * (2 + e)) / (1 + eta) ** 2 - m * eta * kappa * (1 + eta)
     if not allowed > 0:
         return False
-    units = (coords.conj().T @ phi.images).reshape(m, n, n)
+    units = (phi.images if coords is None else coords.conj().T @ phi.images).reshape(m, n, n)
     rows, cols = np.nonzero(a.pattern[1])
     where = np.full((n, n), -1)
     where[rows, cols] = np.arange(m)
@@ -236,6 +240,26 @@ def unit_products_multiplicative(phi, kappa):
         prods.reshape(len(s), n, m, n)[hit_s, :, hit_t] -= units[where[rows[s[hit_s]], cols[hit_t]]]
         total += np.vdot(prods, prods).real
     return bool(total <= allowed**2)
+
+
+def pinching_matrix(n, blocks):
+    """Matrix of x -> sum_t p_t x p_t, p_t the diagonal projection onto block t: the 0/1 diagonal
+    matrix that keeps entry (i, j) iff i and j share a block."""
+    label = np.empty(n, dtype=int)
+    for t, blk in enumerate(blocks):
+        label[blk] = t
+    return np.diag((label[:, None] == label[None, :]).ravel().astype(complex))
+
+
+def sandwich_block_character(blocks, u, a, d, check=True):
+    """The block character on (A, D) as a dense DCharacter, as the package built it before it kept
+    its block factors: the n^2 x n^2 matrix s K s* of the coordinate pinching K, with s the matrix of
+    x -> u x u* (no sandwich for u None), which the constructor composes with A's projection."""
+    k = pinching_matrix(a.n, blocks)
+    if u is not None:
+        s = sandwich_matrix(u, dagger(u))
+        k = (s * k.diagonal()) @ dagger(s)
+    return DCharacter(k, a, d, check=check)
 
 
 def mask_kernel_rows(a, d):

@@ -174,15 +174,19 @@ def test_a_rotated_instance_and_both_pipelines_read_the_subspace_facts_off_the_m
 @pytest.mark.parametrize("n", range(3, 13))
 def test_a_rotated_build_runs_no_svd_and_no_products_of_pairs(monkeypatch, n):
     # the block bases are identity rows, J is read off the masks and multiplicativity is bounded
-    # from the unit defects: no orthonormalize, no null space and no pairwise products
+    # from the unit defects: no orthonormalize, no null space and no pairwise products.  Phi is kept
+    # as its block factors and checked from them: no sandwich matrix, no n^2 x n^2 map formed from
+    # the factors, no composition with A's projection and no module gaps of a map matrix
     calls = {name: _count_calls(monkeypatch, linalg, name) for name in (
-        "orthonormalize", "null_space_rows", "pair_products",
+        "orthonormalize", "null_space_rows", "pair_products", "sandwich_matrix", "bimodule_gaps",
     )}
+    calls["_domain_images"] = _count_calls(monkeypatch, expectations, "_domain_images")
+    formed = calls["SandwichSum.matrix"] = []
+    matrix = linalg.SandwichSum.matrix
+    monkeypatch.setattr(linalg.SandwichSum, "matrix", lambda factors: formed.append(factors) or matrix(factors))
     inst = random_block_instance(n, np.random.default_rng(n), conjugate=True)
-    assert {name: len(made) for name, made in calls.items()} == {
-        "orthonormalize": 0, "null_space_rows": 0, "pair_products": 0,
-    }
-    assert inst.phi.kernel_tau is not None
+    assert {name: len(made) for name, made in calls.items()} == dict.fromkeys(calls, 0)
+    assert inst.phi.kernel_tau is not None and isinstance(inst.phi.factors, linalg.SandwichSum)
 
 
 @pytest.mark.parametrize("blocks", [[[0], [1], [2]], [[0, 1], [2]]])

@@ -21,6 +21,8 @@ commutant at n = 16.
 """
 
 import itertools
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -41,9 +43,11 @@ from dense_oracle import (
     multiplicative_check,
     null_space_diagonal_part,
     perp_projector_matrix,
+    pinching_matrix,
     projector_matrix,
     right_mult_matrix,
     sandwich,
+    sandwich_block_character,
     star_closure_check,
     svd_splitting,
     svd_ss_density,
@@ -241,6 +245,16 @@ def nudged(alg, size, rng):
     return moved
 
 
+def as_factors(k):
+    """The map of the n^2 x n^2 matrix k as a SandwichSum sum_s X_s x Y_s^T, from the SVD of its
+    realignment R[(a, g), (b, e)] = k[(a, b), (g, e)] = sum_s X_s[a, g] Y_s[b, e]; terms below
+    1e-15 of the largest are dropped."""
+    n = math.isqrt(len(k))
+    w, s, vh = np.linalg.svd(k.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n))
+    keep = s > 1e-15 * s[0]
+    return linalg.SandwichSum((w[:, keep] * s[keep]).T.reshape(-1, n, n), vh[keep].reshape(-1, n, n).swapaxes(1, 2))
+
+
 def null_space_kernel(phi):
     """J = ker(Phi) as the null space of Phi's images on its domain's orthonormal basis."""
     return OperatorSubspace(phi.n, null_space_rows(phi.images.T) @ phi.domain.space.flat)
@@ -279,7 +293,7 @@ def test_pattern_certificates_agree_with_the_pairwise_routes(n, star, rotated, p
     # and kernel thresholds (for D also its adjoint closure, which the closure certificate covers),
     # u off by more than _UNITARY_DEFECT, the map plus 1e-4 x_{0, n-1} I,
     # the map plus 1e-4 <x, f> I for a unit f of J (multiplicative on D but not on A) and the
-    # transpose map
+    # transpose map, each kept as its matrix and as factors
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     blocks = {"random": random_partition(n, rng), "one": [list(range(n))], "singletons": [[i] for i in range(n)]}
     a, d, phi = _block_character(n, blocks[partition], haar_unitary(n, rng) if rotated else None)
@@ -323,20 +337,78 @@ def test_pattern_certificates_agree_with_the_pairwise_routes(n, star, rotated, p
                     if star:  # D's mask is symmetric: the closure certificate covers its adjoints too
                         assert verdict(moved.validate) == verdict(star_closure_check, moved)
                 cases += [(moved, d, phi.map_matrix), (moved, d, broken), (moved, d, transpose)]
+    # every case on both storages: the matrix, which the constructor composes with the domain's
+    # projection, and factors, the block factors for the intact character and else the realigned
+    # SVD of the composed matrix; factors reach the same statistics by other products, so their
+    # messages are compared with the numbers masked
     for domain, target, k in cases:
-        f = DCharacter(k, domain, target, check=False)
-        want = verdict(multiplicative_check, f)
-        f_kappa = hs_norm(f.map_matrix)
-        assert verdict(f._check_multiplicative, f_kappa) == want
-        for passed in (_multiplicative_from_defects(f, f_kappa), unit_products_multiplicative(f, f_kappa)):
-            assert want is None or not passed
-        if k is broken and not star:  # x_{0, n-1} lies in A, so the nudge breaks Phi
-            assert want is not None and want[1].startswith("multiplicative: ")
-        null = null_space_kernel(f)
-        assert f.kernel.size == null.size and same_subspace(f.kernel, null)
-        if f.kernel_tau is not None:
-            assert f.kernel.flat.tobytes() == mask_kernel_rows(domain, target).tobytes()
-        assert verdict(f.validate) == pairwise_verdict(f)
+        dense = DCharacter(k, domain, target, check=False)
+        factors = phi.factors if k is phi.map_matrix and not star else as_factors(dense.map_matrix)
+        factored = DCharacter(factors, domain, target, check=False)
+        assert masked(verdict(factored.validate)) == masked(verdict(dense.validate))
+        for f, same in ((dense, lambda outcome: outcome), (factored, masked)):
+            want = verdict(multiplicative_check, f)
+            f_kappa = f.norm()
+            assert same(verdict(f._check_multiplicative, f_kappa)) == same(want)
+            for passed in (_multiplicative_from_defects(f, f_kappa), unit_products_multiplicative(f, f_kappa)):
+                assert want is None or not passed
+            if k is broken and not star:  # x_{0, n-1} lies in A, so the nudge breaks Phi
+                assert want is not None and want[1].startswith("multiplicative: ")
+            null = null_space_kernel(f)
+            assert f.kernel.size == null.size and same_subspace(f.kernel, null)
+            if f.kernel_tau is not None:
+                assert f.kernel.flat.tobytes() == mask_kernel_rows(domain, target).tobytes()
+            assert same(verdict(f.validate)) == same(pairwise_verdict(f))
+
+
+def masked(outcome):
+    """A verdict with the numbers of its message masked."""
+    return outcome if outcome is None else (outcome[0], re.sub(r"-?\d\.\d+e[+-]\d+", "#", outcome[1]))
+
+
+def gram_defect(space):
+    """||G - I||_F for the Gram matrix G of a subspace's rows: how far the dense constructors'
+    composition with sum_j x_j x_j* is from the projection onto the span."""
+    return hs_norm(space.flat.conj() @ space.flat.T - np.eye(space.size))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.sampled_from(["coordinate", "haar", "off-unitary"]),
+       st.sampled_from([None, "closure", "kernel", "multiplicative"]), st.sampled_from([0.5, 2.0]), st.data())
+def test_factored_block_characters_agree_with_the_dense_sandwich(n, rotation, nudge, size, data):
+    # the block character kept as its block factors (representing._pinching) against the dense s K s*
+    # of dense_oracle.sandwich_block_character, on A and D in coordinates, Haar-rotated or rotated by
+    # a u off unitary by about 1e-11 (which drops the patterns), with A's rows nudged off its mask at
+    # half and twice the closure, kernel and multiplicativity thresholds: one verdict, class and
+    # message (numbers masked), the same images, the same kernel and the same module gaps
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    blocks = random_partition(n, rng)
+    a, d = block_upper_triangular(n, blocks), block_diagonal_algebra(n, blocks)
+    u = None
+    if rotation != "coordinate":
+        u = haar_unitary(n, rng)
+        if rotation == "off-unitary":
+            u = u @ np.diag(1.0 + 1e-11 * np.linspace(1.0, 2.0, n))
+        a, d = unitary_conjugate_algebra(a, u), unitary_conjugate_algebra(d, u)
+    assert (a.pattern is None) == (rotation == "off-unitary")
+    if nudge is not None and a.pattern is not None and not a.pattern[1].all():
+        kappa = hs_norm(pinching_matrix(n, blocks))
+        _, _, defect = algebras._pattern_coordinates(a)
+        threshold = {"closure": algebras._closure_threshold(a.dim, defect), "kernel": kernel_threshold(a.dim, defect),
+                     "multiplicative": multiplicative_threshold(kappa, defect)}[nudge]
+        a = nudged(a, size * threshold, rng)
+    factors = representing._pinching(block_diagonal_algebra(n, blocks), u)
+    assert masked(verdict(DCharacter, factors, a, d)) == masked(verdict(sandwich_block_character, blocks, u, a, d))
+    got, want = DCharacter(factors, a, d, check=False), sandwich_block_character(blocks, u, a, d, check=False)
+    assert isinstance(got.factors, linalg.SandwichSum) and want.factors is None
+    # the dense map is composed with sum_j x_j x_j*, the projection onto A up to the rows' Gram defect
+    bound = (1e-12 * n + gram_defect(a.space)) * max(1.0, want.norm())
+    assert abs(got.norm() - want.norm()) <= bound
+    assert np.linalg.norm(got.images - want.images) <= bound
+    assert got.kernel.size == want.kernel.size and same_subspace(got.kernel, want.kernel)
+    # the gaps of two maps differ by at most 2 ||d|| times the distance of the maps, ||d|| = 1
+    apart = np.linalg.norm(got.map_matrix - want.map_matrix)
+    assert np.abs(got.module_gaps() - want.module_gaps()).max() <= bound + 2 * apart
 
 
 def test_a_rotation_that_is_not_unitary_drops_the_pattern():
@@ -474,7 +546,7 @@ def test_identity_domain_passes_the_map_through_bitwise(n):
     rng = np.random.default_rng(n)
     m = full_matrix_algebra(n)
     blocks = random_partition(n, rng)
-    pinching = representing._block_compression_matrix(block_upper_triangular(n, blocks))
+    pinching = pinching_matrix(n, blocks)
     for k in (random_complex((n * n, n * n), rng), pinching):
         images, composed = _domain_images(k, m)
         want = m.space.flat @ k.T
