@@ -51,7 +51,12 @@ diagonal algebras of M_3 and M_4, whose 7 and 15 projections are all found
 below either cap.  The diagnosis rows time existence_diagnosis with D
 block diagonal in M_8, blocks (4, 3, 1), for a central faithful state, a
 non-central one and a central one cut to its first two blocks, the three
-state families of the diagnosis-mixed benchmark.  At n = 8, 12 and 16 the
+state families of the diagnosis-mixed benchmark.  The unit-row rows time
+_local_violation (on D's projections at cap 16), modular_invariance_check
+and tracial_certificate for a seeded faithful density that is not
+D-central, on D block diagonal in M_n with coordinate blocks (4, 3, 1),
+(8, 6, 2) and (12, 9, 3) at n = 8, 16 and 24, whose rows are matrix units,
+and on the same D rotated by a seeded Haar unitary, whose rows are not.  At n = 8, 12 and 16 the
 generate_star_algebra row generates the *-algebra of two Hermitian
 elements of D, (x + x*)/2 for x complex Gaussian combinations of D's basis
 drawn from default_rng(3), and adds the dimension it finds.  An algebra keeps its
@@ -118,6 +123,9 @@ CERTIFICATE_REPEATS = {16: 3, 24: 1, 32: 1}
 COMMUTATIVE_SIZES = (3, 4)
 GENERATION_SIZES = (8, 12, 16)
 DIAGNOSIS_BLOCKS = [[0, 1, 2, 3], [4, 5, 6], [7]]
+# unit-row rows: D's block sizes and the repeats per size
+UNIT_ROW_BLOCKS = {8: [4, 3, 1], 16: [8, 6, 2], 24: [12, 9, 3]}
+UNIT_ROW_REPEATS = {8: 200, 16: 20, 24: 5}
 # host-speed kernel timings taken before and after each row's repeats
 HOST_SAMPLES = 5
 
@@ -348,6 +356,30 @@ def _diagnosis_rows(repeats):
     return rows
 
 
+def _unit_row_rows(n, sizes, repeats):
+    """_local_violation, modular_invariance_check and tracial_certificate for a seeded faithful
+    density that is not D-central, on D block diagonal with coordinate blocks and on it Haar-rotated."""
+    import numpy as np
+    from ncrep import states
+    from ncrep.algebras import block_diagonal_algebra, full_matrix_algebra, unitary_conjugate_algebra
+    from ncrep.instances import haar_unitary, random_density
+
+    starts = np.cumsum([0] + sizes)
+    d = block_diagonal_algebra(n, [list(range(s, s + k)) for s, k in zip(starts, sizes)])
+    rotated = unitary_conjugate_algebra(d, haar_unitary(n, np.random.default_rng(n)))
+    m = full_matrix_algebra(n)
+    omega = random_density(n, np.random.default_rng(n + 1))
+    rows = {}
+    for label, alg in (("coordinate D", d), ("rotated D", rotated)):
+        projections = np.stack(states.sample_projections(alg, 16))
+        rows[f"_local_violation ({label})"] = _measure(
+            lambda: states._local_violation(omega, projections, alg, m), repeats)
+        rows[f"modular_invariance_check ({label})"] = _measure(
+            lambda: states.modular_invariance_check(omega, alg), repeats)
+        rows[f"tracial_certificate ({label})"] = _measure(lambda: states.tracial_certificate(omega, alg), repeats)
+    return rows
+
+
 def _once(fn):
     """fn() run once under tracemalloc: its value, and its time, tracemalloc peak and the process's
     peak resident set after it (getrusage), which the rows run before it bound from below."""
@@ -432,6 +464,8 @@ def main():
             layers[f"n={n}"].update(_generation_row(generate_star_algebra, d, reps))
     for n, sizes in COORDINATE_BLOCKS.items():
         layers[f"n={n}"] = dict(blocks=sizes, **_coordinate_gaps_row(bimodule_gaps, n, sizes, REPEATS[16]))
+    for n, sizes in UNIT_ROW_BLOCKS.items():
+        layers.setdefault(f"n={n}", {}).update(_unit_row_rows(n, sizes, UNIT_ROW_REPEATS[n]))
     for n, reps in INSTANCE_REPEATS.items():
         build = lambda n=n: random_block_instance(n, np.random.default_rng(3), conjugate=True)
         layers.setdefault(f"n={n}", {})["random_block_instance (rotated)"] = _measure(build, reps)

@@ -51,7 +51,6 @@ from .config import tol
 from .errors import BadPartition, DimensionMismatch, EmptyInput, InvariantViolation, check
 from .linalg import (
     OperatorSubspace,
-    _unit_rows,
     as_matrix,
     chunk_slices,
     commutation_gap,
@@ -209,13 +208,15 @@ def _pattern_coordinates(alg):
     mask, and u's unitarity defect.  Entry (a, s) is the conjugate of
     <f_s, x_a> for the rotated matrix unit f_s = u E_s u*, whatever u is.
     One rotation, O(dim n^3); not kept, so an algebra holds no second copy
-    of its basis.  When u is None and the rows are the identity rows of
-    M_n that the mask selects, in row-major order (_block_algebra's basis),
-    the coordinates are the m x m identity and every off-mask norm is 0:
-    None stands for the coordinates then, and nothing is copied.
+    of its basis.  When u is None and the rows are unit rows
+    (OperatorSubspace.unit_columns) at the mask's entries in row-major
+    order (_block_algebra's basis), the coordinates are the m x m identity
+    and every off-mask norm is 0: None stands for the coordinates then, and
+    nothing is copied.
     """
     u, mask = alg.pattern
-    if u is None and alg.derived("mask unit rows", lambda: _unit_rows(alg.space.flat, np.flatnonzero(mask))):
+    cols = alg.space.unit_columns
+    if u is None and cols is not None and np.array_equal(cols, np.flatnonzero(mask)):
         return None, np.zeros(alg.dim), 0.0
     rotated = alg.space.tensor if u is None else dagger(u) @ alg.space.tensor @ u
     flat = rotated.reshape(alg.dim, -1)
@@ -393,7 +394,9 @@ def from_spanning(mats, star=True):
 def full_matrix_algebra(n):
     rows = np.eye(n * n, dtype=complex)
     rows.flags.writeable = False
-    return StarAlgebra(OperatorSubspace(n, rows), check=False)
+    space = OperatorSubspace(n, rows)
+    space._units = np.arange(n * n)  # the rows written above: kept with no scan
+    return StarAlgebra(space, check=False)
 
 
 def scalar_algebra(n):
@@ -437,6 +440,7 @@ def _block_algebra(n, blocks, star):
     rows[np.arange(len(where)), where] = 1.0
     rows.flags.writeable = False
     space = OperatorSubspace(n, rows)
+    space._units = where  # the rows written above: kept with no scan
     alg = StarAlgebra(space, check=False) if star else Subalgebra(space, check=False)
     alg.blocks = [list(blk) for blk in blocks]
     alg.pattern = (None, mask)

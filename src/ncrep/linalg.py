@@ -189,20 +189,48 @@ def imag_power(x, t):
     return spec.apply(lambda v: np.exp(1j * t * np.log(v)))
 
 
-def _unit_rows(flat, where):
-    """True when row i of the complex rows flat is exactly the unit vector at column where[i].  Counted
-    on the bit patterns: a signed zero counts as nonzero, which only sends the caller to its product."""
-    return bool(len(flat) == len(where) and (flat[np.arange(len(where)), where] == 1).all()
-                and np.count_nonzero(np.ascontiguousarray(flat).view(np.int64)) == len(where))
+# the bit pattern of the float 1.0, the real word of a unit entry
+_ONE_BITS = int(np.float64(1.0).view(np.int64))
+
+
+def _unit_columns(flat):
+    """The column of each row, as an int array, when every row of the complex rows flat is exactly a
+    unit vector and no two share a column; else None.
+
+    Counted on the bit patterns: the rows must hold exactly one nonzero word each, in a real part,
+    with the bits of 1.0.  A signed zero, a stray subnormal or 1 + ulp is no unit entry, which only
+    sends the caller to its product.  The words are read in place, so nothing of the rows' size is
+    allocated; non-contiguous rows give None.
+    """
+    k, width = flat.shape
+    if not flat.flags.c_contiguous:
+        return None
+    words = flat.view(np.int64).ravel()  # each entry as its real and imaginary word
+    if np.count_nonzero(words) != k:
+        return None
+    # row r's word must hold 1.0 in the real part of an entry c of its own, word 2 (r width + c);
+    # the k positions are checked as Python ints, cheaper than numpy calls for the few rows of most spaces
+    at = words.nonzero()[0]
+    if not (words[at] == _ONE_BITS).all():
+        return None
+    cols = [word // 2 - row * width for row, word in enumerate(at.tolist()) if not word % 2]
+    if len(cols) < k or not all(0 <= col < width for col in cols) or len(set(cols)) < k:
+        return None
+    return np.array(cols, dtype=np.intp)
 
 
 def _identity_rows(space):
-    """True when an OperatorSubspace's square rows are exactly the identity (_unit_rows), found once
-    and kept.  Products with such rows, full_matrix_algebra's, are exact, so callers skip them."""
+    """True when an OperatorSubspace's rows are exactly the identity: unit rows at every column, in
+    order (full_matrix_algebra's), found once and kept.  Products with such rows are exact, so
+    callers skip them."""
     if space._identity is None:
-        flat = space.flat
-        space._identity = flat.shape[0] == flat.shape[1] and _unit_rows(flat, np.arange(len(flat)))
+        cols, count = space.unit_columns, space.ambient_dim**2
+        space._identity = cols is not None and len(cols) == count and bool((cols == np.arange(count)).all())
     return space._identity
+
+
+# OperatorSubspace._units before unit_columns is first asked
+_UNASKED = object()
 
 
 class OperatorSubspace:
@@ -211,7 +239,17 @@ class OperatorSubspace:
     def __init__(self, ambient_dim, flat):
         self.ambient_dim = int(ambient_dim)
         self.flat = np.asarray(flat, dtype=complex).reshape(-1, self.ambient_dim**2)
+        self._units = _UNASKED  # unit_columns, once asked, unless a construction that wrote unit rows set it
         self._identity = None  # _identity_rows, once asked
+
+    @property
+    def unit_columns(self):
+        """The column of each row when the rows are unit vectors (_unit_columns), else None; found
+        once and kept.  On unit rows every product with the rows is by an exact 0 or 1, so coords,
+        from_coords, project and residuals read and write those columns instead."""
+        if self._units is _UNASKED:
+            self._units = _unit_columns(self.flat)
+        return self._units
 
     @property
     def size(self):
@@ -236,24 +274,34 @@ class OperatorSubspace:
         return x
 
     def coords(self, x):
-        """The coordinates <x, w_k> on the rows w_k: x's own entries, copied, on identity rows."""
+        """The coordinates <x, w_k> on the rows w_k: on unit rows, x's entries at their columns, copied."""
         x = self._member(x)
-        if _identity_rows(self):
-            return x.ravel().copy()
+        cols = self.unit_columns
+        if cols is not None:
+            return x.ravel()[cols]
         return self.flat.conj() @ x.ravel()
 
     def from_coords(self, c):
         c = np.asarray(c, dtype=complex)
         n = self.ambient_dim
-        if _identity_rows(self):
-            return c.reshape(n, n).copy()
+        cols = self.unit_columns
+        if cols is not None:
+            out = np.zeros(n * n, dtype=complex)
+            out[cols] = c
+            return out.reshape(n, n)
         return (c @ self.flat).reshape(n, n)
 
     def project(self, x):
         return self.from_coords(self.coords(x))
 
     def residuals(self, rows):
-        """HS distance from the span of each flattened matrix in rows (k, n^2)."""
+        """HS distance from the span of each flattened matrix in rows (k, n^2); on unit rows, the
+        norms of the rows with the unit columns zeroed, the array the product route forms."""
+        cols = self.unit_columns
+        if cols is not None:
+            rest = np.array(rows, dtype=complex)
+            rest[:, cols] = 0.0
+            return hs_norms(rest)
         return hs_norms(rows - (rows @ self.flat.conj().T) @ self.flat)
 
     def contains(self, x):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import commutant, corner_algebra
+from .algebras import _mask_classes, commutant, corner_algebra
 from .config import tol
 from .errors import (
     DimensionMismatch,
@@ -68,7 +68,11 @@ class PositiveFunctional:
         return hermitian_part_spectrum(self.density)
 
     def validate(self):
-        scale = float(np.linalg.norm(self.density, 2))
+        # both thresholds scale by max(1, ||rho||), and ||rho|| <= ||rho||_HS: a density of HS norm
+        # at most 1, every state, needs no SVD for it
+        scale = hs_norm(self.density)
+        if scale > 1.0:
+            scale = float(np.linalg.norm(self.density, 2))
         require_hermitian(NotHermitian, "density must be Hermitian", self.density, scale)
         low = self.spectrum.eigenvalues[0] if self.n else 0.0
         check(NotPositiveDefinite, "density has negative eigenvalue -{:.3e}", -low, tol(1e-10) * max(1.0, scale))
@@ -146,20 +150,37 @@ class TracialCertificate:
     max_violation: float
 
 
+def _unit_mask(algebra):
+    """The (n, n) mask of the matrix units E_ij that are an algebra's rows, when those units are an
+    equivalence relation's blocks: all of M_n on identity rows, else a coordinate pattern whose mask
+    is one (_mask_classes) and whose unit rows (OperatorSubspace.unit_columns) are its entries.  None
+    for any other algebra."""
+    n = algebra.n
+    if _identity_rows(algebra.space):
+        return np.ones((n, n), dtype=bool)
+    cols = algebra.space.unit_columns
+    if cols is None or algebra.pattern is None or algebra.pattern[0] is not None or _mask_classes(algebra) is None:
+        return None
+    mask = algebra.pattern[1]
+    return mask if len(cols) == mask.sum() and mask.ravel()[cols].all() else None
+
+
 def tracial_certificate(omega, algebra):
     """Largest |omega(xy) - omega(yx)| over basis pairs; result true iff below 1e-9 x ||rho||.
 
-    On identity rows, the units E_ij of M_n, omega(E_ij E_kl) - omega(E_kl E_ij)
-    is delta_jk rho_li - delta_li rho_jk: every off-diagonal entry of rho and
-    every difference rho_ii - rho_jj, and nothing else that is nonzero.  Their
-    largest modulus is read off rho in O(n^2), the same numbers the pairing
-    forms with exact products by ones and zeros.
+    On rows that are the units E_ij of an equivalence relation's blocks
+    (_unit_mask), omega(E_ij E_kl) - omega(E_kl E_ij) is
+    delta_jk rho_li - delta_li rho_jk: every off-diagonal entry of rho within
+    a block and every difference rho_ii - rho_jj within one, and nothing else
+    that is nonzero.  Their largest modulus is read off rho in O(n^2), the
+    same numbers the pairing forms with exact products by ones and zeros.
     """
     rho = omega.density
-    if _identity_rows(algebra.space):
+    mask = _unit_mask(algebra)
+    if mask is not None:
         diag = rho.diagonal()
-        violation = max(float(np.abs(rho - np.diag(diag)).max()),
-                        float(np.abs(diag[:, None] - diag[None, :]).max()))
+        violation = max(float(np.abs(rho - np.diag(diag))[mask].max()),
+                        float(np.abs(diag[:, None] - diag[None, :])[mask].max()))
     else:
         b = algebra.space.tensor
         t1 = trace_pairings(rho @ b, b)  # omega(b_a b_c) = Tr((rho b_a) b_c)
@@ -322,18 +343,46 @@ def _local_violation(omega, projections, d, m):
 
     With k = p rho p the difference is Tr((p d k - k d p) x), so the stack
     p d k - k d p over every p and d is paired with M's basis in one gemm,
-    a chunk of projections at a time.
+    a chunk of projections at a time.  When D's rows are units E_ij
+    (OperatorSubspace.unit_columns) and M's are the identity rows, the
+    pairing reads every entry of the stack, as in _central_violation, and
+    p E_ij k - k E_ij p is p[:, i] k[j, :] - k[:, i] p[j, :]: the stack is
+    gathered from the columns and rows of p and k, with no gemm, and its
+    largest entry is the statistic.  Each entry is the same difference of
+    two complex products; a BLAS kernel may fuse a multiply and an add in
+    its own, so the two routes agree to the last bit of those products.
     """
     db = d.space.tensor
+    cols = d.space.unit_columns
+    gather = cols is not None and _identity_rows(m.space)
+    if gather:
+        i, j = np.divmod(cols, d.n)
     worst = 0.0
-    # per projection: about four (dim D, n, n) stacks at once (the sandwiches, their
-    # difference and its copy for the pairing), so n <= 4 takes one pass
+    # per projection: about four (dim D, n, n) stacks at once (the sandwiches, their difference
+    # and its copy for the pairing; gathered, the two products and the buffers numpy fills to
+    # broadcast them), so n <= 4 takes one pass
     for part in chunk_slices(len(projections), 4 * d.dim * d.n**2):
         p = projections[part]
         ks = p @ omega.density @ p
+        if gather:
+            worst = max(worst, _gathered_violation(p, ks, i, j))
+            continue
         left = _sandwiches(p, db, ks) - _sandwiches(ks, db, p)
         worst = max(worst, float(np.abs(trace_pairings(left.reshape(-1, d.n, d.n), m.space.tensor)).max()))
     return worst
+
+
+def _gathered_violation(p, k, i, j):
+    """max |(p E_ij k - k E_ij p)[a, b]| = |p[a, i] k[j, b] - k[a, i] p[j, b]| over stacks p and k
+    (c, n, n) and the units (i, j), from their columns and rows: two stacks, freed on return."""
+    c, n, _ = p.shape
+    left = np.empty((c, len(i), n, n), dtype=complex)
+    right = np.empty_like(left)
+    np.multiply(p.swapaxes(1, 2)[:, i, :, None], k[:, j, None, :], out=left)
+    np.multiply(k.swapaxes(1, 2)[:, i, :, None], p[:, j, None, :], out=right)
+    left -= right
+    # the moduli go into right's memory, as contiguous floats
+    return float(np.abs(left.ravel(), out=right.view(float).ravel()[: left.size]).max())
 
 
 def _support_commutes(omega, d):
@@ -347,9 +396,11 @@ def locally_central_check(omega, d, m, cap_proj=64):
     The statistic is the largest |Tr((p d k - k d p) x)|, k = p rho p, over
     the sampled p and the bases of D and M, formed as gemms: one for every
     p d, one batched over p for the right factors, one trace pairing with
-    M's basis.  With the identity always in the sample this contains the
-    global centrality identity; together with [e, D] = 0 the verdict must
-    match is_D_central, and a decisive mismatch is an internal fault.
+    M's basis (on D's unit rows and M's identity rows, gathered from p and k
+    with no gemm: _local_violation).  With the identity always in the sample
+    this contains the global centrality identity; together with [e, D] = 0
+    the verdict must match is_D_central, and a decisive mismatch is an
+    internal fault.
     DimensionMismatch when omega, D and M differ in size.
     """
     require_same_ambient(omega, d, m)

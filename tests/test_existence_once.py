@@ -110,6 +110,23 @@ def test_diagnosis_runs_each_probe_once(monkeypatch):
     assert verdicts == [(True, True, True), (False, True, False), (True, False, False)]
 
 
+def test_a_diagnosis_on_a_block_D_forms_no_pairing_and_no_products(monkeypatch):
+    # D's rows are matrix units and M's the identity rows: the tracial certificate reads rho, and
+    # the local statistic gathers p E_ij k - k E_ij p from p and k, with no product by a unit
+    n = 8
+    d, m = block_diagonal_algebra(n, [[0, 1, 2, 3], [4, 5, 6], [7]]), full_matrix_algebra(n)
+    rng = np.random.default_rng(8)
+    keep = np.diag([1.0] * 7 + [0.0])
+    cut = keep @ random_central_density(n, d, rng).density @ keep
+    omegas = [random_central_density(n, d, rng), random_density(n, rng), PositiveFunctional(cut / np.trace(cut).real)]
+    calls = {name: _count_calls(monkeypatch, linalg, name) for name in ("trace_pairings", "pair_products")}
+    reports = [existence_diagnosis(omega, d, m) for omega in omegas]
+    assert [(r.central, r.faithful_on_D, r.constructed) for r in reports] == [
+        (True, True, True), (False, True, False), (True, False, False)]
+    assert all(r.equivalences_hold for r in reports)
+    assert {name: len(made) for name, made in calls.items()} == {"trace_pairings": 0, "pair_products": 0}
+
+
 @pytest.mark.parametrize("pipeline", [representing_expectation_tracial, representing_expectation_state])
 def test_pipelines_check_centrality_twice(monkeypatch, pipeline):
     # the reference's D-centrality once at the boundary, the averaged state's once

@@ -3,6 +3,7 @@ import pytest
 
 from ncrep.algebras import (
     block_diagonal_algebra,
+    block_upper_triangular,
     diagonal_algebra,
     full_matrix_algebra,
     scalar_algebra,
@@ -12,13 +13,15 @@ from ncrep import linalg, states
 from ncrep.errors import (
     DoesNotCommute,
     InconsistencyDetected,
+    NcrepError,
     NotFaithful,
     NotHermitian,
     NotPositiveDefinite,
+    check,
     cross_check,
 )
 from ncrep.instances import haar_unitary, random_central_density, random_density, random_partition
-from ncrep.linalg import commutator, dagger, hs_norm, same_subspace
+from ncrep.linalg import commutator, dagger, hs_norm, require_hermitian, same_subspace
 from ncrep.states import (
     PositiveFunctional,
     centralizer,
@@ -362,3 +365,73 @@ def test_the_gates_on_identity_rows_equal_the_pairing_route_bitwise(monkeypatch,
     got = violations()
     monkeypatch.setattr(states, "_identity_rows", lambda space: False)
     assert got == violations()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_the_tracial_certificate_on_block_units_equals_the_pairing_route_bitwise(monkeypatch, n):
+    # on the units of an equivalence relation's blocks the certificate reads rho's off-diagonal
+    # entries and diagonal differences within each block; the pairing multiplies by exact ones and zeros
+    rng = np.random.default_rng(n)
+    blocks = random_partition(n, rng)
+    d = block_diagonal_algebra(n, blocks)
+    algebras = [d, block_upper_triangular(n, [list(range(n))]), block_upper_triangular(n, blocks)]
+    omegas = [random_density(n, rng), PositiveFunctional.tracial(n), random_central_density(n, d, rng)]
+
+    def certificates():
+        return [(c.result, c.max_violation) for c in (tracial_certificate(o, a) for a in algebras for o in omegas)]
+
+    assert [states._unit_mask(a) is not None for a in algebras] == [True, True, len(blocks) == 1]
+    got = certificates()
+    monkeypatch.setattr(linalg.OperatorSubspace, "unit_columns", property(lambda space: None))
+    # the one-block algebra is all of M_n, its rows' identity kept once found
+    monkeypatch.setattr(states, "_identity_rows", lambda space: False)
+    assert [states._unit_mask(a) for a in algebras] == [None] * 3
+    assert got == certificates()
+
+
+def _svd_scaled_outcome(rho):
+    """The density checks with both thresholds scaled by the spectral norm from an SVD, as the
+    class and message they raise, or None."""
+    scale = float(np.linalg.norm(rho, 2))
+    try:
+        require_hermitian(NotHermitian, "density must be Hermitian", rho, scale)
+        low = np.linalg.eigvalsh((rho + dagger(rho)) / 2)[0]
+        check(NotPositiveDefinite, "density has negative eigenvalue -{:.3e}", -low, 1e-10 * max(1.0, scale))
+    except NcrepError as err:
+        return type(err), str(err)
+    return None
+
+
+_HALF_BELOW, _HALF_ABOVE = 0.5 * (1 - 1e-9), 0.5 * (1 + 1e-9)  # four of them: HS norm just below, above 1
+_ROOT_BELOW, _ROOT_ABOVE = (1 - 1e-9) / np.sqrt(2), (1 + 1e-9) / np.sqrt(2)  # two of them
+
+
+@pytest.mark.parametrize("rho", [
+    np.diag([_HALF_BELOW] * 4),
+    np.diag([_HALF_ABOVE] * 4),  # spectral norm 1/2 under HS norm 1 + 1e-9
+    np.diag([_HALF_BELOW] * 4 + [-1.5e-10]),  # negative: threshold 1e-10 on either side
+    np.diag([_HALF_ABOVE] * 4 + [-1.5e-10]),
+    np.diag([_HALF_ABOVE] * 4 + [-0.5e-10]),
+    np.diag([3.0, 0.5, 1.0, -2.5e-10]),  # negative at norm 3: threshold 3e-10
+    np.diag([3.0, 0.5, 1.0, -3.5e-10]),
+    np.array([[_ROOT_BELOW, 1.5e-10], [0.0, _ROOT_BELOW]]),  # not Hermitian: defect 2.1e-10 over 1e-10
+    np.array([[_ROOT_ABOVE, 1.5e-10], [0.0, _ROOT_ABOVE]]),
+    np.array([[_ROOT_ABOVE, 0.5e-10], [0.0, _ROOT_ABOVE]]),
+    np.array([[2.0, 1.2e-10], [0.0, 0.5]]),  # not Hermitian at norm 2: defect 1.7e-10 under 2e-10
+    np.array([[2.0, 1.5e-10], [0.0, 0.5]]),
+])
+def test_density_checks_keep_their_thresholds_without_the_svd(monkeypatch, rho):
+    # max(1, ||rho||) scales both thresholds and ||rho|| <= ||rho||_HS: at HS norm at most 1 the
+    # spectral norm is not formed, and every verdict, class and message stays the SVD-scaled one
+    rho = rho.astype(complex)
+    want = _svd_scaled_outcome(rho)
+    norms = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *args, **kwargs: norms.append(args) or norm(*args, **kwargs))
+    try:
+        PositiveFunctional(rho)
+        got = None
+    except NcrepError as err:
+        got = type(err), str(err)
+    assert got == want
+    assert (len(norms) == 0) == (hs_norm(rho) <= 1.0)
