@@ -56,7 +56,11 @@ _local_violation (on D's projections at cap 16), modular_invariance_check
 and tracial_certificate for a seeded faithful density that is not
 D-central, on D block diagonal in M_n with coordinate blocks (4, 3, 1),
 (8, 6, 2) and (12, 9, 3) at n = 8, 16 and 24, whose rows are matrix units,
-and on the same D rotated by a seeded Haar unitary, whose rows are not.  At n = 8, 12 and 16 the
+and on the same D rotated by a seeded Haar unitary, whose rows are not.  At n = 4, 8 and 12 the
+Jensen rows time jensen_measure_suite at 6 and 100 trials on
+random_block_instance(n, default_rng(n)), coordinate and rotated, with the
+tracial pipeline's expectation and representing state, and geometric_mean
+per call on one invertible draw from the rotated A.  At n = 8, 12 and 16 the
 generate_star_algebra row generates the *-algebra of two Hermitian
 elements of D, (x + x*)/2 for x complex Gaussian combinations of D's basis
 drawn from default_rng(3), and adds the dimension it finds.  An algebra keeps its
@@ -126,6 +130,9 @@ DIAGNOSIS_BLOCKS = [[0, 1, 2, 3], [4, 5, 6], [7]]
 # unit-row rows: D's block sizes and the repeats per size
 UNIT_ROW_BLOCKS = {8: [4, 3, 1], 16: [8, 6, 2], 24: [12, 9, 3]}
 UNIT_ROW_REPEATS = {8: 200, 16: 20, 24: 5}
+# Jensen rows: the repeats per size, and the suite's trial counts
+JENSEN_REPEATS = {4: 50, 8: 10, 12: 5}
+JENSEN_TRIALS = (6, 100)
 # host-speed kernel timings taken before and after each row's repeats
 HOST_SAMPLES = 5
 
@@ -380,6 +387,28 @@ def _unit_row_rows(n, sizes, repeats):
     return rows
 
 
+def _jensen_rows(n, repeats):
+    """jensen_measure_suite at each of JENSEN_TRIALS on random_block_instance(n, default_rng(n)), coordinate
+    and rotated, with the tracial pipeline's psi and rho; and geometric_mean per call under that rho on one
+    draw x + (1 + ||x||)I from the rotated A."""
+    import numpy as np
+    from ncrep.instances import random_block_instance
+    from ncrep.jensen import geometric_mean, jensen_measure_suite
+    from ncrep.representing import representing_expectation_tracial
+
+    rows = {}
+    for label, conjugate in (("coordinate", False), ("rotated", True)):
+        inst = random_block_instance(n, np.random.default_rng(n), conjugate=conjugate)
+        psi, rho = representing_expectation_tracial(inst.m, inst.state, inst.d, inst.a, inst.phi)
+        for trials in JENSEN_TRIALS:
+            rows[f"jensen_measure_suite (trials {trials}, {label})"] = _measure(
+                lambda: jensen_measure_suite(rho, inst.phi, psi, trials=trials, rng_seed=n), repeats)
+    x = (np.random.default_rng(0).standard_normal(inst.a.dim) @ inst.a.space.flat).reshape(n, n)
+    a = x + (1.0 + np.linalg.norm(x, 2)) * np.eye(n)
+    rows["geometric_mean"] = _measure(lambda: geometric_mean(rho, a), 20 * repeats)
+    return rows
+
+
 def _once(fn):
     """fn() run once under tracemalloc: its value, and its time, tracemalloc peak and the process's
     peak resident set after it (getrusage), which the rows run before it bound from below."""
@@ -466,6 +495,8 @@ def main():
         layers[f"n={n}"] = dict(blocks=sizes, **_coordinate_gaps_row(bimodule_gaps, n, sizes, REPEATS[16]))
     for n, sizes in UNIT_ROW_BLOCKS.items():
         layers.setdefault(f"n={n}", {}).update(_unit_row_rows(n, sizes, UNIT_ROW_REPEATS[n]))
+    for n, reps in JENSEN_REPEATS.items():
+        layers.setdefault(f"n={n}", {}).update(_jensen_rows(n, reps))
     for n, reps in INSTANCE_REPEATS.items():
         build = lambda n=n: random_block_instance(n, np.random.default_rng(3), conjugate=True)
         layers.setdefault(f"n={n}", {})["random_block_instance (rotated)"] = _measure(build, reps)

@@ -6,6 +6,11 @@ upper triangular and which extends to an omega-preserving expectation, the
 geometric means of a and Phi(a) coincide for invertible a; in general only
 Delta(Phi(a)) <= Delta(a) is asserted.  Singular Phi(a) is reported with the
 Delta = 0 limit convention and the check degrades to the inequality.
+
+|a| = V S V* is read off one SVD a = U S V*, not off a*a, whose spectrum
+loses singular values below about 1e-8 of the largest.  Means are taken a
+stack at a time (_geometric_means), and jensen_measure_suite batches its
+draws, raising the first failure a draw-by-draw loop would meet.
 """
 
 from dataclasses import dataclass
@@ -26,11 +31,14 @@ from .errors import (
 from .expectations import _check_preserves
 from .linalg import (
     as_matrix,
+    chunk_slices,
     dagger,
     eigh_hermitian,
     hs_norm,
+    hs_norms,
     matpow,
     pd_tol,
+    require_finite,
     require_hermitian,
 )
 from .representing import _check_extends_character
@@ -44,50 +52,94 @@ class GeometricMeanReport:
     power_sequence: list
 
     def validate(self):
-        seq = self.power_sequence
-        slack = tol(1e-9) * max(1.0, seq[0])
-        for left, right in zip(seq, seq[1:]):
-            if not right <= left + slack:  # not check: the message names both terms of the pair
-                raise InvariantViolation(
-                    f"power sequence is not non-increasing ({right:.9e} after {left:.9e})"
-                )
+        _check_sequences(np.array([self.value]), np.array([self.power_sequence]))
+
+
+def _check_sequences(values, seqs):
+    """Check each power sequence (a row of seqs) to be non-increasing, up to a slack of
+    tol(1e-9) max(1, its first term), and to land within tol(1e-6) of its value (relative); raise
+    the first failure as a loop over the rows, and within a row over its pairs, would meet it."""
+    slack = tol(1e-9) * np.where(seqs[:, 0] > 1.0, seqs[:, 0], 1.0)
+    rising = ~(seqs[:, 1:] <= seqs[:, :-1] + slack[:, None])  # NaN fails
+    gaps = abs(seqs[:, -1] - values)
+    for i in np.flatnonzero(rising.any(1) | ~(gaps <= tol(1e-6) * values)):
+        if rising[i].any():  # not check: the message names both terms of the pair
+            left, right = seqs[i, int(np.argmax(rising[i])) :][:2]
+            raise InvariantViolation(f"power sequence is not non-increasing ({right:.9e} after {left:.9e})")
         check(InconsistencyDetected,
-              f"power sequence tail {seq[-1]:.9e} disagrees with exp of the log mean {self.value:.9e}",
-              abs(seq[-1] - self.value), tol(1e-6) * self.value)
+              f"power sequence tail {seqs[i, -1]:.9e} disagrees with exp of the log mean {values[i]:.9e}",
+              gaps[i], tol(1e-6) * values[i])
 
 
-def geometric_mean(omega, a, n_powers=24):
+# the number of halvings in a power sequence: geometric_mean's default, and the Jensen checks'
+_POWERS = 24
+
+
+def geometric_mean(omega, a, n_powers=_POWERS):
     """Delta(a) = exp(omega(log|a|)) together with the decreasing power sequence.
 
     The sequence s_n = omega(|a|^{2^-n})^{2^n} for n = 0..n_powers is checked
     to be non-increasing and to land on the closed form, which needs a
-    invertible.  Every term comes from one spectral decomposition of a*a,
-    evaluated in extended precision: the outer 2^n power amplifies rounding
-    by 2^n, which double precision alone cannot absorb at the tail.
+    invertible: its smallest singular value above pd_tol of its largest.
+    |a| = V S V* comes from one SVD a = U S V*, so S is a's singular values
+    as the SVD finds them, accurate even where their squares (the spectrum
+    of a*a) would be lost against the largest one, and omega's weights are
+    the diagonal of V* rho V.  Every term is evaluated in extended
+    precision: the outer 2^n power amplifies rounding by 2^n, which double
+    precision alone cannot absorb at the tail.  This is _geometric_means on
+    a stack of one.
     """
     a = as_matrix(a)
-    spec = eigh_hermitian(dagger(a) @ a)
-    svals = np.sqrt(np.clip(spec.eigenvalues, 0.0, None))
-    if not svals[0] > pd_tol(float(svals[-1])):  # strict, and NaN fails
-        raise NotInvertible(f"smallest singular value {svals[0]:.3e} is below the cutoff")
-    u = spec.eigenvectors
-    weights = np.clip(np.real(np.einsum("ji,jk,ki->i", np.conj(u), omega.density, u)), 0.0, None)
-    lam = svals.astype(np.longdouble)
-    w = weights.astype(np.longdouble)
-    mass = np.sum(w)
-    check(InvariantViolation, f"omega must be a state (total mass {float(mass):.9f})",
-          abs(float(mass) - 1.0), tol(1e-9))
+    values, seqs = _geometric_means(omega, a[None], n_powers)
+    return GeometricMeanReport(a, values.tolist()[0], seqs.tolist()[0])
+
+
+def _spectra(stack):
+    """The singular values, largest first, and V* of each entry of a stack: one batched SVD a = U S V*."""
+    _, svals, vh = np.linalg.svd(stack)
+    return svals, vh
+
+
+def _geometric_means(omega, stack, n_powers, spectra=None):
+    """geometric_mean at each entry of a stacked (k, n, n) tensor: the values (k,) and the power
+    sequences (k, n_powers + 1), as float arrays.
+
+    spectra is the stack's _spectra when the caller has taken them.  All the
+    power sequences come from one long-double grid of shape (k, n_powers + 1,
+    n).  The entries are checked in order, each as geometric_mean checks one
+    (invertibility, omega's mass, then its report's monotone sequence and
+    tail), and the first failure is raised; the grid covers only the entries
+    before the first that is singular or sees a mass defect, so neither is
+    ever divided by or taken the log of.
+    """
+    svals, vh = _spectra(stack) if spectra is None else spectra
+    singular = ~(svals[:, -1] > pd_tol(svals[:, 0]))  # strict, and NaN fails
+    stop = int(np.argmax(singular)) if singular.any() else len(stack)
+    # omega's weights on |a| = V S V*: the diagonal of V* rho V
+    weights = np.clip(((vh[:stop] @ omega.density) * vh[:stop].conj()).sum(-1).real, 0.0, None)
+    mass = weights.astype(np.longdouble).sum(-1)
+    unit_mass = abs(mass.astype(float) - 1.0) <= tol(1e-9)
+    good = stop if unit_mass.all() else int(np.argmin(unit_mass))
+    lam, w = svals[:good].astype(np.longdouble), weights[:good].astype(np.longdouble)
     # unit mass exactly: the 2^n-th powers amplify any mass defect, and the
     # p-norms are only monotone in p for a probability weight
-    w = w / mass
-    value = float(np.exp(np.sum(w * np.log(lam))))
-    seq = []
-    for n in range(n_powers + 1):
-        term = np.sum(lam ** (np.longdouble(2.0) ** -n) * w)
-        seq.append(float(np.exp(np.longdouble(2.0) ** n * np.log(term))))
-    report = GeometricMeanReport(a, value, seq)
-    report.validate()
-    return report
+    w = w / mass[:good, None]
+    values = np.exp((w * np.log(lam)).sum(-1)).astype(float)
+    # the grid of lam^(2^-p), p = 0..n_powers, each row the square root of the row before: a
+    # correctly rounded root halves the relative error it is given, so no entry is off by much
+    # more than one long-double ulp, as with a power function, at a fraction of its cost
+    grid = np.empty((good, n_powers + 1, lam.shape[-1]), dtype=np.longdouble)
+    grid[:, 0] = lam
+    for p in range(n_powers):
+        np.sqrt(grid[:, p], out=grid[:, p + 1])
+    terms = np.einsum("kpn,kn->kp", grid, w)
+    seqs = np.exp(np.ldexp(np.log(terms), np.arange(n_powers + 1))).astype(float)
+    _check_sequences(values, seqs)
+    if good < stop:
+        raise InvariantViolation(f"omega must be a state (total mass {float(mass[good]):.9f})")
+    if stop < len(stack):
+        raise NotInvertible(f"smallest singular value {svals[stop, -1]:.3e} is below the cutoff")
+    return values, seqs
 
 
 def _holder_factor(omega, x, s):
@@ -189,24 +241,36 @@ def _compare_means(omega, phi, a, witnessed):
     """jensen_check past the checks on omega, phi and psi, which the caller settled."""
     if not phi.domain.contains(a):
         raise InvariantViolation("a must lie in the character's domain")
-    delta_a = geometric_mean(omega, a).value
-    delta_image, degenerate = _delta_or_zero(omega, phi(a))
-    inequality_ok = delta_image <= delta_a * (1.0 + tol(1e-7))
-    gap = abs(delta_a - delta_image) / delta_a
+    a = as_matrix(a)
+    deltas, degenerate = _deltas_or_zero(omega, np.stack((a, phi(a))), np.array([False, True]))
     if witnessed is None:
         witnessed = getattr(phi.domain, "blocks", None) is not None
+    return _jensen_report(*deltas.tolist(), bool(degenerate[1]), witnessed)
+
+
+def _jensen_report(delta_a, delta_image, degenerate, witnessed):
+    inequality_ok = delta_image <= delta_a * (1.0 + tol(1e-7))
+    gap = abs(delta_a - delta_image) / delta_a
     equality_ok = None
     if witnessed and not degenerate:
         equality_ok = gap <= tol(1e-6)
     return JensenReport(delta_a, delta_image, inequality_ok, equality_ok, gap, degenerate)
 
 
-def _delta_or_zero(omega, a):
-    """(Delta(a), False), or (0.0, True) under the limit convention for singular a."""
-    svals = np.linalg.svd(a, compute_uv=False)
-    if svals[-1] <= pd_tol(float(svals[0])):
-        return 0.0, True
-    return geometric_mean(omega, a).value, False
+def _deltas_or_zero(omega, stack, singular_ok):
+    """Delta at each entry of a stack, and which entries are degenerate, from one batched SVD.
+
+    An entry flagged in singular_ok whose smallest singular value is at most
+    pd_tol of its largest is degenerate and reads 0.0 under the limit
+    convention; every other entry's mean is taken (_geometric_means on the
+    same SVD), in stack order, and the first failure is raised.
+    """
+    svals, vh = _spectra(stack)
+    degenerate = singular_ok & (svals[:, -1] <= pd_tol(svals[:, 0]))
+    keep = np.flatnonzero(~degenerate)
+    deltas = np.zeros(len(stack))
+    deltas[keep] = _geometric_means(omega, stack[keep], _POWERS, (svals[keep], vh[keep]))[0]
+    return deltas, degenerate
 
 
 @dataclass
@@ -226,43 +290,81 @@ def jensen_measure_suite(omega, phi, psi, trials=100, rng_seed=0):
 
     Invertible elements come out as x + (1 + ||x||)I, which is invertible for
     any x because the spectrum sits inside the disc of radius ||x||.  Each
-    trial gets its own stream spawned from the master seed.  Boundary draws
-    shift by an eigenvalue of Phi(x) to force a singular image, where only
-    the inequality (with the Delta = 0 convention) is checked.  The checks
-    on omega, phi and psi run once, not once per trial.
+    draw gets its own stream spawned from the master seed, which gives its
+    coefficients and then, for a boundary draw, its choice of shift: an
+    eigenvalue of Phi(x) that forces a singular image, where only the
+    inequality (with the Delta = 0 convention) is checked.  The checks on
+    omega, phi and psi run once, not once per trial.
+
+    The draws go in batched passes (_draw_pass), as many per pass as keep its
+    power grid within linalg.chunk_slices' bound (a few hundred at n <= 4),
+    and the first failure is raised in the order a draw-by-draw loop would
+    meet it: per draw t < trials its membership in the domain, the mean of
+    a, the degeneracy of Phi(a) and the mean of Phi(a); per boundary draw
+    Phi(shifted), then shifted.
     """
     _require_jensen_setting(omega, phi, psi)
-    a_alg = phi.domain
-    eye = np.eye(a_alg.n, dtype=complex)
     boundary = max(1, trials // 10) if trials else 0
     streams = np.random.SeedSequence(rng_seed).spawn(trials + boundary)
-    ineq = eq_checked = eq_passed = degen_passed = 0
-    worst = 0.0
-    for t in range(trials + boundary):
-        rng = np.random.default_rng(streams[t])
-        coeff = rng.standard_normal(a_alg.dim) + 1j * rng.standard_normal(a_alg.dim)
-        x = sum(c * mat for c, mat in zip(coeff, a_alg.basis))
-        a = x + (1.0 + float(np.linalg.norm(x, 2))) * eye
-        if t < trials:
-            report = _compare_means(omega, phi, a, None)
-            ineq += bool(report.inequality_ok)
-            worst = max(worst, report.relative_gap)
-            if report.equality_ok is not None:
-                eq_checked += 1
-                eq_passed += bool(report.equality_ok)
-        else:
-            lam = rng.choice(np.linalg.eigvals(phi(a)))
-            shifted = a - lam * eye
-            d_img, _ = _delta_or_zero(omega, phi(shifted))
-            d_a, _ = _delta_or_zero(omega, shifted)
-            degen_passed += bool(d_img <= d_a * (1.0 + tol(1e-7)) + tol(1e-12))
+    deltas = []
+    # per draw, a pass holds two entries of the power grid
+    for part in chunk_slices(trials + boundary, 2 * (_POWERS + 1) * phi.domain.n):
+        deltas += _draw_pass(omega, phi, streams[part], max(0, min(part.stop, trials) - part.start))
+    witnessed = getattr(phi.domain, "blocks", None) is not None
+    reports = [_jensen_report(d_a, d_img, degen, witnessed) for d_a, d_img, degen in deltas[:trials]]
+    degen_passed = sum(d_img <= d_a * (1.0 + tol(1e-7)) + tol(1e-12) for d_img, d_a, _ in deltas[trials:])
+    ineq = sum(r.inequality_ok for r in reports)
+    checked = [r.equality_ok for r in reports if r.equality_ok is not None]
     return JensenSuiteSummary(
         trials=trials,
         inequality_passes=ineq,
-        equality_checked=eq_checked,
-        equality_passes=eq_passed,
+        equality_checked=len(checked),
+        equality_passes=sum(checked),
         degenerate_trials=boundary,
         degenerate_passes=degen_passed,
-        max_relative_gap=worst,
-        ok=ineq == trials and eq_passed == eq_checked and degen_passed == boundary,
+        max_relative_gap=max([0.0] + [r.relative_gap for r in reports]),
+        ok=ineq == trials and sum(checked) == len(checked) and degen_passed == boundary,
     )
+
+
+def _draw_pass(omega, phi, streams, invertible):
+    """One pass over consecutive draws of jensen_measure_suite, one stream each, the first
+    `invertible` of them invertible draws and the rest boundary draws: per draw, the Deltas of its
+    two entries (a and Phi(a), or Phi(shifted) and shifted) and whether the second is degenerate.
+
+    A constant number of calls serves any number of draws: one product over
+    the domain's basis forms every x, one batched norm every shift 1 + ||x||,
+    one residual call decides membership, one application of Phi gives the
+    images, one eigvals the boundary shifts and one more application their
+    images; then one batched SVD serves every degeneracy test and every mean
+    (_deltas_or_zero).
+    """
+    a_alg = phi.domain
+    n = a_alg.n
+    eye = np.eye(n)
+    gaussian = lambda rng: rng.standard_normal(a_alg.dim) + 1j * rng.standard_normal(a_alg.dim)
+    # a generator holds kilobytes of state: only the boundary draws', which choose a shift later, are kept
+    choosers = [np.random.default_rng(s) for s in streams[invertible:]]
+    coeff = [gaussian(np.random.default_rng(s)) for s in streams[:invertible]]
+    coeff += [gaussian(rng) for rng in choosers]
+    x = (np.reshape(coeff, (-1, a_alg.dim)) @ a_alg.space.flat).reshape(-1, n, n)
+    a = x + (1.0 + np.linalg.norm(x, 2, axis=(1, 2)))[:, None, None] * eye
+    # contains' statistic and threshold, per draw
+    scale = np.maximum(1.0, hs_norms(a[:invertible]))
+    member = a_alg.space.residuals(a[:invertible].reshape(invertible, n * n)) <= tol(1e-8) * scale
+    cut = invertible if member.all() else int(np.argmin(member))
+    images = phi.apply(require_finite(a))
+    lam = [rng.choice(eigs) for rng, eigs in zip(choosers, np.linalg.eigvals(images[invertible:]))]
+    shifted = a[invertible:] - np.reshape(lam, (-1, 1, 1)) * eye
+    # the entries in walking order: a then Phi(a) for each draw before the first one outside
+    # the domain, then Phi(shifted) then shifted for each boundary draw once every draw is in it
+    stack = np.empty((cut + (len(shifted) if cut == invertible else 0), 2, n, n), dtype=complex)
+    stack[:cut, 0], stack[:cut, 1] = a[:cut], images[:cut]
+    if cut == invertible:
+        stack[invertible:, 0], stack[invertible:, 1] = phi.apply(require_finite(shifted)), shifted
+    singular_ok = np.ones(stack.shape[:2], dtype=bool)
+    singular_ok[:cut, 0] = False
+    deltas, degenerate = _deltas_or_zero(omega, stack.reshape(-1, n, n), singular_ok.ravel())
+    if cut < invertible:
+        raise InvariantViolation("a must lie in the character's domain")
+    return [(*pair, degen) for pair, degen in zip(deltas.reshape(-1, 2).tolist(), degenerate[1::2].tolist())]

@@ -28,7 +28,10 @@ matching and projection steps are here as they were before they read A's
 structure: the least-squares solve of the stacked constraints, and the
 projection of b onto an orthonormalized stack of every x a over A's basis.
 The block character, which the package keeps as its block factors, is here
-as the dense s K s* of the coordinate pinching it was built as.
+as the dense s K s* of the coordinate pinching it was built as.  The Jensen
+suite, which the package runs in batched passes over its draws, is
+here as the draw-by-draw loop it was: per draw its own sum over the basis,
+membership test, image, eigenvalues, SVD and public geometric_mean calls.
 """
 
 import numpy as np
@@ -37,6 +40,7 @@ from ncrep.algebras import StarAlgebra, _adjoint_space, _mask_gap, _pattern_coor
 from ncrep.config import tol
 from ncrep.errors import EmptyInput, InvariantViolation, check
 from ncrep.expectations import ConditionalExpectation, _check_preserves, _gram_solve
+from ncrep.jensen import JensenReport, JensenSuiteSummary, _require_jensen_setting, geometric_mean
 from ncrep.linalg import (
     OperatorSubspace,
     as_matrix,
@@ -49,6 +53,7 @@ from ncrep.linalg import (
     minimal_norm_solution,
     orthonormalize,
     pair_products,
+    pd_tol,
     psd_sqrt,
     same_subspace,
     sandwich_matrix,
@@ -350,6 +355,67 @@ def svd_projected_factor(a_alg, kernel, a_mat, b_mat, weight=None):
     if weight is None:
         return ct
     return ct @ eigh_hermitian(weight).apply(lambda v: 1.0 / np.sqrt(v))
+
+
+def _per_draw_delta_or_zero(omega, a):
+    """(Delta(a), False), or (0.0, True) under the limit convention for singular a."""
+    svals = np.linalg.svd(a, compute_uv=False)
+    if svals[-1] <= pd_tol(float(svals[0])):
+        return 0.0, True
+    return geometric_mean(omega, a).value, False
+
+
+def _per_draw_compare(omega, phi, a):
+    """One draw's JensenReport: membership, the mean of a, the degeneracy of Phi(a), its mean."""
+    if not phi.domain.contains(a):
+        raise InvariantViolation("a must lie in the character's domain")
+    delta_a = geometric_mean(omega, a).value
+    delta_image, degenerate = _per_draw_delta_or_zero(omega, phi(a))
+    inequality_ok = delta_image <= delta_a * (1.0 + tol(1e-7))
+    gap = abs(delta_a - delta_image) / delta_a
+    equality_ok = None
+    if getattr(phi.domain, "blocks", None) is not None and not degenerate:
+        equality_ok = gap <= tol(1e-6)
+    return JensenReport(delta_a, delta_image, inequality_ok, equality_ok, gap, degenerate)
+
+
+def jensen_suite_per_draw(omega, phi, psi, trials=100, rng_seed=0):
+    """jensen_measure_suite as a loop over its draws, each computed and checked before the next."""
+    _require_jensen_setting(omega, phi, psi)
+    a_alg = phi.domain
+    eye = np.eye(a_alg.n, dtype=complex)
+    boundary = max(1, trials // 10) if trials else 0
+    streams = np.random.SeedSequence(rng_seed).spawn(trials + boundary)
+    ineq = eq_checked = eq_passed = degen_passed = 0
+    worst = 0.0
+    for t in range(trials + boundary):
+        rng = np.random.default_rng(streams[t])
+        coeff = rng.standard_normal(a_alg.dim) + 1j * rng.standard_normal(a_alg.dim)
+        x = sum(c * mat for c, mat in zip(coeff, a_alg.basis))
+        a = x + (1.0 + float(np.linalg.norm(x, 2))) * eye
+        if t < trials:
+            report = _per_draw_compare(omega, phi, a)
+            ineq += bool(report.inequality_ok)
+            worst = max(worst, report.relative_gap)
+            if report.equality_ok is not None:
+                eq_checked += 1
+                eq_passed += bool(report.equality_ok)
+        else:
+            lam = rng.choice(np.linalg.eigvals(phi(a)))
+            shifted = a - lam * eye
+            d_img, _ = _per_draw_delta_or_zero(omega, phi(shifted))
+            d_a, _ = _per_draw_delta_or_zero(omega, shifted)
+            degen_passed += bool(d_img <= d_a * (1.0 + tol(1e-7)) + tol(1e-12))
+    return JensenSuiteSummary(
+        trials=trials,
+        inequality_passes=ineq,
+        equality_checked=eq_checked,
+        equality_passes=eq_passed,
+        degenerate_trials=boundary,
+        degenerate_passes=degen_passed,
+        max_relative_gap=worst,
+        ok=ineq == trials and eq_passed == eq_checked and degen_passed == boundary,
+    )
 
 
 def with_mask_gap(a, target, rng):

@@ -15,18 +15,21 @@ closed form of the block route.  Nor do they solve anything dense at the
 n^2 level: the matching reads A's orthonormal rows, b is projected one
 mask-row class at a time, and D''s expectation stays its Gram factor pair,
 which also keeps averaging to the D-central states at n = 16 below the
-size of one n^4 array.  The counts
+size of one n^4 array.  The Jensen suite handles its draws as stacks, so
+its SVD, eigh and eigvals calls do not grow with the number of draws, and
+it never calls the public geometric_mean.  The counts
 come from counting wrappers patched into every ncrep module that binds the
 function, as the benchmark's tracer patches them.
 """
 
+import inspect
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ncrep import algebras, expectations, linalg, states
+from ncrep import algebras, expectations, jensen, linalg, states
 from ncrep.algebras import (
     block_diagonal_algebra,
     diagonal_algebra,
@@ -41,6 +44,7 @@ from ncrep.expectations import (
 )
 from ncrep.errors import GramSingular
 from ncrep.instances import haar_unitary, random_block_instance, random_central_density, random_density
+from ncrep.jensen import jensen_measure_suite
 from ncrep.representing import representing_expectation_state, representing_expectation_tracial
 from ncrep.states import PositiveFunctional, _faithful_on
 
@@ -273,3 +277,30 @@ def test_averaging_to_the_central_states_forms_no_n4_array_at_n16(monkeypatch):
             tracemalloc.stop()
     assert not states.is_D_central(PositiveFunctional(moved), d, m)[0]
     assert peaks[0] < 1.0 < peaks[1], peaks
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_the_jensen_suite_makes_as_many_spectral_calls_at_60_trials_as_at_6(monkeypatch, rotated):
+    inst = random_block_instance(4, np.random.default_rng(4), conjugate=rotated)
+    psi, rho = representing_expectation_tracial(inst.m, inst.state, inst.d, inst.a, inst.phi)
+    public = _count_calls(monkeypatch, jensen, "geometric_mean")
+    counts = {name: [] for name in ("svd", "eigh", "eigvals")}
+    for name, calls in counts.items():
+        original = getattr(np.linalg, name)
+
+        def counting(*args, original=original, calls=calls, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        # the numpy.linalg namespace, and the module whose own calls (norm's SVD) read its globals
+        for module in (np.linalg, inspect.getmodule(inspect.unwrap(original))):
+            monkeypatch.setattr(module, name, counting)
+    made = []
+    for trials in (6, 60):
+        summary = jensen_measure_suite(rho, inst.phi, psi, trials=trials, rng_seed=trials)
+        assert summary.ok
+        made.append({name: len(calls) for name, calls in counts.items()})
+        for calls in counts.values():
+            calls.clear()
+    assert made[0] == made[1] and made[0]["svd"] > 0 and made[0]["eigvals"] > 0
+    assert public == []

@@ -1,17 +1,31 @@
+from contextlib import nullcontext
+from dataclasses import replace
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from dense_oracle import projector_matrix
+import dense_oracle
+from dense_oracle import jensen_suite_per_draw, projector_matrix
+from ncrep import jensen, linalg
 from ncrep.algebras import from_spanning, full_matrix_algebra, unitary_conjugate_algebra
 from ncrep.errors import (
     DimensionMismatch,
+    InconsistencyDetected,
     InvariantViolation,
+    NcrepError,
     NotBoundedBelow,
     NotInvertible,
     NotTracial,
     NotTriangularType,
 )
+from ncrep.instances import haar_unitary, random_block_instance
 from ncrep.jensen import (
+    GeometricMeanReport,
+    _geometric_means,
     geometric_mean,
     holder_tracial,
     jensen_check,
@@ -82,6 +96,82 @@ def test_geometric_mean_gates():
     not_a_state = PositiveFunctional(np.diag([1.0, 1.0]).astype(complex))
     with pytest.raises(InvariantViolation):
         geometric_mean(not_a_state, np.eye(2, dtype=complex))
+
+
+@pytest.mark.parametrize("n_powers", [24, 40])
+@pytest.mark.parametrize("s", [3e-10, 1e-9, 3e-9, 1e-8])
+def test_geometric_mean_reads_small_singular_values_off_the_svd(s, n_powers):
+    # a = u diag(1, s) v: the spectrum of a*a loses s^2 against 1, one SVD of a keeps s
+    tau = PositiveFunctional.tracial(2)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        a = haar_unitary(2, rng) @ np.diag([1.0, s]) @ haar_unitary(2, rng)
+        _, svals, vh = np.linalg.svd(a)
+        weights = np.real(np.einsum("ij,jk,ik->i", vh, tau.density, vh.conj()))
+        want = np.exp(np.sum(weights * np.log(svals)))
+        try:
+            value = geometric_mean(tau, a, n_powers=n_powers).value
+        except NcrepError as err:
+            assert not isinstance(err, NotInvertible), err
+            continue
+        assert abs(value - want) <= 1e-6 * want
+
+
+def test_a_power_sequence_report_names_its_first_failure():
+    with pytest.raises(InvariantViolation, match=r"non-increasing \(1.700000000e\+00 after 1.500000000e\+00\)"):
+        GeometricMeanReport(None, 1.0, [2.0, 1.5, 1.7, 1.8, 1.0]).validate()
+    with pytest.raises(InconsistencyDetected, match=r"tail 1.500000000e\+00 disagrees .* 1.000000000e\+00"):
+        GeometricMeanReport(None, 1.0, [2.0, 1.5]).validate()
+    # a slack of 1e-9 max(1, first term) forgives a rise of rounding size
+    GeometricMeanReport(None, 1.0, [2.0, 1.0, 1.0 + 1e-9]).validate()
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's value, or the NcrepError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except NcrepError as err:
+        return err
+
+
+def _same_failure(got, want):
+    return type(got) is type(want) and str(got) == str(want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.lists(st.sampled_from(["generic", "unitary", "singular"]), min_size=1, max_size=10),
+    st.sampled_from([0, 3, 24]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_the_stacked_means_are_the_means_one_at_a_time(n, kinds, n_powers, is_state, seed):
+    # generic entries fail the tail check at few halvings, multiples of a unitary never do,
+    # singular entries fail invertibility, and twice a state fails the mass check everywhere
+    rng = np.random.default_rng(seed)
+    omega = random_state(n, rng)
+    if not is_state:
+        omega = PositiveFunctional(2.0 * omega.density)
+    stack = []
+    for kind in kinds:
+        if kind == "generic":
+            stack.append(random_matrix(n, rng) + 3.0 * np.eye(n))
+        elif kind == "unitary":
+            stack.append(rng.uniform(0.5, 2.0) * haar_unitary(n, rng))
+        else:
+            x = random_matrix(n, rng)
+            stack.append(x - x[:, :1] @ np.ones((1, n)) if n > 1 else 0.0 * x)
+    stack = np.array(stack)
+    want = [_outcome(geometric_mean, omega, a, n_powers) for a in stack]
+    failures = [out for out in want if isinstance(out, NcrepError)]
+    got = _outcome(_geometric_means, omega, stack, n_powers)
+    if failures:
+        assert _same_failure(got, failures[0])
+        return
+    values, seqs = got
+    assert values.tolist() == [r.value for r in want]
+    assert seqs.tolist() == [r.power_sequence for r in want]
 
 
 def test_agm_lemma_for_commuting_positives():
@@ -268,3 +358,77 @@ def test_jensen_suite_degenerate_domain():
     summary = jensen_measure_suite(tau, phi, psi, trials=20, rng_seed=5)
     assert summary.ok and summary.equality_passes == 20
     assert summary.max_relative_gap < 1e-12
+
+
+def _summaries_agree(got, want, exact):
+    """Every count and ok identical; max_relative_gap equal, or within 1e-12 unless exact."""
+    if isinstance(want, NcrepError):
+        return _same_failure(got, want)
+    if isinstance(got, NcrepError):
+        return False
+    gap = abs(got.max_relative_gap - want.max_relative_gap)
+    same = replace(got, max_relative_gap=0.0) == replace(want, max_relative_gap=0.0)
+    return same and (gap == 0.0 if exact else gap <= 1e-12)
+
+
+def _draws_per_pass(count, n):
+    """A patch of linalg's chunk bound under which jensen_measure_suite takes count draws per pass
+    (None: the bound as it is, one pass for every trial count drawn here)."""
+    if count is None:
+        return nullcontext()
+    return mock.patch.object(linalg, "_CHUNK_ELEMENTS", count * 2 * 25 * n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.booleans(), st.integers(0, 15), st.sampled_from([None, 1, 4]), st.integers(0, 2**32 - 1))
+def test_the_batched_suite_agrees_with_the_draw_by_draw_loop(n, rotated, trials, per_pass, seed):
+    inst = random_block_instance(n, np.random.default_rng(seed), conjugate=rotated)
+    psi, rho = representing_expectation_tracial(inst.m, inst.state, inst.d, inst.a, inst.phi)
+    with _draws_per_pass(per_pass, n):
+        got = _outcome(jensen_measure_suite, rho, inst.phi, psi, trials=trials, rng_seed=seed)
+    want = _outcome(jensen_suite_per_draw, rho, inst.phi, psi, trials=trials, rng_seed=seed)
+    assert _summaries_agree(got, want, exact=not rotated)
+
+
+class _ChosenFailures:
+    """A stand-in for the character on the block upper triangular A of M_n that places failures
+    by draw: its domain rejects a when Re a[0, -1] < -1.5 (one residual of 1.0, against
+    contains' threshold), and its image of a with Im a[0, -1] > 1 is a with its last column
+    scaled by 3e-9: degenerate, or invertible with a spectrum wide enough that 24 halvings of
+    the power sequence may miss the tail check."""
+
+    def __init__(self, n):
+        a_alg, _, _ = make_block_character(n, [[i] for i in range(n)])
+        rejected = lambda x: x[..., 0, -1].real < -1.5
+        space = SimpleNamespace(
+            flat=a_alg.space.flat, residuals=lambda rows: rejected(rows.reshape(-1, n, n)).astype(float)
+        )
+        self.domain = SimpleNamespace(
+            n=n, dim=a_alg.dim, basis=a_alg.basis, space=space, blocks=a_alg.blocks,
+            contains=lambda x: not rejected(np.asarray(x)),
+        )
+
+    def apply(self, x):
+        out = np.array(x, dtype=complex)
+        out[..., -1] *= np.where(out[..., 0, -1].imag > 1.0, 3e-9, 1.0)[..., None]
+        return out
+
+    def __call__(self, x):
+        return self.apply(x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 15), st.booleans(), st.sampled_from([None, 1, 4]), st.integers(0, 2**32 - 1))
+def test_the_batched_suite_raises_the_first_failure_of_the_draw_by_draw_loop(n, trials, is_state, per_pass, seed):
+    phi = _ChosenFailures(n)
+    omega = PositiveFunctional.tracial(n)
+    if not is_state:
+        omega = PositiveFunctional(2.0 * omega.density)
+    skip = lambda *args: None
+    with mock.patch.object(jensen, "_require_jensen_setting", skip), \
+            mock.patch.object(dense_oracle, "_require_jensen_setting", skip):
+        with _draws_per_pass(per_pass, n):
+            got = _outcome(jensen_measure_suite, omega, phi, None, trials=trials, rng_seed=seed)
+        want = _outcome(jensen_suite_per_draw, omega, phi, None, trials=trials, rng_seed=seed)
+    event(type(want).__name__ if isinstance(want, NcrepError) else f"ok={want.ok}")
+    assert _summaries_agree(got, want, exact=True)
