@@ -21,9 +21,9 @@ closure check each runs (on a block algebra that has one, its pattern
 certificate).  The instance rows time random_block_instance(n,
 default_rng(3), conjugate=True) at n = 16, 24, 32 and 48, the build of A, D
 and Phi with all their checks; at n = 24 a further row times commutant(D, M),
-cold, on that instance's D, and at n = 24 and 32 two more rows time the
-tracial pipeline on the instance and the state pipeline for a seeded
-faithful D-central state.  Before every other row, at n = 64, that build
+cold, on that instance's D, and at n = 16, 24 and 32 three more rows time
+the character's DCharacter.validate, the tracial pipeline on the instance
+and the state pipeline for a seeded faithful D-central state.  Before every other row, at n = 64, that build
 and the two pipelines run once each under tracemalloc, each row with its
 time, its peak and the process's peak resident set after it.  At n = 16,
 24 and 32 four more rows time, on
@@ -60,7 +60,16 @@ and on the same D rotated by a seeded Haar unitary, whose rows are not.  At n = 
 Jensen rows time jensen_measure_suite at 6 and 100 trials on
 random_block_instance(n, default_rng(n)), coordinate and rotated, with the
 tracial pipeline's expectation and representing state, and geometric_mean
-per call on one invertible draw from the rotated A.  At n = 8, 12 and 16 the
+per call on one invertible draw from the rotated A.  At n = 10, 16 and 24
+the unit-frame rows take random_block_instance(n, default_rng(3),
+conjugate=True) and time each per-unit check of its character read in D's
+unit frame against the exact route it stands in for: the module gaps of
+the character and of the tracial expectation onto D (unit_frame_gaps
+against the commutators, _ModuleMap.module_gaps), the unit defects from
+the conjugated factors against those from the images of the same map as a
+matrix (_multiplicative_from_defects on each), and D inside A from the
+masks (_inclusion_gap) against the residuals; a checkout without the
+frame gets the exact rows alone.  At n = 8, 12 and 16 the
 generate_star_algebra row generates the *-algebra of two Hermitian
 elements of D, (x + x*)/2 for x complex Gaussian combinations of D's basis
 drawn from default_rng(3), and adds the dimension it finds.  An algebra keeps its
@@ -118,8 +127,10 @@ INSTANCE_REPEATS = {16: 3, 24: 1, 32: 1, 48: 1}
 # sizes whose instance D gets a cold commutant row, and its repeats
 INSTANCE_COMMUTANT_SIZES = (24,)
 INSTANCE_COMMUTANT_REPEATS = 3
-# sizes whose instance gets the two pipeline rows, timed once each
-INSTANCE_PIPELINE_SIZES = (24, 32)
+# sizes whose instance gets the two pipeline rows and its character's validate, timed once each
+INSTANCE_PIPELINE_SIZES = (16, 24, 32)
+# sizes whose rotated instance gets the unit-frame rows, and their repeats
+FRAME_REPEATS = {10: 10, 16: 3, 24: 3}
 # sizes whose rotated build and two pipelines run once each, first, under tracemalloc
 ONCE_SIZES = (64,)
 # sizes whose instance character gets the certificate rows, and their repeats
@@ -215,6 +226,40 @@ def _certificate_rows(phi, reps):
             return (fresh,)
 
         rows["_mask_kernel"] = dict(_measure(mask_kernel, reps, unfixed), passed=mask_kernel(*unfixed()) is not None)
+    return rows
+
+
+def _frame_rows(n, reps):
+    """The per-unit checks of random_block_instance(n, default_rng(3), conjugate=True) read in D's unit
+    frame against the exact routes: the module gaps of the character and of the tracial expectation onto
+    D, the unit defects from the factors against those from the images of the character as a matrix, and
+    D inside A from the masks against the residuals.  A checkout without a frame route gets the exact rows."""
+    import numpy as np
+    from ncrep import algebras, linalg, representing
+    from ncrep.algebras import full_matrix_algebra
+    from ncrep.expectations import preserving_expectation
+    from ncrep.instances import random_block_instance
+    from ncrep.states import PositiveFunctional
+
+    inst = random_block_instance(n, np.random.default_rng(3), conjugate=True)
+    a, d, phi = inst.a, inst.d, inst.phi
+    e = preserving_expectation(PositiveFunctional.tracial(n), d, full_matrix_algebra(n))
+    unit_frame = getattr(algebras, "_unit_frame", None)
+    rows = {}
+    for label, mp in (("character", phi), ("tracial expectation", e)):
+        rows[f"module gaps, exact ({label})"] = _measure(mp.module_gaps, reps)
+        if unit_frame is not None:
+            frame = unit_frame(d)
+            rows[f"module gaps, frame ({label})"] = _measure(
+                lambda mp=mp: linalg.unit_frame_gaps(*mp._splitting(), frame), reps)
+    kappa = phi.norm()
+    dense = representing.DCharacter(phi.map_matrix, a, d, check=False)
+    rows["unit defects (factors)"] = _measure(lambda: representing._multiplicative_from_defects(phi, kappa), reps)
+    rows["unit defects (images)"] = _measure(lambda: representing._multiplicative_from_defects(dense, kappa), reps)
+    rows["D inside A (residuals)"] = _measure(lambda: a.space.residuals(d.space.flat), reps)
+    inclusion = getattr(algebras, "_inclusion_gap", None)
+    if inclusion is not None:
+        rows["D inside A (masks)"] = _measure(lambda: inclusion(a, d) * linalg.hs_norms(d.space.flat), reps)
     return rows
 
 
@@ -497,6 +542,8 @@ def main():
         layers.setdefault(f"n={n}", {}).update(_unit_row_rows(n, sizes, UNIT_ROW_REPEATS[n]))
     for n, reps in JENSEN_REPEATS.items():
         layers.setdefault(f"n={n}", {}).update(_jensen_rows(n, reps))
+    for n, reps in FRAME_REPEATS.items():
+        layers.setdefault(f"n={n}", {}).update(_frame_rows(n, reps))
     for n, reps in INSTANCE_REPEATS.items():
         build = lambda n=n: random_block_instance(n, np.random.default_rng(3), conjugate=True)
         layers.setdefault(f"n={n}", {})["random_block_instance (rotated)"] = _measure(build, reps)
@@ -510,6 +557,7 @@ def main():
         if n in CERTIFICATE_REPEATS:
             layers[f"n={n}"].update(_certificate_rows(inst.phi, CERTIFICATE_REPEATS[n]))
         if n in INSTANCE_PIPELINE_SIZES:
+            layers[f"n={n}"]["DCharacter.validate (instance)"] = _measure(inst.phi.validate, 1)
             omega = random_central_density(n, inst.d, np.random.default_rng(n))
             layers[f"n={n}"]["representing_expectation_tracial (instance)"] = _measure(
                 lambda: representing_expectation_tracial(inst.m, inst.state, inst.d, inst.a, inst.phi), 1

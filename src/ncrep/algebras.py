@@ -17,7 +17,8 @@ data that depends on it alone (Subalgebra.derived): its commutant within
 each enclosing algebra, its sampled projections per cap
 (states.sample_projections), and for a patterned algebra the two numbers
 its certificates read off the rotated basis (_off_mask), its mask's block
-classes (_mask_classes) and its groups of equal mask rows (_mask_rows).
+classes (_mask_classes), its groups of equal mask rows (_mask_rows) and
+its rows' distances from the rotated units (_unit_frame).
 Each is computed on first request and then read back, so a D that several
 states are probed on is solved once.
 Nothing that depends on a functional is kept there.
@@ -200,6 +201,14 @@ def _unitary_defect(u):
     return 0.0 if u is None else hs_norm(dagger(u) @ u - np.eye(len(u)))
 
 
+def _units_in_order(alg):
+    """True when a coordinate pattern's rows are exactly its mask's units in row-major order
+    (_block_algebra's basis, OperatorSubspace.unit_columns)."""
+    u, mask = alg.pattern
+    cols = alg.space.unit_columns
+    return u is None and cols is not None and np.array_equal(cols, np.flatnonzero(mask))
+
+
 def _pattern_coordinates(alg):
     """A patterned algebra's rotated basis y_a = u* x_a u, split at the mask.
 
@@ -215,8 +224,7 @@ def _pattern_coordinates(alg):
     nothing is copied.
     """
     u, mask = alg.pattern
-    cols = alg.space.unit_columns
-    if u is None and cols is not None and np.array_equal(cols, np.flatnonzero(mask)):
+    if _units_in_order(alg):
         return None, np.zeros(alg.dim), 0.0
     rotated = alg.space.tensor if u is None else dagger(u) @ alg.space.tensor @ u
     flat = rotated.reshape(alg.dim, -1)
@@ -228,15 +236,61 @@ def _off_mask(alg):
     """(eps, eta) for a patterned algebra with dim = mask.sum(), else None: the
     largest HS norm of a rotated basis element y_a = u* x_a u off the mask, and
     ||u*u - I||.  Kept in the algebra's derived store, two numbers from one
-    rotation; a pattern is set before the algebra is first validated."""
+    rotation, a bounded chunk of rows at a time, so no rotated copy of the
+    basis is held (eps is 0 on _block_algebra's unit rows, as in
+    _pattern_coordinates); a pattern is set before the algebra is first validated."""
     if alg.pattern is None or alg.dim != int(alg.pattern[1].sum()):
         return None
 
     def compute():
-        _, residuals, defect = _pattern_coordinates(alg)
-        return float(residuals.max(initial=0.0)), defect
+        if _units_in_order(alg):
+            return 0.0, 0.0
+        u, mask = alg.pattern
+        off, basis, eps = ~mask.ravel(), alg.space.tensor, 0.0
+        # per row: its rotation and the rotation's first product
+        for part in chunk_slices(alg.dim, 2 * alg.n**2):
+            rotated = basis[part] if u is None else dagger(u) @ basis[part] @ u
+            eps = max(eps, float(hs_norms(rotated.reshape(len(rotated), -1)[:, off]).max(initial=0.0)))
+        return eps, _unitary_defect(u)
 
     return alg.derived("off mask", compute)
+
+
+def _rotated_units(u, i, j):
+    """The flat rows vec(u E_ij u*) = u[:, i] (x) conj(u[:, j]) for index arrays i and j, as (len(i), n^2)."""
+    n = len(u)
+    return (u[:, i].T[:, :, None] * u[:, j].conj().T[:, None, :]).reshape(len(i), n * n)
+
+
+def _unit_frame(alg):
+    """(u, rows, cols, eta, distances) when a patterned algebra's basis rows x_s are its
+    pattern's rotated units f_s = u E_s u*, s = (rows[s], cols[s]) in the mask's row-major
+    order, up to the distances[s] = ||x_s - f_s||; else None.  eta = ||u*u - I||.
+
+    A coordinate pattern (u None) qualifies only with exact unit rows in that
+    order (OperatorSubspace.unit_columns), distances 0; a rotated one with
+    dim = mask.sum(), its distances measured at O(dim n^2), a bounded chunk
+    of rows at a time.  Kept in the algebra's derived store; what the
+    distances certify is for the reader to bound (linalg.unit_frame_gaps).
+    """
+    off = _off_mask(alg)
+    if off is None:
+        return None
+
+    def compute():
+        u, mask = alg.pattern
+        rows, cols = np.nonzero(mask)
+        if u is None:
+            return (None, rows, cols, 0.0, np.zeros(alg.dim)) if _units_in_order(alg) else None
+        flat = alg.space.flat
+        distances = np.empty(alg.dim)
+        # per row: its unit and the difference
+        for part in chunk_slices(alg.dim, 2 * alg.n**2):
+            distances[part] = hs_norms(flat[part] - _rotated_units(u, rows[part], cols[part]))
+        distances.flags.writeable = False
+        return u, rows, cols, off[1], distances
+
+    return alg.derived("unit frame", compute)
 
 
 def _closure_threshold(dim, defect):
@@ -342,6 +396,23 @@ def _sum_certified(a):
         return False
     mask = a.pattern[1]
     return bool(np.all(mask | mask.T) and _mask_gap(a) <= 0.375)
+
+
+def _inclusion_gap(a, d):
+    """gamma with every element x of D within gamma ||x|| of A, read off the masks:
+    _mask_gap(D) + _mask_gap(A) when the two carry one u and D's mask lies inside A's, else inf.
+
+    With v the unitary polar factor of u, P_D = v B_D v* lies inside
+    P_A = v B_A v*, as B_D does inside B_A.  x lies within _mask_gap(D) ||x||
+    of its projection p onto P_D, and p, in P_A with ||p|| <= ||x||, within
+    _mask_gap(A) ||p|| of A: the gap between A and P_A is the same both ways,
+    as they have one dimension.  So the residual of x against A is at most
+    gamma ||x||, which DCharacter.validate reads in place of D's residuals
+    against A.
+    """
+    if not _same_rotation(a, d) or np.any(d.pattern[1] & ~a.pattern[1]):
+        return np.inf
+    return _mask_gap(d) + _mask_gap(a)
 
 
 def _intersection_certified(a, d, phi):
@@ -608,6 +679,15 @@ def _pattern_commutant(alg, within):
       certificate, and its later batches end at the exact kernel.
     The rows are orthonormal up to u's defect, at most _UNITARY_DEFECT, and
     exactly so for u None.
+
+    When alg's rows are its pattern's units (_unit_frame), the brackets are
+    bounded with no product.  [p_c, E_ij] = 0 for i ~ j, so with h = u*u,
+    [u p_c u*, u E_ij u*] = u (p_c (h - I) E_ij - E_ij (h - I) p_c) u* has
+    norm at most 2 eta (1 + eta), and a row within distances[a] of its unit
+    adds at most 2 ||u p_c u*|| distances[a] <= 2 (1 + eta) distances[a]:
+    every bracket is at most 2 (1 + eta) (eta + max distances) / sqrt(k_c),
+    and _commutes_with runs only when that exceeds its threshold.  The rows'
+    own rounding, O(n) machine epsilons, lies far below it.
     """
     if within is not None and within.dim != alg.n**2:
         return None
@@ -618,7 +698,13 @@ def _pattern_commutant(alg, within):
     blocks = [u[:, c] for c in classes]
     flat = np.stack([(w @ dagger(w)).ravel() / np.sqrt(w.shape[1]) for w in blocks])
     stack = alg.space.tensor
-    if not _commutes_with(flat, stack, _bracket_threshold(stack)):
+    threshold = _bracket_threshold(stack)
+    frame = _unit_frame(alg)
+    brackets = np.inf  # the bound read off the frame, when there is one
+    if frame is not None:
+        eta, distances = frame[3:]
+        brackets = 2 * (1 + eta) * (eta + distances.max(initial=0.0)) / np.sqrt(min(map(len, classes)))
+    if not (brackets <= threshold or _commutes_with(flat, stack, threshold)):
         return None
     flat.flags.writeable = False
     return StarAlgebra(OperatorSubspace(alg.n, flat))
@@ -681,7 +767,10 @@ def unitary_conjugate_algebra(alg, u):
     pattern, and its closure is checked pair by pair.
     """
     check(InvariantViolation, "rotation: u is not unitary (||u*u - I|| = {:.3e})", _unitary_defect(u), tol(1e-9))
-    rotated = u @ alg.space.tensor @ dagger(u)
+    basis, rotated = alg.space.tensor, np.empty(alg.space.tensor.shape, dtype=complex)
+    # per row: its first product, so that no second copy of the basis is held
+    for part in chunk_slices(alg.dim, alg.n**2):
+        np.matmul(u @ basis[part], dagger(u), out=rotated[part])
     rotated.flags.writeable = False
     result = type(alg)(OperatorSubspace(alg.n, rotated.reshape(alg.dim, -1)), check=False)
     if alg.pattern is not None:

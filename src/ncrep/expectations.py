@@ -25,11 +25,13 @@ How a map is stored is decided once, in _ModuleMap, which
 ConditionalExpectation shares with representing.DCharacter: a matrix is
 composed with the domain's projection, factors are kept and read.
 validate() checks unitality, idempotence, positivity on fixed probes, the
-D-bimodule property (from the map's operator-Schmidt factors,
-linalg.bimodule_gaps, or the factors' own module_gaps) and range membership,
-in that order, by the same statistics on both storage forms; the range of
-factors is certified (_ModuleMap._range_bound), with the residuals as the
-fallback.
+D-bimodule property (from the commutators of the map's operator-Schmidt
+factors or of its own factors with D's basis, linalg.bimodule_gaps, read in
+D's unit frame at n >= 5 when D's rows are its pattern's units,
+linalg.unit_frame_gaps) and range membership, in that order, by the same
+statistics on both storage forms; the module gaps read in the frame and the
+range of factors (_ModuleMap._range_bound) are certified bounds, with the
+exact statistics as the fallback.
 """
 
 import functools
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import StarAlgebra, _mask_classes, _mask_gap, commutant, corner_algebra
+from .algebras import StarAlgebra, _mask_classes, _mask_gap, _unit_frame, commutant, corner_algebra
 from .config import tol
 from .errors import (
     DensityDoesNotCommute,
@@ -61,6 +63,7 @@ from .linalg import (
     FactorPair,
     SandwichSum,
     _identity_rows,
+    _schmidt_factors,
     apply_map,
     as_matrix,
     bimodule_gaps,
@@ -77,6 +80,7 @@ from .linalg import (
     psd_sqrt,
     require_finite,
     sandwich_matrix,
+    unit_frame_gaps,
 )
 from .states import (
     PositiveFunctional,
@@ -169,6 +173,13 @@ class _ModuleMap:
         """The map at one matrix or at each entry of a stacked (k, n, n) tensor, unchecked."""
         return apply_map(self.map_matrix, x) if self.factors is None else self.factors(x)
 
+    def domain_values(self, rho):
+        """Tr(rho K(x_j)) over the domain's orthonormal basis x_j: from the images for a matrix,
+        and for factors as Tr(sigma x_j) with sigma their trace pre-adjoint at rho, no image formed."""
+        if self.factors is None:
+            return self.images @ rho.T.ravel()
+        return self.domain.space.flat @ self.factors.pre_adjoint(rho).T.ravel()
+
     def pullback_density(self, rho):
         """Hermitian part of the density of x -> Tr(rho K(x)), the map's trace pre-adjoint at rho."""
         if self.factors is None:
@@ -180,14 +191,50 @@ class _ModuleMap:
         """The Frobenius norm of the map's matrix."""
         return hs_norm(self.map_matrix) if self.factors is None else self.factors.norm()
 
+    def _splitting(self):
+        """(left, right, tail) of the map for its module gaps at the bimodule algebra's q basis
+        elements: the factors' sides() with tail 0, or the matrix's _schmidt_factors read as
+        (c, n, n) stacks.  Not for a FactorPair, whose gaps come from its own terms."""
+        if self.factors is not None:
+            return *self.factors.sides(), 0.0
+        n = self.n
+        left, right, tail = _schmidt_factors(np.reshape(self.map_matrix, (n, n, n, n)), self.bimodule.dim)
+        return left.transpose(1, 2, 0), right.transpose(1, 2, 0), tail
+
     def module_gaps(self):
-        """The (2, q) left and right module gaps (linalg.bimodule_gaps) at the bimodule algebra's basis."""
+        """The (2, q) left and right module gaps (linalg.bimodule_gaps) at the bimodule algebra's
+        basis, by the exact route: the commutators of the map's factors with each basis element."""
         basis = self.bimodule.space.tensor
         return bimodule_gaps(self.map_matrix, basis) if self.factors is None else self.factors.module_gaps(basis)
 
+    def _check_module(self, message, bound):
+        """check every module gap, left then right per basis element, against bound.
+
+        When the bimodule algebra's rows are its pattern's units
+        (algebras._unit_frame), the gaps are first read in its unit frame
+        (linalg.unit_frame_gaps): upper bounds, exact to rounding on a
+        coordinate D.  When one of them does not pass, or with no frame, the
+        exact route (module_gaps) decides, so the error class, the message and
+        the first failing element are its own.  At n^4 <= _BLOCK_FROM (n <= 4)
+        the exact route's few small products cost less than the frame's fixed
+        work (20-76 us against 30-138 us per call at n = 2..4, about even at
+        n = 5, on block characters and expectations), so it is taken there.
+        """
+        frame = None
+        if self.n**4 > _BLOCK_FROM and not isinstance(self.factors, FactorPair):
+            frame = _unit_frame(self.bimodule)
+        gaps = None if frame is None else unit_frame_gaps(*self._splitting(), frame)
+        if gaps is None or not np.all(gaps <= bound):
+            gaps = self.module_gaps()
+        check(InvariantViolation, message, gaps.T, bound)
+
     def _moved(self, space):
-        """||K(x_j) - x_j|| over a subspace's orthonormal rows x_j."""
-        return hs_norms(self.apply(space.tensor).reshape(space.size, -1) - space.flat)
+        """||K(x_j) - x_j|| over a subspace's orthonormal rows x_j, a bounded chunk of rows at a time."""
+        basis, width, moved = space.tensor, self.n**2, np.empty(space.size)
+        # per row: its image and the difference
+        for part in chunk_slices(space.size, 2 * width):
+            moved[part] = hs_norms(self.apply(basis[part]).reshape(-1, width) - space.flat[part])
+        return moved
 
     def _idempotence_defect(self):
         """||E(E(x_j)) - E(x_j)|| over the domain's orthonormal basis, which is ||K^2 - K||_F as K = KP;
@@ -290,8 +337,7 @@ class ConditionalExpectation(_ModuleMap):
         check(InvariantViolation, "positive: E(x*x) has eigenvalue -{:.3e}",
               -np.linalg.eigvalsh(y)[:, 0], tol(1e-8) * x_norms)
         # per basis element d: the left gap, then the right one
-        check(InvariantViolation, "bimodule: module property fails by {:.3e}",
-              self.module_gaps().T, tol(1e-8) * scale * np.sqrt(n))
+        self._check_module("bimodule: module property fails by {:.3e}", tol(1e-8) * scale * np.sqrt(n))
         check(InvariantViolation, "range: output leaves the range span by {:.3e}",
               self._range_gap(norm, scale), tol(1e-8) * scale)
         self.validated = True

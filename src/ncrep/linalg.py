@@ -274,12 +274,14 @@ class OperatorSubspace:
         return x
 
     def coords(self, x):
-        """The coordinates <x, w_k> on the rows w_k: on unit rows, x's entries at their columns, copied."""
+        """The coordinates <x, w_k> on the rows w_k: on unit rows, x's entries at their columns, copied.
+        Otherwise conj(W conj(x)), each term the conjugate of conj(w) x by exact sign flips, with no
+        conjugated copy of the rows."""
         x = self._member(x)
         cols = self.unit_columns
         if cols is not None:
             return x.ravel()[cols]
-        return self.flat.conj() @ x.ravel()
+        return np.conj(self.flat @ np.conj(x.ravel()))
 
     def from_coords(self, c):
         c = np.asarray(c, dtype=complex)
@@ -579,6 +581,12 @@ def bimodule_gaps(k, basis):
     character an algebra A that contains the *-algebra D, which its check
     confirms first.  Block factors (SandwichSum.module_gaps) vanish off the
     span of A's rotated units instead (representing._pinching).
+
+    This commutator route is exact and serves any basis.  When the basis is
+    a patterned D's rotated units u E_ij u*, the same factors rotated once
+    into u's frame give every gap by index (unit_frame_gaps), O(c n^3) in
+    all against O(c q n^3) here; the checks read that first and come here
+    when it does not pass.
     """
     q, n, _ = basis.shape
     return _commutator_gaps(*_schmidt_factors(np.reshape(k, (n, n, n, n)), q), basis)
@@ -616,6 +624,58 @@ def _commutator_gaps(left, right, tail, basis):
     return gaps
 
 
+def unit_frame_gaps(left, right, tail, frame):
+    """Upper bounds on bimodule_gaps at a basis whose rows x_s are the rotated matrix units
+    f_s = u E_s u*, read in u's frame with no product per basis element: a (2, m) array.
+
+    left and right are the two sides of a splitting as stacks (c, n, n) of
+    the factors W whose commutators the gaps sum (SandwichSum.sides, or
+    _schmidt_factors' read as matrices), and tail bounds what they leave out.
+    frame = (u, rows, cols, eta, distances) is algebras._unit_frame's: unit s
+    is E_ij with (i, j) = (rows[s], cols[s]), u is None for the identity,
+    eta = ||u*u - I|| < 1 and distances[s] = ||x_s - f_s||.
+
+    Each factor is rotated once, W' = u* W u, at O(c n^3).  W' E_ij holds
+    W'[:, i] in column j and E_ij W' holds W'[j, :] in row i, so
+        ||[W', E_ij]||^2 = sum_{a != i} |W'_ai|^2 + sum_{b != j} |W'_jb|^2 + |W'_ii - W'_jj|^2,
+    read per unit by index from the off-diagonal column and row sums of the
+    W' and their diagonals, O(c n^2 + c m) in all.  The off-diagonal sums
+    are summed with the diagonal zeroed, never as a column norm less
+    |W'_ii|^2, which would cancel a gap of rounding size against the O(1)
+    diagonal up to about 1e-8.  With u None and x_s = E_s (eta and the
+    distances 0) the sum over a side's factors is the gap itself.
+    Otherwise, with h = u*u:
+    - u* [W, f_s] u = W' E h - h E W' = [W', E] + W' E (h - I) - (h - I) E W'
+      has norm at most ||[W', E]|| + 2 eta ||W'||, with ||W'|| <= (1 + eta) ||W||,
+      and ||X|| <= ||u^-1||^2 ||u* X u|| with ||u^-1||^2 <= 1 / (1 - eta);
+    - ||[W, x_s - f_s]|| <= 2 ||W|| distances[s].
+    Summed over a side's factors in l2, with N^2 = sum ||W||^2, the gap at x_s is at most
+        (frame_s + 2 eta (1 + eta) N) / (1 - eta) + 2 N distances[s],
+    never below it, and above it by that slack and rounding.  As in
+    _commutator_gaps, 2 ||x_s|| tail <= 2 (1 + eta + distances[s]) tail is
+    added for what the splitting leaves out (||f_s|| <= 1 + eta).
+    """
+    u, rows, cols, eta, distances = frame
+    n = left.shape[-1]
+    w = np.stack((left, right))
+    if u is not None:
+        w = dagger(u) @ w @ u
+    diag = np.diagonal(w, axis1=2, axis2=3)
+    split = diag[:, :, rows] - diag[:, :, cols]
+    sq = w.real**2 + w.imag**2
+    on = np.arange(n)
+    sq[:, :, on, on] = 0.0
+    squares = (sq.sum(axis=(1, 2))[:, rows] + sq.sum(axis=(1, 3))[:, cols]
+               + (split.real**2 + split.imag**2).sum(axis=1))
+    gaps = np.sqrt(squares)
+    if u is not None:
+        norms = np.sqrt([np.vdot(left, left).real, np.vdot(right, right).real])[:, None]
+        gaps = (gaps + 2 * eta * (1 + eta) * norms) / (1 - eta) + 2 * norms * distances
+    if tail:
+        gaps += 2 * tail * (1 + eta + distances)
+    return gaps
+
+
 def apply_map(map_matrix, x):
     """The map with matrix map_matrix at one matrix or at each entry of a stacked (k, n, n) tensor."""
     n = x.shape[-1]
@@ -649,6 +709,16 @@ class SandwichSum:
             lx = lx.reshape(r, n, k, n).transpose(2, 1, 0, 3).reshape(k * n, r * n)
             out[part] = (lx @ self.right.reshape(r * n, n)).reshape(k, n, n)
         return out.reshape(x.shape)
+
+    def conjugated(self, u):
+        """The map x -> u* K(u x u*) u, as its factors u* L_t u and u* R_t u: O(r n^3)."""
+        rotated = dagger(u) @ np.stack((self.left, self.right)) @ u
+        return SandwichSum(rotated[0], rotated[1])
+
+    def at_units(self, rows, cols):
+        """K(E_ij) at the matrix units (i, j) = (rows[s], cols[s]), as a fresh (k, n, n) stack:
+        sum_t L_t[:, i] R_t[j, :], one (n x r)(r x n) product per unit."""
+        return self.left[:, :, rows].transpose(2, 1, 0) @ self.right[:, cols].transpose(1, 0, 2)
 
     def pre_adjoint(self, rho):
         """sum_t R_t rho L_t, the density sigma with Tr(sigma x) = Tr(rho K(x)) for every x."""
@@ -692,21 +762,29 @@ class SandwichSum:
         return math.hypot(*(hs_norm(a_rows[part.start * n : part.stop * n] @ c_cols)
                             for part in chunk_slices(n, 4 * n**3)))
 
-    def module_gaps(self, basis):
-        """bimodule_gaps of the map at a stacked basis (q, n, n), from the factors: no sketch, tail 0.
+    def sides(self):
+        """The two (r, n, n) stacks of factors whose commutators give the module gaps: the L'_u of
+        a splitting sum_u L'_u x Q_u with orthonormal Q_u, and the R'_u of one sum_u P_u x R'_u
+        with orthonormal P_u.
 
-        For the left gaps the right factors are orthonormalized, R = C Q with
+        For the left side the right factors are orthonormalized, R = C Q with
         Q orthonormal rows and C = V Lambda^(1/2) from the eigendecomposition
-        V Lambda V* of their Gram matrix, and the map is sum_u L'_u x Q_u with
-        L'_u = sum_t C[t, u] L_t; the right gaps take the roles swapped.  Both
-        sides come from one batched eigh of the two r x r Gram matrices.  The
-        splittings are exact, so nothing is added to the gaps.
+        V Lambda V* of their Gram matrix, and L'_u = sum_t C[t, u] L_t; the
+        right side takes the roles swapped.  Both come from one batched eigh
+        of the two r x r Gram matrices, and the splittings are exact.
         """
         r, n = self.count, self.n
         eigs, v = np.linalg.eigh(self._grams)
         c = (v * np.sqrt(np.clip(eigs, 0.0, None))[:, None, :]).swapaxes(1, 2)
         left = (c[1] @ self.left.reshape(r, -1)).reshape(r, n, n)
         right = (c[0] @ self.right.reshape(r, -1)).reshape(r, n, n)
+        return left, right
+
+    def module_gaps(self, basis):
+        """bimodule_gaps of the map at a stacked basis (q, n, n), from the commutators of its
+        sides() with each basis element: no sketch, tail 0.  At the rotated matrix units of a
+        patterned D the same gaps are read in D's unit frame instead (unit_frame_gaps)."""
+        left, right = self.sides()
         return _commutator_gaps(left.transpose(2, 0, 1), right.transpose(2, 0, 1), 0.0, basis)
 
 

@@ -20,24 +20,40 @@ the fallback.  A block character is kept as its block factors (_pinching),
 with no n^2 x n^2 matrix; its kernel is read off the masks (_mask_kernel)
 and its multiplicativity bounded from its defects on the rotated matrix
 units (_multiplicative_from_defects): no SVD and no product of two basis
-elements or units.  The matching is r = sum_j (v_j / c) x_j* over A's
-orthonormal rows for a scalar weight c I (_matched_density); b is
-projected one mask-row class of a patterned A at a time (_projected_rows);
-the average onto D' keeps its Gram factor pair (expectations._pair_route).
+elements or units.  Its per-unit checks are read in the unit frame of the
+pattern (u, mask) that A and D share: the factors are conjugated once,
+L'_t = u* L_t u and R'_t = u* R_t u, and u* Phi(u E_ij u*) u =
+sum_t L'_t[:, i] R'_t[j, :] is read per unit by index for the unit defects
+(_rotated_unit_images) and, for Psi - Phi, the extension check
+(_extension_bound); the module gaps are read the same way
+(expectations._ModuleMap._check_module) and D inside A off the masks
+(algebras._inclusion_gap), so validate() multiplies by no basis element
+and forms no image of A's basis.  Each frame read is an upper bound that
+decides only when it passes; otherwise the exact route decides, with its
+own message.  The matching reads the functional's values on Phi's images of
+A's basis from Phi's trace pre-adjoint (DCharacter.domain_values) and is
+r = sum_j (v_j / c) x_j* over A's orthonormal rows for a scalar weight c I
+(_matched_density); b is projected one mask-row class of a patterned A at
+a time (_projected_rows); the average onto D' keeps its Gram factor pair
+(expectations._pair_route).
 """
 
 import functools
+import math
 
 import numpy as np
 
 from .algebras import (
     _block_algebra,
+    _inclusion_gap,
     _mask_classes,
     _mask_gap,
     _mask_rows,
     _off_mask,
     _pattern_coordinates,
+    _rotated_units,
     _same_rotation,
+    _unit_frame,
     block_diagonal_algebra,
     check_ss_density,
     diagonal_part_check,
@@ -59,6 +75,7 @@ from .errors import (
     check,
 )
 from .expectations import (
+    _BLOCK_FROM,
     _ModuleMap,
     _average_to_central,
     _check_values,
@@ -139,9 +156,13 @@ class DCharacter(_ModuleMap):
         check(InvariantViolation, "unital: Phi(I) misses I by {:.3e}",
               hs_norm(self(eye) - eye), tol(1e-9) * np.sqrt(n))
         d_flat = self.range_alg.space.flat
-        outside = self.domain.space.residuals(d_flat)
+        d_norms = hs_norms(d_flat)
+        allowed = tol(1e-8) * np.maximum(1.0, d_norms)
+        # D inside A read off the masks, else measured (NaN or inf fails)
+        outside = _inclusion_gap(self.domain, self.range_alg) * d_norms
+        if not np.all(outside <= allowed):
+            outside = self.domain.space.residuals(d_flat)
         fix = self.fix
-        allowed = tol(1e-8) * np.maximum(1.0, hs_norms(d_flat))
         # the first failing basis element decides which of the two is reported
         for gap, moved, bound in zip(outside.tolist(), fix.tolist(), allowed.tolist()):
             check(InvariantViolation, "range: D is not inside A", gap, bound)
@@ -152,8 +173,7 @@ class DCharacter(_ModuleMap):
               self._range_gap(k_norm, scale), tol(1e-8) * scale)
         self._check_multiplicative(k_norm)
         # per basis element d: the left gap, then the right one
-        check(InvariantViolation, "bimodule: Phi(d x d') != d Phi(x) d' by {:.3e}",
-              self.module_gaps().T, tol(1e-8) * scale * np.sqrt(n))
+        self._check_module("bimodule: Phi(d x d') != d Phi(x) d' by {:.3e}", tol(1e-8) * scale * np.sqrt(n))
         if self.kernel.size + self.range_alg.dim != self.domain.dim:
             raise InvariantViolation(
                 f"splitting: dim J + dim D = {self.kernel.size} + {self.range_alg.dim}"
@@ -258,10 +278,10 @@ def _mask_kernel(phi):
         return None
     n = phi.n
     u = np.eye(n) if u is None else u
-    i, j = np.nonzero(off)
-    # row s is vec(u E_ij u*) = u[:, i] (x) conj(u[:, j])
-    rows = (u[:, i].T[:, :, None] * u[:, j].conj().T[:, None, :]).reshape(k, n * n)
-    tau = hs_norm(phi.apply(rows.reshape(k, n, n)))
+    rows = _rotated_units(u, *np.nonzero(off))
+    units = rows.reshape(k, n, n)
+    # per unit, its image
+    tau = math.hypot(*(hs_norm(phi.apply(units[part])) for part in chunk_slices(k, n * n)))
     kappa = phi.norm()
     fixed = hs_norm(phi.fix)
     small = tau / (1.0 - 2.0 * lam)
@@ -309,36 +329,33 @@ def _multiplicative_from_defects(phi, kappa):
     and (j, l) on A's mask; (sum_j r_j sum_t ||row j of Delta_t||^2)^(1/2),
     r_j the number of i with (i, j) on both masks; the same with the
     columns k of Delta_s and the number of l with (k, l) on both masks; and
-    sum_s ||Delta_s||^2.  The T_s are sum_a <x_a, f_s> Phi(x_a) =
-    Phi(Q_A f_s), within kappa lambda^2 of Phi(f_s) for block factors
-    (_pinching): one (m x dim A) by (dim A x n^2) product, and none on the
-    mask's identity rows, whose images are the T_s (_pattern_coordinates).
-    Their rotation costs O(m n^3) and the sums O(m n^2), a bounded chunk of
-    units at a time.  The units pass when the right side is at most tol(1e-8).
+    sum_s ||Delta_s||^2.  The Y_s come from _rotated_unit_images: for block
+    factors from the factors rotated once into u's frame, O(r n^3 + m r n^2),
+    and for a matrix from its images, O(m dim A n^2 + m n^3).  The sums cost
+    O(m n^2), a bounded chunk of units at a time.  The units pass when the
+    right side is at most tol(1e-8).
     """
     a, d = phi.domain, phi.range_alg
     if not _same_rotation(a, d) or _mask_classes(d) is None:
         return False
-    u, mask = a.pattern
+    mask = a.pattern[1]
     both = mask & d.pattern[1]
     # paths[i, l] counts the j with (i, j) and (j, l) on A's mask, exact in floating point
     paths = mask.astype(float) @ mask
     if np.any(paths[~mask]) or np.any((paths - both.astype(float) @ both)[d.pattern[1]]):
         return False
-    coords, residuals, eta = _pattern_coordinates(a)
     rows, cols = np.nonzero(mask)
     n, m = phi.n, len(rows)
-    e = (1 + eta) * residuals.max(initial=0.0) + eta * (2 + eta)
+    eps, eta, unit_images = _rotated_unit_images(phi, rows, cols)
+    e = (1 + eta) * eps + eta * (2 + eta)
     allowed = (tol(1e-8) - (kappa + kappa**2) * e * (2 + e)) / (1 + eta) ** 2 - m * eta * kappa * (1 + eta)
     if not (allowed > 0 and eta < 1):
         return False
     on_d = both[rows, cols]
     norms, row_sq, col_sq, spread = np.empty(m), np.zeros(n), np.zeros(n), 0.0
-    # a bounded chunk of units at a time: T_s from the images, rotated to Y_s, less F_s
+    # a bounded chunk of units at a time: the Y_s, less F_s in place
     for part in chunk_slices(m, n * n):
-        # on identity rows, the images' own rows, copied a chunk at a time as F is taken off in place
-        units = phi.images[part].copy() if coords is None else coords[:, part].conj().T @ phi.images
-        y = units.reshape(-1, n, n) if u is None else dagger(u) @ units.reshape(-1, n, n) @ u
+        y = unit_images(part)
         spread += np.vdot(y, y).real  # sum_s ||Y_s||^2, before F is taken off
         hit = np.flatnonzero(on_d[part])
         y[hit, rows[part][hit], cols[part][hit]] -= 1.0
@@ -353,6 +370,38 @@ def _multiplicative_from_defects(phi, kappa):
         + norms.sum()
     )
     return bool((bound + eta / (1 - eta) * spread) / (1 - eta) <= allowed)
+
+
+def _rotated_unit_images(phi, rows, cols):
+    """(eps, eta, images) for Phi on a patterned domain (u, mask) and its units s = (rows[s],
+    cols[s]): eps the largest off-mask norm of a rotated basis element, eta = ||u*u - I||, and
+    images(part) the fresh (k, n, n) stack of the Y_s = u* Phi(f_s) u over a slice of the units.
+
+    For block factors (a SandwichSum, L_t and R_t) the map is conjugated
+    once into u's frame, L'_t = u* L_t u and R'_t = u* R_t u at O(r n^3)
+    (SandwichSum.conjugated), and eps and eta are the domain's kept
+    _off_mask: u* L_t f_s R_t u = L'_t E_ij R'_t, so Y_s is the conjugated
+    map at E_ij, sum_t L'_t[:, i] R'_t[j, :] (SandwichSum.at_units), with no
+    copy of the basis and no product with the images.  For a map
+    given as a matrix, Phi = Phi Q_A and T_s = Phi(Q_A f_s) = sum_a
+    <f_s, x_a> Phi(x_a): one (k x dim A)(dim A x n^2) product per slice with
+    _pattern_coordinates' coordinates, none on the mask's identity rows,
+    whose images are the T_s, each slice then rotated at O(k n^3).
+    """
+    u = phi.domain.pattern[0]
+    off = _off_mask(phi.domain)
+    if isinstance(phi.factors, SandwichSum) and off is not None:
+        rotated = phi.factors if u is None else phi.factors.conjugated(u)
+        return *off, lambda part: rotated.at_units(rows[part], cols[part])
+    coords, residuals, eta = _pattern_coordinates(phi.domain)
+    n = phi.n
+
+    def images(part):
+        # on identity rows, the images' own rows, copied as the caller writes into them
+        units = phi.images[part].copy() if coords is None else coords[:, part].conj().T @ phi.images
+        return units.reshape(-1, n, n) if u is None else dagger(u) @ units.reshape(-1, n, n) @ u
+
+    return residuals.max(initial=0.0), eta, images
 
 
 def make_block_character(n, blocks):
@@ -371,7 +420,9 @@ def _block_character(n, blocks, u=None):
     d = _block_algebra(n, blocks, star=True)
     factors = _pinching(d, u)
     if u is not None:
-        a, d = unitary_conjugate_algebra(a, u), unitary_conjugate_algebra(d, u)
+        # one at a time, so that the coordinate A is freed before D is rotated
+        a = unitary_conjugate_algebra(a, u)
+        d = unitary_conjugate_algebra(d, u)
     phi = DCharacter(factors, a, d)
     if u is None:
         phi.blocks = blocks
@@ -586,9 +637,42 @@ def _extension_gap(psi, phi):
     return hs_norm(psi.apply(phi.domain.space.tensor).reshape(phi.images.shape) - phi.images)
 
 
+def _extension_bound(psi, phi):
+    """An upper bound on _extension_gap read in A's unit frame, with no image of A's basis;
+    None unless Psi and Phi are SandwichSums, n^4 > _BLOCK_FROM and A's rows are its
+    pattern's units (algebras._unit_frame).
+
+    Let Delta = Psi - Phi = sum_q A_q x C_q over Psi's pairs and Phi's with
+    C negated, and f_s = u E_s u* for A's rows x_s.  Then u* Delta(f_s) u =
+    Delta'(E_s) exactly, Delta' = Delta conjugated by u (SandwichSum.conjugated,
+    read at the units by at_units); ||X|| <= ||u^-1||^2 ||u* X u|| with
+    ||u^-1||^2 <= 1 / (1 - eta), eta = ||u*u - I||; and
+    ||Delta(x_s) - Delta(f_s)|| <= (||Psi|| + ||Phi||) ||x_s - f_s||, the
+    Frobenius norms bounding ||Delta||.  So, in l2 over the rows,
+        ||(Psi - Phi) P_A||_F <= ||(Delta'(E_s))_s|| / (1 - eta) + (||Psi|| + ||Phi||) ||distances||,
+    at O(r n^3 + m r n^2), a bounded chunk of units at a time.
+    """
+    frame = _unit_frame(phi.domain) if phi.n**4 > _BLOCK_FROM else None
+    f, g = psi.factors, phi.factors
+    if frame is None or not (isinstance(f, SandwichSum) and isinstance(g, SandwichSum)):
+        return None
+    u, rows, cols, eta, distances = frame
+    delta = SandwichSum(np.concatenate((f.left, g.left)), np.concatenate((f.right, -g.right)))
+    delta = delta if u is None else delta.conjugated(u)
+    # per unit, its image
+    frame_gap = math.hypot(*(hs_norm(delta.at_units(rows[part], cols[part]))
+                             for part in chunk_slices(len(rows), phi.n**2)))
+    return frame_gap / (1 - eta) + (f.norm() + g.norm()) * hs_norm(distances)
+
+
 def _check_extends_character(e, phi):
-    check(InvariantViolation, "extension: Psi differs from Phi on A by {:.3e}",
-          _extension_gap(e, phi), tol(1e-7) * max(1.0, phi.norm()))
+    """The extension check on _extension_gap, read off _extension_bound when that passes, so a
+    failure reports the exact gap."""
+    bound = tol(1e-7) * max(1.0, phi.norm())
+    gap = _extension_bound(e, phi)
+    if gap is None or not gap <= bound:
+        gap = _extension_gap(e, phi)
+    check(InvariantViolation, "extension: Psi differs from Phi on A by {:.3e}", gap, bound)
 
 
 def _check_represents(rho, phi, values, what):
@@ -600,8 +684,9 @@ def _check_represents(rho, phi, values, what):
 
 def _represented_factor(functional, a, phi, m, perturb, rng_seed, weight):
     """The pipelines' head, in the weight's inner product (None for the trace's): the functional's
-    values on Phi's images, their matched density, its polar factors and the projected factor c."""
-    values = _values_on(functional, phi.images)
+    values on Phi's images of A's basis (DCharacter.domain_values), their matched density, its
+    polar factors and the projected factor c."""
+    values = phi.domain_values(functional.density)
     r = _matched_density(a.space, values, m, perturb, rng_seed, weight=weight)
     a_mat, b_mat = _polar_factors(r)
     return values, _projected_factor(a, phi.kernel, a_mat, b_mat, weight=weight)
@@ -736,7 +821,7 @@ def extension_via_ss_density(m, omega_d, d, a, phi, psi):
     if not _faithful_on(omega_d, d):
         raise NotFaithful("omega_D is not faithful on D")
     _check_values(NotAnExtension, "psi does not extend omega_D∘Phi on A",
-                  psi, a.space.flat, _values_on(omega_d, phi.images), 1e-8)
+                  psi, a.space.flat, phi.domain_values(omega_d.density), 1e-8)
     require_D_central(psi, d, m, InconsistencyDetected, "an extension of a tracial character functional must be"
                       " D-central when A + A* spans M; violation {:.3e}")
     e = _preserving_expectation(psi, d, m)  # psi passed the D-centrality test above

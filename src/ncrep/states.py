@@ -360,8 +360,10 @@ def _local_violation(omega, projections, d, m):
     worst = 0.0
     # per projection: about four (dim D, n, n) stacks at once (the sandwiches, their difference
     # and its copy for the pairing; gathered, the two products and the buffers numpy fills to
-    # broadcast them), so n <= 4 takes one pass
-    for part in chunk_slices(len(projections), 4 * d.dim * d.n**2):
+    # broadcast them), counted as nine, so that each stack stays under the 128 KiB above which
+    # malloc may map fresh pages on every call (diagnosis-mixed's n = 5..8 trials ran about 5 %
+    # slower with stacks of twice that size); n <= 4 still takes one pass
+    for part in chunk_slices(len(projections), 9 * d.dim * d.n**2):
         p = projections[part]
         ks = p @ omega.density @ p
         if gather:

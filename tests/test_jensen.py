@@ -1,3 +1,4 @@
+import decimal
 from contextlib import nullcontext
 from dataclasses import replace
 from types import SimpleNamespace
@@ -87,6 +88,29 @@ def test_geometric_mean_wide_spectrum_needs_more_powers():
     report = geometric_mean(tau, np.diag([1e-3, 1e3]).astype(complex), n_powers=28)
     assert abs(report.value - 1.0) < 1e-9
     assert abs(report.power_sequence[-1] - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("n_powers", [40, 50, 60, 100])
+@pytest.mark.parametrize("spectrum", [(1.0, 1e3), (1.0, 2.0), (3.0, 1e-3)])
+def test_long_power_sequences_stay_monotone_and_land_on_the_closed_form(spectrum, n_powers):
+    # the 2^p-th power scales the log of term p by 2^p: formed from the terms themselves, their
+    # long-double rounding grew past the monotone check's slack from about p = 40 on
+    tau = PositiveFunctional.tracial(2)
+    report = geometric_mean(tau, np.diag(spectrum).astype(complex), n_powers=n_powers)
+    want = np.sqrt(spectrum[0] * spectrum[1])
+    seq = np.array(report.power_sequence)
+    assert np.all(np.diff(seq) <= 0.0)
+    assert abs(report.value - want) <= 1e-15 * want
+    if n_powers >= 60:  # the sequence has converged to the closed form's rounding
+        assert abs(seq[-1] - want) <= 1e-15 * want
+    # each term against (mean of lam^(2^-p))^(2^p) in 80-digit decimal arithmetic
+    with decimal.localcontext(decimal.Context(prec=80)):
+        logs = [decimal.Decimal(lam).ln() for lam in spectrum]
+        for p in (0, 10, 20, n_powers):
+            scale = decimal.Decimal(2) ** p
+            term = sum((log / scale).exp() for log in logs) / len(logs)
+            want_p = float((term.ln() * scale).exp())
+            assert abs(seq[p] - want_p) <= 4 * np.finfo(float).eps * want_p
 
 
 def test_geometric_mean_gates():

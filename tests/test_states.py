@@ -176,7 +176,7 @@ def test_sample_projections_live_in_algebra():
         assert hs_norm(p - dagger(p)) <= 1e-9
 
 
-@pytest.mark.parametrize("n, sizes, passes", [(3, (2, 1), 1), (4, (3, 1), 1), (8, (4, 3, 1), 2), (10, (5, 4, 1), 6)])
+@pytest.mark.parametrize("n, sizes, passes", [(3, (2, 1), 1), (4, (3, 1), 1), (8, (4, 3, 1), 4), (10, (5, 4, 1), 16)])
 def test_local_violation_in_chunks_equals_one_pass(monkeypatch, n, sizes, passes):
     # 16 projections: one pass up to n = 4, several chunks from n = 8 on
     ends = np.cumsum(sizes)

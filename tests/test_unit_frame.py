@@ -1,0 +1,264 @@
+"""Block checks read in D's unit frame against the exact routes they stand in for.
+
+On a patterned algebra whose rows are its rotated units f_s = u E_s u*
+(algebras._unit_frame), linalg.unit_frame_gaps reads a factored map's module
+gaps off its factors rotated once into u's frame; _ModuleMap._check_module
+keeps them when they pass, and the exact route (_commutator_gaps) decides
+otherwise.  A block character's unit defects Y_s = u* Phi(f_s) u come from
+its factors conjugated into the frame (SandwichSum.conjugated and at_units)
+rather than from its images, the extension check from Psi - Phi read the same
+way (_extension_bound), D inside A off the masks (_inclusion_gap) and the
+brackets of D's class projections with its basis in commutant(D)
+(algebras._pattern_commutant).
+
+On coordinate D the frame gaps are the exact ones to rounding; on rotated D,
+with u a Haar unitary or one whose defect ||u*u - I|| is near the
+_UNITARY_DEFECT a pattern keeps, they are never below the exact gaps and
+above them by at most the slack unit_frame_gaps derives.  Rows that are not
+units take the exact route, a failing check reports the exact route's
+message, and the block pipelines reach none of the routes the frame replaces.
+"""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ncrep import algebras, expectations, linalg, representing
+from ncrep.algebras import (
+    _UNITARY_DEFECT,
+    _inclusion_gap,
+    _unit_frame,
+    _unitary_defect,
+    block_diagonal_algebra,
+    block_upper_triangular,
+    corner_algebra,
+    full_matrix_algebra,
+    unitary_conjugate_algebra,
+)
+from ncrep.config import tol
+from ncrep.errors import InvariantViolation
+from ncrep.expectations import ConditionalExpectation, _preserving_expectation, preserving_expectation
+from ncrep.instances import haar_unitary, random_central_density, random_density, random_partition
+from ncrep.linalg import Corner, SandwichSum, hs_norm, projection_isometry, unit_frame_gaps
+from ncrep.representing import (
+    DCharacter,
+    _block_character,
+    _check_extends_character,
+    _extension_bound,
+    _extension_gap,
+    _multiplicative_from_defects,
+    _rotated_unit_images,
+    representing_expectation_state,
+    representing_expectation_tracial,
+)
+from ncrep.states import PositiveFunctional
+
+EPS = np.finfo(float).eps
+ROTATIONS = ("coordinate", "haar", "near defect")
+MODULE_MESSAGE = "bimodule: module property fails by {:.3e}"
+
+
+def _rotation(n, rotation, rng):
+    """None, a Haar unitary, or a Haar unitary stretched to a defect of about half _UNITARY_DEFECT."""
+    if rotation == "coordinate":
+        return None
+    u = haar_unitary(n, rng)
+    if rotation == "near defect":
+        stretch = np.linspace(1.0, 2.0, n)
+        u = u @ np.diag(1.0 + 0.25 * _UNITARY_DEFECT * stretch / np.linalg.norm(stretch))
+        assert _UNITARY_DEFECT / 4 < _unitary_defect(u) <= _UNITARY_DEFECT
+    return u
+
+
+def _instance(n, rotation, rng):
+    """(A, D, Phi, M) of a random block character, rotated as asked."""
+    a, d, phi = _block_character(n, random_partition(n, rng), _rotation(n, rotation, rng))
+    return a, d, phi, full_matrix_algebra(n)
+
+
+def _maps(d, m, phi, rng):
+    """The maps whose module gaps are checked on D: the character, the tracial expectation, the
+    closed form for a non-central density (unvalidated) and that map again as its dense matrix."""
+    e = preserving_expectation(PositiveFunctional.tracial(d.n), d, m)
+    off = _preserving_expectation(random_density(d.n, rng), d, m, check=False)
+    dense = ConditionalExpectation(off.map_matrix, m, d.space, np.eye(d.n), d, check=False)
+    return {"phi": phi, "tracial": e, "noncentral": off, "noncentral dense": dense}
+
+
+def _slack(mp, frame, exact):
+    """How far unit_frame_gaps may read above the exact gaps, from its derivation: its frame read f
+    has f <= (1 + eta)(gap + 2 N d) + 2 eta (1 + eta) N, so for eta <= 1e-12 its bound exceeds the
+    gap by at most 3 eta gap + 5 N (d + eta), and by the tail's 2 (1 + eta + d) tail."""
+    eta, distances = frame[3:]
+    left, right, tail = mp._splitting()
+    norms = np.array([hs_norm(left), hs_norm(right)])[:, None]
+    return 3 * eta * exact + 5 * norms * (distances + eta) + 2 * tail * (1 + eta + distances)
+
+
+def _assert_frame_bounds(d, maps):
+    frame = _unit_frame(d)
+    assert frame is not None
+    for name, mp in maps.items():
+        exact = mp.module_gaps()
+        got = unit_frame_gaps(*mp._splitting(), frame)
+        scale = max(1.0, mp.norm())
+        rounding = 16 * d.n * EPS * scale
+        assert np.all(exact <= got + rounding), name
+        if frame[0] is None:
+            assert np.abs(got - exact).max() <= 1e-12 * scale, name
+        else:
+            assert np.all(got <= exact + _slack(mp, frame, exact) + rounding), name
+
+
+def _assert_unit_images_agree(phi):
+    """The unit defects from the conjugated factors against the images route of the same map as a matrix."""
+    a, d = phi.domain, phi.range_alg
+    dense = DCharacter(phi.map_matrix, a, d, check=False)
+    rows, cols = np.nonzero(a.pattern[1])
+    eps_f, eta_f, from_factors = _rotated_unit_images(phi, rows, cols)
+    eps_i, eta_i, from_images = _rotated_unit_images(dense, rows, cols)
+    everything = slice(None)
+    scale = max(1.0, phi.norm())
+    assert eta_f == eta_i
+    assert abs(eps_f - eps_i) <= 16 * phi.n * EPS
+    assert np.abs(from_factors(everything) - from_images(everything)).max() <= 1e-12 * scale
+    kappa = phi.norm()
+    assert _multiplicative_from_defects(phi, kappa) == _multiplicative_from_defects(dense, kappa)
+
+
+@pytest.mark.parametrize("rotation", ROTATIONS)
+@pytest.mark.parametrize("n", range(2, 13))
+def test_frame_gaps_and_unit_defects_agree_with_the_exact_routes(n, rotation):
+    for seed in range(3):
+        rng = np.random.default_rng(100 * n + seed)
+        _, d, phi, m = _instance(n, rotation, rng)
+        _assert_frame_bounds(d, _maps(d, m, phi, rng))
+        _assert_unit_images_agree(phi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 12), st.sampled_from(ROTATIONS), st.integers(0, 2**32 - 1))
+def test_frame_reads_bound_the_exact_routes_on_random_instances(n, rotation, seed):
+    rng = np.random.default_rng(seed)
+    a, d, phi, m = _instance(n, rotation, rng)
+    _assert_frame_bounds(d, _maps(d, m, phi, rng))
+    _assert_unit_images_agree(phi)
+    # D inside A off the masks bounds the residuals; the extension bound bounds the extension gap
+    residuals = a.space.residuals(d.space.flat)
+    assert np.all(residuals <= _inclusion_gap(a, d) * linalg.hs_norms(d.space.flat) + 16 * n * EPS)
+    psi, _ = representing_expectation_tracial(m, PositiveFunctional.tracial(n), d, a, phi)
+    bound = _extension_bound(psi, phi)
+    if n**4 > expectations._BLOCK_FROM:
+        assert _extension_gap(psi, phi) <= bound + 16 * n * EPS * max(1.0, phi.norm()) <= tol(1e-9)
+    else:
+        assert bound is None
+
+
+def test_rows_that_are_not_units_take_the_exact_route(monkeypatch):
+    # a coordinate D cut to two of its blocks: the corner keeps a pattern, but its rows are an SVD's
+    # mixtures of the units, so the frame's slack fails and the exact route decides
+    n = 8
+    d = block_diagonal_algebra(n, [[0, 1, 2], [3, 4, 5], [6, 7]])
+    corner = Corner(projection_isometry(np.diag([1.0] * 6 + [0.0] * 2)))
+    d_c = corner_algebra(d, corner)
+    frame = _unit_frame(d_c)
+    assert d_c.pattern is not None and frame is not None and frame[4].max() > 0.1
+    calls = []
+    exact = linalg._commutator_gaps
+    monkeypatch.setattr(linalg, "_commutator_gaps", lambda *args: calls.append(1) or exact(*args))
+    omega = random_central_density(6, d_c, np.random.default_rng(3))
+    e = _preserving_expectation(omega, d_c, full_matrix_algebra(6))
+    assert isinstance(e.factors, SandwichSum) and calls
+    # the commutant's class projections are bracketed with the basis, as they are with no frame
+    brackets = []
+    commutes_with = algebras._commutes_with
+    monkeypatch.setattr(algebras, "_commutes_with", lambda *args: brackets.append(1) or commutes_with(*args))
+    found = algebras._pattern_commutant(d_c, None)
+    assert brackets and linalg.same_subspace(found.space, algebras._solve_commutant(d_c.space.tensor, None).space)
+
+
+@pytest.mark.parametrize("rotation", ROTATIONS)
+@pytest.mark.parametrize("n", (5, 6, 8))
+def test_a_failing_module_check_reports_the_exact_routes_first_element(n, rotation, monkeypatch):
+    # the closed form for a non-central density is no bimodule map: read in the frame or by the exact
+    # route alone, the check raises the same InvariantViolation with the same first failing gap
+    rng = np.random.default_rng(n)
+    _, d, _, m = _instance(n, rotation, rng)
+    e = _preserving_expectation(random_density(n, rng), d, m, check=False)
+    bound = tol(1e-8) * max(1.0, e.norm()) * np.sqrt(n)
+
+    def message():
+        with pytest.raises(InvariantViolation) as err:
+            e._check_module(MODULE_MESSAGE, bound)
+        return str(err.value)
+
+    framed = message()
+    assert framed == MODULE_MESSAGE.format(e.module_gaps().T.ravel()[np.argmax(e.module_gaps().T.ravel() > bound)])
+    monkeypatch.setattr(expectations, "_unit_frame", lambda alg: None)
+    assert message() == framed
+
+
+def test_a_failing_extension_check_reports_the_exact_gap():
+    # the closed form for a non-central density does not extend Phi off D's blocks
+    n = 6
+    rng = np.random.default_rng(6)
+    a, d, phi, m = _instance(n, "haar", rng)
+    psi = _preserving_expectation(random_density(n, rng), d, m, check=False)
+    gap = _extension_gap(psi, phi)
+    assert _extension_bound(psi, phi) >= gap > tol(1e-7) * max(1.0, phi.norm())
+    with pytest.raises(InvariantViolation, match=re.escape(f"by {gap:.3e}") + "$"):
+        _check_extends_character(psi, phi)
+
+
+def test_inclusion_gap_needs_one_rotation_and_nested_masks():
+    n = 5
+    rng = np.random.default_rng(5)
+    a, d, _, _ = _instance(n, "haar", rng)
+    assert _inclusion_gap(a, d) <= 1e-12
+    other = unitary_conjugate_algebra(block_diagonal_algebra(n, [[0, 1], [2, 3, 4]]), haar_unitary(n, rng))
+    assert _inclusion_gap(a, other) == np.inf
+    # one block: D's mask covers every entry, A's mask of a two-block triangular algebra does not
+    assert _inclusion_gap(block_upper_triangular(n, [[0, 1], [2, 3, 4]]), block_diagonal_algebra(n, [list(range(n))])) == np.inf
+
+
+@pytest.mark.parametrize("rotation", ("coordinate", "haar"))
+@pytest.mark.parametrize("n", (5, 8, 10))
+def test_block_pipelines_reach_none_of_the_replaced_routes(n, rotation, monkeypatch):
+    # the gaps on D' (no pattern, a dense matrix below _PAIR_FROM) still take the exact route
+    gap_bases, coordinate_calls, residual_spaces, bracket_stacks = [], [], [], []
+
+    def gaps(fn):
+        def wrapped(left, right, tail, basis):
+            gap_bases.append(basis)
+            return fn(left, right, tail, basis)
+        return wrapped
+
+    def coordinates(alg):
+        coordinate_calls.append(alg)
+        return algebras._pattern_coordinates(alg)
+
+    monkeypatch.setattr(linalg, "_commutator_gaps", gaps(linalg._commutator_gaps))
+    monkeypatch.setattr(representing, "_pattern_coordinates", coordinates)
+    commutes_with = algebras._commutes_with
+    monkeypatch.setattr(algebras, "_commutes_with",
+                        lambda flat, stack, threshold: bracket_stacks.append(stack) or commutes_with(flat, stack, threshold))
+    residuals = linalg.OperatorSubspace.residuals
+
+    def spied(space, rows):
+        residual_spaces.append(space)
+        return residuals(space, rows)
+
+    monkeypatch.setattr(linalg.OperatorSubspace, "residuals", spied)
+    rng = np.random.default_rng(n)
+    a, d, phi, m = _instance(n, rotation, rng)
+    omega = random_central_density(n, d, rng)
+    representing_expectation_tracial(m, PositiveFunctional.tracial(n), d, a, phi)
+    representing_expectation_state(m, omega, d, a, phi)
+    assert not any(np.shares_memory(basis, d.space.flat) for basis in gap_bases)
+    assert not any(np.shares_memory(stack, d.space.flat) for stack in bracket_stacks)
+    assert not coordinate_calls
+    assert not any(space is a.space for space in residual_spaces)
+    assert algebras._off_mask(a) is not None
