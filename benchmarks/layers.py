@@ -76,7 +76,11 @@ drawn from default_rng(3), and adds the dimension it finds.  An algebra keeps it
 commutants and sampled projections once computed, so the sample_projections,
 commutant and diagnosis rows are timed twice: cold, on a fresh algebra
 object over the same basis and block pattern for every call (built outside
-the timing), and warm, repeated on one object; the other rows repeat on one D.  --src points at
+the timing), and warm, repeated on one object; the other rows repeat on one D.
+A functional keeps its restricted densities, D-centrality verdicts and
+validated expectations, so every row that takes a state (the expectation,
+pipeline, centrality, averaging and diagnosis rows) gets a fresh functional
+over the same density per call, made outside the timing.  --src points at
 the src/ directory of the checkout to measure (default: this one's), so two
 commits can be compared with the same script.  BLAS is pinned to one thread
 before numpy loads.
@@ -194,8 +198,8 @@ def _step_rows(a, d, phi, m, reps):
         "_matched_density": _measure(match, reps),
         "_projected_factor": _measure(lambda: _projected_factor(a, phi.kernel, a_mat, b_mat, weight=k), reps),
         "_average_to_central": _measure(
-            lambda psi: _average_to_central(psi, tau, d, m), reps,
-            lambda: (PositiveFunctional(moved, check=False),),
+            lambda psi, tau: _average_to_central(psi, tau, d, m), reps,
+            lambda: (PositiveFunctional(moved, check=False), _fresh_state(tau)),
         ),
     }
 
@@ -319,11 +323,17 @@ def _fresh(d):
     return copy
 
 
-def _cold_and_warm(label, fn, d, repeats):
-    """Rows for fn(d): cold on a fresh algebra object over d's basis per call, and warm on d itself."""
+def _fresh_state(omega):
+    """A new functional over omega's density with an empty store, made untimed: a row repeated on one
+    state times what each call does for a state it meets first, not what the state keeps."""
+    return type(omega)(omega.density, check=False)
+
+
+def _cold_and_warm(label, fn, d, repeats, more=tuple):
+    """Rows for fn(d, *more()): cold on a fresh algebra object over d's basis per call, and warm on d itself."""
     return {
-        label: _measure(fn, repeats, lambda: (_fresh(d),)),
-        f"{label} (warm)": _measure(fn, repeats, lambda: (d,)),
+        label: _measure(fn, repeats, lambda: (_fresh(d), *more())),
+        f"{label} (warm)": _measure(fn, repeats, lambda: (d, *more())),
     }
 
 
@@ -403,7 +413,8 @@ def _diagnosis_rows(repeats):
     rows = {}
     for name, omega in states.items():
         rows.update(_cold_and_warm(
-            f"existence_diagnosis ({name})", lambda d, omega=omega: existence_diagnosis(omega, d, m), d, repeats
+            f"existence_diagnosis ({name})", lambda d, omega: existence_diagnosis(omega, d, m), d, repeats,
+            lambda: (_fresh_state(omega),),
         ))
     return rows
 
@@ -515,18 +526,23 @@ def main():
             "support_of_map": _measure(lambda: support_of_map(e), reps),
             "commutes_with_modular": _measure(lambda: commutes_with_modular(e, nu), reps),
             "null_space_rows": dict(_measure(lambda: null_space_rows(stack), reps), shape=list(stack.shape)),
-            "preserving_expectation (tracial)": _measure(lambda: preserving_expectation(tau, d, m), reps),
+            "preserving_expectation (tracial)": _measure(
+                lambda tau: preserving_expectation(tau, d, m), reps, lambda: (_fresh_state(tau),)
+            ),
             "preserving_expectation (D-central state)": _measure(
-                lambda: preserving_expectation(omega, d, m), reps
+                lambda omega: preserving_expectation(omega, d, m), reps, lambda: (_fresh_state(omega),)
             ),
             "representing_expectation_tracial": _measure(
-                lambda: representing_expectation_tracial(m, tau, d, a, phi), reps
+                lambda tau: representing_expectation_tracial(m, tau, d, a, phi), reps, lambda: (_fresh_state(tau),)
             ),
             "representing_expectation_state": _measure(
-                lambda: representing_expectation_state(m, omega, d, a, phi), reps
+                lambda omega: representing_expectation_state(m, omega, d, a, phi), reps,
+                lambda: (_fresh_state(omega),),
             ),
-            "is_D_central": _measure(lambda: is_D_central(nu, d, m), reps),
-            "locally_central_check (cap 16)": _measure(lambda: locally_central_check(nu, d, m, 16), reps),
+            "is_D_central": _measure(lambda nu: is_D_central(nu, d, m), reps, lambda: (_fresh_state(nu),)),
+            "locally_central_check (cap 16)": _measure(
+                lambda nu: locally_central_check(nu, d, m, 16), reps, lambda: (_fresh_state(nu),)
+            ),
         }
         layers[f"n={n}"].update(_step_rows(a, d, phi, m, reps))
         layers[f"n={n}"].update(_commutant_rows(commutant, d, m, reps))
@@ -560,10 +576,12 @@ def main():
             layers[f"n={n}"]["DCharacter.validate (instance)"] = _measure(inst.phi.validate, 1)
             omega = random_central_density(n, inst.d, np.random.default_rng(n))
             layers[f"n={n}"]["representing_expectation_tracial (instance)"] = _measure(
-                lambda: representing_expectation_tracial(inst.m, inst.state, inst.d, inst.a, inst.phi), 1
+                lambda state: representing_expectation_tracial(inst.m, state, inst.d, inst.a, inst.phi), 1,
+                lambda: (_fresh_state(inst.state),),
             )
             layers[f"n={n}"]["representing_expectation_state (instance)"] = _measure(
-                lambda: representing_expectation_state(inst.m, omega, inst.d, inst.a, inst.phi), 1
+                lambda omega: representing_expectation_state(inst.m, omega, inst.d, inst.a, inst.phi), 1,
+                lambda: (_fresh_state(omega),),
             )
     for n in COMMUTATIVE_SIZES:
         d = diagonal_algebra(n)

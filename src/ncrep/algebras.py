@@ -20,8 +20,8 @@ its certificates read off the rotated basis (_off_mask), its mask's block
 classes (_mask_classes), its groups of equal mask rows (_mask_rows) and
 its rows' distances from the rotated units (_unit_frame).
 Each is computed on first request and then read back, so a D that several
-states are probed on is solved once.
-Nothing that depends on a functional is kept there.
+states are probed on is solved once.  What depends on a functional is kept
+by the functional (states.PositiveFunctional.derived), not here.
 
 The block constructions take as basis the matrix units on the allowed
 entries mask of a block diagonal or block upper triangular partition, in
@@ -51,6 +51,7 @@ import numpy as np
 from .config import tol
 from .errors import BadPartition, DimensionMismatch, EmptyInput, InvariantViolation, check
 from .linalg import (
+    DerivedStore,
     OperatorSubspace,
     as_matrix,
     chunk_slices,
@@ -61,6 +62,7 @@ from .linalg import (
     null_space_rows,
     orthonormalize,
     pair_products,
+    read_only,
     same_subspace,
     subspace_intersection,
     subspace_sum,
@@ -80,19 +82,13 @@ def _adjoint_defects(space):
 
 
 def _read_only(space):
-    """space itself when no array its rows view can be written, else the same
-    rows copied into a read-only array, so that no caller's array is shared."""
-    rows = space.flat
-    while isinstance(rows, np.ndarray):
-        if rows.flags.writeable:
-            rows = space.flat.copy()
-            rows.flags.writeable = False
-            return OperatorSubspace(space.ambient_dim, rows)
-        rows = rows.base
-    return space
+    """space itself when linalg.read_only keeps its rows, else a space over their read-only
+    copy, so that no caller's array is shared."""
+    rows = read_only(space.flat)
+    return space if rows is space.flat else OperatorSubspace(space.ambient_dim, rows)
 
 
-class Subalgebra:
+class Subalgebra(DerivedStore):
     """Unital, product-closed subspace of M_n, on read-only basis rows. Not necessarily adjoint-closed.
 
     pattern is None or (u, mask), set by the block constructions before
@@ -112,13 +108,6 @@ class Subalgebra:
         self._derived = {}
         if check:
             self.validate()
-
-    def derived(self, key, compute):
-        """compute() on the first request for key, then the kept value: for data
-        that depends on this algebra alone (and on objects named in key)."""
-        if key not in self._derived:
-            self._derived[key] = compute()
-        return self._derived[key]
 
     @property
     def dim(self):

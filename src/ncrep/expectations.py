@@ -19,7 +19,9 @@ Either route needs omega faithful on the range only, which
 states._faithful_spectrum decides on the Gram matrix's eigenvalues (for the
 closed form, those of the blocks rho'_tt); a functional singular on the range is
 compressed to the support of its restriction there
-(support_ideal_expectation), never regularized.
+(support_ideal_expectation), never regularized.  A map that passed every
+check is kept in the functional's store per (target, M)
+(states.PositiveFunctional.derived) and returned to later builds.
 
 How a map is stored is decided once, in _ModuleMap, which
 ConditionalExpectation shares with representing.DCharacter: a matrix is
@@ -40,7 +42,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import StarAlgebra, _mask_classes, _mask_gap, _unit_frame, commutant, corner_algebra
+from .algebras import (
+    StarAlgebra,
+    _mask_classes,
+    _mask_gap,
+    _unit_frame,
+    commutant,
+    corner_algebra,
+    full_matrix_algebra,
+)
 from .config import tol
 from .errors import (
     DensityDoesNotCommute,
@@ -158,13 +168,17 @@ class _ModuleMap:
 
     @functools.cached_property
     def map_matrix(self):
-        """The factors' n^2 x n^2 matrix, formed on first request (a matrix given is kept composed)."""
-        return self.factors.matrix()
+        """The factors' n^2 x n^2 matrix, formed on first request, read-only (a matrix given is kept composed)."""
+        k = self.factors.matrix()
+        k.flags.writeable = False
+        return k
 
     @functools.cached_property
     def images(self):
-        """The map at the domain's orthonormal basis, as flat rows, from the factors on first request."""
-        return self.apply(self.domain.space.tensor).reshape(self.domain.dim, -1)
+        """The map at the domain's orthonormal basis, as flat rows, from the factors on first request, read-only."""
+        images = self.apply(self.domain.space.tensor).reshape(self.domain.dim, -1)
+        images.flags.writeable = False
+        return images
 
     def __call__(self, x):
         return self.apply(as_matrix(x))
@@ -356,7 +370,11 @@ def preserving_expectation(omega, d, m):
     Needs omega central for D and faithful on D.  The Gram system
     omega(b* E(x)) = omega(b* x) over a basis b of D then has exactly one
     solution, whether or not omega is faithful on M, and that solution is
-    the expectation.
+    the expectation.  Both the centrality verdict and the validated map are
+    kept in omega's store (is_D_central, _preserving_expectation), so later
+    calls on the same omega, D and M, and an existence_diagnosis before
+    them, return the same object, read-only; a failure keeps nothing and
+    raises again with its own class and message.
     """
     require_D_central(omega, d, m, NotDCentral, "omega is not D-central (violation {:.3e})")
     try:
@@ -382,7 +400,9 @@ def _gram_solve(omega, space):
     gram, rows = _omega_gram(omega, space.tensor)
     eigs, u = np.linalg.eigh(gram)
     _require_faithful_spectrum(eigs)
-    return FactorPair(space.flat, ((u / eigs) @ dagger(u)) @ rows)
+    coef = ((u / eigs) @ dagger(u)) @ rows
+    coef.flags.writeable = False
+    return FactorPair(space.flat, coef)
 
 
 # the largest _mask_gap of a range solved in closed form: below it the range check's
@@ -484,6 +504,7 @@ def _block_factors(omega, target):
     solve = rotated @ (((v / eigs) @ dagger(v)) * mask)
     blocks = mask[[idx[0] for idx in _mask_classes(target)]]  # row t: the indicator of I_t
     right = solve * blocks[:, None, :] if u is None else ((u @ solve) * blocks[:, None, :]) @ dagger(u)
+    right.flags.writeable = False
     return SandwichSum(_class_projections(target), right)
 
 
@@ -500,16 +521,32 @@ def _preserving_expectation(omega, target, m, check=True):
     flow of omega leaves the target invariant).  check=False skips the
     validation for a caller that validates what it makes of the map; the other
     checks always run.
+
+    A map built with check=True that passed every check is kept in omega's
+    store per (target, M) and returned to every later call, by the tracial
+    and the state pipeline alike: E_D(omega) and the average onto D' are
+    built once per functional.  Its factors, map_matrix and images are
+    read-only, so it is the map a rebuild would give, bit for bit.  What
+    raised is not kept, and a check=False build is neither kept nor read
+    from the store.  A kept map holds what its route stores: factors on the
+    block route above _BLOCK_FROM and on the pair route above _PAIR_FROM,
+    an n^4 matrix below those crossovers or for q > n rows.
     """
-    if _block_route(target, m):
-        k = _block_factors(omega, target)
-    else:
-        k = _gram_solve(omega, target.space)
-        if not _pair_route(k, m):
-            k = k.matrix()
-    e = ConditionalExpectation(k, m, target.space, np.eye(m.n), target, check)
-    _check_preserves(e, omega, omega.restricted_density(m))
-    return e
+
+    def build():
+        if _block_route(target, m):
+            k = _block_factors(omega, target)
+        else:
+            k = _gram_solve(omega, target.space)
+            if not _pair_route(k, m):
+                k = k.matrix()
+        e = ConditionalExpectation(k, m, target.space, np.eye(m.n), target, check)
+        if e.factors is None:  # the map's own arrays, formed from the solution above
+            e.images.flags.writeable = e.map_matrix.flags.writeable = False
+        _check_preserves(e, omega, omega.restricted_density(m))
+        return e
+
+    return omega.derived(("expectation", target, m), build) if check else build()
 
 
 def expectation_from_density(h, d, m, nu):
@@ -679,7 +716,10 @@ def support_ideal_expectation(omega, d, m):
     support below z, which a second, direct Gram construction confirms.
     The compressed functional is faithful on Dz but may still be singular
     on zMz; the Gram system on Dz determines the compressed map all the
-    same.  EmptyInput when omega vanishes on D, so that z = 0.
+    same.  EmptyInput when omega vanishes on D, so that z = 0.  When M is
+    all of M_n (identity rows), zMz is all of M_r and is taken as
+    full_matrix_algebra(r), with no SVD of the compressed rows.  The map
+    returned is built afresh on every call and is not kept in omega's store.
 
     Checks on the returned map: omega is D-central, z is central in D,
     omega is faithful on Dz, the full ConditionalExpectation validation
@@ -700,7 +740,10 @@ def support_ideal_expectation(omega, d, m):
     z = corner.projection
     check(SupportNotCentral, "support of omega|D is not central in D ([z,d] = {:.3e})",
           commutation_gap(z, d.space.tensor), tol(1e-9) * max(1.0, hs_norm(z)))
-    m_z = StarAlgebra(orthonormalize(corner.compress_rows(m.space.flat)), check=False)
+    if _identity_rows(m.space):  # zM_nz is all of M_r
+        m_z = full_matrix_algebra(corner.rank)
+    else:
+        m_z = StarAlgebra(orthonormalize(corner.compress_rows(m.space.flat)), check=False)
     d_z = StarAlgebra(orthonormalize(corner.compress_rows(d.space.flat)), check=False)
     omega_z = PositiveFunctional(corner.compress(omega.density), check=False)
     f = _preserving_expectation(omega_z, d_z, m_z, check=False)
@@ -743,7 +786,11 @@ def existence_diagnosis(omega, d, m):
     with an NcrepError or a LinAlgError counts as a negative verdict, and the
     construction's failure is reported by name; any other exception is a
     programming error and propagates.  omega, D and M of different sizes
-    raise DimensionMismatch before any probe runs.
+    raise DimensionMismatch before any probe runs.  The centrality verdict
+    and a constructed expectation are kept in omega's store, so a later
+    preserving_expectation, support_ideal_expectation or representing
+    pipeline on the same omega, D and M reads them; report.expectation is
+    the object preserving_expectation returns.
     """
     require_same_ambient(omega, d, m)
 

@@ -34,6 +34,30 @@ def as_matrix(x):
     return require_finite(m)
 
 
+class DerivedStore:
+    """Values computed once per key and kept for the owner's lifetime; the owner sets self._derived = {}."""
+
+    def derived(self, key, compute):
+        """compute() on the first request for key, then the kept value: for data that depends on
+        this object alone (and on objects named in key).  A compute() that raises keeps nothing."""
+        if key not in self._derived:
+            self._derived[key] = compute()
+        return self._derived[key]
+
+
+def read_only(a):
+    """a itself when no array it views can be written, else its entries copied into a
+    read-only array, so that what is kept from it cannot change under a caller's write."""
+    base = a
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            a = a.copy()
+            a.flags.writeable = False
+            return a
+        base = base.base
+    return a
+
+
 def require_finite(x):
     """x itself, after checking that no entry is NaN or infinite."""
     if not np.isfinite(x).all():

@@ -1,8 +1,10 @@
 """Positive functionals on M_n as densities: supports, centralizers, modular flow,
 and the finite-dimensional Radon-Nikodym correspondence for commuting functionals.
 
-A functional is omega(x) = Tr(rho x) with rho positive semidefinite.  Nothing
-here regularizes a singular density; non-faithful functionals are handled by
+A functional is omega(x) = Tr(rho x) with rho positive semidefinite, on a
+read-only density, and it keeps what it has proved about itself and
+algebra objects in its store (PositiveFunctional.derived).  Nothing here
+regularizes a singular density; non-faithful functionals are handled by
 compressing to the support projection.
 """
 
@@ -26,6 +28,7 @@ from .errors import (
 )
 from .linalg import (
     Corner,
+    DerivedStore,
     _identity_rows,
     as_matrix,
     chunk_slices,
@@ -40,19 +43,30 @@ from .linalg import (
     pd_tol,
     projection_isometry,
     psd_sqrt,
+    read_only,
     require_hermitian,
     same_subspace,
     trace_pairings,
 )
 
 
-class PositiveFunctional:
-    """omega(x) = Tr(rho x) for positive semidefinite rho."""
+class PositiveFunctional(DerivedStore):
+    """omega(x) = Tr(rho x) for positive semidefinite rho, on a read-only density.
+
+    A caller's writeable array is copied (linalg.read_only), so nothing
+    computed from the density can go stale.  What depends on the functional
+    and on algebra objects alone is computed once and kept in its store
+    (derived, linalg.DerivedStore's, as for a Subalgebra): the
+    restricted density per algebra, is_D_central's (verdict, violation) per
+    (D, M) and the validated expectation _preserving_expectation builds per
+    (target, M).  A kept object lives as long as the functional and holds
+    its keys' algebras by strong references.
+    """
 
     def __init__(self, density, check=True):
-        self.density = as_matrix(density)
+        self.density = read_only(as_matrix(density))
         self.n = self.density.shape[0]
-        self._restricted = {}  # restricted_density per algebra object
+        self._derived = {}
         if check:
             self.validate()
 
@@ -100,14 +114,16 @@ class PositiveFunctional:
 
         For a *-subalgebra this is the density of the restriction: the
         projected matrix represents omega on the subalgebra and is again
-        positive semidefinite.  Like the spectrum, it is computed once per
-        algebra object and kept, read-only.
+        positive semidefinite.  It is computed once per algebra object and
+        kept in the store, read-only.
         """
-        kept = self._restricted
-        if algebra not in kept:
-            kept[algebra] = algebra.space.project(self.density)
-            kept[algebra].flags.writeable = False
-        return kept[algebra]
+
+        def compute():
+            rd = algebra.space.project(self.density)
+            rd.flags.writeable = False
+            return rd
+
+        return self.derived(("restricted density", algebra), compute)
 
     def support_in(self, algebra):
         """Support projection of the restriction to a *-subalgebra; lies in the algebra."""
@@ -253,7 +269,15 @@ def is_D_central(omega, d, m):
     over D's basis with M's basis in one gemm (trace_pairings); the
     commutator route [P_M(rho), d] = 0 must agree when both are far from
     their thresholds.  DimensionMismatch when omega, D and M differ in size.
+    The pair is decided once per (D, M) and kept in omega's store, so every
+    gate on it (require_D_central) reads the same verdict; a probe that
+    raised keeps nothing and raises again.
     """
+    return omega.derived(("D-central", d, m), lambda: _D_central(omega, d, m))
+
+
+def _D_central(omega, d, m):
+    """is_D_central's two routes, run."""
     require_same_ambient(omega, d, m)
     violation = _central_violation(omega, d, m)
     threshold = tol(1e-9) * max(1e-30, hs_norm(omega.density))

@@ -5,7 +5,10 @@ diagnosis and the construction cannot disagree near the floor, and the
 verdict does not depend on the scale of omega.  The probes behind a
 diagnosis and the representing pipelines run once per call, and what
 depends on D alone (its sampled projections, its commutants) is computed
-once per D; the public functions are still called as often as before.  A
+once per D; the public functions are still called as often as before.
+Both pipelines on one state build its E_D and its average onto D' once and
+probe its D-centrality once: what depends on the state is kept in its
+store, and a support-ideal build on M_n orthonormalizes no compressed M.  A
 rotated block instance and both pipelines on it read A + A* = M,
 A intersect A* = D, Phi's kernel, the splitting J + D = A and the relative
 commutant off the block masks, so no null space is solved; its build runs
@@ -226,6 +229,23 @@ def test_a_support_ideal_build_projects_the_density_onto_M_once(blocks):
     assert not omega.restricted_density(m).flags.writeable
 
 
+@pytest.mark.parametrize("n, blocks, rotated", [(3, [[0], [1], [2]], False), (3, [[0, 1], [2]], False),
+                                                (6, [[0, 1, 2], [3, 4], [5]], True)])
+def test_a_support_ideal_build_on_M_n_orthonormalizes_only_the_compressed_D(monkeypatch, n, blocks, rotated):
+    # zM_nz is all of M_r: it is taken as M_r's identity rows, with no SVD of the n^2 compressed rows
+    rng = np.random.default_rng(n)
+    d = block_diagonal_algebra(n, blocks)
+    rho = np.diag([0.0] * (n - 1) + [1.0]).astype(complex)
+    if rotated:  # a central state cut to the first block, in D's rotation
+        d = unitary_conjugate_algebra(d, haar_unitary(n, rng))
+        v = d.pattern[0][:, blocks[0]]
+        rho = v @ (v.conj().T @ random_central_density(n, d, rng).density @ v) @ v.conj().T
+    orthonormalized = _count_calls(monkeypatch, linalg, "orthonormalize")
+    e = support_ideal_expectation(PositiveFunctional(rho / np.trace(rho).real), d, full_matrix_algebra(n))
+    assert [len(rows) for rows, in orthonormalized] == [d.dim]
+    assert e.validated
+
+
 @pytest.mark.parametrize("pipeline", [representing_expectation_tracial, representing_expectation_state])
 def test_each_pipeline_solves_one_gram_system_for_the_relative_commutant(monkeypatch, pipeline):
     # E_D and Psi onto the rotated block D are solved in closed form; averaging onto D' is the Gram solve
@@ -233,6 +253,26 @@ def test_each_pipeline_solves_one_gram_system_for_the_relative_commutant(monkeyp
     calls = _count_calls(monkeypatch, expectations, "_gram_solve")
     pipeline(inst.m, inst.state, inst.d, inst.a, inst.phi)
     assert [space for _, space in calls] == [algebras.commutant(inst.d, inst.m).space]
+
+
+@pytest.mark.parametrize("pipelines, counts", [
+    ((representing_expectation_tracial,), (3, 2, 1, 2)),
+    ((representing_expectation_state,), (3, 2, 1, 2)),
+    ((representing_expectation_tracial, representing_expectation_state), (4, 3, 1, 3)),
+])
+def test_both_pipelines_on_one_state_share_its_expectations_and_its_verdict(monkeypatch, pipelines, counts):
+    # E_D and the average onto D' are built once per state, and its D-centrality probed once: each
+    # pipeline alone builds E_D, the D' average and Psi, and probes the state and its averaged rho
+    inst = random_block_instance(10, np.random.default_rng(10), conjugate=True)
+    built = []
+    init = expectations.ConditionalExpectation.__init__
+    monkeypatch.setattr(expectations.ConditionalExpectation, "__init__",
+                        lambda self, *args, **kwargs: built.append(self) or init(self, *args, **kwargs))
+    calls = [_count_calls(monkeypatch, module, name) for module, name in (
+        (expectations, "_block_factors"), (expectations, "_gram_solve"), (states, "_central_violation"))]
+    for pipeline in pipelines:
+        pipeline(inst.m, inst.state, inst.d, inst.a, inst.phi)
+    assert (len(built), *map(len, calls)) == counts
 
 
 def test_a_rotated_instance_and_both_pipelines_solve_nothing_dense_at_the_n2_level(monkeypatch):
@@ -266,12 +306,14 @@ def test_averaging_to_the_central_states_forms_no_n4_array_at_n16(monkeypatch):
     moved = omega.density + 0.1 * np.linalg.eigvalsh(omega.density)[0] / np.linalg.norm(z, 2) * z
     peaks = []
     for pair in (True, False):
-        if not pair:  # the dense route, as a reference
+        reference = omega
+        if not pair:  # the dense route, as a reference, on a fresh omega: the first kept its pair
             monkeypatch.setattr(expectations, "_pair_route", lambda k, m: False)
+            reference = PositiveFunctional(omega.density)
         psi = PositiveFunctional(moved)
         tracemalloc.start()
         try:
-            _average_to_central(psi, omega, d, m)
+            _average_to_central(psi, reference, d, m)
             peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
         finally:
             tracemalloc.stop()
