@@ -11,9 +11,8 @@ that D-central state) on block characters with blocks (1, 3), (1, 3, 4),
 (1, 3, 6), (4, 4, 4) and (5, 5, 6) at n = 4, 8, 10, 12 and 16, each rotated
 by a seeded Haar unitary and built by the checkout's own
 representing._block_character, and prints one JSON object.  Three rows time the
-tracial pipeline's steps on the same instance: _matched_density (with the
-constraint stack x_j k formed inside the timing on a checkout whose
-matching takes the stacked constraints), _projected_factor on the polar
+tracial pipeline's steps on the same instance: _matched_density (with
+the weight k = the trace's density on M), _projected_factor on the polar
 factors of that match, and _average_to_central for a state that extends
 the trace on D and is not D-central (the trace moved off D's span), a
 fresh functional per call.  The validate rows of A and D time the
@@ -30,20 +29,17 @@ time, its peak and the process's peak resident set after it.  At n = 16,
 the rotated instance's character, the certificates that build reads off
 the masks against the routes they replace: the multiplicativity bound from
 the unit defects (_multiplicative_from_defects) against the m^2 unit
-products (tests/dense_oracle.py's unit_products_multiplicative, the route a
-checkout without the bound runs), and J read off the masks (_mask_kernel)
+products (tests/dense_oracle.py's unit_products_multiplicative), and J
+read off the masks (_mask_kernel)
 against the null space of Phi's images.  The commutant row adds dim D' and the largest
 ||[x, b]|| over its basis x and D's b.  The null_space_rows stack is the one
 commutant(D, M) solves first: the brackets of M's basis with two seeded
 complex Gaussian combinations of D's basis, (2 n^2, n^2).  At n = 4, 10
 and 16 the bimodule_gaps rows time the module-gap kernel alone on D's
-basis, for the expectation's map (domain M) and the character's (domain A);
-on a checkout whose kernel still reads the domain basis and its images,
-those are formed before the timing, as its callers held them.  At n = 24
-the one bimodule_gaps row takes D block diagonal with coordinate blocks
-(8, 8, 8) and the block pinching x -> sum_t p_t x p_t, which is both the
-tracial expectation onto D and, on A, the block character; that row needs
-the two-argument kernel.  The
+basis, for the expectation's map (domain M) and the character's (domain A).
+At n = 24 the one bimodule_gaps row takes D block diagonal with coordinate
+blocks (8, 8, 8) and the block pinching x -> sum_t p_t x p_t, which is both
+the tracial expectation onto D and, on A, the block character.  The
 centrality rows time is_D_central and locally_central_check (cap 16) on the
 seeded faithful density, which is not D-central, and sample_projections on D
 at caps 16 and 64; the commutative rows time sample_projections on the
@@ -68,8 +64,7 @@ the character and of the tracial expectation onto D (unit_frame_gaps
 against the commutators, _ModuleMap.module_gaps), the unit defects from
 the conjugated factors against those from the images of the same map as a
 matrix (_multiplicative_from_defects on each), and D inside A from the
-masks (_inclusion_gap) against the residuals; a checkout without the
-frame gets the exact rows alone.  At n = 8, 12 and 16 the
+masks (_inclusion_gap) against the residuals.  At n = 8, 12 and 16 the
 generate_star_algebra row generates the *-algebra of two Hermitian
 elements of D, (x + x*)/2 for x complex Gaussian combinations of D's basis
 drawn from default_rng(3), and adds the dimension it finds.  An algebra keeps its
@@ -102,7 +97,6 @@ token (found with tokenize).
 import argparse
 import ast
 import copy
-import inspect
 import io
 import json
 import os
@@ -186,10 +180,7 @@ def _step_rows(a, d, phi, m, reps):
     tau = PositiveFunctional.tracial(n)
     k = tau.restricted_density(m)
     values = _values_on(tau, phi.images)
-    if "weight" in inspect.signature(_matched_density).parameters:
-        match = lambda: _matched_density(a.space, values, m, 0.0, 0, weight=k)
-    else:
-        match = lambda: _matched_density(a.space.tensor @ k, values, m, 0.0, 0)
+    match = lambda: _matched_density(a.space, values, m, 0.0, 0, weight=k)
     a_mat, b_mat = _polar_factors(match())
     y = np.random.default_rng(n).standard_normal((n, n))
     z = y + y.T - d.space.project(y + y.T)
@@ -214,22 +205,18 @@ def _certificate_rows(phi, reps):
 
     kappa = hs_norm(phi.map_matrix)
     rows = {"unit products (m^2)": _measure(lambda: unit_products_multiplicative(phi, kappa), reps)}
-    bound = getattr(representing, "_multiplicative_from_defects", None)
-    if bound is not None:
-        rows["_multiplicative_from_defects"] = dict(_measure(lambda: bound(phi, kappa), reps), passed=bound(phi, kappa))
+    bound = representing._multiplicative_from_defects
+    rows["_multiplicative_from_defects"] = dict(_measure(lambda: bound(phi, kappa), reps), passed=bound(phi, kappa))
     rows["null_space_rows (kernel)"] = _measure(lambda: null_space_rows(phi.images.T) @ phi.domain.space.flat, reps)
-    mask_kernel = getattr(representing, "_mask_kernel", None)
-    if mask_kernel is not None:
-        def unfixed():
-            """A copy of the character without D's fix, so that the timing forms it as the build does."""
-            fresh = copy.copy(phi)
-            if "fix" in vars(type(fresh)):  # a cached property: drop the cached value
-                fresh.__dict__.pop("fix", None)
-            else:  # an attribute that the checkout forms again while it is None
-                fresh.fix = None
-            return (fresh,)
+    mask_kernel = representing._mask_kernel
 
-        rows["_mask_kernel"] = dict(_measure(mask_kernel, reps, unfixed), passed=mask_kernel(*unfixed()) is not None)
+    def unfixed():
+        """A copy of the character without D's fix, a cached property, so that the timing forms it as the build does."""
+        fresh = copy.copy(phi)
+        fresh.__dict__.pop("fix", None)
+        return (fresh,)
+
+    rows["_mask_kernel"] = dict(_measure(mask_kernel, reps, unfixed), passed=mask_kernel(*unfixed()) is not None)
     return rows
 
 
@@ -237,7 +224,7 @@ def _frame_rows(n, reps):
     """The per-unit checks of random_block_instance(n, default_rng(3), conjugate=True) read in D's unit
     frame against the exact routes: the module gaps of the character and of the tracial expectation onto
     D, the unit defects from the factors against those from the images of the character as a matrix, and
-    D inside A from the masks against the residuals.  A checkout without a frame route gets the exact rows."""
+    D inside A from the masks against the residuals."""
     import numpy as np
     from ncrep import algebras, linalg, representing
     from ncrep.algebras import full_matrix_algebra
@@ -248,22 +235,18 @@ def _frame_rows(n, reps):
     inst = random_block_instance(n, np.random.default_rng(3), conjugate=True)
     a, d, phi = inst.a, inst.d, inst.phi
     e = preserving_expectation(PositiveFunctional.tracial(n), d, full_matrix_algebra(n))
-    unit_frame = getattr(algebras, "_unit_frame", None)
+    frame = algebras._unit_frame(d)
     rows = {}
     for label, mp in (("character", phi), ("tracial expectation", e)):
         rows[f"module gaps, exact ({label})"] = _measure(mp.module_gaps, reps)
-        if unit_frame is not None:
-            frame = unit_frame(d)
-            rows[f"module gaps, frame ({label})"] = _measure(
-                lambda mp=mp: linalg.unit_frame_gaps(*mp._splitting(), frame), reps)
+        rows[f"module gaps, frame ({label})"] = _measure(
+            lambda mp=mp: linalg.unit_frame_gaps(*mp._splitting(), frame), reps)
     kappa = phi.norm()
     dense = representing.DCharacter(phi.map_matrix, a, d, check=False)
     rows["unit defects (factors)"] = _measure(lambda: representing._multiplicative_from_defects(phi, kappa), reps)
     rows["unit defects (images)"] = _measure(lambda: representing._multiplicative_from_defects(dense, kappa), reps)
     rows["D inside A (residuals)"] = _measure(lambda: a.space.residuals(d.space.flat), reps)
-    inclusion = getattr(algebras, "_inclusion_gap", None)
-    if inclusion is not None:
-        rows["D inside A (masks)"] = _measure(lambda: inclusion(a, d) * linalg.hs_norms(d.space.flat), reps)
+    rows["D inside A (masks)"] = _measure(lambda: algebras._inclusion_gap(a, d) * linalg.hs_norms(d.space.flat), reps)
     return rows
 
 
@@ -319,7 +302,7 @@ def _measure(fn, repeats, setup=tuple):
 def _fresh(d):
     """A new algebra object over d's basis with d's block pattern, and an empty store."""
     copy = type(d)(d.space, check=False)
-    copy.pattern = getattr(d, "pattern", None)
+    copy.pattern = d.pattern
     return copy
 
 
@@ -368,13 +351,8 @@ def _projection_rows(sample_projections, d, cap, repeats):
 def _gaps_rows(bimodule_gaps, e, phi, d, repeats):
     """The bimodule_gaps rows: domain M with the expectation's map, domain A with the character's."""
     rows = {}
-    for label, k, domain in (("M", e.map_matrix, e.domain), ("A", phi.map_matrix, phi.domain)):
-        if len(inspect.signature(bimodule_gaps).parameters) == 2:
-            call = lambda k=k: bimodule_gaps(k, d.space.tensor)
-        else:
-            flat = domain.space.flat
-            call = lambda k=k, flat=flat, images=flat @ k.T: bimodule_gaps(k, d.space.tensor, flat, images)
-        rows[f"bimodule_gaps (domain {label})"] = _measure(call, repeats)
+    for label, k in (("M", e.map_matrix), ("A", phi.map_matrix)):
+        rows[f"bimodule_gaps (domain {label})"] = _measure(lambda k=k: bimodule_gaps(k, d.space.tensor), repeats)
     return rows
 
 

@@ -191,8 +191,8 @@ def _unitary_defect(u):
 
 
 def _units_in_order(alg):
-    """True when a coordinate pattern's rows are exactly its mask's units in row-major order
-    (_block_algebra's basis, OperatorSubspace.unit_columns)."""
+    """True when a coordinate pattern's rows are declared unit rows (OperatorSubspace.unit_columns)
+    at its mask's entries in row-major order, as _block_algebra writes them."""
     u, mask = alg.pattern
     cols = alg.space.unit_columns
     return u is None and cols is not None and np.array_equal(cols, np.flatnonzero(mask))
@@ -206,11 +206,10 @@ def _pattern_coordinates(alg):
     mask, and u's unitarity defect.  Entry (a, s) is the conjugate of
     <f_s, x_a> for the rotated matrix unit f_s = u E_s u*, whatever u is.
     One rotation, O(dim n^3); not kept, so an algebra holds no second copy
-    of its basis.  When u is None and the rows are unit rows
-    (OperatorSubspace.unit_columns) at the mask's entries in row-major
-    order (_block_algebra's basis), the coordinates are the m x m identity
-    and every off-mask norm is 0: None stands for the coordinates then, and
-    nothing is copied.
+    of its basis.  When u is None and the rows are declared unit rows at
+    the mask's entries in row-major order (_units_in_order), the
+    coordinates are the m x m identity and every off-mask norm is 0: None
+    stands for the coordinates then, and nothing is copied.
     """
     u, mask = alg.pattern
     if _units_in_order(alg):
@@ -256,8 +255,8 @@ def _unit_frame(alg):
     pattern's rotated units f_s = u E_s u*, s = (rows[s], cols[s]) in the mask's row-major
     order, up to the distances[s] = ||x_s - f_s||; else None.  eta = ||u*u - I||.
 
-    A coordinate pattern (u None) qualifies only with exact unit rows in that
-    order (OperatorSubspace.unit_columns), distances 0; a rotated one with
+    A coordinate pattern (u None) qualifies only with unit rows declared in
+    that order (_units_in_order), distances 0; a rotated one with
     dim = mask.sum(), its distances measured at O(dim n^2), a bounded chunk
     of rows at a time.  Kept in the algebra's derived store; what the
     distances certify is for the reader to bound (linalg.unit_frame_gaps).
@@ -455,7 +454,7 @@ def full_matrix_algebra(n):
     rows = np.eye(n * n, dtype=complex)
     rows.flags.writeable = False
     space = OperatorSubspace(n, rows)
-    space._units = np.arange(n * n)  # the rows written above: kept with no scan
+    space.unit_columns = np.arange(n * n)  # the rows written above
     return StarAlgebra(space, check=False)
 
 
@@ -500,7 +499,7 @@ def _block_algebra(n, blocks, star):
     rows[np.arange(len(where)), where] = 1.0
     rows.flags.writeable = False
     space = OperatorSubspace(n, rows)
-    space._units = where  # the rows written above: kept with no scan
+    space.unit_columns = where  # the rows written above
     alg = StarAlgebra(space, check=False) if star else Subalgebra(space, check=False)
     alg.blocks = [list(blk) for blk in blocks]
     alg.pattern = (None, mask)

@@ -568,7 +568,7 @@ def expectation_from_density(h, d, m, nu):
           hs_norm(e_d(h) - np.eye(m.n)), tol(1e-8) * np.sqrt(m.n))
     hr = psd_sqrt(h)
     e = ConditionalExpectation(e_d.map_matrix @ sandwich_matrix(hr, hr), m, d.space, np.eye(m.n), d)
-    sigma = _pullback_density(e.map_matrix, nu.density)
+    sigma = e.pullback_density(nu.density)
     want = m.project(hr @ nu.density @ hr)
     check(InvariantViolation, "nu∘E does not match the h-deformed functional",
           hs_norm(sigma - want), tol(1e-8) * max(1.0, hs_norm(want)))
@@ -617,7 +617,7 @@ def commutes_with_modular(e, nu):
     if not nu.is_faithful:
         raise NotFaithful("modular commutation needs a faithful reference")
     inf_stat, ad_norm, sampled_map, sampled_pull, sigma = _modular_gaps(e, nu)
-    scale = max(1.0, hs_norm(e.map_matrix))
+    scale = max(1.0, e.norm())
     inf_thr = tol(1e-8) * scale * max(1.0, ad_norm)
     map_thr = tol(1e-8) * scale
     pull_thr = tol(1e-8) * max(1.0, hs_norm(sigma))
@@ -684,13 +684,13 @@ def _average_to_central(psi, omega, d, m):
     return result
 
 
-def _support_gaps(k, images, domain, z):
+def _support_gaps(e, z):
     """||E(x_j) - E(z x_j z)|| and ||z E(x_j) - E(x_j) z|| over the domain's basis x_j:
-    ||(K - K S_z) P||_F and ||(L_z - R_z) K P||_F for S_z, L_z, R_z the
-    matrices of x -> zxz, zx, xz and P the domain projection."""
-    x = domain.space.tensor
-    y = images.reshape(x.shape)
-    return hs_norm(y - apply_map(k, z @ x @ z)), hs_norm(z @ y - y @ z)
+    ||(K - K S_z) P||_F and ||(L_z - R_z) K P||_F for K the map's matrix, S_z, L_z, R_z
+    the matrices of x -> zxz, zx, xz and P the domain projection."""
+    x = e.domain.space.tensor
+    y = e.images.reshape(x.shape)
+    return hs_norm(y - e.apply(z @ x @ z)), hs_norm(z @ y - y @ z)
 
 
 def support_of_map(e):
@@ -702,7 +702,7 @@ def support_of_map(e):
     w_spec = eigh_hermitian(e.pullback_density(np.eye(e.n, dtype=complex)))
     z = w_spec.support(pd_tol(w_spec.norm))
     scale = max(1.0, e.norm())
-    gap, side = _support_gaps(e.map_matrix, e.images, e.domain, z)
+    gap, side = _support_gaps(e, z)
     check(InvariantViolation, "support identity E(x) = E(zxz) fails by {:.3e}", gap, tol(1e-8) * scale)
     if e.validated or e._idempotence_defect() <= tol(1e-6) * scale:
         check(InvariantViolation, "support does not commute with the outputs ({:.3e})", side, tol(1e-8) * scale)
@@ -754,7 +754,7 @@ def support_ideal_expectation(omega, d, m):
     # uniqueness: an independent Gram solve on the ideal must take the same values on M
     mismatch = hs_norm(e.images - m.space.flat @ _gram_solve(omega, range_space).matrix().T)
     check(InvariantViolation, "the two support-ideal constructions disagree by {:.3e}",
-          mismatch, tol(1e-7) * max(1.0, hs_norm(e.map_matrix)))
+          mismatch, tol(1e-7) * max(1.0, e.norm()))
     support = support_of_map(e)
     check(InvariantViolation, "map support is not dominated by the ideal support",
           hs_norm(support @ z - support), tol(1e-8))

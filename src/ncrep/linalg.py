@@ -213,67 +213,29 @@ def imag_power(x, t):
     return spec.apply(lambda v: np.exp(1j * t * np.log(v)))
 
 
-# the bit pattern of the float 1.0, the real word of a unit entry
-_ONE_BITS = int(np.float64(1.0).view(np.int64))
-
-
-def _unit_columns(flat):
-    """The column of each row, as an int array, when every row of the complex rows flat is exactly a
-    unit vector and no two share a column; else None.
-
-    Counted on the bit patterns: the rows must hold exactly one nonzero word each, in a real part,
-    with the bits of 1.0.  A signed zero, a stray subnormal or 1 + ulp is no unit entry, which only
-    sends the caller to its product.  The words are read in place, so nothing of the rows' size is
-    allocated; non-contiguous rows give None.
-    """
-    k, width = flat.shape
-    if not flat.flags.c_contiguous:
-        return None
-    words = flat.view(np.int64).ravel()  # each entry as its real and imaginary word
-    if np.count_nonzero(words) != k:
-        return None
-    # row r's word must hold 1.0 in the real part of an entry c of its own, word 2 (r width + c);
-    # the k positions are checked as Python ints, cheaper than numpy calls for the few rows of most spaces
-    at = words.nonzero()[0]
-    if not (words[at] == _ONE_BITS).all():
-        return None
-    cols = [word // 2 - row * width for row, word in enumerate(at.tolist()) if not word % 2]
-    if len(cols) < k or not all(0 <= col < width for col in cols) or len(set(cols)) < k:
-        return None
-    return np.array(cols, dtype=np.intp)
-
-
 def _identity_rows(space):
-    """True when an OperatorSubspace's rows are exactly the identity: unit rows at every column, in
-    order (full_matrix_algebra's), found once and kept.  Products with such rows are exact, so
-    callers skip them."""
-    if space._identity is None:
-        cols, count = space.unit_columns, space.ambient_dim**2
-        space._identity = cols is not None and len(cols) == count and bool((cols == np.arange(count)).all())
-    return space._identity
-
-
-# OperatorSubspace._units before unit_columns is first asked
-_UNASKED = object()
+    """True when an OperatorSubspace's rows are declared unit rows at all n^2 columns: the identity,
+    which full_matrix_algebra and a one-block _block_algebra write in order.  Products with such rows
+    are exact, so callers skip them."""
+    cols = space.unit_columns
+    return cols is not None and len(cols) == space.ambient_dim**2
 
 
 class OperatorSubspace:
-    """Subspace of M_n under <X,Y> = Tr(Y*X), held as stacked orthonormal flat rows."""
+    """Subspace of M_n under <X,Y> = Tr(Y*X), held as stacked orthonormal flat rows.
+
+    unit_columns is None, or the column of each row when the code that wrote
+    the rows made them unit vectors and declared so (_block_algebra and
+    full_matrix_algebra): on such rows every product with the rows is by an
+    exact 0 or 1, so coords, from_coords, project and residuals read and
+    write those columns instead, with the same numbers (a zero's sign aside).
+    Rows are never scanned for it; undeclared unit rows take the products.
+    """
 
     def __init__(self, ambient_dim, flat):
         self.ambient_dim = int(ambient_dim)
         self.flat = np.asarray(flat, dtype=complex).reshape(-1, self.ambient_dim**2)
-        self._units = _UNASKED  # unit_columns, once asked, unless a construction that wrote unit rows set it
-        self._identity = None  # _identity_rows, once asked
-
-    @property
-    def unit_columns(self):
-        """The column of each row when the rows are unit vectors (_unit_columns), else None; found
-        once and kept.  On unit rows every product with the rows is by an exact 0 or 1, so coords,
-        from_coords, project and residuals read and write those columns instead."""
-        if self._units is _UNASKED:
-            self._units = _unit_columns(self.flat)
-        return self._units
+        self.unit_columns = None
 
     @property
     def size(self):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import _mask_classes, commutant, corner_algebra
+from .algebras import _mask_classes, _units_in_order, commutant, corner_algebra
 from .config import tol
 from .errors import (
     DimensionMismatch,
@@ -168,17 +168,14 @@ class TracialCertificate:
 
 def _unit_mask(algebra):
     """The (n, n) mask of the matrix units E_ij that are an algebra's rows, when those units are an
-    equivalence relation's blocks: all of M_n on identity rows, else a coordinate pattern whose mask
-    is one (_mask_classes) and whose unit rows (OperatorSubspace.unit_columns) are its entries.  None
-    for any other algebra."""
-    n = algebra.n
+    equivalence relation's blocks: all of M_n on identity rows (_identity_rows), else a coordinate
+    pattern whose mask is one (_mask_classes) and whose rows are declared at its entries
+    (_units_in_order).  None for any other algebra."""
     if _identity_rows(algebra.space):
-        return np.ones((n, n), dtype=bool)
-    cols = algebra.space.unit_columns
-    if cols is None or algebra.pattern is None or algebra.pattern[0] is not None or _mask_classes(algebra) is None:
+        return np.ones((algebra.n, algebra.n), dtype=bool)
+    if algebra.pattern is None or not _units_in_order(algebra) or _mask_classes(algebra) is None:
         return None
-    mask = algebra.pattern[1]
-    return mask if len(cols) == mask.sum() and mask.ravel()[cols].all() else None
+    return algebra.pattern[1]
 
 
 def tracial_certificate(omega, algebra):
@@ -367,7 +364,7 @@ def _local_violation(omega, projections, d, m):
 
     With k = p rho p the difference is Tr((p d k - k d p) x), so the stack
     p d k - k d p over every p and d is paired with M's basis in one gemm,
-    a chunk of projections at a time.  When D's rows are units E_ij
+    a chunk of projections at a time.  When D's rows are declared units E_ij
     (OperatorSubspace.unit_columns) and M's are the identity rows, the
     pairing reads every entry of the stack, as in _central_violation, and
     p E_ij k - k E_ij p is p[:, i] k[j, :] - k[:, i] p[j, :]: the stack is

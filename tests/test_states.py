@@ -382,9 +382,8 @@ def test_the_tracial_certificate_on_block_units_equals_the_pairing_route_bitwise
 
     assert [states._unit_mask(a) is not None for a in algebras] == [True, True, len(blocks) == 1]
     got = certificates()
-    monkeypatch.setattr(linalg.OperatorSubspace, "unit_columns", property(lambda space: None))
-    # the one-block algebra is all of M_n, its rows' identity kept once found
-    monkeypatch.setattr(states, "_identity_rows", lambda space: False)
+    for a in algebras:  # the one-block algebra is all of M_n: undeclared, it is no longer the identity
+        monkeypatch.setattr(a.space, "unit_columns", None)
     assert [states._unit_mask(a) for a in algebras] == [None] * 3
     assert got == certificates()
 

@@ -1,18 +1,18 @@
 """Unit-row subspaces: rows that are matrix units E_ij are read by index.
 
-OperatorSubspace.unit_columns finds the column of each unit row once.  On
-such rows coords, from_coords, project and residuals gather and scatter
+OperatorSubspace.unit_columns is declared by the constructions that write
+unit rows (_block_algebra and full_matrix_algebra); nothing is read off the
+rows' bits, so any other space, even one over the same rows, has None.  On
+declared rows coords, from_coords, project and residuals gather and scatter
 those columns, and every product the matrix route forms is by an exact 0
 or 1, so the two routes give the same numbers bit for bit (the sign of a
 zero aside, which the matrix route's sums drop).  With M's identity rows,
 _local_violation gathers p E_ij k - k E_ij p from the columns and rows of
 p and k; each entry is the same difference of two complex products, which
 a BLAS kernel may round with a fused multiply-add, so the statistic
-matches the gemm route to the last bit of those products.  Rows that are
-only close to units, and rotated ones, keep the matrix route.
+matches the gemm route to the last bit of those products.  Rotated rows,
+and rows only close to units, keep the matrix route.
 """
-
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ from ncrep.algebras import (
     full_matrix_algebra,
     unitary_conjugate_algebra,
 )
-from ncrep.instances import haar_unitary, random_block_instance, random_central_density, random_density
+from ncrep.instances import haar_unitary, random_central_density, random_density
 from ncrep.linalg import OperatorSubspace, hs_norm
 from ncrep.states import PositiveFunctional, sample_projections
 
@@ -62,20 +62,18 @@ def _same_bits(x, y):
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-def _routes(alg, m, omega, projections, rng):
-    """Each subspace operation on alg's rows and the local statistic on (alg, M)."""
-    n = alg.n
+def _routes(space, omega, rng):
+    """Each subspace operation on space's rows."""
+    n = space.ambient_dim
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     rows = np.concatenate([(rng.standard_normal((3, n * n)) + 1j * rng.standard_normal((3, n * n))),
-                           alg.space.flat, omega.density.reshape(1, -1)])
-    c = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
-    space = alg.space
+                           space.flat, omega.density.reshape(1, -1)])
+    c = rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size)
     return {
         "coords": space.coords(x),
         "from_coords": space.from_coords(c),
         "project": space.project(omega.density),
         "residuals": space.residuals(rows),
-        "local": states._local_violation(omega, projections, alg, m),
     }
 
 
@@ -95,18 +93,22 @@ def test_unit_rows_agree_with_the_product_routes(labels, star, kind, seed):
     rng = np.random.default_rng(seed)
     omega = _state(n, d, kind, rng)
     projections = np.stack(sample_projections(d, 16))
-    # the construction keeps the columns it wrote, which the detector finds in its rows
+    # the constructions declare the columns they wrote; a space over the same rows declares none
     assert np.array_equal(alg.space.unit_columns, np.flatnonzero(alg.pattern[1]))
-    assert np.array_equal(linalg._unit_columns(alg.space.flat), alg.space.unit_columns)
-    assert np.array_equal(linalg._unit_columns(m.space.flat), m.space.unit_columns)
+    assert np.array_equal(m.space.unit_columns, np.arange(n * n))
+    copy = OperatorSubspace(n, alg.space.flat)
+    assert copy.unit_columns is None
 
-    fast = _routes(alg, m, omega, projections, np.random.default_rng(seed))
+    fast = _routes(alg.space, omega, np.random.default_rng(seed))
+    local = states._local_violation(omega, projections, alg, m)
+    undeclared = _routes(copy, omega, np.random.default_rng(seed))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(OperatorSubspace, "unit_columns", property(lambda space: None))
-        slow = _routes(alg, m, omega, projections, np.random.default_rng(seed))
-    for name in ("coords", "from_coords", "project", "residuals"):
-        assert _same_bits(fast[name], slow[name]), name
-    local, local_gemm = fast["local"], slow["local"]
+        for space in (alg.space, m.space):
+            mp.setattr(space, "unit_columns", None)
+        slow = _routes(alg.space, omega, np.random.default_rng(seed))
+        local_gemm = states._local_violation(omega, projections, alg, m)
+    for name in fast:
+        assert _same_bits(fast[name], slow[name]) and _same_bits(fast[name], undeclared[name]), name
     assert local == local_gemm or abs(local - local_gemm) <= 4 * EPS * hs_norm(omega.density)
     local_want = broadcast_local_violation(omega, list(projections), alg, m)
     assert abs(local - local_want) <= 1e-12 * max(local_want, hs_norm(omega.density))
@@ -134,10 +136,6 @@ def _units_with(value, at=(0, 0)):
     return rows
 
 
-def test_unit_rows_are_found():
-    assert np.array_equal(OperatorSubspace(4, _units_with(1.0)).unit_columns, [0, 5, 10, 15])
-
-
 @pytest.mark.parametrize("rows", [
     _units_with(np.nextafter(1.0, 2.0)),  # 1 + ulp
     _units_with(np.nextafter(1.0, 0.0)),  # 1 - ulp
@@ -150,33 +148,27 @@ def test_unit_rows_are_found():
     np.eye(32, dtype=complex)[[0, 10]][:, ::2],  # unit rows at columns 0 and 5, not contiguous
 ])
 def test_near_unit_rows_are_not_unit_rows(rows):
-    assert OperatorSubspace(4, rows).unit_columns is None
+    # no space is scanned: rows that were not declared take the products, whatever their bits
+    space = OperatorSubspace(4, rows)
+    x = np.arange(16, dtype=complex).reshape(4, 4) * (1 + 1j)
+    assert space.unit_columns is None
+    assert _same_bits(space.coords(x), np.conj(space.flat @ np.conj(x.ravel())))
+    assert _same_bits(space.project(x), (space.coords(x) @ space.flat).reshape(4, 4))
 
 
 def test_unit_rows_in_any_order_give_their_columns():
+    # declared unit rows are read at their columns in whatever order they come, with the numbers
+    # of an undeclared space over the same rows
     cols = np.array([5, 0, 15, 10, 3])
     space = OperatorSubspace(4, np.eye(16, dtype=complex)[cols])
-    assert np.array_equal(space.unit_columns, cols)
+    space.unit_columns = cols
     assert not linalg._identity_rows(space) and linalg._identity_rows(full_matrix_algebra(4).space)
     x = np.arange(16, dtype=complex).reshape(4, 4)
     assert np.array_equal(space.coords(x), cols.astype(complex))
     assert np.array_equal(space.project(x).ravel()[cols], cols.astype(complex))
-    empty = OperatorSubspace(4, np.zeros((0, 16)))  # no rows: every column set unit rows, none taken
-    assert empty.unit_columns.size == 0
+    undeclared = OperatorSubspace(4, space.flat)
+    for op in ("coords", "project"):
+        assert _same_bits(getattr(space, op)(x), getattr(undeclared, op)(x)), op
+    empty = OperatorSubspace(4, np.zeros((0, 16)))
+    assert empty.unit_columns is None
     assert np.array_equal(empty.residuals(x.reshape(1, -1)), [hs_norm(x)]) and not empty.project(x).any()
-
-
-@pytest.mark.parametrize("conjugate", [True, False])
-def test_finding_unit_rows_allocates_nothing_of_the_rows_size(conjugate):
-    # the rotated A at n = 32 has 854 rows of 1024 entries; no array of k n^2 elements, even one byte
-    # each, may be formed: the words are counted and read in place
-    a = random_block_instance(32, np.random.default_rng(3), conjugate=conjugate).a
-    k, width = a.space.flat.shape
-    tracemalloc.start()
-    try:
-        cols = linalg._unit_columns(a.space.flat)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (cols is None) == conjugate
-    assert peak < k * width, (peak, k * width)
