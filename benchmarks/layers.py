@@ -52,7 +52,12 @@ _local_violation (on D's projections at cap 16), modular_invariance_check
 and tracial_certificate for a seeded faithful density that is not
 D-central, on D block diagonal in M_n with coordinate blocks (4, 3, 1),
 (8, 6, 2) and (12, 9, 3) at n = 8, 16 and 24, whose rows are matrix units,
-and on the same D rotated by a seeded Haar unitary, whose rows are not.  At n = 4, 8 and 12 the
+and on the same D rotated by a seeded Haar unitary, whose rows are not.  The
+crossover rows time is_D_central, _support_commutes and corner_algebra the
+same way at n = 4, 5 and 8 (blocks (3, 1), (3, 2) and (4, 3, 1)), the corner
+cut by D's first block, and on the coordinate D also with the checkout's
+unit-read crossover (states._BLOCK_FROM, when it has one) moved below and
+above n, so that both routes are timed on each side of it.  At n = 4, 8 and 12 the
 Jensen rows time jensen_measure_suite at 6 and 100 trials on
 random_block_instance(n, default_rng(n)), coordinate and rotated, with the
 tracial pipeline's expectation and representing state, and geometric_mean
@@ -139,6 +144,9 @@ DIAGNOSIS_BLOCKS = [[0, 1, 2, 3], [4, 5, 6], [7]]
 # unit-row rows: D's block sizes and the repeats per size
 UNIT_ROW_BLOCKS = {8: [4, 3, 1], 16: [8, 6, 2], 24: [12, 9, 3]}
 UNIT_ROW_REPEATS = {8: 200, 16: 20, 24: 5}
+# crossover rows: D's coordinate block sizes per n, on both sides of the n^4 > _BLOCK_FROM crossover
+CROSSOVER_BLOCKS = {4: [3, 1], 5: [3, 2], 8: [4, 3, 1]}
+CROSSOVER_REPEATS = 500
 # Jensen rows: the repeats per size, and the suite's trial counts
 JENSEN_REPEATS = {4: 50, 8: 10, 12: 5}
 JENSEN_TRIALS = (6, 100)
@@ -421,6 +429,50 @@ def _unit_row_rows(n, sizes, repeats):
     return rows
 
 
+def _crossover_rows(n, sizes, repeats):
+    """is_D_central, _support_commutes and corner_algebra on D block diagonal with coordinate blocks,
+    whose rows are matrix units, and on it Haar-rotated, for a seeded faithful density that is not
+    D-central (a fresh functional per is_D_central call).  The corner is cut by D's first block, as
+    exact coordinate vectors on the coordinate D and as the rotation's columns on the rotated one.
+    When the checkout reads D's units past a crossover (states._BLOCK_FROM), two more rows per probe
+    time the coordinate D with that crossover moved below n (by unit) and above it (by products)."""
+    import numpy as np
+    from ncrep import states
+    from ncrep.algebras import block_diagonal_algebra, corner_algebra, full_matrix_algebra, unitary_conjugate_algebra
+    from ncrep.instances import haar_unitary, random_density
+    from ncrep.linalg import Corner
+
+    starts = np.cumsum([0] + sizes)
+    d = block_diagonal_algebra(n, [list(range(s, s + k)) for s, k in zip(starts, sizes)])
+    u = haar_unitary(n, np.random.default_rng(n))
+    rotated = unitary_conjugate_algebra(d, u)
+    m = full_matrix_algebra(n)
+    omega = random_density(n, np.random.default_rng(n + 1))
+    omega.support  # noqa: B018  (the support is kept by the functional; _support_commutes reads it)
+    corners = {"coordinate D": Corner(np.eye(n, dtype=complex)[:, : sizes[0]]), "rotated D": Corner(u[:, : sizes[0]])}
+
+    def probes(label, alg):
+        return {
+            f"is_D_central ({label})": _measure(
+                lambda nu: states.is_D_central(nu, alg, m), repeats, lambda: (_fresh_state(omega),)),
+            f"_support_commutes ({label})": _measure(lambda: states._support_commutes(omega, alg), repeats),
+        }
+
+    rows = {}
+    for label, alg in (("coordinate D", d), ("rotated D", rotated)):
+        rows.update(probes(label, alg))
+        rows[f"corner_algebra ({label})"] = _measure(lambda: corner_algebra(alg, corners[label]), repeats)
+    crossover = getattr(states, "_BLOCK_FROM", None)
+    if crossover is not None:
+        for label, moved in (("coordinate D, by unit", 0), ("coordinate D, by products", n**4)):
+            states._BLOCK_FROM = moved
+            try:
+                rows.update(probes(label, d))
+            finally:
+                states._BLOCK_FROM = crossover
+    return rows
+
+
 def _jensen_rows(n, repeats):
     """jensen_measure_suite at each of JENSEN_TRIALS on random_block_instance(n, default_rng(n)), coordinate
     and rotated, with the tracial pipeline's psi and rho; and geometric_mean per call under that rho on one
@@ -534,6 +586,8 @@ def main():
         layers[f"n={n}"] = dict(blocks=sizes, **_coordinate_gaps_row(bimodule_gaps, n, sizes, REPEATS[16]))
     for n, sizes in UNIT_ROW_BLOCKS.items():
         layers.setdefault(f"n={n}", {}).update(_unit_row_rows(n, sizes, UNIT_ROW_REPEATS[n]))
+    for n, sizes in CROSSOVER_BLOCKS.items():
+        layers.setdefault(f"n={n}", {}).update(_crossover_rows(n, sizes, CROSSOVER_REPEATS))
     for n, reps in JENSEN_REPEATS.items():
         layers.setdefault(f"n={n}", {}).update(_jensen_rows(n, reps))
     for n, reps in FRAME_REPEATS.items():

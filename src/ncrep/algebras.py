@@ -494,16 +494,25 @@ def _block_algebra(n, blocks, star):
         which[blk] = t
     mask = which[:, None] == which[None, :] if star else which[:, None] <= which[None, :]
     mask.flags.writeable = False
+    alg = _mask_algebra(mask, StarAlgebra if star else Subalgebra)
+    alg.blocks = [list(blk) for blk in blocks]
+    alg.validate()
+    return alg
+
+
+def _mask_algebra(mask, cls):
+    """An unvalidated cls over the matrix units E_ij on a read-only (n, n) mask, in row-major order:
+    the rows of the identity of M_n they select, declared (OperatorSubspace.unit_columns), with no
+    SVD, and the pattern (None, mask)."""
+    n = len(mask)
     where = np.flatnonzero(mask)
     rows = np.zeros((len(where), n * n), dtype=complex)
     rows[np.arange(len(where)), where] = 1.0
     rows.flags.writeable = False
     space = OperatorSubspace(n, rows)
     space.unit_columns = where  # the rows written above
-    alg = StarAlgebra(space, check=False) if star else Subalgebra(space, check=False)
-    alg.blocks = [list(blk) for blk in blocks]
+    alg = cls(space, check=False)
     alg.pattern = (None, mask)
-    alg.validate()
     return alg
 
 
@@ -770,18 +779,47 @@ def unitary_conjugate_algebra(alg, u):
     return result
 
 
+def _coordinate_corner(alg, corner):
+    """v* S v as the unit rows of a sub-mask (_mask_algebra), unvalidated, when S's rows are its
+    coordinate pattern's units in order (_units_in_order) and each column c of the Corner's
+    isometry v is an exact coordinate vector e_k(c) at its own row k(c); else None.
+
+    Then v* E_ab v is E_cd when a = k(c) and b = k(d), and 0 when a or b is
+    no k(c): the compressed units are the units of M_r on mask[k, k], a
+    mask as product-closed as the whole one, each exactly once, and the
+    rest vanish.  No SVD, and the columns are declared.
+    """
+    if alg.pattern is None or not _units_in_order(alg):
+        return None
+    v, r = corner.v, corner.rank
+    k = np.argmax(v != 0, axis=0)  # the row of each column's first nonzero entry
+    if np.count_nonzero(v) != r or not np.all(v[k, np.arange(r)] == 1.0) or len(set(k.tolist())) != r:
+        return None
+    sub = alg.pattern[1][np.ix_(k, k)]
+    sub.flags.writeable = False
+    return _mask_algebra(sub, StarAlgebra)
+
+
 def corner_algebra(alg, corner):
     """The *-algebra v* S v on a Corner's isometry v (n x r): from_spanning of
     the compressed basis, with its pattern carried over.
 
-    For S patterned (u, mask), v* x v = w* y w with w = u* v and y = u* x u
-    on the mask.  When vv* commutes with S, as a support that commutes with
-    a block D does, w is zero off r of its rows K and unitary on them, so
-    v* x v = q* y_KK q with q = w[K]: the pattern becomes (q*, mask on K x K),
-    a mask as product-closed as the whole one, when q* is unitary within
+    When S's rows are its coordinate pattern's units and v's columns are
+    exact coordinate vectors, as for a support of a diagonal density, the
+    compressed units are read off the mask, declared unit rows with no SVD
+    (_coordinate_corner).  Otherwise, for S patterned (u, mask),
+    v* x v = w* y w with w = u* v and y = u* x u on the mask.  When vv*
+    commutes with S, as a support that commutes with a block D does, w is
+    zero off r of its rows K and unitary on them, so v* x v = q* y_KK q with
+    q = w[K]: the pattern becomes (q*, mask on K x K), a mask as
+    product-closed as the whole one, when q* is unitary within
     _UNITARY_DEFECT.  Otherwise the result has no pattern.  Either way
     validate() decides, as for from_spanning.
     """
+    result = _coordinate_corner(alg, corner)
+    if result is not None:
+        result.validate()
+        return result
     result = StarAlgebra(orthonormalize(corner.compress(alg.space.tensor)), check=False)
     if alg.pattern is not None:
         u, mask = alg.pattern

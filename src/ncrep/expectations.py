@@ -9,11 +9,12 @@ target algebra by one of two routes.
   and rho' = u* rho u, the block pinching when omega is D-central, kept as
   its r block factors (linalg.SandwichSum): no (dim D)^2 Gram matrix and no
   n^2 x n^2 map.
-- Onto every other target (an unpatterned D, D', the support corners and
-  ideals Dz, any D at n <= 4) it solves the Gram system in the omega-inner
-  product (_gram_solve), the factor pair K = U^T C, kept as a
-  linalg.FactorPair with domain M_n, q <= n rows and n >= 7 (_pair_route),
-  else as the n^2 x n^2 matrix on row-major coordinates.
+- Onto every other target (an unpatterned D, D', a support ideal Dz
+  unless it is read off a coordinate D's mask, any D at n <= 4) it solves
+  the Gram system in the omega-inner product (_gram_solve), the factor
+  pair K = U^T C, kept as a linalg.FactorPair with domain M_n, q <= n rows
+  and n >= 7 (_pair_route), else as the n^2 x n^2 matrix on row-major
+  coordinates.
 
 Either route needs omega faithful on the range only, which
 states._faithful_spectrum decides on the Gram matrix's eigenvalues (for the
@@ -44,6 +45,7 @@ import numpy as np
 
 from .algebras import (
     StarAlgebra,
+    _coordinate_corner,
     _mask_classes,
     _mask_gap,
     _unit_frame,
@@ -69,6 +71,7 @@ from .errors import (
     cross_check,
 )
 from .linalg import (
+    _BLOCK_FROM,
     Corner,
     FactorPair,
     SandwichSum,
@@ -408,12 +411,6 @@ def _gram_solve(omega, space):
 # the largest _mask_gap of a range solved in closed form: below it the range check's
 # certificate, 3 _mask_gap ||K||_F against half its threshold, passes for every map
 _BLOCK_GAP = tol(1e-8) / 6
-# the n^4 entries of the map above which the closed form pays: below, at n <= 4, the Gram
-# route's few small dense products cost less than the factors' fixed per-call work (the
-# closed form's build and validation took 1.0-1.6 times the Gram route's at n = 2..4,
-# 0.4-0.9 times at n = 5..8, on coordinate and rotated D)
-_BLOCK_FROM = 1 << 9
-
 
 def _block_route(target, m):
     """True when _preserving_expectation solves onto the target in closed form: M is all of
@@ -718,7 +715,10 @@ def support_ideal_expectation(omega, d, m):
     on zMz; the Gram system on Dz determines the compressed map all the
     same.  EmptyInput when omega vanishes on D, so that z = 0.  When M is
     all of M_n (identity rows), zMz is all of M_r and is taken as
-    full_matrix_algebra(r), with no SVD of the compressed rows.  The map
+    full_matrix_algebra(r), with no SVD of the compressed rows; when D's
+    rows are its coordinate pattern's units and the support's isometry has
+    exact coordinate columns, Dz is the sub-mask's units, with no SVD either
+    (algebras._coordinate_corner, as corner_algebra builds it).  The map
     returned is built afresh on every call and is not kept in omega's store.
 
     Checks on the returned map: omega is D-central, z is central in D,
@@ -744,7 +744,9 @@ def support_ideal_expectation(omega, d, m):
         m_z = full_matrix_algebra(corner.rank)
     else:
         m_z = StarAlgebra(orthonormalize(corner.compress_rows(m.space.flat)), check=False)
-    d_z = StarAlgebra(orthonormalize(corner.compress_rows(d.space.flat)), check=False)
+    d_z = _coordinate_corner(d, corner)
+    if d_z is None:
+        d_z = StarAlgebra(orthonormalize(corner.compress_rows(d.space.flat)), check=False)
     omega_z = PositiveFunctional(corner.compress(omega.density), check=False)
     f = _preserving_expectation(omega_z, d_z, m_z, check=False)
     # xz = v (v* x v) v* for x in D

@@ -75,7 +75,6 @@ from .errors import (
     check,
 )
 from .expectations import (
-    _BLOCK_FROM,
     _ModuleMap,
     _average_to_central,
     _check_values,
@@ -85,6 +84,7 @@ from .expectations import (
     preserving_expectation,
 )
 from .linalg import (
+    _BLOCK_FROM,
     OperatorSubspace,
     SandwichSum,
     chunk_slices,

@@ -9,6 +9,7 @@ compressing to the support projection.
 """
 
 import functools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,8 @@ from .errors import (
     cross_check,
 )
 from .linalg import (
+    _BLOCK_FROM,
     Corner,
-    DerivedStore,
     _identity_rows,
     as_matrix,
     chunk_slices,
@@ -47,20 +48,24 @@ from .linalg import (
     require_hermitian,
     same_subspace,
     trace_pairings,
+    unit_bracket_squares,
 )
 
 
-class PositiveFunctional(DerivedStore):
+class PositiveFunctional:
     """omega(x) = Tr(rho x) for positive semidefinite rho, on a read-only density.
 
     A caller's writeable array is copied (linalg.read_only), so nothing
     computed from the density can go stale.  What depends on the functional
     and on algebra objects alone is computed once and kept in its store
-    (derived, linalg.DerivedStore's, as for a Subalgebra): the
-    restricted density per algebra, is_D_central's (verdict, violation) per
-    (D, M) and the validated expectation _preserving_expectation builds per
-    (target, M).  A kept object lives as long as the functional and holds
-    its keys' algebras by strong references.
+    (derived): the restricted density per algebra, is_D_central's
+    (verdict, violation) per (D, M) and the validated expectation
+    _preserving_expectation builds per (target, M).  The store holds its
+    keys' algebras by weak references only, and an entry is dropped once an
+    algebra in its key is collected, so one functional probed against many
+    algebras keeps nothing of those its caller has let go.  A kept
+    expectation holds its target and M itself, so they and its entry live
+    as long as the functional.
     """
 
     def __init__(self, density, check=True):
@@ -69,6 +74,19 @@ class PositiveFunctional(DerivedStore):
         self._derived = {}
         if check:
             self.validate()
+
+    def derived(self, key, compute):
+        """compute() on the first request for key = (tag, *algebras), then the kept value, as
+        linalg.DerivedStore.derived.  The entry is filed under the algebras' ids with a weak
+        reference to each, whose callback drops it once that algebra is collected; the callback
+        holds the functional weakly, so neither side keeps the other alive."""
+        tag, *algebras = key
+        stored = (tag, *map(id, algebras))
+        entry = self._derived.get(stored)
+        if entry is None:
+            drop = _dropper(weakref.ref(self), stored)
+            entry = self._derived[stored] = (compute(), [weakref.ref(alg, drop) for alg in algebras])
+        return entry[0]
 
     @classmethod
     def tracial(cls, n):
@@ -137,6 +155,18 @@ class PositiveFunctional(DerivedStore):
         return spec.support_isometry(pd_tol(spec.norm))
 
 
+def _dropper(owner, stored):
+    """The weakref callback that removes the entry stored from the store of the functional
+    owner refers to, if that functional is still alive."""
+
+    def drop(_):
+        functional = owner()
+        if functional is not None:
+            functional._derived.pop(stored, None)
+
+    return drop
+
+
 def _omega_gram(omega, b):
     """Gram matrix omega(b_a* b_c) of a stacked basis b, plus the pairing rows
     x -> omega(b_a* x) on flattened coordinates, from which it is formed."""
@@ -178,6 +208,29 @@ def _unit_mask(algebra):
     return algebra.pattern[1]
 
 
+def _unit_read(d):
+    """_unit_mask(d) where a probe read by matrix unit pays, n^4 above _BLOCK_FROM, else None: at
+    n <= 4 the products with D's basis cost less than the reads' fixed work."""
+    return _unit_mask(d) if d.n**4 > _BLOCK_FROM else None
+
+
+def _unit_violation(rho, mask, within):
+    """The largest of |rho_ab|, a != b, over the entries a boolean mask within selects (within = ...
+    for every entry) and of |rho_ii - rho_jj| over the (i, j) on mask."""
+    diag = rho.diagonal()
+    return max(float(np.abs(rho - np.diag(diag))[within].max()),
+               float(np.abs(diag[:, None] - diag[None, :])[mask].max()))
+
+
+def _commutation_gap(x, d):
+    """linalg.commutation_gap(x, D's basis): on D's units (_unit_read) the largest
+    ||[x, E_ij]|| read by index (linalg.unit_bracket_squares), else from the brackets."""
+    mask = _unit_read(d)
+    if mask is None:
+        return commutation_gap(x, d.space.tensor)
+    return float(np.sqrt(unit_bracket_squares(x[None], *np.nonzero(mask)).max()))
+
+
 def tracial_certificate(omega, algebra):
     """Largest |omega(xy) - omega(yx)| over basis pairs; result true iff below 1e-9 x ||rho||.
 
@@ -191,9 +244,7 @@ def tracial_certificate(omega, algebra):
     rho = omega.density
     mask = _unit_mask(algebra)
     if mask is not None:
-        diag = rho.diagonal()
-        violation = max(float(np.abs(rho - np.diag(diag))[mask].max()),
-                        float(np.abs(diag[:, None] - diag[None, :])[mask].max()))
+        violation = _unit_violation(rho, mask, mask)
     else:
         b = algebra.space.tensor
         t1 = trace_pairings(rho @ b, b)  # omega(b_a b_c) = Tr((rho b_a) b_c)
@@ -250,7 +301,18 @@ def require_same_ambient(omega, d, m):
 def _central_violation(omega, d, m):
     """max |omega(dx) - omega(xd)| over basis(D) x basis(M), as one trace pairing:
     omega(dx) - omega(xd) = Tr((rho d - d rho) x).  On M's identity rows the
-    pairing Tr(c E_ab) = c_ba is every entry of the stack, read off as max |rho d - d rho|."""
+    pairing Tr(c E_ab) = c_ba is every entry of the stack, read off as max |rho d - d rho|.
+
+    On D's units E_ij (_unit_read) with M's identity rows no stack is formed:
+    rho E_ij - E_ij rho holds rho_ai (a != i) in column j, -rho_jb (b != j)
+    in row i, rho_ii - rho_jj at (i, j) and zeros elsewhere, and every index
+    is a unit's row and column, so the largest modulus is that of every
+    off-diagonal entry of rho and every rho_ii - rho_jj over the mask: bit
+    for bit the products' numbers, which are by exact ones and zeros.
+    """
+    mask = _unit_read(d)
+    if mask is not None and _identity_rows(m.space):
+        return _unit_violation(omega.density, mask, ...)
     db = d.space.tensor
     comm = omega.density @ db
     comm -= db @ omega.density
@@ -265,7 +327,11 @@ def is_D_central(omega, d, m):
     Two routes: the bilinear one decides, pairing the stack rho d - d rho
     over D's basis with M's basis in one gemm (trace_pairings); the
     commutator route [P_M(rho), d] = 0 must agree when both are far from
-    their thresholds.  DimensionMismatch when omega, D and M differ in size.
+    their thresholds.  On a D whose rows are the units E_ij of an
+    equivalence relation's blocks, above _BLOCK_FROM, both are read off
+    n x n data with no (dim D, n, n) stack: the bilinear statistic from the
+    entries of rho (_central_violation), the commutator norms by index
+    (_commutation_gap).  DimensionMismatch when omega, D and M differ in size.
     The pair is decided once per (D, M) and kept in omega's store, so every
     gate on it (require_D_central) reads the same verdict; a probe that
     raised keeps nothing and raises again.
@@ -279,7 +345,7 @@ def _D_central(omega, d, m):
     violation = _central_violation(omega, d, m)
     threshold = tol(1e-9) * max(1e-30, hs_norm(omega.density))
     r = omega.restricted_density(m)
-    comm_violation = commutation_gap(r, d.space.tensor)
+    comm_violation = _commutation_gap(r, d)
     comm_threshold = tol(1e-9) * max(1e-30, hs_norm(r))
     verdict = cross_check(
         "bilinear and commutator centrality routes disagree", violation <= threshold,
@@ -372,22 +438,36 @@ def _local_violation(omega, projections, d, m):
     largest entry is the statistic.  Each entry is the same difference of
     two complex products; a BLAS kernel may fuse a multiply and an add in
     its own, so the two routes agree to the last bit of those products.
+
+    When D's units are those of an equivalence relation's blocks, E_ji =
+    E_ij* with (i, j) and (j, i) both units, and for Hermitian p and k,
+    p E_ji k - k E_ji p = -(p E_ij k - k E_ij p)*: above _BLOCK_FROM
+    (_unit_read) the units with i <= j are gathered alone, on k's Hermitian
+    part (k + k*)/2, which p rho p is up to rounding.  Otherwise every unit
+    is gathered.
     """
     db = d.space.tensor
     cols = d.space.unit_columns
     gather = cols is not None and _identity_rows(m.space)
+    units = d.dim
     if gather:
         i, j = np.divmod(cols, d.n)
+        halve = _unit_read(d) is not None
+        if halve:
+            i, j = i[i <= j], j[i <= j]
+        units = len(i)
     worst = 0.0
-    # per projection: about four (dim D, n, n) stacks at once (the sandwiches, their difference
+    # per projection: about four (units, n, n) stacks at once (the sandwiches, their difference
     # and its copy for the pairing; gathered, the two products and the buffers numpy fills to
     # broadcast them), counted as nine, so that each stack stays under the 128 KiB above which
     # malloc may map fresh pages on every call (diagnosis-mixed's n = 5..8 trials ran about 5 %
     # slower with stacks of twice that size); n <= 4 still takes one pass
-    for part in chunk_slices(len(projections), 9 * d.dim * d.n**2):
+    for part in chunk_slices(len(projections), 9 * units * d.n**2):
         p = projections[part]
         ks = p @ omega.density @ p
         if gather:
+            if halve:
+                ks = (ks + dagger(ks)) / 2
             worst = max(worst, _gathered_violation(p, ks, i, j))
             continue
         left = _sandwiches(p, db, ks) - _sandwiches(ks, db, p)
@@ -409,8 +489,9 @@ def _gathered_violation(p, k, i, j):
 
 
 def _support_commutes(omega, d):
-    """[e, D] = 0 for the support e of omega, to within 1e-9 on D's orthonormal basis."""
-    return bool(commutation_gap(omega.support, d.space.tensor) <= tol(1e-9))
+    """[e, D] = 0 for the support e of omega, to within 1e-9 on D's orthonormal basis; on D's
+    units above _BLOCK_FROM each ||[e, E_ij]|| is read by index (_commutation_gap)."""
+    return bool(_commutation_gap(omega.support, d) <= tol(1e-9))
 
 
 def locally_central_check(omega, d, m, cap_proj=64):
@@ -420,7 +501,9 @@ def locally_central_check(omega, d, m, cap_proj=64):
     the sampled p and the bases of D and M, formed as gemms: one for every
     p d, one batched over p for the right factors, one trace pairing with
     M's basis (on D's unit rows and M's identity rows, gathered from p and k
-    with no gemm: _local_violation).  With the identity always in the sample
+    with no gemm, and past _BLOCK_FROM on an equivalence relation's units
+    only for the units E_ij with i <= j: _local_violation).  With the
+    identity always in the sample
     this contains the global centrality identity; together with [e, D] = 0
     the verdict must match is_D_central, and a decisive mismatch is an
     internal fault.
@@ -466,23 +549,55 @@ def modular_invariance_check(omega, d):
     Decided infinitesimally: [log rho, d] must stay in span(D) for every
     basis element (a one-parameter group preserves a subspace iff its
     generator does).  Cross-validated by sampling the flow at t = 0.1, 1, pi.
+    Each leak is the largest distance of an image of D's basis from span(D),
+    read off n x n data on a coordinate D's units (_modular_leaks).
     """
     if not omega.is_faithful:
         raise NotFaithful("modular invariance needs a faithful density")
     log_rho = omega.spectrum.apply(np.log)
-    db = d.space.tensor
-
-    def leak(images):
-        return float(d.space.residuals(images.reshape(d.dim, -1)).max(initial=0.0))
-
-    worst = leak(log_rho @ db - db @ log_rho)
+    worst, sampled_worst = _modular_leaks(omega, d, log_rho)
     threshold = tol(1e-8) * max(1.0, hs_norm(log_rho))
-    sampled_worst = max(leak(modular_group(omega, t)(db)) for t in (0.1, 1.0, np.pi))
     sampled_threshold = tol(1e-8)
     return cross_check(
         "infinitesimal modular criterion contradicts the sampled flow", worst <= threshold,
         sampled_worst <= sampled_threshold, (worst, threshold), (sampled_worst, sampled_threshold),
     )
+
+
+def _modular_leaks(omega, d, log_rho):
+    """The largest distance from span(D) of [log rho, d] and of sigma_t(d) over t = 0.1, 1, pi, over
+    D's basis d, for a faithful omega and log_rho its logarithm.
+
+    On a D whose rows are the units E_ij of an equivalence relation's
+    blocks (_unit_read), no image is formed.  With N the 0/1 matrix off the
+    mask, L = log rho and |.|^2 taken entry by entry, [L, E_ij] leaves the
+    span by L_ai at (a, j) and -L_jb at (i, b) off the mask, so its squared
+    distance is (|L|^2^T N + N |L|^2^T)[i, j]; and sigma_t(E_ij) =
+    U E_ij U*, U = rho^{it}, has entries U_ai conj(U_bj), so its squared
+    distance is (S^T N S)[i, j] with S = |U|^2.  Every term is
+    nonnegative, so nothing cancels, and the sums are the residuals' own
+    squares in another order.
+    """
+    ts = (0.1, 1.0, np.pi)
+    mask = _unit_read(d)
+    if mask is None:
+        db = d.space.tensor
+
+        def leak(images):
+            return float(d.space.residuals(images.reshape(d.dim, -1)).max(initial=0.0))
+
+        return leak(log_rho @ db - db @ log_rho), max(leak(modular_group(omega, t)(db)) for t in ts)
+    off = np.logical_not(mask).astype(float)
+
+    def leak(squares):
+        return float(np.sqrt(squares[mask].max()))
+
+    def moduli(x):
+        return x.real**2 + x.imag**2
+
+    s = moduli(log_rho)
+    flows = (moduli(_density_power_it(omega, t)) for t in ts)
+    return leak(s.T @ off + off @ s.T), max(leak(f.T @ off @ f) for f in flows)
 
 
 def pt_radon_nikodym(psi, phi):

@@ -232,7 +232,8 @@ def test_a_support_ideal_build_projects_the_density_onto_M_once(blocks):
 @pytest.mark.parametrize("n, blocks, rotated", [(3, [[0], [1], [2]], False), (3, [[0, 1], [2]], False),
                                                 (6, [[0, 1, 2], [3, 4], [5]], True)])
 def test_a_support_ideal_build_on_M_n_orthonormalizes_only_the_compressed_D(monkeypatch, n, blocks, rotated):
-    # zM_nz is all of M_r: it is taken as M_r's identity rows, with no SVD of the n^2 compressed rows
+    # zM_nz is all of M_r: it is taken as M_r's identity rows, with no SVD of the n^2 compressed rows.  On a
+    # coordinate support Dz is read off D's mask, so no SVD runs at all; a rotated D's Dz is orthonormalized
     rng = np.random.default_rng(n)
     d = block_diagonal_algebra(n, blocks)
     rho = np.diag([0.0] * (n - 1) + [1.0]).astype(complex)
@@ -241,8 +242,12 @@ def test_a_support_ideal_build_on_M_n_orthonormalizes_only_the_compressed_D(monk
         v = d.pattern[0][:, blocks[0]]
         rho = v @ (v.conj().T @ random_central_density(n, d, rng).density @ v) @ v.conj().T
     orthonormalized = _count_calls(monkeypatch, linalg, "orthonormalize")
+    svds = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: svds.append(args) or svd(*args, **kwargs))
     e = support_ideal_expectation(PositiveFunctional(rho / np.trace(rho).real), d, full_matrix_algebra(n))
-    assert [len(rows) for rows, in orthonormalized] == [d.dim]
+    assert [len(rows) for rows, in orthonormalized] == ([d.dim] if rotated else [])
+    assert bool(svds) == rotated
     assert e.validated
 
 

@@ -2,13 +2,17 @@
 
 A functional keeps, per algebra object, its restricted density,
 is_D_central's (verdict, violation) per (D, M) and the validated expectation
-_preserving_expectation builds per (target, M).  A gate on a kept verdict
-raises its own class and message every time; a build or a probe that raised
-keeps nothing and raises again; a check=False build is not kept; the kept
-map is the object preserving_expectation and existence_diagnosis return, its
-arrays are read-only, and it equals bit for bit the map a fresh functional
-with the same density builds.
+_preserving_expectation builds per (target, M), under weak references to the
+algebras, so an entry goes once an algebra in its key is collected.  A gate
+on a kept verdict raises its own class and message every time; a build or a
+probe that raised keeps nothing and raises again; a check=False build is not
+kept; the kept map is the object preserving_expectation and
+existence_diagnosis return, its arrays are read-only, and it equals bit for
+bit the map a fresh functional with the same density builds.
 """
+
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,3 +164,25 @@ def test_the_kept_map_is_the_map_a_fresh_functional_builds(n, rotated, seed):
         assert kept is _preserving_expectation(omega, target, m)
         fresh = _preserving_expectation(PositiveFunctional(omega.density), target, m)
         assert [a.tobytes() for a in _kept_arrays(kept)] == [a.tobytes() for a in _kept_arrays(fresh)]
+
+
+def test_one_functional_probed_against_many_algebras_keeps_a_flat_live_size():
+    # a non-central state keeps a verdict per D; with D held only by the store's weak references, each
+    # D the loop lets go takes its entry with it (held strongly, about 48 KB stayed live per D)
+    n = 8
+    omega = random_density(n, np.random.default_rng(8))
+    m = full_matrix_algebra(n)
+    sizes = []
+    tracemalloc.start()
+    try:
+        for k in range(100):
+            existence_diagnosis(omega, block_diagonal_algebra(n, [[0, 1, 2, 3], [4, 5, 6], [7]]), m)
+            if k in (9, 99):
+                gc.collect()
+                sizes.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert sizes[1] - sizes[0] < 2**18
+    # a D still held keeps its verdict, read back without a second probe
+    d = block_diagonal_algebra(n, [[0, 1, 2, 3], [4, 5, 6], [7]])
+    assert is_D_central(omega, d, m) is is_D_central(omega, d, m)

@@ -176,9 +176,12 @@ def test_sample_projections_live_in_algebra():
         assert hs_norm(p - dagger(p)) <= 1e-9
 
 
-@pytest.mark.parametrize("n, sizes, passes", [(3, (2, 1), 1), (4, (3, 1), 1), (8, (4, 3, 1), 4), (10, (5, 4, 1), 16)])
+@pytest.mark.parametrize("n, sizes, passes", [(3, (2, 1), 1), (4, (3, 1), 1), (8, (4, 3, 1), 3), (10, (5, 4, 1), 8)])
 def test_local_violation_in_chunks_equals_one_pass(monkeypatch, n, sizes, passes):
-    # 16 projections: one pass up to n = 4, several chunks from n = 8 on
+    # 16 projections: one pass up to n = 4, several chunks from n = 8 on, sized by the units gathered:
+    # on a block-diagonal D past the crossover those E_ij with i <= j, k (k + 1) / 2 per block of size k
+    units = sum(k * (k + 1) // 2 if n**4 > linalg._BLOCK_FROM else k * k for k in sizes)
+    assert passes == -(-16 // max(1, linalg._CHUNK_ELEMENTS // (9 * units * n * n)))
     ends = np.cumsum(sizes)
     d = block_diagonal_algebra(n, [list(range(end - size, end)) for end, size in zip(ends, sizes)])
     m = full_matrix_algebra(n)

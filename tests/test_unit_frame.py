@@ -158,11 +158,13 @@ def test_frame_reads_bound_the_exact_routes_on_random_instances(n, rotation, see
 
 
 def test_rows_that_are_not_units_take_the_exact_route(monkeypatch):
-    # a coordinate D cut to two of its blocks: the corner keeps a pattern, but its rows are an SVD's
-    # mixtures of the units, so the frame's slack fails and the exact route decides
+    # a coordinate D cut to two of its blocks by an isometry v w, w a Haar unitary of M_6, whose columns
+    # are no coordinate vectors: the corner keeps a pattern, but its rows are an SVD's mixtures of the
+    # units, so the frame's slack fails and the exact route decides
     n = 8
     d = block_diagonal_algebra(n, [[0, 1, 2], [3, 4, 5], [6, 7]])
-    corner = Corner(projection_isometry(np.diag([1.0] * 6 + [0.0] * 2)))
+    v = projection_isometry(np.diag([1.0] * 6 + [0.0] * 2))
+    corner = Corner(v @ haar_unitary(6, np.random.default_rng(6)))
     d_c = corner_algebra(d, corner)
     frame = _unit_frame(d_c)
     assert d_c.pattern is not None and frame is not None and frame[4].max() > 0.1

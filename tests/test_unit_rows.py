@@ -1,17 +1,21 @@
 """Unit-row subspaces: rows that are matrix units E_ij are read by index.
 
 OperatorSubspace.unit_columns is declared by the constructions that write
-unit rows (_block_algebra and full_matrix_algebra); nothing is read off the
-rows' bits, so any other space, even one over the same rows, has None.  On
-declared rows coords, from_coords, project and residuals gather and scatter
-those columns, and every product the matrix route forms is by an exact 0
-or 1, so the two routes give the same numbers bit for bit (the sign of a
-zero aside, which the matrix route's sums drop).  With M's identity rows,
-_local_violation gathers p E_ij k - k E_ij p from the columns and rows of
-p and k; each entry is the same difference of two complex products, which
-a BLAS kernel may round with a fused multiply-add, so the statistic
-matches the gemm route to the last bit of those products.  Rotated rows,
-and rows only close to units, keep the matrix route.
+unit rows (_block_algebra, full_matrix_algebra and a corner cut by exact
+coordinate vectors); nothing is read off the rows' bits, so any other
+space, even one over the same rows, has None.  On declared rows coords,
+from_coords, project and residuals gather and scatter those columns, and
+every product the matrix route forms is by an exact 0 or 1, so the two
+routes give the same numbers bit for bit (the sign of a zero aside, which
+the matrix route's sums drop).  So does is_D_central's bilinear statistic
+read off rho on an equivalence relation's units.  Its commutator norms, the
+[e, D] gap and the modular leaks are sums of nonnegative squares read by
+index, the products' terms summed in another order.  With M's identity
+rows, _local_violation gathers p E_ij k - k E_ij p from the columns and
+rows of p and k, on a symmetric mask for i <= j alone; each entry is the
+same difference of two complex products, which a BLAS kernel may round
+with a fused multiply-add.  Rotated rows, and rows only close to units,
+keep the matrix route, which is the oracle here.
 """
 
 import numpy as np
@@ -22,13 +26,14 @@ from hypothesis import strategies as st
 from dense_oracle import broadcast_local_violation
 from ncrep import linalg, states
 from ncrep.algebras import (
+    _coordinate_corner,
     block_diagonal_algebra,
     block_upper_triangular,
     full_matrix_algebra,
     unitary_conjugate_algebra,
 )
 from ncrep.instances import haar_unitary, random_central_density, random_density
-from ncrep.linalg import OperatorSubspace, hs_norm
+from ncrep.linalg import Corner, OperatorSubspace, hs_norm, orthonormalize, same_subspace
 from ncrep.states import PositiveFunctional, sample_projections
 
 EPS = np.finfo(float).eps
@@ -62,19 +67,40 @@ def _same_bits(x, y):
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-def _routes(space, omega, rng):
-    """Each subspace operation on space's rows."""
+def _routes(alg, m, omega, projections, rng):
+    """Each subspace operation on alg's rows, and each probe of a state that reads D's units: both
+    is_D_central statistics, the [e, D] gap behind _support_commutes, the local statistic and, for a
+    faithful state, both modular leaks."""
+    space = alg.space
     n = space.ambient_dim
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     rows = np.concatenate([(rng.standard_normal((3, n * n)) + 1j * rng.standard_normal((3, n * n))),
                            space.flat, omega.density.reshape(1, -1)])
     c = rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size)
-    return {
+    routes = {
         "coords": space.coords(x),
         "from_coords": space.from_coords(c),
         "project": space.project(omega.density),
         "residuals": space.residuals(rows),
+        "central": states._central_violation(omega, alg, m),
+        "central commutator": states._commutation_gap(omega.restricted_density(m), alg),
+        "support commutes": states._commutation_gap(omega.support, alg),
+        "local": states._local_violation(omega, projections, alg, m),
     }
+    if omega.is_faithful:
+        routes["modular"], routes["modular sampled"] = states._modular_leaks(omega, alg, omega.spectrum.apply(np.log))
+    return routes
+
+
+# the reads of a max entry, bit for bit the products' numbers
+MAX_ENTRY = ("coords", "from_coords", "project", "residuals", "central")
+# the reads of a sum of nonnegative squares, at most n^2 terms each, summed in another order than the
+# products' hs_norms: within 2 n^2 ulps of the larger, relative
+SUMS = ("central commutator", "support commutes", "modular", "modular sampled")
+
+
+def _sums_agree(got, want, n):
+    return abs(got - want) <= 2 * n * n * EPS * max(got, want)
 
 
 @settings(max_examples=80, deadline=None)
@@ -96,22 +122,40 @@ def test_unit_rows_agree_with_the_product_routes(labels, star, kind, seed):
     # the constructions declare the columns they wrote; a space over the same rows declares none
     assert np.array_equal(alg.space.unit_columns, np.flatnonzero(alg.pattern[1]))
     assert np.array_equal(m.space.unit_columns, np.arange(n * n))
-    copy = OperatorSubspace(n, alg.space.flat)
-    assert copy.unit_columns is None
+    undeclared = type(alg)(OperatorSubspace(n, alg.space.flat), check=False)
+    undeclared.pattern = alg.pattern
+    assert undeclared.space.unit_columns is None
 
-    fast = _routes(alg.space, omega, np.random.default_rng(seed))
-    local = states._local_violation(omega, projections, alg, m)
-    undeclared = _routes(copy, omega, np.random.default_rng(seed))
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(states, "_BLOCK_FROM", 0)  # every n reads by unit
+        fast = _routes(alg, m, omega, projections, np.random.default_rng(seed))
+        copy = _routes(undeclared, m, omega, projections, np.random.default_rng(seed))
         for space in (alg.space, m.space):
             mp.setattr(space, "unit_columns", None)
-        slow = _routes(alg.space, omega, np.random.default_rng(seed))
-        local_gemm = states._local_violation(omega, projections, alg, m)
-    for name in fast:
-        assert _same_bits(fast[name], slow[name]) and _same_bits(fast[name], undeclared[name]), name
+        slow = _routes(alg, m, omega, projections, np.random.default_rng(seed))
+    assert fast.keys() == slow.keys() == copy.keys()
+    for name in MAX_ENTRY:
+        assert _same_bits(fast[name], slow[name]) and _same_bits(fast[name], copy[name]), name
+    for name in SUMS:
+        if name in fast:
+            assert _sums_agree(fast[name], slow[name], n) and _sums_agree(fast[name], copy[name], n), name
+    # the local statistic: on a symmetric mask the units with i <= j alone, on k's Hermitian part, which
+    # moves each entry by the asymmetry of p rho p's rounding; otherwise every unit, to the last bit of
+    # the two products in each entry
+    local, local_gemm = fast["local"], slow["local"]
     assert local == local_gemm or abs(local - local_gemm) <= 4 * EPS * hs_norm(omega.density)
     local_want = broadcast_local_violation(omega, list(projections), alg, m)
     assert abs(local - local_want) <= 1e-12 * max(local_want, hs_norm(omega.density))
+
+    # a corner cut by exact coordinate vectors, in any order, is the sub-mask's declared units
+    keep = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+    corner = Corner(np.eye(n, dtype=complex)[:, keep])
+    compressed = _coordinate_corner(alg, corner)
+    sub = alg.pattern[1][np.ix_(keep, keep)]
+    assert compressed.pattern[0] is None and np.array_equal(compressed.pattern[1], sub)
+    assert np.array_equal(compressed.space.unit_columns, np.flatnonzero(sub))
+    assert same_subspace(compressed.space, orthonormalize(corner.compress(alg.space.tensor)))
+    assert _coordinate_corner(undeclared, corner) is None
 
 
 def test_a_rotated_D_takes_the_gemm_route(monkeypatch):
