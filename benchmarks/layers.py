@@ -19,7 +19,8 @@ fresh functional per call.  The validate rows of A and D time the
 closure check each runs (on a block algebra that has one, its pattern
 certificate).  The instance rows time random_block_instance(n,
 default_rng(3), conjugate=True) at n = 16, 24, 32 and 48, the build of A, D
-and Phi with all their checks; at n = 24 a further row times commutant(D, M),
+and Phi with all their checks, and at n = 32 and 48 the coordinate build
+random_block_instance(n, default_rng(3)) next to it; at n = 24 a further row times commutant(D, M),
 cold, on that instance's D, and at n = 16, 24 and 32 three more rows time
 the character's DCharacter.validate, the tracial pipeline on the instance
 and the state pipeline for a seeded faithful D-central state.  Before every other row, at n = 64, that build
@@ -31,7 +32,12 @@ the masks against the routes they replace: the multiplicativity bound from
 the unit defects (_multiplicative_from_defects) against the m^2 unit
 products (tests/dense_oracle.py's unit_products_multiplicative), and J
 read off the masks (_mask_kernel)
-against the null space of Phi's images.  The commutant row adds dim D' and the largest
+against the null space of Phi's images.  At n = 16 and 32 the fix rows time
+D's fix and J's tau as the build forms them (_mask_kernel on a copy of the
+character without its kept fix), on random_block_instance(n,
+default_rng(3)), coordinate and rotated, read at the units against the
+stack route: the same call with the checkout's representing._BLOCK_FROM
+moved above n^4.  The commutant row adds dim D' and the largest
 ||[x, b]|| over its basis x and D's b.  The null_space_rows stack is the one
 commutant(D, M) solves first: the brackets of M's basis with two seeded
 complex Gaussian combinations of D's basis, (2 n^2, n^2).  At n = 4, 10
@@ -138,6 +144,10 @@ FRAME_REPEATS = {10: 10, 16: 3, 24: 3}
 ONCE_SIZES = (64,)
 # sizes whose instance character gets the certificate rows, and their repeats
 CERTIFICATE_REPEATS = {16: 3, 24: 1, 32: 1}
+# sizes whose coordinate build gets a row next to the rotated one
+COORDINATE_BUILD_SIZES = (32, 48)
+# sizes whose coordinate and rotated characters get the fix rows, and their repeats
+FIX_REPEATS = {16: 5, 32: 3}
 COMMUTATIVE_SIZES = (3, 4)
 GENERATION_SIZES = (8, 12, 16)
 DIAGNOSIS_BLOCKS = [[0, 1, 2, 3], [4, 5, 6], [7]]
@@ -217,14 +227,38 @@ def _certificate_rows(phi, reps):
     rows["_multiplicative_from_defects"] = dict(_measure(lambda: bound(phi, kappa), reps), passed=bound(phi, kappa))
     rows["null_space_rows (kernel)"] = _measure(lambda: null_space_rows(phi.images.T) @ phi.domain.space.flat, reps)
     mask_kernel = representing._mask_kernel
-
-    def unfixed():
-        """A copy of the character without D's fix, a cached property, so that the timing forms it as the build does."""
-        fresh = copy.copy(phi)
-        fresh.__dict__.pop("fix", None)
-        return (fresh,)
-
+    unfixed = lambda: (_unfixed(phi),)
     rows["_mask_kernel"] = dict(_measure(mask_kernel, reps, unfixed), passed=mask_kernel(*unfixed()) is not None)
+    return rows
+
+
+def _unfixed(phi):
+    """A copy of the character without D's fix, a cached property, so that a timing forms it as the build does."""
+    fresh = copy.copy(phi)
+    fresh.__dict__.pop("fix", None)
+    return fresh
+
+
+def _fix_rows(n, reps):
+    """D's fix and J's tau as the build forms them, _mask_kernel on an unfixed copy of the character, on
+    random_block_instance(n, default_rng(3)), coordinate and rotated: read at the units, and by the stack
+    route with representing._BLOCK_FROM moved above n^4."""
+    import numpy as np
+    from ncrep import representing
+    from ncrep.instances import random_block_instance
+
+    rows = {}
+    for label, conjugate in (("coordinate", False), ("rotated", True)):
+        phi = random_block_instance(n, np.random.default_rng(3), conjugate=conjugate).phi
+        crossover = representing._BLOCK_FROM
+        for route, moved in (("", crossover), (", stack route", n**4)):
+            representing._BLOCK_FROM = moved
+            try:
+                rows[f"fix + _mask_kernel ({label}{route})"] = dict(
+                    _measure(representing._mask_kernel, reps, lambda: (_unfixed(phi),)),
+                    passed=representing._mask_kernel(_unfixed(phi)) is not None)
+            finally:
+                representing._BLOCK_FROM = crossover
     return rows
 
 
@@ -592,9 +626,14 @@ def main():
         layers.setdefault(f"n={n}", {}).update(_jensen_rows(n, reps))
     for n, reps in FRAME_REPEATS.items():
         layers.setdefault(f"n={n}", {}).update(_frame_rows(n, reps))
+    for n, reps in FIX_REPEATS.items():
+        layers.setdefault(f"n={n}", {}).update(_fix_rows(n, reps))
     for n, reps in INSTANCE_REPEATS.items():
         build = lambda n=n: random_block_instance(n, np.random.default_rng(3), conjugate=True)
         layers.setdefault(f"n={n}", {})["random_block_instance (rotated)"] = _measure(build, reps)
+        if n in COORDINATE_BUILD_SIZES:
+            layers[f"n={n}"]["random_block_instance (coordinate)"] = _measure(
+                lambda n=n: random_block_instance(n, np.random.default_rng(3)), reps)
         if n in INSTANCE_COMMUTANT_SIZES or n in INSTANCE_PIPELINE_SIZES or n in CERTIFICATE_REPEATS:
             inst = build()
         if n in INSTANCE_COMMUTANT_SIZES:

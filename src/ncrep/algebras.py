@@ -17,8 +17,9 @@ data that depends on it alone (Subalgebra.derived): its commutant within
 each enclosing algebra, its sampled projections per cap
 (states.sample_projections), and for a patterned algebra the two numbers
 its certificates read off the rotated basis (_off_mask), its mask's block
-classes (_mask_classes), its groups of equal mask rows (_mask_rows) and
-its rows' distances from the rotated units (_unit_frame).
+classes (_mask_classes), its groups of equal mask rows (_mask_rows), its
+rows' distances from the rotated units (_unit_frame) and whether its rows
+are its coordinate mask's declared units (_units_in_order).
 Each is computed on first request and then read back, so a D that several
 states are probed on is solved once.  What depends on a functional is kept
 by the functional (states.PositiveFunctional.derived), not here.
@@ -192,10 +193,14 @@ def _unitary_defect(u):
 
 def _units_in_order(alg):
     """True when a coordinate pattern's rows are declared unit rows (OperatorSubspace.unit_columns)
-    at its mask's entries in row-major order, as _block_algebra writes them."""
+    at its mask's entries in row-major order, as _mask_algebra writes them.  The verdict is kept in
+    the algebra's store as the columns it was reached on (by _mask_algebra as it writes them): a
+    later call compares the declared columns with that object, and is false for any others."""
     u, mask = alg.pattern
     cols = alg.space.unit_columns
-    return u is None and cols is not None and np.array_equal(cols, np.flatnonzero(mask))
+    if u is not None or cols is None:
+        return False
+    return alg.derived("units in order", lambda: cols if np.array_equal(cols, np.flatnonzero(mask)) else None) is cols
 
 
 def _pattern_coordinates(alg):
@@ -513,6 +518,7 @@ def _mask_algebra(mask, cls):
     space.unit_columns = where  # the rows written above
     alg = cls(space, check=False)
     alg.pattern = (None, mask)
+    alg.derived("units in order", lambda: where)  # _units_in_order's verdict, true by construction
     return alg
 
 

@@ -713,7 +713,10 @@ class SandwichSum:
         return out.reshape(x.shape)
 
     def conjugated(self, u):
-        """The map x -> u* K(u x u*) u, as its factors u* L_t u and u* R_t u: O(r n^3)."""
+        """The map x -> u* K(u x u*) u, as its factors u* L_t u and u* R_t u: O(r n^3); the map
+        itself for u None, the identity."""
+        if u is None:
+            return self
         rotated = dagger(u) @ np.stack((self.left, self.right)) @ u
         return SandwichSum(rotated[0], rotated[1])
 

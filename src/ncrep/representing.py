@@ -21,16 +21,16 @@ with no n^2 x n^2 matrix; its kernel is read off the masks (_mask_kernel)
 and its multiplicativity bounded from its defects on the rotated matrix
 units (_multiplicative_from_defects): no SVD and no product of two basis
 elements or units.  Its per-unit checks are read in the unit frame of the
-pattern (u, mask) that A and D share: the factors are conjugated once,
-L'_t = u* L_t u and R'_t = u* R_t u, and u* Phi(u E_ij u*) u =
+pattern (u, mask) that A and D share: the factors are conjugated,
+L'_t = u* L_t u and R'_t = u* R_t u, at O(r n^3), and u* Phi(u E_ij u*) u =
 sum_t L'_t[:, i] R'_t[j, :] is read per unit by index for the unit defects
-(_rotated_unit_images) and, for Psi - Phi, the extension check
-(_extension_bound); the module gaps are read the same way
-(expectations._ModuleMap._check_module) and D inside A off the masks
-(algebras._inclusion_gap), so validate() multiplies by no basis element
-and forms no image of A's basis.  Each frame read is an upper bound that
-decides only when it passes; otherwise the exact route decides, with its
-own message.  The matching reads the functional's values on Phi's images of
+(_rotated_unit_images), D's fix (DCharacter.fix), J's tau (_mask_kernel)
+and, for Psi - Phi, the extension check (_extension_bound); the module
+gaps are read the same way (expectations._ModuleMap._check_module) and D
+inside A off the masks (algebras._inclusion_gap), so validate() multiplies
+by no basis element and forms no image of A's basis.  Each frame read is an
+upper bound that decides only when it passes; otherwise the exact route
+decides, with its own message.  The matching reads the functional's values on Phi's images of
 A's basis from Phi's trace pre-adjoint (DCharacter.domain_values) and is
 r = sum_j (v_j / c) x_j* over A's orthonormal rows for a scalar weight c I
 (_matched_density); b is projected one mask-row class of a patterned A at
@@ -147,8 +147,52 @@ class DCharacter(_ModuleMap):
 
     @functools.cached_property
     def fix(self):
-        """||Phi(d) - d|| over D's orthonormal rows, formed on first request."""
-        return self._moved(self.range_alg.space)
+        """||Phi(d_s) - d_s|| over D's orthonormal rows d_s, or upper bounds on them that pass the
+        fix check, formed on first request.
+
+        For block factors (a SandwichSum) at n^4 > _BLOCK_FROM, on a D whose
+        rows are its pattern's units (algebras._unit_frame), Phi is read at the
+        units with no image of D's rows.  Let f_s = u E_s u*, h = u*u,
+        eta = ||h - I|| and Phi' the factors conjugated by u
+        (SandwichSum.conjugated), so that u* Phi(f_s) u = Phi'(E_s), read at
+        O(r n^2) per unit (SandwichSum.at_units), and u* f_s u = h E_s h.
+        - A coordinate D (u None) has d_s = E_s: the value is ||Phi(E_s) - E_s||
+          itself, the stack route's numbers (for the block pinching, bit for
+          bit: every product is by an exact 0 or 1).
+        - Otherwise ||X|| <= ||u^-1||^2 ||u* X u|| with ||u^-1||^2 <= 1 / (1 - eta),
+          and ||h E_s h - E_s|| <= ||(h - I) E_s h|| + ||E_s (h - I)|| <= eta (2 + eta),
+          so ||Phi(f_s) - f_s|| <= (||Phi'(E_s) - E_s|| + eta (2 + eta)) / (1 - eta).
+          Phi - id moves d_s - f_s by at most (kappa + 1) ||d_s - f_s||, with
+          kappa the map's Frobenius norm and ||d_s - f_s|| the frame's distance.
+          So each row is bounded by
+              (||Phi'(E_s) - E_s|| + eta (2 + eta)) / (1 - eta) + (kappa + 1) distances[s],
+          and these bounds are kept when every one is at most tol(1e-8), the
+          least of validate's thresholds.
+        When a bound does not pass, and for any other map, the images of D's
+        rows decide (_moved), so a failure reports the exact value.  Every
+        reader takes ||fix|| as an upper bound on F, the HS norm of Phi - id over
+        D's rows (_mask_kernel, _splitting_certified,
+        algebras._intersection_certified); the reads' rounding, O(r) machine
+        epsilons per entry against the stack's O(n), lies in the half of each
+        threshold those leave for it.
+        """
+        d = self.range_alg
+        frame = _unit_frame(d) if self.n**4 > _BLOCK_FROM and isinstance(self.factors, SandwichSum) else None
+        if frame is not None:
+            u, rows, cols, eta, distances = frame
+            rotated = self.factors.conjugated(u)
+            moved = np.empty(d.dim)
+            # per unit: its image, less the unit in place, and the factors' columns and rows it reads
+            for part in chunk_slices(d.dim, 2 * self.n**2):
+                images = rotated.at_units(rows[part], cols[part])
+                images[np.arange(len(images)), rows[part], cols[part]] -= 1.0
+                moved[part] = hs_norms(images)
+            if u is None:
+                return moved
+            moved = (moved + eta * (2.0 + eta)) / (1.0 - eta) + (self.factors.norm() + 1.0) * distances
+            if eta < 1.0 and np.all(moved <= tol(1e-8)):
+                return moved
+        return self._moved(d.space)
 
     def validate(self):
         n = self.n
@@ -263,7 +307,19 @@ def _mask_kernel(phi):
     2 lambda + 2 tau' / sigma <= tol(1e-8) / 2: lambda <= _KERNEL_GAP and
     2 tau' / sigma <= tol(1e-8) / 4.  _splitting_certified must pass as
     well, on tau and F, so validate reads the splitting off this tau.  The
-    units cost O(k n^2) and tau Phi at k matrices; D's fix is validate's own.
+    units cost O(k n^2); D's fix is validate's own.
+
+    Every step above reads tau, like F, only as an upper bound.  For block
+    factors (a SandwichSum) at n^4 > _BLOCK_FROM, tau is read in u's frame
+    with no image of the units' stack: with Phi' the factors conjugated by u
+    (SandwichSum.conjugated), u* Phi(f_s) u = Phi'(E_s), read at O(r n^2)
+    per unit (SandwichSum.at_units), and ||X|| <= ||u^-1||^2 ||u* X u|| <=
+    ||u* X u|| / (1 - eta), so
+        tau <= (sum_s ||Phi'(E_s)||^2)^(1/2) / (1 - eta),
+    which is taken as tau.  In coordinates (u None, eta = 0) it is the
+    stack's value, bit for bit for the block pinching, whose products are by
+    exact 0s and 1s.  For a map given as a matrix, and at n <= 4, tau is Phi
+    at the k units, a bounded chunk at a time.
     """
     a, d = phi.domain, phi.range_alg
     off_a = _off_mask(a)
@@ -277,11 +333,17 @@ def _mask_kernel(phi):
     if not (k + d.dim == a.dim and lam <= _KERNEL_GAP):
         return None
     n = phi.n
-    u = np.eye(n) if u is None else u
-    rows = _rotated_units(u, *np.nonzero(off))
-    units = rows.reshape(k, n, n)
-    # per unit, its image
-    tau = math.hypot(*(hs_norm(phi.apply(units[part])) for part in chunk_slices(k, n * n)))
+    i, j = np.nonzero(off)
+    rows = _rotated_units(np.eye(n) if u is None else u, i, j)
+    if n**4 > _BLOCK_FROM and isinstance(phi.factors, SandwichSum):
+        rotated = phi.factors.conjugated(u)
+        # per unit, its image in u's frame
+        tau = math.hypot(*(hs_norm(rotated.at_units(i[part], j[part])) for part in chunk_slices(k, n * n)))
+        tau /= 1.0 - eta
+    else:
+        units = rows.reshape(k, n, n)
+        # per unit, its image
+        tau = math.hypot(*(hs_norm(phi.apply(units[part])) for part in chunk_slices(k, n * n)))
     kappa = phi.norm()
     fixed = hs_norm(phi.fix)
     small = tau / (1.0 - 2.0 * lam)
@@ -391,7 +453,7 @@ def _rotated_unit_images(phi, rows, cols):
     u = phi.domain.pattern[0]
     off = _off_mask(phi.domain)
     if isinstance(phi.factors, SandwichSum) and off is not None:
-        rotated = phi.factors if u is None else phi.factors.conjugated(u)
+        rotated = phi.factors.conjugated(u)
         return *off, lambda part: rotated.at_units(rows[part], cols[part])
     coords, residuals, eta = _pattern_coordinates(phi.domain)
     n = phi.n
@@ -657,8 +719,7 @@ def _extension_bound(psi, phi):
     if frame is None or not (isinstance(f, SandwichSum) and isinstance(g, SandwichSum)):
         return None
     u, rows, cols, eta, distances = frame
-    delta = SandwichSum(np.concatenate((f.left, g.left)), np.concatenate((f.right, -g.right)))
-    delta = delta if u is None else delta.conjugated(u)
+    delta = SandwichSum(np.concatenate((f.left, g.left)), np.concatenate((f.right, -g.right))).conjugated(u)
     # per unit, its image
     frame_gap = math.hypot(*(hs_norm(delta.at_units(rows[part], cols[part]))
                              for part in chunk_slices(len(rows), phi.n**2)))
@@ -859,9 +920,13 @@ def mth_check(mu, g):
         f[blown] = np.isinf(f[blown])
         top = f.max(axis=1, keepdims=True)
         f = np.divide(f, top, out=f, where=top > 0)
-        weight = np.sum(f * mu, axis=1)
-        quad = np.sum(f * f * g * mu, axis=1)
-        ratios = np.where(quad > 0, weight * weight / quad, np.inf)
+        # the ratio has degree 1 in mu and -1 in g: each is scaled by a power of two, exactly, to a largest
+        # entry in [1/2, 1), and the ratio scaled back, so that tiny weights do not underflow to 0 / 0
+        e_mu, e_g = math.frexp(float(mu.max()))[1], math.frexp(float(np.abs(g).max()))[1]
+        mu_s, g_s = np.ldexp(mu, -e_mu), np.ldexp(g, -e_g)
+        weight = np.sum(f * mu_s, axis=1)
+        quad = np.sum(f * f * g_s * mu_s, axis=1)
+        ratios = np.ldexp(np.where(quad > 0, weight * weight / quad, np.inf), e_mu - e_g)
         # a probe with no weight says nothing; fmax skips the NaN of an undefined ratio
         best = float(np.fmax.reduce(ratios[~(weight <= 0)], initial=0.0))
     sampled = best <= 1.0 + tol(1e-9)

@@ -13,7 +13,9 @@ routes of the closure, adjoint and multiplicative checks, which the package runs
 only where no block pattern certifies the result, the multiplicativity
 certificate as it was before it read the unit defects (all m^2 products of
 the units' images), the rotated units that span ker(Phi) when the masks
-give it, formed one at a time, the element by
+give it, formed one at a time, Phi applied to the stack of D's rows and to
+that of those units (the character's fix and the kernel's tau, which the
+package reads at the units of the frame), the element by
 element conjugation of an algebra's basis, the closure passes that
 generated *-algebras before generation became the bicommutant, and the
 faithfulness test on a *-algebra's Gram matrix.  The subspace facts that
@@ -33,6 +35,8 @@ suite, which the package runs in batched passes over its draws, is
 here as the draw-by-draw loop it was: per draw its own sum over the basis,
 membership test, image, eigenvalues, SVD and public geometric_mean calls.
 """
+
+import math
 
 import numpy as np
 
@@ -273,6 +277,20 @@ def mask_kernel_rows(a, d):
     u = np.eye(a.n) if u is None else u
     units = [np.outer(u[:, i], u[:, j].conj()).ravel() for i, j in zip(*np.nonzero(mask & ~d.pattern[1]))]
     return np.array(units, dtype=complex).reshape(-1, a.n * a.n)
+
+
+def stack_fix(phi):
+    """||Phi(d) - d|| over D's orthonormal rows d, with Phi applied to the stack of the rows."""
+    space = phi.range_alg.space
+    return hs_norms(phi.apply(space.tensor).reshape(space.size, -1) - space.flat)
+
+
+def stack_kernel_tau(phi):
+    """The HS norm of Phi over the rotated units off D's mask (mask_kernel_rows), Phi applied to their
+    stack a chunk at a time, the chunks _mask_kernel took."""
+    n = phi.n
+    units = mask_kernel_rows(phi.domain, phi.range_alg).reshape(-1, n, n)
+    return math.hypot(*(hs_norm(phi.apply(units[part])) for part in chunk_slices(len(units), n * n)))
 
 
 def elementwise_conjugate(alg, u):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from dense_oracle import projector_matrix
@@ -436,6 +436,7 @@ def test_mth_agrees_with_brute_force():
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=1, max_size=6),
        st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=1, max_size=6))
+@example(mu=[5.2436670009737986e-226], g=[1.857044079974625e-176])  # the probes' products underflowed to 0 / 0
 def test_mth_closed_criterion(mu, g):
     size = min(len(mu), len(g))
     mu = np.asarray(mu[:size])

@@ -21,7 +21,7 @@ from ncrep.errors import (
     cross_check,
 )
 from ncrep.instances import haar_unitary, random_central_density, random_density, random_partition
-from ncrep.linalg import commutator, dagger, hs_norm, require_hermitian, same_subspace
+from ncrep.linalg import commutator, dagger, hs_norm, hs_norms, require_hermitian, same_subspace
 from ncrep.states import (
     PositiveFunctional,
     centralizer,
@@ -437,3 +437,20 @@ def test_density_checks_keep_their_thresholds_without_the_svd(monkeypatch, rho):
         got = type(err), str(err)
     assert got == want
     assert (len(norms) == 0) == (hs_norm(rho) <= 1.0)
+
+
+def test_duplicates_read_from_one_distance_pass_match_the_per_candidate_differences():
+    # candidates 0.5e-8, 2e-8, 0.3 and 0.6 from a held projection p along a unit Hermitian direction,
+    # one an exact copy of an earlier candidate: the Gram screen leaves each verdict to the differences
+    n = 5
+    rng = np.random.default_rng(5)
+    p = np.diag([1.0, 1.0, 0.0, 0.0, 0.0]).astype(complex)
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = (x + dagger(x)) / hs_norm(x + dagger(x))
+    held = np.stack([np.eye(n, dtype=complex), p])
+    steps = (0.5e-8, 2e-8, 0.3, 0.6)
+    found = np.stack([p + t * h for t in steps] + [p + 2e-8 * h, np.eye(n) - p])
+    dup_held, dup_found = states._duplicates(held, found)
+    assert dup_held == [bool(hs_norms(held - q).min() <= 1e-8) for q in found] == [True, False, False, False, False, False]
+    assert dup_found == [[bool(hs_norm(r - q) <= 1e-8) for r in found] for q in found]
+    assert dup_found[4][1] and not dup_found[4][0]

@@ -9,7 +9,10 @@ its factors conjugated into the frame (SandwichSum.conjugated and at_units)
 rather than from its images, the extension check from Psi - Phi read the same
 way (_extension_bound), D inside A off the masks (_inclusion_gap) and the
 brackets of D's class projections with its basis in commutant(D)
-(algebras._pattern_commutant).
+(algebras._pattern_commutant).  The character's fix on D's rows and the
+kernel's tau on the rotated units off D's mask are read the same way, from
+the factors at the units (DCharacter.fix, _mask_kernel), with no image of a
+stack of D's rows or of J's units.
 
 On coordinate D the frame gaps are the exact ones to rounding; on rotated D,
 with u a Haar unitary or one whose defect ||u*u - I|| is near the
@@ -17,6 +20,9 @@ _UNITARY_DEFECT a pattern keeps, they are never below the exact gaps and
 above them by at most the slack unit_frame_gaps derives.  Rows that are not
 units take the exact route, a failing check reports the exact route's
 message, and the block pipelines reach none of the routes the frame replaces.
+fix and tau equal tests/dense_oracle.py's stack route bit for bit on a
+coordinate D and bound it from above on a rotated one, within the slack
+their docstrings derive, also for rows moved off the frame.
 """
 
 import re
@@ -26,6 +32,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import stack_fix, stack_kernel_tau
+from test_invariant_checks import nudged
 from ncrep import algebras, expectations, linalg, representing
 from ncrep.algebras import (
     _UNITARY_DEFECT,
@@ -42,7 +50,7 @@ from ncrep.config import tol
 from ncrep.errors import InvariantViolation
 from ncrep.expectations import ConditionalExpectation, _preserving_expectation, preserving_expectation
 from ncrep.instances import haar_unitary, random_central_density, random_density, random_partition
-from ncrep.linalg import Corner, SandwichSum, hs_norm, projection_isometry, unit_frame_gaps
+from ncrep.linalg import Corner, SandwichSum, hs_norm, hs_norms, projection_isometry, unit_frame_gaps
 from ncrep.representing import (
     DCharacter,
     _block_character,
@@ -264,3 +272,111 @@ def test_block_pipelines_reach_none_of_the_replaced_routes(n, rotation, monkeypa
     assert not coordinate_calls
     assert not any(space is a.space for space in residual_spaces)
     assert algebras._off_mask(a) is not None
+
+
+def _moved_rows(d, size, rng):
+    """D itself for size 0 or a full mask, else test_invariant_checks.nudged: a copy whose rows lie size from
+    the frame's units, and for a coordinate D declare no unit rows."""
+    return d if size == 0 or d.pattern[1].all() else nudged(d, size, rng)
+
+
+def _fix_slack(phi, frame, exact):
+    """How far fix may read above the stack's values, from its derivation: with
+    r_s = ||Phi'(E_s) - E_s|| <= (1 + eta) (exact_s + (kappa + 1) d_s) + eta (2 + eta), its bound
+    exceeds exact_s by at most (2 eta exact_s + (1 + eta)(kappa + 1) d_s + 2 eta (2 + eta)) / (1 - eta)
+    + (kappa + 1) d_s."""
+    eta, distances = frame[3:]
+    kappa = phi.norm()
+    return (2 * eta * exact + (1 + eta) * (kappa + 1) * distances + 2 * eta * (2 + eta)) / (1 - eta) + (
+        kappa + 1) * distances
+
+
+def _assert_fix_and_tau(phi):
+    """fix and the kernel's tau against the stack route: bit for bit on D's declared coordinate units,
+    and otherwise at least the stack's values and above them by at most the derived slack (0 where
+    the exact route decides), up to rounding."""
+    frame = _unit_frame(phi.range_alg)
+    exact, fix = stack_fix(phi), phi.fix
+    rounding = 16 * phi.n * EPS * max(1.0, phi.norm())
+    if frame is not None and frame[0] is None:
+        assert np.array_equal(fix, exact)
+    else:
+        slack = 0.0 if frame is None else _fix_slack(phi, frame, exact)
+        assert np.all(exact - rounding <= fix) and np.all(fix <= exact + slack + rounding)
+    found = representing._mask_kernel(phi)
+    assert found is not None
+    tau, want = found[1], stack_kernel_tau(phi)
+    u = phi.domain.pattern[0]
+    if u is None:
+        assert tau == want
+    else:
+        eta = _unitary_defect(u)
+        assert want - rounding <= tau <= want + 3 * eta * want + rounding
+
+
+@pytest.mark.parametrize("rotation", ROTATIONS)
+@pytest.mark.parametrize("n", range(5, 13))
+def test_fix_and_tau_at_the_units_agree_with_the_stack_route(n, rotation):
+    for seed in range(3):
+        _, _, phi, _ = _instance(n, rotation, np.random.default_rng(100 * n + seed))
+        _assert_fix_and_tau(phi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(5, 12), st.sampled_from(ROTATIONS), st.sampled_from((0.0, 1e-10, 1e-6)),
+       st.integers(0, 2**32 - 1))
+def test_fix_and_tau_bound_the_stack_route_on_random_instances(n, rotation, size, seed):
+    # with D's rows moved off the frame by size: 1e-10 keeps the bounds under tol(1e-8), 1e-6 does
+    # not, and the exact route decides
+    rng = np.random.default_rng(seed)
+    a, d, phi, _ = _instance(n, rotation, rng)
+    moved = _moved_rows(d, size, rng)
+    _assert_fix_and_tau(DCharacter(phi.factors, a, moved, check=False))
+
+
+@pytest.mark.parametrize("rotation", ("haar", "near defect"))
+def test_rows_far_off_the_frame_take_the_exact_route(rotation):
+    n = 8
+    rng = np.random.default_rng(8)
+    a, d, phi, _ = _instance(n, rotation, rng)
+    near, far = (DCharacter(phi.factors, a, _moved_rows(d, size, rng), check=False) for size in (1e-10, 1e-6))
+    assert np.all(near.fix > near._moved(near.range_alg.space)) and near.fix.max() <= tol(1e-8)
+    assert np.array_equal(far.fix, far._moved(far.range_alg.space)) and far.fix.max() > tol(1e-8)
+
+
+@pytest.mark.parametrize("rotation", ROTATIONS)
+@pytest.mark.parametrize("n", (5, 8))
+def test_a_character_moving_D_units_reports_the_stack_routes_first_element(n, rotation, monkeypatch):
+    # Phi plus the pairs (c f_ii, f_jj), f_ii = u E_ii u*, moves the unit f_ij of D by c and every other
+    # unit by O(eta c): two units of D, the later one by more; unital, so the fix check fails first
+    rng = np.random.default_rng(n)
+    u = _rotation(n, rotation, rng)
+    a, d, phi = _block_character(n, [[0, 1, 2], list(range(3, n))], u)
+    w = np.eye(n) if u is None else u
+    moves = ((1e-6, 0, 1), (1e-5, 3, 4))
+    left = np.concatenate((phi.factors.left, [c * np.outer(w[:, i], w[:, i].conj()) for c, i, _ in moves]))
+    right = np.concatenate((phi.factors.right, [np.outer(w[:, j], w[:, j].conj()) for _, _, j in moves]))
+    moved = SandwichSum(left, right)
+    exact = stack_fix(DCharacter(moved, a, d, check=False))
+    allowed = tol(1e-8) * np.maximum(1.0, hs_norms(d.space.flat))
+    first = int(np.argmax(exact > allowed))
+    assert (d.pattern[1].ravel().nonzero()[0][first], exact[first] > allowed[first]) == (1, True)
+    message = re.escape(f"fixes D: Phi moves a D element by {exact[first]:.3e}") + "$"
+    with pytest.raises(InvariantViolation, match=message):
+        DCharacter(moved, a, d)
+    monkeypatch.setattr(representing, "_BLOCK_FROM", n**4)  # the stack route alone
+    with pytest.raises(InvariantViolation, match=message):
+        DCharacter(moved, a, d)
+
+
+@pytest.mark.parametrize("rotation", ("coordinate", "haar"))
+def test_the_build_applies_phi_to_no_stack_of_D_rows_or_J_units(rotation, monkeypatch):
+    n = 16
+    inputs = []
+    call = SandwichSum.__call__
+    monkeypatch.setattr(SandwichSum, "__call__", lambda self, x: inputs.append(np.shape(x)) or call(self, x))
+    u = _rotation(n, rotation, np.random.default_rng(n))
+    a, d, phi = _block_character(n, [list(range(6)), list(range(6, 11)), list(range(11, 16))], u)
+    assert phi.kernel_tau is not None and min(d.dim, phi.kernel.size) > 8
+    # the unital check's identity and the contraction check's eight draws, and nothing else
+    assert inputs == [(n, n), (8, n, n)]

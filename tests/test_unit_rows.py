@@ -27,6 +27,7 @@ from dense_oracle import broadcast_local_violation
 from ncrep import linalg, states
 from ncrep.algebras import (
     _coordinate_corner,
+    _units_in_order,
     block_diagonal_algebra,
     block_upper_triangular,
     full_matrix_algebra,
@@ -216,3 +217,20 @@ def test_unit_rows_in_any_order_give_their_columns():
     empty = OperatorSubspace(4, np.zeros((0, 16)))
     assert empty.unit_columns is None
     assert np.array_equal(empty.residuals(x.reshape(1, -1)), [hs_norm(x)]) and not empty.project(x).any()
+
+
+def test_the_units_in_order_verdict_is_kept_where_the_rows_are_written(monkeypatch):
+    # _mask_algebra keeps the verdict as it writes the rows; another object over the same rows and
+    # pattern compares the columns once, and undeclared columns read false
+    d = block_diagonal_algebra(6, [[0, 1, 2], [3, 4], [5]])
+    compared = []
+    equal = np.array_equal
+    monkeypatch.setattr(np, "array_equal", lambda x, y, **kw: compared.append(x) or equal(x, y, **kw))
+    assert all(_units_in_order(d) for _ in range(3)) and not compared
+    copy = type(d)(d.space, check=False)
+    copy.pattern = d.pattern
+    assert _units_in_order(copy) and _units_in_order(copy)
+    assert len(compared) == 1 and compared[0] is d.space.unit_columns
+    monkeypatch.setattr(d.space, "unit_columns", None)
+    assert not _units_in_order(d) and not _units_in_order(copy)
+    assert not _units_in_order(unitary_conjugate_algebra(d, haar_unitary(6, np.random.default_rng(6))))
