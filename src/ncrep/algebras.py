@@ -17,9 +17,9 @@ data that depends on it alone (Subalgebra.derived): its commutant within
 each enclosing algebra, its sampled projections per cap
 (states.sample_projections), and for a patterned algebra the two numbers
 its certificates read off the rotated basis (_off_mask), its mask's block
-classes (_mask_classes), its groups of equal mask rows (_mask_rows), its
-rows' distances from the rotated units (_unit_frame) and whether its rows
-are its coordinate mask's declared units (_units_in_order).
+classes (_mask_classes), its groups of equal mask rows (_mask_rows) and
+whether its rows are its pattern's units as declared by the code that wrote
+them (_units_in_order), which makes them its unit frame (_unit_frame).
 Each is computed on first request and then read back, so a D that several
 states are probed on is solved once.  What depends on a functional is kept
 by the functional (states.PositiveFunctional.derived), not here.
@@ -192,13 +192,15 @@ def _unitary_defect(u):
 
 
 def _units_in_order(alg):
-    """True when a coordinate pattern's rows are declared unit rows (OperatorSubspace.unit_columns)
-    at its mask's entries in row-major order, as _mask_algebra writes them.  The verdict is kept in
-    the algebra's store as the columns it was reached on (by _mask_algebra as it writes them): a
-    later call compares the declared columns with that object, and is false for any others."""
+    """True when a pattern's rows are its units u E_s u* at the mask's entries in row-major order, as
+    declared by the code that wrote them.  Kept in the algebra's store: in coordinates as the declared
+    columns (OperatorSubspace.unit_columns) it was reached on, seeded by _mask_algebra, which a later
+    call compares; rotated, as the pattern unitary_conjugate_algebra wrote them from, not a later one."""
     u, mask = alg.pattern
+    if u is not None:
+        return alg.derived("units in order", lambda: None) is alg.pattern
     cols = alg.space.unit_columns
-    if u is not None or cols is None:
+    if cols is None:
         return False
     return alg.derived("units in order", lambda: cols if np.array_equal(cols, np.flatnonzero(mask)) else None) is cols
 
@@ -217,7 +219,7 @@ def _pattern_coordinates(alg):
     stands for the coordinates then, and nothing is copied.
     """
     u, mask = alg.pattern
-    if _units_in_order(alg):
+    if u is None and _units_in_order(alg):
         return None, np.zeros(alg.dim), 0.0
     rotated = alg.space.tensor if u is None else dagger(u) @ alg.space.tensor @ u
     flat = rotated.reshape(alg.dim, -1)
@@ -227,63 +229,58 @@ def _pattern_coordinates(alg):
 
 def _off_mask(alg):
     """(eps, eta) for a patterned algebra with dim = mask.sum(), else None: the
-    largest HS norm of a rotated basis element y_a = u* x_a u off the mask, and
-    ||u*u - I||.  Kept in the algebra's derived store, two numbers from one
-    rotation, a bounded chunk of rows at a time, so no rotated copy of the
-    basis is held (eps is 0 on _block_algebra's unit rows, as in
-    _pattern_coordinates); a pattern is set before the algebra is first validated."""
+    largest HS norm of a rotated basis element y_a = u* x_a u off the mask, or
+    a bound on it, and eta = ||u*u - I||.  Kept in the algebra's derived
+    store; a pattern is set before the algebra is first validated.
+
+    Declared units (_units_in_order) are read with no rotation: eps is 0 in
+    coordinates.  A rotated row is fl(f_s), f_s = u[:, i] (x) conj(u[:, j]),
+    one complex product per entry (_rotated_units), which rounds within
+    sqrt(5) 2^-53 of its value (Brent, Percival and Zimmermann 2007; 2 2^-53
+    with a fused multiply-add).  As ||u[:, i]||^2 = (u*u)_ii <= 1 + eta, the
+    row lies within sqrt(5) 2^-53 (1 + eta), about 2.5e-16, of f_s: a
+    rounding term in every frame reader, which the frame leaves out
+    (_unit_frame).  u* f_s u = h E_s h, h = u*u, lies within eta (2 + eta)
+    of E_s, which is on the mask, and ||u||^2 <= 1 + eta, so
+        eps <= eta (2 + eta) + (1 + eta)^2 sqrt(5) 2^-53,
+    which is taken as eps.  Other rows are rotated by u*, a bounded chunk at
+    a time, so no rotated copy of the basis is held, and eps is measured.
+    """
     if alg.pattern is None or alg.dim != int(alg.pattern[1].sum()):
         return None
 
     def compute():
-        if _units_in_order(alg):
-            return 0.0, 0.0
         u, mask = alg.pattern
+        eta = _unitary_defect(u)
+        if _units_in_order(alg):
+            return (0.0 if u is None else eta * (2.0 + eta) + (1.0 + eta) ** 2 * np.sqrt(5.0) * 2.0**-53), eta
         off, basis, eps = ~mask.ravel(), alg.space.tensor, 0.0
         # per row: its rotation and the rotation's first product
         for part in chunk_slices(alg.dim, 2 * alg.n**2):
             rotated = basis[part] if u is None else dagger(u) @ basis[part] @ u
             eps = max(eps, float(hs_norms(rotated.reshape(len(rotated), -1)[:, off]).max(initial=0.0)))
-        return eps, _unitary_defect(u)
+        return eps, eta
 
     return alg.derived("off mask", compute)
 
 
 def _rotated_units(u, i, j):
-    """The flat rows vec(u E_ij u*) = u[:, i] (x) conj(u[:, j]) for index arrays i and j, as (len(i), n^2)."""
-    n = len(u)
-    return (u[:, i].T[:, :, None] * u[:, j].conj().T[:, None, :]).reshape(len(i), n * n)
+    """The flat rows vec(u E_ij u*) = u[:, i] (x) conj(u[:, j]) for index arrays i and j, written once."""
+    rows = np.empty((len(i), u.size), dtype=complex)
+    np.multiply(u.T[i][:, :, None], u.T[j].conj()[:, None, :], out=rows.reshape(len(i), *u.shape))
+    return rows
 
 
 def _unit_frame(alg):
-    """(u, rows, cols, eta, distances) when a patterned algebra's basis rows x_s are its
-    pattern's rotated units f_s = u E_s u*, s = (rows[s], cols[s]) in the mask's row-major
-    order, up to the distances[s] = ||x_s - f_s||; else None.  eta = ||u*u - I||.
-
-    A coordinate pattern (u None) qualifies only with unit rows declared in
-    that order (_units_in_order), distances 0; a rotated one with
-    dim = mask.sum(), its distances measured at O(dim n^2), a bounded chunk
-    of rows at a time.  Kept in the algebra's derived store; what the
-    distances certify is for the reader to bound (linalg.unit_frame_gaps).
-    """
-    off = _off_mask(alg)
-    if off is None:
+    """(u, rows, cols, eta) when a patterned algebra's rows x_s are declared as its units f_s = u E_s u*
+    (_units_in_order), s = (rows[s], cols[s]) in the mask's row-major order, and eta = ||u*u - I||;
+    None for any other rows, which take the readers' exact routes.  A reader bounds what the frame
+    certifies from eta alone: each row's distance from its f_s is rounding (_off_mask)."""
+    if alg.pattern is None or not _units_in_order(alg):
         return None
-
-    def compute():
-        u, mask = alg.pattern
-        rows, cols = np.nonzero(mask)
-        if u is None:
-            return (None, rows, cols, 0.0, np.zeros(alg.dim)) if _units_in_order(alg) else None
-        flat = alg.space.flat
-        distances = np.empty(alg.dim)
-        # per row: its unit and the difference
-        for part in chunk_slices(alg.dim, 2 * alg.n**2):
-            distances[part] = hs_norms(flat[part] - _rotated_units(u, rows[part], cols[part]))
-        distances.flags.writeable = False
-        return u, rows, cols, off[1], distances
-
-    return alg.derived("unit frame", compute)
+    u, mask = alg.pattern
+    rows, cols = np.nonzero(mask)
+    return u, rows, cols, _off_mask(alg)[1]
 
 
 def _closure_threshold(dim, defect):
@@ -295,9 +292,9 @@ def _closure_threshold(dim, defect):
 def _closure_certified(alg):
     """True when alg's pattern shows every basis product within tol(1e-9) of the span.
 
-    One rotation of the basis, O(dim n^3), kept as two numbers (_off_mask),
-    and no product.  Let r_a be the HS norm of y_a = u* x_a u off the mask,
-    eps = max r_a, eta = ||u*u - I||,
+    Two numbers kept by _off_mask, from one rotation of the basis or, on
+    declared units, from u alone, and no product.  Let r_a be the HS norm of
+    y_a = u* x_a u off the mask, eps >= max r_a, eta = ||u*u - I||,
     v the unitary polar factor of u and P = v B v*, B the matrices on the
     mask: P is product-closed, as the mask is, and has dimension mask.sum().
     Write x_a = p_a + e_a, p_a the projection of x_a onto P.  Since
@@ -686,11 +683,10 @@ def _pattern_commutant(alg, within):
     When alg's rows are its pattern's units (_unit_frame), the brackets are
     bounded with no product.  [p_c, E_ij] = 0 for i ~ j, so with h = u*u,
     [u p_c u*, u E_ij u*] = u (p_c (h - I) E_ij - E_ij (h - I) p_c) u* has
-    norm at most 2 eta (1 + eta), and a row within distances[a] of its unit
-    adds at most 2 ||u p_c u*|| distances[a] <= 2 (1 + eta) distances[a]:
-    every bracket is at most 2 (1 + eta) (eta + max distances) / sqrt(k_c),
-    and _commutes_with runs only when that exceeds its threshold.  The rows'
-    own rounding, O(n) machine epsilons, lies far below it.
+    norm at most 2 eta (1 + eta): every bracket is at most
+    2 eta (1 + eta) / sqrt(k_c), and _commutes_with runs only when that
+    exceeds its threshold.  Each row's distance from its unit (_off_mask)
+    and its own rounding, O(n) machine epsilons, lie far below it.
     """
     if within is not None and within.dim != alg.n**2:
         return None
@@ -703,10 +699,7 @@ def _pattern_commutant(alg, within):
     stack = alg.space.tensor
     threshold = _bracket_threshold(stack)
     frame = _unit_frame(alg)
-    brackets = np.inf  # the bound read off the frame, when there is one
-    if frame is not None:
-        eta, distances = frame[3:]
-        brackets = 2 * (1 + eta) * (eta + distances.max(initial=0.0)) / np.sqrt(min(map(len, classes)))
+    brackets = np.inf if frame is None else 2 * frame[3] * (1 + frame[3]) / np.sqrt(min(map(len, classes)))
     if not (brackets <= threshold or _commutes_with(flat, stack, threshold)):
         return None
     flat.flags.writeable = False
@@ -767,20 +760,30 @@ def unitary_conjugate_algebra(alg, u):
     InvariantViolation unless ||u*u - I|| <= 1e-9, as the conjugated basis is
     not orthonormalized again.  A pattern (w, mask) of S becomes (u w, mask)
     when u w is unitary within _UNITARY_DEFECT; otherwise the result has no
-    pattern, and its closure is checked pair by pair.
+    pattern, and its closure is checked pair by pair.  Declared units
+    (_units_in_order) under a kept pattern are written once from u w's
+    columns (_rotated_units) and declared; other rows take two products each.
     """
     check(InvariantViolation, "rotation: u is not unitary (||u*u - I|| = {:.3e})", _unitary_defect(u), tol(1e-9))
-    basis, rotated = alg.space.tensor, np.empty(alg.space.tensor.shape, dtype=complex)
-    # per row: its first product, so that no second copy of the basis is held
-    for part in chunk_slices(alg.dim, alg.n**2):
-        np.matmul(u @ basis[part], dagger(u), out=rotated[part])
-    rotated.flags.writeable = False
-    result = type(alg)(OperatorSubspace(alg.n, rotated.reshape(alg.dim, -1)), check=False)
+    pattern = None
     if alg.pattern is not None:
         w, mask = alg.pattern
         composed = u if w is None else u @ w
         if _unitary_defect(composed) <= _UNITARY_DEFECT:
-            result.pattern = (composed, mask)
+            pattern = (composed, mask)
+    declared = pattern is not None and _units_in_order(alg)
+    if declared:
+        rotated = _rotated_units(composed, *np.nonzero(mask))
+    else:
+        basis, rotated = alg.space.tensor, np.empty(alg.space.tensor.shape, dtype=complex)
+        # per row: its first product, so that no second copy of the basis is held
+        for part in chunk_slices(alg.dim, alg.n**2):
+            np.matmul(u @ basis[part], dagger(u), out=rotated[part])
+    rotated.flags.writeable = False
+    result = type(alg)(OperatorSubspace(alg.n, rotated.reshape(alg.dim, -1)), check=False)
+    result.pattern = pattern
+    if declared:
+        result.derived("units in order", lambda: pattern)  # _units_in_order's verdict, true by construction
     result.validate()
     return result
 
@@ -795,7 +798,7 @@ def _coordinate_corner(alg, corner):
     mask as product-closed as the whole one, each exactly once, and the
     rest vanish.  No SVD, and the columns are declared.
     """
-    if alg.pattern is None or not _units_in_order(alg):
+    if alg.pattern is None or alg.pattern[0] is not None or not _units_in_order(alg):
         return None
     v, r = corner.v, corner.rank
     k = np.argmax(v != 0, axis=0)  # the row of each column's first nonzero entry

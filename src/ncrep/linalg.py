@@ -623,36 +623,27 @@ def unit_frame_gaps(left, right, tail, frame):
     left and right are the two sides of a splitting as stacks (c, n, n) of
     the factors W whose commutators the gaps sum (SandwichSum.sides, or
     _schmidt_factors' read as matrices), and tail bounds what they leave out.
-    frame = (u, rows, cols, eta, distances) is algebras._unit_frame's: unit s
-    is E_ij with (i, j) = (rows[s], cols[s]), u is None for the identity,
-    eta = ||u*u - I|| < 1 and distances[s] = ||x_s - f_s||.
+    frame = (u, rows, cols, eta) is algebras._unit_frame's: unit s is E_ij
+    with (i, j) = (rows[s], cols[s]), u is None for the identity and
+    eta = ||u*u - I|| < 1.
 
     Each factor is rotated once, W' = u* W u, at O(c n^3), and
     sum_W' ||[W', E_ij]||^2 is read per unit by index (unit_bracket_squares).
-    With u None and x_s = E_s (eta and the distances 0) the sum over a
-    side's factors is the gap itself.
-    Otherwise, with h = u*u:
-    - u* [W, f_s] u = W' E h - h E W' = [W', E] + W' E (h - I) - (h - I) E W'
-      has norm at most ||[W', E]|| + 2 eta ||W'||, with ||W'|| <= (1 + eta) ||W||,
-      and ||X|| <= ||u^-1||^2 ||u* X u|| with ||u^-1||^2 <= 1 / (1 - eta);
-    - ||[W, x_s - f_s]|| <= 2 ||W|| distances[s].
-    Summed over a side's factors in l2, with N^2 = sum ||W||^2, the gap at x_s is at most
-        (frame_s + 2 eta (1 + eta) N) / (1 - eta) + 2 N distances[s],
+    With u None and x_s = E_s (eta 0) the sum over a side's factors is the
+    gap itself.  Otherwise, with h = u*u, u* [W, f_s] u = W' E h - h E W' =
+    [W', E] + W' E (h - I) - (h - I) E W' has norm at most
+    ||[W', E]|| + 2 eta ||W'||, with ||W'|| <= (1 + eta) ||W||, and
+    ||X|| <= ||u^-1||^2 ||u* X u|| with ||u^-1||^2 <= 1 / (1 - eta).  Summed
+    over a side's factors in l2, with N^2 = sum ||W||^2, the gap at f_s is at most
+        (frame_s + 2 eta (1 + eta) N) / (1 - eta),
     never below it, and above it by that slack and rounding.  As in
-    _commutator_gaps, 2 ||x_s|| tail <= 2 (1 + eta + distances[s]) tail is
-    added for what the splitting leaves out (||f_s|| <= 1 + eta).
+    _commutator_gaps, 2 ||x_s|| tail <= 2 (1 + eta) tail is added for what
+    the splitting leaves out (||f_s|| <= 1 + eta).
     """
-    u, rows, cols, eta, distances = frame
+    u, rows, cols, eta = frame
     w = np.stack((left, right))
-    if u is not None:
-        w = dagger(u) @ w @ u
-    gaps = np.sqrt(unit_bracket_squares(w, rows, cols))
-    if u is not None:
-        norms = np.sqrt([np.vdot(left, left).real, np.vdot(right, right).real])[:, None]
-        gaps = (gaps + 2 * eta * (1 + eta) * norms) / (1 - eta) + 2 * norms * distances
-    if tail:
-        gaps += 2 * tail * (1 + eta + distances)
-    return gaps
+    gaps = np.sqrt(unit_bracket_squares(w if u is None else dagger(u) @ w @ u, rows, cols))
+    return (gaps + 2 * eta * (1 + eta) * hs_norms(w)[:, None]) / (1 - eta) + 2 * tail * (1 + eta)
 
 
 def unit_bracket_squares(w, rows, cols):

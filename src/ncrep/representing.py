@@ -21,8 +21,9 @@ with no n^2 x n^2 matrix; its kernel is read off the masks (_mask_kernel)
 and its multiplicativity bounded from its defects on the rotated matrix
 units (_multiplicative_from_defects): no SVD and no product of two basis
 elements or units.  Its per-unit checks are read in the unit frame of the
-pattern (u, mask) that A and D share: the factors are conjugated,
-L'_t = u* L_t u and R'_t = u* R_t u, at O(r n^3), and u* Phi(u E_ij u*) u =
+pattern (u, mask) that A and D share (algebras._unit_frame): the factors
+are conjugated once per character, L'_t = u* L_t u and R'_t = u* R_t u, at
+O(r n^3) (DCharacter._frame_factors), and u* Phi(u E_ij u*) u =
 sum_t L'_t[:, i] R'_t[j, :] is read per unit by index for the unit defects
 (_rotated_unit_images), D's fix (DCharacter.fix), J's tau (_mask_kernel)
 and, for Psi - Phi, the extension check (_extension_bound); the module
@@ -161,11 +162,8 @@ class DCharacter(_ModuleMap):
           bit: every product is by an exact 0 or 1).
         - Otherwise ||X|| <= ||u^-1||^2 ||u* X u|| with ||u^-1||^2 <= 1 / (1 - eta),
           and ||h E_s h - E_s|| <= ||(h - I) E_s h|| + ||E_s (h - I)|| <= eta (2 + eta),
-          so ||Phi(f_s) - f_s|| <= (||Phi'(E_s) - E_s|| + eta (2 + eta)) / (1 - eta).
-          Phi - id moves d_s - f_s by at most (kappa + 1) ||d_s - f_s||, with
-          kappa the map's Frobenius norm and ||d_s - f_s|| the frame's distance.
-          So each row is bounded by
-              (||Phi'(E_s) - E_s|| + eta (2 + eta)) / (1 - eta) + (kappa + 1) distances[s],
+          so each row is bounded by
+              ||Phi(f_s) - f_s|| <= (||Phi'(E_s) - E_s|| + eta (2 + eta)) / (1 - eta),
           and these bounds are kept when every one is at most tol(1e-8), the
           least of validate's thresholds.
         When a bound does not pass, and for any other map, the images of D's
@@ -179,8 +177,8 @@ class DCharacter(_ModuleMap):
         d = self.range_alg
         frame = _unit_frame(d) if self.n**4 > _BLOCK_FROM and isinstance(self.factors, SandwichSum) else None
         if frame is not None:
-            u, rows, cols, eta, distances = frame
-            rotated = self.factors.conjugated(u)
+            u, rows, cols, eta = frame
+            rotated = self._frame_factors if _same_rotation(self.domain, d) else self.factors.conjugated(u)
             moved = np.empty(d.dim)
             # per unit: its image, less the unit in place, and the factors' columns and rows it reads
             for part in chunk_slices(d.dim, 2 * self.n**2):
@@ -189,10 +187,15 @@ class DCharacter(_ModuleMap):
                 moved[part] = hs_norms(images)
             if u is None:
                 return moved
-            moved = (moved + eta * (2.0 + eta)) / (1.0 - eta) + (self.factors.norm() + 1.0) * distances
+            moved = (moved + eta * (2.0 + eta)) / (1.0 - eta)
             if eta < 1.0 and np.all(moved <= tol(1e-8)):
                 return moved
         return self._moved(d.space)
+
+    @functools.cached_property
+    def _frame_factors(self):
+        """The factors conjugated by A's u (SandwichSum.conjugated), formed once for every frame read."""
+        return self.factors.conjugated(self.domain.pattern[0])
 
     def validate(self):
         n = self.n
@@ -336,7 +339,7 @@ def _mask_kernel(phi):
     i, j = np.nonzero(off)
     rows = _rotated_units(np.eye(n) if u is None else u, i, j)
     if n**4 > _BLOCK_FROM and isinstance(phi.factors, SandwichSum):
-        rotated = phi.factors.conjugated(u)
+        rotated = phi._frame_factors
         # per unit, its image in u's frame
         tau = math.hypot(*(hs_norm(rotated.at_units(i[part], j[part])) for part in chunk_slices(k, n * n)))
         tau /= 1.0 - eta
@@ -441,7 +444,7 @@ def _rotated_unit_images(phi, rows, cols):
 
     For block factors (a SandwichSum, L_t and R_t) the map is conjugated
     once into u's frame, L'_t = u* L_t u and R'_t = u* R_t u at O(r n^3)
-    (SandwichSum.conjugated), and eps and eta are the domain's kept
+    (DCharacter._frame_factors), and eps and eta are the domain's kept
     _off_mask: u* L_t f_s R_t u = L'_t E_ij R'_t, so Y_s is the conjugated
     map at E_ij, sum_t L'_t[:, i] R'_t[j, :] (SandwichSum.at_units), with no
     copy of the basis and no product with the images.  For a map
@@ -453,7 +456,7 @@ def _rotated_unit_images(phi, rows, cols):
     u = phi.domain.pattern[0]
     off = _off_mask(phi.domain)
     if isinstance(phi.factors, SandwichSum) and off is not None:
-        rotated = phi.factors.conjugated(u)
+        rotated = phi._frame_factors
         return *off, lambda part: rotated.at_units(rows[part], cols[part])
     coords, residuals, eta = _pattern_coordinates(phi.domain)
     n = phi.n
@@ -706,24 +709,24 @@ def _extension_bound(psi, phi):
 
     Let Delta = Psi - Phi = sum_q A_q x C_q over Psi's pairs and Phi's with
     C negated, and f_s = u E_s u* for A's rows x_s.  Then u* Delta(f_s) u =
-    Delta'(E_s) exactly, Delta' = Delta conjugated by u (SandwichSum.conjugated,
-    read at the units by at_units); ||X|| <= ||u^-1||^2 ||u* X u|| with
-    ||u^-1||^2 <= 1 / (1 - eta), eta = ||u*u - I||; and
-    ||Delta(x_s) - Delta(f_s)|| <= (||Psi|| + ||Phi||) ||x_s - f_s||, the
-    Frobenius norms bounding ||Delta||.  So, in l2 over the rows,
-        ||(Psi - Phi) P_A||_F <= ||(Delta'(E_s))_s|| / (1 - eta) + (||Psi|| + ||Phi||) ||distances||,
+    Delta'(E_s) exactly, Delta' = Delta conjugated by u: Psi's pairs
+    conjugated (SandwichSum.conjugated) beside Phi's kept ones
+    (DCharacter._frame_factors), read at the units by at_units; and
+    ||X|| <= ||u^-1||^2 ||u* X u|| with ||u^-1||^2 <= 1 / (1 - eta),
+    eta = ||u*u - I||.  So, in l2 over the rows,
+        ||(Psi - Phi) P_A||_F <= ||(Delta'(E_s))_s|| / (1 - eta),
     at O(r n^3 + m r n^2), a bounded chunk of units at a time.
     """
     frame = _unit_frame(phi.domain) if phi.n**4 > _BLOCK_FROM else None
-    f, g = psi.factors, phi.factors
-    if frame is None or not (isinstance(f, SandwichSum) and isinstance(g, SandwichSum)):
+    if frame is None or not (isinstance(psi.factors, SandwichSum) and isinstance(phi.factors, SandwichSum)):
         return None
-    u, rows, cols, eta, distances = frame
-    delta = SandwichSum(np.concatenate((f.left, g.left)), np.concatenate((f.right, -g.right))).conjugated(u)
+    u, rows, cols, eta = frame
+    f, g = psi.factors.conjugated(u), phi._frame_factors
+    delta = SandwichSum(np.concatenate((f.left, g.left)), np.concatenate((f.right, -g.right)))
     # per unit, its image
     frame_gap = math.hypot(*(hs_norm(delta.at_units(rows[part], cols[part]))
                              for part in chunk_slices(len(rows), phi.n**2)))
-    return frame_gap / (1 - eta) + (f.norm() + g.norm()) * hs_norm(distances)
+    return frame_gap / (1 - eta)
 
 
 def _check_extends_character(e, phi):

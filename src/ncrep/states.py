@@ -203,9 +203,9 @@ def _unit_mask(algebra):
     (_units_in_order).  None for any other algebra."""
     if _identity_rows(algebra.space):
         return np.ones((algebra.n, algebra.n), dtype=bool)
-    if algebra.pattern is None or not _units_in_order(algebra) or _mask_classes(algebra) is None:
+    if algebra.pattern is None or algebra.pattern[0] is not None or not _units_in_order(algebra):
         return None
-    return algebra.pattern[1]
+    return None if _mask_classes(algebra) is None else algebra.pattern[1]
 
 
 def _unit_read(d):
@@ -426,7 +426,7 @@ def _duplicates(held, found):
     other one found, as lists (c) and (c, c) of booleans, from one distance pass.
 
     A duplicate is a pair whose difference has HS norm at most tol(1e-8),
-    the number hs_norms gives for it.  The squared distances first come from
+    the number hs_norms gives for it.  Each squared distance first comes from
     the Gram matrix, ||p||^2 + ||q||^2 - 2 Re <p, q>: for projections of M_n,
     ||p||^2 = Tr p <= n and |<p, q>| <= n, each a sum of n^2 products, so the
     value is within about 4 n^3 machine epsilons of the exact one, under

@@ -17,12 +17,16 @@ stack of D's rows or of J's units.
 On coordinate D the frame gaps are the exact ones to rounding; on rotated D,
 with u a Haar unitary or one whose defect ||u*u - I|| is near the
 _UNITARY_DEFECT a pattern keeps, they are never below the exact gaps and
-above them by at most the slack unit_frame_gaps derives.  Rows that are not
-units take the exact route, a failing check reports the exact route's
-message, and the block pipelines reach none of the routes the frame replaces.
-fix and tau equal tests/dense_oracle.py's stack route bit for bit on a
-coordinate D and bound it from above on a rotated one, within the slack
-their docstrings derive, also for rows moved off the frame.
+above them by at most the slack unit_frame_gaps derives.  Only rows declared
+as units by the code that wrote them have a frame: rows moved off the units,
+an SVD's rows and an algebra whose pattern was reassigned take the exact
+route, a failing check reports the exact route's message, and the block
+pipelines reach none of the routes the frame replaces.  fix and tau equal
+tests/dense_oracle.py's stack route bit for bit on a coordinate D and bound
+it from above on a rotated one, within the slack their docstrings derive.
+unitary_conjugate_algebra writes declared rows from u's columns within
+sqrt(5) 2^-53 (1 + eta) of the exact units, and _off_mask's bound on them
+is at least the eps an undeclared copy measures.
 """
 
 import re
@@ -98,12 +102,12 @@ def _maps(d, m, phi, rng):
 
 def _slack(mp, frame, exact):
     """How far unit_frame_gaps may read above the exact gaps, from its derivation: its frame read f
-    has f <= (1 + eta)(gap + 2 N d) + 2 eta (1 + eta) N, so for eta <= 1e-12 its bound exceeds the
-    gap by at most 3 eta gap + 5 N (d + eta), and by the tail's 2 (1 + eta + d) tail."""
-    eta, distances = frame[3:]
+    has f <= (1 + eta) gap + 2 eta (1 + eta) N, so for eta <= 1e-12 its bound exceeds the gap by at
+    most 3 eta gap + 5 N eta, and by the tail's 2 (1 + eta) tail."""
+    eta = frame[3]
     left, right, tail = mp._splitting()
     norms = np.array([hs_norm(left), hs_norm(right)])[:, None]
-    return 3 * eta * exact + 5 * norms * (distances + eta) + 2 * tail * (1 + eta + distances)
+    return 3 * eta * exact + 5 * norms * eta + 2 * tail * (1 + eta)
 
 
 def _assert_frame_bounds(d, maps):
@@ -131,7 +135,8 @@ def _assert_unit_images_agree(phi):
     everything = slice(None)
     scale = max(1.0, phi.norm())
     assert eta_f == eta_i
-    assert abs(eps_f - eps_i) <= 16 * phi.n * EPS
+    # on declared rows eps is _off_mask's bound, at least what the images route's rotation measures
+    assert eps_f == algebras._off_mask(a)[0] and eps_i <= eps_f + 16 * phi.n * EPS
     assert np.abs(from_factors(everything) - from_images(everything)).max() <= 1e-12 * scale
     kappa = phi.norm()
     assert _multiplicative_from_defects(phi, kappa) == _multiplicative_from_defects(dense, kappa)
@@ -168,14 +173,13 @@ def test_frame_reads_bound_the_exact_routes_on_random_instances(n, rotation, see
 def test_rows_that_are_not_units_take_the_exact_route(monkeypatch):
     # a coordinate D cut to two of its blocks by an isometry v w, w a Haar unitary of M_6, whose columns
     # are no coordinate vectors: the corner keeps a pattern, but its rows are an SVD's mixtures of the
-    # units, so the frame's slack fails and the exact route decides
+    # units, declared by nobody, so it has no frame and the exact route decides
     n = 8
     d = block_diagonal_algebra(n, [[0, 1, 2], [3, 4, 5], [6, 7]])
     v = projection_isometry(np.diag([1.0] * 6 + [0.0] * 2))
     corner = Corner(v @ haar_unitary(6, np.random.default_rng(6)))
     d_c = corner_algebra(d, corner)
-    frame = _unit_frame(d_c)
-    assert d_c.pattern is not None and frame is not None and frame[4].max() > 0.1
+    assert d_c.pattern is not None and _unit_frame(d_c) is None
     calls = []
     exact = linalg._commutator_gaps
     monkeypatch.setattr(linalg, "_commutator_gaps", lambda *args: calls.append(1) or exact(*args))
@@ -275,20 +279,21 @@ def test_block_pipelines_reach_none_of_the_replaced_routes(n, rotation, monkeypa
 
 
 def _moved_rows(d, size, rng):
-    """D itself for size 0 or a full mask, else test_invariant_checks.nudged: a copy whose rows lie size from
-    the frame's units, and for a coordinate D declare no unit rows."""
-    return d if size == 0 or d.pattern[1].all() else nudged(d, size, rng)
+    """D itself for size 0 or a full mask, else test_invariant_checks.nudged: a copy whose rows lie size
+    from the frame's units, which declares no units and so has no frame."""
+    if size == 0 or d.pattern[1].all():
+        return d
+    moved = nudged(d, size, rng)
+    assert _unit_frame(moved) is None
+    return moved
 
 
 def _fix_slack(phi, frame, exact):
     """How far fix may read above the stack's values, from its derivation: with
-    r_s = ||Phi'(E_s) - E_s|| <= (1 + eta) (exact_s + (kappa + 1) d_s) + eta (2 + eta), its bound
-    exceeds exact_s by at most (2 eta exact_s + (1 + eta)(kappa + 1) d_s + 2 eta (2 + eta)) / (1 - eta)
-    + (kappa + 1) d_s."""
-    eta, distances = frame[3:]
-    kappa = phi.norm()
-    return (2 * eta * exact + (1 + eta) * (kappa + 1) * distances + 2 * eta * (2 + eta)) / (1 - eta) + (
-        kappa + 1) * distances
+    r_s = ||Phi'(E_s) - E_s|| <= (1 + eta) exact_s + eta (2 + eta), its bound exceeds exact_s by at
+    most (2 eta exact_s + 2 eta (2 + eta)) / (1 - eta)."""
+    eta = frame[3]
+    return (2 * eta * exact + 2 * eta * (2 + eta)) / (1 - eta)
 
 
 def _assert_fix_and_tau(phi):
@@ -326,22 +331,41 @@ def test_fix_and_tau_at_the_units_agree_with_the_stack_route(n, rotation):
 @given(st.integers(5, 12), st.sampled_from(ROTATIONS), st.sampled_from((0.0, 1e-10, 1e-6)),
        st.integers(0, 2**32 - 1))
 def test_fix_and_tau_bound_the_stack_route_on_random_instances(n, rotation, size, seed):
-    # with D's rows moved off the frame by size: 1e-10 keeps the bounds under tol(1e-8), 1e-6 does
-    # not, and the exact route decides
+    # with D's rows moved off the frame by size, however little: moved rows are no declared units, so
+    # fix is the stack route's and tau, read at the units themselves, is unchanged
     rng = np.random.default_rng(seed)
     a, d, phi, _ = _instance(n, rotation, rng)
     moved = _moved_rows(d, size, rng)
     _assert_fix_and_tau(DCharacter(phi.factors, a, moved, check=False))
 
 
+def _validation_message(phi):
+    """The InvariantViolation DCharacter raises on phi's A and D, or None when it validates."""
+    try:
+        DCharacter(phi.factors, phi.domain, phi.range_alg)
+    except InvariantViolation as err:
+        return str(err)
+    return None
+
+
 @pytest.mark.parametrize("rotation", ("haar", "near defect"))
 def test_rows_far_off_the_frame_take_the_exact_route(rotation):
+    # rows moved off the units, near or far, have no frame: fix is the images of D's rows, rows near
+    # the units validate, and rows far from them fail at the first element the exact routes give
     n = 8
     rng = np.random.default_rng(8)
     a, d, phi, _ = _instance(n, rotation, rng)
     near, far = (DCharacter(phi.factors, a, _moved_rows(d, size, rng), check=False) for size in (1e-10, 1e-6))
-    assert np.all(near.fix > near._moved(near.range_alg.space)) and near.fix.max() <= tol(1e-8)
-    assert np.array_equal(far.fix, far._moved(far.range_alg.space)) and far.fix.max() > tol(1e-8)
+    for moved in (near, far):
+        assert np.array_equal(moved.fix, moved._moved(moved.range_alg.space))
+    assert near.fix.max() <= tol(1e-8) < far.fix.max() and _validation_message(near) is None
+    rows = far.range_alg.space.flat
+    allowed = tol(1e-8) * np.maximum(1.0, hs_norms(rows))
+    outside, moves = a.space.residuals(rows), stack_fix(far)
+    first = int(np.argmax((outside > allowed) | (moves > allowed)))
+    want = ("range: D is not inside A" if outside[first] > allowed[first]
+            else f"fixes D: Phi moves a D element by {moves[first]:.3e}")
+    assert _validation_message(far) == want
 
 
 @pytest.mark.parametrize("rotation", ROTATIONS)
@@ -380,3 +404,102 @@ def test_the_build_applies_phi_to_no_stack_of_D_rows_or_J_units(rotation, monkey
     assert phi.kernel_tau is not None and min(d.dim, phi.kernel.size) > 8
     # the unital check's identity and the contraction check's eight draws, and nothing else
     assert inputs == [(n, n), (8, n, n)]
+
+
+def _rotated(alg, rotations, rng):
+    """alg rotated once or twice by Haar unitaries, by unitary_conjugate_algebra."""
+    for _ in range(rotations):
+        alg = unitary_conjugate_algebra(alg, haar_unitary(alg.n, rng))
+    return alg
+
+
+def _undeclared(alg):
+    """An object over the same rows and pattern that declares no units."""
+    copy = type(alg)(linalg.OperatorSubspace(alg.n, alg.space.flat), check=False)
+    copy.pattern = alg.pattern
+    return copy
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 12), st.sampled_from((1, 2)), st.booleans(), st.integers(0, 2**32 - 1))
+def test_declared_rotated_rows_are_the_units_to_one_product(n, rotations, star, seed):
+    # each entry is one complex product of u's entries, which rounds within sqrt(5) 2^-53 of its value:
+    # the rows lie that close, times (1 + eta), to the exact units (formed in long double), and within
+    # twice that of the gemm rotation of an undeclared coordinate copy, whose entries are one product too
+    rng = np.random.default_rng(seed)
+    blocks = random_partition(n, rng)
+    base = (block_diagonal_algebra if star else block_upper_triangular)(n, blocks)
+    alg = _rotated(base, rotations, rng)
+    u, mask = alg.pattern
+    assert _unit_frame(alg) is not None and alg.space.unit_columns is None
+    eta = _unitary_defect(u)
+    rows, cols = np.nonzero(mask)
+    wide = u.astype(np.clongdouble)
+    exact = (wide[:, rows].T[:, :, None] * wide[:, cols].conj().T[:, None, :]).reshape(alg.dim, -1)
+    one_product = np.sqrt(5.0) * (2.0**-53 + np.finfo(np.longdouble).eps) * (1 + eta)
+    assert np.all(hs_norms((alg.space.flat - exact).astype(complex)) <= one_product)
+    gemm = unitary_conjugate_algebra(_undeclared(base), u)
+    assert _unit_frame(gemm) is None
+    assert np.all(hs_norms(alg.space.flat - gemm.space.flat) <= 2 * one_product)
+    # the eps bound read off the declared rows is at least what the rotation measures on a copy
+    eps, eta_kept = algebras._off_mask(alg)
+    assert eta_kept == eta and eps >= algebras._off_mask(_undeclared(alg))[0]
+
+
+@pytest.mark.parametrize("rotation", ("haar", "near defect"))
+def test_a_reassigned_pattern_drops_the_frame(rotation, monkeypatch):
+    # the declaration is tied to the pattern the rows were written from: a new pattern, even an equal
+    # one, leaves no frame, and every check then takes its exact route with the same verdict and the
+    # same first failing element
+    n = 6
+    rng = np.random.default_rng(6)
+    a, d, phi, m = _instance(n, rotation, rng)
+    e = _preserving_expectation(random_density(n, rng), d, m, check=False)
+    bound = tol(1e-8) * max(1.0, e.norm()) * np.sqrt(n)
+    gaps = []
+    exact = linalg._commutator_gaps
+    monkeypatch.setattr(linalg, "_commutator_gaps", lambda *args: gaps.append(args[-1]) or exact(*args))
+
+    def verdicts():
+        """The character's fix and the module checks' exact-route calls on a fresh build, and the
+        failing module check's message."""
+        del gaps[:]
+        built = DCharacter(phi.factors, a, d)
+        calls = len(gaps)
+        with pytest.raises(InvariantViolation) as err:
+            e._check_module(MODULE_MESSAGE, bound)
+        return built.fix, built, calls, str(err.value)
+
+    framed_fix, _, framed_calls, framed = verdicts()
+    for alg in (a, d):
+        alg.pattern = (alg.pattern[0], alg.pattern[1])
+        assert _unit_frame(alg) is None
+    fix, built, calls, message = verdicts()
+    assert framed_calls == 0 < calls and message == framed
+    assert np.array_equal(fix, built._moved(d.space)) and np.all(fix <= framed_fix + 16 * n * EPS)
+
+
+def test_the_rotated_build_rotates_no_row_and_conjugates_phi_once(monkeypatch):
+    # declared rows are written from u's columns and read with no rotation: neither the coordinate
+    # A and D nor their rotations have their rows read as a stack, and Phi's factors are conjugated
+    # into u's frame once, for the build and both pipelines
+    n = 16
+    blocks = [list(range(6)), list(range(6, 11)), list(range(11, 16))]
+    read, conjugated = [], []
+    tensor, conjugate = linalg.OperatorSubspace.tensor, SandwichSum.conjugated
+    monkeypatch.setattr(linalg.OperatorSubspace, "tensor", property(lambda s: read.append(s.size) or tensor.fget(s)))
+    monkeypatch.setattr(SandwichSum, "conjugated", lambda self, u: conjugated.append(self) or conjugate(self, u))
+    a, d, phi = _block_character(n, blocks, haar_unitary(n, np.random.default_rng(n)))
+    assert a.space.unit_columns is None and _unit_frame(a) is not None and _unit_frame(d) is not None
+    assert a.dim not in read and d.dim not in read
+    m = full_matrix_algebra(n)
+    psi, _ = representing_expectation_tracial(m, PositiveFunctional.tracial(n), d, a, phi)
+    representing_expectation_state(m, random_central_density(n, d, np.random.default_rng(1)), d, a, phi)
+    assert sum(f is phi.factors for f in conjugated) == 1
+    # Psi - Phi from the kept Phi' beside Psi's conjugated pairs, as from conjugating the pairs together
+    u = a.pattern[0]
+    f, g = psi.factors, phi.factors
+    together = SandwichSum(np.concatenate((f.left, g.left)), np.concatenate((f.right, -g.right)))
+    rows, cols = np.nonzero(a.pattern[1])
+    want = hs_norm(conjugate(together, u).at_units(rows, cols)) / (1 - _unitary_defect(u))
+    assert abs(_extension_bound(psi, phi) - want) <= 4 * EPS * want

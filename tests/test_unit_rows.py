@@ -27,6 +27,7 @@ from dense_oracle import broadcast_local_violation
 from ncrep import linalg, states
 from ncrep.algebras import (
     _coordinate_corner,
+    _pattern_coordinates,
     _units_in_order,
     block_diagonal_algebra,
     block_upper_triangular,
@@ -234,3 +235,18 @@ def test_the_units_in_order_verdict_is_kept_where_the_rows_are_written(monkeypat
     monkeypatch.setattr(d.space, "unit_columns", None)
     assert not _units_in_order(d) and not _units_in_order(copy)
     assert not _units_in_order(unitary_conjugate_algebra(d, haar_unitary(6, np.random.default_rng(6))))
+
+
+def test_declared_rotated_units_take_no_coordinate_route():
+    # unitary_conjugate_algebra declares the rotated units it writes, but declares no columns: the
+    # readers that need coordinate units test u, so the rotated D is rotated for its coordinates,
+    # read by its basis in the centrality probes and cut by an SVD at a coordinate corner
+    n = 6
+    d = block_diagonal_algebra(n, [[0, 1, 2], [3, 4], [5]])
+    rotated = unitary_conjugate_algebra(d, haar_unitary(n, np.random.default_rng(6)))
+    assert _units_in_order(rotated) and rotated.space.unit_columns is None
+    coords, residuals, _ = _pattern_coordinates(rotated)
+    assert coords is not None and residuals.max() > 0.0
+    assert states._unit_mask(rotated) is None and states._unit_mask(d) is not None
+    corner = Corner(np.eye(n, dtype=complex)[:, [0, 1, 2]])
+    assert _coordinate_corner(rotated, corner) is None and _coordinate_corner(d, corner) is not None
