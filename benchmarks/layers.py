@@ -18,9 +18,10 @@ the trace on D and is not D-central (the trace moved off D's span), a
 fresh functional per call.  The validate rows of A and D time the
 closure check each runs (on a block algebra that has one, its pattern
 certificate).  The instance rows time random_block_instance(n,
-default_rng(3), conjugate=True) at n = 16, 24, 32 and 48, the build of A, D
-and Phi with all their checks, and at n = 32 and 48 the coordinate build
-random_block_instance(n, default_rng(3)) next to it; at n = 24 a further row times commutant(D, M),
+default_rng(3), conjugate=True) at n = 16, 24, 32, 48 and 64, the build of
+A, D and Phi with all their checks (min of 5 at n = 32 and 48 and of 3 at
+n = 64, each with the tracemalloc peak of one more call), and at n = 32 and
+48 the coordinate build random_block_instance(n, default_rng(3)) next to it; at n = 24 a further row times commutant(D, M),
 cold, on that instance's D, and at n = 16, 24 and 32 three more rows time
 the character's DCharacter.validate, the tracial pipeline on the instance
 and the state pipeline for a seeded faithful D-central state.  Before every other row, at n = 64, that build
@@ -132,7 +133,7 @@ GAPS_SIZES = (4, 10, 16)
 # bimodule_gaps rows on coordinate blocks, at sizes without a rotated instance in SIZES
 COORDINATE_BLOCKS = {24: [8, 8, 8]}
 # random_block_instance rows: repeats per size
-INSTANCE_REPEATS = {16: 3, 24: 1, 32: 1, 48: 1}
+INSTANCE_REPEATS = {16: 3, 24: 1, 32: 5, 48: 5, 64: 3}
 # sizes whose instance D gets a cold commutant row, and its repeats
 INSTANCE_COMMUTANT_SIZES = (24,)
 INSTANCE_COMMUTANT_REPEATS = 3

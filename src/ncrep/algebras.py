@@ -24,19 +24,19 @@ Each is computed on first request and then read back, so a D that several
 states are probed on is solved once.  What depends on a functional is kept
 by the functional (states.PositiveFunctional.derived), not here.
 
-The block constructions take as basis the matrix units on the allowed
+The block constructions take as basis the units u E_ij u* on the allowed
 entries mask of a block diagonal or block upper triangular partition, in
-row-major order: the identity rows of M_n that the mask selects, with no
-SVD.  They also record a pattern (u, mask): the algebra is u B u* for B
-the matrices supported on the mask, and u is None in coordinates.
-unitary_conjugate_algebra composes its rotation into the record, and
-corner_algebra carries it to the corner cut by a projection that commutes
-with the algebra.  A patterned algebra's product closure is certified from
-its rotated basis, without forming the (dim)^2 basis products
-(Subalgebra.validate), with its adjoint closure when the mask is symmetric
-(StarAlgebra.validate), and a character on it is checked from its
-defects on the rotated matrix units, its kernel read off the masks.  The
-same rotation certifies, with no SVD or null-space solve, the subspace
+row-major order, written and declared once, with no SVD, by _mask_algebra
+(for u None, in coordinates, the identity rows of M_n the mask selects),
+and record the pattern (u, mask): the algebra is u B u* for B the matrices
+on the mask.  unitary_conjugate_algebra composes its rotation into the
+record, and corner_algebra carries it to the corner cut by a projection
+that commutes with the algebra.  A patterned algebra's product closure is
+certified from its rotated basis, without forming the (dim)^2 basis
+products (Subalgebra.validate), with its adjoint closure when the mask is
+symmetric (StarAlgebra.validate), and a character on it is checked from
+its defects on the rotated matrix units, its kernel read off the masks.
+The same rotation certifies, with no SVD or null-space solve, the subspace
 facts of an inclusion D <= A <= M_n: A + A* = M_n
 (check_ss_density), A intersect A* = D (diagonal_part_check), and the
 commutant within M_n of an algebra whose mask is an equivalence relation,
@@ -194,8 +194,8 @@ def _unitary_defect(u):
 def _units_in_order(alg):
     """True when a pattern's rows are its units u E_s u* at the mask's entries in row-major order, as
     declared by the code that wrote them.  Kept in the algebra's store: in coordinates as the declared
-    columns (OperatorSubspace.unit_columns) it was reached on, seeded by _mask_algebra, which a later
-    call compares; rotated, as the pattern unitary_conjugate_algebra wrote them from, not a later one."""
+    columns (OperatorSubspace.unit_columns) it was reached on, which a later call compares; rotated, as
+    the pattern they were written from, not a later one.  _mask_algebra, their writer, seeds it."""
     u, mask = alg.pattern
     if u is not None:
         return alg.derived("units in order", lambda: None) is alg.pattern
@@ -317,7 +317,7 @@ def _closure_certified(alg):
 
 def _mask_gap(alg):
     """delta = sqrt(dim) e for a patterned algebra with dim = mask.sum() and
-    ||u*u - I|| <= _UNITARY_DEFECT, the most a pattern is given with; else inf.
+    ||u*u - I|| <= _UNITARY_DEFECT, the most a rotation keeps a pattern with; else inf.
 
     With eps, eta, e = eps + 3 eta and P = v B v* as in _closure_certified,
     every unit element of the span lies within delta of P; the two have one
@@ -484,38 +484,40 @@ def block_upper_triangular(n, blocks):
     return _block_algebra(n, blocks, star=False)
 
 
-def _block_algebra(n, blocks, star):
-    """block_diagonal_algebra (star) or block_upper_triangular, tagged with the
-    blocks and with its pattern: no rotation and the allowed-entry mask.  Its
-    basis is the matrix units E_ij on the mask in row-major order, the rows of
-    the identity of M_n they select, read-only and with no SVD; a one-block
-    partition gives all of M_n's identity rows."""
+def _block_algebra(n, blocks, star, u=None):
+    """block_diagonal_algebra (star) or block_upper_triangular, rotated by u, on _mask_algebra's rows
+    for the allowed-entry mask, and validated; tagged with the blocks in coordinates (u None), where a
+    one-block partition gives all of M_n's identity rows.  u is checked as unitary_conjugate_algebra does."""
     _check_partition(n, blocks)
+    check(InvariantViolation, "rotation: u is not unitary (||u*u - I|| = {:.3e})", _unitary_defect(u), tol(1e-9))
     which = np.empty(n, dtype=int)
     for t, blk in enumerate(blocks):
         which[blk] = t
     mask = which[:, None] == which[None, :] if star else which[:, None] <= which[None, :]
     mask.flags.writeable = False
-    alg = _mask_algebra(mask, StarAlgebra if star else Subalgebra)
-    alg.blocks = [list(blk) for blk in blocks]
+    alg = _mask_algebra(mask, StarAlgebra if star else Subalgebra, u)
+    alg.blocks = [list(blk) for blk in blocks] if u is None else None
     alg.validate()
     return alg
 
 
-def _mask_algebra(mask, cls):
-    """An unvalidated cls over the matrix units E_ij on a read-only (n, n) mask, in row-major order:
-    the rows of the identity of M_n they select, declared (OperatorSubspace.unit_columns), with no
-    SVD, and the pattern (None, mask)."""
+def _mask_algebra(mask, cls, u=None):
+    """The one writer of unit rows: an unvalidated cls over u E_ij u* on a read-only (n, n) mask in row-major
+    order, with the pattern (u, mask) and _units_in_order's verdict; no SVD.  For u None the identity rows,
+    declared (OperatorSubspace.unit_columns), else _rotated_units'."""
     n = len(mask)
     where = np.flatnonzero(mask)
-    rows = np.zeros((len(where), n * n), dtype=complex)
-    rows[np.arange(len(where)), where] = 1.0
+    if u is None:
+        rows = np.zeros((len(where), n * n), dtype=complex)
+        rows[np.arange(len(where)), where] = 1.0
+    else:
+        rows = _rotated_units(u, *np.divmod(where, n))
     rows.flags.writeable = False
     space = OperatorSubspace(n, rows)
-    space.unit_columns = where  # the rows written above
+    space.unit_columns = where if u is None else None  # the rows written above, when they are coordinate units
     alg = cls(space, check=False)
-    alg.pattern = (None, mask)
-    alg.derived("units in order", lambda: where)  # _units_in_order's verdict, true by construction
+    alg.pattern = (u, mask)
+    alg.derived("units in order", lambda: where if u is None else alg.pattern)
     return alg
 
 
@@ -730,11 +732,13 @@ def _solve_commutant(stack, within):
 
 
 def check_ss_density(a, m):
-    """True iff span(A u A*) has the same dimension as M: read off A's mask
-    when _sum_certified passes, else from one SVD of the stacked rows."""
-    if _sum_certified(a):
-        return a.n**2 == m.dim
-    return subspace_sum(a.space, _adjoint_space(a.space)).size == m.dim
+    """True iff span(A u A*) has the same dimension as M (_sum_dimension)."""
+    return _sum_dimension(a) == m.dim
+
+
+def _sum_dimension(a):
+    """dim span(A u A*): n^2 when _sum_certified passes, else from one SVD of the stacked rows."""
+    return a.n**2 if _sum_certified(a) else subspace_sum(a.space, _adjoint_space(a.space)).size
 
 
 def diagonal_part_check(a, d, phi=None):
@@ -761,8 +765,8 @@ def unitary_conjugate_algebra(alg, u):
     not orthonormalized again.  A pattern (w, mask) of S becomes (u w, mask)
     when u w is unitary within _UNITARY_DEFECT; otherwise the result has no
     pattern, and its closure is checked pair by pair.  Declared units
-    (_units_in_order) under a kept pattern are written once from u w's
-    columns (_rotated_units) and declared; other rows take two products each.
+    (_units_in_order) under a kept pattern are written by _mask_algebra
+    from u w's columns; other rows take two products each.
     """
     check(InvariantViolation, "rotation: u is not unitary (||u*u - I|| = {:.3e})", _unitary_defect(u), tol(1e-9))
     pattern = None
@@ -771,19 +775,16 @@ def unitary_conjugate_algebra(alg, u):
         composed = u if w is None else u @ w
         if _unitary_defect(composed) <= _UNITARY_DEFECT:
             pattern = (composed, mask)
-    declared = pattern is not None and _units_in_order(alg)
-    if declared:
-        rotated = _rotated_units(composed, *np.nonzero(mask))
+    if pattern is not None and _units_in_order(alg):
+        result = _mask_algebra(mask, type(alg), composed)
     else:
         basis, rotated = alg.space.tensor, np.empty(alg.space.tensor.shape, dtype=complex)
         # per row: its first product, so that no second copy of the basis is held
         for part in chunk_slices(alg.dim, alg.n**2):
             np.matmul(u @ basis[part], dagger(u), out=rotated[part])
-    rotated.flags.writeable = False
-    result = type(alg)(OperatorSubspace(alg.n, rotated.reshape(alg.dim, -1)), check=False)
-    result.pattern = pattern
-    if declared:
-        result.derived("units in order", lambda: pattern)  # _units_in_order's verdict, true by construction
+        rotated.flags.writeable = False
+        result = type(alg)(OperatorSubspace(alg.n, rotated.reshape(alg.dim, -1)), check=False)
+        result.pattern = pattern
     result.validate()
     return result
 

@@ -56,6 +56,7 @@ from .algebras import (
 from .config import tol
 from .errors import (
     DensityDoesNotCommute,
+    DimensionMismatch,
     DoesNotCommute,
     GramSingular,
     InvariantViolation,
@@ -93,6 +94,7 @@ from .linalg import (
     psd_sqrt,
     require_finite,
     sandwich_matrix,
+    sized_matrix,
     unit_frame_gaps,
 )
 from .states import (
@@ -184,7 +186,7 @@ class _ModuleMap:
         return images
 
     def __call__(self, x):
-        return self.apply(as_matrix(x))
+        return self.apply(sized_matrix(x, self.n))
 
     def apply(self, x):
         """The map at one matrix or at each entry of a stacked (k, n, n) tensor, unchecked."""
@@ -655,7 +657,11 @@ def average_to_central(psi, omega, d, m):
     Pushes psi through the omega-preserving projection onto the relative
     commutant of D; the result still extends omega|D and is D-central, and
     commutation with omega (of the densities restricted to M) is inherited.
+    DimensionMismatch first when psi, omega, D and M differ in size.
     """
+    require_same_ambient(omega, d, m)
+    if psi.n != omega.n:
+        raise DimensionMismatch(f"psi acts on M_{psi.n}, omega on M_{omega.n}")
     if omega.is_faithful:  # else _average_to_central raises NotFaithful, which takes precedence
         require_D_central(omega, d, m, NotCentral, "D is not inside the centralizer of omega (violation {:.3e})")
     return _average_to_central(psi, omega, d, m)

@@ -40,6 +40,7 @@ from .linalg import (
     pd_tol,
     require_finite,
     require_hermitian,
+    sized_matrix,
 )
 from .representing import _check_extends_character
 from .states import require_tracial
@@ -91,7 +92,7 @@ def geometric_mean(omega, a, n_powers=_POWERS):
     one relative to the term would grow past the monotone check's slack
     from about n = 40.  This is _geometric_means on a stack of one.
     """
-    a = as_matrix(a)
+    a = sized_matrix(a, omega.n)
     values, seqs = _geometric_means(omega, a[None], n_powers)
     return GeometricMeanReport(a, values.tolist()[0], seqs.tolist()[0])
 

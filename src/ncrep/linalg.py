@@ -34,6 +34,14 @@ def as_matrix(x):
     return require_finite(m)
 
 
+def sized_matrix(x, n):
+    """as_matrix, then DimensionMismatch unless x is n x n: an argument of a map or functional on M_n."""
+    x = as_matrix(x)
+    if x.shape[0] != n:
+        raise DimensionMismatch(f"ambient dim {n}, matrix dim {x.shape[0]}")
+    return x
+
+
 class DerivedStore:
     """Values computed once per key and kept for the owner's lifetime; the owner sets self._derived = {}."""
 
@@ -252,18 +260,11 @@ class OperatorSubspace:
         n = self.ambient_dim
         return self.flat.reshape(self.size, n, n)
 
-    def _member(self, x):
-        """x as a finite square matrix of this subspace's ambient size."""
-        x = as_matrix(x)
-        if x.shape[0] != self.ambient_dim:
-            raise DimensionMismatch(f"ambient dim {self.ambient_dim}, matrix dim {x.shape[0]}")
-        return x
-
     def coords(self, x):
         """The coordinates <x, w_k> on the rows w_k: on unit rows, x's entries at their columns, copied.
         Otherwise conj(W conj(x)), each term the conjugate of conj(w) x by exact sign flips, with no
         conjugated copy of the rows."""
-        x = self._member(x)
+        x = sized_matrix(x, self.ambient_dim)
         cols = self.unit_columns
         if cols is not None:
             return x.ravel()[cols]
@@ -293,7 +294,7 @@ class OperatorSubspace:
         return hs_norms(rows - (rows @ self.flat.conj().T) @ self.flat)
 
     def contains(self, x):
-        x = self._member(x)
+        x = sized_matrix(x, self.ambient_dim)
         return hs_norm(x - self.project(x)) <= tol(1e-8) * max(1.0, hs_norm(x))
 
 

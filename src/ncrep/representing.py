@@ -54,12 +54,12 @@ from .algebras import (
     _pattern_coordinates,
     _rotated_units,
     _same_rotation,
+    _sum_dimension,
     _unit_frame,
+    _units_in_order,
     block_diagonal_algebra,
     check_ss_density,
     diagonal_part_check,
-    full_matrix_algebra,
-    unitary_conjugate_algebra,
 )
 from .config import tol
 from .errors import (
@@ -102,7 +102,7 @@ from .linalg import (
     psd_sqrt,
     subspace_sum,
 )
-from .states import PositiveFunctional, _faithful_on, require_D_central, require_tracial
+from .states import PositiveFunctional, _faithful_on, require_D_central, require_same_ambient, require_tracial
 
 # condition-number cap for inverting the D-average of cc*; it is invertible in
 # exact arithmetic, so anything beyond this is a numerical failure to report
@@ -310,7 +310,7 @@ def _mask_kernel(phi):
     2 lambda + 2 tau' / sigma <= tol(1e-8) / 2: lambda <= _KERNEL_GAP and
     2 tau' / sigma <= tol(1e-8) / 4.  _splitting_certified must pass as
     well, on tau and F, so validate reads the splitting off this tau.  The
-    units cost O(k n^2); D's fix is validate's own.
+    units cost O(k n^2), A's own rows if declared; D's fix is validate's own.
 
     Every step above reads tau, like F, only as an upper bound.  For block
     factors (a SandwichSum) at n^4 > _BLOCK_FROM, tau is read in u's frame
@@ -337,7 +337,10 @@ def _mask_kernel(phi):
         return None
     n = phi.n
     i, j = np.nonzero(off)
-    rows = _rotated_units(np.eye(n) if u is None else u, i, j)
+    if _units_in_order(a):
+        rows = a.space.flat[~d.pattern[1][mask]]  # A's rows at those units, in the same row-major order
+    else:
+        rows = _rotated_units(np.eye(n) if u is None else u, i, j)
     if n**4 > _BLOCK_FROM and isinstance(phi.factors, SandwichSum):
         rotated = phi._frame_factors
         # per unit, its image in u's frame
@@ -476,22 +479,16 @@ def make_block_character(n, blocks):
 
 
 def _block_character(n, blocks, u=None):
-    """make_block_character, or with a unitary u its rotation x -> u x u* of A,
-    D and Phi, which erases the block tags.  Phi is the block factors of
-    _pinching either way.  Each object made is validated once: the
-    coordinate A and D, and with u their rotations and the rotated Phi."""
+    """make_block_character, or with a unitary u its rotation x -> u x u* of A, D and Phi, erasing the
+    block tags: A's and D's rows written once from (u, mask) by algebras._mask_algebra, Phi _pinching's
+    factors on D, each validated once, and no M_n.  A u off unitary by more than 1e-9 raises InvariantViolation;
+    one past _UNITARY_DEFECT keeps its pattern, and each certificate gated by algebras._mask_gap defers."""
     blocks = [list(blk) for blk in blocks]
-    a = _block_algebra(n, blocks, star=False)
-    d = _block_algebra(n, blocks, star=True)
-    factors = _pinching(d, u)
-    if u is not None:
-        # one at a time, so that the coordinate A is freed before D is rotated
-        a = unitary_conjugate_algebra(a, u)
-        d = unitary_conjugate_algebra(d, u)
-    phi = DCharacter(factors, a, d)
-    if u is None:
-        phi.blocks = blocks
-    if not check_ss_density(a, full_matrix_algebra(n)):
+    a = _block_algebra(n, blocks, star=False, u=u)
+    d = _block_algebra(n, blocks, star=True, u=u)
+    phi = DCharacter(_pinching(d), a, d)
+    phi.blocks = blocks if u is None else None
+    if _sum_dimension(a) != n**2:
         raise InvariantViolation("A + A* should span M for a triangular partition")
     if not diagonal_part_check(a, d, phi):
         raise InvariantViolation("A intersect A* should be exactly D")
@@ -777,8 +774,9 @@ def representing_expectation_tracial(m, tau, d, a, phi, perturb_r=0.0, rng_seed=
     Works in the inner product Tr(k y* x) with k the density of tau on M;
     for the normalized trace k is scalar and this is the plain Hilbert-Schmidt
     geometry.  Returns (Psi, rho) with Psi|_A = Phi, rho∘Psi = rho and
-    rho|_A = tau∘Phi.
+    rho|_A = tau∘Phi.  DimensionMismatch first when tau, D and M differ in size.
     """
+    require_same_ambient(tau, d, m)
     require_tracial(tau, m, "reference is not tracial on M (violation {:.3e})")
     if not _faithful_on(tau, m):
         raise NotFaithful("reference is not faithful on M")
@@ -899,7 +897,8 @@ def mth_check(mu, g):
     Decided by the closed criterion: g > 0 wherever mu > 0 and
     sum(mu/g) <= 1 over that support.  Cross-checked against the ratio
     maximizer f = 1/g and 64 random nonnegative probes; the two verdicts must
-    agree away from the boundary sum(mu/g) = 1.
+    agree away from the boundary sum(mu/g) = 1.  A negative mu, or a mu or g
+    that is not finite, raises InvariantViolation before any probe runs.
     """
     mu = np.asarray(mu, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -908,6 +907,8 @@ def mth_check(mu, g):
     if mu.size == 0:
         raise EmptyInput("empty weight vector")
     check(InvariantViolation, "mu must be nonnegative", -mu, 0.0)
+    if not (np.isfinite(mu).all() and np.isfinite(g).all()):
+        raise InvariantViolation("mu and g must be finite")
     supp = mu > 0
     positive = bool(np.all(g[supp] > 0))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

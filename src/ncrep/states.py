@@ -47,6 +47,7 @@ from .linalg import (
     read_only,
     require_hermitian,
     same_subspace,
+    sized_matrix,
     trace_pairings,
     unit_bracket_squares,
 )
@@ -93,7 +94,7 @@ class PositiveFunctional:
         return cls(np.eye(n, dtype=complex) / n, check=False)
 
     def __call__(self, x):
-        return complex(np.einsum("ij,ji->", self.density, np.asarray(x, dtype=complex)))
+        return complex(np.einsum("ij,ji->", self.density, sized_matrix(x, self.n)))
 
     @functools.cached_property
     def spectrum(self):
@@ -241,6 +242,8 @@ def tracial_certificate(omega, algebra):
     that is nonzero.  Their largest modulus is read off rho in O(n^2), the
     same numbers the pairing forms with exact products by ones and zeros.
     """
+    if omega.n != algebra.n:
+        raise DimensionMismatch(f"omega acts on M_{omega.n}, the algebra on M_{algebra.n}")
     rho = omega.density
     mask = _unit_mask(algebra)
     if mask is not None:
