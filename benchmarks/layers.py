@@ -283,7 +283,7 @@ def _frame_rows(n, reps):
     for label, mp in (("character", phi), ("tracial expectation", e)):
         rows[f"module gaps, exact ({label})"] = _measure(mp.module_gaps, reps)
         rows[f"module gaps, frame ({label})"] = _measure(
-            lambda mp=mp: linalg.unit_frame_gaps(*mp._splitting(), frame), reps)
+            lambda mp=mp: linalg.unit_frame_gaps(*mp.storage.splitting(d.dim), frame), reps)
     kappa = phi.norm()
     dense = representing.DCharacter(phi.map_matrix, a, d, check=False)
     rows["unit defects (factors)"] = _measure(lambda: representing._multiplicative_from_defects(phi, kappa), reps)

@@ -22,7 +22,6 @@ from .algebras import block_diagonal_algebra, full_matrix_algebra, unitary_conju
 from .config import tol
 from .errors import NcrepError, ParseError
 from .expectations import (
-    _pullback_density,
     _values_on,
     choi_matrix,
     existence_diagnosis,
@@ -95,7 +94,7 @@ def _pipeline_checks(inst, psi, rho):
     vscale = max(1.0, float(np.abs(values).max()))
     represents = float(np.abs(_values_on(rho, inst.a.space.flat) - values).max()) / vscale
     annihilates = float(np.abs(_values_on(rho, phi.kernel.flat)).max(initial=0.0))
-    preserved = hs_norm(_pullback_density(psi.map_matrix, rho.density) - rho.density)
+    preserved = hs_norm(psi.pullback_density(rho.density) - rho.density)
     return [
         _assertion("extends_character", extends, tol(1e-7)),
         _assertion("represents_on_A", represents, tol(1e-8)),
@@ -207,7 +206,7 @@ def _suite_expectations(n_max, trials, seed):
         e = preserving_expectation(omega, d, m)
         k = e.map_matrix
         devs = {
-            "preserves_state": hs_norm(_pullback_density(k, omega.density) - omega.density),
+            "preserves_state": hs_norm(e.pullback_density(omega.density) - omega.density),
             "idempotent": float(np.linalg.norm(k @ k - k)) / max(1.0, float(np.linalg.norm(k))),
             "choi_psd": max(0.0, -float(np.linalg.eigvalsh(choi_matrix(e))[0])),
         }

@@ -24,21 +24,17 @@ compressed to the support of its restriction there
 check is kept in the functional's store per (target, M)
 (states.PositiveFunctional.derived) and returned to later builds.
 
-How a map is stored is decided once, in _ModuleMap, which
-ConditionalExpectation shares with representing.DCharacter: a matrix is
-composed with the domain's projection, factors are kept and read.
-validate() checks unitality, idempotence, positivity on fixed probes, the
-D-bimodule property (from the commutators of the map's operator-Schmidt
-factors or of its own factors with D's basis, linalg.bimodule_gaps, read in
+How a map is stored is one linalg.MapStorage, held by _ModuleMap (shared
+with representing.DCharacter) and asked for every statistic: validate()
+checks unitality, idempotence, positivity on fixed probes, the D-bimodule
+property (the commutators of a splitting's factors with D's basis, read in
 D's unit frame at n >= 5 when D's rows are its pattern's units,
-linalg.unit_frame_gaps) and range membership, in that order, by the same
-statistics on both storage forms; the module gaps read in the frame and the
-range of factors (_ModuleMap._range_bound) are certified bounds, with the
-exact statistics as the fallback.
+linalg.unit_frame_gaps) and range membership, in that order; the frame
+reads and the storages' range certificates are bounds, with the exact
+statistics as the fallback.
 """
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,10 +73,8 @@ from .linalg import (
     FactorPair,
     SandwichSum,
     _identity_rows,
-    _schmidt_factors,
-    apply_map,
     as_matrix,
-    bimodule_gaps,
+    as_storage,
     chunk_slices,
     commutation_gap,
     commutator,
@@ -92,7 +86,6 @@ from .linalg import (
     pd_tol,
     projection_isometry,
     psd_sqrt,
-    require_finite,
     sandwich_matrix,
     sized_matrix,
     unit_frame_gaps,
@@ -123,26 +116,6 @@ def _positivity_probes(n):
     return xx, norms
 
 
-def _pullback_density(map_matrix, rho):
-    """Density of x -> Tr(rho E(x)): the adjoint of E under the trace pairing."""
-    n = rho.shape[0]
-    sigma_t = (map_matrix.T @ rho.T.ravel()).reshape(n, n)
-    sigma = sigma_t.T
-    return (sigma + dagger(sigma)) / 2
-
-
-def _domain_images(map_matrix, domain):
-    """The map's values K(x_j) on the domain's orthonormal basis, as flat rows, and its matrix
-    composed with the projection onto the domain, sum_j K(x_j) x_j*: K's transpose and K itself,
-    with no product, on identity rows (full_matrix_algebra's), where both products are exact."""
-    flat = domain.space.flat
-    k = require_finite(np.asarray(map_matrix, dtype=complex))
-    if _identity_rows(domain.space):
-        return np.ascontiguousarray(k.T), k
-    images = flat @ k.T
-    return images, images.T @ flat.conj()
-
-
 def _check_preserves(e, omega, target):
     """omega∘E must have the density target (omega's own on the domain)."""
     drift = hs_norm(e.pullback_density(omega.density) - target)
@@ -154,95 +127,58 @@ class _ModuleMap:
     """A linear map from a domain algebra into a range subspace that is a module over the bimodule
     *-algebra: what ConditionalExpectation and representing.DCharacter share.
 
-    The map comes as its n^2 x n^2 matrix, composed with the domain's
-    projection and kept with its images (_domain_images), or as factors (a
-    SandwichSum or a FactorPair), which every statistic here reads, with
-    map_matrix and images (the factors at the domain's basis) formed on
-    first request.  Each subclass's validate() picks the checks, their order
-    and messages; none reads how the map is stored.
+    The map is one storage (linalg.MapStorage: a MatrixMap, SandwichSum or
+    FactorPair), which every statistic asks; apply (unchecked), norm,
+    pullback_density and _idempotence_defect are its own methods.
+    map_matrix and images (the map at the domain's basis) are formed on
+    first request.  Each subclass's validate() picks the checks, their
+    order and messages; none reads how the map is stored.
     """
 
     def __init__(self, map_matrix, domain, range_space, bimodule):
-        self.factors = map_matrix if isinstance(map_matrix, (SandwichSum, FactorPair)) else None
-        if self.factors is None:
-            self.images, self.map_matrix = _domain_images(map_matrix, domain)
-        self.domain = domain
-        self.range_space = range_space
-        self.bimodule = bimodule
-        self.n = domain.n
+        self.storage = storage = as_storage(map_matrix, domain.space)
+        self.apply, self.norm, self.pullback_density = storage, storage.norm, storage.pullback_density
+        self._idempotence_defect = storage.idempotence_defect
+        self.domain, self.range_space, self.bimodule, self.n = domain, range_space, bimodule, domain.n
 
     @functools.cached_property
     def map_matrix(self):
-        """The factors' n^2 x n^2 matrix, formed on first request, read-only (a matrix given is kept composed)."""
-        k = self.factors.matrix()
+        """The map's n^2 x n^2 matrix, formed on first request, read-only."""
+        k = self.storage.matrix()
         k.flags.writeable = False
         return k
 
     @functools.cached_property
     def images(self):
-        """The map at the domain's orthonormal basis, as flat rows, from the factors on first request, read-only."""
-        images = self.apply(self.domain.space.tensor).reshape(self.domain.dim, -1)
-        images.flags.writeable = False
-        return images
+        """The map at the domain's orthonormal basis, as flat rows, read-only."""
+        return self.storage.images(self.domain.space)
 
     def __call__(self, x):
         return self.apply(sized_matrix(x, self.n))
 
-    def apply(self, x):
-        """The map at one matrix or at each entry of a stacked (k, n, n) tensor, unchecked."""
-        return apply_map(self.map_matrix, x) if self.factors is None else self.factors(x)
-
     def domain_values(self, rho):
-        """Tr(rho K(x_j)) over the domain's orthonormal basis x_j: from the images for a matrix,
-        and for factors as Tr(sigma x_j) with sigma their trace pre-adjoint at rho, no image formed."""
-        if self.factors is None:
-            return self.images @ rho.T.ravel()
-        return self.domain.space.flat @ self.factors.pre_adjoint(rho).T.ravel()
-
-    def pullback_density(self, rho):
-        """Hermitian part of the density of x -> Tr(rho K(x)), the map's trace pre-adjoint at rho."""
-        if self.factors is None:
-            return _pullback_density(self.map_matrix, rho)
-        sigma = self.factors.pre_adjoint(rho)
-        return (sigma + dagger(sigma)) / 2
-
-    def norm(self):
-        """The Frobenius norm of the map's matrix."""
-        return hs_norm(self.map_matrix) if self.factors is None else self.factors.norm()
-
-    def _splitting(self):
-        """(left, right, tail) of the map for its module gaps at the bimodule algebra's q basis
-        elements: the factors' sides() with tail 0, or the matrix's _schmidt_factors read as
-        (c, n, n) stacks.  Not for a FactorPair, whose gaps come from its own terms."""
-        if self.factors is not None:
-            return *self.factors.sides(), 0.0
-        n = self.n
-        left, right, tail = _schmidt_factors(np.reshape(self.map_matrix, (n, n, n, n)), self.bimodule.dim)
-        return left.transpose(1, 2, 0), right.transpose(1, 2, 0), tail
+        """Tr(rho K(x_j)) over the domain's orthonormal basis x_j."""
+        return self.storage.domain_values(rho, self.domain.space)
 
     def module_gaps(self):
-        """The (2, q) left and right module gaps (linalg.bimodule_gaps) at the bimodule algebra's
-        basis, by the exact route: the commutators of the map's factors with each basis element."""
-        basis = self.bimodule.space.tensor
-        return bimodule_gaps(self.map_matrix, basis) if self.factors is None else self.factors.module_gaps(basis)
+        """The exact (2, q) left and right module gaps (linalg.bimodule_gaps) at the bimodule algebra's basis."""
+        return self.storage.module_gaps(self.bimodule.space.tensor)
 
     def _check_module(self, message, bound):
         """check every module gap, left then right per basis element, against bound.
 
         When the bimodule algebra's rows are its pattern's units
-        (algebras._unit_frame), the gaps are first read in its unit frame
-        (linalg.unit_frame_gaps): upper bounds, exact to rounding on a
-        coordinate D.  When one of them does not pass, or with no frame, the
-        exact route (module_gaps) decides, so the error class, the message and
-        the first failing element are its own.  At n^4 <= _BLOCK_FROM (n <= 4)
-        the exact route's few small products cost less than the frame's fixed
-        work (20-76 us against 30-138 us per call at n = 2..4, about even at
-        n = 5, on block characters and expectations), so it is taken there.
+        (algebras._unit_frame) and the storage has a splitting, the gaps are
+        first read in its unit frame (linalg.unit_frame_gaps): upper bounds,
+        exact to rounding on a coordinate D.  When one does not pass, or with
+        no frame, the exact route (module_gaps) decides, with its own error
+        class, message and first failing element.  At n^4 <= _BLOCK_FROM
+        (n <= 4) its few small products cost less than the frame's fixed work
+        (20-76 us against 30-138 us per call at n = 2..4), so it is taken there.
         """
-        frame = None
-        if self.n**4 > _BLOCK_FROM and not isinstance(self.factors, FactorPair):
-            frame = _unit_frame(self.bimodule)
-        gaps = None if frame is None else unit_frame_gaps(*self._splitting(), frame)
+        split = self.storage.splitting
+        frame = _unit_frame(self.bimodule) if self.n**4 > _BLOCK_FROM and split is not None else None
+        gaps = None if frame is None else unit_frame_gaps(*split(self.bimodule.dim), frame)
         if gaps is None or not np.all(gaps <= bound):
             gaps = self.module_gaps()
         check(InvariantViolation, message, gaps.T, bound)
@@ -255,61 +191,18 @@ class _ModuleMap:
             moved[part] = hs_norms(self.apply(basis[part]).reshape(-1, width) - space.flat[part])
         return moved
 
-    def _idempotence_defect(self):
-        """||E(E(x_j)) - E(x_j)|| over the domain's orthonormal basis, which is ||K^2 - K||_F as K = KP;
-        factors come with the domain M_n, where P = I, and give it from their own terms."""
-        if self.factors is None:
-            return hs_norm(self.images @ self.map_matrix.T - self.images)
-        return self.factors.idempotence_defect()
-
     def _range_gap(self, norm, scale):
-        """The HS norm of the images' residuals against the range, or for factors whose
-        certificate (_range_bound, for a map of Frobenius norm norm) is at most half
-        the range threshold tol(1e-8) scale, that bound."""
-        if self.factors is None:
-            return hs_norm(self.range_space.residuals(self.images))
-        bound = self._range_bound(norm)
-        if bound <= tol(1e-8) * scale / 2:
-            return bound
-        # the images from the factors, a chunk of the domain's basis at a time; per element
-        # its image, the image's residual and the factors' two intermediates
-        basis = self.domain.space.tensor
-        parts = chunk_slices(len(basis), 4 * self.factors.count * self.n**2)
-        return math.hypot(*(hs_norm(self.range_space.residuals(self.apply(basis[part]).reshape(-1, self.n**2)))
-                            for part in parts))
+        """The HS norm of the images' residuals against the range, or the storage's certificate
+        for it (range_bound) when that is at most half the range threshold tol(1e-8) scale."""
+        bound = self.storage.range_bound(self.range_space.flat, self._range_classes, norm)
+        limit = tol(1e-8) * scale / 2
+        return bound if bound <= limit else self.storage.range_residual(self.range_space, self.domain.space)
 
-    def _range_bound(self, norm):
-        """A bound on the HS norm of the residuals of the outputs K(x_j) on the domain's
-        orthonormal basis against the range, read off the factors; inf when none applies.
-
-        A FactorPair whose rows are the range's own has every output
-        sum_s (C vec x)_s U_s in their span: the bound is 0.  A SandwichSum
-        onto the span of a D with the pattern (u, B), blocks without
-        multiplicity, one term per block, gets 3 delta ||K||_F + (1 + 3 delta) rho,
-        delta = _mask_gap(D).  With f_t = u p_t u* (_class_projections), write
-        L_t = f_t L_t + a_t and R_t = R_t f_t + c_t: K(x) = y + e(x) with
-        y = sum_t f_t L_t x R_t f_t = u z u*, z = sum_t p_t (u* L_t x R_t u) p_t
-        in B, and e of Frobenius norm at most
-        rho = sum_t (||a_t|| ||R_t|| + ||f_t L_t|| ||c_t||), measured.  With
-        eta = ||u*u - I|| and u = v h polar, p = v z v* in P = v B v* has
-        ||y - p|| = ||h z h - z|| <= 3 eta ||y||, so with ||Q_D - Q_P|| <= delta
-        dist(y, D) <= (3 eta + delta (1 + 3 eta)) ||y|| <= 3 delta ||y|| (delta >= 3 eta); and
-        sum_j ||K(x_j)||^2 <= ||K||_F^2.  _block_factors' and _pinching's a_t,
-        c_t are u's defect and rounding.  The check takes the bound at half
-        its threshold; the other half absorbs the outputs' rounding.
-        """
-        factors, d = self.factors, self.bimodule
-        if isinstance(factors, FactorPair):
-            return 0.0 if factors.rows is self.range_space.flat else np.inf
-        if self.range_space is not d.space or factors.count != len(_mask_classes(d) or ()):
-            return np.inf
-        f = _class_projections(d)
-        ends = np.stack((f @ factors.left, factors.right @ f))  # the f_t L_t, then the R_t f_t
-        # the ||a_t|| then the ||c_t||, against the ||R_t|| then the ||f_t L_t||
-        defects = hs_norms((np.stack((factors.left, factors.right)) - ends).reshape(-1, self.n, self.n))
-        rho = float(defects @ hs_norms(np.concatenate((factors.right, ends[0]))))
-        delta = _mask_gap(d)
-        return 3.0 * delta * norm + (1.0 + 3.0 * delta) * rho
+    def _range_classes(self):
+        """(_class_projections(D), _mask_gap(D)) when the range spans D, blocks without multiplicity."""
+        d = self.bimodule
+        if self.range_space is d.space and _mask_classes(d) is not None:
+            return _class_projections(d), _mask_gap(d)
 
 
 class ConditionalExpectation(_ModuleMap):
@@ -320,9 +213,8 @@ class ConditionalExpectation(_ModuleMap):
     Dz.  The bimodule algebra is the D whose elements pass through the map.
 
     The map comes as its n^2 x n^2 matrix, as the SandwichSum of its block
-    factors E(x) = sum_t X_t x B_t (the block route of _preserving_expectation)
-    or as the Gram FactorPair K = U^T C; factors come with the domain M_n
-    (_ModuleMap).  validated turns true once validate() has passed.
+    factors E(x) = sum_t X_t x B_t or as the Gram FactorPair K = U^T C, the
+    last two with the domain M_n.  validated turns true once validate() has passed.
     """
 
     def __init__(self, map_matrix, domain, range_space, unit, bimodule, check=True):
@@ -524,12 +416,11 @@ def _preserving_expectation(omega, target, m, check=True):
     A map built with check=True that passed every check is kept in omega's
     store per (target, M) and returned to every later call, by the tracial
     and the state pipeline alike: E_D(omega) and the average onto D' are
-    built once per functional.  Its factors, map_matrix and images are
+    built once per functional.  Its storage, map_matrix and images are
     read-only, so it is the map a rebuild would give, bit for bit.  What
-    raised is not kept, and a check=False build is neither kept nor read
-    from the store.  A kept map holds what its route stores: factors on the
-    block route above _BLOCK_FROM and on the pair route above _PAIR_FROM,
-    an n^4 matrix below those crossovers or for q > n rows.
+    raised is not kept, nor is a check=False build, which is not read from
+    the store either.  Its storage is its route's: factors above _BLOCK_FROM
+    or _PAIR_FROM, else an n^4 matrix, which q > n rows take too.
     """
 
     def build():
@@ -540,8 +431,6 @@ def _preserving_expectation(omega, target, m, check=True):
             if not _pair_route(k, m):
                 k = k.matrix()
         e = ConditionalExpectation(k, m, target.space, np.eye(m.n), target, check)
-        if e.factors is None:  # the map's own arrays, formed from the solution above
-            e.images.flags.writeable = e.map_matrix.flags.writeable = False
         _check_preserves(e, omega, omega.restricted_density(m))
         return e
 

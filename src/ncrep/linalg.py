@@ -497,7 +497,7 @@ def _schmidt_factors(t, q):
     Realigned, t is the n^2 x n^2 matrix R[(a, g), (b, e)].  A splitting
     R = sum_s x_s y_s^* reads K(x) = sum_s X_s x Y_s^T, with X_s and Y_s
     the vectors x_s and conj(y_s) as n x n matrices.  Returns (left, right,
-    tail): left[g, s, a] = W_s[a, g] for the W_s = X_s of a splitting whose
+    tail): left the stack (c, n, n) of the W_s = X_s of a splitting whose
     y_s are orthonormal, right the same for as many W_s = Y_s^T of one
     whose x_s are orthonormal, and tail bounds the Frobenius norm of the
     part of R that the splittings leave out.
@@ -532,11 +532,11 @@ def _schmidt_factors(t, q):
             rest -= r
             tail = math.hypot(hs_norm(rest), hs_norm(sb[keep:]))
             sb = sb[:keep]
-            left = (range_basis @ (ub[:, :keep] * sb)).reshape(n, n, keep).transpose(1, 2, 0)
-            right = (sb[:, None] * vh[:keep]).reshape(keep, n, n).transpose(1, 0, 2)
+            left = (range_basis @ (ub[:, :keep] * sb)).reshape(n, n, keep).transpose(2, 0, 1)
+            right = (sb[:, None] * vh[:keep]).reshape(keep, n, n).swapaxes(1, 2)
             return left, right, tail
     # X_s for column (b, e) of R is t[:, b, :, e]; Y_s for row (a, g) is t[a, :, g, :]
-    return t.transpose(2, 1, 3, 0).reshape(n, nn, n), t.transpose(1, 0, 2, 3).reshape(n, nn, n), 0.0
+    return t.transpose(1, 3, 0, 2).reshape(nn, n, n), t.transpose(0, 2, 3, 1).reshape(nn, n, n), 0.0
 
 
 def bimodule_gaps(k, basis):
@@ -550,53 +550,39 @@ def bimodule_gaps(k, basis):
     x -> sum_s [X_s, d] x Y_s^T, of Frobenius norm squared
     sum_s ||[X_s, d]||^2 when the Y_s are orthonormal, and K R_d - R_d K is
     x -> sum_s X_s x [d, Y_s^T], of norm squared sum_s ||[Y_s^T, d]||^2
-    when the X_s are orthonormal.  So each gap is a sum over commutators
-    [W, d] of the factors W = X_s, resp. Y_s^T, with the basis: per chunk
-    of the basis one gemm for the products W d and one per d for the d W,
-    all of inner dimension n, O(c q n^3) flops for c factors.  A module map
-    over D keeps at most 2 dim D' of them, a map of full Schmidt rank has
-    2 n^2, and takes its two sides in turn.  No n^2 x n^2 side matrix is
-    formed.
+    when the X_s are orthonormal (_commutator_gaps: O(c q n^3) flops for c
+    factors, no n^2 x n^2 side matrix).  The part T of K the factors leave
+    out has ||T||_F <= tail and moves either gap by at most 2 ||d||_F tail,
+    which is added to every gap: never below the exact gap, and above it by
+    at most 4 ||d||_F tail, of rounding size.
 
-    The part T of K that the factors leave out has Frobenius norm at most
-    tail, and changes either gap by at most ||T L_d|| + ||L_d T||
-    <= 2 ||d||_F tail.  So 2 ||d||_F tail is added to every gap: the result
-    is never below the exact gap, and above it by at most 4 ||d||_F tail,
-    which is of rounding size (tail is 0 when R's own columns and rows are
-    the factors).
-
-    The map checks store a matrix as K = KP, P the projection onto their
-    domain.  For S = L_d or R_d, ||KS - SK||^2 = ||(KS - SK)P||^2 +
-    ||KPSP'||^2 with P' = I - P, so these gaps are never below the module
-    gaps on the domain, ||(KS - SK)P||, and equal them when PSP' = 0, that
-    is when the domain is closed under multiplication by d* on that side.
-    Every domain the checks see is: M for the expectations, and for a
-    character an algebra A that contains the *-algebra D, which its check
-    confirms first.  Block factors (SandwichSum.module_gaps) vanish off the
-    span of A's rotated units instead (representing._pinching).
-
-    This commutator route is exact and serves any basis.  When the basis is
-    a patterned D's rotated units u E_ij u*, the same factors rotated once
-    into u's frame give every gap by index (unit_frame_gaps), O(c n^3) in
-    all against O(c q n^3) here; the checks read that first and come here
-    when it does not pass.
+    A matrix kept as K = KP (MatrixMap), P the projection onto the domain,
+    has ||KS - SK||^2 = ||(KS - SK)P||^2 + ||KPSP'||^2 for S = L_d or R_d,
+    P' = I - P: these gaps are never below the module gaps on the domain,
+    and equal them when the domain is closed under multiplication by d* on
+    that side, as M is for the expectations and A, which contains the
+    *-algebra D, for a character.  Block factors (SandwichSum) vanish off
+    the span of A's rotated units instead (representing._pinching).  On a
+    patterned D's rotated units the checks read the same factors rotated
+    once into u's frame first (unit_frame_gaps), O(c n^3) in all.
     """
     q, n, _ = basis.shape
     return _commutator_gaps(*_schmidt_factors(np.reshape(k, (n, n, n, n)), q), basis)
 
 
 def _commutator_gaps(left, right, tail, basis):
-    """bimodule_gaps from a splitting of the map: left[g, s, a] = W_s[a, g] for the X_s of
-    one whose partners are orthonormal, right the same for the Y_s^T of one whose X_s are,
-    and tail bounding the Frobenius norm of what the splittings leave out."""
+    """bimodule_gaps from a splitting of the map: left the stack (c, n, n) of the X_s of one
+    whose partners are orthonormal, right the same for the Y_s^T of one whose X_s are, and
+    tail bounding the Frobenius norm of what the splittings leave out."""
     q, n, _ = basis.shape
-    c = left.shape[1]
-    # per basis element, two products of c n^2 elements a side; a chunk holds half of
-    # _CHUNK_ELEMENTS in them, both sides at once when one element's fit, else a side at a time
+    c = len(left)
+    # per basis element, two products of c n^2 elements a side; a chunk holds half of _CHUNK_ELEMENTS
+    # in them, both sides at once when one element's fit, else a side at a time.  The gemms read
+    # W_s[a, g] at [g, s, a]
     if 8 * c * n * n <= _CHUNK_ELEMENTS:
-        sides = [(slice(0, 2), np.concatenate((left, right), axis=1))]
+        sides = [(slice(0, 2), np.concatenate((left.transpose(2, 0, 1), right.transpose(2, 0, 1)), axis=1))]
     else:
-        sides = [(slice(0, 1), np.ascontiguousarray(left)), (slice(1, 2), np.ascontiguousarray(right))]
+        sides = [(slice(s, s + 1), np.ascontiguousarray(w.transpose(2, 0, 1))) for s, w in enumerate((left, right))]
     width = sides[0][1].shape[1]  # factors per chunk
     parts = chunk_slices(q, 4 * width * n * n)
     buffers = np.empty((2, min(q, parts[0].stop) * width * n * n), dtype=complex)
@@ -622,8 +608,8 @@ def unit_frame_gaps(left, right, tail, frame):
     f_s = u E_s u*, read in u's frame with no product per basis element: a (2, m) array.
 
     left and right are the two sides of a splitting as stacks (c, n, n) of
-    the factors W whose commutators the gaps sum (SandwichSum.sides, or
-    _schmidt_factors' read as matrices), and tail bounds what they leave out.
+    the factors W whose commutators the gaps sum (a storage's splitting),
+    and tail bounds what they leave out.
     frame = (u, rows, cols, eta) is algebras._unit_frame's: unit s is E_ij
     with (i, j) = (rows[s], cols[s]), u is None for the identity and
     eta = ||u*u - I|| < 1.
@@ -676,7 +662,116 @@ def apply_map(map_matrix, x):
     return (x.reshape(-1, n * n) @ map_matrix.T).reshape(x.shape)
 
 
-class SandwichSum:
+class MapStorage:
+    """How a linear map K on M_n is kept: the protocol every map check reads (expectations._ModuleMap).
+
+    SandwichSum, FactorPair and MatrixMap each give the map at a stack
+    (__call__), its trace pre-adjoint, matrix(), idempotence_defect() and
+    splitting(q), a splitting's two (c, n, n) sides for the module gaps at
+    q basis elements (None: gaps from its own terms).  Shared here: the
+    pullback density, the norm from two factor stacks' Grams (_stacks), the
+    module gaps, and the outputs, values and range residual at a domain's
+    orthonormal rows x_j; a storage overrides what its cost model needs.
+    """
+
+    def images(self, space):
+        """The outputs K(x_j) at the space's orthonormal rows, as flat rows, read-only."""
+        images = self(space.tensor).reshape(space.size, -1)
+        images.flags.writeable = False
+        return images
+
+    def domain_values(self, rho, space):
+        """Tr(rho K(x_j)) over the space's rows x_j, as Tr(sigma x_j), sigma the pre-adjoint at rho."""
+        return space.flat @ self.pre_adjoint(rho).T.ravel()
+
+    def pullback_density(self, rho):
+        """Hermitian part of the density of x -> Tr(rho K(x)), the trace pre-adjoint at rho."""
+        sigma = self.pre_adjoint(rho)
+        return (sigma + dagger(sigma)) / 2
+
+    @functools.cached_property
+    def _grams(self):
+        """The Gram matrices [<F_s, F_t>] of the two factor stacks F (_stacks), as (2, c, c)."""
+        rows = self._stacks()
+        return rows @ rows.conj().swapaxes(1, 2)
+
+    def norm(self):
+        """The Frobenius norm from the Grams: ||sum_s A_s (x) B_s||_F^2 = sum_st <A_s, A_t><B_s, B_t>."""
+        return math.sqrt(max(0.0, float(np.sum(self._grams[0] * self._grams[1]).real)))
+
+    def module_gaps(self, basis):
+        """bimodule_gaps at a stacked basis (q, n, n), from the splitting (_commutator_gaps)."""
+        return _commutator_gaps(*self.splitting(len(basis)), basis)
+
+    def range_residual(self, range_space, space):
+        """The HS norm of the outputs' residuals against the range space, a chunk of rows at a time."""
+        width = self.n**2
+        return math.hypot(*(hs_norm(range_space.residuals(self(space.tensor[part]).reshape(-1, width)))
+                            for part in chunk_slices(space.size, 4 * self.count * width)))
+
+    def range_bound(self, rows, classes, norm):
+        """A bound on range_residual for a map of Frobenius norm norm, or inf (see the storages')."""
+        return math.inf
+
+    def conjugated(self, u):
+        """x -> u* K(u x u*) u as a storage read at matrix units (at_units), or None if it has none."""
+        return None
+
+
+class MatrixMap(MapStorage):
+    """The map as its n^2 x n^2 matrix K, composed with its domain's projection P (K = KP) and
+    kept with its outputs k(x_j) at the domain's orthonormal rows x_j, both read-only.
+
+    K is sum_j k(x_j) x_j*; on identity rows (full_matrix_algebra's) the
+    outputs and K are k's transpose and k itself, set read-only in place,
+    with no product, where both products are exact.
+    """
+
+    def __init__(self, k, space):
+        k = require_finite(np.asarray(k, dtype=complex))
+        if _identity_rows(space):
+            self.k, self.outputs = k, np.ascontiguousarray(k.T)
+        else:
+            self.outputs = space.flat @ k.T
+            self.k = self.outputs.T @ space.flat.conj()
+        self.k.flags.writeable = self.outputs.flags.writeable = False
+        self.n = space.ambient_dim
+
+    def __call__(self, x):
+        return apply_map(self.k, x)
+
+    def pre_adjoint(self, rho):
+        """The density sigma with Tr(sigma x) = Tr(rho K(x)) for every x: vec(sigma^T) = K^T vec(rho^T)."""
+        return (self.k.T @ rho.T.ravel()).reshape(self.n, self.n).T
+
+    def matrix(self):
+        return self.k
+
+    def images(self, space):
+        return self.outputs
+
+    def domain_values(self, rho, space):
+        return self.outputs @ rho.T.ravel()
+
+    def norm(self):
+        return hs_norm(self.k)
+
+    def idempotence_defect(self):
+        return hs_norm(self.outputs @ self.k.T - self.outputs)
+
+    def splitting(self, q):
+        return _schmidt_factors(self.k.reshape((self.n,) * 4), q)
+
+    def range_residual(self, range_space, space):
+        return hs_norm(range_space.residuals(self.outputs))
+
+
+def as_storage(k, space):
+    """k itself when it is a MapStorage, else the MatrixMap of the matrix k on the space's rows."""
+    return k if isinstance(k, MapStorage) else MatrixMap(k, space)
+
+
+class SandwichSum(MapStorage):
     """The map x -> sum_t L_t x R_t on M_n, held as its r factor pairs: two stacked (r, n, n) arrays.
 
     Its matrix, sum_t sandwich_matrix(L_t, R_t), has n^4 entries; the
@@ -728,15 +823,9 @@ class SandwichSum:
         pairs = self.left.reshape(r, n * n).T @ self.right.swapaxes(1, 2).reshape(r, n * n)
         return pairs.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
-    @functools.cached_property
-    def _grams(self):
-        """The r x r Gram matrices [<L_s, L_t>] and [<R_s, R_t>], stacked as (2, r, r)."""
-        rows = np.stack((self.left, self.right)).reshape(2, self.count, -1)
-        return rows @ rows.conj().swapaxes(1, 2)
-
-    def norm(self):
-        """The matrix's Frobenius norm: sum_st <L_s, L_t><R_s, R_t> under the root."""
-        return math.sqrt(max(0.0, float(np.sum(self._grams[0] * self._grams[1]).real)))
+    def _stacks(self):
+        """The L_t, then the R_t, as flat rows (2, r, n^2): K = sum_t L_t (x) R_t^T."""
+        return np.stack((self.left, self.right)).reshape(2, self.count, -1)
 
     def idempotence_defect(self):
         """||K^2 - K||_F, from the r^2 + r Kronecker terms of K^2 - K, a bounded chunk of its rows at a time.
@@ -759,10 +848,9 @@ class SandwichSum:
         return math.hypot(*(hs_norm(a_rows[part.start * n : part.stop * n] @ c_cols)
                             for part in chunk_slices(n, 4 * n**3)))
 
-    def sides(self):
-        """The two (r, n, n) stacks of factors whose commutators give the module gaps: the L'_u of
-        a splitting sum_u L'_u x Q_u with orthonormal Q_u, and the R'_u of one sum_u P_u x R'_u
-        with orthonormal P_u.
+    def splitting(self, q):
+        """(left, right, 0) for any q: the (r, n, n) stacks of the L'_u of a splitting sum_u L'_u x Q_u
+        with orthonormal Q_u and of the R'_u of one sum_u P_u x R'_u with orthonormal P_u.
 
         For the left side the right factors are orthonormalized, R = C Q with
         Q orthonormal rows and C = V Lambda^(1/2) from the eigendecomposition
@@ -775,23 +863,44 @@ class SandwichSum:
         c = (v * np.sqrt(np.clip(eigs, 0.0, None))[:, None, :]).swapaxes(1, 2)
         left = (c[1] @ self.left.reshape(r, -1)).reshape(r, n, n)
         right = (c[0] @ self.right.reshape(r, -1)).reshape(r, n, n)
-        return left, right
+        return left, right, 0.0
 
-    def module_gaps(self, basis):
-        """bimodule_gaps of the map at a stacked basis (q, n, n), from the commutators of its
-        sides() with each basis element: no sketch, tail 0.  At the rotated matrix units of a
-        patterned D the same gaps are read in D's unit frame instead (unit_frame_gaps)."""
-        left, right = self.sides()
-        return _commutator_gaps(left.transpose(2, 0, 1), right.transpose(2, 0, 1), 0.0, basis)
+    def range_bound(self, rows, classes, norm):
+        """A bound on the range residual onto the span of a D with the pattern (u, B), blocks without
+        multiplicity, one term per block: 3 delta ||K||_F + (1 + 3 delta) rho, (f, delta) = classes().
+
+        With f_t = u p_t u* (expectations._class_projections) and
+        delta = algebras._mask_gap(D), write L_t = f_t L_t + a_t and
+        R_t = R_t f_t + c_t: K(x) = y + e(x) with y = sum_t f_t L_t x R_t f_t
+        = u z u*, z = sum_t p_t (u* L_t x R_t u) p_t in B, and e of Frobenius
+        norm at most rho = sum_t (||a_t|| ||R_t|| + ||f_t L_t|| ||c_t||),
+        measured.  With eta = ||u*u - I|| and u = v h polar, p = v z v* in
+        P = v B v* has ||y - p|| = ||h z h - z|| <= 3 eta ||y||, so with
+        ||Q_D - Q_P|| <= delta dist(y, D) <= (3 eta + delta (1 + 3 eta)) ||y||
+        <= 3 delta ||y|| (delta >= 3 eta); and sum_j ||K(x_j)||^2 <= ||K||_F^2.
+        The block expectation's and pinching's a_t, c_t are u's defect and
+        rounding; the check takes the bound at half its threshold.
+        """
+        f, delta = classes() or (None, None)
+        if f is None or len(f) != self.count:
+            return math.inf
+        ends = np.stack((f @ self.left, self.right @ f))  # the f_t L_t, then the R_t f_t
+        # the ||a_t|| then the ||c_t||, against the ||R_t|| then the ||f_t L_t||
+        defects = hs_norms((np.stack((self.left, self.right)) - ends).reshape(-1, self.n, self.n))
+        rho = float(defects @ hs_norms(np.concatenate((self.right, ends[0]))))
+        return 3.0 * delta * norm + (1.0 + 3.0 * delta) * rho
 
 
-class FactorPair:
+class FactorPair(MapStorage):
     """The map with matrix K = U^T C on row-major flattened coordinates, held as its two (q, n^2)
     factors: K(x) = sum_s (C vec x)_s U_s, with U the range's rows and C the coefficients.
 
-    The same methods as SandwichSum, each at O(q n^2) per matrix or from q x q
-    Gram matrices; matrix() forms K, n^4 entries, only for a reader that needs it.
+    Each method works at O(q n^2) per matrix or from q x q Gram matrices;
+    matrix() forms K, n^4 entries, only for a reader that needs it.  It has
+    no splitting: its module gaps come from its own terms, exact.
     """
+
+    splitting = None
 
     def __init__(self, rows, coef):
         self.rows, self.coef = rows, coef
@@ -811,15 +920,9 @@ class FactorPair:
         """The n^2 x n^2 matrix U^T C."""
         return self.rows.T @ self.coef
 
-    @functools.cached_property
-    def _grams(self):
-        """The q x q Gram matrices conj(U U*) = conj(U) U^T and C C*."""
-        return self.rows.conj() @ self.rows.T, self.coef @ dagger(self.coef)
-
-    def norm(self):
-        """The matrix's Frobenius norm: ||U^T C||_F^2 = Tr(conj(U) U^T C C*)."""
-        gu, gc = self._grams
-        return math.sqrt(max(0.0, float(np.sum(gu * gc.T).real)))
+    def _stacks(self):
+        """U, then C: K = sum_s U_s^T C_s."""
+        return np.stack((self.rows, self.coef))
 
     def idempotence_defect(self):
         """||K^2 - K||_F = ||U^T W C||_F with W = C U^T - I, from q x q matrices:
@@ -828,7 +931,7 @@ class FactorPair:
         gu, gc = self._grams
         w = self.coef @ self.rows.T
         w.flat[:: self.count + 1] -= 1.0
-        return math.sqrt(max(0.0, float(np.vdot(w, gu @ w @ gc).real)))
+        return math.sqrt(max(0.0, float(np.vdot(w, gu.T @ w @ gc).real)))
 
     def module_gaps(self, basis):
         """bimodule_gaps of the map at a stacked basis (p, n, n), exact: no sketch, no tail.
@@ -859,10 +962,14 @@ class FactorPair:
             x = np.concatenate((d_t @ c, c @ d_t)).reshape(-1, q, n * n) - m.swapaxes(1, 2) @ self.coef
             r = su - m @ self.rows  # row s: S U_s - sum_t m[s, t] U_t
             x_h = dagger(x)
-            squares = (np.einsum("st,jts->j", gu, x @ x_h) + np.einsum("jst,ts->j", r.conj() @ r.swapaxes(1, 2), gc)
+            squares = (np.einsum("ts,jts->j", gu, x @ x_h) + np.einsum("jst,ts->j", r.conj() @ r.swapaxes(1, 2), gc)
                        - 2 * np.einsum("jst,jts->j", (r @ rows_h).swapaxes(1, 2), self.coef @ x_h)).real
             gaps[:, part] = np.sqrt(np.clip(squares, 0.0, None)).reshape(2, -1)
         return gaps
+
+    def range_bound(self, rows, classes, norm):
+        """0 when the rows are the range's own, so every output sum_s (C vec x)_s U_s is in it; else inf."""
+        return 0.0 if self.rows is rows else math.inf
 
 
 def constraint_system(rows):

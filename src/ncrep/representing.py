@@ -32,7 +32,7 @@ inside A off the masks (algebras._inclusion_gap), so validate() multiplies
 by no basis element and forms no image of A's basis.  Each frame read is an
 upper bound that decides only when it passes; otherwise the exact route
 decides, with its own message.  The matching reads the functional's values on Phi's images of
-A's basis from Phi's trace pre-adjoint (DCharacter.domain_values) and is
+A's basis from Phi's storage (DCharacter.domain_values) and is
 r = sum_j (v_j / c) x_j* over A's orthonormal rows for a scalar weight c I
 (_matched_density); b is projected one mask-row class of a patterned A at
 a time (_projected_rows); the average onto D' keeps its Gram factor pair
@@ -57,7 +57,6 @@ from .algebras import (
     _sum_dimension,
     _unit_frame,
     _units_in_order,
-    block_diagonal_algebra,
     check_ss_density,
     diagonal_part_check,
 )
@@ -175,10 +174,10 @@ class DCharacter(_ModuleMap):
         threshold those leave for it.
         """
         d = self.range_alg
-        frame = _unit_frame(d) if self.n**4 > _BLOCK_FROM and isinstance(self.factors, SandwichSum) else None
+        frame = _unit_frame(d) if self.n**4 > _BLOCK_FROM and self._frame_factors is not None else None
         if frame is not None:
             u, rows, cols, eta = frame
-            rotated = self._frame_factors if _same_rotation(self.domain, d) else self.factors.conjugated(u)
+            rotated = self._frame_factors if _same_rotation(self.domain, d) else self.storage.conjugated(u)
             moved = np.empty(d.dim)
             # per unit: its image, less the unit in place, and the factors' columns and rows it reads
             for part in chunk_slices(d.dim, 2 * self.n**2):
@@ -194,8 +193,9 @@ class DCharacter(_ModuleMap):
 
     @functools.cached_property
     def _frame_factors(self):
-        """The factors conjugated by A's u (SandwichSum.conjugated), formed once for every frame read."""
-        return self.factors.conjugated(self.domain.pattern[0])
+        """Phi's storage conjugated once by A's u (None for an A with no pattern) for every frame read;
+        None when it cannot be conjugated (a matrix or a factor pair): where frame reads ask it."""
+        return self.storage.conjugated(self.domain.pattern[0] if self.domain.pattern else None)
 
     def validate(self):
         n = self.n
@@ -341,7 +341,7 @@ def _mask_kernel(phi):
         rows = a.space.flat[~d.pattern[1][mask]]  # A's rows at those units, in the same row-major order
     else:
         rows = _rotated_units(np.eye(n) if u is None else u, i, j)
-    if n**4 > _BLOCK_FROM and isinstance(phi.factors, SandwichSum):
+    if n**4 > _BLOCK_FROM and phi._frame_factors is not None:
         rotated = phi._frame_factors
         # per unit, its image in u's frame
         tau = math.hypot(*(hs_norm(rotated.at_units(i[part], j[part])) for part in chunk_slices(k, n * n)))
@@ -458,7 +458,7 @@ def _rotated_unit_images(phi, rows, cols):
     """
     u = phi.domain.pattern[0]
     off = _off_mask(phi.domain)
-    if isinstance(phi.factors, SandwichSum) and off is not None:
+    if off is not None and phi._frame_factors is not None:
         rotated = phi._frame_factors
         return *off, lambda part: rotated.at_units(rows[part], cols[part])
     coords, residuals, eta = _pattern_coordinates(phi.domain)
@@ -512,9 +512,11 @@ def _pinching(d, u=None):
 
 def block_compression_character(a, d):
     """Phi(x) = sum_t p_t x p_t on A, p_t the diagonal projection onto block t of a.blocks, as
-    _pinching's factors; the blocks are kept as phi.blocks."""
-    phi = DCharacter(_pinching(block_diagonal_algebra(a.n, a.blocks)), a, d)
-    phi.blocks = [list(blk) for blk in a.blocks]
+    _pinching's factors, the p_t in the order of the blocks' least indices; kept as phi.blocks."""
+    blocks = [list(blk) for blk in a.blocks]
+    p = np.array([np.diag(np.isin(np.arange(a.n), blk)) for blk in sorted(blocks, key=min)], dtype=complex)
+    phi = DCharacter(SandwichSum(p, p), a, d)
+    phi.blocks = blocks
     return phi
 
 
@@ -714,11 +716,11 @@ def _extension_bound(psi, phi):
         ||(Psi - Phi) P_A||_F <= ||(Delta'(E_s))_s|| / (1 - eta),
     at O(r n^3 + m r n^2), a bounded chunk of units at a time.
     """
-    frame = _unit_frame(phi.domain) if phi.n**4 > _BLOCK_FROM else None
-    if frame is None or not (isinstance(psi.factors, SandwichSum) and isinstance(phi.factors, SandwichSum)):
+    frame = _unit_frame(phi.domain) if phi.n**4 > _BLOCK_FROM and phi._frame_factors is not None else None
+    f, g = (None, None) if frame is None else (psi.storage.conjugated(frame[0]), phi._frame_factors)
+    if f is None:
         return None
-    u, rows, cols, eta = frame
-    f, g = psi.factors.conjugated(u), phi._frame_factors
+    _, rows, cols, eta = frame
     delta = SandwichSum(np.concatenate((f.left, g.left)), np.concatenate((f.right, -g.right)))
     # per unit, its image
     frame_gap = math.hypot(*(hs_norm(delta.at_units(rows[part], cols[part]))

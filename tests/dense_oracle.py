@@ -48,6 +48,7 @@ from ncrep.jensen import JensenReport, JensenSuiteSummary, _require_jensen_setti
 from ncrep.linalg import (
     OperatorSubspace,
     as_matrix,
+    bimodule_gaps,
     chunk_slices,
     constraint_system,
     dagger,
@@ -343,6 +344,28 @@ def gram_expectation(omega, target, m):
     e = ConditionalExpectation(_gram_solve(omega, target.space).matrix(), m, target.space, np.eye(m.n), target)
     _check_preserves(e, omega, omega.restricted_density(m))
     return e
+
+
+def assert_storage_reads_its_matrix(e, rho, basis, rng):
+    """Every statistic e reads off its storage against the same statistic of the storage's
+    n^2 x n^2 matrix K, spelled out densely: norm, idempotence defect, the map at random
+    matrices, images, domain values, pullback density and, with bimodule_gaps as the reference,
+    the module gaps at the stacked basis.  For a map on M_n; returns K and the bound used,
+    1e-12 max(1, ||K||_F)."""
+    n = e.n
+    k = np.array(e.storage.matrix())
+    bound = 1e-12 * max(1.0, np.linalg.norm(k))
+    assert abs(e.norm() - np.linalg.norm(k)) <= bound
+    assert abs(e._idempotence_defect() - np.linalg.norm(k @ k - k)) <= bound
+    x = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    assert np.linalg.norm(e.apply(x) - (x.reshape(3, -1) @ k.T).reshape(x.shape)) <= bound * 10
+    images = e.domain.space.flat @ k.T
+    assert np.linalg.norm(e.images - images) <= bound * 10
+    assert np.abs(e.domain_values(rho) - images @ rho.T.ravel()).max() <= bound * 10
+    dense_pull = (k.T @ rho.T.ravel()).reshape(n, n).T
+    assert np.linalg.norm(e.pullback_density(rho) - (dense_pull + dagger(dense_pull)) / 2) <= bound
+    assert np.abs(e.storage.module_gaps(basis) - bimodule_gaps(k, basis)).max() <= bound * n
+    return k, bound
 
 
 def lstsq_matched_density(constraint_mats, values):

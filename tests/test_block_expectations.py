@@ -22,7 +22,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import gram_expectation, with_mask_gap
+from dense_oracle import assert_storage_reads_its_matrix, gram_expectation, with_mask_gap
 from ncrep.algebras import (
     _mask_gap,
     block_diagonal_algebra,
@@ -37,11 +37,12 @@ from ncrep.expectations import (
     _block_factors,
     _check_preserves,
     _block_route,
+    _gram_solve,
     _preserving_expectation,
     preserving_expectation,
 )
 from ncrep.instances import haar_unitary, random_central_density, random_density, random_partition
-from ncrep.linalg import bimodule_gaps, dagger, hs_norm
+from ncrep.linalg import dagger, hs_norm
 from ncrep.states import PositiveFunctional
 
 ROTATIONS = ("coordinate", "haar", "off-unitary", "nudged 0.5", "nudged 2")
@@ -146,21 +147,14 @@ def test_the_checks_read_off_the_factors_match_the_dense_statistics(n, central, 
     d = unitary_conjugate_algebra(block_diagonal_algebra(n, blocks), haar_unitary(n, rng))
     m = full_matrix_algebra(n)
     omega = random_central_density(n, d, rng) if central else random_density(n, rng)
-    e = ConditionalExpectation(_block_factors(omega, d), m, d.space, np.eye(n), d, check=False)
-    k = e.factors.matrix()
-    bound = 1e-12 * max(1.0, np.linalg.norm(k))
-    assert abs(e.factors.norm() - np.linalg.norm(k)) <= bound
-    assert abs(e._idempotence_defect() - np.linalg.norm(k @ k - k)) <= bound
-    x = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
-    assert np.linalg.norm(e.apply(x) - (x.reshape(3, -1) @ k.T).reshape(x.shape)) <= bound * 10
-    rho = omega.density
-    dense_pull = (k.T @ rho.T.ravel()).reshape(n, n).T
-    assert np.linalg.norm(e.pullback_density(rho) - (dense_pull + dagger(dense_pull)) / 2) <= bound
-    gaps = e.factors.module_gaps(d.space.tensor)
-    assert np.abs(gaps - bimodule_gaps(k, d.space.tensor)).max() <= 1e-12 * max(1.0, np.linalg.norm(k)) * n
-    # every output lies in D's span to within the certified bound, and the certificate passes
-    residual = hs_norm(d.space.residuals(e.images))
-    assert residual <= e._range_gap(np.linalg.norm(k), max(1.0, np.linalg.norm(k))) + bound
+    factors = _block_factors(omega, d)
+    # the block factors, their n^2 x n^2 matrix and the Gram factor pair onto D: every storage
+    for storage in (factors, factors.matrix(), _gram_solve(omega, d.space)):
+        e = ConditionalExpectation(storage, m, d.space, np.eye(n), d, check=False)
+        k, bound = assert_storage_reads_its_matrix(e, omega.density, d.space.tensor, rng)
+        # every output lies in D's span to within the certified bound, and the certificate passes
+        residual = hs_norm(d.space.residuals(e.images))
+        assert residual <= e._range_gap(np.linalg.norm(k), max(1.0, np.linalg.norm(k))) + bound
 
 
 def test_beyond_its_threshold_the_range_certificate_leaves_the_verdict_to_the_dense_residual():
@@ -172,10 +166,10 @@ def test_beyond_its_threshold_the_range_certificate_leaves_the_verdict_to_the_de
     omega = random_central_density(n, nudged, rng)
     e = ConditionalExpectation(_block_factors(omega, nudged), m, nudged.space, np.eye(n), nudged)
     scale = max(1.0, np.linalg.norm(e.map_matrix))
-    assert 3 * _mask_gap(nudged) * e.factors.norm() > 1e-8 * scale / 2
+    assert 3 * _mask_gap(nudged) * e.norm() > 1e-8 * scale / 2
     residual = hs_norm(nudged.space.residuals(e.images))
     assert 0.0 < residual < 1e-8 * scale
-    assert np.isclose(e._range_gap(e.factors.norm(), scale), residual, rtol=1e-6, atol=0.0)
+    assert np.isclose(e._range_gap(e.norm(), scale), residual, rtol=1e-6, atol=0.0)
     assert e.validated
 
 

@@ -1,6 +1,7 @@
 """Instance files, random generators, and the command line surface."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from dense_oracle import projector_matrix
-from ncrep import cli
+from ncrep import algebras, cli
 from ncrep.errors import InvariantViolation, ParseError
 from ncrep.instances import (
     decode_matrix,
@@ -74,6 +75,17 @@ def test_parse_canonical_triangular(tmp_path):
     assert np.allclose(inst.state.density, np.eye(2) / 2)
     x = np.array([[1.0, 5.0], [0.0, 2.0]])
     assert np.allclose(inst.phi(x), np.diag([1.0, 2.0]))
+
+
+def test_a_block_compression_character_builds_no_second_D(tmp_path, monkeypatch):
+    # T2's D is the one block-diagonal algebra built: the character writes its projections from A's
+    # blocks rather than reading them off a block-diagonal algebra of its own
+    built, original = [], algebras.block_diagonal_algebra
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "ncrep"]:
+        if getattr(module, "block_diagonal_algebra", None) is original:
+            monkeypatch.setattr(module, "block_diagonal_algebra", lambda *args: built.append(args) or original(*args))
+    inst = parse_instance(write_instance(tmp_path, "t2.json", T2))
+    assert len(built) == 1 and inst.phi.blocks == [[0], [1]]
 
 
 def test_round_trip_is_semantically_idempotent():

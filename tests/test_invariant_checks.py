@@ -71,7 +71,6 @@ from ncrep.config import tol
 from ncrep.errors import InvariantViolation, NcrepError
 from ncrep.expectations import (
     ConditionalExpectation,
-    _domain_images,
     _modular_gaps,
     _support_gaps,
     preserving_expectation,
@@ -343,7 +342,7 @@ def test_pattern_certificates_agree_with_the_pairwise_routes(n, star, rotated, p
     # messages are compared with the numbers masked
     for domain, target, k in cases:
         dense = DCharacter(k, domain, target, check=False)
-        factors = phi.factors if k is phi.map_matrix and not star else as_factors(dense.map_matrix)
+        factors = phi.storage if k is phi.map_matrix and not star else as_factors(dense.map_matrix)
         factored = DCharacter(factors, domain, target, check=False)
         assert masked(verdict(factored.validate)) == masked(verdict(dense.validate))
         for f, same in ((dense, lambda outcome: outcome), (factored, masked)):
@@ -400,7 +399,7 @@ def test_factored_block_characters_agree_with_the_dense_sandwich(n, rotation, nu
     factors = representing._pinching(block_diagonal_algebra(n, blocks), u)
     assert masked(verdict(DCharacter, factors, a, d)) == masked(verdict(sandwich_block_character, blocks, u, a, d))
     got, want = DCharacter(factors, a, d, check=False), sandwich_block_character(blocks, u, a, d, check=False)
-    assert isinstance(got.factors, linalg.SandwichSum) and want.factors is None
+    assert isinstance(got.storage, linalg.SandwichSum) and isinstance(want.storage, linalg.MatrixMap)
     # the dense map is composed with sum_j x_j x_j*, the projection onto A up to the rows' Gram defect
     bound = (1e-12 * n + gram_defect(a.space)) * max(1.0, want.norm())
     assert abs(got.norm() - want.norm()) <= bound
@@ -548,7 +547,8 @@ def test_identity_domain_passes_the_map_through_bitwise(n):
     blocks = random_partition(n, rng)
     pinching = pinching_matrix(n, blocks)
     for k in (random_complex((n * n, n * n), rng), pinching):
-        images, composed = _domain_images(k, m)
+        stored = linalg.MatrixMap(k, m.space)
+        images, composed = stored.outputs, stored.k
         want = m.space.flat @ k.T
         assert images.tobytes() == want.tobytes()
         assert composed.tobytes() == (want.T @ m.space.flat.conj()).tobytes()

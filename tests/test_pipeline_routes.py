@@ -21,7 +21,13 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import gram_expectation, lstsq_matched_density, svd_projected_factor, with_mask_gap
+from dense_oracle import (
+    assert_storage_reads_its_matrix,
+    gram_expectation,
+    lstsq_matched_density,
+    svd_projected_factor,
+    with_mask_gap,
+)
 from ncrep import representing
 from ncrep.algebras import (
     _mask_gap,
@@ -41,7 +47,7 @@ from ncrep.expectations import (
     _values_on,
 )
 from ncrep.instances import haar_unitary, random_central_density, random_density, random_partition
-from ncrep.linalg import bimodule_gaps, constraint_system, dagger, hs_norm, psd_sqrt
+from ncrep.linalg import constraint_system, dagger, hs_norm, psd_sqrt
 from ncrep.representing import (
     _ROWS_GAP,
     _block_character,
@@ -234,19 +240,13 @@ def test_the_checks_read_off_the_pair_match_the_dense_statistics(n, central, see
     target, d = _commutant_target(n, "haar", rng)
     m = full_matrix_algebra(n)
     omega = random_central_density(n, d, rng) if central else random_density(n, rng)
-    e = ConditionalExpectation(_gram_solve(omega, target.space), m, target.space, np.eye(n), target, check=False)
-    k = e.factors.matrix()
-    bound = 1e-12 * max(1.0, np.linalg.norm(k))
-    assert abs(e.factors.norm() - np.linalg.norm(k)) <= bound
-    assert abs(e._idempotence_defect() - np.linalg.norm(k @ k - k)) <= bound
-    x = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
-    assert np.linalg.norm(e.apply(x) - (x.reshape(3, -1) @ k.T).reshape(x.shape)) <= bound * 10
-    rho = omega.density
-    dense_pull = (k.T @ rho.T.ravel()).reshape(n, n).T
-    assert np.linalg.norm(e.pullback_density(rho) - (dense_pull + dagger(dense_pull)) / 2) <= bound
-    # the pair's gaps are exact; the dense kernel's are upper bounds, exact here (no sketch at q <= n)
+    pair = _gram_solve(omega, target.space)
+    # the pair's gaps are exact; the dense kernel's are upper bounds, exact here (no sketch at q <= n).
     basis = np.concatenate((target.space.tensor, d.space.tensor[:2]))
-    assert np.abs(e.factors.module_gaps(basis) - bimodule_gaps(k, basis)).max() <= bound * n
-    # every output lies in the range's span, as the certificate 0 says
-    assert hs_norm(target.space.residuals(e.images)) <= bound
-    assert e._range_gap(np.linalg.norm(k), max(1.0, np.linalg.norm(k))) == 0.0
+    for storage in (pair, pair.matrix()):  # the pair and its n^2 x n^2 matrix
+        e = ConditionalExpectation(storage, m, target.space, np.eye(n), target, check=False)
+        k, bound = assert_storage_reads_its_matrix(e, omega.density, basis, rng)
+        # every output lies in the range's span, as the pair's certificate 0 says; the matrix reads its images
+        residual = hs_norm(target.space.residuals(e.images))
+        assert residual <= bound
+        assert e._range_gap(np.linalg.norm(k), max(1.0, np.linalg.norm(k))) == (0.0 if storage is pair else residual)

@@ -29,6 +29,7 @@ from ncrep.algebras import (
 )
 from ncrep.errors import InvariantViolation
 from ncrep.instances import haar_unitary, random_central_density, random_partition
+from ncrep.linalg import SandwichSum
 from ncrep.representing import (
     DCharacter,
     _block_character,
@@ -84,7 +85,7 @@ def _pipelines(n, a, d, phi):
     out = []
     for psi, rho in (representing_expectation_tracial(m, PositiveFunctional.tracial(n), d, a, phi),
                      representing_expectation_state(m, omega, d, a, phi)):
-        out += [psi.factors.left if psi.factors is not None else psi.map_matrix, rho.density]
+        out += [psi.storage.left if isinstance(psi.storage, SandwichSum) else psi.map_matrix, rho.density]
     return out
 
 
@@ -104,7 +105,7 @@ def test_the_build_is_bitwise_the_rotation_of_the_coordinate_build(n, rotation):
         assert _same(got.space.flat, want.space.flat)
         assert got.pattern[0] is u and np.array_equal(got.pattern[1], want.pattern[1])
         assert got.blocks == want.blocks == (None if u is not None else [list(b) for b in blocks])
-    assert _same(phi.factors.left, factors.left) and _same(phi.factors.right, factors.right)
+    assert _same(phi.storage.left, factors.left) and _same(phi.storage.right, factors.right)
     off = a.pattern[1] & ~d.pattern[1]
     assert _same(phi.kernel.flat, _rotated_units(np.eye(n) if u is None else u, *np.nonzero(off)))
     assert phi.kernel_tau is not None and phi.kernel_tau == want_phi.kernel_tau

@@ -4,7 +4,8 @@ The benchmark under perfbench/ wraps ncrep functions by (module, qualified
 name) and calls others by attribute; its own tests are not part of the main
 suite, so a deletion in the package that blinds the tracer or breaks a
 workload would go unseen here without these checks.  They read perfbench's
-sources and change nothing there.
+sources and change nothing there.  The layer benchmark, benchmarks/layers.py,
+is held to the same check.
 """
 
 import ast
@@ -14,6 +15,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
+LAYERS = ROOT / "benchmarks" / "layers.py"
 INIT = ROOT / "src" / "ncrep" / "__init__.py"
 
 
@@ -24,24 +26,35 @@ def _resolve(module, qualname):
     return owner
 
 
-def _bench_references():
-    """(module, name) for every ncrep name perfbench's scripts import or read
-    as an attribute of an imported ncrep module."""
+def _imported_modules(statements, refs):
+    """The ncrep modules that the statements (and what they nest) import, by local name; every
+    other ncrep name they import is added to refs as (module, name)."""
+    modules = {}
+    for node in (node for statement in statements for node in ast.walk(statement)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ncrep":
+            package = node.module[len("ncrep."):] if "." in node.module else ""
+            for alias in node.names:
+                if package == "" and (INIT.parent / f"{alias.name}.py").exists():
+                    modules[alias.asname or alias.name] = alias.name
+                else:
+                    refs.add((package, alias.name))
+    return modules
+
+
+def _bench_references(paths):
+    """(module, name) for every ncrep name the scripts at paths import or read
+    as an attribute of an imported ncrep module.  A module imported inside a
+    top-level function is read in that function only, where another name may
+    mean something else (layers.py has a dict of states)."""
     refs = set()
-    for path in sorted(PERFBENCH.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        modules = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ncrep":
-                package = node.module[len("ncrep."):] if "." in node.module else ""
-                for alias in node.names:
-                    if package == "" and (INIT.parent / f"{alias.name}.py").exists():
-                        modules[alias.asname or alias.name] = alias.name
-                    else:
-                        refs.add((package, alias.name))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                if node.value.id in modules:
+    scoped = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for path in paths:
+        body = ast.parse(path.read_text()).body
+        top = _imported_modules([s for s in body if not isinstance(s, scoped)], refs)
+        for statement in body:
+            modules = {**top, **_imported_modules([statement], refs)} if isinstance(statement, scoped) else top
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
                     refs.add((modules[node.value.id], node.attr))
     return sorted(refs)
 
@@ -54,16 +67,26 @@ def test_traced_targets_resolve():
         assert callable(_resolve(module, qualname)), f"{module}.{qualname}"
 
 
-def test_benchmark_references_resolve():
-    refs = _bench_references()
-    assert ("cli", "run_suite") in refs
+def _unresolved(refs):
     missing = []
     for module, name in refs:
         try:
             _resolve(module, name)
         except AttributeError:
             missing.append(f"{module}.{name}")
-    assert not missing
+    return missing
+
+
+def test_benchmark_references_resolve():
+    refs = _bench_references(sorted(PERFBENCH.glob("*.py")))
+    assert ("cli", "run_suite") in refs
+    assert not _unresolved(refs)
+
+
+def test_layer_benchmark_references_resolve():
+    refs = _bench_references([LAYERS])
+    assert {("linalg", "unit_frame_gaps"), ("linalg", "bimodule_gaps"), ("representing", "DCharacter")} <= set(refs)
+    assert not _unresolved(refs)
 
 
 def test_package_exports_resolve():

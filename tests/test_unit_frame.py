@@ -105,7 +105,7 @@ def _slack(mp, frame, exact):
     has f <= (1 + eta) gap + 2 eta (1 + eta) N, so for eta <= 1e-12 its bound exceeds the gap by at
     most 3 eta gap + 5 N eta, and by the tail's 2 (1 + eta) tail."""
     eta = frame[3]
-    left, right, tail = mp._splitting()
+    left, right, tail = mp.storage.splitting(mp.bimodule.dim)
     norms = np.array([hs_norm(left), hs_norm(right)])[:, None]
     return 3 * eta * exact + 5 * norms * eta + 2 * tail * (1 + eta)
 
@@ -115,7 +115,7 @@ def _assert_frame_bounds(d, maps):
     assert frame is not None
     for name, mp in maps.items():
         exact = mp.module_gaps()
-        got = unit_frame_gaps(*mp._splitting(), frame)
+        got = unit_frame_gaps(*mp.storage.splitting(mp.bimodule.dim), frame)
         scale = max(1.0, mp.norm())
         rounding = 16 * d.n * EPS * scale
         assert np.all(exact <= got + rounding), name
@@ -185,7 +185,7 @@ def test_rows_that_are_not_units_take_the_exact_route(monkeypatch):
     monkeypatch.setattr(linalg, "_commutator_gaps", lambda *args: calls.append(1) or exact(*args))
     omega = random_central_density(6, d_c, np.random.default_rng(3))
     e = _preserving_expectation(omega, d_c, full_matrix_algebra(6))
-    assert isinstance(e.factors, SandwichSum) and calls
+    assert isinstance(e.storage, SandwichSum) and calls
     # the commutant's class projections are bracketed with the basis, as they are with no frame
     brackets = []
     commutes_with = algebras._commutes_with
@@ -336,13 +336,13 @@ def test_fix_and_tau_bound_the_stack_route_on_random_instances(n, rotation, size
     rng = np.random.default_rng(seed)
     a, d, phi, _ = _instance(n, rotation, rng)
     moved = _moved_rows(d, size, rng)
-    _assert_fix_and_tau(DCharacter(phi.factors, a, moved, check=False))
+    _assert_fix_and_tau(DCharacter(phi.storage, a, moved, check=False))
 
 
 def _validation_message(phi):
     """The InvariantViolation DCharacter raises on phi's A and D, or None when it validates."""
     try:
-        DCharacter(phi.factors, phi.domain, phi.range_alg)
+        DCharacter(phi.storage, phi.domain, phi.range_alg)
     except InvariantViolation as err:
         return str(err)
     return None
@@ -355,7 +355,7 @@ def test_rows_far_off_the_frame_take_the_exact_route(rotation):
     n = 8
     rng = np.random.default_rng(8)
     a, d, phi, _ = _instance(n, rotation, rng)
-    near, far = (DCharacter(phi.factors, a, _moved_rows(d, size, rng), check=False) for size in (1e-10, 1e-6))
+    near, far = (DCharacter(phi.storage, a, _moved_rows(d, size, rng), check=False) for size in (1e-10, 1e-6))
     for moved in (near, far):
         assert np.array_equal(moved.fix, moved._moved(moved.range_alg.space))
     assert near.fix.max() <= tol(1e-8) < far.fix.max() and _validation_message(near) is None
@@ -378,8 +378,8 @@ def test_a_character_moving_D_units_reports_the_stack_routes_first_element(n, ro
     a, d, phi = _block_character(n, [[0, 1, 2], list(range(3, n))], u)
     w = np.eye(n) if u is None else u
     moves = ((1e-6, 0, 1), (1e-5, 3, 4))
-    left = np.concatenate((phi.factors.left, [c * np.outer(w[:, i], w[:, i].conj()) for c, i, _ in moves]))
-    right = np.concatenate((phi.factors.right, [np.outer(w[:, j], w[:, j].conj()) for _, _, j in moves]))
+    left = np.concatenate((phi.storage.left, [c * np.outer(w[:, i], w[:, i].conj()) for c, i, _ in moves]))
+    right = np.concatenate((phi.storage.right, [np.outer(w[:, j], w[:, j].conj()) for _, _, j in moves]))
     moved = SandwichSum(left, right)
     exact = stack_fix(DCharacter(moved, a, d, check=False))
     allowed = tol(1e-8) * np.maximum(1.0, hs_norms(d.space.flat))
@@ -464,7 +464,7 @@ def test_a_reassigned_pattern_drops_the_frame(rotation, monkeypatch):
         """The character's fix and the module checks' exact-route calls on a fresh build, and the
         failing module check's message."""
         del gaps[:]
-        built = DCharacter(phi.factors, a, d)
+        built = DCharacter(phi.storage, a, d)
         calls = len(gaps)
         with pytest.raises(InvariantViolation) as err:
             e._check_module(MODULE_MESSAGE, bound)
@@ -495,10 +495,10 @@ def test_the_rotated_build_rotates_no_row_and_conjugates_phi_once(monkeypatch):
     m = full_matrix_algebra(n)
     psi, _ = representing_expectation_tracial(m, PositiveFunctional.tracial(n), d, a, phi)
     representing_expectation_state(m, random_central_density(n, d, np.random.default_rng(1)), d, a, phi)
-    assert sum(f is phi.factors for f in conjugated) == 1
+    assert sum(f is phi.storage for f in conjugated) == 1
     # Psi - Phi from the kept Phi' beside Psi's conjugated pairs, as from conjugating the pairs together
     u = a.pattern[0]
-    f, g = psi.factors, phi.factors
+    f, g = psi.storage, phi.storage
     together = SandwichSum(np.concatenate((f.left, g.left)), np.concatenate((f.right, -g.right)))
     rows, cols = np.nonzero(a.pattern[1])
     want = hs_norm(conjugate(together, u).at_units(rows, cols)) / (1 - _unitary_defect(u))
