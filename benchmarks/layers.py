@@ -343,13 +343,10 @@ def _measure(fn, repeats, setup=tuple):
 
 
 def _fresh(d):
-    """A new algebra object over d's basis with d's block pattern and unit declaration, and an empty store."""
-    from ncrep.algebras import _units_in_order
-
+    """A new algebra object over d's space, so over its unit declaration, with d's block pattern and
+    an empty store."""
     copy = type(d)(d.space, check=False)
     copy.pattern = d.pattern
-    if d.pattern is not None and d.pattern[0] is not None and _units_in_order(d):
-        copy.derived("units in order", lambda: copy.pattern)  # rotated units, as unitary_conjugate_algebra declares them
     return copy
 
 

@@ -17,21 +17,20 @@ data that depends on it alone (Subalgebra.derived): its commutant within
 each enclosing algebra, its sampled projections per cap
 (states.sample_projections), and for a patterned algebra the two numbers
 its certificates read off the rotated basis (_off_mask), its mask's block
-classes (_mask_classes), its groups of equal mask rows (_mask_rows) and
-whether its rows are its pattern's units as declared by the code that wrote
-them (_units_in_order), which makes them its unit frame (_unit_frame).
+classes (_mask_classes) and its groups of equal mask rows (_mask_rows).
 Each is computed on first request and then read back, so a D that several
 states are probed on is solved once.  What depends on a functional is kept
 by the functional (states.PositiveFunctional.derived), not here.
 
-The block constructions take as basis the units u E_ij u* on the allowed
-entries mask of a block diagonal or block upper triangular partition, in
-row-major order, written and declared once, with no SVD, by _mask_algebra
-(for u None, in coordinates, the identity rows of M_n the mask selects),
-and record the pattern (u, mask): the algebra is u B u* for B the matrices
-on the mask.  unitary_conjugate_algebra composes its rotation into the
-record, and corner_algebra carries it to the corner cut by a projection
-that commutes with the algebra.  A patterned algebra's product closure is
+The block constructions and full_matrix_algebra take as basis the units
+u E_ij u* on an allowed-entries mask, in row-major order (for u None, in
+coordinates, the identity rows of M_n the mask selects), written once,
+with no SVD, by _mask_algebra, which declares them on the space
+(OperatorSubspace.declared) as the pattern (u, mask) the algebra takes:
+it is u B u* for B the matrices on the mask, and its rows are its unit
+frame (_unit_frame).  unitary_conjugate_algebra composes its rotation
+into the record, and corner_algebra carries it to the corner cut by a
+projection that commutes with the algebra.  A patterned algebra's product closure is
 certified from its rotated basis, without forming the (dim)^2 basis
 products (Subalgebra.validate), with its adjoint closure when the mask is
 symmetric (StarAlgebra.validate), and a character on it is checked from
@@ -92,11 +91,13 @@ def _read_only(space):
 class Subalgebra(DerivedStore):
     """Unital, product-closed subspace of M_n, on read-only basis rows. Not necessarily adjoint-closed.
 
-    pattern is None or (u, mask), set by the block constructions before
-    they validate: the span should be u B u* with B the matrices supported
-    on the boolean (n, n) mask, a product-closed pattern, and u None for the
-    identity.  validate() then certifies product closure from the rotated
-    basis; see there.
+    pattern is None or (u, mask): the span should be u B u* with B the
+    matrices supported on the boolean (n, n) mask, a product-closed pattern,
+    and u None for the identity.  It is the space's declaration, when the
+    rows are declared units (_mask_algebra); only on undeclared rows is it
+    set by hand, before the algebra is validated (corner_algebra's SVD route,
+    unitary_conjugate_algebra's product route).  validate() then certifies
+    product closure from the rotated basis; see there.
     """
 
     star_closed = False
@@ -105,7 +106,7 @@ class Subalgebra(DerivedStore):
         self.space = _read_only(space)
         self.n = space.ambient_dim
         self.blocks = None
-        self.pattern = None
+        self.pattern = self.space.declared
         self._derived = {}
         if check:
             self.validate()
@@ -191,18 +192,11 @@ def _unitary_defect(u):
     return 0.0 if u is None else hs_norm(dagger(u) @ u - np.eye(len(u)))
 
 
-def _units_in_order(alg):
-    """True when a pattern's rows are its units u E_s u* at the mask's entries in row-major order, as
-    declared by the code that wrote them.  Kept in the algebra's store: in coordinates as the declared
-    columns (OperatorSubspace.unit_columns) it was reached on, which a later call compares; rotated, as
-    the pattern they were written from, not a later one.  _mask_algebra, their writer, seeds it."""
-    u, mask = alg.pattern
-    if u is not None:
-        return alg.derived("units in order", lambda: None) is alg.pattern
-    cols = alg.space.unit_columns
-    if cols is None:
-        return False
-    return alg.derived("units in order", lambda: cols if np.array_equal(cols, np.flatnonzero(mask)) else None) is cols
+def _coordinate_mask(alg):
+    """The mask of an algebra whose rows are declared coordinate units E_s (OperatorSubspace.declared
+    with u None), else None: rows that are read by index, with no rotation and no product."""
+    declared = alg.space.declared
+    return None if declared is None or declared[0] is not None else declared[1]
 
 
 def _pattern_coordinates(alg):
@@ -213,14 +207,14 @@ def _pattern_coordinates(alg):
     mask, and u's unitarity defect.  Entry (a, s) is the conjugate of
     <f_s, x_a> for the rotated matrix unit f_s = u E_s u*, whatever u is.
     One rotation, O(dim n^3); not kept, so an algebra holds no second copy
-    of its basis.  When u is None and the rows are declared unit rows at
-    the mask's entries in row-major order (_units_in_order), the
-    coordinates are the m x m identity and every off-mask norm is 0: None
-    stands for the coordinates then, and nothing is copied.
+    of its basis.  When the rows are declared coordinate units
+    (OperatorSubspace.declared, u None), the coordinates are the m x m
+    identity and every off-mask norm is 0: None stands for the coordinates
+    then, and nothing is copied.
     """
-    u, mask = alg.pattern
-    if u is None and _units_in_order(alg):
+    if _coordinate_mask(alg) is not None:
         return None, np.zeros(alg.dim), 0.0
+    u, mask = alg.pattern
     rotated = alg.space.tensor if u is None else dagger(u) @ alg.space.tensor @ u
     flat = rotated.reshape(alg.dim, -1)
     keep = mask.ravel()
@@ -233,8 +227,8 @@ def _off_mask(alg):
     a bound on it, and eta = ||u*u - I||.  Kept in the algebra's derived
     store; a pattern is set before the algebra is first validated.
 
-    Declared units (_units_in_order) are read with no rotation: eps is 0 in
-    coordinates.  A rotated row is fl(f_s), f_s = u[:, i] (x) conj(u[:, j]),
+    Declared units (OperatorSubspace.declared) are read with no rotation:
+    eps is 0 in coordinates.  A rotated row is fl(f_s), f_s = u[:, i] (x) conj(u[:, j]),
     one complex product per entry (_rotated_units), which rounds within
     sqrt(5) 2^-53 of its value (Brent, Percival and Zimmermann 2007; 2 2^-53
     with a fused multiply-add).  As ||u[:, i]||^2 = (u*u)_ii <= 1 + eta, the
@@ -252,7 +246,7 @@ def _off_mask(alg):
     def compute():
         u, mask = alg.pattern
         eta = _unitary_defect(u)
-        if _units_in_order(alg):
+        if alg.space.declared is not None:
             return (0.0 if u is None else eta * (2.0 + eta) + (1.0 + eta) ** 2 * np.sqrt(5.0) * 2.0**-53), eta
         off, basis, eps = ~mask.ravel(), alg.space.tensor, 0.0
         # per row: its rotation and the rotation's first product
@@ -272,13 +266,13 @@ def _rotated_units(u, i, j):
 
 
 def _unit_frame(alg):
-    """(u, rows, cols, eta) when a patterned algebra's rows x_s are declared as its units f_s = u E_s u*
-    (_units_in_order), s = (rows[s], cols[s]) in the mask's row-major order, and eta = ||u*u - I||;
-    None for any other rows, which take the readers' exact routes.  A reader bounds what the frame
-    certifies from eta alone: each row's distance from its f_s is rounding (_off_mask)."""
-    if alg.pattern is None or not _units_in_order(alg):
+    """(u, rows, cols, eta) when an algebra's rows x_s are declared as the units f_s = u E_s u* of its
+    pattern (OperatorSubspace.declared), s = (rows[s], cols[s]) in the mask's row-major order, and
+    eta = ||u*u - I||; None for any other rows, which take the readers' exact routes.  A reader bounds
+    what the frame certifies from eta alone: each row's distance from its f_s is rounding (_off_mask)."""
+    if alg.space.declared is None:
         return None
-    u, mask = alg.pattern
+    u, mask = alg.space.declared
     rows, cols = np.nonzero(mask)
     return u, rows, cols, _off_mask(alg)[1]
 
@@ -452,12 +446,17 @@ def from_spanning(mats, star=True):
     return StarAlgebra(space) if star else Subalgebra(space)
 
 
+def _check_size(n):
+    if n < 1:
+        raise EmptyInput(f"an algebra on M_n needs n >= 1, got n = {n}")
+
+
 def full_matrix_algebra(n):
-    rows = np.eye(n * n, dtype=complex)
-    rows.flags.writeable = False
-    space = OperatorSubspace(n, rows)
-    space.unit_columns = np.arange(n * n)  # the rows written above
-    return StarAlgebra(space, check=False)
+    """M_n on its identity rows, _mask_algebra's coordinate units on the all-true mask."""
+    _check_size(n)
+    mask = np.ones((n, n), dtype=bool)
+    mask.flags.writeable = False
+    return _mask_algebra(mask, StarAlgebra)
 
 
 def scalar_algebra(n):
@@ -469,8 +468,10 @@ def diagonal_algebra(n):
 
 
 def _check_partition(n, blocks):
-    seen = sorted(i for blk in blocks for i in blk)
-    if seen != list(range(n)) or any(len(blk) == 0 for blk in blocks):
+    _check_size(n)
+    seen = [i for blk in blocks for i in blk]
+    integral = all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in seen)
+    if not integral or sorted(seen) != list(range(n)) or any(len(blk) == 0 for blk in blocks):
         raise BadPartition(f"partition: blocks must partition range({n}), got {blocks}")
 
 
@@ -502,9 +503,9 @@ def _block_algebra(n, blocks, star, u=None):
 
 
 def _mask_algebra(mask, cls, u=None):
-    """The one writer of unit rows: an unvalidated cls over u E_ij u* on a read-only (n, n) mask in row-major
-    order, with the pattern (u, mask) and _units_in_order's verdict; no SVD.  For u None the identity rows,
-    declared (OperatorSubspace.unit_columns), else _rotated_units'."""
+    """The one writer of unit rows: an unvalidated cls over u E_ij u* on a read-only (n, n) mask in
+    row-major order, declared on the space as (u, mask) (OperatorSubspace.declared), which the algebra
+    takes as its pattern; no SVD.  For u None the identity rows the mask selects, else _rotated_units'."""
     n = len(mask)
     where = np.flatnonzero(mask)
     if u is None:
@@ -513,12 +514,7 @@ def _mask_algebra(mask, cls, u=None):
     else:
         rows = _rotated_units(u, *np.divmod(where, n))
     rows.flags.writeable = False
-    space = OperatorSubspace(n, rows)
-    space.unit_columns = where if u is None else None  # the rows written above, when they are coordinate units
-    alg = cls(space, check=False)
-    alg.pattern = (u, mask)
-    alg.derived("units in order", lambda: where if u is None else alg.pattern)
-    return alg
+    return cls(OperatorSubspace(n, rows, (u, mask)), check=False)
 
 
 def generate_algebra(generators):
@@ -765,8 +761,8 @@ def unitary_conjugate_algebra(alg, u):
     not orthonormalized again.  A pattern (w, mask) of S becomes (u w, mask)
     when u w is unitary within _UNITARY_DEFECT; otherwise the result has no
     pattern, and its closure is checked pair by pair.  Declared units
-    (_units_in_order) under a kept pattern are written by _mask_algebra
-    from u w's columns; other rows take two products each.
+    (OperatorSubspace.declared) under a kept pattern are written by
+    _mask_algebra from u w's columns; other rows take two products each.
     """
     check(InvariantViolation, "rotation: u is not unitary (||u*u - I|| = {:.3e})", _unitary_defect(u), tol(1e-9))
     pattern = None
@@ -775,7 +771,7 @@ def unitary_conjugate_algebra(alg, u):
         composed = u if w is None else u @ w
         if _unitary_defect(composed) <= _UNITARY_DEFECT:
             pattern = (composed, mask)
-    if pattern is not None and _units_in_order(alg):
+    if pattern is not None and alg.space.declared is not None:
         result = _mask_algebra(mask, type(alg), composed)
     else:
         basis, rotated = alg.space.tensor, np.empty(alg.space.tensor.shape, dtype=complex)
@@ -790,22 +786,23 @@ def unitary_conjugate_algebra(alg, u):
 
 
 def _coordinate_corner(alg, corner):
-    """v* S v as the unit rows of a sub-mask (_mask_algebra), unvalidated, when S's rows are its
-    coordinate pattern's units in order (_units_in_order) and each column c of the Corner's
-    isometry v is an exact coordinate vector e_k(c) at its own row k(c); else None.
+    """v* S v as the unit rows of a sub-mask (_mask_algebra), unvalidated, when S's rows are declared
+    coordinate units (_coordinate_mask) and each column c of the Corner's isometry v is an exact
+    coordinate vector e_k(c) at its own row k(c); else None.
 
     Then v* E_ab v is E_cd when a = k(c) and b = k(d), and 0 when a or b is
     no k(c): the compressed units are the units of M_r on mask[k, k], a
     mask as product-closed as the whole one, each exactly once, and the
     rest vanish.  No SVD, and the columns are declared.
     """
-    if alg.pattern is None or alg.pattern[0] is not None or not _units_in_order(alg):
+    mask = _coordinate_mask(alg)
+    if mask is None:
         return None
     v, r = corner.v, corner.rank
     k = np.argmax(v != 0, axis=0)  # the row of each column's first nonzero entry
     if np.count_nonzero(v) != r or not np.all(v[k, np.arange(r)] == 1.0) or len(set(k.tolist())) != r:
         return None
-    sub = alg.pattern[1][np.ix_(k, k)]
+    sub = mask[np.ix_(k, k)]
     sub.flags.writeable = False
     return _mask_algebra(sub, StarAlgebra)
 

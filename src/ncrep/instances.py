@@ -55,10 +55,14 @@ class InstanceDescription:
 
 
 def _parse_blocks(data, what):
+    """The index lists, each index a JSON integer (an int, not a bool), else ParseError."""
     try:
-        return [[int(i) for i in blk] for blk in data]
-    except (TypeError, ValueError) as err:
+        blocks = [list(blk) for blk in data]
+    except TypeError as err:
         raise ParseError(f"{what}: blocks must be lists of indices ({err})")
+    if not all(type(i) is int for blk in blocks for i in blk):
+        raise ParseError(f"{what}: blocks must be lists of indices (not integers: {data})")
+    return blocks
 
 
 def instance_from_dict(data):
@@ -69,9 +73,8 @@ def instance_from_dict(data):
     """
     if not isinstance(data, dict):
         raise ParseError("instance must be an object")
-    try:
-        n = int(data["n"])
-    except (KeyError, TypeError, ValueError):
+    n = data.get("n")
+    if type(n) is not int:  # a JSON integer, not a float or a bool
         raise ParseError("instance needs an integer ambient dimension 'n'")
     if n <= 0:
         raise ParseError(f"ambient dimension must be positive, got {n}")

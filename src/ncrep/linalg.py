@@ -223,27 +223,29 @@ def imag_power(x, t):
 
 def _identity_rows(space):
     """True when an OperatorSubspace's rows are declared unit rows at all n^2 columns: the identity,
-    which full_matrix_algebra and a one-block _block_algebra write in order.  Products with such rows
-    are exact, so callers skip them."""
-    cols = space.unit_columns
+    which _mask_algebra writes for an all-true mask in coordinates (full_matrix_algebra).  Products
+    with such rows are exact, so callers skip them."""
+    cols = space._columns
     return cols is not None and len(cols) == space.ambient_dim**2
 
 
 class OperatorSubspace:
     """Subspace of M_n under <X,Y> = Tr(Y*X), held as stacked orthonormal flat rows.
 
-    unit_columns is None, or the column of each row when the code that wrote
-    the rows made them unit vectors and declared so (_block_algebra and
-    full_matrix_algebra): on such rows every product with the rows is by an
-    exact 0 or 1, so coords, from_coords, project and residuals read and
-    write those columns instead, with the same numbers (a zero's sign aside).
-    Rows are never scanned for it; undeclared unit rows take the products.
+    declared is the one fact a space keeps about its rows: None, or the
+    pattern (u, mask) when their writer, algebras._mask_algebra, made them
+    the units u E_ij u* at the mask's entries in row-major order (u None in
+    coordinates).  Rows are never scanned for it.  On declared coordinate
+    units, every product with the rows is by an exact 0 or 1, so coords,
+    from_coords, project and residuals read and write their columns
+    (_columns, computed once here), with the same numbers (a zero's sign aside).
     """
 
-    def __init__(self, ambient_dim, flat):
+    def __init__(self, ambient_dim, flat, declared=None):
         self.ambient_dim = int(ambient_dim)
         self.flat = np.asarray(flat, dtype=complex).reshape(-1, self.ambient_dim**2)
-        self.unit_columns = None
+        self.declared = declared
+        self._columns = None if declared is None or declared[0] is not None else np.flatnonzero(declared[1])
 
     @property
     def size(self):
@@ -265,7 +267,7 @@ class OperatorSubspace:
         Otherwise conj(W conj(x)), each term the conjugate of conj(w) x by exact sign flips, with no
         conjugated copy of the rows."""
         x = sized_matrix(x, self.ambient_dim)
-        cols = self.unit_columns
+        cols = self._columns
         if cols is not None:
             return x.ravel()[cols]
         return np.conj(self.flat @ np.conj(x.ravel()))
@@ -273,7 +275,7 @@ class OperatorSubspace:
     def from_coords(self, c):
         c = np.asarray(c, dtype=complex)
         n = self.ambient_dim
-        cols = self.unit_columns
+        cols = self._columns
         if cols is not None:
             out = np.zeros(n * n, dtype=complex)
             out[cols] = c
@@ -286,7 +288,7 @@ class OperatorSubspace:
     def residuals(self, rows):
         """HS distance from the span of each flattened matrix in rows (k, n^2); on unit rows, the
         norms of the rows with the unit columns zeroed, the array the product route forms."""
-        cols = self.unit_columns
+        cols = self._columns
         if cols is not None:
             rest = np.array(rows, dtype=complex)
             rest[:, cols] = 0.0

@@ -56,7 +56,6 @@ from .algebras import (
     _same_rotation,
     _sum_dimension,
     _unit_frame,
-    _units_in_order,
     check_ss_density,
     diagonal_part_check,
 )
@@ -337,7 +336,7 @@ def _mask_kernel(phi):
         return None
     n = phi.n
     i, j = np.nonzero(off)
-    if _units_in_order(a):
+    if _unit_frame(a) is not None:
         rows = a.space.flat[~d.pattern[1][mask]]  # A's rows at those units, in the same row-major order
     else:
         rows = _rotated_units(np.eye(n) if u is None else u, i, j)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import _mask_classes, _units_in_order, commutant, corner_algebra
+from .algebras import _coordinate_mask, _mask_classes, commutant, corner_algebra
 from .config import tol
 from .errors import (
     DimensionMismatch,
@@ -197,22 +197,13 @@ class TracialCertificate:
     max_violation: float
 
 
-def _unit_mask(algebra):
-    """The (n, n) mask of the matrix units E_ij that are an algebra's rows, when those units are an
-    equivalence relation's blocks: all of M_n on identity rows (_identity_rows), else a coordinate
-    pattern whose mask is one (_mask_classes) and whose rows are declared at its entries
-    (_units_in_order).  None for any other algebra."""
-    if _identity_rows(algebra.space):
-        return np.ones((algebra.n, algebra.n), dtype=bool)
-    if algebra.pattern is None or algebra.pattern[0] is not None or not _units_in_order(algebra):
-        return None
-    return None if _mask_classes(algebra) is None else algebra.pattern[1]
-
-
-def _unit_read(d):
-    """_unit_mask(d) where a probe read by matrix unit pays, n^4 above _BLOCK_FROM, else None: at
-    n <= 4 the products with D's basis cost less than the reads' fixed work."""
-    return _unit_mask(d) if d.n**4 > _BLOCK_FROM else None
+def _unit_read(algebra, floor=_BLOCK_FROM):
+    """The (n, n) mask of the matrix units E_ij that are an algebra's rows, declared in coordinates
+    (algebras._coordinate_mask), when the mask is an equivalence relation's blocks (_mask_classes) and
+    n^4 is above floor, else None.  The probes read by unit above _BLOCK_FROM: at n <= 4 the products
+    with D's basis cost less than the reads' fixed work."""
+    mask = _coordinate_mask(algebra) if algebra.n**4 > floor else None
+    return None if mask is None or _mask_classes(algebra) is None else mask
 
 
 def _unit_violation(rho, mask, within):
@@ -236,7 +227,7 @@ def tracial_certificate(omega, algebra):
     """Largest |omega(xy) - omega(yx)| over basis pairs; result true iff below 1e-9 x ||rho||.
 
     On rows that are the units E_ij of an equivalence relation's blocks
-    (_unit_mask), omega(E_ij E_kl) - omega(E_kl E_ij) is
+    (_unit_read, at every n), omega(E_ij E_kl) - omega(E_kl E_ij) is
     delta_jk rho_li - delta_li rho_jk: every off-diagonal entry of rho within
     a block and every difference rho_ii - rho_jj within one, and nothing else
     that is nonzero.  Their largest modulus is read off rho in O(n^2), the
@@ -245,7 +236,7 @@ def tracial_certificate(omega, algebra):
     if omega.n != algebra.n:
         raise DimensionMismatch(f"omega acts on M_{omega.n}, the algebra on M_{algebra.n}")
     rho = omega.density
-    mask = _unit_mask(algebra)
+    mask = _unit_read(algebra, 0)
     if mask is not None:
         violation = _unit_violation(rho, mask, mask)
     else:
@@ -462,7 +453,7 @@ def _local_violation(omega, projections, d, m):
     With k = p rho p the difference is Tr((p d k - k d p) x), so the stack
     p d k - k d p over every p and d is paired with M's basis in one gemm,
     a chunk of projections at a time.  When D's rows are declared units E_ij
-    (OperatorSubspace.unit_columns) and M's are the identity rows, the
+    (algebras._coordinate_mask) and M's are the identity rows, the
     pairing reads every entry of the stack, as in _central_violation, and
     p E_ij k - k E_ij p is p[:, i] k[j, :] - k[:, i] p[j, :]: the stack is
     gathered from the columns and rows of p and k, with no gemm, and its
@@ -478,11 +469,11 @@ def _local_violation(omega, projections, d, m):
     is gathered.
     """
     db = d.space.tensor
-    cols = d.space.unit_columns
-    gather = cols is not None and _identity_rows(m.space)
+    mask = _coordinate_mask(d)
+    gather = mask is not None and _identity_rows(m.space)
     units = d.dim
     if gather:
-        i, j = np.divmod(cols, d.n)
+        i, j = np.nonzero(mask)
         halve = _unit_read(d) is not None
         if halve:
             i, j = i[i <= j], j[i <= j]

@@ -459,17 +459,28 @@ def jensen_suite_per_draw(omega, phi, psi, trials=100, rng_seed=0):
     )
 
 
+def undeclared(x):
+    """A test input rather than an oracle: a copy of an OperatorSubspace, or of an algebra with its
+    pattern set by hand, over the same rows with no unit declaration (OperatorSubspace.declared), so
+    that every reader takes the product route; a new, unvalidated object."""
+    if isinstance(x, OperatorSubspace):
+        return OperatorSubspace(x.ambient_dim, x.flat)
+    copy = type(x)(undeclared(x.space), check=False)
+    copy.pattern = x.pattern
+    return copy
+
+
 def with_mask_gap(a, target, rng):
     """A test input rather than an oracle: a's span with its pattern's rotation moved by
     exp(i eps h), h a random Hermitian matrix, eps chosen so that _mask_gap is target to first
-    order in eps; a new, unvalidated object of a's type."""
+    order in eps; a new, unvalidated object of a's type over undeclared rows."""
     u, mask = a.pattern
     u = np.eye(a.n) if u is None else u
     h = rng.standard_normal((a.n, a.n)) + 1j * rng.standard_normal((a.n, a.n))
     w, v = np.linalg.eigh(h + dagger(h))
 
     def moved(eps):
-        alg = type(a)(a.space, check=False)
+        alg = undeclared(a)
         alg.pattern = (u @ (v * np.exp(1j * eps * w)) @ dagger(v), mask)
         return alg
 

@@ -92,7 +92,7 @@ def test_commutant_is_deterministic():
     d = unitary_conjugate_algebra(block_diagonal_algebra(n, blocks), u)
     m = full_matrix_algebra(n)
     # a second algebra object over the same basis has its own store, so it is solved again
-    first, second = commutant(StarAlgebra(d.space, check=False), m), commutant(StarAlgebra(d.space, check=False), m)
+    first, second = (commutant(StarAlgebra(OperatorSubspace(n, d.space.flat), check=False), m) for _ in range(2))
     assert first is not second
     assert first.dim == 3
     assert first.space.flat.tobytes() == second.space.flat.tobytes()

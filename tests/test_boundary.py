@@ -5,14 +5,16 @@ used with raises DimensionMismatch before any array operation can fail on
 the shapes; a functional's argument goes through as_matrix, so NaN and inf
 entries raise InvariantViolation instead of giving a nan value.  mth_check
 takes the same InvariantViolation for a weight or density that is not
-finite as for a negative weight, before any probe runs.
+finite as for a negative weight, before any probe runs.  An algebra on M_0
+raises EmptyInput, and a block index that is not an integer BadPartition,
+before any array is indexed.
 """
 
 import numpy as np
 import pytest
 
-from ncrep.algebras import diagonal_algebra, full_matrix_algebra
-from ncrep.errors import DimensionMismatch, InvariantViolation
+from ncrep.algebras import block_diagonal_algebra, block_upper_triangular, diagonal_algebra, full_matrix_algebra
+from ncrep.errors import BadPartition, DimensionMismatch, EmptyInput, InvariantViolation
 from ncrep.expectations import average_to_central, preserving_expectation
 from ncrep.jensen import geometric_mean
 from ncrep.representing import (
@@ -78,3 +80,22 @@ def test_mth_check_rejects_weights_that_are_not_finite(mu, g):
     # a NaN weight is caught first by the nonnegativity check, as before
     with pytest.raises(InvariantViolation, match="^mu must be nonnegative$"):
         mth_check(np.array([np.nan, 1.0]), np.array(g))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: full_matrix_algebra(0),
+    lambda: block_diagonal_algebra(0, []),
+    lambda: block_upper_triangular(0, []),
+])
+def test_an_algebra_on_M_0_raises_empty_input(build):
+    with pytest.raises(EmptyInput, match="^an algebra on M_n needs n >= 1, got n = 0$"):
+        build()
+
+
+@pytest.mark.parametrize("blocks", [[[0.0], [1]], [[0], [1.0]], [[True], [False]], [[np.float64(0)], [1]]])
+def test_a_block_index_that_is_no_integer_raises_bad_partition(blocks):
+    for build in (block_diagonal_algebra, block_upper_triangular):
+        with pytest.raises(BadPartition, match=r"^partition: blocks must partition range\(2\)"):
+            build(2, blocks)
+    # numpy integers are integers
+    assert block_diagonal_algebra(2, [[np.int64(0)], [np.int32(1)]]).dim == 2

@@ -155,6 +155,28 @@ def test_structural_gates():
         )
 
 
+NOT_INTEGERS = {
+    "fractional n": dict(T2, n=2.7),
+    "boolean n": dict(T2, n=True),
+    "integral float n": dict(T2, n=2.0),
+    "string n": dict(T2, n="2"),
+    "fractional D blocks": dict(T2, D={"blocks": [[0.9], [1.7]]}),
+    "boolean D blocks": dict(T2, D={"blocks": [[False], [True]]}),
+    "fractional A blocks": dict(T2, A={"triangular_over": [[0], [1.0]]}),
+}
+
+
+@pytest.mark.parametrize("case", NOT_INTEGERS)
+def test_n_and_block_indices_must_be_json_integers(case, tmp_path, capsys):
+    # nothing is truncated: 2.7 is not read as 2, true as 1 or [[0.9], [1.7]] as [[0], [1]]
+    data = NOT_INTEGERS[case]
+    match = "'n'" if "n" in case.split() else "blocks must be lists of indices"
+    with pytest.raises(ParseError, match=match):
+        instance_from_dict(data)
+    code, out, err = run_cli(capsys, "diagnose", write_instance(tmp_path, "bad.json", data))
+    assert code == 2 and out == "" and err.startswith("input error: ")
+
+
 def test_normalize_option():
     data = dict(SKEW)
     data["state"] = {"density": [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]}

@@ -52,8 +52,9 @@ from dense_oracle import (
     svd_splitting,
     svd_ss_density,
     unit_products_multiplicative,
+    undeclared,
 )
-from ncrep import algebras, expectations, linalg, representing, states
+from ncrep import algebras, linalg, representing, states
 from ncrep.algebras import (
     StarAlgebra,
     Subalgebra,
@@ -457,8 +458,8 @@ def test_corner_algebras_keep_the_pattern_of_a_commuting_support(n, rotated, dat
 
 
 def repatterned(alg, pattern):
-    """A second algebra object over alg's rows that carries the given pattern."""
-    copy = type(alg)(alg.space, check=False)
+    """A second algebra object over alg's rows, undeclared, that carries the given pattern."""
+    copy = undeclared(alg)
     copy.pattern = pattern
     return copy
 
@@ -555,15 +556,15 @@ def test_identity_domain_passes_the_map_through_bitwise(n):
 
 
 @pytest.mark.parametrize("blocks", [None, [[0], [1], [2]]])
-def test_identity_domain_passes_the_corner_map_through_bitwise(monkeypatch, blocks):
+def test_identity_domain_passes_the_corner_map_through_bitwise(blocks):
     # ACCEPTANCE 01's corner, omega = e_33 on M_3, with D = span{I, e_33} or the diagonal: the
-    # support-ideal build, whose lifted map has domain M, stores the bytes of the gemm route
+    # support-ideal build, whose lifted map has domain M, stores the bytes of the gemm route, which
+    # an undeclared copy of M takes
     e33 = np.diag([0.0, 0.0, 1.0]).astype(complex)
     omega, m = PositiveFunctional(e33), full_matrix_algebra(3)
     d = from_spanning([np.eye(3), e33]) if blocks is None else block_diagonal_algebra(3, blocks)
     got = support_ideal_expectation(omega, d, m)
-    monkeypatch.setattr(expectations, "_identity_rows", lambda flat: False)
-    want = support_ideal_expectation(omega, d, m)
+    want = support_ideal_expectation(omega, d, undeclared(m))
     assert got.images.tobytes() == want.images.tobytes()
     assert got.map_matrix.tobytes() == want.map_matrix.tobytes()
 

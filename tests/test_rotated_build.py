@@ -65,8 +65,11 @@ def test_a_build_writes_each_unit_row_once(n, conjugate):
         inst = instances.random_block_instance(n, np.random.default_rng(n), conjugate=conjugate)
     assert full.call_count == 1 and inst.m.dim == n**2
     # A, then D, each written once, rotated when the instance is: no coordinate rows on a rotated build
-    assert [call.args[1] for call in writer.call_args_list] == [algebras.Subalgebra, algebras.StarAlgebra]
-    assert all((call.args[2] is None) != conjugate for call in writer.call_args_list)
+    # but M's identity rows, which the same writer writes last, on the all-true mask
+    a_call, d_call, m_call = writer.call_args_list
+    assert [call.args[1] for call in (a_call, d_call, m_call)] == [algebras.Subalgebra] + [algebras.StarAlgebra] * 2
+    assert all((call.args[2] is None) != conjugate for call in (a_call, d_call))
+    assert m_call.args[0].all() and m_call.args[2:] == ()
     assert written.call_count == (2 if conjugate else 0) and written_j.call_count == 0
     # J's rows are A's, at the units off D's mask
     a, d = inst.a, inst.d

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dense_oracle import undeclared
 from ncrep.algebras import (
     block_diagonal_algebra,
     block_upper_triangular,
@@ -354,24 +355,23 @@ def test_is_D_central_raises_when_its_routes_disagree(monkeypatch):
 
 
 @pytest.mark.parametrize("n", range(1, 13))
-def test_the_gates_on_identity_rows_equal_the_pairing_route_bitwise(monkeypatch, n):
+def test_the_gates_on_identity_rows_equal_the_pairing_route_bitwise(n):
     # tracial_certificate and the D-centrality violation read M's identity rows off rho and
-    # rho d - d rho; the trace pairings with those rows multiply by exact ones and zeros
+    # rho d - d rho; the trace pairings with those rows, which an undeclared copy of M takes,
+    # multiply by exact ones and zeros
     rng = np.random.default_rng(n)
     m = full_matrix_algebra(n)
     d = unitary_conjugate_algebra(block_diagonal_algebra(n, random_partition(n, rng)), haar_unitary(n, rng))
     omegas = [random_density(n, rng), PositiveFunctional.tracial(n), random_central_density(n, d, rng)]
 
-    def violations():
+    def violations(m):
         return [(tracial_certificate(o, m).max_violation, states._central_violation(o, d, m)) for o in omegas]
 
-    got = violations()
-    monkeypatch.setattr(states, "_identity_rows", lambda space: False)
-    assert got == violations()
+    assert violations(m) == violations(undeclared(m))
 
 
 @pytest.mark.parametrize("n", range(1, 13))
-def test_the_tracial_certificate_on_block_units_equals_the_pairing_route_bitwise(monkeypatch, n):
+def test_the_tracial_certificate_on_block_units_equals_the_pairing_route_bitwise(n):
     # on the units of an equivalence relation's blocks the certificate reads rho's off-diagonal
     # entries and diagonal differences within each block; the pairing multiplies by exact ones and zeros
     rng = np.random.default_rng(n)
@@ -380,15 +380,14 @@ def test_the_tracial_certificate_on_block_units_equals_the_pairing_route_bitwise
     algebras = [d, block_upper_triangular(n, [list(range(n))]), block_upper_triangular(n, blocks)]
     omegas = [random_density(n, rng), PositiveFunctional.tracial(n), random_central_density(n, d, rng)]
 
-    def certificates():
+    def certificates(algebras):
         return [(c.result, c.max_violation) for c in (tracial_certificate(o, a) for a in algebras for o in omegas)]
 
-    assert [states._unit_mask(a) is not None for a in algebras] == [True, True, len(blocks) == 1]
-    got = certificates()
-    for a in algebras:  # the one-block algebra is all of M_n: undeclared, it is no longer the identity
-        monkeypatch.setattr(a.space, "unit_columns", None)
-    assert [states._unit_mask(a) for a in algebras] == [None] * 3
-    assert got == certificates()
+    assert [states._unit_read(a, 0) is not None for a in algebras] == [True, True, len(blocks) == 1]
+    # the one-block algebra is all of M_n: undeclared, it is no longer the identity
+    copies = [undeclared(a) for a in algebras]
+    assert [states._unit_read(a, 0) for a in copies] == [None] * 3
+    assert certificates(algebras) == certificates(copies)
 
 
 def _svd_scaled_outcome(rho):

@@ -97,3 +97,21 @@ def test_package_exports_resolve():
     package = importlib.import_module("ncrep")
     for module, name in names:
         assert getattr(package, name) is _resolve(module, name)
+
+
+def test_the_unit_declaration_is_read_behind_linalg_and_algebras():
+    # OperatorSubspace.declared, and the columns linalg derives from it, decide which rows are read
+    # by index; every other module asks algebras (_unit_frame, _coordinate_mask) or linalg
+    # (_identity_rows), so the decision stays in those two, and only algebras._mask_algebra hands a
+    # space its declaration
+    readers, writers = set(), []
+    for path in sorted(INIT.parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        readers |= {path.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr in ("declared", "_columns")}
+        for func in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            for call in (node for node in ast.walk(func) if isinstance(node, ast.Call)):
+                if getattr(call.func, "id", None) == "OperatorSubspace" and (len(call.args) > 2 or call.keywords):
+                    writers.append(f"{path.name}:{func.name}")
+    assert readers == {"linalg.py", "algebras.py"}
+    assert writers == ["algebras.py:_mask_algebra"]

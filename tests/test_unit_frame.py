@@ -18,9 +18,9 @@ On coordinate D the frame gaps are the exact ones to rounding; on rotated D,
 with u a Haar unitary or one whose defect ||u*u - I|| is near the
 _UNITARY_DEFECT a pattern keeps, they are never below the exact gaps and
 above them by at most the slack unit_frame_gaps derives.  Only rows declared
-as units by the code that wrote them have a frame: rows moved off the units,
-an SVD's rows and an algebra whose pattern was reassigned take the exact
-route, a failing check reports the exact route's message, and the block
+as units by the code that wrote them (algebras._mask_algebra) have a frame:
+rows moved off the units, an SVD's rows, a solved commutant and an
+undeclared copy with its pattern set by hand take the exact route, a failing check reports the exact route's message, and the block
 pipelines reach none of the routes the frame replaces.  fix and tau equal
 tests/dense_oracle.py's stack route bit for bit on a coordinate D and bound
 it from above on a rotated one, within the slack their docstrings derive.
@@ -30,24 +30,31 @@ is at least the eps an undeclared copy measures.
 """
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import stack_fix, stack_kernel_tau
+from dense_oracle import stack_fix, stack_kernel_tau, undeclared
 from test_invariant_checks import nudged
 from ncrep import algebras, expectations, linalg, representing
 from ncrep.algebras import (
     _UNITARY_DEFECT,
+    _coordinate_corner,
+    _coordinate_mask,
     _inclusion_gap,
+    _rotated_units,
     _unit_frame,
     _unitary_defect,
     block_diagonal_algebra,
     block_upper_triangular,
+    commutant,
     corner_algebra,
+    from_spanning,
     full_matrix_algebra,
+    generate_star_algebra,
     unitary_conjugate_algebra,
 )
 from ncrep.config import tol
@@ -413,13 +420,6 @@ def _rotated(alg, rotations, rng):
     return alg
 
 
-def _undeclared(alg):
-    """An object over the same rows and pattern that declares no units."""
-    copy = type(alg)(linalg.OperatorSubspace(alg.n, alg.space.flat), check=False)
-    copy.pattern = alg.pattern
-    return copy
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 12), st.sampled_from((1, 2)), st.booleans(), st.integers(0, 2**32 - 1))
 def test_declared_rotated_rows_are_the_units_to_one_product(n, rotations, star, seed):
@@ -428,33 +428,95 @@ def test_declared_rotated_rows_are_the_units_to_one_product(n, rotations, star, 
     # twice that of the gemm rotation of an undeclared coordinate copy, whose entries are one product too
     rng = np.random.default_rng(seed)
     blocks = random_partition(n, rng)
-    base = (block_diagonal_algebra if star else block_upper_triangular)(n, blocks)
-    alg = _rotated(base, rotations, rng)
-    u, mask = alg.pattern
-    assert _unit_frame(alg) is not None and alg.space.unit_columns is None
+    written = []
+    write = algebras._mask_algebra
+    with mock.patch.object(algebras, "_mask_algebra", lambda *args: _recorded(write(*args), written)):
+        base = (block_diagonal_algebra if star else block_upper_triangular)(n, blocks)
+        alg = _rotated(base, rotations, rng)
+        u, mask = alg.pattern
+        gemm = unitary_conjugate_algebra(undeclared(base), u)
+        built = _constructions(base, alg, gemm, rng)
+    # every space is declared exactly where _mask_algebra wrote it, as the pattern of every algebra over it
+    assert [label for label, x in built.items() if _declared_as_written(x, written)] == DECLARED
+    # a pattern set by hand sits on undeclared rows
+    assert built["undeclared rotated"].pattern is not None and built["SVD corner"].pattern is not None
+    assert _unit_frame(alg) is not None and _coordinate_mask(alg) is None
     eta = _unitary_defect(u)
     rows, cols = np.nonzero(mask)
     wide = u.astype(np.clongdouble)
     exact = (wide[:, rows].T[:, :, None] * wide[:, cols].conj().T[:, None, :]).reshape(alg.dim, -1)
     one_product = np.sqrt(5.0) * (2.0**-53 + np.finfo(np.longdouble).eps) * (1 + eta)
     assert np.all(hs_norms((alg.space.flat - exact).astype(complex)) <= one_product)
-    gemm = unitary_conjugate_algebra(_undeclared(base), u)
     assert _unit_frame(gemm) is None
     assert np.all(hs_norms(alg.space.flat - gemm.space.flat) <= 2 * one_product)
     # the eps bound read off the declared rows is at least what the rotation measures on a copy
     eps, eta_kept = algebras._off_mask(alg)
-    assert eta_kept == eta and eps >= algebras._off_mask(_undeclared(alg))[0]
+    assert eta_kept == eta and eps >= algebras._off_mask(undeclared(alg))[0]
+
+
+def _recorded(alg, written):
+    written.append(alg.space)
+    return alg
+
+
+# the constructions of _constructions whose rows _mask_algebra writes
+DECLARED = ["block", "rotated", "M_n", "coordinate corner", "corner of M_n", "second object"]
+
+
+def _constructions(base, alg, gemm, rng):
+    """Each construction an algebra's rows can come from, by label: the block construction base, its
+    rotation alg and an undeclared copy's rotation gemm, and from them M_n, the corners cut by
+    coordinate vectors (of base and of M_n) and, by an SVD, alg's corner cut by the columns of its u
+    at base's first block, the commutants, a span, a generated *-algebra and a second algebra
+    object over base's space."""
+    n = base.n
+    m = full_matrix_algebra(n)
+    keep = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+    coordinate = Corner(np.eye(n, dtype=complex)[:, keep])
+    return {
+        "block": base,
+        "rotated": alg,
+        "undeclared rotated": gemm,
+        "M_n": m,
+        "coordinate corner": _coordinate_corner(base, coordinate),
+        "corner of M_n": corner_algebra(m, coordinate),
+        "SVD corner": corner_algebra(alg, Corner(alg.pattern[0][:, base.blocks[0]])),
+        "commutant": commutant(alg),
+        "commutant of M_n": commutant(m),
+        "span": from_spanning(base.basis, star=base.star_closed),
+        "generated": generate_star_algebra(base.basis[:2]),
+        "second object": type(base)(base.space, check=False),
+    }
+
+
+def _declared_as_written(alg, written):
+    """True when alg's space is declared, after checking that it is so exactly when _mask_algebra
+    wrote it, that alg's pattern is then the declaration, and that the rows are bit for bit the
+    identity rows or _rotated_units at the mask's entries in row-major order."""
+    declared = alg.space.declared
+    assert (declared is not None) == any(alg.space is space for space in written)
+    assert linalg._identity_rows(alg.space) == (declared is not None and declared[0] is None and declared[1].all())
+    if declared is None:
+        return False
+    u, mask = declared
+    assert alg.pattern is declared
+    rows, cols = np.nonzero(mask)
+    n = alg.n
+    want = np.eye(n * n, dtype=complex)[rows * n + cols] if u is None else _rotated_units(u, rows, cols)
+    assert alg.space.flat.tobytes() == want.tobytes()
+    return True
 
 
 @pytest.mark.parametrize("rotation", ("haar", "near defect"))
 def test_a_reassigned_pattern_drops_the_frame(rotation, monkeypatch):
-    # the declaration is tied to the pattern the rows were written from: a new pattern, even an equal
-    # one, leaves no frame, and every check then takes its exact route with the same verdict and the
-    # same first failing element
+    # the declaration is the space's, written with its rows: a pattern set by hand, even an equal one,
+    # sits on an undeclared copy, which has no frame, and every check then takes its exact route with
+    # the same verdict and the same first failing element
     n = 6
     rng = np.random.default_rng(6)
     a, d, phi, m = _instance(n, rotation, rng)
-    e = _preserving_expectation(random_density(n, rng), d, m, check=False)
+    omega = random_density(n, rng)
+    e = _preserving_expectation(omega, d, m, check=False)
     bound = tol(1e-8) * max(1.0, e.norm()) * np.sqrt(n)
     gaps = []
     exact = linalg._commutator_gaps
@@ -471,9 +533,9 @@ def test_a_reassigned_pattern_drops_the_frame(rotation, monkeypatch):
         return built.fix, built, calls, str(err.value)
 
     framed_fix, _, framed_calls, framed = verdicts()
-    for alg in (a, d):
-        alg.pattern = (alg.pattern[0], alg.pattern[1])
-        assert _unit_frame(alg) is None
+    a, d = undeclared(a), undeclared(d)
+    assert _unit_frame(a) is None and _unit_frame(d) is None
+    e = _preserving_expectation(omega, d, m, check=False)
     fix, built, calls, message = verdicts()
     assert framed_calls == 0 < calls and message == framed
     assert np.array_equal(fix, built._moved(d.space)) and np.all(fix <= framed_fix + 16 * n * EPS)
@@ -490,7 +552,7 @@ def test_the_rotated_build_rotates_no_row_and_conjugates_phi_once(monkeypatch):
     monkeypatch.setattr(linalg.OperatorSubspace, "tensor", property(lambda s: read.append(s.size) or tensor.fget(s)))
     monkeypatch.setattr(SandwichSum, "conjugated", lambda self, u: conjugated.append(self) or conjugate(self, u))
     a, d, phi = _block_character(n, blocks, haar_unitary(n, np.random.default_rng(n)))
-    assert a.space.unit_columns is None and _unit_frame(a) is not None and _unit_frame(d) is not None
+    assert _coordinate_mask(a) is None and _unit_frame(a) is not None and _unit_frame(d) is not None
     assert a.dim not in read and d.dim not in read
     m = full_matrix_algebra(n)
     psi, _ = representing_expectation_tracial(m, PositiveFunctional.tracial(n), d, a, phi)

@@ -1,9 +1,10 @@
 """Unit-row subspaces: rows that are matrix units E_ij are read by index.
 
-OperatorSubspace.unit_columns is declared by the constructions that write
-unit rows (_block_algebra, full_matrix_algebra and a corner cut by exact
-coordinate vectors); nothing is read off the rows' bits, so any other
-space, even one over the same rows, has None.  On declared rows coords,
+OperatorSubspace.declared is written by the one writer of unit rows,
+algebras._mask_algebra (the block constructions, full_matrix_algebra and a
+corner cut by exact coordinate vectors); nothing is read off the rows'
+bits, so any other space, even one over the same rows, has None
+(dense_oracle.undeclared).  On declared coordinate rows coords,
 from_coords, project and residuals gather and scatter those columns, and
 every product the matrix route forms is by an exact 0 or 1, so the two
 routes give the same numbers bit for bit (the sign of a zero aside, which
@@ -23,12 +24,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import broadcast_local_violation
-from ncrep import linalg, states
+from dense_oracle import broadcast_local_violation, undeclared
+from ncrep import states
 from ncrep.algebras import (
     _coordinate_corner,
+    _coordinate_mask,
     _pattern_coordinates,
-    _units_in_order,
+    _unit_frame,
     block_diagonal_algebra,
     block_upper_triangular,
     full_matrix_algebra,
@@ -121,20 +123,17 @@ def test_unit_rows_agree_with_the_product_routes(labels, star, kind, seed):
     rng = np.random.default_rng(seed)
     omega = _state(n, d, kind, rng)
     projections = np.stack(sample_projections(d, 16))
-    # the constructions declare the columns they wrote; a space over the same rows declares none
-    assert np.array_equal(alg.space.unit_columns, np.flatnonzero(alg.pattern[1]))
-    assert np.array_equal(m.space.unit_columns, np.arange(n * n))
-    undeclared = type(alg)(OperatorSubspace(n, alg.space.flat), check=False)
-    undeclared.pattern = alg.pattern
-    assert undeclared.space.unit_columns is None
+    # the constructions declare the units they wrote; a space over the same rows declares none
+    assert alg.space.declared is alg.pattern and _coordinate_mask(alg) is alg.pattern[1]
+    assert _coordinate_mask(m).all()
+    bare = undeclared(alg)
+    assert bare.space.declared is None and _coordinate_mask(bare) is None
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(states, "_BLOCK_FROM", 0)  # every n reads by unit
         fast = _routes(alg, m, omega, projections, np.random.default_rng(seed))
-        copy = _routes(undeclared, m, omega, projections, np.random.default_rng(seed))
-        for space in (alg.space, m.space):
-            mp.setattr(space, "unit_columns", None)
-        slow = _routes(alg, m, omega, projections, np.random.default_rng(seed))
+        copy = _routes(bare, m, omega, projections, np.random.default_rng(seed))
+        slow = _routes(bare, undeclared(m), omega, projections, np.random.default_rng(seed))
     assert fast.keys() == slow.keys() == copy.keys()
     for name in MAX_ENTRY:
         assert _same_bits(fast[name], slow[name]) and _same_bits(fast[name], copy[name]), name
@@ -154,10 +153,9 @@ def test_unit_rows_agree_with_the_product_routes(labels, star, kind, seed):
     corner = Corner(np.eye(n, dtype=complex)[:, keep])
     compressed = _coordinate_corner(alg, corner)
     sub = alg.pattern[1][np.ix_(keep, keep)]
-    assert compressed.pattern[0] is None and np.array_equal(compressed.pattern[1], sub)
-    assert np.array_equal(compressed.space.unit_columns, np.flatnonzero(sub))
+    assert compressed.pattern is compressed.space.declared and np.array_equal(_coordinate_mask(compressed), sub)
     assert same_subspace(compressed.space, orthonormalize(corner.compress(alg.space.tensor)))
-    assert _coordinate_corner(undeclared, corner) is None
+    assert _coordinate_corner(bare, corner) is None
 
 
 def test_a_rotated_D_takes_the_gemm_route(monkeypatch):
@@ -171,7 +169,7 @@ def test_a_rotated_D_takes_the_gemm_route(monkeypatch):
     pair = states.trace_pairings
     monkeypatch.setattr(states, "trace_pairings", lambda *args: pairings.append(args) or pair(*args))
     got = states._local_violation(omega, projections, d, m)
-    assert d.space.unit_columns is None and len(pairings) >= 1
+    assert _coordinate_mask(d) is None and len(pairings) >= 1
     assert abs(got - broadcast_local_violation(omega, list(projections), d, m)) <= 1e-12 * hs_norm(omega.density)
 
 
@@ -192,61 +190,27 @@ def _units_with(value, at=(0, 0)):
     _units_with(-1.0),
     np.eye(16, dtype=complex)[[0, 0, 5]],  # two rows at one column
     np.eye(32, dtype=complex)[[0, 10]][:, ::2],  # unit rows at columns 0 and 5, not contiguous
+    np.zeros((0, 16), dtype=complex),  # no rows
 ])
 def test_near_unit_rows_are_not_unit_rows(rows):
     # no space is scanned: rows that were not declared take the products, whatever their bits
     space = OperatorSubspace(4, rows)
     x = np.arange(16, dtype=complex).reshape(4, 4) * (1 + 1j)
-    assert space.unit_columns is None
+    assert space.declared is None
     assert _same_bits(space.coords(x), np.conj(space.flat @ np.conj(x.ravel())))
     assert _same_bits(space.project(x), (space.coords(x) @ space.flat).reshape(4, 4))
 
 
-def test_unit_rows_in_any_order_give_their_columns():
-    # declared unit rows are read at their columns in whatever order they come, with the numbers
-    # of an undeclared space over the same rows
-    cols = np.array([5, 0, 15, 10, 3])
-    space = OperatorSubspace(4, np.eye(16, dtype=complex)[cols])
-    space.unit_columns = cols
-    assert not linalg._identity_rows(space) and linalg._identity_rows(full_matrix_algebra(4).space)
-    x = np.arange(16, dtype=complex).reshape(4, 4)
-    assert np.array_equal(space.coords(x), cols.astype(complex))
-    assert np.array_equal(space.project(x).ravel()[cols], cols.astype(complex))
-    undeclared = OperatorSubspace(4, space.flat)
-    for op in ("coords", "project"):
-        assert _same_bits(getattr(space, op)(x), getattr(undeclared, op)(x)), op
-    empty = OperatorSubspace(4, np.zeros((0, 16)))
-    assert empty.unit_columns is None
-    assert np.array_equal(empty.residuals(x.reshape(1, -1)), [hs_norm(x)]) and not empty.project(x).any()
-
-
-def test_the_units_in_order_verdict_is_kept_where_the_rows_are_written(monkeypatch):
-    # _mask_algebra keeps the verdict as it writes the rows; another object over the same rows and
-    # pattern compares the columns once, and undeclared columns read false
-    d = block_diagonal_algebra(6, [[0, 1, 2], [3, 4], [5]])
-    compared = []
-    equal = np.array_equal
-    monkeypatch.setattr(np, "array_equal", lambda x, y, **kw: compared.append(x) or equal(x, y, **kw))
-    assert all(_units_in_order(d) for _ in range(3)) and not compared
-    copy = type(d)(d.space, check=False)
-    copy.pattern = d.pattern
-    assert _units_in_order(copy) and _units_in_order(copy)
-    assert len(compared) == 1 and compared[0] is d.space.unit_columns
-    monkeypatch.setattr(d.space, "unit_columns", None)
-    assert not _units_in_order(d) and not _units_in_order(copy)
-    assert not _units_in_order(unitary_conjugate_algebra(d, haar_unitary(6, np.random.default_rng(6))))
-
-
 def test_declared_rotated_units_take_no_coordinate_route():
-    # unitary_conjugate_algebra declares the rotated units it writes, but declares no columns: the
-    # readers that need coordinate units test u, so the rotated D is rotated for its coordinates,
-    # read by its basis in the centrality probes and cut by an SVD at a coordinate corner
+    # unitary_conjugate_algebra declares the rotated units it writes, which are no coordinate units:
+    # the readers that need those read _coordinate_mask, so the rotated D is rotated for its
+    # coordinates, read by its basis in the centrality probes and cut by an SVD at a coordinate corner
     n = 6
     d = block_diagonal_algebra(n, [[0, 1, 2], [3, 4], [5]])
     rotated = unitary_conjugate_algebra(d, haar_unitary(n, np.random.default_rng(6)))
-    assert _units_in_order(rotated) and rotated.space.unit_columns is None
+    assert _unit_frame(rotated) is not None and _coordinate_mask(rotated) is None
     coords, residuals, _ = _pattern_coordinates(rotated)
     assert coords is not None and residuals.max() > 0.0
-    assert states._unit_mask(rotated) is None and states._unit_mask(d) is not None
+    assert states._unit_read(rotated, 0) is None and states._unit_read(d, 0) is not None
     corner = Corner(np.eye(n, dtype=complex)[:, [0, 1, 2]])
     assert _coordinate_corner(rotated, corner) is None and _coordinate_corner(d, corner) is not None
