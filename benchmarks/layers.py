@@ -68,7 +68,9 @@ above n, so that both routes are timed on each side of it.  At n = 4, 8 and 12 t
 Jensen rows time jensen_measure_suite at 6 and 100 trials on
 random_block_instance(n, default_rng(n)), coordinate and rotated, with the
 tracial pipeline's expectation and representing state, and geometric_mean
-per call on one invertible draw from the rotated A.  At n = 10, 16 and 24
+per call on one invertible draw from the rotated A.  At n = 3, 10 and 64
+the full_matrix_algebra row times M_n's construction with its tracemalloc
+peak (min of 200, 50 and 5).  At n = 10, 16 and 24
 the unit-frame rows take random_block_instance(n, default_rng(3),
 conjugate=True) and time each per-unit check of its character read in D's
 unit frame against the exact route it stands in for: the module gaps of
@@ -82,7 +84,7 @@ elements of D, (x + x*)/2 for x complex Gaussian combinations of D's basis
 drawn from default_rng(3), and adds the dimension it finds.  An algebra keeps its
 commutants and sampled projections once computed, so the sample_projections,
 commutant and diagnosis rows are timed twice: cold, on a fresh algebra
-object over the same basis and block pattern for every call (built outside
+object over the same space, so the same pattern, for every call (built outside
 the timing), and warm, repeated on one object; the other rows repeat on one D.
 A functional keeps its restricted densities, D-centrality verdicts and
 validated expectations, so every row that takes a state (the expectation,
@@ -150,6 +152,8 @@ COORDINATE_BUILD_SIZES = (32, 48)
 # sizes whose coordinate and rotated characters get the fix rows, and their repeats
 FIX_REPEATS = {16: 5, 32: 3}
 COMMUTATIVE_SIZES = (3, 4)
+# full_matrix_algebra rows: the repeats per size
+FULL_REPEATS = {3: 200, 10: 50, 64: 5}
 GENERATION_SIZES = (8, 12, 16)
 DIAGNOSIS_BLOCKS = [[0, 1, 2, 3], [4, 5, 6], [7]]
 # unit-row rows: D's block sizes and the repeats per size
@@ -343,11 +347,8 @@ def _measure(fn, repeats, setup=tuple):
 
 
 def _fresh(d):
-    """A new algebra object over d's space, so over its unit declaration, with d's block pattern and
-    an empty store."""
-    copy = type(d)(d.space, check=False)
-    copy.pattern = d.pattern
-    return copy
+    """A new algebra object over d's space, so with its unit declaration as its pattern, and an empty store."""
+    return type(d)(d.space, check=False)
 
 
 def _fresh_state(omega):
@@ -656,6 +657,8 @@ def main():
                 lambda omega: representing_expectation_state(inst.m, omega, inst.d, inst.a, inst.phi), 1,
                 lambda: (_fresh_state(omega),),
             )
+    for n, reps in FULL_REPEATS.items():
+        layers.setdefault(f"n={n}", {})["full_matrix_algebra"] = _measure(lambda n=n: full_matrix_algebra(n), reps)
     for n in COMMUTATIVE_SIZES:
         d = diagonal_algebra(n)
         layers[f"diagonal n={n}"] = {}

@@ -24,13 +24,18 @@ by the functional (states.PositiveFunctional.derived), not here.
 
 The block constructions and full_matrix_algebra take as basis the units
 u E_ij u* on an allowed-entries mask, in row-major order (for u None, in
-coordinates, the identity rows of M_n the mask selects), written once,
-with no SVD, by _mask_algebra, which declares them on the space
-(OperatorSubspace.declared) as the pattern (u, mask) the algebra takes:
-it is u B u* for B the matrices on the mask, and its rows are its unit
-frame (_unit_frame).  unitary_conjugate_algebra composes its rotation
-into the record, and corner_algebra carries it to the corner cut by a
-projection that commutes with the algebra.  A patterned algebra's product closure is
+coordinates, the identity rows of M_n the mask selects), with no SVD:
+_unit_space declares them on the space (OperatorSubspace.declared) as the
+pattern (u, mask) the algebra takes, u B u* for B the matrices on the
+mask, whose rows are its unit frame (_unit_frame).  No row is written
+here.  linalg writes them when they are first read: a rotated algebra's
+at its validation, whose identity check reads them, a coordinate
+algebra's at the first product with its basis.  M_n's readers take its
+entries by index on the block pipelines and, at n >= 5, the existence
+diagnosis, so with two or more blocks those never write M_n's rows.
+unitary_conjugate_algebra composes its rotation into the declaration,
+and corner_algebra carries the pattern to the corner cut by a projection
+that commutes with the algebra.  A patterned algebra's product closure is
 certified from its rotated basis, without forming the (dim)^2 basis
 products (Subalgebra.validate), with its adjoint closure when the mask is
 symmetric (StarAlgebra.validate), and a character on it is checked from
@@ -82,10 +87,11 @@ def _adjoint_defects(space):
 
 
 def _read_only(space):
-    """space itself when linalg.read_only keeps its rows, else a space over their read-only
-    copy, so that no caller's array is shared."""
-    rows = read_only(space.flat)
-    return space if rows is space.flat else OperatorSubspace(space.ambient_dim, rows)
+    """space itself when it is declared, as its rows are written read-only, or when
+    linalg.read_only keeps its rows; else a space over their read-only copy, so that no
+    caller's array is shared."""
+    rows = None if space.declared is not None else read_only(space.flat)
+    return space if rows is None or rows is space.flat else OperatorSubspace(space.ambient_dim, rows)
 
 
 class Subalgebra(DerivedStore):
@@ -94,10 +100,11 @@ class Subalgebra(DerivedStore):
     pattern is None or (u, mask): the span should be u B u* with B the
     matrices supported on the boolean (n, n) mask, a product-closed pattern,
     and u None for the identity.  It is the space's declaration, when the
-    rows are declared units (_mask_algebra); only on undeclared rows is it
-    set by hand, before the algebra is validated (corner_algebra's SVD route,
-    unitary_conjugate_algebra's product route).  validate() then certifies
-    product closure from the rotated basis; see there.
+    rows are declared units (_unit_space), and a declared space is kept as
+    it is, its rows written by linalg on first read; only on undeclared rows
+    is it set by hand, before the algebra is validated (corner_algebra's SVD
+    route, unitary_conjugate_algebra's product route).  validate() then
+    certifies product closure from the rotated basis; see there.
     """
 
     star_closed = False
@@ -229,7 +236,7 @@ def _off_mask(alg):
 
     Declared units (OperatorSubspace.declared) are read with no rotation:
     eps is 0 in coordinates.  A rotated row is fl(f_s), f_s = u[:, i] (x) conj(u[:, j]),
-    one complex product per entry (_rotated_units), which rounds within
+    one complex product per entry (linalg._rotated_units), which rounds within
     sqrt(5) 2^-53 of its value (Brent, Percival and Zimmermann 2007; 2 2^-53
     with a fused multiply-add).  As ||u[:, i]||^2 = (u*u)_ii <= 1 + eta, the
     row lies within sqrt(5) 2^-53 (1 + eta), about 2.5e-16, of f_s: a
@@ -256,13 +263,6 @@ def _off_mask(alg):
         return eps, eta
 
     return alg.derived("off mask", compute)
-
-
-def _rotated_units(u, i, j):
-    """The flat rows vec(u E_ij u*) = u[:, i] (x) conj(u[:, j]) for index arrays i and j, written once."""
-    rows = np.empty((len(i), u.size), dtype=complex)
-    np.multiply(u.T[i][:, :, None], u.T[j].conj()[:, None, :], out=rows.reshape(len(i), *u.shape))
-    return rows
 
 
 def _unit_frame(alg):
@@ -452,11 +452,10 @@ def _check_size(n):
 
 
 def full_matrix_algebra(n):
-    """M_n on its identity rows, _mask_algebra's coordinate units on the all-true mask."""
+    """M_n on its identity rows, declared on the all-true mask (_unit_space): readers that test
+    linalg._identity_rows take its entries by index, and its rows are written only when another reads them."""
     _check_size(n)
-    mask = np.ones((n, n), dtype=bool)
-    mask.flags.writeable = False
-    return _mask_algebra(mask, StarAlgebra)
+    return StarAlgebra(_unit_space(np.ones((n, n), dtype=bool)), check=False)
 
 
 def scalar_algebra(n):
@@ -486,8 +485,8 @@ def block_upper_triangular(n, blocks):
 
 
 def _block_algebra(n, blocks, star, u=None):
-    """block_diagonal_algebra (star) or block_upper_triangular, rotated by u, on _mask_algebra's rows
-    for the allowed-entry mask, and validated; tagged with the blocks in coordinates (u None), where a
+    """block_diagonal_algebra (star) or block_upper_triangular, rotated by u, on the rows declared on
+    the allowed-entry mask (_unit_space), and validated; tagged with the blocks in coordinates (u None), where a
     one-block partition gives all of M_n's identity rows.  u is checked as unitary_conjugate_algebra does."""
     _check_partition(n, blocks)
     check(InvariantViolation, "rotation: u is not unitary (||u*u - I|| = {:.3e})", _unitary_defect(u), tol(1e-9))
@@ -495,26 +494,19 @@ def _block_algebra(n, blocks, star, u=None):
     for t, blk in enumerate(blocks):
         which[blk] = t
     mask = which[:, None] == which[None, :] if star else which[:, None] <= which[None, :]
-    mask.flags.writeable = False
-    alg = _mask_algebra(mask, StarAlgebra if star else Subalgebra, u)
+    alg = (StarAlgebra if star else Subalgebra)(_unit_space(mask, u), check=False)
     alg.blocks = [list(blk) for blk in blocks] if u is None else None
     alg.validate()
     return alg
 
 
-def _mask_algebra(mask, cls, u=None):
-    """The one writer of unit rows: an unvalidated cls over u E_ij u* on a read-only (n, n) mask in
-    row-major order, declared on the space as (u, mask) (OperatorSubspace.declared), which the algebra
-    takes as its pattern; no SVD.  For u None the identity rows the mask selects, else _rotated_units'."""
-    n = len(mask)
-    where = np.flatnonzero(mask)
-    if u is None:
-        rows = np.zeros((len(where), n * n), dtype=complex)
-        rows[np.arange(len(where)), where] = 1.0
-    else:
-        rows = _rotated_units(u, *np.divmod(where, n))
-    rows.flags.writeable = False
-    return cls(OperatorSubspace(n, rows, (u, mask)), check=False)
+def _unit_space(mask, u=None):
+    """The space declared on (u, mask), the one place that hands out a declaration
+    (OperatorSubspace.declared): the units u E_ij u* at an (n, n) mask's entries, which an algebra
+    over it takes as its pattern.  The mask is set read-only, as the rows are a function of it.
+    Nothing is written here; linalg._unit_rows writes the rows when they are first read, with no SVD."""
+    mask.flags.writeable = False
+    return OperatorSubspace(len(mask), declared=(u, mask))
 
 
 def generate_algebra(generators):
@@ -547,13 +539,14 @@ def generate_star_algebra(generators):
 
 
 def _generating_set(s):
+    """s as a stack (k, n, n): an algebra's or a space's rows as a view, else the matrices, checked."""
     if isinstance(s, (Subalgebra, OperatorSubspace)):
-        return s.basis
+        return (s.space if isinstance(s, Subalgebra) else s).tensor
     gens = [as_matrix(m) for m in s]
     sizes = sorted({len(g) for g in gens})
     if len(sizes) > 1:
         raise DimensionMismatch(f"the set mixes matrix sizes {sizes}")
-    return gens
+    return np.array(gens)
 
 
 # seed of the generic combinations that open every commutant solve
@@ -628,21 +621,22 @@ def commutant(s, within=None):
     are built from), and later calls return that same object.  Both bases are
     read-only, so the kept result cannot go stale.
     """
-    gens = _generating_set(s)
-    if not gens:
+    # an algebra's rows are read only if its mask does not give the commutant
+    stack = None if isinstance(s, Subalgebra) else _generating_set(s)
+    if (s.dim if stack is None else len(stack)) == 0:
         raise EmptyInput("commutant of an empty set")
-    n = gens[0].shape[0]
+    n = s.n if stack is None else stack.shape[-1]
     if within is not None and within.n != n:
         raise DimensionMismatch(f"set lives in M_{n}, within in M_{within.n}")
-    if isinstance(s, Subalgebra):
+    if stack is None:
         return s.derived(("commutant", within), lambda: _algebra_commutant(s, within))
-    return _solve_commutant(np.stack(gens), within)
+    return _solve_commutant(stack, within)
 
 
 def _algebra_commutant(alg, within):
-    """commutant of an algebra past its argument checks: from the mask, else solved."""
+    """commutant of an algebra past its argument checks: from the mask, else solved on a view of its rows."""
     result = _pattern_commutant(alg, within)
-    return _solve_commutant(np.stack(alg.basis), within) if result is None else result
+    return _solve_commutant(alg.space.tensor, within) if result is None else result
 
 
 def _bracket_threshold(stack):
@@ -761,8 +755,9 @@ def unitary_conjugate_algebra(alg, u):
     not orthonormalized again.  A pattern (w, mask) of S becomes (u w, mask)
     when u w is unitary within _UNITARY_DEFECT; otherwise the result has no
     pattern, and its closure is checked pair by pair.  Declared units
-    (OperatorSubspace.declared) under a kept pattern are written by
-    _mask_algebra from u w's columns; other rows take two products each.
+    (OperatorSubspace.declared) under a kept pattern stay declared, on u w,
+    with nothing written until validate() reads them; other rows take two
+    products each.
     """
     check(InvariantViolation, "rotation: u is not unitary (||u*u - I|| = {:.3e})", _unitary_defect(u), tol(1e-9))
     pattern = None
@@ -772,7 +767,7 @@ def unitary_conjugate_algebra(alg, u):
         if _unitary_defect(composed) <= _UNITARY_DEFECT:
             pattern = (composed, mask)
     if pattern is not None and alg.space.declared is not None:
-        result = _mask_algebra(mask, type(alg), composed)
+        result = type(alg)(_unit_space(mask, composed), check=False)
     else:
         basis, rotated = alg.space.tensor, np.empty(alg.space.tensor.shape, dtype=complex)
         # per row: its first product, so that no second copy of the basis is held
@@ -786,7 +781,7 @@ def unitary_conjugate_algebra(alg, u):
 
 
 def _coordinate_corner(alg, corner):
-    """v* S v as the unit rows of a sub-mask (_mask_algebra), unvalidated, when S's rows are declared
+    """v* S v as the unit rows declared on a sub-mask (_unit_space), unvalidated, when S's rows are declared
     coordinate units (_coordinate_mask) and each column c of the Corner's isometry v is an exact
     coordinate vector e_k(c) at its own row k(c); else None.
 
@@ -802,9 +797,7 @@ def _coordinate_corner(alg, corner):
     k = np.argmax(v != 0, axis=0)  # the row of each column's first nonzero entry
     if np.count_nonzero(v) != r or not np.all(v[k, np.arange(r)] == 1.0) or len(set(k.tolist())) != r:
         return None
-    sub = mask[np.ix_(k, k)]
-    sub.flags.writeable = False
-    return _mask_algebra(sub, StarAlgebra)
+    return StarAlgebra(_unit_space(mask[np.ix_(k, k)]), check=False)
 
 
 def corner_algebra(alg, corner):

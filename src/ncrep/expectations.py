@@ -579,10 +579,15 @@ def _average_to_central(psi, omega, d, m):
 def _support_gaps(e, z):
     """||E(x_j) - E(z x_j z)|| and ||z E(x_j) - E(x_j) z|| over the domain's basis x_j:
     ||(K - K S_z) P||_F and ||(L_z - R_z) K P||_F for K the map's matrix, S_z, L_z, R_z
-    the matrices of x -> zxz, zx, xz and P the domain projection."""
-    x = e.domain.space.tensor
-    y = e.images.reshape(x.shape)
-    return hs_norm(y - e.apply(z @ x @ z)), hs_norm(z @ y - y @ z)
+    the matrices of x -> zxz, zx, xz and P the domain projection.  On identity rows E_ab
+    (linalg._identity_rows) z E_ab is row ab of kron(z^T, I), whose products by exact 0s and 1s
+    give the product's entries, a zero's sign aside, and no row of M_n is written.  No n^4
+    stack outlives the statistic it serves."""
+    n, x = e.n, e.domain.space
+    y = e.images.reshape(-1, n, n)
+    gap = hs_norm(y - e.apply(
+        (sandwich_matrix(z.T, np.eye(n)).reshape(y.shape) if _identity_rows(x) else z @ x.tensor) @ z))
+    return gap, hs_norm(z @ y - y @ z)
 
 
 def support_of_map(e):
@@ -648,8 +653,10 @@ def support_ideal_expectation(omega, d, m):
     range_space = corner.lift_space(d_z.space)
     e = ConditionalExpectation(corner.lift_map(f.map_matrix), m, range_space, z, d)
     _check_preserves(e, omega, omega.restricted_density(m))
-    # uniqueness: an independent Gram solve on the ideal must take the same values on M
-    mismatch = hs_norm(e.images - m.space.flat @ _gram_solve(omega, range_space).matrix().T)
+    # uniqueness: an independent Gram solve on the ideal must take the same values on M; on
+    # identity rows the product is exact and is the matrix's transpose (linalg.MatrixMap)
+    gram = _gram_solve(omega, range_space)
+    mismatch = hs_norm(e.images - (gram.matrix().T if _identity_rows(m.space) else m.space.flat @ gram.matrix().T))
     check(InvariantViolation, "the two support-ideal constructions disagree by {:.3e}",
           mismatch, tol(1e-7) * max(1.0, e.norm()))
     support = support_of_map(e)

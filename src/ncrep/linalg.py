@@ -223,33 +223,61 @@ def imag_power(x, t):
 
 def _identity_rows(space):
     """True when an OperatorSubspace's rows are declared unit rows at all n^2 columns: the identity,
-    which _mask_algebra writes for an all-true mask in coordinates (full_matrix_algebra).  Products
-    with such rows are exact, so callers skip them."""
+    declared on an all-true mask in coordinates (full_matrix_algebra).  Products with such rows are
+    exact, so callers skip them, and the rows are then never written."""
     cols = space._columns
     return cols is not None and len(cols) == space.ambient_dim**2
+
+
+def _rotated_units(u, i, j):
+    """The flat rows vec(u E_ij u*) = u[:, i] (x) conj(u[:, j]) for index arrays i and j, one
+    complex product per entry, written once."""
+    rows = np.empty((len(i), u.size), dtype=complex)
+    np.multiply(u.T[i][:, :, None], u.T[j].conj()[:, None, :], out=rows.reshape(len(i), *u.shape))
+    return rows
+
+
+def _unit_rows(u, mask):
+    """The one writer of declared rows, read-only: the units u E_ij u* at the mask's entries in
+    row-major order, the identity rows the mask selects for u None, else _rotated_units'."""
+    n = len(mask)
+    where = np.flatnonzero(mask)
+    if u is None:
+        rows = np.zeros((len(where), n * n), dtype=complex)
+        rows[np.arange(len(where)), where] = 1.0
+    else:
+        rows = _rotated_units(u, *np.divmod(where, n))
+    rows.flags.writeable = False
+    return rows
 
 
 class OperatorSubspace:
     """Subspace of M_n under <X,Y> = Tr(Y*X), held as stacked orthonormal flat rows.
 
-    declared is the one fact a space keeps about its rows: None, or the
-    pattern (u, mask) when their writer, algebras._mask_algebra, made them
-    the units u E_ij u* at the mask's entries in row-major order (u None in
-    coordinates).  Rows are never scanned for it.  On declared coordinate
-    units, every product with the rows is by an exact 0 or 1, so coords,
-    from_coords, project and residuals read and write their columns
-    (_columns, computed once here), with the same numbers (a zero's sign aside).
+    A space is built from its rows or from a declaration, never both.
+    declared is None, or the pattern (u, mask) that stands for the units
+    u E_ij u* at the mask's entries in row-major order (u None in
+    coordinates); algebras._unit_space hands it out, and rows are never
+    scanned for it.  A declared space holds the mask alone, with size its
+    count, until flat or tensor is first read: _unit_rows then writes the
+    rows, once and read-only.  On declared coordinate units, every product
+    with the rows is by an exact 0 or 1, so coords, from_coords, project
+    and residuals read and write their columns (_columns, computed once
+    here) with the same numbers (a zero's sign aside), and never write the rows.
     """
 
-    def __init__(self, ambient_dim, flat, declared=None):
+    def __init__(self, ambient_dim, flat=None, declared=None):
         self.ambient_dim = int(ambient_dim)
-        self.flat = np.asarray(flat, dtype=complex).reshape(-1, self.ambient_dim**2)
         self.declared = declared
+        if declared is None:
+            self.flat = np.asarray(flat, dtype=complex).reshape(-1, self.ambient_dim**2)
+        self.size = len(self.flat) if declared is None else int(np.count_nonzero(declared[1]))
         self._columns = None if declared is None or declared[0] is not None else np.flatnonzero(declared[1])
 
-    @property
-    def size(self):
-        return self.flat.shape[0]
+    @functools.cached_property
+    def flat(self):
+        """A declared space's rows, written on first read (_unit_rows); rows given are set in __init__."""
+        return _unit_rows(*self.declared)
 
     @property
     def basis(self):

@@ -52,10 +52,10 @@ from .algebras import (
     _mask_rows,
     _off_mask,
     _pattern_coordinates,
-    _rotated_units,
     _same_rotation,
     _sum_dimension,
     _unit_frame,
+    _unit_space,
     check_ss_density,
     diagonal_part_check,
 )
@@ -308,8 +308,10 @@ def _mask_kernel(phi):
     units' span, so same_subspace holds with half its tolerance left once
     2 lambda + 2 tau' / sigma <= tol(1e-8) / 2: lambda <= _KERNEL_GAP and
     2 tau' / sigma <= tol(1e-8) / 4.  _splitting_certified must pass as
-    well, on tau and F, so validate reads the splitting off this tau.  The
-    units cost O(k n^2), A's own rows if declared; D's fix is validate's own.
+    well, on tau and F, so validate reads the splitting off this tau.  J is
+    the space declared on (u, mask_A & ~mask_D) (algebras._unit_space):
+    its O(k n^2) rows are written when first read, here only by the stack
+    route below and otherwise by the pipelines; D's fix is validate's own.
 
     Every step above reads tau, like F, only as an upper bound.  For block
     factors (a SandwichSum) at n^4 > _BLOCK_FROM, tau is read in u's frame
@@ -335,18 +337,14 @@ def _mask_kernel(phi):
     if not (k + d.dim == a.dim and lam <= _KERNEL_GAP):
         return None
     n = phi.n
-    i, j = np.nonzero(off)
-    if _unit_frame(a) is not None:
-        rows = a.space.flat[~d.pattern[1][mask]]  # A's rows at those units, in the same row-major order
-    else:
-        rows = _rotated_units(np.eye(n) if u is None else u, i, j)
+    kernel = _unit_space(off, u)
     if n**4 > _BLOCK_FROM and phi._frame_factors is not None:
-        rotated = phi._frame_factors
+        rotated, (i, j) = phi._frame_factors, np.nonzero(off)
         # per unit, its image in u's frame
         tau = math.hypot(*(hs_norm(rotated.at_units(i[part], j[part])) for part in chunk_slices(k, n * n)))
         tau /= 1.0 - eta
     else:
-        units = rows.reshape(k, n, n)
+        units = kernel.tensor
         # per unit, its image
         tau = math.hypot(*(hs_norm(phi.apply(units[part])) for part in chunk_slices(k, n * n)))
     kappa = phi.norm()
@@ -356,8 +354,7 @@ def _mask_kernel(phi):
     if not (small <= tol(1e-9) / 2 and sigma >= 2.0 * tol(1e-9) * max(1.0, kappa)
             and 2.0 * small <= sigma * tol(1e-8) / 4 and _splitting_certified(tau, fixed, kappa)):
         return None
-    rows.flags.writeable = False
-    return OperatorSubspace(n, rows), tau
+    return kernel, tau
 
 
 def _multiplicative_from_defects(phi, kappa):
@@ -479,7 +476,7 @@ def make_block_character(n, blocks):
 
 def _block_character(n, blocks, u=None):
     """make_block_character, or with a unitary u its rotation x -> u x u* of A, D and Phi, erasing the
-    block tags: A's and D's rows written once from (u, mask) by algebras._mask_algebra, Phi _pinching's
+    block tags: A's and D's rows declared on (u, mask) (algebras._unit_space), Phi _pinching's
     factors on D, each validated once, and no M_n.  A u off unitary by more than 1e-9 raises InvariantViolation;
     one past _UNITARY_DEFECT keeps its pattern, and each certificate gated by algebras._mask_gap defers."""
     blocks = [list(blk) for blk in blocks]

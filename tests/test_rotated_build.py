@@ -1,26 +1,30 @@
-"""A block character's build writes each unit row once.
+"""A block character's build writes each unit row once, and M_n's never.
 
-algebras._mask_algebra is the one writer of declared unit rows: identity
-rows in coordinates, and u[:, i] (x) conj(u[:, j]) from u's columns
-(_rotated_units) for a rotation.  A rotated random_block_instance writes A's
-and D's rows once each with it, writes no coordinate rows, makes M_n once
-(for the instance) and takes J's rows from A's; a coordinate build writes J
-with no product.  Every row is the same per-entry product as the route
-left in place, unitary_conjugate_algebra of the coordinate build with
-_rotated_units for J, so everything the build and the two pipelines give is
-the same bit for bit: A's and D's rows and patterns, Phi's factors, J's rows
-and tau, and Psi and rho from both pipelines.
+A declared space (algebras._unit_space) holds its pattern (u, mask) and
+no rows; linalg._unit_rows writes them on first read: identity rows in
+coordinates, and u[:, i] (x) conj(u[:, j]) from u's columns
+(_rotated_units) for a rotation, the same bits the eager writer gave.  A
+random_block_instance writes A's and D's rows once each, makes M_n once
+(for the instance) and never writes its rows, and declares J on the units
+off D's mask, written on the pipelines' first read.  With two or more
+blocks the build, both pipelines and the existence diagnosis with its
+support-ideal map read M_n by index alone.  Every row is the same
+per-entry product as the route left in place, unitary_conjugate_algebra
+of the coordinate build with _rotated_units for J, so everything the build
+and the two pipelines give is the same bit for bit: A's and D's rows and
+patterns, Phi's factors, J's rows and tau, and Psi and rho from both
+pipelines.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from ncrep import algebras, instances, representing
+from ncrep import algebras, expectations, instances, linalg, representing
 from ncrep.algebras import (
     _UNITARY_DEFECT,
-    _rotated_units,
     _unitary_defect,
     block_diagonal_algebra,
     block_upper_triangular,
@@ -28,8 +32,8 @@ from ncrep.algebras import (
     unitary_conjugate_algebra,
 )
 from ncrep.errors import InvariantViolation
-from ncrep.instances import haar_unitary, random_central_density, random_partition
-from ncrep.linalg import SandwichSum
+from ncrep.instances import haar_unitary, random_central_density, random_density, random_partition
+from ncrep.linalg import OperatorSubspace, SandwichSum, _rotated_units
 from ncrep.representing import (
     DCharacter,
     _block_character,
@@ -54,27 +58,119 @@ def _rotation(n, rotation, rng):
     return u
 
 
+def _writes():
+    """A spy on the one writer of declared rows; its call_args_list holds each (u, mask) written."""
+    return mock.patch.object(linalg, "_unit_rows", wraps=linalg._unit_rows)
+
+
+def _m_rows(writer, n):
+    """The writes of M_n's identity rows among the spy's calls: coordinates on the all-true n x n mask."""
+    return [call for call in writer.call_args_list
+            if call.args[0] is None and call.args[1].shape == (n, n) and call.args[1].all()]
+
+
 @pytest.mark.parametrize("n", [6, 16])
 @pytest.mark.parametrize("conjugate", [False, True])
 def test_a_build_writes_each_unit_row_once(n, conjugate):
     with mock.patch.object(algebras, "full_matrix_algebra", wraps=algebras.full_matrix_algebra) as full, \
             mock.patch.object(instances, "full_matrix_algebra", new=algebras.full_matrix_algebra), \
-            mock.patch.object(algebras, "_rotated_units", wraps=algebras._rotated_units) as written, \
-            mock.patch.object(representing, "_rotated_units", wraps=algebras._rotated_units) as written_j, \
-            mock.patch.object(algebras, "_mask_algebra", wraps=algebras._mask_algebra) as writer:
+            _writes() as writer:
         inst = instances.random_block_instance(n, np.random.default_rng(n), conjugate=conjugate)
     assert full.call_count == 1 and inst.m.dim == n**2
-    # A, then D, each written once, rotated when the instance is: no coordinate rows on a rotated build
-    # but M's identity rows, which the same writer writes last, on the all-true mask
-    a_call, d_call, m_call = writer.call_args_list
-    assert [call.args[1] for call in (a_call, d_call, m_call)] == [algebras.Subalgebra] + [algebras.StarAlgebra] * 2
-    assert all((call.args[2] is None) != conjugate for call in (a_call, d_call))
-    assert m_call.args[0].all() and m_call.args[2:] == ()
-    assert written.call_count == (2 if conjugate else 0) and written_j.call_count == 0
-    # J's rows are A's, at the units off D's mask
     a, d = inst.a, inst.d
+    assert d.dim < n**2  # two or more blocks, so no all-true mask but M's
+    # A's rows once and D's once, each from its own declaration, rotated when the instance is; M's never
+    written = {id(call.args[1]): call.args[0] for call in writer.call_args_list}
+    assert writer.call_count == 2 and all(written[id(alg.pattern[1])] is alg.pattern[0] for alg in (a, d))
+    assert (a.pattern[0] is None) != conjugate
+    assert not _m_rows(writer, n) and "flat" not in vars(inst.m.space)
+    # J is declared on the units off D's mask: its rows, first read here, are A's there
+    assert inst.phi.kernel.declared[1].sum() == a.dim - d.dim
     rows = a.space.flat[~d.pattern[1][a.pattern[1]]]
     assert inst.phi.kernel.flat.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("conjugate", [False, True])
+@pytest.mark.parametrize("n", [5, 10, 16])
+def test_the_pipelines_never_write_m_rows(n, conjugate):
+    # on two or more blocks no declared all-true mask but M's is read; a one-block partition has
+    # A = D = M_n, whose rows the pipelines do read
+    seed = next(seed for seed in range(100) if len(random_partition(n, np.random.default_rng(seed))) > 1)
+    with _writes() as writer:
+        inst = instances.random_block_instance(n, np.random.default_rng(seed), conjugate=conjugate)
+        args = (inst.m, inst.state, inst.d, inst.a, inst.phi)
+        representing_expectation_tracial(*args)
+        representing_expectation_state(*args)
+    assert inst.d.dim < n**2
+    assert not _m_rows(writer, n)
+    # A, D and J, each once
+    assert writer.call_count == 3
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_the_diagnosis_never_writes_m_rows(n):
+    # a central faithful state, a non-central one and a central one cut to the first block, which
+    # also gets its support-ideal map; M_r's rows on the support's corner are another algebra's
+    rng = np.random.default_rng(n)
+    blocks = [list(range(0, n - 3)), list(range(n - 3, n - 1)), [n - 1]]
+    d, m = block_diagonal_algebra(n, blocks), full_matrix_algebra(n)
+    central = random_central_density(n, d, rng).density
+    keep = np.zeros((n, n))
+    keep[blocks[0], blocks[0]] = 1.0
+    cut = keep @ central @ keep
+    states = (PositiveFunctional(central), random_density(n, rng), PositiveFunctional(cut / np.trace(cut).real))
+    with _writes() as writer:
+        for omega in states:
+            assert expectations.existence_diagnosis(omega, d, m).equivalences_hold
+        e = expectations.support_ideal_expectation(omega, d, m)
+    assert not _m_rows(writer, n) and "flat" not in vars(m.space)
+    assert np.abs(e.pullback_density(omega.density) - omega.density).max() < 1e-8
+
+
+def test_m_n_allocates_no_rows():
+    tracemalloc.start()
+    try:
+        m = full_matrix_algebra(64)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.0, peak
+    assert m.dim == 64**2 and "flat" not in vars(m.space)
+
+
+def _eager_rows(u, mask):
+    """An eager writer of declared rows, the reference for the lazy one: identity rows the mask
+    selects for u None, else one product per entry of u's columns, in the mask's row-major order."""
+    n = len(mask)
+    where = np.flatnonzero(mask)
+    if u is None:
+        rows = np.zeros((len(where), n * n), dtype=complex)
+        rows[np.arange(len(where)), where] = 1.0
+        return rows
+    rows = np.empty((len(where), n * n), dtype=complex)
+    i, j = np.divmod(where, n)
+    np.multiply(u.T[i][:, :, None], u.T[j].conj()[:, None, :], out=rows.reshape(len(where), n, n))
+    return rows
+
+
+@pytest.mark.parametrize("rotation", ROTATIONS)
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_rows_written_on_first_read_are_the_eager_rows(n, rotation):
+    rng = np.random.default_rng(2000 + n)
+    blocks = random_partition(n, rng)
+    u = _rotation(n, rotation, rng)
+    with _writes() as writer:
+        base = block_upper_triangular(n, blocks)
+        alg = base if u is None else unitary_conjugate_algebra(base, u)
+        # a coordinate algebra's validation reads its columns, a rotated one's its rows
+        assert writer.call_count == (u is not None)
+        space = OperatorSubspace(n, declared=alg.pattern)
+        assert space.size == alg.dim and writer.call_count == (u is not None)
+        rows = space.flat
+        assert space.flat is rows and space.tensor.base is rows and not rows.flags.writeable
+    assert writer.call_count == 1 + (u is not None)
+    assert _same(rows, _eager_rows(*alg.pattern))
+    assert _same(alg.space.flat, rows)
 
 
 def _same(x, y):

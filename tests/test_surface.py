@@ -102,7 +102,7 @@ def test_package_exports_resolve():
 def test_the_unit_declaration_is_read_behind_linalg_and_algebras():
     # OperatorSubspace.declared, and the columns linalg derives from it, decide which rows are read
     # by index; every other module asks algebras (_unit_frame, _coordinate_mask) or linalg
-    # (_identity_rows), so the decision stays in those two, and only algebras._mask_algebra hands a
+    # (_identity_rows), so the decision stays in those two, and only algebras._unit_space hands a
     # space its declaration
     readers, writers = set(), []
     for path in sorted(INIT.parent.glob("*.py")):
@@ -114,4 +114,4 @@ def test_the_unit_declaration_is_read_behind_linalg_and_algebras():
                 if getattr(call.func, "id", None) == "OperatorSubspace" and (len(call.args) > 2 or call.keywords):
                     writers.append(f"{path.name}:{func.name}")
     assert readers == {"linalg.py", "algebras.py"}
-    assert writers == ["algebras.py:_mask_algebra"]
+    assert writers == ["algebras.py:_unit_space"]

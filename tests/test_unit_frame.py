@@ -18,13 +18,13 @@ On coordinate D the frame gaps are the exact ones to rounding; on rotated D,
 with u a Haar unitary or one whose defect ||u*u - I|| is near the
 _UNITARY_DEFECT a pattern keeps, they are never below the exact gaps and
 above them by at most the slack unit_frame_gaps derives.  Only rows declared
-as units by the code that wrote them (algebras._mask_algebra) have a frame:
+as units (algebras._unit_space) have a frame:
 rows moved off the units, an SVD's rows, a solved commutant and an
 undeclared copy with its pattern set by hand take the exact route, a failing check reports the exact route's message, and the block
 pipelines reach none of the routes the frame replaces.  fix and tau equal
 tests/dense_oracle.py's stack route bit for bit on a coordinate D and bound
 it from above on a rotated one, within the slack their docstrings derive.
-unitary_conjugate_algebra writes declared rows from u's columns within
+unitary_conjugate_algebra declares rows that linalg writes from u's columns within
 sqrt(5) 2^-53 (1 + eta) of the exact units, and _off_mask's bound on them
 is at least the eps an undeclared copy measures.
 """
@@ -45,7 +45,6 @@ from ncrep.algebras import (
     _coordinate_corner,
     _coordinate_mask,
     _inclusion_gap,
-    _rotated_units,
     _unit_frame,
     _unitary_defect,
     block_diagonal_algebra,
@@ -61,7 +60,7 @@ from ncrep.config import tol
 from ncrep.errors import InvariantViolation
 from ncrep.expectations import ConditionalExpectation, _preserving_expectation, preserving_expectation
 from ncrep.instances import haar_unitary, random_central_density, random_density, random_partition
-from ncrep.linalg import Corner, SandwichSum, hs_norm, hs_norms, projection_isometry, unit_frame_gaps
+from ncrep.linalg import Corner, SandwichSum, _rotated_units, hs_norm, hs_norms, projection_isometry, unit_frame_gaps
 from ncrep.representing import (
     DCharacter,
     _block_character,
@@ -429,14 +428,14 @@ def test_declared_rotated_rows_are_the_units_to_one_product(n, rotations, star, 
     rng = np.random.default_rng(seed)
     blocks = random_partition(n, rng)
     written = []
-    write = algebras._mask_algebra
-    with mock.patch.object(algebras, "_mask_algebra", lambda *args: _recorded(write(*args), written)):
+    declare = algebras._unit_space
+    with mock.patch.object(algebras, "_unit_space", lambda *args: _recorded(declare(*args), written)):
         base = (block_diagonal_algebra if star else block_upper_triangular)(n, blocks)
         alg = _rotated(base, rotations, rng)
         u, mask = alg.pattern
         gemm = unitary_conjugate_algebra(undeclared(base), u)
         built = _constructions(base, alg, gemm, rng)
-    # every space is declared exactly where _mask_algebra wrote it, as the pattern of every algebra over it
+    # every space is declared exactly where _unit_space made it, as the pattern of every algebra over it
     assert [label for label, x in built.items() if _declared_as_written(x, written)] == DECLARED
     # a pattern set by hand sits on undeclared rows
     assert built["undeclared rotated"].pattern is not None and built["SVD corner"].pattern is not None
@@ -454,12 +453,12 @@ def test_declared_rotated_rows_are_the_units_to_one_product(n, rotations, star, 
     assert eta_kept == eta and eps >= algebras._off_mask(undeclared(alg))[0]
 
 
-def _recorded(alg, written):
-    written.append(alg.space)
-    return alg
+def _recorded(space, written):
+    written.append(space)
+    return space
 
 
-# the constructions of _constructions whose rows _mask_algebra writes
+# the constructions of _constructions whose spaces _unit_space declares
 DECLARED = ["block", "rotated", "M_n", "coordinate corner", "corner of M_n", "second object"]
 
 
@@ -490,9 +489,9 @@ def _constructions(base, alg, gemm, rng):
 
 
 def _declared_as_written(alg, written):
-    """True when alg's space is declared, after checking that it is so exactly when _mask_algebra
-    wrote it, that alg's pattern is then the declaration, and that the rows are bit for bit the
-    identity rows or _rotated_units at the mask's entries in row-major order."""
+    """True when alg's space is declared, after checking that it is so exactly when _unit_space
+    made it, that alg's pattern is then the declaration, and that the rows, written on first read,
+    are bit for bit the identity rows or _rotated_units at the mask's entries in row-major order."""
     declared = alg.space.declared
     assert (declared is not None) == any(alg.space is space for space in written)
     assert linalg._identity_rows(alg.space) == (declared is not None and declared[0] is None and declared[1].all())

@@ -1,9 +1,9 @@
 """Unit-row subspaces: rows that are matrix units E_ij are read by index.
 
-OperatorSubspace.declared is written by the one writer of unit rows,
-algebras._mask_algebra (the block constructions, full_matrix_algebra and a
-corner cut by exact coordinate vectors); nothing is read off the rows'
-bits, so any other space, even one over the same rows, has None
+OperatorSubspace.declared is handed out in one place, algebras._unit_space
+(the block constructions, full_matrix_algebra and a corner cut by exact
+coordinate vectors), and linalg writes the rows on first read; nothing is
+read off the rows' bits, so any other space, even one over the same rows, has None
 (dense_oracle.undeclared).  On declared coordinate rows coords,
 from_coords, project and residuals gather and scatter those columns, and
 every product the matrix route forms is by an exact 0 or 1, so the two
